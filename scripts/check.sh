@@ -85,6 +85,19 @@ if ! python -m repro.bench fleet --shards 2 --tenants 2 \
     echo "fleet-smoke failed (non-gating); continuing"
 fi
 
+# Non-gating: perfbench self-tests and a quick benchmark pass. The
+# benchmark driver runs perfbench against every PR from outside; these
+# two steps surface a renamed span target (trace.unresolved_spans) or a
+# broken oracle here first. perfbench/tests is outside tier-1's
+# testpaths, and --quick timings are smoke-sized, so neither gates.
+echo "== perfbench-smoke (non-gating) =="
+if ! python -m pytest perfbench/tests -q; then
+    echo "perfbench self-tests failed (non-gating); continuing"
+fi
+if ! python -m perfbench run --quick; then
+    echo "perfbench quick run failed (non-gating); continuing"
+fi
+
 # Non-gating: end-to-end wall-clock delta. Times the e2e smoke micro
 # (quick scale) and prints the change against the last trajectory point
 # in BENCH_SMOKE.json that recorded one. Machine-load-sensitive, so the

@@ -261,9 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     wall_clock["fleet"] = time.perf_counter() - started
     gate("fleet", fleet_result)
 
-    # Encoded-domain hot-path micros (quick scale): tracked per PR so
-    # the trajectory records simulator-speed levers, not just the e2e
-    # smoke wall clock. Best-of timings in µs per unit.
+    # Hot-path micros (quick scale): tracked per PR so the trajectory
+    # records simulator-speed levers, not just the e2e smoke wall
+    # clock. Best-of timings in µs per unit.
     from repro.bench.micro import run_micro
 
     micros: dict[str, float] = {}
@@ -272,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         "codec.encode",
         "codec.decode",
         "runner.read_fastlane",
+        "version.candidates",
+        "sstable.get_resident",
         "e2e.smoke",
     ):
         for micro in run_micro(quick=True, name_filter=name):

@@ -604,6 +604,81 @@ def _bench_runner_read_fastlane():
     return op, False
 
 
+def _table_builder():
+    """``build(records) -> SSTable`` on one private NVM tier."""
+    from repro.common import KIB, MIB, SimClock
+    from repro.lsm.sstable import SSTableBuilder
+    from repro.storage import NVM_SPEC, StorageBackend, StorageTier
+
+    clock = SimClock()
+    backend = StorageBackend(clock)
+    tier = StorageTier("nvm", NVM_SPEC, 256 * MIB, clock)
+
+    def build(records):
+        builder = SSTableBuilder(
+            backend, tier, block_bytes=4 * KIB, target_file_bytes=1 << 30
+        )
+        for record in records:
+            builder.add(record)
+        table, _ = builder.finish()
+        return table
+
+    return build
+
+
+def _bench_version_candidates():
+    """Point candidate lookup on a 700-file leveled level (fence bisect).
+
+    Half the probed keys fall inside a file, half in the gap after it,
+    so both outcomes of the range check are exercised.
+    """
+    from repro.lsm.record import Record, ValueKind
+    from repro.lsm.version import LevelManifest
+
+    build = _table_builder()
+    manifest = LevelManifest(3)
+    n_files = 700
+    for i in range(n_files):
+        manifest.add_file(1, build([
+            Record(f"key{i:06d}a".encode(), 2 * i + 1, ValueKind.PUT, b"v"),
+            Record(f"key{i:06d}m".encode(), 2 * i + 2, ValueKind.PUT, b"v"),
+        ]))
+    keys = [
+        f"key{(i * 7919) % n_files:06d}{suffix}".encode()
+        for i in range(4_096)
+        for suffix in ("c", "x")
+    ]
+    n_keys = len(keys)
+
+    def op(n: int) -> None:
+        candidates_for_key = manifest.candidates_for_key
+        for i in range(n):
+            candidates_for_key(1, keys[i % n_keys])
+
+    return op, False
+
+
+def _bench_sstable_get_resident():
+    """Probe of a warm table: resident filter/index, data block cached."""
+    from repro.common import MIB
+    from repro.lsm.block_cache import BlockCache
+
+    records = _records(2_000)
+    table = _table_builder()(records)
+    cache = BlockCache(4 * MIB)
+    keys = [records[(i * 7919) % len(records)].user_key for i in range(4_096)]
+    n_keys = len(keys)
+    for key in keys:  # pull every probed data block into the cache
+        table.get(key, cache)
+
+    def op(n: int) -> None:
+        get = table.get
+        for i in range(n):
+            get(keys[i % n_keys], cache)
+
+    return op, False
+
+
 def _bench_e2e_smoke():
     """End-to-end: the perf gate's seeded YCSB-A smoke run, wall-clock."""
     from repro.bench.harness import SystemConfig, run_experiment
@@ -640,6 +715,8 @@ BENCHMARKS: dict[str, tuple[str, Callable]] = {
     "key.intern": ("interned workload key lookup", _bench_key_intern),
     "runner.batched": ("batched YCSB op generation, per op", _bench_runner_batched),
     "runner.read_fastlane": ("read fast-lane lookup, per op", _bench_runner_read_fastlane),
+    "version.candidates": ("point candidate lookup, 700-file level", _bench_version_candidates),
+    "sstable.get_resident": ("probe of a resident table, cache hit", _bench_sstable_get_resident),
     "metrics.counter_inc": ("labelled counter lookup + increment", _bench_metrics_counter),
     "attribution.get_off": ("point read, attribution disabled", _bench_attribution_off),
     "attribution.get_on": ("point read with a live OpContext", _bench_attribution_on),

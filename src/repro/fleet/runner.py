@@ -36,8 +36,7 @@ from repro.fleet.fanout import stream_fan_out
 from repro.fleet.merge import ShardAccumulator
 from repro.fleet.pool import DevicePool, PoolParams
 from repro.fleet.router import ConsistentHashRouter
-from repro.fleet.workload import ShardWorkload, TenantSpec
-from repro.workloads.interning import KeyInterner
+from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec
 
 
 def default_tenants(
@@ -93,18 +92,12 @@ class FleetConfig:
         return derive_seed(self.seed, "fleet", f"shard{shard_id}")
 
 
-def _split_by_owned(config: FleetConfig, total: int) -> list[int]:
+def _split_by_owned(owned: list[int], total: int) -> list[int]:
     """Split an op count across shards proportional to owned keys.
 
     Largest-remainder apportionment (ties to the lower shard id): exact
     total, deterministic, and independent of execution order.
     """
-    router = ConsistentHashRouter(config.shards, vnodes=config.vnodes)
-    owned = [0] * config.shards
-    for tenant in config.tenants:
-        interner = KeyInterner(tenant.key_format)
-        for index in range(tenant.key_count):
-            owned[router.shard_for_key(interner.key(index))] += 1
     total_keys = sum(owned)
     if total_keys == 0:
         raise ConfigError("fleet owns no keys")
@@ -112,7 +105,7 @@ def _split_by_owned(config: FleetConfig, total: int) -> list[int]:
     floors = [int(q) for q in quotas]
     shortfall = total - sum(floors)
     order = sorted(
-        range(config.shards), key=lambda s: (-(quotas[s] - floors[s]), s)
+        range(len(owned)), key=lambda s: (-(quotas[s] - floors[s]), s)
     )
     for shard in order[:shortfall]:
         floors[shard] += 1
@@ -122,8 +115,11 @@ def _split_by_owned(config: FleetConfig, total: int) -> list[int]:
 def run_shard(config: FleetConfig, shard_id: int) -> RunResult:
     """Simulate one shard of the fleet (pure in ``(config, shard_id)``)."""
     router = ConsistentHashRouter(config.shards, vnodes=config.vnodes)
-    run_split = _split_by_owned(config, config.total_operations)
-    warmup_split = _split_by_owned(config, config.warmup_operations)
+    # One pass hashes every tenant key onto the ring; both op splits and
+    # the workload's owned-key lists derive from it.
+    ownership = ShardOwnership(config.tenants, router, shard_id)
+    run_split = _split_by_owned(ownership.keys_per_shard, config.total_operations)
+    warmup_split = _split_by_owned(ownership.keys_per_shard, config.warmup_operations)
     workload = ShardWorkload(
         config.tenants,
         router,
@@ -131,6 +127,7 @@ def run_shard(config: FleetConfig, shard_id: int) -> RunResult:
         operations=run_split[shard_id],
         warmup_operations=warmup_split[shard_id],
         seed=config.shard_seed(shard_id),
+        ownership=ownership,
     )
     system_config = SystemConfig(
         system=config.system,

@@ -106,17 +106,48 @@ class _TenantState:
 
     __slots__ = ("spec", "interner", "owned", "key_len")
 
-    def __init__(self, spec: TenantSpec, router: ConsistentHashRouter, shard_id: int):
+    def __init__(
+        self,
+        spec: TenantSpec,
+        router: ConsistentHashRouter,
+        shard_id: int,
+        keys_per_shard: list[int],
+    ):
         self.spec = spec
         self.interner = KeyInterner(spec.key_format)
         key = self.interner.key
         shard_for_key = router.shard_for_key
-        self.owned = [
-            index
-            for index in range(spec.key_count)
-            if shard_for_key(key(index)) == shard_id
-        ]
+        owned = self.owned = []
+        for index in range(spec.key_count):
+            shard = shard_for_key(key(index))
+            keys_per_shard[shard] += 1
+            if shard == shard_id:
+                owned.append(index)
         self.key_len = len(key(0))
+
+
+class ShardOwnership:
+    """One ownership pass over every tenant's key space, for one shard.
+
+    Hashing each tenant key onto the ring is the dominant set-up cost of
+    a shard, so it happens exactly once: the pass keeps the key indices
+    ``shard_id`` owns (what :class:`ShardWorkload` draws from) and counts
+    the keys *every* shard owns (``keys_per_shard``, what the fleet
+    runner apportions operation counts by).
+    """
+
+    def __init__(
+        self,
+        tenants: tuple[TenantSpec, ...],
+        router: ConsistentHashRouter,
+        shard_id: int,
+    ) -> None:
+        self.shard_id = shard_id
+        self.keys_per_shard = [0] * router.num_shards
+        self.states = [
+            _TenantState(spec, router, shard_id, self.keys_per_shard)
+            for spec in tenants
+        ]
 
 
 class ShardWorkload:
@@ -131,6 +162,7 @@ class ShardWorkload:
         operations: int,
         warmup_operations: int = 0,
         seed: int = 0,
+        ownership: ShardOwnership | None = None,
     ) -> None:
         if not tenants:
             raise ConfigError("fleet workload needs at least one tenant")
@@ -144,7 +176,15 @@ class ShardWorkload:
         self.router = router
         self.shard_id = shard_id
         self.seed = seed
-        self._states = [_TenantState(spec, router, shard_id) for spec in tenants]
+        # ``ownership`` is the pass a caller already made for this shard
+        # (the fleet runner sizes the shard's op counts from it).
+        if ownership is None:
+            ownership = ShardOwnership(tenants, router, shard_id)
+        elif ownership.shard_id != shard_id:
+            raise ConfigError(
+                f"ownership pass is for shard {ownership.shard_id}, not {shard_id}"
+            )
+        self._states = ownership.states
         record_count = sum(len(state.owned) for state in self._states)
         if record_count == 0:
             raise ConfigError(

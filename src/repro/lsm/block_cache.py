@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
+from repro.obs.metrics import Counter
 from repro.storage.device import DRAM_SPEC
 
 T = TypeVar("T")
@@ -40,37 +40,68 @@ class BlockType(enum.Enum):
 class _Entry:
     """One cached block: raw bytes plus the lazily parsed decoded form."""
 
-    __slots__ = ("data", "decoded")
+    __slots__ = ("data", "decoded", "hit_latency")
 
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.decoded: object | None = None
+        #: What every hit on this entry charges: one DRAM access for the
+        #: raw size — a pure function of it, so computed once per insert.
+        self.hit_latency = DRAM_SPEC.read_time_usec(len(data))
 
 
-@dataclass
+class _Tally:
+    """Hit/miss counts of one block type and their registry mirrors.
+
+    The cache binds one tally per type up front, so counting a lookup
+    is two attribute bumps — no ``BlockType``-keyed dict (``Enum``
+    hashing is a Python-level call) on the probe path. The mirrors are
+    detached counters until :meth:`BlockCache.bind_observability` swaps
+    in the registry's.
+    """
+
+    __slots__ = ("hits", "misses", "obs_hits", "obs_misses")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.obs_hits = Counter()
+        self.obs_misses = Counter()
+
+    def hit(self) -> None:
+        self.hits += 1
+        self.obs_hits.inc()
+
+    def miss(self) -> None:
+        self.misses += 1
+        self.obs_misses.inc()
+
+
 class CacheStats:
     """Hit/miss accounting, overall and per block type."""
 
-    hits: dict[BlockType, int] = field(default_factory=dict)
-    misses: dict[BlockType, int] = field(default_factory=dict)
-    insertions: int = 0
-    evictions: int = 0
+    def __init__(self) -> None:
+        self.tallies: dict[BlockType, _Tally] = {bt: _Tally() for bt in BlockType}
+        self.insertions = 0
+        self.evictions = 0
 
-    def record_hit(self, block_type: BlockType) -> None:
-        self.hits[block_type] = self.hits.get(block_type, 0) + 1
+    @property
+    def hits(self) -> dict[BlockType, int]:
+        """Hits per block type (types never hit are absent)."""
+        return {bt: tally.hits for bt, tally in self.tallies.items() if tally.hits}
 
-    def record_miss(self, block_type: BlockType) -> None:
-        self.misses[block_type] = self.misses.get(block_type, 0) + 1
+    @property
+    def misses(self) -> dict[BlockType, int]:
+        """Misses per block type (types never missed are absent)."""
+        return {bt: tally.misses for bt, tally in self.tallies.items() if tally.misses}
 
     def hit_rate(self, block_type: BlockType | None = None) -> float:
         """Hit rate for one block type, or across all types when None."""
-        if block_type is None:
-            hits = sum(self.hits.values())
-            misses = sum(self.misses.values())
-        else:
-            hits = self.hits.get(block_type, 0)
-            misses = self.misses.get(block_type, 0)
-        total = hits + misses
+        tallies = (
+            self.tallies.values() if block_type is None else [self.tallies[block_type]]
+        )
+        hits = sum(tally.hits for tally in tallies)
+        total = hits + sum(tally.misses for tally in tallies)
         return hits / total if total else 0.0
 
 
@@ -90,17 +121,18 @@ class BlockCache:
         self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
         self._file_index: dict[int, set[tuple[int, int]]] = {}
         self._used_bytes = 0
-        self._obs_hits: dict[BlockType, object] | None = None
-        self._obs_misses: dict[BlockType, object] | None = None
+        tallies = self._tallies = self.stats.tallies
+        #: Pre-bound counters for the point-probe path (``SSTable.get``):
+        #: a table-resident filter / index access, and a data-block hit.
+        self.filter_resident_hit = tallies[BlockType.FILTER].hit
+        self.index_resident_hit = tallies[BlockType.INDEX].hit
+        self._data_hit = tallies[BlockType.DATA].hit
 
     def bind_observability(self, registry) -> None:
         """Mirror hit/miss accounting into ``registry`` (cache.* series)."""
-        self._obs_hits = {
-            bt: registry.counter("cache.hits", type=bt.value) for bt in BlockType
-        }
-        self._obs_misses = {
-            bt: registry.counter("cache.misses", type=bt.value) for bt in BlockType
-        }
+        for bt, tally in self._tallies.items():
+            tally.obs_hits = registry.counter("cache.hits", type=bt.value)
+            tally.obs_misses = registry.counter("cache.misses", type=bt.value)
 
     def record_resident_hit(self, block_type: BlockType) -> None:
         """Count a hit served from table-resident memory (filter/index).
@@ -110,9 +142,7 @@ class BlockCache:
         are accounted here so "hits + misses == every block lookup"
         holds as a conservation invariant.
         """
-        self.stats.record_hit(block_type)
-        if self._obs_hits is not None:
-            self._obs_hits[block_type].inc()
+        self._tallies[block_type].hit()
 
     @property
     def used_bytes(self) -> int:
@@ -120,16 +150,6 @@ class BlockCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _record_hit(self, block_type: BlockType) -> None:
-        self.stats.record_hit(block_type)
-        if self._obs_hits is not None:
-            self._obs_hits[block_type].inc()
-
-    def _record_miss(self, block_type: BlockType) -> None:
-        self.stats.record_miss(block_type)
-        if self._obs_misses is not None:
-            self._obs_misses[block_type].inc()
 
     def get_or_load(
         self,
@@ -152,12 +172,12 @@ class BlockCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            self._record_hit(block_type)
-            latency = DRAM_SPEC.read_time_usec(len(entry.data))
+            self._tallies[block_type].hit()
+            latency = entry.hit_latency
             if ctx is not None:
                 ctx.add(block_type.value, "dram", latency)
             return entry.data, latency
-        self._record_miss(block_type)
+        self._tallies[block_type].miss()
         if ctx is not None:
             ctx.component = block_type.value
         data, latency = loader()
@@ -185,15 +205,15 @@ class BlockCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            self._record_hit(block_type)
+            self._tallies[block_type].hit()
             decoded = entry.decoded
             if decoded is None:
                 decoded = entry.decoded = decoder(entry.data)
-            latency = DRAM_SPEC.read_time_usec(len(entry.data))
+            latency = entry.hit_latency
             if ctx is not None:
                 ctx.add(block_type.value, "dram", latency)
             return decoded, latency
-        self._record_miss(block_type)
+        self._tallies[block_type].miss()
         if ctx is not None:
             ctx.component = block_type.value
         data, latency = loader()
@@ -202,6 +222,30 @@ class BlockCache:
         if inserted is not None:
             inserted.decoded = decoded
         return decoded, latency
+
+    def data_block_hit(
+        self, file_id: int, offset: int, decoder: Callable[[bytes], T]
+    ) -> tuple[T, float] | None:
+        """The hit half of :meth:`get_or_load_decoded` for a data block.
+
+        Returns (decoded block, simulated latency) with exactly the
+        accounting of a ``BlockType.DATA`` hit there — LRU touch, one
+        data hit, the entry's DRAM latency — or ``None``, having counted
+        nothing, when the block is not cached; the caller then takes
+        :meth:`get_or_load_decoded`, which counts the miss and loads.
+        Probing first means a caller only has to build its loader on a
+        miss.
+        """
+        key = (file_id, offset)
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        self._data_hit()
+        decoded = entry.decoded
+        if decoded is None:
+            decoded = entry.decoded = decoder(entry.data)
+        return decoded, entry.hit_latency
 
     def _insert(self, key: tuple[int, int], data: bytes) -> _Entry | None:
         if self.capacity_bytes == 0 or len(data) > self.capacity_bytes:

@@ -643,14 +643,13 @@ class LsmDB:
                 latencies[0] += step_latency
                 yield record
 
-        def level_iter(files):
-            # Chain a sorted level's files lazily: the next file opens
-            # only once the previous one is exhausted, so a short scan
-            # touches one or two files per level instead of all of them.
-            for table in files:
-                if table.largest_key < start_key:
-                    continue
-                yield from table.iter_from(start_key, self.cache, ctx=ctx)
+        def level_iter(run, pos):
+            # Chain a sorted run's files lazily from the fence-seeked
+            # position: the next file opens only once the previous one
+            # is exhausted, so a short scan touches one or two files
+            # per run instead of all of them.
+            for index in range(pos, len(run)):
+                yield from run[index].iter_from(start_key, self.cache, ctx=ctx)
 
         sources = [self._memtable.scan_from(start_key)]
         # L0 files overlap, so each needs its own cursor.
@@ -660,14 +659,11 @@ class LsmDB:
                     charged(table.iter_from(start_key, self.cache, ctx=ctx))
                 )
         for level in range(1, self.manifest.num_levels):
-            if self.manifest.is_run_stacked(level):
-                # Runs within a stacked level overlap each other, so each
-                # run needs its own cursor (files *within* a run are
-                # disjoint and can share one, like a leveled level).
-                for run in self.manifest.runs(level):
-                    sources.append(charged(level_iter(run)))
-            else:
-                sources.append(charged(level_iter(self.manifest.files(level))))
+            # One cursor per sorted run: a leveled level is a single
+            # run; the runs of a stacked level overlap each other.
+            for run, pos in self.manifest.seek_runs(level, start_key):
+                if pos < len(run):
+                    sources.append(charged(level_iter(run, pos)))
         items: list[tuple[bytes, bytes]] = []
         for record in visible_records(merge_records(sources)):
             if len(items) >= count:

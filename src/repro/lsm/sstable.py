@@ -153,9 +153,6 @@ class SSTable:
         """True if [smallest, largest] intersects [lo, hi]."""
         return not (self.largest_key < lo or hi < self.smallest_key)
 
-    def contains_key_range(self, user_key: bytes) -> bool:
-        return self.smallest_key <= user_key <= self.largest_key
-
     # ------------------------------------------------------------------
     # Block fetch helpers (cache-mediated, latency-charged)
     # ------------------------------------------------------------------
@@ -207,6 +204,13 @@ class SSTable:
         return entries, latency
 
     def _data_block(self, entry: IndexEntry, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[DataBlock, float]:
+        if ctx is None:
+            # A cached block needs no loader: probe first, build the
+            # closure only on a miss.
+            cached = cache.data_block_hit(self.file.file_id, entry.offset, DataBlock)
+            if cached is not None:
+                return cached
+
         def loader() -> tuple[bytes, float]:
             return self._backend.read(
                 self.file, entry.offset, entry.length,
@@ -226,15 +230,31 @@ class SSTable:
         Returns (record-or-None, simulated latency, filtered) where
         ``filtered`` is True when the bloom filter short-circuited the
         lookup without touching index or data blocks.
+
+        A probe of a warm table (resident filter and index, cached data
+        block, no attribution) costs bloom test, index bisect, one cache
+        lookup and the block search — the resident branches below count
+        their hits through the cache's pre-bound counters instead of
+        entering the fetch helpers.
         """
-        bloom, latency = self._bloom_filter(cache, foreground=foreground, ctx=ctx)
+        bloom = self._bloom
+        if bloom is not None and ctx is None:
+            cache.filter_resident_hit()
+            latency = self._bloom_hit_latency
+        else:
+            bloom, latency = self._bloom_filter(cache, foreground=foreground, ctx=ctx)
         may_contain = bloom.may_contain(user_key)
         if ctx is not None:
             ctx.note_probe(may_contain, n_probes=bloom.n_probes)
         if not may_contain:
             return None, latency, True
-        index, index_latency = self._index_entries(cache, foreground=foreground, ctx=ctx)
-        latency += index_latency
+        index = self._index
+        if index is not None and ctx is None:
+            cache.index_resident_hit()
+            latency += self._index_hit_latency
+        else:
+            index, index_latency = self._index_entries(cache, foreground=foreground, ctx=ctx)
+            latency += index_latency
         assert self._index_keys is not None
         pos = bisect.bisect_left(self._index_keys, user_key)
         if pos >= len(index):

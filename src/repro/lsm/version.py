@@ -13,6 +13,13 @@ flavours, chosen per level at construction time by the compaction
   key-sorted; *across* runs they may overlap, so a point read probes at
   most one file per run, newest run first.
 
+Every sorted run carries a **fence-pointer index**: the ``largest_key``
+of each of its files, in file order. "Which file of this run may hold
+key k" is then one ``bisect`` — the first fence >= k — instead of a walk
+over the run. The fences are patched in place at the three mutation
+points (``add_file`` / ``add_run`` / ``remove_file``) and nowhere else,
+so they always mirror the file lists; see docs/PERFORMANCE.md.
+
 ``check_invariants`` verifies the structural rules of both flavours plus
 the LSM consistency guarantee the paper's pinned compaction must
 preserve: for any user key, versions are ordered newest-at-the-top
@@ -21,7 +28,7 @@ across levels.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from repro.errors import CompactionError
@@ -48,6 +55,14 @@ class LevelManifest:
         #: ``_levels`` view is kept in sync (run-major, newest first) so
         #: size/count queries work identically for both flavours.
         self._runs: dict[int, list[list[SSTable]]] = {
+            level: [] for level in self._stacked
+        }
+        #: Fence pointers. A leveled level is one sorted run, so
+        #: ``_fences[level][i] is _levels[level][i].largest_key``; a
+        #: stacked level keeps one fence list per run, parallel to
+        #: ``_runs[level]``. L0 files overlap, so L0 has no fences.
+        self._fences: list[list[bytes]] = [[] for _ in range(num_levels)]
+        self._run_fences: dict[int, list[list[bytes]]] = {
             level: [] for level in self._stacked
         }
         #: Optional observer with record_add/record_remove(level, file_id),
@@ -117,31 +132,24 @@ class LevelManifest:
         if level in self._stacked:
             # Each directly-added file forms its own newest run (mirrors
             # L0 semantics; compaction outputs use add_run instead).
-            self._runs[level].insert(0, [table])
-            self._reflatten(level)
-            if self.observer is not None:
-                self.observer.record_add(level, table.file_id)
+            self._push_run(level, [table])
             return
         files = self._levels[level]
         if level == 0:
             files.insert(0, table)  # newest first
-            if self.observer is not None:
-                self.observer.record_add(level, table.file_id)
-            return
-        keys = [existing.smallest_key for existing in files]
-        pos = bisect.bisect_left(keys, table.smallest_key)
-        # Reject overlap with sorted neighbours: the level invariant.
-        if pos > 0 and files[pos - 1].largest_key >= table.smallest_key:
-            raise CompactionError(
-                f"L{level}: new file [{table.smallest_key!r}..{table.largest_key!r}] "
-                f"overlaps [{files[pos - 1].smallest_key!r}..{files[pos - 1].largest_key!r}]"
-            )
-        if pos < len(files) and files[pos].smallest_key <= table.largest_key:
-            raise CompactionError(
-                f"L{level}: new file [{table.smallest_key!r}..{table.largest_key!r}] "
-                f"overlaps [{files[pos].smallest_key!r}..{files[pos].largest_key!r}]"
-            )
-        files.insert(pos, table)
+        else:
+            fences = self._fences[level]
+            # Files left of ``pos`` end before the new file starts, so
+            # the only possible overlap is with the file at ``pos``:
+            # the level invariant.
+            pos = bisect_left(fences, table.smallest_key)
+            if pos < len(files) and files[pos].smallest_key <= table.largest_key:
+                raise CompactionError(
+                    f"L{level}: new file [{table.smallest_key!r}..{table.largest_key!r}] "
+                    f"overlaps [{files[pos].smallest_key!r}..{files[pos].largest_key!r}]"
+                )
+            files.insert(pos, table)
+            fences.insert(pos, table.largest_key)
         if self.observer is not None:
             self.observer.record_add(level, table.file_id)
 
@@ -164,35 +172,50 @@ class LevelManifest:
                     f"L{level}: run files {left.file_id} and {right.file_id} "
                     f"out of order or overlapping"
                 )
-        self._runs[level].insert(0, list(tables))
+        self._push_run(level, list(tables))
+
+    def _push_run(self, level: int, run: list[SSTable]) -> None:
+        self._runs[level].insert(0, run)
+        self._run_fences[level].insert(0, [table.largest_key for table in run])
         self._reflatten(level)
         if self.observer is not None:
-            for table in tables:
+            for table in run:
                 self.observer.record_add(level, table.file_id)
 
     def remove_file(self, level: int, table: SSTable) -> None:
-        if level in self._stacked:
-            for run in self._runs[level]:
-                if table in run:
-                    run.remove(table)
+        if level == 0:
+            try:
+                self._levels[0].remove(table)
+            except ValueError as exc:
+                raise self._not_present(level, table) from exc
+        elif level in self._stacked:
+            runs = self._runs[level]
+            run_fences = self._run_fences[level]
+            for index, (run, fences) in enumerate(zip(runs, run_fences)):
+                if self._remove_from_run(run, fences, table):
+                    if not run:
+                        del runs[index], run_fences[index]
                     break
             else:
-                raise CompactionError(
-                    f"file {table.file_id} not present at L{level}"
-                )
-            self._runs[level] = [run for run in self._runs[level] if run]
+                raise self._not_present(level, table)
             self._reflatten(level)
-            if self.observer is not None:
-                self.observer.record_remove(level, table.file_id)
-            return
-        try:
-            self._levels[level].remove(table)
-        except ValueError as exc:
-            raise CompactionError(
-                f"file {table.file_id} not present at L{level}"
-            ) from exc
+        elif not self._remove_from_run(self._levels[level], self._fences[level], table):
+            raise self._not_present(level, table)
         if self.observer is not None:
             self.observer.record_remove(level, table.file_id)
+
+    @staticmethod
+    def _remove_from_run(run: list[SSTable], fences: list[bytes], table: SSTable) -> bool:
+        """Drop ``table`` (and its fence) from a sorted run if it is there."""
+        pos = bisect_left(fences, table.largest_key)
+        if pos == len(run) or run[pos] is not table:
+            return False
+        del run[pos], fences[pos]
+        return True
+
+    @staticmethod
+    def _not_present(level: int, table: SSTable) -> CompactionError:
+        return CompactionError(f"file {table.file_id} not present at L{level}")
 
     def _reflatten(self, level: int) -> None:
         self._levels[level] = [
@@ -211,24 +234,49 @@ class LevelManifest:
         """
         files = self._levels[level]
         if level == 0:
-            return [table for table in files if table.contains_key_range(user_key)]
+            return [
+                table for table in files
+                if table.smallest_key <= user_key <= table.largest_key
+            ]
         if level in self._stacked:
             candidates = []
-            for run in self._runs[level]:
-                keys = [table.largest_key for table in run]
-                pos = bisect.bisect_left(keys, user_key)
-                if pos < len(run) and run[pos].contains_key_range(user_key):
+            for run, fences in zip(self._runs[level], self._run_fences[level]):
+                pos = bisect_left(fences, user_key)
+                if pos < len(run) and run[pos].smallest_key <= user_key:
                     candidates.append(run[pos])
             return candidates
-        keys = [table.largest_key for table in files]
-        pos = bisect.bisect_left(keys, user_key)
-        if pos < len(files) and files[pos].contains_key_range(user_key):
+        # The first fence >= user_key names the only file that can hold it.
+        pos = bisect_left(self._fences[level], user_key)
+        if pos < len(files) and files[pos].smallest_key <= user_key:
             return [files[pos]]
         return []
 
     def overlapping_files(self, level: int, lo: bytes, hi: bytes) -> list[SSTable]:
-        """All files at ``level`` intersecting [lo, hi]."""
-        return [table for table in self._levels[level] if table.overlaps(lo, hi)]
+        """All files at ``level`` intersecting [lo, hi], in ``files`` order."""
+        if level == 0:
+            return [table for table in self._levels[0] if table.overlaps(lo, hi)]
+        overlapping = []
+        for run, pos in self.seek_runs(level, lo):
+            for index in range(pos, len(run)):
+                if run[index].smallest_key > hi:
+                    break
+                overlapping.append(run[index])
+        return overlapping
+
+    def seek_runs(self, level: int, start_key: bytes) -> list[tuple[list[SSTable], int]]:
+        """Position a cursor on every sorted run of ``level`` (>= 1).
+
+        Returns ``(run, pos)`` per run, newest run first, where
+        ``run[pos:]`` are the files that may hold keys >= ``start_key``
+        (``pos == len(run)`` when none does).
+        """
+        if level in self._stacked:
+            return [
+                (run, bisect_left(fences, start_key))
+                for run, fences in zip(self._runs[level], self._run_fences[level])
+            ]
+        files = self._levels[level]
+        return [(files, bisect_left(self._fences[level], start_key))] if files else []
 
     # ------------------------------------------------------------------
     # Invariants
@@ -237,15 +285,18 @@ class LevelManifest:
         """Raise :class:`CompactionError` on any structural violation."""
         for level in range(1, self.num_levels):
             if level in self._stacked:
-                for run in self._runs[level]:
-                    self._check_run(level, run)
+                runs, run_fences = self._runs[level], self._run_fences[level]
+                if len(runs) != len(run_fences):
+                    raise CompactionError(f"L{level} fence index out of sync")
+                for run, fences in zip(runs, run_fences):
+                    self._check_run(level, run, fences)
                 continue
-            self._check_run(level, self._levels[level], disjoint_required=True)
+            self._check_run(level, self._levels[level], self._fences[level])
 
     @staticmethod
-    def _check_run(
-        level: int, files: list[SSTable], *, disjoint_required: bool = True
-    ) -> None:
+    def _check_run(level: int, files: list[SSTable], fences: list[bytes]) -> None:
+        if fences != [table.largest_key for table in files]:
+            raise CompactionError(f"L{level} fence index out of sync")
         for table in files:
             if table.smallest_key > table.largest_key:
                 raise CompactionError(
@@ -254,7 +305,7 @@ class LevelManifest:
         for left, right in zip(files, files[1:]):
             if left.smallest_key > right.smallest_key:
                 raise CompactionError(f"L{level} files out of order")
-            if disjoint_required and left.largest_key >= right.smallest_key:
+            if left.largest_key >= right.smallest_key:
                 raise CompactionError(
                     f"L{level} files {left.file_id} and {right.file_id} overlap"
                 )

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fleet.router import ConsistentHashRouter
-from repro.fleet.workload import ShardWorkload, TenantSpec
+from repro.fleet.runner import _split_by_owned
+from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec
 from repro.workloads.ycsb import OP_INSERT, OP_SCAN
 
 TENANTS = (
@@ -70,6 +71,54 @@ class TestPartition:
                 == 1
             )
             assert counts[tenant.name] == expected
+
+
+class TestOwnershipPass:
+    """One hashing pass feeds both the op split and the workload."""
+
+    def test_keys_per_shard_matches_router_for_every_shard(self):
+        router = ConsistentHashRouter(SHARDS)
+        expected = router.shard_counts(
+            (tenant.key_format % index).encode("ascii")
+            for tenant in TENANTS
+            for index in range(tenant.key_count)
+        )
+        for shard_id in range(SHARDS):
+            ownership = ShardOwnership(TENANTS, router, shard_id)
+            assert ownership.keys_per_shard == expected
+            assert (
+                sum(len(state.owned) for state in ownership.states)
+                == expected[shard_id]
+            )
+
+    def test_shared_pass_generates_the_same_streams(self):
+        router = ConsistentHashRouter(SHARDS)
+        shared = ShardWorkload(
+            TENANTS, router, 1, operations=500, seed=3,
+            ownership=ShardOwnership(TENANTS, router, 1),
+        )
+        own = ShardWorkload(TENANTS, router, 1, operations=500, seed=3)
+        assert shared.owned_counts() == own.owned_counts()
+        for phase in ("load_batches", "run_batches"):
+            assert materialize(getattr(shared, phase)()) == materialize(
+                getattr(own, phase)()
+            ), phase
+
+    def test_pass_for_another_shard_is_rejected(self):
+        router = ConsistentHashRouter(SHARDS)
+        with pytest.raises(ConfigError):
+            ShardWorkload(
+                TENANTS, router, 1, operations=10,
+                ownership=ShardOwnership(TENANTS, router, 2),
+            )
+
+    def test_split_is_exact_and_proportional(self):
+        assert _split_by_owned([3, 1, 0, 4], 16) == [6, 2, 0, 8]
+        # Largest remainders win the leftovers; ties go to the lower id.
+        assert _split_by_owned([1, 1, 1], 10) == [4, 3, 3]
+        assert _split_by_owned([5, 3], 0) == [0, 0]
+        with pytest.raises(ConfigError):
+            _split_by_owned([0, 0], 10)
 
 
 class TestDeterminism:

@@ -195,3 +195,96 @@ class TestDecodedCache:
         assert cache.stats.evictions == 1
         cache.get_or_load_decoded(1, 0, BlockType.DATA, loader_for(b"a" * 60), decoder)
         assert len(decodes) == 3  # first entry was evicted wholesale
+
+
+class TestProbePathAccounting:
+    """The pre-bound probe-path counters keep the general path's books."""
+
+    def test_data_block_hit_miss_counts_nothing(self):
+        cache = BlockCache(1024)
+        assert cache.data_block_hit(1, 0, bytes.upper) is None
+        assert cache.stats.hits == {}
+        assert cache.stats.misses == {}
+        assert len(cache) == 0
+
+    def test_data_block_hit_matches_get_or_load_decoded(self):
+        # Same block sequence through both hit paths: latencies, LRU
+        # order, stats and the next eviction victim must be identical.
+        blocks = [(1, 0, b"a" * 80), (1, 80, b"b" * 120), (2, 0, b"c" * 60)]
+        touches = [(1, 0), (2, 0), (1, 0), (1, 80), (2, 0)]
+        general, fast = BlockCache(300), BlockCache(300)
+        for cache in (general, fast):
+            for file_id, offset, data in blocks:
+                cache.get_or_load_decoded(
+                    file_id, offset, BlockType.DATA, loader_for(data), bytes.upper
+                )
+        for file_id, offset in touches:
+            expected = general.get_or_load_decoded(
+                file_id, offset, BlockType.DATA, loader_for(b"unused"), bytes.upper
+            )
+            assert fast.data_block_hit(file_id, offset, bytes.upper) == expected
+        assert list(fast._entries) == list(general._entries)
+        assert fast.stats.hits == general.stats.hits == {BlockType.DATA: len(touches)}
+        assert fast.stats.misses == general.stats.misses
+        for cache in (general, fast):
+            cache.get_or_load_decoded(
+                3, 0, BlockType.DATA, loader_for(b"d" * 100), bytes.upper
+            )
+        assert list(fast._entries) == list(general._entries)
+        assert fast.stats.evictions == general.stats.evictions == 1
+
+    def test_data_block_hit_decodes_lazily_once(self):
+        cache = BlockCache(1024)
+        cache.get_or_load(1, 0, BlockType.DATA, loader_for(b"abc"))
+        decodes = []
+
+        def decoder(data):
+            decodes.append(1)
+            return data.upper()
+
+        assert cache.data_block_hit(1, 0, decoder)[0] == b"ABC"
+        assert cache.data_block_hit(1, 0, decoder)[0] == b"ABC"
+        assert len(decodes) == 1
+
+    def test_every_lookup_is_one_hit_or_one_miss_per_type(self):
+        from repro.obs import MetricsRegistry
+
+        cache = BlockCache(1024)
+        registry = MetricsRegistry()
+        cache.bind_observability(registry)
+        lookups = dict.fromkeys(BlockType, 0)
+
+        def looked_up(block_type):
+            lookups[block_type] += 1
+
+        for block_type, offset in ((BlockType.FILTER, 0), (BlockType.INDEX, 8)):
+            for _ in range(2):  # miss, then hit
+                cache.get_or_load_decoded(
+                    1, offset, block_type, loader_for(b"x" * 8), bytes.upper
+                )
+                looked_up(block_type)
+        for _ in range(3):
+            cache.filter_resident_hit()
+            looked_up(BlockType.FILTER)
+        cache.index_resident_hit()
+        looked_up(BlockType.INDEX)
+        cache.record_resident_hit(BlockType.INDEX)
+        looked_up(BlockType.INDEX)
+        cache.get_or_load(1, 16, BlockType.DATA, loader_for(b"d" * 8))
+        looked_up(BlockType.DATA)
+        for _ in range(4):
+            assert cache.data_block_hit(1, 16, bytes.upper) is not None
+            looked_up(BlockType.DATA)
+        assert cache.data_block_hit(1, 999, bytes.upper) is None  # not a lookup
+
+        stats = cache.stats
+        for block_type in BlockType:
+            hits = stats.hits.get(block_type, 0)
+            misses = stats.misses.get(block_type, 0)
+            assert hits + misses == lookups[block_type], block_type
+            assert registry.value("cache.hits", type=block_type.value) == hits
+            assert registry.value("cache.misses", type=block_type.value) == misses
+        assert stats.hits == {BlockType.DATA: 4, BlockType.INDEX: 3, BlockType.FILTER: 4}
+        assert stats.misses == dict.fromkeys(BlockType, 1)
+        assert stats.hit_rate(BlockType.DATA) == pytest.approx(0.8)
+        assert stats.hit_rate() == pytest.approx(11 / 14)

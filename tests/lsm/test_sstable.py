@@ -145,6 +145,62 @@ class TestSSTableRead:
         assert self.cache.stats.misses.get(BlockType.FILTER) == 1
         assert self.cache.stats.hits.get(BlockType.FILTER) == 1
 
+    def probe_keys(self):
+        # Present keys (twice over, so data blocks hit), bloom-filtered
+        # absentees, and keys past the last index entry.
+        keys = [record.user_key for record in self.records[::7]] * 2
+        keys += [f"absent{i}".encode() for i in range(20)]
+        keys += [b"zzz", b"k9999"]
+        return keys
+
+    def test_probe_conserves_lookups_per_block_type(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        self.cache.bind_observability(registry)
+        lookups = dict.fromkeys(BlockType, 0)
+        index_keys = self.table._index_keys
+        for key in self.probe_keys():
+            _, _, filtered = self.table.get(key, self.cache)
+            lookups[BlockType.FILTER] += 1
+            if filtered:
+                continue
+            lookups[BlockType.INDEX] += 1
+            if key <= index_keys[-1]:
+                lookups[BlockType.DATA] += 1
+        stats = self.cache.stats
+        assert lookups[BlockType.DATA] > stats.misses[BlockType.DATA] > 0
+        for block_type in BlockType:
+            hits = stats.hits.get(block_type, 0)
+            misses = stats.misses.get(block_type, 0)
+            assert hits + misses == lookups[block_type], block_type
+            assert registry.value("cache.hits", type=block_type.value) == hits
+            assert registry.value("cache.misses", type=block_type.value) == misses
+
+    @pytest.mark.parametrize("resident", [True, False])
+    def test_attributed_get_matches_plain_get(self, resident):
+        # ctx-attributed reads take the general fetch helpers; plain
+        # reads take the resident / cache-hit branches. Same table, two
+        # caches: results, latencies, stats and LRU order must agree.
+        from repro.obs.attribution import OpContext
+
+        twin = build_table(self.backend, self.tier, self.records)
+        attributed_cache = BlockCache(256 * KIB)
+        if not resident:  # as after a reopen: filter and index are cold
+            for table in (self.table, twin):
+                table._bloom = table._index = table._index_keys = None
+        for key in self.probe_keys():
+            ctx = OpContext("read")
+            plain = self.table.get(key, self.cache)
+            attributed = twin.get(key, attributed_cache, ctx=ctx)
+            assert attributed == plain, key
+            assert sum(ctx.parts.values()) == pytest.approx(plain[1])
+        assert attributed_cache.stats.hits == self.cache.stats.hits
+        assert attributed_cache.stats.misses == self.cache.stats.misses
+        assert [offset for _, offset in attributed_cache._entries] == [
+            offset for _, offset in self.cache._entries
+        ]
+
     def test_overlaps(self):
         assert self.table.overlaps(b"k0050", b"k0060")
         assert self.table.overlaps(b"a", b"z")
