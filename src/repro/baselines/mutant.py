@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.common.units import seconds
 from repro.errors import CapacityError, ConfigError
-from repro.lsm.db import LsmDB, ReadResult, WriteResult
+from repro.lsm.db import LsmDB
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
 from repro.storage.tier import StorageTier
@@ -115,44 +115,28 @@ class MutantDB(LsmDB):
     # Epoch scheduling: piggybacked on client operations, since the
     # simulation has no free-running threads.
     # ------------------------------------------------------------------
-    def get(self, user_key: bytes, *, ctx=None) -> ReadResult:
-        self._maybe_run_epoch()
-        return super().get(user_key, ctx=ctx)
-
-    def _write(self, record, ctx=None) -> WriteResult:
-        self._maybe_run_epoch()
-        return super()._write(record, ctx)
-
     def _maybe_run_epoch(self) -> None:
         if self.clock.now - self._last_epoch_usec >= self.mutant_options.epoch_usec:
             self._last_epoch_usec = self.clock.now
             self.run_optimizer_epoch()
 
-    def read_lane(self):
-        """Base read lane with the per-op epoch check prepended."""
-        if type(self).get is not MutantDB.get:
-            return self.get
-        base = self._build_read_lane()
+    def _with_epoch_check(self, lane):
+        """``lane`` with the per-op epoch check prepended."""
         maybe_epoch = self._maybe_run_epoch
 
-        def lookup(user_key):
+        def checked(*args, **kwargs):
             maybe_epoch()
-            return base(user_key)
+            return lane(*args, **kwargs)
 
-        return lookup
+        return checked
+
+    def read_lane(self):
+        """Base read lane behind the epoch check."""
+        return self._with_epoch_check(self._build_read_lane())
 
     def write_lane(self):
-        """Base write lane with the per-op epoch check prepended."""
-        if type(self)._write is not MutantDB._write or type(self).put is not LsmDB.put:
-            return self.put
-        base = self._build_write_lane()
-        maybe_epoch = self._maybe_run_epoch
-
-        def commit(user_key, value):
-            maybe_epoch()
-            return base(user_key, value)
-
-        return commit
+        """Base write lane behind the epoch check."""
+        return self._with_epoch_check(self._build_write_lane())
 
     # ------------------------------------------------------------------
     # The optimizer

@@ -5,7 +5,6 @@ Usage::
     python -m repro.bench list                      # catalogue + subcommands
     python -m repro.bench run table1 fig4 table3    # analytic, fast
     python -m repro.bench run fig9a --profile       # + cProfile hot spots
-    python -m repro.bench fig9a                     # legacy form still works
     python -m repro.bench report --metrics          # registry-driven report
     python -m repro.bench report --save run.json    # persist a run artifact
     python -m repro.bench timeline --series throughput_kops
@@ -70,8 +69,6 @@ DEFAULT_TIMELINE_SERIES = (
     "memtable.bytes",
     "l0.files",
 )
-
-SUBCOMMANDS = ("run", "report", "timeline", "compare", "explain", "micro", "sweep", "fleet", "list")
 
 
 def _print_listing() -> None:
@@ -362,10 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     if not args:
         _print_listing()
         return 0
-    # Legacy invocation forms: bare experiment names (and "all") predate
-    # the subcommands and must keep working.
-    if args[0] not in SUBCOMMANDS and not args[0].startswith("-"):
-        args = ["run"] + args
     parser = build_parser()
     try:
         namespace = parser.parse_args(args)

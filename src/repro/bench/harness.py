@@ -396,8 +396,8 @@ class WorkloadRunner:
         #: Per-request latency provenance: pass ``attribution_sample_every``
         #: to break every N-th measured op's latency down by
         #: (component, tier) and retain the ``slow_op_k`` slowest ops
-        #: with full span trees + an LSM state snapshot. Off by default —
-        #: the per-op OpContext allocation is one branch when disabled.
+        #: with full span trees + an LSM state snapshot. Off by default;
+        #: when on, :meth:`run` wraps its three engine callables once.
         self.attribution: LatencyAttribution | None = None
         if attribution_sample_every is not None:
             if attribution_sample_every < 1:
@@ -442,15 +442,12 @@ class WorkloadRunner:
     # All three phases consume RequestBatch chunks (parallel arrays of
     # int op codes / keys / values / scan lengths). Each batch is walked
     # as maximal *groups* of consecutive same-opcode requests, and every
-    # group dispatches through the engine's phase-scoped fast lanes
-    # (``db.read_lane()`` / ``db.write_lane()``: the per-op pipeline with
-    # stable handles hoisted and the attribution branches compiled out —
-    # see docs/PERFORMANCE.md). Workloads that only speak the per-op
-    # Request protocol (replayed traces) are adapted through
-    # batches_from_requests, so there is exactly one hot loop per phase.
-    # The per-op accounting — clock.advance(latency / clients) after
-    # every operation — is unchanged from the per-op runner, which is
-    # what keeps simulated results bit-identical.
+    # group dispatches through the engine's lanes (``db.read_lane()`` /
+    # ``db.write_lane()``, fetched once per phase — see
+    # docs/PERFORMANCE.md). Workloads that only speak the per-op Request
+    # protocol (replayed traces) are adapted through
+    # batches_from_requests, so there is exactly one loop per phase.
+    # ``clock.advance(latency / clients)`` runs after every operation.
     # ------------------------------------------------------------------
     @staticmethod
     def _phase_batches(workload, phase: str):
@@ -509,14 +506,16 @@ class WorkloadRunner:
 
     def run(self, workload: YCSBWorkload) -> float:
         """Transaction phase; returns simulated elapsed usec."""
-        if self.attribution is not None:
-            return self._run_attributed(workload)
         db = self.db
         start = db.clock.now
         self._mark_phase("run")
         lookup = db.read_lane()
         commit = db.write_lane()
         scan = db.scan
+        if self.attribution is not None:
+            lookup = self.attribution.attributed("read", lookup)
+            commit = self.attribution.attributed("update", commit)
+            scan = self.attribution.attributed("scan", scan)
         advance = db.clock.advance
         clients = self.clients
         record_read = self.read_latency.record
@@ -567,66 +566,6 @@ class WorkloadRunner:
                         observe_scan_hist(latency)
                         advance(latency / clients)
                 i = j
-        self._ops_run += ops
-        return db.clock.now - start
-
-    def _run_attributed(self, workload: YCSBWorkload) -> float:
-        """Transaction phase with per-request latency attribution.
-
-        Attribution threads an OpContext through every call, which the
-        lanes deliberately compile out, so this path keeps the per-op
-        ``ctx`` dispatch. Latencies and side-effect ordering match
-        :meth:`run` exactly; only the observation plumbing differs.
-        """
-        db = self.db
-        start = db.clock.now
-        self._mark_phase("run")
-        attr = self.attribution
-        get = db.get
-        put = db.put
-        scan = db.scan
-        advance = db.clock.advance
-        clients = self.clients
-        record_read = self.read_latency.record
-        record_update = self.update_latency.record
-        record_scan = self.scan_latency.record
-        observe_read_hist = self._op_hist["read"].observe
-        observe_update_hist = self._op_hist["update"].observe
-        observe_scan_hist = self._op_hist["scan"].observe
-        by_source = self.read_latency_by_source
-        observe_read = self._observe_read
-        ops = 0
-        for batch in self._phase_batches(workload, "run"):
-            keys = batch.keys
-            values = batch.values
-            lengths = batch.scan_lengths
-            for i, kind in enumerate(batch.kinds):
-                if kind == OP_READ:
-                    ctx = attr.begin("read")
-                    result = get(keys[i], ctx=ctx)
-                    latency = result.latency_usec
-                    record_read(latency)
-                    source = result.served_by
-                    bucket = by_source.get(source)
-                    if bucket is None:
-                        bucket = by_source[source] = LatencyRecorder()
-                    bucket.record(latency)
-                    observe_read_hist(latency)
-                    observe_read(source, latency)
-                elif kind != OP_SCAN:
-                    ctx = attr.begin("update")
-                    latency = put(keys[i], values[i], ctx=ctx).latency_usec
-                    record_update(latency)
-                    observe_update_hist(latency)
-                else:
-                    ctx = attr.begin("scan")
-                    latency = scan(keys[i], lengths[i], ctx=ctx).latency_usec
-                    record_scan(latency)
-                    observe_scan_hist(latency)
-                if ctx is not None:
-                    attr.observe(ctx, latency)
-                ops += 1
-                advance(latency / clients)
         self._ops_run += ops
         return db.clock.now - start
 

@@ -4,9 +4,9 @@ Everything else in ``repro.bench`` reports *simulated* time; this module
 is the one place that measures *real* wall-clock, because the
 simulator's usefulness depends on how fast it turns the crank. Each
 benchmark isolates one primitive that profiling showed on the hot path —
-block decode/search, bloom add/probe, skiplist insert/seek, the
-compaction merge, zipfian sampling, metrics counter updates — plus one
-end-to-end smoke workload measured in operations per wall second.
+block decode/search, bloom add/probe, the compaction merge, zipfian
+sampling, metrics counter updates — plus one end-to-end smoke workload
+measured in operations per wall second.
 
 Methodology: every benchmark is a closure performing ``n`` inner
 operations per call. The harness runs one warmup call (JIT-free Python
@@ -194,40 +194,6 @@ def _bench_bloom_probe_miss():
         may_contain = bloom.may_contain
         for i in range(n):
             may_contain(absent[i % n_keys])
-
-    return op, False
-
-
-def _bench_skiplist_insert():
-    from repro.lsm.skiplist import SkipList
-
-    keys = [f"sk{i:07d}".encode() for i in range(5_000)]
-
-    def op(n: int) -> None:
-        done = 0
-        while done < n:
-            skiplist = SkipList(seed=0)
-            batch = min(n - done, len(keys))
-            for i in range(batch):
-                skiplist.insert(keys[i], i)
-            done += batch
-
-    return op, False
-
-
-def _bench_skiplist_seek():
-    from repro.lsm.skiplist import SkipList
-
-    keys = [f"sk{i:07d}".encode() for i in range(5_000)]
-    skiplist = SkipList(seed=0)
-    for i, key in enumerate(keys):
-        skiplist.insert(key, i)
-    n_keys = len(keys)
-
-    def op(n: int) -> None:
-        get = skiplist.get
-        for i in range(n):
-            get(keys[i % n_keys])
 
     return op, False
 
@@ -706,8 +672,6 @@ BENCHMARKS: dict[str, tuple[str, Callable]] = {
     "bloom.add": ("bulk-insert keys into a bloom filter", _bench_bloom_add),
     "bloom.probe_hit": ("membership probe, key present", _bench_bloom_probe_hit),
     "bloom.probe_miss": ("membership probe, key absent", _bench_bloom_probe_miss),
-    "skiplist.insert": ("memtable skiplist insert", _bench_skiplist_insert),
-    "skiplist.seek": ("memtable skiplist point lookup", _bench_skiplist_seek),
     "merge.records": ("4-way sorted-run merge, per record", _bench_merge_records),
     "compaction.encoded_merge": ("encoded leveled compaction, per record", _bench_compaction_encoded_merge),
     "zipfian.sample": ("scrambled zipfian key draw", _bench_zipfian_sample),

@@ -130,25 +130,8 @@ class PrismDB(LsmDB):
             name=self.name,
         )
 
-    def get(self, user_key: bytes, *, ctx=None) -> ReadResult:
-        """Point lookup; feeds the tracker on the way out (§5, Fig. 8)."""
-        result = super().get(user_key, ctx=ctx)
-        # Tracker insertion sits on the read critical path; eviction is
-        # deferred to the "background" sweep right after.
-        latency = result.latency_usec + self.options.tracker_overhead_usec
-        if ctx is not None and self.options.tracker_overhead_usec:
-            ctx.add("tracker", "-", self.options.tracker_overhead_usec)
-        self._obs_tracked_reads.inc()
-        self.tracker.on_read(user_key, result.seqno or 0)
-        self.tracker.run_evictions(self.prism_options.eviction_steps_per_read)
-        # Direct construction instead of dataclasses.replace(): replace()
-        # re-walks the field list on every read.
-        return ReadResult(result.value, latency, result.served_by, result.seqno)
-
     def read_lane(self):
-        """The base read lane plus the tracker tail of :meth:`get`."""
-        if type(self).get is not PrismDB.get:
-            return self.get
+        """The base read lane plus the tracker tail (§5, Fig. 8)."""
         base = self._build_read_lane()
         tracker_overhead = self.options.tracker_overhead_usec
         obs_tracked_inc = self._obs_tracked_reads.inc
@@ -156,12 +139,18 @@ class PrismDB(LsmDB):
         run_evictions = self.tracker.run_evictions
         eviction_steps = self.prism_options.eviction_steps_per_read
 
-        def lookup(user_key):
-            result = base(user_key)
+        def lookup(user_key, ctx=None):
+            result = base(user_key, ctx)
+            # Tracker insertion sits on the read critical path; eviction is
+            # deferred to the "background" sweep right after.
             latency = result.latency_usec + tracker_overhead
+            if ctx is not None and tracker_overhead:
+                ctx.add("tracker", "-", tracker_overhead)
             obs_tracked_inc()
             on_read(user_key, result.seqno or 0)
             run_evictions(eviction_steps)
+            # Direct construction instead of dataclasses.replace(): replace()
+            # re-walks the field list on every read.
             return ReadResult(result.value, latency, result.served_by, result.seqno)
 
         return lookup

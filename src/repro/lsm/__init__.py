@@ -17,7 +17,6 @@ from repro.lsm.layout import StorageLayout, build_layout, homogeneous_layout, nn
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import DBOptions, options_for_db_size
 from repro.lsm.record import MAX_SEQNO, Record, ValueKind
-from repro.lsm.skiplist import SkipList
 from repro.lsm.sstable import UNTRACKED_CLOCK_VALUE, SSTable, SSTableBuilder
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
@@ -54,7 +53,6 @@ __all__ = [
     "MAX_SEQNO",
     "Record",
     "ValueKind",
-    "SkipList",
     "UNTRACKED_CLOCK_VALUE",
     "SSTable",
     "SSTableBuilder",

@@ -224,14 +224,15 @@ class BlockCache:
         return decoded, latency
 
     def data_block_hit(
-        self, file_id: int, offset: int, decoder: Callable[[bytes], T]
+        self, file_id: int, offset: int, decoder: Callable[[bytes], T], ctx=None
     ) -> tuple[T, float] | None:
         """The hit half of :meth:`get_or_load_decoded` for a data block.
 
         Returns (decoded block, simulated latency) with exactly the
         accounting of a ``BlockType.DATA`` hit there — LRU touch, one
-        data hit, the entry's DRAM latency — or ``None``, having counted
-        nothing, when the block is not cached; the caller then takes
+        data hit, the entry's DRAM latency (attributed to ``ctx`` when
+        one is given) — or ``None``, having counted nothing, when the
+        block is not cached; the caller then takes
         :meth:`get_or_load_decoded`, which counts the miss and loads.
         Probing first means a caller only has to build its loader on a
         miss.
@@ -245,6 +246,8 @@ class BlockCache:
         decoded = entry.decoded
         if decoded is None:
             decoded = entry.decoded = decoder(entry.data)
+        if ctx is not None:
+            ctx.add("data", "dram", entry.hit_latency)
         return decoded, entry.hit_latency
 
     def _insert(self, key: tuple[int, int], data: bytes) -> _Entry | None:

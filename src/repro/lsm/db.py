@@ -14,6 +14,7 @@ closed-loop runner turns those into throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.common.clock import SimClock
 from repro.common.stats import CounterSet
@@ -42,6 +43,10 @@ from repro.storage.backend import StorageBackend
 from repro.storage.device import DRAM_SPEC
 
 _DELETE = ValueKind.DELETE
+#: The "value" :meth:`LsmDB.delete` hands the write lane. A private
+#: object, so ``put(key, None)`` still fails on ``len(None)`` instead of
+#: silently writing a tombstone.
+_TOMBSTONE = object()
 
 
 @dataclass(slots=True)
@@ -188,7 +193,7 @@ class LsmDB:
         self.stats = DBStats()
         #: Per-SST-file probe counts (Mutant's temperature signal).
         self.file_read_counts: dict[int, int] = {}
-        self._memtable = Memtable(seed=self.options.seed)
+        self._memtable = Memtable()
         self._seqno = 0
         self._closed = False
         #: Memoized per-source counters for the read path (avoids a
@@ -199,9 +204,6 @@ class LsmDB:
         self._obs_flush_count = self.metrics.counter("db.flush.count")
         self._obs_flush_bytes = self.metrics.counter("db.flush.bytes")
         self._obs_bloom_skips = self.metrics.counter("db.bloom_negative_skips")
-        #: Optional hook invoked as hook(user_key, record) on each read
-        #: hit; PrismDB attaches the tracker here.
-        self.read_hook = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -228,45 +230,14 @@ class LsmDB:
     # ------------------------------------------------------------------
     def put(self, user_key: bytes, value: bytes, *, ctx=None) -> WriteResult:
         """Insert or update a key."""
-        return self._write(
-            Record(user_key, self._next_seqno(), ValueKind.PUT, value), ctx
-        )
+        self._check_open()
+        if ctx is None:
+            return self._commit(user_key, value)
+        return self._commit(user_key, value, ctx=ctx)
 
     def delete(self, user_key: bytes, *, ctx=None) -> WriteResult:
         """Delete a key (writes a tombstone)."""
-        return self._write(Record(user_key, self._next_seqno(), ValueKind.DELETE), ctx)
-
-    def _next_seqno(self) -> int:
-        self._seqno += 1
-        return self._seqno
-
-    def _write(self, record: Record, ctx=None) -> WriteResult:
-        self._check_open()
-        latency = self._cpu_overhead
-        if ctx is not None and latency:
-            ctx.add("cpu", "-", latency)
-        if self.wal is not None:
-            latency += self.wal.append(record, ctx=ctx)
-        self.row_cache.invalidate(record.user_key)
-        self._memtable.add(record)
-        encoded_size = record.encoded_size()
-        memtable_latency = DRAM_SPEC.write_time_usec(encoded_size)
-        if ctx is not None:
-            ctx.add("memtable", "dram", memtable_latency)
-        latency += memtable_latency
-        self.stats.user_writes += 1
-        self.stats.user_write_bytes += encoded_size
-        self._obs_user_writes.inc()
-        self._obs_user_write_bytes.inc(encoded_size)
-        flushed = False
-        compactions = 0
-        if self._memtable.approximate_bytes >= self._memtable_limit:
-            self._flush_memtable()
-            flushed = True
-            compactions = self.executor.maybe_compact()
-        if self.wal is not None:
-            self.stats.wal_bytes = self.wal.total_bytes
-        return WriteResult(latency, flushed, compactions)
+        return self.put(user_key, _TOMBSTONE, ctx=ctx)
 
     def flush(self) -> int:
         """Force-flush the memtable; returns compactions triggered."""
@@ -339,7 +310,7 @@ class LsmDB:
         writes stay newer than every surviving version.
         """
         self._check_open()
-        self._memtable = Memtable(seed=self.options.seed + self.stats.flush_count + 1)
+        self._memtable = Memtable()
         self.cache.clear()
         self.row_cache.clear()
         if self.wal is None:
@@ -380,7 +351,7 @@ class LsmDB:
         self.executor.note_level_write(0, table.size_bytes)
         if self.wal is not None:
             self.wal.truncate()
-        self._memtable = Memtable(seed=self.options.seed + self.stats.flush_count)
+        self._memtable = Memtable()
 
     # ------------------------------------------------------------------
     # Reads
@@ -393,114 +364,41 @@ class LsmDB:
         the simulated latency itself.
         """
         self._check_open()
-        latency = self._cpu_overhead
-        if ctx is not None and latency:
-            ctx.add("cpu", "-", latency)
-        result = None
-
-        record = self._memtable.get(user_key)
-        row_hit = False
-        if record is not None:
-            memtable_latency = DRAM_SPEC.read_time_usec(record.encoded_size())
-            if ctx is not None:
-                ctx.add("memtable", "dram", memtable_latency)
-            latency += memtable_latency
-            result = ReadResult(
-                None if record.kind is _DELETE else record.value,
-                latency,
-                "memtable",
-                seqno=record.seqno,
-            )
-        else:
-            if self._row_cache_enabled:
-                row_hit, row_value, row_seqno, row_latency = self.row_cache.lookup(
-                    user_key, ctx
-                )
-                if row_hit:
-                    latency += row_latency
-                    result = ReadResult(row_value, latency, "rowcache", seqno=row_seqno)
-        if result is None:
-            for level in range(self.manifest.num_levels):
-                candidates = self.manifest.candidates_for_key(level, user_key)
-                found = None
-                for table in candidates:
-                    if ctx is not None:
-                        ctx.scope = f"L{level}:f{table.file_id}"
-                    hit, table_latency, filtered = table.get(
-                        user_key, self.cache, foreground=True, ctx=ctx
-                    )
-                    latency += table_latency
-                    self.file_read_counts[table.file_id] = (
-                        self.file_read_counts.get(table.file_id, 0) + 1
-                    )
-                    if filtered:
-                        self.stats.bloom_negative_skips += 1
-                        self._obs_bloom_skips.inc()
-                    if hit is not None:
-                        found = hit
-                        break
-                if found is not None:
-                    result = ReadResult(
-                        None if found.kind is _DELETE else found.value,
-                        latency,
-                        f"L{level}",
-                        seqno=found.seqno,
-                    )
-                    break
-            if result is None:
-                result = ReadResult(None, latency, "miss")
-            if self._row_cache_enabled:
-                # Remember what the tree walk resolved (value or absence).
-                self.row_cache.insert(user_key, result.value, result.seqno or 0)
-
-        self.stats.user_reads += 1
-        if result.value is not None:
-            self.stats.user_read_bytes += len(result.value)
-        self.stats.reads_by_source.add(result.served_by)
-        counter = self._read_source_counters.get(result.served_by)
-        if counter is None:
-            counter = self.metrics.counter("db.reads", source=result.served_by)
-            self._read_source_counters[result.served_by] = counter
-        counter.inc()
-        if self.read_hook is not None:
-            self.read_hook(user_key, result)
-        return result
+        if ctx is None:
+            return self._lookup(user_key)
+        return self._lookup(user_key, ctx=ctx)
 
     # ------------------------------------------------------------------
-    # Fast lanes (batched hot paths)
+    # Lanes: the one definition of each point operation
     #
-    # A *lane* is a phase-scoped closure equivalent to one operation kind
-    # with ``ctx=None``: every stable handle (stats, manifest, caches,
-    # counters, option scalars) is bound once at build time, and the
-    # attribution branches are compiled out entirely. The closures
-    # re-read only the state that legitimately changes between calls
-    # (``self._memtable`` swaps on flush, ``self.read_hook`` is settable
-    # at runtime). Simulated latencies, counter updates and their
-    # ordering are bit-identical to :meth:`get` / :meth:`put` — the
-    # determinism tests pin this.
-    #
-    # Subclass safety: ``read_lane``/``write_lane`` only build the
-    # inlined closure when the operation methods they replicate are the
-    # ones defined at this class; a subclass that overrides ``get`` or
-    # ``_write`` without supplying its own lane transparently falls back
-    # to the plain per-op call.
+    # ``read_lane()`` / ``write_lane()`` return closures with every
+    # stable handle bound once; they re-read only ``self._memtable``
+    # (swapped on flush and recovery) and ``self._seqno``. The harness
+    # fetches lanes per phase; get/put/delete call the instance's cached
+    # pair, positionally when ``ctx`` is None — the arity perfbench's
+    # oracle wrappers accept. A subclass extends an operation by
+    # overriding the public factory around ``self._build_*_lane()``.
+    # The closed check runs at hand-out and in the public methods; a
+    # lane obtained before ``close()`` is not re-checked.
     # ------------------------------------------------------------------
     def read_lane(self):
-        """Return ``lookup(user_key) -> ReadResult``, equivalent to
-        :meth:`get` with ``ctx=None``."""
-        if type(self).get is not LsmDB.get:
-            return self.get
+        """Return ``lookup(user_key, ctx=None) -> ReadResult``."""
         return self._build_read_lane()
 
     def write_lane(self):
-        """Return ``commit(user_key, value) -> WriteResult``, equivalent
-        to :meth:`put` with ``ctx=None``."""
-        if type(self)._write is not LsmDB._write or type(self).put is not LsmDB.put:
-            return self.put
+        """Return ``commit(user_key, value, ctx=None) -> WriteResult``."""
         return self._build_write_lane()
 
+    @cached_property
+    def _lookup(self):
+        return self.read_lane()
+
+    @cached_property
+    def _commit(self):
+        return self.write_lane()
+
     def _build_read_lane(self):
-        """The inlined base read path shared by every system's lane."""
+        """The base point-read path every system's lane is built on."""
         self._check_open()
         cpu_overhead = self._cpu_overhead
         row_cache_enabled = self._row_cache_enabled
@@ -519,12 +417,17 @@ class LsmDB:
         obs_bloom_skips_inc = self._obs_bloom_skips.inc
         dram_read_time = DRAM_SPEC.read_time_usec
 
-        def lookup(user_key):
+        def lookup(user_key, ctx=None):
             latency = cpu_overhead
+            if ctx is not None and latency:
+                ctx.add("cpu", "-", latency)
             result = None
             record = self._memtable.get(user_key)
             if record is not None:
-                latency += dram_read_time(record.encoded_size())
+                memtable_latency = dram_read_time(record.encoded_size())
+                if ctx is not None:
+                    ctx.add("memtable", "dram", memtable_latency)
+                latency += memtable_latency
                 result = ReadResult(
                     None if record.kind is _DELETE else record.value,
                     latency,
@@ -532,7 +435,7 @@ class LsmDB:
                     seqno=record.seqno,
                 )
             elif row_cache_enabled:
-                row_hit, row_value, row_seqno, row_latency = row_lookup(user_key)
+                row_hit, row_value, row_seqno, row_latency = row_lookup(user_key, ctx)
                 if row_hit:
                     latency += row_latency
                     result = ReadResult(row_value, latency, "rowcache", seqno=row_seqno)
@@ -540,11 +443,11 @@ class LsmDB:
                 for level in level_range:
                     found = None
                     for table in candidates_for_key(level, user_key):
-                        hit, table_latency, filtered = table.get(
-                            user_key, cache, foreground=True
-                        )
-                        latency += table_latency
                         file_id = table.file_id
+                        if ctx is not None:
+                            ctx.scope = f"{level_names[level]}:f{file_id}"
+                        hit, table_latency, filtered = table.get(user_key, cache, ctx=ctx)
+                        latency += table_latency
                         file_read_counts[file_id] = (
                             file_read_counts.get(file_id, 0) + 1
                         )
@@ -565,6 +468,7 @@ class LsmDB:
                 if result is None:
                     result = ReadResult(None, latency, "miss")
                 if row_cache_enabled:
+                    # Remember what the tree walk resolved (value or absence).
                     row_insert(user_key, result.value, result.seqno or 0)
             stats.user_reads += 1
             value = result.value
@@ -577,15 +481,12 @@ class LsmDB:
                 counter = metrics_counter("db.reads", source=served_by)
                 source_counters[served_by] = counter
             counter.inc()
-            hook = self.read_hook
-            if hook is not None:
-                hook(user_key, result)
             return result
 
         return lookup
 
     def _build_write_lane(self):
-        """The inlined base put path shared by every system's lane."""
+        """The base put/delete path every system's lane is built on."""
         self._check_open()
         cpu_overhead = self._cpu_overhead
         wal = self.wal
@@ -600,18 +501,27 @@ class LsmDB:
         maybe_compact = self.executor.maybe_compact
         header_size = RECORD_HEADER_SIZE
 
-        def commit(user_key, value):
+        def commit(user_key, value, ctx=None):
             seqno = self._seqno + 1
             self._seqno = seqno
-            record = make_put_record(user_key, seqno, value)
-            encoded_size = header_size + len(user_key) + len(value)
+            if value is _TOMBSTONE:
+                record = Record(user_key, seqno, _DELETE)
+                encoded_size = header_size + len(user_key)
+            else:
+                record = make_put_record(user_key, seqno, value)
+                encoded_size = header_size + len(user_key) + len(value)
             latency = cpu_overhead
+            if ctx is not None and latency:
+                ctx.add("cpu", "-", latency)
             if wal_append is not None:
-                latency += wal_append(record, size=encoded_size)
+                latency += wal_append(record, ctx, size=encoded_size)
             row_invalidate(user_key)
             memtable = self._memtable
             memtable.add(record)
-            latency += dram_write_time(encoded_size)
+            memtable_latency = dram_write_time(encoded_size)
+            if ctx is not None:
+                ctx.add("memtable", "dram", memtable_latency)
+            latency += memtable_latency
             stats.user_writes += 1
             stats.user_write_bytes += encoded_size
             obs_writes_inc()

@@ -8,14 +8,12 @@ exactly one version per key, as a RocksDB flush with default settings
 effectively does after its own dedup).
 
 The container is a plain dict plus a memoized sorted-key array. The
-simulator's access pattern makes this strictly better than the skiplist
-it replaces: the write path needs hashed point access (O(1) vs the
-skiplist's O(log n) pointer chase per insert), while sorted order is only
-demanded in bulk — at flush, or by a scan — where one C-level ``sorted``
-over the keys amortizes to far less than per-insert ordering. Updates to
-an existing key never invalidate the memo; only a brand-new key does.
-The ``seed`` parameter is retained for construction-site compatibility
-(the skiplist needed it for tower heights; a dict draws nothing).
+simulator's access pattern favours this over an ordered index such as a
+skiplist: the write path needs hashed point access (O(1) vs an
+O(log n) pointer chase per insert), while sorted order is only demanded
+in bulk — at flush, or by a scan — where one C-level ``sorted`` over the
+keys amortizes to far less than per-insert ordering. Updates to an
+existing key never invalidate the memo; only a brand-new key does.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ class Memtable:
 
     __slots__ = ("_records", "_sorted_keys", "_approx_bytes")
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self) -> None:
         self._records: dict[bytes, Record] = {}
         #: Ascending user keys, memoized; None when a new key was added
         #: since the last sort.

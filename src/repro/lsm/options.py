@@ -73,7 +73,8 @@ class DBOptions:
     #: level-sizing accommodation that keeps pinning from churning
     #: (§4.3's "placer must take level sizing into account").
     pin_reserve_fraction: float = 0.5
-    #: RNG seed for skiplists and any stochastic policy decisions.
+    #: RNG seed for stochastic policy decisions (PrismDB's placer; the
+    #: harness also seeds latency-attribution sampling from it).
     seed: int = 0
     #: Run compaction merges in the encoded domain: inputs are scanned as
     #: byte spans, ordered/shadowed/routed over parallel arrays, and

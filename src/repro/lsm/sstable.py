@@ -156,17 +156,10 @@ class SSTable:
     # ------------------------------------------------------------------
     # Block fetch helpers (cache-mediated, latency-charged)
     # ------------------------------------------------------------------
-    def _bloom_filter(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[BloomFilter, float]:
+    def _load_bloom_filter(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[BloomFilter, float]:
         # Filter blocks behave like RocksDB's table cache: loaded from
         # the device on first access, then resident in table memory for
-        # the file's lifetime. Resident accesses are DRAM hits.
-        if self._bloom is not None:
-            cache.record_resident_hit(BlockType.FILTER)
-            latency = self._bloom_hit_latency
-            if ctx is not None:
-                ctx.add("filter", "dram", latency)
-            return self._bloom, latency
-
+        # the file's lifetime (get() serves the resident case itself).
         def loader() -> tuple[bytes, float]:
             return self._backend.read(
                 self.file, self.filter_offset, self.filter_length,
@@ -204,12 +197,11 @@ class SSTable:
         return entries, latency
 
     def _data_block(self, entry: IndexEntry, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[DataBlock, float]:
-        if ctx is None:
-            # A cached block needs no loader: probe first, build the
-            # closure only on a miss.
-            cached = cache.data_block_hit(self.file.file_id, entry.offset, DataBlock)
-            if cached is not None:
-                return cached
+        # A cached block needs no loader: probe first, build the
+        # closure only on a miss.
+        cached = cache.data_block_hit(self.file.file_id, entry.offset, DataBlock, ctx)
+        if cached is not None:
+            return cached
 
         def loader() -> tuple[bytes, float]:
             return self._backend.read(
@@ -232,26 +224,30 @@ class SSTable:
         lookup without touching index or data blocks.
 
         A probe of a warm table (resident filter and index, cached data
-        block, no attribution) costs bloom test, index bisect, one cache
-        lookup and the block search — the resident branches below count
-        their hits through the cache's pre-bound counters instead of
-        entering the fetch helpers.
+        block) costs bloom test, index bisect, one cache lookup and the
+        block search — the resident branches below count their hits
+        through the cache's pre-bound counters instead of entering the
+        fetch helpers.
         """
         bloom = self._bloom
-        if bloom is not None and ctx is None:
+        if bloom is not None:
             cache.filter_resident_hit()
             latency = self._bloom_hit_latency
+            if ctx is not None:
+                ctx.add("filter", "dram", latency)
         else:
-            bloom, latency = self._bloom_filter(cache, foreground=foreground, ctx=ctx)
+            bloom, latency = self._load_bloom_filter(cache, foreground=foreground, ctx=ctx)
         may_contain = bloom.may_contain(user_key)
         if ctx is not None:
             ctx.note_probe(may_contain, n_probes=bloom.n_probes)
         if not may_contain:
             return None, latency, True
         index = self._index
-        if index is not None and ctx is None:
+        if index is not None:
             cache.index_resident_hit()
             latency += self._index_hit_latency
+            if ctx is not None:
+                ctx.add("index", "dram", self._index_hit_latency)
         else:
             index, index_latency = self._index_entries(cache, foreground=foreground, ctx=ctx)
             latency += index_latency

@@ -6,11 +6,12 @@ paper's headline claims hinge on — *which component made this p99 read
 slow*. Three pieces:
 
 * :class:`OpContext` — a request-scoped accumulator threaded from the
-  harness through ``LsmDB.get/put/scan`` into the row cache, memtable,
-  block cache, WAL and per-tier device models. Every simulated
-  microsecond an operation is charged is also attributed to one
-  ``(component, tier)`` bucket; the context never *adds* latency, so
-  runs with attribution enabled are bit-identical to runs without.
+  harness through the engine's read/write lanes and ``scan`` into the
+  row cache, memtable, block cache, WAL and per-tier device models.
+  Every simulated microsecond an operation is charged is also
+  attributed to one ``(component, tier)`` bucket; the context never
+  *adds* latency, so runs with attribution enabled are bit-identical to
+  runs without.
 * :class:`LatencyAttribution` — the per-run aggregator: per op type and
   latency bucket it keeps the summed breakdown (bounded memory), retains
   a worst-K slow-op log with the full event list plus an LSM state
@@ -166,6 +167,24 @@ class LatencyAttribution:
         if self.sample_every > 1 and self._ops_offered % self.sample_every:
             return None
         return OpContext(op)
+
+    def attributed(self, op: str, call: Callable) -> Callable:
+        """Wrap an engine entry point so each call is offered for attribution.
+
+        ``call`` accepts a ``ctx`` keyword and returns a result carrying
+        ``latency_usec``; the wrapper is transparent otherwise.
+        """
+        begin = self.begin
+        observe = self.observe
+
+        def attributed_call(*args):
+            ctx = begin(op)
+            result = call(*args, ctx=ctx)
+            if ctx is not None:
+                observe(ctx, result.latency_usec)
+            return result
+
+        return attributed_call
 
     def observe(self, ctx: OpContext, total_usec: float) -> None:
         """Fold one finished op into the aggregate state.

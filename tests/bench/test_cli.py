@@ -17,11 +17,12 @@ class TestCli:
         assert "Available experiments" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
+        # No bare-name shorthand: an unknown first word is argparse's error.
         assert main(["fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_analytic_experiments_run(self, capsys):
-        assert main(["table1", "table3"]) == 0
+        assert main(["run", "table1", "table3"]) == 0
         out = capsys.readouterr().out
         assert "P/E cycles" in out
         assert "QQQQQ" in out
@@ -37,7 +38,7 @@ class TestCli:
         assert expected <= set(EXPERIMENTS)
 
     def test_fig6_via_cli(self, capsys):
-        assert main(["fig6"]) == 0
+        assert main(["run", "fig6"]) == 0
         assert "clock3" in capsys.readouterr().out
 
 

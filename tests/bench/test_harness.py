@@ -139,3 +139,33 @@ class TestRunExperiment:
         assert result.total_io_write_bytes > 0
         assert result.total_io_read_bytes >= 0
         assert result.write_amplification > 1.0
+
+
+class TestAttributionNeverPerturbs:
+    """Attribution wraps the run loop's callables; it must change nothing else."""
+
+    MIXED = YCSBConfig(
+        record_count=1_500,
+        operation_count=2_500,
+        warmup_operations=500,
+        read_proportion=0.5,
+        update_proportion=0.4,
+        scan_proportion=0.1,
+        max_scan_length=20,
+    )
+
+    @pytest.mark.parametrize("row_cache_share", [0.0, 0.5])
+    @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+    def test_artifact_equal_with_and_without_attribution(self, system, row_cache_share):
+        config = SystemConfig(system=system, row_cache_share=row_cache_share)
+        plain = run_experiment(config, self.MIXED).to_json()
+        assert plain.pop("attribution") == {}
+        assert plain["metrics"]  # the registry snapshot is part of the comparison
+        for sample_every in (1, 3):
+            attributed = run_experiment(
+                config, self.MIXED, attribution_sample_every=sample_every
+            ).to_json()
+            ops = attributed.pop("attribution")
+            assert ops["ops_offered"] == self.MIXED.operation_count
+            assert ops["ops_sampled"] == self.MIXED.operation_count // sample_every
+            assert attributed == plain

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.baselines import RocksDBLike
 from repro.common import KIB
 from repro.core import PrismDB, PrismOptions
 from repro.errors import ConfigError
@@ -58,11 +59,14 @@ class TestPrismDB:
         assert db.tracker.clock_value(b"k") == 3
 
     def test_read_latency_includes_tracker_overhead(self):
-        plain = make_db()
-        plain.put(b"k", b"v")
-        base = super(PrismDB, plain).get(b"k").latency_usec
-        latency = plain.get(b"k").latency_usec
-        assert latency == pytest.approx(base + plain.options.tracker_overhead_usec)
+        prism = make_db()
+        baseline = RocksDBLike.create("NNNTQ", tiny_options())
+        for db in (prism, baseline):
+            db.put(b"k", b"v")
+        base = baseline.get(b"k").latency_usec
+        latency = prism.get(b"k").latency_usec
+        assert prism.options.tracker_overhead_usec > 0
+        assert latency == pytest.approx(base + prism.options.tracker_overhead_usec)
 
     def test_update_resets_clock_via_version_tag(self):
         db = make_db()

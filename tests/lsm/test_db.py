@@ -211,14 +211,6 @@ class TestStats:
         wa = db.stats.write_amplification(db.executor.stats.bytes_written)
         assert wa > 1.0  # at minimum the WAL + flush double-write
 
-    def test_read_hook_invoked(self):
-        db = make_db()
-        seen = []
-        db.read_hook = lambda key, result: seen.append((key, result.served_by))
-        db.put(b"k", b"v")
-        db.get(b"k")
-        assert seen == [(b"k", "memtable")]
-
 
 @st.composite
 def operations(draw):
