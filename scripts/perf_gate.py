@@ -274,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         "runner.read_fastlane",
         "version.candidates",
         "sstable.get_resident",
+        "db.scan_short",
         "e2e.smoke",
     ):
         for micro in run_micro(quick=True, name_filter=name):

@@ -645,6 +645,41 @@ def _bench_sstable_get_resident():
     return op, False
 
 
+def _bench_db_scan_short():
+    """A 25-key range scan on a loaded five-level RocksDB-like tree.
+
+    The cache holds about a tenth of the data, so every scan mixes
+    cached and device-loaded blocks; each opens one cursor per level and
+    walks a block or two of the deepest. Reported per scan.
+    """
+    from repro.baselines import RocksDBLike
+    from repro.common import KIB
+    from repro.lsm import DBOptions
+
+    options = DBOptions(
+        memtable_bytes=16 * KIB,
+        target_file_bytes=16 * KIB,
+        level1_target_bytes=32 * KIB,
+        level_size_multiplier=4,
+        block_cache_bytes=96 * KIB,
+    )
+    db = RocksDBLike.create("NNNTQ", options)
+    n_keys = 8_000
+    keys = [f"key{i:06d}".encode() for i in range(n_keys)]
+    for i in range(n_keys):  # scattered inserts: every level ends up populated
+        db.put(keys[(i * 7919) % n_keys], b"v" * 100)
+    assert all(db.manifest.file_count(level) for level in range(1, options.num_levels))
+    starts = [keys[(i * 104_729) % (n_keys - 25)] for i in range(4_096)]
+    n_starts = len(starts)
+
+    def op(n: int) -> None:
+        scan = db.scan
+        for i in range(n):
+            scan(starts[i % n_starts], 25)
+
+    return op, True
+
+
 def _bench_e2e_smoke():
     """End-to-end: the perf gate's seeded YCSB-A smoke run, wall-clock."""
     from repro.bench.harness import SystemConfig, run_experiment
@@ -681,6 +716,7 @@ BENCHMARKS: dict[str, tuple[str, Callable]] = {
     "runner.read_fastlane": ("read fast-lane lookup, per op", _bench_runner_read_fastlane),
     "version.candidates": ("point candidate lookup, 700-file level", _bench_version_candidates),
     "sstable.get_resident": ("probe of a resident table, cache hit", _bench_sstable_get_resident),
+    "db.scan_short": ("25-key scan, 5-level tree, cache < data (per scan)", _bench_db_scan_short),
     "metrics.counter_inc": ("labelled counter lookup + increment", _bench_metrics_counter),
     "attribution.get_off": ("point read, attribution disabled", _bench_attribution_off),
     "attribution.get_on": ("point read with a live OpContext", _bench_attribution_on),

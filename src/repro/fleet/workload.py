@@ -5,10 +5,11 @@ across shards by the :class:`~repro.fleet.router.ConsistentHashRouter`.
 Each shard process builds a :class:`ShardWorkload` that generates
 exactly the requests the router would deliver to that shard:
 
-* **Ownership** — for every tenant, the shard enumerates the tenant's
-  key space and keeps the keys the router assigns to it. Ownership
-  depends only on (tenants, shards, vnodes), never on worker count or
-  process identity, because the router hashes with fnv1a-64.
+* **Ownership** — every tenant's key space is enumerated and hashed
+  onto the ring (once per process: :func:`owned_indices`), and the shard
+  keeps the keys the router assigns to it. Ownership depends only on
+  (tenants, shards, vnodes), never on worker count or process identity,
+  because the router hashes with fnv1a-64.
 * **Skew** — each tenant draws from its own Zipfian (or uniform /
   latest) generator over its *owned* keys. The scrambled-Zipfian rank
   hash spreads a tenant's hot set uniformly over its key space, so the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.common.rng import make_rng
 from repro.errors import ConfigError
@@ -101,39 +103,51 @@ class _ShardConfigView:
     seed: int
 
 
+@lru_cache(maxsize=4)
+def owned_indices(
+    tenants: tuple[TenantSpec, ...], num_shards: int, vnodes: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Which key indices of which tenant every shard owns.
+
+    ``owned_indices(...)[t][s]`` are the ascending key indices of
+    ``tenants[t]`` that shard ``s`` owns. Hashing each tenant key onto
+    the ring is the dominant set-up cost of a shard and a pure function
+    of ``(tenants, num_shards, vnodes)`` — the ring is built from the
+    two ints alone — so a process hashes each key once however many of
+    the fleet's shards it goes on to run (a pool worker runs several).
+    The result is shared between callers, hence tuples throughout.
+    """
+    shard_for_key = ConsistentHashRouter(num_shards, vnodes=vnodes).shard_for_key
+    per_tenant = []
+    for spec in tenants:
+        key_format = spec.key_format
+        per_shard: list[list[int]] = [[] for _ in range(num_shards)]
+        for index in range(spec.key_count):
+            per_shard[shard_for_key((key_format % index).encode("ascii"))].append(index)
+        per_tenant.append(tuple(tuple(indices) for indices in per_shard))
+    return tuple(per_tenant)
+
+
 class _TenantState:
     """Per-tenant ownership and generators on one shard."""
 
     __slots__ = ("spec", "interner", "owned", "key_len")
 
-    def __init__(
-        self,
-        spec: TenantSpec,
-        router: ConsistentHashRouter,
-        shard_id: int,
-        keys_per_shard: list[int],
-    ):
+    def __init__(self, spec: TenantSpec, owned: tuple[int, ...]):
         self.spec = spec
         self.interner = KeyInterner(spec.key_format)
-        key = self.interner.key
-        shard_for_key = router.shard_for_key
-        owned = self.owned = []
-        for index in range(spec.key_count):
-            shard = shard_for_key(key(index))
-            keys_per_shard[shard] += 1
-            if shard == shard_id:
-                owned.append(index)
-        self.key_len = len(key(0))
+        self.owned = owned
+        self.key_len = len(self.interner.key(0))
 
 
 class ShardOwnership:
-    """One ownership pass over every tenant's key space, for one shard.
+    """One shard's slice of the fleet's key ownership.
 
-    Hashing each tenant key onto the ring is the dominant set-up cost of
-    a shard, so it happens exactly once: the pass keeps the key indices
-    ``shard_id`` owns (what :class:`ShardWorkload` draws from) and counts
-    the keys *every* shard owns (``keys_per_shard``, what the fleet
-    runner apportions operation counts by).
+    Filters :func:`owned_indices` (the one hashing pass per process)
+    down to the key indices ``shard_id`` owns — what
+    :class:`ShardWorkload` draws from — and keeps the count of keys
+    *every* shard owns (``keys_per_shard``, what the fleet runner
+    apportions operation counts by).
     """
 
     def __init__(
@@ -142,11 +156,17 @@ class ShardOwnership:
         router: ConsistentHashRouter,
         shard_id: int,
     ) -> None:
+        if not 0 <= shard_id < router.num_shards:
+            raise ConfigError(f"shard_id out of range: {shard_id}")
         self.shard_id = shard_id
-        self.keys_per_shard = [0] * router.num_shards
+        per_tenant = owned_indices(tuple(tenants), router.num_shards, router.vnodes)
+        self.keys_per_shard = [
+            sum(len(per_shard[shard]) for per_shard in per_tenant)
+            for shard in range(router.num_shards)
+        ]
         self.states = [
-            _TenantState(spec, router, shard_id, self.keys_per_shard)
-            for spec in tenants
+            _TenantState(spec, per_shard[shard_id])
+            for spec, per_shard in zip(tenants, per_tenant)
         ]
 
 

@@ -12,19 +12,25 @@ Wire format (v2, LevelDB-style restart trailer)::
     u32 offset[0] .. offset[count-1]  # byte offset of each record
     u16 count
 
-The restart-point offset array lets a point read *binary-search the
-encoded buffer* and decode only the one candidate record, instead of
-materializing every record in the block. :class:`DataBlock` is the
-decoded-side handle: it parses the trailer once (cheap — a single struct
-call) and then serves lazy point searches; the full record list is only
-built on demand (scans, compactions) and memoized. The block cache keeps
-``DataBlock`` objects alongside the raw bytes so a cache hit never
-re-parses anything.
+The restart-point offset array lets a reader *binary-search the encoded
+buffer* instead of materializing every record in the block.
+:class:`DataBlock` is the decoded-side handle: it parses the trailer
+once (cheap — a single struct call) and then serves lazy point searches
+(:meth:`DataBlock.search` decodes only the one candidate record) and
+range-scan seeks (:meth:`DataBlock.seek`; the scan cursor in
+:mod:`repro.lsm.sstable` then walks the encoded records itself, one
+header at a time). No engine path builds the full record list any more
+— compactions read whole files through :func:`extend_spans_from` —
+so :meth:`DataBlock.records` is the decode *specification*: what the
+tests' reference scan, the micros and debugging tools call. The block
+cache keeps ``DataBlock`` objects alongside the raw bytes so a cache hit
+never re-parses anything.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
 from repro.errors import CorruptionError
 from repro.lsm.record import MAX_SEQNO, Record
@@ -168,9 +174,10 @@ class DataBlock:
     Construction parses only the restart trailer (count + offset array).
     Point lookups binary-search the *encoded* records through the offset
     array, peeking at keys via header reads, and decode exactly one
-    candidate record. :meth:`records` materializes the full list for
-    sequential consumers and memoizes it, so a block used by both the
-    point-read and scan paths parses each representation at most once.
+    candidate record; range scans :meth:`seek` the same way and walk on
+    in the encoded domain. :meth:`records` materializes (and memoizes)
+    the full validated list; nothing on the engine's read, scan or
+    compaction paths calls it.
     """
 
     __slots__ = ("buf", "count", "offsets", "records_end", "_records", "_peeked")
@@ -218,9 +225,17 @@ class DataBlock:
         if len(key) != key_len:
             raise CorruptionError(f"truncated record key at offset {offset}")
         if type(key) is not bytes:
-            key = bytes(key)
+            key = key.tobytes()
         self._peeked[index] = key
         return key
+
+    def seek(self, user_key: bytes) -> int:
+        """Index of the first record with user key >= ``user_key``.
+
+        ``count`` when every key is smaller. Bisects the restart offsets
+        through :meth:`_key_at`, so only the probed keys are read.
+        """
+        return bisect_left(range(self.count), user_key, key=self._key_at)
 
     def search(self, user_key: bytes) -> Record | None:
         """Newest record for ``user_key``, decoding only the candidate.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappushpop
 
 from repro.common.clock import SimClock
 from repro.common.stats import CounterSet
@@ -27,14 +28,13 @@ from repro.lsm.compaction import (
     LargestFilePicker,
     MergeRouter,
 )
-from repro.lsm.iterators import merge_records, visible_records
 from repro.lsm.layout import StorageLayout
 from repro.lsm.manifest_log import ManifestLog, replay_manifest
-from repro.lsm.memtable import Memtable
+from repro.lsm.memtable import Memtable, MemtableCursor
 from repro.lsm.options import DBOptions
 from repro.lsm.record import RECORD_HEADER_SIZE, Record, ValueKind, make_put_record
 from repro.lsm.row_cache import RowCache
-from repro.lsm.sstable import SSTable, SSTableBuilder
+from repro.lsm.sstable import RunCursor, SSTable, SSTableBuilder
 from repro.lsm.strategy import CompactionStrategy, make_picker, make_strategy
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
@@ -546,40 +546,57 @@ class LsmDB:
         latency = self._cpu_overhead
         if ctx is not None and latency:
             ctx.add("cpu", "-", latency)
-        latencies = [0.0]
-
-        def charged(source):
-            for record, step_latency in source:
-                latencies[0] += step_latency
-                yield record
-
-        def level_iter(run, pos):
-            # Chain a sorted run's files lazily from the fence-seeked
-            # position: the next file opens only once the previous one
-            # is exhausted, so a short scan touches one or two files
-            # per run instead of all of them.
-            for index in range(pos, len(run)):
-                yield from run[index].iter_from(start_key, self.cache, ctx=ctx)
-
-        sources = [self._memtable.scan_from(start_key)]
-        # L0 files overlap, so each needs its own cursor.
+        cache = self.cache
+        # Sources open in this order, which fixes the order of their
+        # first fetches: memtable, overlapping L0 files newest first
+        # (they overlap each other, so each is its own run), then one
+        # cursor per sorted run of every deeper level.
+        cursors: list = [MemtableCursor(self._memtable, start_key)]
         for table in self.manifest.files(0):
             if table.largest_key >= start_key:
-                sources.append(
-                    charged(table.iter_from(start_key, self.cache, ctx=ctx))
-                )
+                cursors.append(RunCursor((table,), 0, start_key, cache, ctx=ctx))
         for level in range(1, self.manifest.num_levels):
-            # One cursor per sorted run: a leveled level is a single
-            # run; the runs of a stacked level overlap each other.
             for run, pos in self.manifest.seek_runs(level, start_key):
                 if pos < len(run):
-                    sources.append(charged(level_iter(run, pos)))
+                    cursors.append(RunCursor(run, pos, start_key, cache, ctx=ctx))
+        # One merge loop. Heap entries are (key, MAX_SEQNO - seqno,
+        # source order): internal-key order, and seqnos are unique, so
+        # the order only ever breaks a tie between equal records. The
+        # winning entry is held *outside* the heap; heappushpop hands it
+        # straight back while it still sorts first (one tuple compare,
+        # no sift), so a run of records from one source costs no heap
+        # traffic. A cursor is advanced only after its head was consumed
+        # and another record is needed, and each advance's fetch latency
+        # joins the running total as it happens.
+        fetch_latency = 0.0
+        heap = []
+        for order, cursor in enumerate(cursors):
+            if cursor.advance():
+                fetch_latency += cursor.latency
+                heap.append((cursor.key, cursor.inv, order))
+        heapify(heap)
         items: list[tuple[bytes, bytes]] = []
-        for record in visible_records(merge_records(sources)):
-            if len(items) >= count:
-                break
-            items.append((record.user_key, record.value))
-        latency += latencies[0]
+        previous_key = None
+        entry = heappop(heap) if heap else None
+        while entry is not None:
+            key, _, order = entry
+            cursor = cursors[order]
+            if key != previous_key:  # else: shadowed by a newer version
+                previous_key = key
+                if cursor.kind:  # a PUT; a tombstone hides the key
+                    # Stops on pulling the (count + 1)-th visible record:
+                    # a look-ahead the simulated latency has always paid.
+                    if len(items) >= count:
+                        break
+                    items.append((key, cursor.value()))
+            if cursor.advance():
+                fetch_latency += cursor.latency
+                entry = (cursor.key, cursor.inv, order)
+                if heap:
+                    entry = heappushpop(heap, entry)
+            else:
+                entry = heappop(heap) if heap else None
+        latency += fetch_latency
         self.stats.user_scans += 1
         return ScanResult(items, latency)
 

@@ -1,23 +1,35 @@
-"""Merging iterators.
+"""Merging iterators: the record-domain merge specification.
 
-Range scans and compactions both consume multiple sorted record sources
-and need a single stream in internal-key order with version shadowing
-resolved (newest version of each user key wins; older versions are
-dropped). ``merge_records`` provides the raw ordered merge;
-``newest_versions`` layers the shadowing on top.
+A merge consumes multiple sorted record sources and produces a single
+stream in internal-key order with version shadowing resolved (newest
+version of each user key wins; older versions are dropped).
+``merge_records`` provides the raw ordered merge; ``newest_versions``
+layers the shadowing on top and ``visible_records`` the tombstone
+filter of a read.
+
+The engine's hot merges run in the encoded domain instead: compaction
+merges byte spans by default (``repro.lsm.compaction``; its record-path
+fallback still calls ``merge_sorted_lists``), and ``LsmDB.scan`` runs
+one heap loop over lazy cursors
+(:class:`~repro.lsm.sstable.RunCursor`). This module is the
+specification both are held against: the streaming path below is the
+range scan's oracle (``tests/lsm/reference_scan.py`` chains it exactly
+as ``LsmDB.scan`` used to) and no longer the scan path itself — of
+which only ``keyed_records`` remains, decorating the memtable's few
+records for the scan heap.
 
 Two merge strategies, picked per call:
 
-* **Materialized sources** (every source is a ``list`` — the compaction
-  and flush case, where inputs are fully decoded before merging):
-  concatenate with ``list.extend`` and sort the combined list twice with
-  C-implemented ``attrgetter`` keys — first by seqno descending, then
-  stably by user key ascending. Timsort's stability makes the second
-  pass preserve the first's order within equal user keys, yielding
-  internal-key order with *zero Python-level calls per record*, and its
-  galloping mode tears through the pre-sorted runs. This is ~4x faster
-  than a ``heapq.merge`` generator pipeline at compaction-typical sizes.
-* **Streaming sources** (anything lazy, e.g. SSTable range iterators):
+* **Materialized sources** (every source is a ``list`` — fully decoded
+  inputs): concatenate with ``list.extend`` and sort the combined list
+  twice with C-implemented ``attrgetter`` keys — first by seqno
+  descending, then stably by user key ascending. Timsort's stability
+  makes the second pass preserve the first's order within equal user
+  keys, yielding internal-key order with *zero Python-level calls per
+  record*, and its galloping mode tears through the pre-sorted runs.
+  This is ~4x faster than a ``heapq.merge`` generator pipeline at
+  compaction-typical sizes.
+* **Streaming sources** (anything lazy, e.g. ``SSTable.iter_from``):
   ``heapq.merge`` over streams decorated once per record with
   ``(user_key, MAX_SEQNO - seqno, record)``, preserving laziness. The
   decoration replaces a ``key=`` lambda that would otherwise run per

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator
 
+from repro.lsm.iterators import keyed_records
 from repro.lsm.record import Record, ValueKind
 
 
@@ -96,3 +97,35 @@ class Memtable:
         """Number of non-tombstone entries currently buffered."""
         put = ValueKind.PUT
         return sum(1 for record in self._records.values() if record.kind == put)
+
+
+class MemtableCursor:
+    """:meth:`Memtable.scan_from` behind the scan-cursor protocol.
+
+    The range-scan merge drives every source through the protocol
+    :class:`~repro.lsm.sstable.RunCursor` documents (``advance()``,
+    ``key`` / ``inv`` / ``kind``, ``value()``, ``latency``). The
+    memtable's records are decorated by the merge specification's own
+    :func:`~repro.lsm.iterators.keyed_records`, so its heap entries are
+    the ones the streaming merge would compare; it is DRAM-resident and
+    un-charged, so its ``latency`` is a constant 0.0.
+    """
+
+    __slots__ = ("key", "inv", "kind", "_value", "_keyed")
+
+    latency = 0.0
+
+    def __init__(self, memtable: Memtable, start_key: bytes) -> None:
+        self._keyed = keyed_records(memtable.scan_from(start_key))
+
+    def advance(self) -> bool:
+        item = next(self._keyed, None)
+        if item is None:
+            return False
+        self.key, self.inv, record = item
+        self.kind = record.kind
+        self._value = record.value
+        return True
+
+    def value(self) -> bytes:
+        return self._value

@@ -129,6 +129,10 @@ def record_sort_key(record: Record) -> tuple[bytes, int]:
 #: Fixed per-record wire overhead; exported so hot paths can compute
 #: ``encoded_size`` without a method call on a Record in hand.
 RECORD_HEADER_SIZE = _HEADER_SIZE
+#: ``(key_len, value_len, kind, seqno)`` of the record encoded at
+#: ``(buf, offset)``; exported beside the size so an encoded-domain
+#: walker (the scan cursor) reads a header without building a Record.
+unpack_record_header = _UNPACK_HEADER
 
 _PUT = ValueKind.PUT
 

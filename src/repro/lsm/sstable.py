@@ -29,7 +29,13 @@ from repro.lsm.block import (
 )
 from repro.lsm.block_cache import BlockCache, BlockType
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.record import MAX_SEQNO, Record, ValueKind
+from repro.lsm.record import (
+    MAX_SEQNO,
+    RECORD_HEADER_SIZE,
+    Record,
+    ValueKind,
+    unpack_record_header,
+)
 from repro.storage.backend import SimFile, StorageBackend
 from repro.storage.device import DRAM_SPEC
 from repro.storage.tier import StorageTier
@@ -267,20 +273,17 @@ class SSTable:
     def iter_from(self, user_key: bytes, cache: BlockCache, *, foreground: bool = True, ctx=None) -> Iterator[tuple[Record, float]]:
         """Yield (record, latency-of-this-step) for keys >= ``user_key``.
 
-        The latency of the index fetch and of each block fetch is
-        attributed to the first record yielded after that fetch.
+        A :class:`RunCursor` over this one table, with each step
+        materialized as a :class:`Record`: the latency of the index
+        fetch and of each block fetch is attributed to the first record
+        yielded after that fetch.
         """
-        index, pending_latency = self._index_entries(cache, foreground=foreground, ctx=ctx)
-        assert self._index_keys is not None
-        pos = bisect.bisect_left(self._index_keys, user_key)
-        for entry in index[pos:]:
-            block, block_latency = self._data_block(entry, cache, foreground=foreground, ctx=ctx)
-            pending_latency += block_latency
-            for record in block.records():
-                if record.user_key < user_key:
-                    continue
-                yield record, pending_latency
-                pending_latency = 0.0
+        cursor = RunCursor((self,), 0, user_key, cache, foreground=foreground, ctx=ctx)
+        while cursor.advance():
+            yield (
+                Record(cursor.key, MAX_SEQNO - cursor.inv, ValueKind(cursor.kind), cursor.value()),
+                cursor.latency,
+            )
 
     def read_all_records(self, *, foreground: bool = False) -> tuple[list[Record], float]:
         """Sequentially read every record (compaction input scan).
@@ -405,6 +408,136 @@ class SSTable:
             created_at_usec=created_at_usec,
             max_seqno=max_seqno,
         )
+
+
+class RunCursor:
+    """Lazy encoded-domain cursor over one sorted run, for range scans.
+
+    Walks ``run[pos:]`` — the files of one sorted run from a
+    :meth:`~repro.lsm.version.LevelManifest.seek_runs` position, or a
+    single L0 table — file by file and block by block through the
+    cache-mediated fetch helpers, and never builds a :class:`Record`.
+
+    The protocol the scan merge drives (``MemtableCursor`` is the other
+    implementation): :meth:`advance` moves to the next record with user
+    key >= ``start_key`` and returns False once the run is exhausted;
+    after a True return ``key`` / ``inv`` (``MAX_SEQNO - seqno``, so
+    ``(key, inv)`` sorts in internal-key order) / ``kind`` (the wire
+    code: 0 is a tombstone) describe the record, :meth:`value` slices
+    its value out of the block, and ``latency`` is the simulated cost of
+    the fetches this advance made — the index latency when it opened a
+    file, then each block latency in fetch order; 0.0 when the record
+    came from the block already in hand.
+
+    Fetches are lazy and their order is part of the simulated result:
+    nothing is read before the first ``advance()``, the next block is
+    fetched only when an advance runs off the current one, and the next
+    file's index only when the previous file is exhausted. The first
+    block is entered by bisecting its restart offsets; every record the
+    cursor lands on gets the checks ``Record.decode_from`` and
+    ``DataBlock.records()`` apply (header and body inside the record
+    region, kind, seqno, record end == next restart offset). Records it
+    never lands on are not decoded.
+    """
+
+    __slots__ = (
+        "key", "inv", "kind", "latency",
+        "_run", "_run_pos", "_start_key", "_cache", "_foreground", "_ctx",
+        "_table", "_entries", "_entry_pos",
+        "_buf", "_offsets", "_count", "_records_end", "_index",
+        "_value_start", "_end",
+    )
+
+    def __init__(self, run, pos: int, start_key: bytes, cache: BlockCache, *, foreground: bool = True, ctx=None) -> None:
+        self._run = run
+        self._run_pos = pos  # next file to open
+        self._start_key = start_key
+        self._cache = cache
+        self._foreground = foreground
+        self._ctx = ctx
+        self._entries: list[IndexEntry] | tuple = ()
+        self._entry_pos = 0  # next block of the open file to fetch
+        self._count = 0
+        self._index = -1  # negative until the first landing: seek, don't start at 0
+
+    def advance(self) -> bool:
+        """Land on the next record; False once the run is exhausted."""
+        index = self._index + 1
+        if index < self._count:
+            self.latency = 0.0
+        elif self._next_block():
+            index = self._index
+        else:
+            return False
+        offsets = self._offsets
+        offset = offsets[index]
+        records_end = self._records_end
+        if offset + RECORD_HEADER_SIZE > records_end:
+            raise CorruptionError(f"truncated record header at offset {offset}")
+        buf = self._buf
+        key_len, value_len, kind, seqno = unpack_record_header(buf, offset)
+        if kind > 1:
+            raise CorruptionError(f"bad record kind {kind} at offset {offset}")
+        if seqno > MAX_SEQNO:
+            raise CorruptionError(f"seqno out of range at offset {offset}: {seqno}")
+        key_start = offset + RECORD_HEADER_SIZE
+        value_start = key_start + key_len
+        end = value_start + value_len
+        if end > records_end:
+            raise CorruptionError(f"truncated record body at offset {offset}")
+        self._index = index
+        index += 1
+        if end != (offsets[index] if index < self._count else records_end):
+            raise CorruptionError(
+                f"record at offset {offset} ends at {end}, not at the next restart offset"
+            )
+        self.key = buf[key_start:value_start].tobytes()
+        self.inv = MAX_SEQNO - seqno
+        self.kind = kind
+        self._value_start = value_start
+        self._end = end
+        return True
+
+    def value(self) -> bytes:
+        """The current record's value (``b""`` for a tombstone)."""
+        return self._buf[self._value_start : self._end].tobytes()
+
+    def _next_block(self) -> bool:
+        """Fetch forward to the next block holding a record to land on.
+
+        Sets the block fields, ``_index`` (the landing position) and
+        ``latency``; returns False when the run has no further block.
+        """
+        cache, foreground, ctx = self._cache, self._foreground, self._ctx
+        pending = 0.0
+        while True:
+            entries = self._entries
+            pos = self._entry_pos
+            if pos == len(entries):
+                if self._run_pos == len(self._run):
+                    return False  # and every later call lands here again
+                table = self._table = self._run[self._run_pos]
+                self._run_pos += 1
+                # A new file starts a new pending latency: its index
+                # fetch first, exactly as a fresh per-file iterator did.
+                self._entries, pending = table._index_entries(cache, foreground=foreground, ctx=ctx)
+                self._entry_pos = bisect.bisect_left(table._index_keys, self._start_key)
+                continue
+            block, block_latency = self._table._data_block(
+                entries[pos], cache, foreground=foreground, ctx=ctx
+            )
+            pending += block_latency
+            self._entry_pos = pos + 1
+            index = block.seek(self._start_key) if self._index < 0 else 0
+            if index < block.count:
+                buf = block.buf
+                self._buf = memoryview(buf) if type(buf) is bytes else buf
+                self._offsets = block.offsets
+                self._count = block.count
+                self._records_end = block.records_end
+                self._index = index
+                self.latency = pending
+                return True
 
 
 class SSTableBuilder:

@@ -36,13 +36,45 @@ def smoke_run(system: str) -> RunResult:
     )
 
 
-@pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+def scan_smoke_run() -> RunResult:
+    """The range-scan smoke: the three system smokes are 50/50 read/update
+    and never call ``scan``, so this case pins the scan path's simulated
+    side (fetch order, latency accumulation, cache and device tallies).
+    Shaped like perfbench's ``scan-cold``: a RocksDB baseline, uniform
+    keys, 45/5/50 read/insert/scan, data far larger than the cache."""
+    config = SystemConfig(
+        system="rocksdb", layout_code="NNNTQ", cache_fraction=0.02, seed=SMOKE_SEED
+    )
+    workload = YCSBConfig(
+        record_count=SMOKE_RECORDS,
+        operation_count=SMOKE_OPS,
+        read_proportion=0.45,
+        update_proportion=0.0,
+        insert_proportion=0.05,
+        scan_proportion=0.50,
+        distribution="uniform",
+        max_scan_length=50,
+        seed=SMOKE_SEED,
+    )
+    return run_experiment(config, workload, label="smoke/scan", sample_interval_ms=5.0)
+
+
+#: baseline name -> the run that must reproduce it.
+SMOKE_CASES = {
+    "rocksdb": lambda: smoke_run("rocksdb"),
+    "prismdb": lambda: smoke_run("prismdb"),
+    "mutant": lambda: smoke_run("mutant"),
+    "scan": scan_smoke_run,
+}
+
+
+@pytest.mark.parametrize("system", list(SMOKE_CASES))
 def test_smoke_run_matches_committed_baseline_exactly(system):
     baseline_path = os.path.join(RESULTS_DIR, f"baseline_{system}.json")
     if not os.path.exists(baseline_path):
         pytest.skip(f"no committed baseline for {system}")
     baseline = RunResult.load(baseline_path)
-    candidate = smoke_run(system)
+    candidate = SMOKE_CASES[system]()
     drifted = [
         f"{diff.metric}: {diff.baseline} -> {diff.candidate}"
         for diff in compare_results(baseline, candidate, tolerance_pct=0.0)
@@ -50,6 +82,7 @@ def test_smoke_run_matches_committed_baseline_exactly(system):
     ]
     assert not drifted, (
         "simulated metrics drifted from committed baseline "
-        "(regenerate with scripts/perf_gate.py --rebaseline if intentional):\n"
+        "(regenerate with scripts/perf_gate.py --rebaseline if intentional; "
+        "baseline_scan.json: `RunResult.save` of this module's scan_smoke_run()):\n"
         + "\n".join(drifted)
     )

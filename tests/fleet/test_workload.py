@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.runner import _split_by_owned
-from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec
+from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec, owned_indices
 from repro.workloads.ycsb import OP_INSERT, OP_SCAN
 
 TENANTS = (
@@ -90,6 +90,27 @@ class TestOwnershipPass:
                 sum(len(state.owned) for state in ownership.states)
                 == expected[shard_id]
             )
+
+    def test_every_shard_of_a_process_shares_one_hashing_pass(self):
+        router = ConsistentHashRouter(SHARDS)
+        owned_indices.cache_clear()
+        passes = [ShardOwnership(TENANTS, router, shard_id) for shard_id in range(SHARDS)]
+        info = owned_indices.cache_info()
+        assert (info.misses, info.hits) == (1, SHARDS - 1)
+        shared = owned_indices(TENANTS, SHARDS, router.vnodes)
+        for shard_id, ownership in enumerate(passes):
+            for tenant, state in enumerate(ownership.states):
+                assert state.owned is shared[tenant][shard_id]
+                assert list(state.owned) == sorted(state.owned)
+        # Another ring is another pass, not a stale hit.
+        assert ShardOwnership(TENANTS, ConsistentHashRouter(SHARDS, vnodes=8), 0).keys_per_shard \
+            != passes[0].keys_per_shard
+
+    def test_out_of_range_shard_is_rejected(self):
+        router = ConsistentHashRouter(SHARDS)
+        for shard_id in (-1, SHARDS):
+            with pytest.raises(ConfigError):
+                ShardOwnership(TENANTS, router, shard_id)
 
     def test_shared_pass_generates_the_same_streams(self):
         router = ConsistentHashRouter(SHARDS)

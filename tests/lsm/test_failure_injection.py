@@ -79,6 +79,56 @@ class TestSSTableCorruption:
         assert hit.value == b"v" * 30
 
 
+class TestScanCorruption:
+    """Faults inside a block a range scan walks surface from ``db.scan``.
+
+    The scan cursor reads records in the encoded domain, one header at
+    a time; it must apply to every record it lands on the checks a full
+    block decode would (kind, seqno range, framing against the restart
+    offsets and the record region).
+    """
+
+    def _db_and_block(self):
+        from repro.lsm import DBOptions, LsmDB
+        from repro.lsm.block import DataBlock
+
+        db = LsmDB.create("NNNTQ", DBOptions(block_bytes=512))
+        for i in range(40):
+            db.put(f"key{i:04d}".encode(), b"v" * 30)
+        db.flush()
+        (table,) = db.manifest.files(0)
+        first = table._index[0]
+        assert first.offset == 0  # block offsets below are file offsets
+        block = DataBlock(table.file.data[: first.length])
+        assert 4 < block.count < 40  # the scan below crosses into block 2
+        assert len(db.scan(b"", 40).items) == 40  # clean before the fault
+        db.cache.clear()
+        return db, table.file, block
+
+    # Header layout: key_len u16 | value_len u32 | kind u8 | seqno u64.
+    @pytest.mark.parametrize(
+        "fault",
+        ["kind_byte", "seqno_above_max", "end_past_next_restart", "end_past_record_region"],
+    )
+    def test_fault_in_a_walked_block_raises(self, fault):
+        db, file, block = self._db_and_block()
+        third = block.offsets[2]
+        last = block.offsets[-1]
+        if fault == "kind_byte":
+            file.data = corrupt(file.data, third + 6, 0x7F)
+        elif fault == "seqno_above_max":
+            # The top byte of the u64: any non-zero value exceeds 2**56 - 1.
+            file.data = corrupt(file.data, third + 14, 0x01)
+        elif fault == "end_past_next_restart":
+            # value_len + 1: the record now ends one byte into its successor.
+            file.data = corrupt(file.data, third + 2, file.data[third + 2] + 1)
+        else:
+            # The block's last record claims a value reaching into the trailer.
+            file.data = corrupt(file.data, last + 2, file.data[last + 2] + 1)
+        with pytest.raises(CorruptionError):
+            db.scan(b"", 40)
+
+
 class TestCodecCorruption:
     def test_bloom_truncation(self):
         bloom = BloomFilter.for_capacity(10)

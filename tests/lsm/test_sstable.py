@@ -8,6 +8,7 @@ from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import (
     UNTRACKED_CLOCK_VALUE,
     IndexEntry,
+    RunCursor,
     SSTableBuilder,
     decode_index,
     encode_index,
@@ -216,6 +217,25 @@ class TestSSTableRead:
     def test_iter_from_start(self):
         count = sum(1 for _ in self.table.iter_from(b"", self.cache))
         assert count == 200
+
+    def test_run_cursor_is_lazy_and_stays_exhausted(self):
+        stats = self.cache.stats
+        cursor = RunCursor((self.table,), 0, b"k0150", self.cache)
+        assert stats.hits == {} and stats.misses == {}  # nothing read yet
+        seen, blocks_at_step = [], []
+        while cursor.advance():
+            seen.append((cursor.key, cursor.kind, cursor.value()))
+            blocks_at_step.append((stats.misses.get(BlockType.DATA, 0), cursor.latency > 0))
+        assert seen == [(r.user_key, 1, r.value) for r in self.records[150:]]
+        # A step is charged exactly when it fetched a block, and blocks
+        # are fetched one at a time, each when the walk first needs it.
+        fetched = [step for step, (_, charged) in enumerate(blocks_at_step) if charged]
+        assert fetched[0] == 0 and len(fetched) > 2
+        assert [blocks for blocks, _ in blocks_at_step] == [
+            sum(1 for first in fetched if first <= step) for step in range(len(seen))
+        ]
+        assert not cursor.advance() and not cursor.advance()
+        assert stats.misses[BlockType.DATA] == len(fetched)
 
     def test_read_all_records(self):
         records, latency = self.table.read_all_records()
