@@ -144,3 +144,10 @@ if [[ "${REPRO_PERF_GATE:-0}" != "0" ]]; then
     echo "== perf gate (REPRO_PERF_GATE=${REPRO_PERF_GATE}) =="
     python scripts/perf_gate.py --tolerance "${REPRO_PERF_TOLERANCE:-15}"
 fi
+
+# Non-gating: Python line totals, so a PR's CHANGES.md line can quote
+# the ROADMAP's "least code" number without hand-counting.
+echo "== line totals (non-gating) =="
+for tree in src tests; do
+    echo "$tree: $(find "$tree" -name '*.py' -print0 | xargs -0 cat | wc -l) Python lines"
+done

@@ -192,14 +192,6 @@ def comparison_table(
 def run_compare(args: argparse.Namespace) -> int:
     baseline = RunResult.load(args.baseline)
     candidate = RunResult.load(args.candidate)
-    if baseline.schema_version != candidate.schema_version:
-        print(
-            f"error: mixed artifact schemas (baseline v{baseline.schema_version}, "
-            f"candidate v{candidate.schema_version}); re-save the older artifact "
-            f"with this build's `repro.bench report --save` to upgrade it",
-            file=sys.stderr,
-        )
-        return 2
     diffs = compare_results(baseline, candidate, tolerance_pct=args.tolerance)
     failed = regressions(diffs)
     headers, rows = comparison_table(diffs, only_drift=args.only_drift)

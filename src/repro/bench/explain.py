@@ -38,10 +38,9 @@ _UPGRADE_HINT = (
 def _load_attribution(path: str) -> dict | None:
     """The artifact's attribution block, or None (with a hint) if absent."""
     result = RunResult.load(path)
-    if result.schema_version < 2 or not result.attribution:
+    if not result.attribution:
         print(
-            f"error: artifact {path} (schema v{result.schema_version}) has no "
-            f"attribution data; {_UPGRADE_HINT}",
+            f"error: artifact {path} has no attribution data; {_UPGRADE_HINT}",
             file=sys.stderr,
         )
         return None

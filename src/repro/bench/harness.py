@@ -168,10 +168,6 @@ class RunResult:
     #: for ordinary single-instance runs, and omitted from the JSON
     #: artifact so pre-fleet artifacts stay byte-identical on re-save.
     fleet: dict = field(default_factory=dict)
-    #: Schema version of the artifact this result was loaded from (or
-    #: the current schema for freshly built results). ``repro-bench
-    #: compare``/``explain`` use it to detect mixed-version comparisons.
-    schema_version: int = 2
 
     @property
     def total_io_read_bytes(self) -> int:
@@ -258,19 +254,12 @@ class RunResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunResult":
-        """Rebuild a :class:`RunResult` from :meth:`to_json` output.
-
-        Accepts the current schema (2) and, as a compatibility shim,
-        schema-1 artifacts written before per-request attribution
-        existed — those load with ``attribution`` empty and
-        ``schema_version`` set to 1 so the compare/explain tooling can
-        detect mixed-version comparisons.
-        """
+        """Rebuild a :class:`RunResult` from :meth:`to_json` output."""
         schema = data.get("schema")
-        if schema not in (1, cls.SCHEMA):
+        if schema != cls.SCHEMA:
             raise ConfigError(
                 f"unsupported run-artifact schema {schema!r} "
-                f"(this build reads schemas 1-{cls.SCHEMA})"
+                f"(this build reads schema {cls.SCHEMA})"
             )
 
         def summary(d: dict) -> LatencySummary:
@@ -325,9 +314,8 @@ class RunResult:
             storage_cost_dollars=data["storage_cost_dollars"],
             metrics=data["metrics"],
             timeline=data.get("timeline", {}),
-            attribution=data.get("attribution", {}),
+            attribution=data["attribution"],
             fleet=data.get("fleet", {}),
-            schema_version=schema,
         )
 
     def save(self, path: str) -> None:

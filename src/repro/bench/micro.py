@@ -425,20 +425,20 @@ def _bench_fleet_merge_results():
 _MERGE_SHARDS = 4
 
 
-def _bench_compaction_encoded_merge():
-    """The encoded-domain leveled merge, per record merged.
+def compaction_merge_replay():
+    """A fixed 2,000-record leveled job, replayable; ``(replay, records)``.
 
-    Builds one upper and two overlapping lower tables once, then runs
-    the same planned job through a fresh manifest/executor pair each
-    iteration — the inputs are immutable SSTables, so every execution
-    re-reads the same spans and the timed region is the merge itself
-    (span scan, key/seqno ordering, routing, fused emission), not table
-    construction.
+    Builds one upper and two overlapping lower tables once;
+    ``replay(router)`` runs the same L1->L2 job through a fresh
+    manifest/executor pair — the inputs are immutable SSTables, so every
+    execution re-reads the same spans and does the merge itself (span
+    scan, key/seqno ordering, routing, fused emission), not table
+    construction. Shared by the micro below and the merge's tier-1 call
+    budget (tests/lsm/test_encoded_merge.py).
     """
     from repro.common import KIB, SimClock
     from repro.lsm.block_cache import BlockCache
     from repro.lsm.compaction import (
-        CompactDownRouter,
         CompactionExecutor,
         CompactionJob,
         LargestFilePicker,
@@ -478,7 +478,6 @@ def _bench_compaction_encoded_merge():
         build_table(2, [f"k{i:06d}".encode() for i in range(0, 1_000, 2)]),
         build_table(2, [f"k{i:06d}".encode() for i in range(1_000, 2_000, 2)]),
     ]
-    records_per_merge = 2_000
     job = CompactionJob(
         style="leveled",
         upper_level=1,
@@ -487,31 +486,44 @@ def _bench_compaction_encoded_merge():
         lower_inputs=lower,
         upper_lo=upper[0].smallest_key,
         upper_hi=upper[0].largest_key,
-        drop_tombstones=True,
+        drop_tombstones=False,  # L2 is not the bottom of five levels
     )
+
+    def replay(router) -> None:
+        manifest = LevelManifest(options.num_levels)
+        for table in upper:
+            manifest.add_file(1, table)
+        for table in lower:
+            manifest.add_file(2, table)
+        executor = CompactionExecutor(
+            backend, manifest, layout, options, BlockCache(64 * KIB),
+            LargestFilePicker(), router,
+        )
+        executor.execute(job)
+        # The merge deletes its inputs; resurrect them so the next
+        # replay runs the identical job (reads address the SimFile
+        # object directly, so flipping the tombstone and re-allocating
+        # tier capacity is all a replay needs).
+        for table in upper + lower:
+            file = table.file
+            if file.deleted:
+                file.deleted = False
+                file.tier.allocate(file.size)
+
+    return replay, 2_000
+
+
+def _bench_compaction_encoded_merge():
+    """The compaction merge under ``CompactDownRouter``, per record merged."""
+    from repro.lsm.compaction import CompactDownRouter
+
+    replay, records_per_merge = compaction_merge_replay()
+    router = CompactDownRouter()
 
     def op(n: int) -> int:
         merges = max(1, n // records_per_merge)
         for _ in range(merges):
-            manifest = LevelManifest(options.num_levels)
-            for table in upper:
-                manifest.add_file(1, table)
-            for table in lower:
-                manifest.add_file(2, table)
-            executor = CompactionExecutor(
-                backend, manifest, layout, options, BlockCache(64 * KIB),
-                LargestFilePicker(), CompactDownRouter(),
-            )
-            executor.execute(job)
-            # The merge deletes its inputs; resurrect them so the next
-            # iteration replays the identical job (reads address the
-            # SimFile object directly, so flipping the tombstone and
-            # re-allocating tier capacity is all a replay needs).
-            for table in upper + lower:
-                file = table.file
-                if file.deleted:
-                    file.deleted = False
-                    file.tier.allocate(file.size)
+            replay(router)
         return merges * records_per_merge
 
     return op, True

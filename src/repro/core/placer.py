@@ -23,9 +23,6 @@ from repro.core.mapper import ClockDistributionMapper
 from repro.core.tracker import ClockTracker
 from repro.errors import ConfigError
 from repro.lsm.compaction import CompactionPicker, MergeRouter
-from repro.lsm.record import Record, ValueKind
-
-_DELETE = ValueKind.DELETE
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import LevelManifest
 
@@ -51,11 +48,6 @@ class ReadAwareRouter(MergeRouter):
     #: Never trivially move a file down: that would skip the pinning
     #: pass and bury hot keys (§4.3).
     supports_trivial_move = False
-
-    #: Routing consults only the key, kind, encoded size, and source
-    #: level — all available without a Record — so the encoded-domain
-    #: merge may call :meth:`route_up_key` directly.
-    supports_encoded_routing = True
 
     def __init__(
         self,
@@ -102,14 +94,6 @@ class ReadAwareRouter(MergeRouter):
         self._budget_bytes = upper_budget_bytes
         self._pull_budget_bytes = min(pull_budget_bytes, upper_budget_bytes)
         self._upper_level = upper_level
-
-    def route_up(self, record: Record, source_level: int) -> bool:
-        return self.route_up_key(
-            record.user_key,
-            0 if record.kind is _DELETE else 1,
-            record.encoded_size(),
-            source_level,
-        )
 
     def route_up_key(
         self, user_key: bytes, kind_code: int, encoded_size: int, source_level: int

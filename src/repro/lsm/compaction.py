@@ -26,6 +26,13 @@ key range so level disjointness is preserved where the shape requires
 it. Shapes that merge whole levels (tiering, lazy-leveling) satisfy the
 rule trivially: every version of a key at the upper level participates
 in the job.
+
+Execution is the fourth primitive of that design space, data *movement*,
+and exists once: :meth:`CompactionExecutor.execute` re-parents a file
+(trivial move) or runs the one merge — scan, sort, shadow, route, range
+check, emit — for leveled and tiered jobs alike. A tiered job is a
+leveled job without lower inputs whose range covers the whole level;
+the styles differ only in how retained outputs are installed.
 """
 
 from __future__ import annotations
@@ -35,18 +42,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import CompactionError
 from repro.lsm.block_cache import BlockCache
-from repro.lsm.iterators import merge_sorted_lists
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
-from repro.lsm.record import MAX_SEQNO, Record, ValueKind
+from repro.lsm.record import MAX_SEQNO
 from repro.lsm.sstable import SSTable, SSTableBuilder
 from repro.lsm.version import LevelManifest
 from repro.obs import NOOP_TRACER, MetricsRegistry, Tracer
 from repro.storage.backend import StorageBackend
-
-#: Hoisted enum member for the merge loops' tombstone checks; an ``is``
-#: test against it avoids the ``is_tombstone`` property call per record.
-_DELETE = ValueKind.DELETE
 
 
 class CompactionPicker(abc.ABC):
@@ -109,18 +111,11 @@ class MergeRouter(abc.ABC):
     #: :meth:`allows_trivial_move`.
     supports_trivial_move: bool = True
 
-    #: Whether :meth:`route_up_key` may replace :meth:`route_up` on the
-    #: encoded-domain merge path. Routers that need the full Record
-    #: (e.g. value-inspecting subclasses) leave this False and the
-    #: executor falls back to the record-based merge for them, so
-    #: ``DBOptions.encoded_compaction`` can never change their decisions.
-    supports_encoded_routing: bool = False
-
     #: True when :meth:`route_up_key` returns False unconditionally and
-    #: without side effects (classic compact-down behaviour). The
-    #: encoded merges skip the per-record routing call entirely for such
-    #: routers — one method invocation per record is measurable against
-    #: the little work the merge loop does.
+    #: without side effects (classic compact-down behaviour). The merge
+    #: skips the per-record routing call entirely for such routers — one
+    #: method invocation per record is measurable against the little
+    #: work the merge loop does.
     never_routes_up: bool = False
 
     def allows_trivial_move(self, table: SSTable) -> bool:
@@ -148,24 +143,16 @@ class MergeRouter(abc.ABC):
         """
 
     @abc.abstractmethod
-    def route_up(self, record: Record, source_level: int) -> bool:
-        """True to retain/pull the record in/to the upper level."""
-
     def route_up_key(
         self, user_key: bytes, kind_code: int, encoded_size: int, source_level: int
     ) -> bool:
-        """Record-free routing decision for the encoded merge path.
+        """True to retain/pull the record in/to the upper level.
 
-        ``kind_code`` is the wire code (0 = DELETE, 1 = PUT) and
-        ``encoded_size`` the record's full on-disk size — together the
-        only Record fields :meth:`route_up` implementations may consult
-        besides the key. Must be behaviourally identical to
-        :meth:`route_up` on routers that set
-        :attr:`supports_encoded_routing`.
+        Asked once per surviving (newest) version. ``kind_code`` is the
+        wire code (0 = DELETE, 1 = PUT), ``encoded_size`` the record's
+        full on-disk size and ``source_level`` the level it was read
+        from — the merge never materializes a Record.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support encoded routing"
-        )
 
     def clock_value_fn(self):
         """Optional key -> CLOCK value function for output file scoring."""
@@ -176,11 +163,7 @@ class CompactDownRouter(MergeRouter):
     """Classic LSM behaviour: every record moves to the lower level."""
 
     supports_trivial_move = True
-    supports_encoded_routing = True
     never_routes_up = True
-
-    def route_up(self, record: Record, source_level: int) -> bool:
-        return False
 
     def route_up_key(
         self, user_key: bytes, kind_code: int, encoded_size: int, source_level: int
@@ -212,16 +195,20 @@ class CompactionStats:
 class CompactionJob:
     """One planned compaction, shape-agnostic.
 
-    ``style`` selects the execution path:
+    ``style`` is one of:
 
     * ``"trivial-move"`` — re-parent ``upper_inputs[0]`` one level down
       without I/O (leveled shapes only);
     * ``"leveled"`` — merge upper inputs with the overlapping lower
       files into disjoint output files at both levels;
     * ``"tiered"`` — merge the upper inputs among themselves (no lower
-      inputs) and append the output as one new sorted run at the lower
-      level; ``upper_level == lower_level`` marks an in-place run
-      consolidation (tiering's bottom level).
+      inputs, ``[upper_lo, upper_hi]`` covering all of them) and append
+      the output as one new sorted run at the lower level;
+      ``upper_level == lower_level`` marks an in-place run consolidation
+      (tiering's bottom level), which routes nothing.
+
+    Both merge styles run the same merge; they differ in how outputs on
+    a run-stacked level are installed (one run per file vs one run).
     """
 
     style: str
@@ -346,7 +333,7 @@ class CompactionExecutor:
         self.execute(job)
 
     def execute(self, job: CompactionJob) -> None:
-        """Run a planned :class:`CompactionJob`."""
+        """Run a planned :class:`CompactionJob`: a trivial move or a merge."""
         if job.style == "trivial-move":
             # Same tier, nothing to merge: re-parent the file without I/O.
             table = job.upper_inputs[0]
@@ -359,88 +346,21 @@ class CompactionExecutor:
                 bytes=table.size_bytes,
             )
             return
-        if job.style == "leveled":
-            self._merge(
-                job.upper_level, job.upper_inputs, job.lower_inputs,
-                job.upper_lo, job.upper_hi,
-            )
-            return
-        if job.style == "tiered":
-            self._merge_tiered(job)
-            return
-        raise CompactionError(f"unknown compaction job style {job.style!r}")
-
-    def _read_inputs(self, tables: list[SSTable], level: int) -> list[list[Record]]:
-        sources = []
-        read_counter = self.metrics.counter("compaction.read_bytes", level=level)
-        for table in tables:
-            records, _ = table.read_all_records(foreground=False)
-            self.stats.bytes_read += table.size_bytes
-            self.stats.records_in += len(records)
-            read_counter.inc(table.size_bytes)
-            sources.append(records)
-        return sources
-
-    def _read_encoded_inputs(
-        self,
-        tables: list[SSTable],
-        level: int,
-        keys: list[bytes],
-        seqnos: list[int],
-        kinds: list[int],
-        starts: list[int],
-        ends: list[int],
-        bufs: list,
-    ) -> int:
-        """Scan ``tables`` into the parallel span arrays; records appended.
-
-        Accounting is identical to :meth:`_read_inputs` — same device
-        reads, same stats and counters — but no Record objects exist:
-        each table contributes its key/seqno/kind/span columns plus one
-        buffer reference per record (``bufs`` is per-record so the merge
-        can slice without tracking run boundaries).
-        """
-        total = 0
-        read_counter = self.metrics.counter("compaction.read_bytes", level=level)
-        for table in tables:
-            buf, count, _ = table.read_all_spans(
-                keys, seqnos, kinds, starts, ends, foreground=False
-            )
-            self.stats.bytes_read += table.size_bytes
-            self.stats.records_in += count
-            read_counter.inc(table.size_bytes)
-            bufs.extend([buf] * count)
-            total += count
-        return total
-
-    def _job_span(self, name: str, upper_level: int, lower_level: int, inputs: int):
-        """A tracer span plus the device set whose busy time it attributes."""
-        upper_tier = self._layout.tier_for_level(upper_level)
-        lower_tier = self._layout.tier_for_level(lower_level)
+        if job.style not in ("leveled", "tiered"):
+            raise CompactionError(f"unknown compaction job style {job.style!r}")
+        upper_tier = self._layout.tier_for_level(job.upper_level)
+        lower_tier = self._layout.tier_for_level(job.lower_level)
         devices = {id(t.device): t.device for t in (upper_tier, lower_tier)}.values()
         span = self.tracer.span(
-            name,
-            level=upper_level,
+            "compaction",
+            level=job.upper_level,
             tier=upper_tier.name,
             lower_tier=lower_tier.name,
-            inputs=inputs,
-        )
-        return span, devices
-
-    def _merge(
-        self,
-        level: int,
-        upper_inputs: list[SSTable],
-        lower_inputs: list[SSTable],
-        upper_lo: bytes,
-        upper_hi: bytes,
-    ) -> None:
-        span, devices = self._job_span(
-            "compaction", level, level + 1, len(upper_inputs) + len(lower_inputs)
+            inputs=len(job.upper_inputs) + len(job.lower_inputs),
         )
         busy_before = sum(device.stats.busy_usec for device in devices)
         with span:
-            self._merge_inner(level, upper_inputs, lower_inputs, upper_lo, upper_hi)
+            self._compact(job)
             # Background I/O returns zero foreground latency, so the
             # simulated clock does not move during a compaction; the
             # span's duration is instead the device service time the job
@@ -449,170 +369,116 @@ class CompactionExecutor:
                 sum(device.stats.busy_usec for device in devices) - busy_before
             )
 
-    def _merge_inner(
-        self,
-        level: int,
-        upper_inputs: list[SSTable],
-        lower_inputs: list[SSTable],
-        upper_lo: bytes,
-        upper_hi: bytes,
-    ) -> None:
-        lower_level = level + 1
-        bottom = lower_level == self._manifest.num_levels - 1
-        input_bytes = sum(table.size_bytes for table in upper_inputs)
-        remaining = self._manifest.level_bytes(level) - input_bytes
-        # The upper level may hold its target plus the pin reserve; the
-        # job's pinning budget is whatever of that allowance remains once
-        # the inputs are gone. Levels beyond the allowance pin nothing
-        # until cold data drains, so compaction always converges.
-        target = self._options.level_target_bytes(level)
-        allowance = int(target * (1.0 + self._options.pin_reserve_fraction))
-        upper_budget = max(0, allowance - remaining)
-        self._router.begin_job(
-            level, lower_level, upper_lo, upper_hi, upper_budget, upper_budget
-        )
-
-        if self._options.encoded_compaction and self._router.supports_encoded_routing:
-            new_upper, new_lower = self._merge_leveled_encoded(
-                level, upper_inputs, lower_inputs, upper_lo, upper_hi, bottom
+    def _compact(self, job: CompactionJob) -> None:
+        """Budget the job, merge its inputs, install the outputs."""
+        upper_level, lower_level = job.upper_level, job.lower_level
+        route_up_key = None
+        # An in-place consolidation (tiering's bottom level) has no upper
+        # level to retain records in: no budget, no begin_job, no routing.
+        if upper_level != lower_level:
+            # The upper level may hold its target plus the pin reserve;
+            # the job's pinning budget is whatever of that allowance
+            # remains once the inputs are gone. Levels beyond the
+            # allowance pin nothing until cold data drains, so compaction
+            # always converges. Pulls draw on the same budget (the router
+            # caps them; a job without lower inputs has nothing to pull).
+            input_bytes = sum(table.size_bytes for table in job.upper_inputs)
+            remaining = self._manifest.level_bytes(upper_level) - input_bytes
+            target = self._options.level_target_bytes(upper_level)
+            allowance = int(target * (1.0 + self._options.pin_reserve_fraction))
+            upper_budget = max(0, allowance - remaining)
+            self._router.begin_job(
+                upper_level, lower_level, job.upper_lo, job.upper_hi,
+                upper_budget, upper_budget,
             )
-        else:
-            new_upper, new_lower = self._merge_leveled_records(
-                level, upper_inputs, lower_inputs, upper_lo, upper_hi, bottom
-            )
+            if not self._router.never_routes_up:
+                route_up_key = self._router.route_up_key
 
-        for table in upper_inputs:
-            self._manifest.remove_file(level, table)
-        for table in lower_inputs:
-            self._manifest.remove_file(lower_level, table)
-        for table in new_upper:
-            self._add_output(level, table)
-        for table in new_lower:
-            self._add_output(lower_level, table)
-        for table in upper_inputs + lower_inputs:
+        new_upper, new_lower = self._merge_spans(job, route_up_key)
+
+        manifest = self._manifest
+        for table in job.upper_inputs:
+            manifest.remove_file(upper_level, table)
+        for table in job.lower_inputs:
+            manifest.remove_file(lower_level, table)
+        for level, tables in ((upper_level, new_upper), (lower_level, new_lower)):
+            # The one style-dependent step: on a run-stacked level a
+            # tiered job's outputs form one new sorted run, a leveled
+            # job's one run per file (mutually disjoint either way).
+            if job.style == "tiered" and tables and manifest.is_run_stacked(level):
+                manifest.add_run(level, tables)
+            else:
+                for table in tables:
+                    manifest.add_file(level, table)
+        for table in job.upper_inputs + job.lower_inputs:
             self._cache.invalidate_file(table.file_id)
             self._backend.delete_file(table.file)
 
         self.stats.compactions += 1
-        self.metrics.counter("compaction.count", level=level).inc()
+        self.metrics.counter("compaction.count", level=upper_level).inc()
 
-    def _merge_leveled_records(
-        self,
-        level: int,
-        upper_inputs: list[SSTable],
-        lower_inputs: list[SSTable],
-        upper_lo: bytes,
-        upper_hi: bytes,
-        bottom: bool,
-    ) -> tuple[list[SSTable], list[SSTable]]:
-        """The record-based leveled merge loop (executable specification).
+    def _scan_inputs(self, tables: list[SSTable], level: int, columns, bufs: list) -> None:
+        """Append every record of ``tables`` to the parallel span arrays.
 
-        Kept verbatim as the reference the encoded path is proven
-        against (tests/lsm/test_encoded_merge.py); also the fallback for
-        routers without encoded-routing support.
+        No Record objects exist: each table contributes its
+        key/seqno/kind/start/end ``columns`` plus one buffer reference
+        per record (``bufs`` is per-record so the merge can slice
+        without tracking run boundaries).
         """
-        lower_level = level + 1
-        upper_sources = self._read_inputs(upper_inputs, level)
-        lower_sources = self._read_inputs(lower_inputs, lower_level)
+        read_counter = self.metrics.counter("compaction.read_bytes", level=level)
+        for table in tables:
+            buf, count, _ = table.read_all_spans(*columns, foreground=False)
+            self.stats.bytes_read += table.size_bytes
+            self.stats.records_in += count
+            read_counter.inc(table.size_bytes)
+            bufs.extend([buf] * count)
 
-        # Merge plain record lists (the sort-based fast path) and recover
-        # each survivor's origin with an id-set membership test instead
-        # of decorating every record with its source level: shadowed
-        # records never need an origin, and ``id(record) in upper_ids``
-        # is a C-level probe. The merged list keeps every record alive
-        # for the loop's duration, so ids cannot be recycled.
-        upper_ids: set[int] = set()
-        for records in upper_sources:
-            upper_ids.update(map(id, records))
-
-        upper_writer = _OutputWriter(self, level)
-        lower_writer = _OutputWriter(self, lower_level)
-        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
-        pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
-        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
-        last_key: bytes | None = None
-        for record in merge_sorted_lists(upper_sources + lower_sources):
-            # Shadowing: the first record per user key (internal order)
-            # is the newest version; older ones are dropped here.
-            user_key = record.user_key
-            if user_key == last_key:
-                self.stats.shadowed_dropped += 1
-                continue
-            last_key = user_key
-            source_level = level if id(record) in upper_ids else lower_level
-
-            route_up = False
-            if self._router.route_up(record, source_level):
-                # Up-routing outside the upper input range would violate
-                # L-level disjointness (except into L0, which overlaps).
-                if level == 0 or upper_lo <= user_key <= upper_hi:
-                    route_up = True
-            if route_up:
-                if source_level == level:
-                    self.stats.records_pinned += 1
-                    pinned_counter.inc()
-                else:
-                    self.stats.records_pulled_up += 1
-                    pulled_counter.inc()
-                upper_writer.add(record)
-                continue
-            if bottom and record.kind is _DELETE:
-                self.stats.tombstones_dropped += 1
-                dropped_counter.inc()
-                continue
-            lower_writer.add(record)
-
-        return upper_writer.finish(), lower_writer.finish()
-
-    def _merge_leveled_encoded(
-        self,
-        level: int,
-        upper_inputs: list[SSTable],
-        lower_inputs: list[SSTable],
-        upper_lo: bytes,
-        upper_hi: bytes,
-        bottom: bool,
+    def _merge_spans(
+        self, job: CompactionJob, route_up_key
     ) -> tuple[list[SSTable], list[SSTable]]:
-        """The encoded-domain leveled merge: no Record objects anywhere.
+        """The merge: shadow, route, range-check and emit each survivor.
 
-        Inputs are scanned as parallel span arrays; ordering is an index
-        argsort (two stable C sorts reproducing merge_sorted_lists'
-        order exactly — seqnos are globally unique, so the order is the
-        unique internal-key order); origin recovery is a positional
-        comparison (upper-table records occupy the array prefix); and
-        survivors are re-emitted as byte slices of the input files.
+        This is the *movement* primitive, in the encoded domain — no
+        Record objects anywhere. Inputs are scanned as parallel span
+        arrays; ordering is an index argsort (two stable C sorts giving
+        the unique internal-key order, as seqnos are globally unique);
+        origin recovery is positional (upper-table records occupy the
+        array prefix); and survivors are re-emitted as byte slices of the
+        input files. ``route_up_key`` is None when nothing may be routed
+        up. Returns the new (upper, lower) tables.
+        tests/lsm/reference_merge.py overrides this method with the
+        record-domain specification it is proven against.
         """
-        lower_level = level + 1
-        keys: list[bytes] = []
-        seqnos: list[int] = []
-        kinds: list[int] = []
-        starts: list[int] = []
-        ends: list[int] = []
+        upper_level, lower_level = job.upper_level, job.lower_level
+        upper_lo, upper_hi = job.upper_lo, job.upper_hi
+        drop_tombstones = job.drop_tombstones
+        columns = keys, seqnos, kinds, starts, ends = [], [], [], [], []
         bufs: list = []
-        n_upper = self._read_encoded_inputs(
-            upper_inputs, level, keys, seqnos, kinds, starts, ends, bufs
-        )
-        self._read_encoded_inputs(
-            lower_inputs, lower_level, keys, seqnos, kinds, starts, ends, bufs
-        )
+        self._scan_inputs(job.upper_inputs, upper_level, columns, bufs)
+        n_upper = len(keys)
+        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
+        pulled_counter = None
+        # Keyed on the style, not on ``lower_inputs``, only for the
+        # registry: a leveled job has always reported its lower-level
+        # read and pull-up series, at zero when it had nothing to read.
+        if job.style == "leveled":
+            self._scan_inputs(job.lower_inputs, lower_level, columns, bufs)
+            pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
+        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
 
         order = list(range(len(keys)))
         order.sort(key=seqnos.__getitem__, reverse=True)
         order.sort(key=keys.__getitem__)
 
-        upper_writer = _OutputWriter(self, level)
-        lower_writer = _OutputWriter(self, lower_level)
-        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
-        pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
-        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
         stats = self.stats
-        route_up_key = (
-            None if self._router.never_routes_up else self._router.route_up_key
-        )
+        upper_writer = _OutputWriter(self, upper_level)
+        lower_writer = _OutputWriter(self, lower_level)
         add_upper = upper_writer.add_encoded
         add_lower = lower_writer.add_encoded
         last_key: bytes | None = None
         for idx in order:
+            # Shadowing: the first record per user key (internal order)
+            # is the newest version; older ones are dropped here.
             user_key = keys[idx]
             if user_key == last_key:
                 stats.shadowed_dropped += 1
@@ -621,16 +487,17 @@ class CompactionExecutor:
             start = starts[idx]
             end = ends[idx]
             kind_code = kinds[idx]
-            source_level = level if idx < n_upper else lower_level
-
-            route_up = False
-            if route_up_key is not None and route_up_key(
-                user_key, kind_code, end - start, source_level
+            # Up-routing outside the upper input range would violate
+            # the level's disjointness (§4.4; L0 overlaps anyway).
+            if (
+                route_up_key is not None
+                and route_up_key(
+                    user_key, kind_code, end - start,
+                    upper_level if idx < n_upper else lower_level,
+                )
+                and (upper_level == 0 or upper_lo <= user_key <= upper_hi)
             ):
-                if level == 0 or upper_lo <= user_key <= upper_hi:
-                    route_up = True
-            if route_up:
-                if source_level == level:
+                if idx < n_upper:
                     stats.records_pinned += 1
                     pinned_counter.inc()
                 else:
@@ -638,172 +505,12 @@ class CompactionExecutor:
                     pulled_counter.inc()
                 add_upper(user_key, seqnos[idx], kind_code, bufs[idx], start, end)
                 continue
-            if bottom and kind_code == 0:
-                stats.tombstones_dropped += 1
-                dropped_counter.inc()
-                continue
-            add_lower(user_key, seqnos[idx], kind_code, bufs[idx], start, end)
-
-        return upper_writer.finish(), lower_writer.finish()
-
-    def _add_output(self, level: int, table: SSTable) -> None:
-        """Install one leveled-merge output file at ``level``.
-
-        On a leveled level the outputs are disjoint with the survivors by
-        construction. On a run-stacked level (lazy-leveling's upper input
-        level, when the router retains records there) each output file
-        becomes its own newest run — the outputs of one merge are
-        mutually disjoint, so probe cost stays one file per run.
-        """
-        self._manifest.add_file(level, table)
-
-    def _merge_tiered(self, job: CompactionJob) -> None:
-        span, devices = self._job_span(
-            "compaction", job.upper_level, job.lower_level, len(job.upper_inputs)
-        )
-        busy_before = sum(device.stats.busy_usec for device in devices)
-        with span:
-            self._merge_tiered_inner(job)
-            span.set_duration(
-                sum(device.stats.busy_usec for device in devices) - busy_before
-            )
-
-    def _merge_tiered_inner(self, job: CompactionJob) -> None:
-        upper_level, lower_level = job.upper_level, job.lower_level
-        consolidation = upper_level == lower_level
-        if not consolidation:
-            # All of the upper level's runs are inputs, so the retention
-            # budget is the full allowance (target + pin reserve). Pulls
-            # are impossible in a tiered job — there are no lower inputs
-            # — so the pull budget is zero.
-            target = self._options.level_target_bytes(upper_level)
-            allowance = int(target * (1.0 + self._options.pin_reserve_fraction))
-            input_bytes = sum(table.size_bytes for table in job.upper_inputs)
-            remaining = self._manifest.level_bytes(upper_level) - input_bytes
-            upper_budget = max(0, allowance - remaining)
-            self._router.begin_job(
-                upper_level, lower_level, job.upper_lo, job.upper_hi,
-                upper_budget, 0,
-            )
-
-        if self._options.encoded_compaction and self._router.supports_encoded_routing:
-            new_upper, new_lower = self._merge_tiered_encoded(job, consolidation)
-        else:
-            new_upper, new_lower = self._merge_tiered_records(job, consolidation)
-
-        for table in job.upper_inputs:
-            self._manifest.remove_file(upper_level, table)
-        if new_upper:
-            self._install_run(upper_level, new_upper)
-        if new_lower:
-            self._install_run(lower_level, new_lower)
-        for table in job.upper_inputs:
-            self._cache.invalidate_file(table.file_id)
-            self._backend.delete_file(table.file)
-
-        self.stats.compactions += 1
-        self.metrics.counter("compaction.count", level=upper_level).inc()
-
-    def _merge_tiered_records(
-        self, job: CompactionJob, consolidation: bool
-    ) -> tuple[list[SSTable], list[SSTable]]:
-        """The record-based tiered merge loop (executable specification)."""
-        upper_level, lower_level = job.upper_level, job.lower_level
-        sources = self._read_inputs(job.upper_inputs, upper_level)
-        upper_writer = _OutputWriter(self, upper_level)
-        lower_writer = _OutputWriter(self, lower_level)
-        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
-        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
-        last_key: bytes | None = None
-        drop_tombstones = job.drop_tombstones
-        for record in merge_sorted_lists(sources):
-            user_key = record.user_key
-            if user_key == last_key:
-                self.stats.shadowed_dropped += 1
-                continue
-            last_key = user_key
-            # Every record comes from the upper level and the job spans
-            # the whole level, so the §4.4 range restriction is trivially
-            # satisfied; routing is a pure retain-or-sink choice.
-            if not consolidation and self._router.route_up(record, upper_level):
-                self.stats.records_pinned += 1
-                pinned_counter.inc()
-                upper_writer.add(record)
-                continue
-            if drop_tombstones and record.kind is _DELETE:
-                self.stats.tombstones_dropped += 1
-                dropped_counter.inc()
-                continue
-            lower_writer.add(record)
-
-        return upper_writer.finish(), lower_writer.finish()
-
-    def _merge_tiered_encoded(
-        self, job: CompactionJob, consolidation: bool
-    ) -> tuple[list[SSTable], list[SSTable]]:
-        """Encoded-domain tiered merge; see :meth:`_merge_leveled_encoded`."""
-        upper_level, lower_level = job.upper_level, job.lower_level
-        keys: list[bytes] = []
-        seqnos: list[int] = []
-        kinds: list[int] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        bufs: list = []
-        self._read_encoded_inputs(
-            job.upper_inputs, upper_level, keys, seqnos, kinds, starts, ends, bufs
-        )
-
-        order = list(range(len(keys)))
-        order.sort(key=seqnos.__getitem__, reverse=True)
-        order.sort(key=keys.__getitem__)
-
-        upper_writer = _OutputWriter(self, upper_level)
-        lower_writer = _OutputWriter(self, lower_level)
-        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
-        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
-        stats = self.stats
-        route_up_key = (
-            None if self._router.never_routes_up else self._router.route_up_key
-        )
-        add_upper = upper_writer.add_encoded
-        add_lower = lower_writer.add_encoded
-        last_key: bytes | None = None
-        drop_tombstones = job.drop_tombstones
-        if consolidation:
-            route_up_key = None
-        for idx in order:
-            user_key = keys[idx]
-            if user_key == last_key:
-                stats.shadowed_dropped += 1
-                continue
-            last_key = user_key
-            start = starts[idx]
-            end = ends[idx]
-            kind_code = kinds[idx]
-            if route_up_key is not None and route_up_key(
-                user_key, kind_code, end - start, upper_level
-            ):
-                stats.records_pinned += 1
-                pinned_counter.inc()
-                add_upper(user_key, seqnos[idx], kind_code, bufs[idx], start, end)
-                continue
             if drop_tombstones and kind_code == 0:
                 stats.tombstones_dropped += 1
                 dropped_counter.inc()
                 continue
             add_lower(user_key, seqnos[idx], kind_code, bufs[idx], start, end)
-
         return upper_writer.finish(), lower_writer.finish()
-
-    def _install_run(self, level: int, tables: list[SSTable]) -> None:
-        """Install a merge output as one new sorted run at ``level``."""
-        if self._manifest.is_run_stacked(level):
-            self._manifest.add_run(level, tables)
-            return
-        # L0 (retained records of an L0->L1 tiered job) or a leveled
-        # level: fall back to per-file adds.
-        for table in tables:
-            self._manifest.add_file(level, table)
 
     def make_builder(self, level: int) -> SSTableBuilder:
         """A builder writing to ``level``'s tier with router-driven scoring."""
@@ -827,25 +534,17 @@ class _OutputWriter:
         self._builder: SSTableBuilder | None = None
         self._tables: list[SSTable] = []
 
-    def add(self, record: Record) -> None:
-        if self._builder is None:
-            self._builder = self._executor.make_builder(self._level)
-        self._builder.add(record)
-        self._executor.stats.records_out += 1
-        if self._builder.should_finish():
-            self._finish_current()
-
     def add_encoded(
         self, key: bytes, seqno: int, kind_code: int, buf, start: int, end: int
     ) -> None:
         """Emit one record given as an encoded span of an input file.
 
-        This is the per-record body of the encoded merge — the hottest
-        loop in compaction — so :meth:`SSTableBuilder.add_encoded` and
+        This is the per-record body of the merge — the hottest loop in
+        compaction — so :meth:`SSTableBuilder.add_encoded` and
         :meth:`DataBlockBuilder.add_span` are inlined here: one call
         frame per record instead of three. Every side effect and its
-        order match the layered path exactly (the encoded-merge
-        equivalence tests pin the output files byte for byte).
+        order match the layered path exactly (the merge equivalence
+        tests pin the output files byte for byte).
         """
         builder = self._builder
         if builder is None:

@@ -8,13 +8,13 @@ layers the shadowing on top and ``visible_records`` the tombstone
 filter of a read.
 
 The engine's hot merges run in the encoded domain instead: compaction
-merges byte spans by default (``repro.lsm.compaction``; its record-path
-fallback still calls ``merge_sorted_lists``), and ``LsmDB.scan`` runs
+merges byte spans (``repro.lsm.compaction``), and ``LsmDB.scan`` runs
 one heap loop over lazy cursors
 (:class:`~repro.lsm.sstable.RunCursor`). This module is the
-specification both are held against: the streaming path below is the
-range scan's oracle (``tests/lsm/reference_scan.py`` chains it exactly
-as ``LsmDB.scan`` used to) and no longer the scan path itself — of
+specification both are held against: ``merge_sorted_lists`` orders the
+compaction oracle (``tests/lsm/reference_merge.py``), and the streaming
+path below is the range scan's (``tests/lsm/reference_scan.py`` chains
+it exactly as ``LsmDB.scan`` used to), no longer the scan path itself — of
 which only ``keyed_records`` remains, decorating the memtable's few
 records for the scan heap.
 

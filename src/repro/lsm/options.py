@@ -76,15 +76,6 @@ class DBOptions:
     #: RNG seed for stochastic policy decisions (PrismDB's placer; the
     #: harness also seeds latency-attribution sampling from it).
     seed: int = 0
-    #: Run compaction merges in the encoded domain: inputs are scanned as
-    #: byte spans, ordered/shadowed/routed over parallel arrays, and
-    #: re-emitted as slices — no Record objects on the merge path.
-    #: Simulated results are bit-identical to the record-based merge
-    #: (pinned by tests/lsm/test_encoded_merge.py); disable to force the
-    #: record path, which also serves as the executable specification.
-    #: Routers that do not declare ``supports_encoded_routing`` fall back
-    #: to the record path regardless of this flag.
-    encoded_compaction: bool = True
     #: Compaction shape by name: "leveling" (one sorted run per level,
     #: the default and the paper's configuration), "tiering" (a stack of
     #: sorted runs per level; a full level merges into one new run one

@@ -595,10 +595,9 @@ class SSTableBuilder:
         if self._smallest is None:
             self._smallest = key
         self._largest = key
-        # DataBlockBuilder.add, inlined: every memtable flush (and the
-        # record-path compaction merge) funnels each record through
-        # here, so one call frame replaces three. Side effects and
-        # their order match the layered path exactly.
+        # DataBlockBuilder.add, inlined: every memtable flush funnels
+        # each record through here, so one call frame replaces three.
+        # Side effects and their order match the layered path exactly.
         block = self._block
         inv = MAX_SEQNO - record.seqno
         last_key = block._last_key

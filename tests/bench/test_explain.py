@@ -103,19 +103,6 @@ class TestInputValidation:
         assert "no attribution data" in err
         assert "--attribution" in err  # upgrade hint names the flag
 
-    def test_v1_artifact_exits_two_with_hint(self, artifact_pair, tmp_path, capsys):
-        with open(artifact_pair[0]) as handle:
-            data = json.load(handle)
-        data["schema"] = 1
-        data.pop("attribution", None)
-        path = str(tmp_path / "v1.json")
-        with open(path, "w") as handle:
-            json.dump(data, handle)
-        assert explain_main([path]) == 2
-        err = capsys.readouterr().err
-        assert "schema v1" in err
-        assert "--attribution" in err
-
     def test_three_artifacts_rejected(self, artifact_pair, capsys):
         assert explain_main(artifact_pair + [artifact_pair[0]]) == 2
         assert "one or two artifacts" in capsys.readouterr().err

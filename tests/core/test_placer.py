@@ -26,6 +26,12 @@ def put(key, seqno=1, value=b"v"):
     return Record(key, seqno, ValueKind.PUT, value)
 
 
+def route_up(router, record, source_level):
+    """Ask the router about ``record`` the way the merge does."""
+    kind_code = 0 if record.kind is ValueKind.DELETE else 1
+    return router.route_up_key(record.user_key, kind_code, record.encoded_size(), source_level)
+
+
 def start_job(router, upper=2, budget=1 << 20):
     router.begin_job(upper, upper + 1, b"", b"\xff", budget, budget)
 
@@ -42,13 +48,13 @@ class TestReadAwareRouter:
         tracker.on_read(b"hot", 1)
         tracker.on_read(b"hot", 1)  # clock 3
         start_job(router)
-        assert router.route_up(put(b"hot"), source_level=2)
+        assert route_up(router, put(b"hot"), source_level=2)
         assert router.stats.pinned == 1
 
     def test_untracked_key_compacts_down(self):
         router, _, _ = make_router()
         start_job(router)
-        assert not router.route_up(put(b"cold"), source_level=2)
+        assert not route_up(router, put(b"cold"), source_level=2)
         assert router.stats.rejected_untracked == 1
 
     def test_tombstones_never_pin(self):
@@ -56,7 +62,7 @@ class TestReadAwareRouter:
         tracker.on_read(b"k", 1)
         tracker.on_read(b"k", 1)
         start_job(router)
-        assert not router.route_up(Record(b"k", 5, ValueKind.DELETE), source_level=2)
+        assert not route_up(router, Record(b"k", 5, ValueKind.DELETE), source_level=2)
         assert router.stats.rejected_tombstone == 1
 
     def test_no_pinning_into_l0(self):
@@ -64,19 +70,19 @@ class TestReadAwareRouter:
         tracker.on_read(b"hot", 1)
         tracker.on_read(b"hot", 1)
         router.begin_job(0, 1, b"", b"\xff", 1 << 20, 1 << 20)
-        assert not router.route_up(put(b"hot"), source_level=0)
+        assert not route_up(router, put(b"hot"), source_level=0)
 
     def test_waits_for_full_tracker(self):
         router, tracker, _ = make_router(capacity=4, require_full=True)
         tracker.on_read(b"hot", 1)
         tracker.on_read(b"hot", 1)
         start_job(router)
-        assert not router.route_up(put(b"hot"), source_level=2)
+        assert not route_up(router, put(b"hot"), source_level=2)
         assert router.stats.suspended_tracker_not_full == 1
         for i in range(4):
             tracker.on_read(f"fill{i}".encode(), 1)
         start_job(router)
-        assert router.route_up(put(b"hot"), source_level=2)
+        assert route_up(router, put(b"hot"), source_level=2)
 
     def test_budget_exhaustion_stops_pinning(self):
         router, tracker, _ = make_router(threshold=1.0)
@@ -85,8 +91,8 @@ class TestReadAwareRouter:
             tracker.on_read(key, 1)
         record = put(b"a")
         router.begin_job(2, 3, b"", b"\xff", record.encoded_size(), record.encoded_size())
-        assert router.route_up(record, source_level=2)
-        assert not router.route_up(put(b"b"), source_level=2)
+        assert route_up(router, record, source_level=2)
+        assert not route_up(router, put(b"b"), source_level=2)
         assert router.stats.rejected_budget_exhausted == 1
 
     def test_pull_budget_separate_from_pin_budget(self):
@@ -97,15 +103,15 @@ class TestReadAwareRouter:
         record = put(b"a")
         # Pin budget is large; pull budget covers nothing.
         router.begin_job(2, 3, b"", b"\xff", 1 << 20, 0)
-        assert not router.route_up(record, source_level=3)  # pull denied
-        assert router.route_up(record, source_level=2)  # retention allowed
+        assert not route_up(router, record, source_level=3)  # pull denied
+        assert route_up(router, record, source_level=2)  # retention allowed
 
     def test_pull_counted_separately(self):
         router, tracker, _ = make_router()
         tracker.on_read(b"hot", 1)
         tracker.on_read(b"hot", 1)
         start_job(router)
-        router.route_up(put(b"hot"), source_level=3)  # from the lower level
+        route_up(router, put(b"hot"), source_level=3)  # from the lower level
         assert router.stats.pulled_up == 1
         assert router.stats.pinned == 0
 

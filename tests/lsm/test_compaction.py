@@ -8,6 +8,7 @@ from repro.lsm.block_cache import BlockCache
 from repro.lsm.compaction import (
     CompactDownRouter,
     CompactionExecutor,
+    CompactionJob,
     LargestFilePicker,
     MergeRouter,
     OldestFilePicker,
@@ -65,6 +66,19 @@ class CompactionFixture:
         table, _ = builder.finish()
         self.manifest.add_file(level, table)
         return table
+
+    def merge(self, upper_level, lo, hi, *, drop_tombstones=False):
+        """Hand-build a leveled job over all of ``upper_level`` and run it."""
+        self.executor.execute(CompactionJob(
+            "leveled",
+            upper_level,
+            upper_level + 1,
+            list(self.manifest.files(upper_level)),
+            self.manifest.overlapping_files(upper_level + 1, lo, hi),
+            lo,
+            hi,
+            drop_tombstones=drop_tombstones,
+        ))
 
     def all_records(self, level):
         result = []
@@ -133,13 +147,7 @@ class TestCompactionExecution:
         # Move it down so L1 is free, then write a newer version at L1.
         fx.executor.run_job(1)
         fx.add_table(1, [b"k"])          # newer version (higher seqno)
-        fx.executor._merge(
-            1,
-            list(fx.manifest.files(1)),
-            fx.manifest.overlapping_files(2, b"k", b"k"),
-            b"k",
-            b"k",
-        )
+        fx.merge(1, b"k", b"k")
         records = fx.all_records(2)
         assert len(records) == 1
         assert fx.executor.stats.shadowed_dropped == 1
@@ -147,14 +155,25 @@ class TestCompactionExecution:
     def test_tombstone_dropped_at_bottom(self):
         fx = CompactionFixture()
         fx.add_table(3, [b"k"], kind=ValueKind.DELETE)
-        fx.executor._merge(3, list(fx.manifest.files(3)), [], b"k", b"k")
+        fx.merge(3, b"k", b"k", drop_tombstones=True)
         assert fx.all_records(4) == []
         assert fx.executor.stats.tombstones_dropped == 1
+
+    def test_job_flag_decides_tombstone_drop_even_at_bottom(self):
+        # drop_tombstones is the planner's call, not the executor's: a
+        # job into the bottom level that does not set it keeps them.
+        fx = CompactionFixture()
+        fx.add_table(3, [b"k"], kind=ValueKind.DELETE)
+        fx.merge(3, b"k", b"k", drop_tombstones=False)
+        records = fx.all_records(4)
+        assert len(records) == 1
+        assert records[0].is_tombstone
+        assert fx.executor.stats.tombstones_dropped == 0
 
     def test_tombstone_kept_above_bottom(self):
         fx = CompactionFixture()
         fx.add_table(1, [b"k"], kind=ValueKind.DELETE)
-        fx.executor._merge(1, list(fx.manifest.files(1)), [], b"k", b"k")
+        fx.merge(1, b"k", b"k")
         records = fx.all_records(2)
         assert len(records) == 1
         assert records[0].is_tombstone
@@ -212,7 +231,7 @@ class TestCompactionExecution:
     def test_output_rotation_at_target_size(self):
         fx = CompactionFixture(options=small_options(target_file_bytes=2 * KIB))
         fx.add_table(1, [f"k{i:04d}".encode() for i in range(300)], value=b"v" * 30)
-        fx.executor._merge(1, list(fx.manifest.files(1)), [], b"k0000", b"k0299")
+        fx.merge(1, b"k0000", b"k0299")
         assert fx.manifest.file_count(2) > 1
         fx.manifest.check_invariants()
 
@@ -222,7 +241,7 @@ class PinEverythingRouter(MergeRouter):
 
     supports_trivial_move = False
 
-    def route_up(self, record, source_level):
+    def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return True
 
 
@@ -230,7 +249,7 @@ class TestRouterIntegration:
     def test_pinned_records_stay_in_upper_level(self):
         fx = CompactionFixture(router=PinEverythingRouter())
         fx.add_table(1, [b"a", b"b"])
-        fx.executor._merge(1, list(fx.manifest.files(1)), [], b"a", b"b")
+        fx.merge(1, b"a", b"b")
         assert sorted(r.user_key for r in fx.all_records(1)) == [b"a", b"b"]
         assert fx.all_records(2) == []
         assert fx.executor.stats.records_pinned == 2
@@ -239,13 +258,7 @@ class TestRouterIntegration:
         fx = CompactionFixture(router=PinEverythingRouter())
         fx.add_table(1, [b"a", b"z"])
         fx.add_table(2, [b"m"])  # inside the upper range: eligible to rise
-        fx.executor._merge(
-            1,
-            list(fx.manifest.files(1)),
-            fx.manifest.overlapping_files(2, b"a", b"z"),
-            b"a",
-            b"z",
-        )
+        fx.merge(1, b"a", b"z")
         upper_keys = sorted(r.user_key for r in fx.all_records(1))
         assert upper_keys == [b"a", b"m", b"z"]
         assert fx.executor.stats.records_pulled_up == 1
@@ -254,13 +267,7 @@ class TestRouterIntegration:
         fx = CompactionFixture(router=PinEverythingRouter())
         fx.add_table(1, [b"d", b"f"])
         fx.add_table(2, [b"e", b"x"])  # b"x" outside [d, f]: must not rise
-        fx.executor._merge(
-            1,
-            list(fx.manifest.files(1)),
-            fx.manifest.overlapping_files(2, b"d", b"f"),
-            b"d",
-            b"f",
-        )
+        fx.merge(1, b"d", b"f")
         upper_keys = sorted(r.user_key for r in fx.all_records(1))
         lower_keys = sorted(r.user_key for r in fx.all_records(2))
         assert upper_keys == [b"d", b"e", b"f"]
@@ -271,13 +278,7 @@ class TestRouterIntegration:
         fx = CompactionFixture(router=PinEverythingRouter())
         fx.add_table(2, [b"k"])  # old version below
         fx.add_table(1, [b"k"])  # new version above (higher seqno)
-        fx.executor._merge(
-            1,
-            list(fx.manifest.files(1)),
-            fx.manifest.overlapping_files(2, b"k", b"k"),
-            b"k",
-            b"k",
-        )
+        fx.merge(1, b"k", b"k")
         upper = fx.all_records(1)
         assert len(upper) == 1  # old version dropped, newest pinned
         assert fx.all_records(2) == []

@@ -1,20 +1,28 @@
-"""Encoded-domain vs record-domain compaction merge equivalence.
+"""The engine's encoded-domain merge held against the record-domain spec.
 
-``DBOptions.encoded_compaction`` selects between two implementations of
-the same merge: the record path (the executable specification) and the
-byte-span path (the fast one). This file pins the contract the options
-docstring promises: for every compaction shape and routing outcome the
-two paths produce *byte-identical* output files, identical manifests,
-and identical compaction stats.
+``CompactionExecutor`` merges byte spans; ``reference_merge.py`` keeps
+the record-domain merge (decode, ``merge_sorted_lists``, re-encode) as
+the executable specification. This file pins the contract between them:
+for every job style, compaction shape and routing outcome the two
+produce *byte-identical* output files, identical manifests, and
+identical compaction stats, router state and registry snapshots.
 """
 
+import dataclasses
 import random
+import sys
 
+import pytest
+from reference_merge import ReferenceExecutor, use_reference_merge
+
+from repro.bench.micro import compaction_merge_replay
 from repro.common import KIB, SimClock
+from repro.core.prismdb import PrismDB, PrismOptions
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.compaction import (
     CompactDownRouter,
     CompactionExecutor,
+    CompactionJob,
     LargestFilePicker,
     MergeRouter,
 )
@@ -25,8 +33,6 @@ from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import SSTableBuilder
 from repro.lsm.version import LevelManifest
 from repro.storage import StorageBackend
-
-import pytest
 
 
 def small_options(**kwargs):
@@ -42,52 +48,67 @@ def small_options(**kwargs):
 
 
 class SplitKeyRouter(MergeRouter):
-    """Deterministic pinning double that supports both routing interfaces.
+    """Deterministic pinning double.
 
     PUT records with keys below ``split`` stay in (or rise to) the upper
     level; everything else compacts down — enough to exercise the
-    pinned, pulled-up, and rejected branches of both merge paths.
+    pinned, pulled-up, and rejected branches of the merge.
     """
 
     supports_trivial_move = False
-    supports_encoded_routing = True
 
     def __init__(self, split: bytes) -> None:
         self.split = split
-
-    def route_up(self, record, source_level):
-        return self.route_up_key(
-            record.user_key,
-            0 if record.kind is ValueKind.DELETE else 1,
-            record.encoded_size(),
-            source_level,
-        )
 
     def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return kind_code == 1 and user_key < self.split
 
 
-class RecordOnlyRouter(MergeRouter):
-    """A router without encoded routing: must force the record fallback."""
+class SpendingRouter(MergeRouter):
+    """Says yes while the job's budget lasts, and remembers what it did.
+
+    Like the placer, it charges the budget *when it answers*, before the
+    executor's range check — so a yes the executor then overrides still
+    costs budget. ``state()`` exposes everything a twin must agree on.
+    """
 
     supports_trivial_move = False
 
-    def route_up(self, record, source_level):
-        return record.user_key < b"k0040"
+    def __init__(self) -> None:
+        self.jobs: list[tuple] = []
+        self.granted: list[tuple[bytes, int]] = []
+        self.budget = 0
+
+    def begin_job(self, upper_level, lower_level, upper_lo, upper_hi,
+                  upper_budget_bytes, pull_budget_bytes=0):
+        self.jobs.append((upper_level, lower_level, upper_lo, upper_hi,
+                          upper_budget_bytes, pull_budget_bytes))
+        self.budget = upper_budget_bytes
+
+    def route_up_key(self, user_key, kind_code, encoded_size, source_level):
+        if encoded_size > self.budget:
+            return False
+        self.budget -= encoded_size
+        self.granted.append((user_key, source_level))
+        return True
+
+    def state(self):
+        return self.jobs, self.granted, self.budget
 
 
 class MergeFixture:
-    """test_compaction's fixture, parameterized on encoded_compaction."""
+    """test_compaction's fixture, on the engine's merge or the spec's."""
 
-    def __init__(self, *, encoded, router=None, options=None):
+    def __init__(self, *, reference, router=None, options=None, stacked=()):
         self.options = options or small_options()
-        self.options.encoded_compaction = encoded
         self.clock = SimClock()
         self.backend = StorageBackend(self.clock)
         self.layout = build_layout("NNNNN", self.options, self.clock)
-        self.manifest = LevelManifest(self.options.num_levels)
+        self.manifest = LevelManifest(
+            self.options.num_levels, run_stacked_levels=stacked
+        )
         self.router = router or CompactDownRouter()
-        self.executor = CompactionExecutor(
+        self.executor = (ReferenceExecutor if reference else CompactionExecutor)(
             self.backend,
             self.manifest,
             self.layout,
@@ -120,56 +141,59 @@ class MergeFixture:
         return table
 
     def merge(self, upper_level, lo, hi):
-        self.executor._merge(
+        """A leveled job as the planner would build it, via the public door."""
+        lower_level = upper_level + 1
+        self.executor.execute(CompactionJob(
+            "leveled",
             upper_level,
+            lower_level,
             list(self.manifest.files(upper_level)),
-            self.manifest.overlapping_files(upper_level + 1, lo, hi),
+            self.manifest.overlapping_files(lower_level, lo, hi),
             lo,
             hi,
-        )
+            drop_tombstones=lower_level == self.options.num_levels - 1,
+        ))
+        self.manifest.check_invariants()
 
 
-def fingerprint(manifest, backend, num_levels):
-    """Byte-exact snapshot of every live table, per level."""
+def fingerprint(manifest, num_levels):
+    """Byte-exact snapshot of every live table, per level and run."""
     return {
         level: [
-            (table.file_id, table.smallest_key, table.largest_key,
-             bytes(table.file.data))
-            for table in manifest.files(level)
+            [
+                (table.file_id, table.smallest_key, table.largest_key,
+                 bytes(table.file.data))
+                for table in run
+            ]
+            for run in manifest.runs(level)
         ]
         for level in range(num_levels)
     }
 
 
-def stats_tuple(executor):
-    stats = executor.stats
-    return (
-        stats.compactions, stats.trivial_moves, stats.bytes_read,
-        stats.bytes_written, stats.records_in, stats.records_out,
-        stats.records_pinned, stats.records_pulled_up,
-        stats.tombstones_dropped, stats.shadowed_dropped,
-        sorted(stats.per_level_write_bytes.items()),
-    )
-
-
-def run_both(build, *, router_factory=None):
-    """Run ``build(fx)`` under both merge paths; return the two states."""
+def run_both(build, *, router_factory=None, stacked=()):
+    """Run ``build(fx)`` on the spec and on the engine; return both states."""
     states = []
-    for encoded in (False, True):
+    for reference in (True, False):
         router = router_factory() if router_factory else None
-        fx = MergeFixture(encoded=encoded, router=router)
+        fx = MergeFixture(reference=reference, router=router, stacked=stacked)
         build(fx)
         states.append((
-            fingerprint(fx.manifest, fx.backend, fx.options.num_levels),
-            stats_tuple(fx.executor),
+            fingerprint(fx.manifest, fx.options.num_levels),
+            dataclasses.asdict(fx.executor.stats),
+            fx.executor.metrics.snapshot(),
+            router.state() if isinstance(router, SpendingRouter) else None,
         ))
     return states
 
 
-def assert_equivalent(build, *, router_factory=None):
-    record_state, encoded_state = run_both(build, router_factory=router_factory)
-    assert encoded_state[0] == record_state[0]  # byte-identical tables
-    assert encoded_state[1] == record_state[1]  # identical stats
+def assert_equivalent(build, **kwargs):
+    """Byte-identical tables, stats, registry and router state; returns
+    the engine-side fixture state for further assertions."""
+    spec_state, engine_state = run_both(build, **kwargs)
+    for spec_part, engine_part in zip(spec_state, engine_state):
+        assert engine_part == spec_part
+    return engine_state
 
 
 class TestLeveledEquivalence:
@@ -265,20 +289,106 @@ class TestRoutedEquivalence:
             build, router_factory=lambda: SplitKeyRouter(b"k9999")
         )
 
-    def test_record_only_router_falls_back(self):
-        # A router without supports_encoded_routing must produce the
-        # record path's results even with encoded_compaction=True.
+    def test_up_route_outside_upper_range_still_sinks(self):
+        # §4.4: b"x" lies outside [d, f]. The router grants it (and
+        # charges its budget) before the executor's range check sends it
+        # down anyway; both merges must leave the router in that state.
         def build(fx):
-            fx.add_table(1, [f"k{i:04d}".encode() for i in range(60)])
-            fx.add_table(2, [f"k{i:04d}".encode() for i in range(30, 90)])
-            fx.merge(1, b"k0000", b"k0059")
+            fx.add_table(1, [b"d", b"f"])
+            fx.add_table(2, [b"e", b"x"])
+            fx.merge(1, b"d", b"f")
 
-        assert_equivalent(build, router_factory=RecordOnlyRouter)
+        tables, stats, _, (jobs, granted, budget) = assert_equivalent(
+            build, router_factory=SpendingRouter
+        )
+        assert sorted(granted) == [(b"d", 1), (b"e", 2), (b"f", 1), (b"x", 2)]
+        assert budget < jobs[0][4]  # b"x" was charged like the other three
+        assert [t[1:3] for run in tables[1] for t in run] == [(b"d", b"f")]
+        assert [t[1:3] for run in tables[2] for t in run] == [(b"x", b"x")]
+        assert stats["records_pulled_up"] == 1  # b"e" only
+
+    def test_l0_job_is_exempt_from_the_range_check(self):
+        # L0 files overlap freely, so a record pulled from L1 may rise
+        # even from outside the L0 inputs' key range.
+        def build(fx):
+            fx.add_table(1, [b"a", b"e", b"x"])
+            fx.add_table(0, [b"d", b"f"])
+            fx.merge(0, b"d", b"f")
+
+        tables, stats, _, _ = assert_equivalent(
+            build, router_factory=lambda: SplitKeyRouter(b"\xff")
+        )
+        assert stats["records_pulled_up"] == 3
+        assert stats["records_pinned"] == 2
+        assert tables[1] == []
+
+    def test_in_place_consolidation_routes_nothing(self):
+        # Tiering's bottom level merges its runs in place: there is no
+        # upper level to retain into, so a router that would pin every
+        # record is never started and never asked.
+        def build(fx):
+            bottom = fx.options.num_levels - 1
+            fx.add_table(bottom, [f"k{i:04d}".encode() for i in range(0, 40, 2)])
+            fx.add_table(
+                bottom,
+                [f"k{i:04d}".encode() for i in range(0, 40, 4)],
+                kind=ValueKind.DELETE,
+            )
+            fx.add_table(bottom, [f"k{i:04d}".encode() for i in range(1, 40, 2)])
+            fx.executor.execute(CompactionJob(
+                "tiered", bottom, bottom, list(fx.manifest.files(bottom)), [],
+                b"k0000", b"k0039", drop_tombstones=True,
+            ))
+            fx.manifest.check_invariants()
+
+        bottom = small_options().num_levels - 1
+        tables, stats, _, (jobs, granted, _) = assert_equivalent(
+            build, router_factory=SpendingRouter, stacked=(bottom,)
+        )
+        assert jobs == [] and granted == []
+        assert stats["records_pinned"] == stats["records_pulled_up"] == 0
+        assert stats["tombstones_dropped"] == 10
+        assert len(tables[bottom]) == 1  # one consolidated run
 
 
-def _workload_state(shape, encoded):
-    """Drive a full LsmDB (flushes + strategy-planned compactions)."""
-    options = DBOptions(
+def _drive(db, *, reference):
+    """Flushes + strategy-planned compactions, invariants after every job."""
+    if reference:
+        use_reference_merge(db)
+    execute = db.executor.execute
+
+    def checked_execute(job):
+        execute(job)
+        db.check_invariants()
+
+    db.executor.execute = checked_execute
+    rng = random.Random(1234)
+    keys = [f"key{i:04d}".encode() for i in range(400)]
+    hot = keys[::7]
+    for step in range(2000):
+        key = keys[rng.randrange(len(keys))]
+        if rng.random() < 0.15:
+            db.delete(key)
+        else:
+            db.put(key, f"v{step:05d}".encode() * 3)
+        if step % 2 == 0:
+            db.get(hot[rng.randrange(len(hot))])  # feeds PrismDB's tracker
+    db.flush()
+    state = {
+        "tables": fingerprint(db.manifest, db.options.num_levels),
+        "compaction": dataclasses.asdict(db.executor.stats),
+        "metrics": db.metrics_snapshot(),
+    }
+    if isinstance(db, PrismDB):
+        state["placer"] = dataclasses.asdict(db.placer.stats)
+    return state
+
+
+def _shape_options(shape):
+    # Three levels, so the workload reaches the bottom: tombstone drops,
+    # tiering's in-place consolidation, lazy-leveling's leveled last hop.
+    return DBOptions(
+        num_levels=3,
         memtable_bytes=2 * KIB,
         target_file_bytes=4 * KIB,
         level1_target_bytes=4 * KIB,
@@ -286,39 +396,96 @@ def _workload_state(shape, encoded):
         block_bytes=1 * KIB,
         compaction_shape=shape,
         tiering_run_trigger=3,
-        encoded_compaction=encoded,
     )
-    db = LsmDB.create("NNNNN", options)
-    rng = random.Random(1234)
-    keys = [f"key{i:04d}".encode() for i in range(80)]
-    for step in range(600):
-        key = keys[rng.randrange(len(keys))]
-        if rng.random() < 0.15:
-            db.delete(key)
-        else:
-            db.put(key, f"v{step:05d}".encode() * 3)
-    db.flush()
-    executor = db.executor
-    return (
-        fingerprint(executor.manifest, None, options.num_levels),
-        stats_tuple(executor),
+
+
+def _plain_db(shape):
+    return LsmDB.create("NNN", _shape_options(shape))
+
+
+def _routing_db(shape):
+    return LsmDB.create(
+        "NNN", _shape_options(shape), router=SplitKeyRouter(b"key0040")
     )
+
+
+def _prism_db(shape):
+    # A small tracker, filled before the first compaction, so the
+    # tracker-driven placer is past its warm-up suspension (§4.2); a
+    # generous threshold so it pins, pulls and exhausts budgets.
+    db = PrismDB.create(
+        "NTQ",
+        _shape_options(shape),
+        prism_options=PrismOptions(tracker_capacity=40, pinning_threshold=0.5),
+    )
+    for i in range(0, 400, 7):
+        db.get(f"key{i:04d}".encode())
+    return db
 
 
 class TestShapeEquivalence:
-    """The strategy-planned job stream, per compaction shape.
+    """The strategy-planned job stream, per compaction shape and router.
 
-    Leveling exercises the leveled merge, tiering the tiered merge and
-    its bottom-level run consolidation, lazy-leveling both — each under
-    real flush-triggered scheduling rather than hand-built jobs.
+    Leveling plans leveled jobs, tiering tiered jobs and the bottom
+    level's in-place consolidation, lazy-leveling both — each under real
+    flush-triggered scheduling rather than hand-built jobs, with a
+    router that never routes, one that always splits, and the placer.
     """
 
     @pytest.mark.parametrize("shape", COMPACTION_SHAPES)
     def test_workload_equivalence(self, shape):
-        record_state = _workload_state(shape, encoded=False)
-        encoded_state = _workload_state(shape, encoded=True)
-        assert encoded_state[0] == record_state[0]
-        assert encoded_state[1] == record_state[1]
-        # The workload must actually have compacted for the comparison
-        # to mean anything.
-        assert encoded_state[1][0] > 0
+        for make_db in (_plain_db, _routing_db, _prism_db):
+            spec_state = _drive(make_db(shape), reference=True)
+            engine_state = _drive(make_db(shape), reference=False)
+            for part in spec_state:
+                assert engine_state[part] == spec_state[part], (make_db.__name__, part)
+            # The workload must actually have compacted down to the
+            # bottom (and a routing router routed) for the comparison
+            # to mean anything.
+            stats = engine_state["compaction"]
+            assert stats["compactions"] > 0 and stats["tombstones_dropped"] > 0
+            if make_db is not _plain_db:
+                assert stats["records_pinned"] > 0
+
+
+class TestCallBudget:
+    """Python-level calls per input record of the merge, pinned.
+
+    A deterministic stand-in for "no slower": host time on a shared
+    machine cannot resolve a frame per record, a call count can. The
+    budgets were measured over one whole replay (set-up included) on
+    the four-bodied merge this one replaced, leveled encoded body; they
+    protect the deliberately inlined
+    ``_OutputWriter.add_encoded`` (one frame per emitted record) and the
+    ``never_routes_up`` elision (no frame per routing decision) from a
+    well-meaning un-inlining.
+    """
+
+    @staticmethod
+    def _calls(router):
+        replay, records = compaction_merge_replay()
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            replay(router)
+        finally:
+            sys.setprofile(None)
+        return calls, records
+
+    def test_compact_down_elides_the_routing_call(self):
+        calls, records = self._calls(CompactDownRouter())
+        assert records == 2_000
+        # 0.667 / record: 1,000 emits + per-block, per-file and set-up work.
+        assert calls <= 1_334
+
+    def test_routing_router_costs_one_call_per_survivor(self):
+        calls, records = self._calls(SplitKeyRouter(b"k001000"))
+        assert records == 2_000
+        # 1.44 / record: the above + 1,000 routing calls + 500 pin counts.
+        assert calls <= 2_883

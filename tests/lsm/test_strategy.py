@@ -38,7 +38,7 @@ class PinEverythingRouter(MergeRouter):
 
     supports_trivial_move = False
 
-    def route_up(self, record, source_level):
+    def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return True
 
 
