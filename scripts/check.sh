@@ -99,6 +99,17 @@ if ! python -m perfbench run --quick; then
     echo "perfbench quick run failed (non-gating); continuing"
 fi
 
+# Non-gating: one interleaved parent/change pair of the write-heavy
+# benchmark workload at --quick sizes, working tree against HEAD
+# (scripts/perf_pairs.py; a clean tree compares HEAD with itself). One
+# smoke-sized pair resolves nothing about speed; what it checks is that
+# every sim_* metric and the failed count are identical on both sides.
+echo "== perf-pairs smoke (non-gating) =="
+if ! python scripts/perf_pairs.py --parent HEAD --workload write-heavy \
+        --pairs 1 --quick; then
+    echo "perf-pairs smoke failed or simulated results differ (non-gating); continuing"
+fi
+
 # Non-gating: end-to-end wall-clock delta. Times the e2e smoke micro
 # (quick scale) and prints the change against the last trajectory point
 # in BENCH_SMOKE.json that recorded one. Machine-load-sensitive, so the

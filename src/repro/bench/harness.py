@@ -181,9 +181,8 @@ class RunResult:
     # Persistence: whole runs as JSON artifacts
     # ------------------------------------------------------------------
     #: Artifact schema version; bump on incompatible layout changes.
-    #: Schema 2 adds the ``attribution`` block (per-request latency
-    #: provenance); schema-1 artifacts still load, with it defaulting to
-    #: empty (see :meth:`from_json`).
+    #: Schema 2 added the ``attribution`` block (per-request latency
+    #: provenance); :meth:`from_json` reads this schema only.
     SCHEMA = 2
 
     def to_json(self) -> dict:

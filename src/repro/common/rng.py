@@ -33,14 +33,16 @@ def make_rng(root_seed: int, *labels: str) -> random.Random:
     return random.Random(derive_seed(root_seed, *labels))
 
 
-#: Memo for :func:`fnv1a_64`. The hash is byte-serial Python — the
-#: single hottest function in an end-to-end profile — and its inputs
-#: repeat constantly: zipfian draws hammer the hot keys and every
-#: compaction re-blooms the same user keys at the next level. Bounded
-#: insert-only (no eviction bookkeeping); once full, new keys just pay
-#: the loop. Memoization of a pure function cannot affect results.
-_FNV_CACHE: dict[bytes, int] = {}
-_FNV_CACHE_MAX = 1 << 18
+#: Memo for :func:`fnv1a_64`, the one table of key hashes in the
+#: process (the bloom filter's bulk build reads it directly). The hash
+#: is byte-serial Python — the single hottest function in an end-to-end
+#: profile — and its inputs repeat constantly: zipfian draws hammer the
+#: hot keys and every compaction re-blooms the same user keys at the
+#: next level. Bounded insert-only (no eviction bookkeeping); once full,
+#: new keys just pay the loop. Memoization of a pure function cannot
+#: affect results.
+FNV_MEMO: dict[bytes, int] = {}
+_FNV_MEMO_MAX = 1 << 20
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -49,11 +51,11 @@ def fnv1a_64(data: bytes) -> int:
     Pure-Python but cheap; chosen because it is deterministic across
     processes (unlike :func:`hash` with string randomization).
     """
-    acc = _FNV_CACHE.get(data)
+    acc = FNV_MEMO.get(data)
     if acc is None:
         acc = 0xCBF29CE484222325
         for byte in data:
             acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        if len(_FNV_CACHE) < _FNV_CACHE_MAX:
-            _FNV_CACHE[data] = acc
+        if len(FNV_MEMO) < _FNV_MEMO_MAX:
+            FNV_MEMO[data] = acc
     return acc

@@ -136,9 +136,32 @@ class ReadAwareRouter(MergeRouter):
         self._budget_bytes -= size
         return True
 
+    def route_up_keys(self, user_keys, kind_codes, encoded_sizes, source_levels):
+        """The per-key verdicts, with the two job-wide suspensions bulk.
+
+        An L0 job pins nothing and a not-yet-full tracker suspends
+        pinning for every record of the job (neither can change while
+        the job runs), so both are answered with bulk stats increments
+        equal to what the per-key loop would have counted.
+        """
+        stats = self.stats
+        if self._upper_level == 0:
+            stats.considered += len(user_keys)
+            return None
+        if self._require_full_tracker and not self._tracker.is_full:
+            tombstones = kind_codes.count(0)
+            stats.considered += len(user_keys)
+            stats.rejected_tombstone += tombstones
+            stats.suspended_tracker_not_full += len(user_keys) - tombstones
+            return None
+        return super().route_up_keys(user_keys, kind_codes, encoded_sizes, source_levels)
+
     def clock_value_fn(self):
         """Key -> CLOCK value for output-file popularity scoring."""
         return self._tracker.clock_value
+
+    def clock_values_fn(self):
+        return self._tracker.clock_values
 
 
 class LowestScorePicker(CompactionPicker):

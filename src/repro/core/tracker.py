@@ -37,7 +37,7 @@ UNTRACKED = -1
 #: version -> 6-bit tag. The tag is a pure function of the version and
 #: hot workloads re-read the same recent versions constantly, so the
 #: hash runs once per distinct version instead of once per read. Capped
-#: like the bloom hash cache; versions are dense small ints in practice.
+#: like the FNV memo; versions are dense small ints in practice.
 _TAG_CACHE: dict[int, int] = {}
 _TAG_CACHE_MAX = 1 << 20
 
@@ -234,6 +234,16 @@ class ClockTracker:
         """The key's CLOCK value, or :data:`UNTRACKED` (-1) if absent."""
         entry = self._entries.get(user_key)
         return UNTRACKED if entry is None else entry[0]
+
+    def clock_values(self, user_keys: list[bytes]) -> list[int]:
+        """:meth:`clock_value` of every key, in order, in one call.
+
+        An output file's Σclockⁿ score reads its whole key list at once.
+        """
+        return [
+            UNTRACKED if entry is None else entry[0]
+            for entry in map(self._entries.get, user_keys)
+        ]
 
     def contains(self, user_key: bytes) -> bool:
         return user_key in self._entries

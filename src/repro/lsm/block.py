@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from itertools import accumulate, islice
 
 from repro.errors import CorruptionError
 from repro.lsm.record import MAX_SEQNO, Record
@@ -41,51 +42,69 @@ _KEY_LEN = struct.Struct("<H")
 #: Record header layout (key_len, value_len, kind, seqno); mirrored from
 #: :mod:`repro.lsm.record` so key peeks avoid building Record objects.
 _REC_HEADER = struct.Struct("<HIBQ")
-#: Fixed bytes each record adds to a block beyond its key and value.
-_PER_RECORD = _REC_HEADER.size + _OFFSET.size
+#: Serialized size of a block holding no records: the count trailer.
+EMPTY_BLOCK_BYTES = _COUNT.size
+
+
+def record_costs(sizes: list[int]) -> list[int]:
+    """Prefix sums of what each encoded record adds to a block.
+
+    A record of ``size`` bytes costs ``size`` plus one restart offset,
+    so records ``[i, j)`` serialize to ``costs[j] - costs[i] +
+    EMPTY_BLOCK_BYTES`` bytes — :attr:`DataBlockBuilder.estimated_bytes`
+    for every prefix at once, which lets a bulk build find where a block
+    fills by bisection instead of by adding records one at a time.
+    """
+    return list(accumulate(map(_OFFSET.size.__add__, sizes), initial=0))
+
+
+def encode_block(chunks: list[bytes], sizes: list[int], start: int, end: int) -> bytes:
+    """Serialize the already-encoded records ``chunks[start:end]`` as one block.
+
+    The one serializer of the block format: one join, one pack of the
+    restart array and count. ``sizes`` are the chunks' lengths.
+    """
+    count = end - start
+    if count > 0xFFFF:
+        raise ValueError(f"too many records in one block: {count}")
+    restarts = accumulate(islice(sizes, start, end - 1), initial=0) if count else ()
+    return b"".join(chunks[start:end]) + struct.pack(f"<{count}IH", *restarts, count)
 
 
 class DataBlockBuilder:
     """Accumulates records (already in internal-key order) into one block.
 
-    Contents are kept *encoded*: :meth:`add` serializes the record
-    immediately, and :meth:`add_span` accepts a pre-encoded record as a
-    ``[start, end)`` span of some source buffer — the encoded-domain
-    compaction path, where merge inputs are re-emitted without ever
-    materializing Record objects. Adjacent spans over the same buffer are
-    coalesced in place, so a run of records copied from one input block
-    becomes a single slice in the final ``bytes.join``. Both entry points
-    produce byte-identical blocks because the wire encoding of a record
-    is a pure function of its fields.
+    The per-record way to build a block (a whole block at once is
+    :func:`encode_block`, which also serializes this one). Contents are
+    kept *encoded*: :meth:`add` serializes the record immediately, and
+    :meth:`add_span` accepts a pre-encoded record as a ``[start, end)``
+    span of some source buffer. Both produce byte-identical blocks
+    because the wire encoding of a record is a pure function of its
+    fields.
     """
 
     __slots__ = (
-        "target_bytes", "_parts", "_offsets", "_position",
-        "_estimated", "_first_key", "_last_key", "_last_inv",
+        "target_bytes", "_chunks", "_sizes", "_estimated",
+        "_first_key", "_last_key", "_last_inv",
     )
 
     def __init__(self, target_bytes: int) -> None:
         if target_bytes <= 0:
             raise ValueError(f"target_bytes must be positive: {target_bytes}")
         self.target_bytes = target_bytes
-        #: Encoded content: ``bytes`` entries (from :meth:`add`) mixed
-        #: with mutable ``[buf, start, end]`` span entries (from
-        #: :meth:`add_span`; mutable so a contiguous follow-up span can
-        #: extend ``end`` in place instead of appending).
-        self._parts: list = []
-        self._offsets: list[int] = []
-        self._position = 0
+        self._chunks: list = []
+        self._sizes: list[int] = []
         # Size is maintained incrementally (payload + one u32 restart
         # offset per record + the count trailer), and the order check
         # keeps the previous (key, inverted-seqno) pair instead of
         # building two sort-key tuples per add.
-        self._estimated = _COUNT.size
+        self._estimated = EMPTY_BLOCK_BYTES
         self._first_key: bytes | None = None
         self._last_key: bytes | None = None
         self._last_inv = 0
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._chunks)
 
     @property
     def estimated_bytes(self) -> int:
@@ -102,39 +121,25 @@ class DataBlockBuilder:
                 f"records out of order: {key!r}@{record.seqno} "
                 f"after {last_key!r}@{MAX_SEQNO - self._last_inv}"
             )
-        if self._first_key is None:
-            self._first_key = key
-        self._last_key = key
-        self._last_inv = inv
-        encoded = record.encode()
-        self._offsets.append(self._position)
-        self._parts.append(encoded)
-        self._position += len(encoded)
-        self._estimated += _OFFSET.size + len(encoded)
+        self._append(key, inv, record.encode())
 
     def add_span(self, key: bytes, seqno: int, buf, start: int, end: int) -> None:
         """Append one record already encoded at ``buf[start:end]``.
 
-        The caller (the encoded compaction merge) guarantees internal-key
-        order, so no order check runs; the (key, inverted-seqno) cursor
-        is still advanced so interleaved :meth:`add` calls stay safe.
+        The caller guarantees internal-key order, so no order check
+        runs; the (key, inverted-seqno) cursor is still advanced so
+        interleaved :meth:`add` calls stay safe.
         """
+        self._append(key, MAX_SEQNO - seqno, buf[start:end])
+
+    def _append(self, key: bytes, inv: int, encoded) -> None:
         if self._first_key is None:
             self._first_key = key
         self._last_key = key
-        self._last_inv = MAX_SEQNO - seqno
-        self._offsets.append(self._position)
-        parts = self._parts
-        if parts:
-            tail = parts[-1]
-            if type(tail) is list and tail[0] is buf and tail[2] == start:
-                tail[2] = end
-            else:
-                parts.append([buf, start, end])
-        else:
-            parts.append([buf, start, end])
-        self._position += end - start
-        self._estimated += _OFFSET.size + (end - start)
+        self._last_inv = inv
+        self._chunks.append(encoded)
+        self._sizes.append(len(encoded))
+        self._estimated += _OFFSET.size + len(encoded)
 
     def is_full(self) -> bool:
         return self._estimated >= self.target_bytes
@@ -149,23 +154,9 @@ class DataBlockBuilder:
 
     def finish(self) -> bytes:
         """Serialize and reset the builder."""
-        count = len(self._offsets)
-        if count > 0xFFFF:
-            raise ValueError(f"too many records in one block: {count}")
-        parts: list = []
-        for part in self._parts:
-            parts.append(part if type(part) is bytes else part[0][part[1]:part[2]])
-        if count:
-            parts.append(struct.pack(f"<{count}I", *self._offsets))
-        parts.append(_COUNT.pack(count))
-        self._parts = []
-        self._offsets = []
-        self._position = 0
-        self._estimated = _COUNT.size
-        self._first_key = None
-        self._last_key = None
-        self._last_inv = 0
-        return b"".join(parts)
+        payload = encode_block(self._chunks, self._sizes, 0, len(self._chunks))
+        self.__init__(self.target_bytes)
+        return payload
 
 
 class DataBlock:
@@ -347,6 +338,11 @@ def extend_spans_from(
     record's full encoding within ``buf`` — enough for a merge to order,
     shadow, route, and re-emit records as slices without ever building a
     :class:`Record`. Returns the number of records appended.
+
+    The walk is held against the block's own restart array: every
+    record must start exactly at its restart offset, so the offsets
+    start at 0 and ascend, each record ends at the next restart, and
+    the last one at the end of the record region.
     """
     end_of_block = base + length
     if length < _COUNT.size or end_of_block > len(buf):
@@ -369,7 +365,11 @@ def extend_spans_from(
     ends_append = ends.append
     raw_bytes = type(buf) is bytes
     offset = base
-    for _ in range(count):
+    for restart in struct.unpack_from(f"<{count}I", buf, records_end):
+        if offset != base + restart:
+            raise CorruptionError(
+                f"restart offset {restart} does not match the record at {offset - base}"
+            )
         if offset + header_size > records_end:
             raise CorruptionError(f"truncated record header at offset {offset}")
         key_len, value_len, kind, seqno = unpack_header(buf, offset)

@@ -13,28 +13,19 @@ from __future__ import annotations
 import math
 import struct
 
-from repro.common.rng import fnv1a_64
+from repro.common.rng import FNV_MEMO, fnv1a_64
 from repro.errors import CorruptionError
 
 _HEADER = struct.Struct("<IB")  # bit count, probe count
 
-#: key -> fnv1a_64(key), shared by every filter. The same (interned) key
-#: bytes are hashed by every flush, compaction build, and read-path probe
-#: that touches them; the base hash is a pure function of the key, so one
-#: computation serves them all. Capped so an unbounded keyspace cannot
-#: pin memory; past the cap, misses simply recompute.
-_HASH_CACHE: dict[bytes, int] = {}
-_HASH_CACHE_MAX = 1 << 20
+#: byte-per-bit -> ASCII binary digit, for the 8:1 pack in ``add_many``.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _base_hash(key: bytes) -> int:
-    """Memoized FNV-1a base hash (see :data:`_HASH_CACHE`)."""
-    base = _HASH_CACHE.get(key)
-    if base is None:
-        base = fnv1a_64(key)
-        if len(_HASH_CACHE) < _HASH_CACHE_MAX:
-            _HASH_CACHE[key] = base
-    return base
+def key_hashes(keys) -> list[int]:
+    """The 64-bit base hash of every key: ``fnv1a_64`` through its memo."""
+    memo_get = FNV_MEMO.get
+    return [memo_get(key) or fnv1a_64(key) for key in keys]
 
 
 class BloomFilter:
@@ -77,98 +68,66 @@ class BloomFilter:
     def _positions(self, key: bytes):
         """The k probe positions for ``key`` (kept for tests/debugging).
 
-        The hot paths (:meth:`add`, :meth:`add_many`, :meth:`may_contain`)
-        inline this double-hashing loop instead of consuming a generator:
-        a Python generator frame per probe costs more than the probes.
+        ``(h1 + i * h2) mod n_bits`` for i < k: an arithmetic progression,
+        which is what lets :meth:`add_many` store all k with one slice.
         """
-        base = _base_hash(key)
+        base = fnv1a_64(key)
         h1 = base & 0xFFFFFFFF
         h2 = (base >> 32) | 1  # odd delta => full-period probing
         for i in range(self._n_probes):
             yield (h1 + i * h2) % self._n_bits
 
     def add(self, key: bytes) -> None:
-        base = _base_hash(key)
-        h2 = (base >> 32) | 1
-        n_bits = self._n_bits
         bits = self._bits
-        h = base & 0xFFFFFFFF
-        for _ in range(self._n_probes):
-            pos = h % n_bits
+        for pos in self._positions(key):
             bits[pos >> 3] |= 1 << (pos & 7)
-            h += h2
 
-    def add_many(self, keys) -> None:
+    def add_many(self, keys, hashes=None) -> None:
         """Bulk-insert ``keys``; equivalent to repeated :meth:`add`.
 
-        SSTable builds insert every key of a file at once, so the hash
-        and bit positions are computed in one tight loop with the filter
-        state held in locals (no per-key attribute traffic).
+        ``hashes`` are the keys' :func:`key_hashes` when the caller
+        already has them (a compaction carries them from its inputs).
+        One body for every probe count and any prior filter state. A
+        key's probes ``a, a + d, ..`` (``a = h1 % n``, ``d = h2 % n``)
+        stay below ``k * n`` unreduced, so they are one extended-slice
+        store into a byte-per-bit scratch of k segments of n bytes;
+        position p of every segment is bit p. The segments are OR-folded
+        as big integers, packed 8:1 through a binary-digit string, and
+        OR-ed into the existing bits. The scratch is the only cost in
+        memory: ``k * n_bits`` bytes, ~34 KB for a default 64 KiB file.
         """
         n_bits = self._n_bits
         n_probes = self._n_probes
+        scratch = bytearray(n_probes * n_bits)
+        ones = b"\x01" * n_probes
+        for base in key_hashes(keys) if hashes is None else hashes:
+            first = (base & 0xFFFFFFFF) % n_bits
+            delta = ((base >> 32) | 1) % n_bits
+            if delta:
+                scratch[first : first + n_probes * delta : delta] = ones
+            else:  # n_bits divides h2: every probe is the same bit
+                scratch[first] = 1
+        from_bytes = int.from_bytes
+        folded = 0
+        for lo in range(0, n_probes * n_bits, n_bits):
+            folded |= from_bytes(scratch[lo : lo + n_bits], "little")
+        # Big-endian puts position n_bits - 1 first: the digit string of
+        # the integer whose bit p is position p.
+        added = int(folded.to_bytes(n_bits, "big").translate(_TO_DIGITS), 2)
         bits = self._bits
-        hash_fn = fnv1a_64
-        cache = _HASH_CACHE
-        cache_get = cache.get
-        cache_max = _HASH_CACHE_MAX
-        if n_probes == 7:
-            # The default geometry (bits_per_key=10 -> round(10*ln2)=7
-            # probes) covers every build in the reproduction; unrolling
-            # the probe loop drops the per-probe loop machinery, which
-            # measurably speeds up every flush and compaction finish.
-            # Bit-for-bit identical to the generic loop below.
-            for key in keys:
-                base = cache_get(key)
-                if base is None:
-                    base = hash_fn(key)
-                    if len(cache) < cache_max:
-                        cache[key] = base
-                h2 = (base >> 32) | 1
-                h = base & 0xFFFFFFFF
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-            return
-        for key in keys:
-            base = cache_get(key)
-            if base is None:
-                base = hash_fn(key)
-                if len(cache) < cache_max:
-                    cache[key] = base
-            h2 = (base >> 32) | 1
-            h = base & 0xFFFFFFFF
-            for _ in range(n_probes):
-                pos = h % n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                h += h2
+        bits[:] = (from_bytes(bits, "little") | added).to_bytes(len(bits), "little")
 
     def may_contain(self, key: bytes) -> bool:
         """False means *definitely absent*; True means possibly present."""
-        base = _base_hash(key)
+        base = fnv1a_64(key)
         h2 = (base >> 32) | 1
         n_bits = self._n_bits
         bits = self._bits
         h = base & 0xFFFFFFFF
         if self._n_probes == 7:
-            # Unrolled for the default geometry, mirroring add_many.
+            # Unrolled for the default geometry (bits_per_key=10 ->
+            # round(10*ln2)=7 probes): the point-read path pays this
+            # once per probed table.
             pos = h % n_bits
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False

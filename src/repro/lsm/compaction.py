@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter, ne, not_
 
 from repro.errors import CompactionError
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
-from repro.lsm.record import MAX_SEQNO
-from repro.lsm.sstable import SSTable, SSTableBuilder
+from repro.lsm.sstable import SSTable, SSTableBuilder, plan_files
 from repro.lsm.version import LevelManifest
 from repro.obs import NOOP_TRACER, MetricsRegistry, Tracer
 from repro.storage.backend import StorageBackend
@@ -104,7 +106,12 @@ class RoundRobinPicker(CompactionPicker):
 
 
 class MergeRouter(abc.ABC):
-    """Decides, per merged record, whether it stays in the upper level."""
+    """Decides, per merged record, whether it stays in the upper level.
+
+    The executor makes one :meth:`route_up_keys` call per job, after
+    :meth:`begin_job`; :meth:`route_up_key` is the one method a router
+    must define.
+    """
 
     #: Whether a single non-overlapping file may be moved down without a
     #: rewrite. Read-aware routers refine this per file via
@@ -113,9 +120,7 @@ class MergeRouter(abc.ABC):
 
     #: True when :meth:`route_up_key` returns False unconditionally and
     #: without side effects (classic compact-down behaviour). The merge
-    #: skips the per-record routing call entirely for such routers — one
-    #: method invocation per record is measurable against the little
-    #: work the merge loop does.
+    #: does not consult such routers at all.
     never_routes_up: bool = False
 
     def allows_trivial_move(self, table: SSTable) -> bool:
@@ -154,9 +159,33 @@ class MergeRouter(abc.ABC):
         from — the merge never materializes a Record.
         """
 
+    def route_up_keys(
+        self,
+        user_keys: list[bytes],
+        kind_codes: list[int],
+        encoded_sizes: list[int],
+        source_levels: list[int],
+    ) -> list[bool] | None:
+        """The verdicts for all of a job's survivors: the executor's one call.
+
+        The columns are parallel and in key order. Returns one
+        :meth:`route_up_key` verdict per survivor, or None for "nothing
+        routes up". The default asks :meth:`route_up_key` once per
+        survivor in that order — routers charge budgets as they answer,
+        so the order is part of the contract. Override only to answer a
+        whole job at once, leaving every counter as this loop would.
+        """
+        return list(map(self.route_up_key, user_keys, kind_codes, encoded_sizes, source_levels))
+
     def clock_value_fn(self):
         """Optional key -> CLOCK value function for output file scoring."""
         return None
+
+    def clock_values_fn(self):
+        """:meth:`clock_value_fn` over a key list: what the builders call,
+        once per output file. Override when the source has a bulk read."""
+        per_key = self.clock_value_fn()
+        return None if per_key is None else partial(map, per_key)
 
 
 class CompactDownRouter(MergeRouter):
@@ -221,6 +250,23 @@ class CompactionJob:
     #: Whether tombstones may be dropped from the job's output (true only
     #: when nothing older than the output can exist below it).
     drop_tombstones: bool = False
+
+
+def merge_order(keys: list[bytes], seqnos: list[int]) -> list[int]:
+    """Argsort of the records into internal-key order (key asc, seqno desc).
+
+    Two stable C sorts; the order is unique as seqnos are globally unique.
+    """
+    order = list(range(len(keys)))
+    order.sort(key=seqnos.__getitem__, reverse=True)
+    order.sort(key=keys.__getitem__)
+    return order
+
+
+def newest_versions(order: list[int], keys: list[bytes]) -> list[int]:
+    """Shadowing: keep, of ``order``, the first (newest) record per user key."""
+    sorted_keys = list(map(keys.__getitem__, order))
+    return list(compress(order, chain((True,), map(ne, sorted_keys, sorted_keys[1:]))))
 
 
 class CompactionExecutor:
@@ -372,7 +418,7 @@ class CompactionExecutor:
     def _compact(self, job: CompactionJob) -> None:
         """Budget the job, merge its inputs, install the outputs."""
         upper_level, lower_level = job.upper_level, job.lower_level
-        route_up_key = None
+        router = None
         # An in-place consolidation (tiering's bottom level) has no upper
         # level to retain records in: no budget, no begin_job, no routing.
         if upper_level != lower_level:
@@ -392,9 +438,9 @@ class CompactionExecutor:
                 upper_budget, upper_budget,
             )
             if not self._router.never_routes_up:
-                route_up_key = self._router.route_up_key
+                router = self._router
 
-        new_upper, new_lower = self._merge_spans(job, route_up_key)
+        new_upper, new_lower = self._merge_spans(job, router)
 
         manifest = self._manifest
         for table in job.upper_inputs:
@@ -434,25 +480,24 @@ class CompactionExecutor:
             bufs.extend([buf] * count)
 
     def _merge_spans(
-        self, job: CompactionJob, route_up_key
+        self, job: CompactionJob, router: MergeRouter | None
     ) -> tuple[list[SSTable], list[SSTable]]:
-        """The merge: shadow, route, range-check and emit each survivor.
+        """The merge: scan, sort, shadow, route, range-check, emit.
 
-        This is the *movement* primitive, in the encoded domain — no
-        Record objects anywhere. Inputs are scanned as parallel span
-        arrays; ordering is an index argsort (two stable C sorts giving
-        the unique internal-key order, as seqnos are globally unique);
-        origin recovery is positional (upper-table records occupy the
-        array prefix); and survivors are re-emitted as byte slices of the
-        input files. ``route_up_key`` is None when nothing may be routed
-        up. Returns the new (upper, lower) tables.
+        This is the *movement* primitive, in the encoded domain and in
+        bulk: a few passes per job and per block, no Record object and
+        no frame per record. Inputs are scanned as parallel span arrays
+        (upper-table records occupy the prefix, which is how origin is
+        recovered); survivors are routed by one
+        :meth:`MergeRouter.route_up_keys` call (``router`` is None when
+        nothing may route up) and re-emitted as byte slices of the
+        input files, each output stream cut into files and blocks by
+        :func:`plan_files`. Returns the new (upper, lower) tables.
         tests/lsm/reference_merge.py overrides this method with the
-        record-domain specification it is proven against.
+        per-record specification it is proven against.
         """
         upper_level, lower_level = job.upper_level, job.lower_level
-        upper_lo, upper_hi = job.upper_lo, job.upper_hi
-        drop_tombstones = job.drop_tombstones
-        columns = keys, seqnos, kinds, starts, ends = [], [], [], [], []
+        columns = keys, seqnos, kinds, starts, ends, hashes = [], [], [], [], [], []
         bufs: list = []
         self._scan_inputs(job.upper_inputs, upper_level, columns, bufs)
         n_upper = len(keys)
@@ -466,51 +511,85 @@ class CompactionExecutor:
             pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
         dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
 
-        order = list(range(len(keys)))
-        order.sort(key=seqnos.__getitem__, reverse=True)
-        order.sort(key=keys.__getitem__)
-
+        survivors = newest_versions(merge_order(keys, seqnos), keys)
         stats = self.stats
-        upper_writer = _OutputWriter(self, upper_level)
-        lower_writer = _OutputWriter(self, lower_level)
-        add_upper = upper_writer.add_encoded
-        add_lower = lower_writer.add_encoded
-        last_key: bytes | None = None
-        for idx in order:
-            # Shadowing: the first record per user key (internal order)
-            # is the newest version; older ones are dropped here.
-            user_key = keys[idx]
-            if user_key == last_key:
-                stats.shadowed_dropped += 1
-                continue
-            last_key = user_key
-            start = starts[idx]
-            end = ends[idx]
-            kind_code = kinds[idx]
-            # Up-routing outside the upper input range would violate
-            # the level's disjointness (§4.4; L0 overlaps anyway).
-            if (
-                route_up_key is not None
-                and route_up_key(
-                    user_key, kind_code, end - start,
-                    upper_level if idx < n_upper else lower_level,
-                )
-                and (upper_level == 0 or upper_lo <= user_key <= upper_hi)
-            ):
-                if idx < n_upper:
-                    stats.records_pinned += 1
-                    pinned_counter.inc()
-                else:
-                    stats.records_pulled_up += 1
-                    pulled_counter.inc()
-                add_upper(user_key, seqnos[idx], kind_code, bufs[idx], start, end)
-                continue
-            if drop_tombstones and kind_code == 0:
-                stats.tombstones_dropped += 1
-                dropped_counter.inc()
-                continue
-            add_lower(user_key, seqnos[idx], kind_code, bufs[idx], start, end)
-        return upper_writer.finish(), lower_writer.finish()
+        stats.shadowed_dropped += len(bufs) - len(survivors)
+        chunks = [bufs[idx][starts[idx] : ends[idx]] for idx in survivors]
+        # The survivors' columns, in ``add_encoded_blocks`` argument order.
+        columns = keys, seqnos, kinds, chunks, sizes, hashes = (
+            list(map(keys.__getitem__, survivors)),
+            list(map(seqnos.__getitem__, survivors)),
+            list(map(kinds.__getitem__, survivors)),
+            chunks,
+            list(map(len, chunks)),
+            list(map(hashes.__getitem__, survivors)),
+        )
+
+        n = len(survivors)
+        routed = None
+        if router is not None:
+            levels = [upper_level if idx < n_upper else lower_level for idx in survivors]
+            routed = router.route_up_keys(keys, kinds, sizes, levels)
+        if routed is None:
+            upper, sinking = [], repeat(True)
+        else:
+            if upper_level != 0:
+                # Up-routing outside the upper input range would violate
+                # the level's disjointness (§4.4; L0 overlaps anyway).
+                # Asked after the router, whose bookkeeping has then
+                # counted the record.
+                lo, hi = job.upper_lo, job.upper_hi
+                routed = [up and lo <= key <= hi for up, key in zip(routed, keys)]
+            upper = list(compress(range(n), routed))
+            sinking = map(not_, routed)
+        if job.drop_tombstones:
+            sinking = map(and_, sinking, kinds)  # kind code 0 = DELETE
+        lower = list(compress(range(n), sinking))
+        pinned = sum(map(n_upper.__gt__, map(survivors.__getitem__, upper)))
+        stats.records_pinned += pinned
+        pinned_counter.inc(pinned)
+        stats.records_pulled_up += len(upper) - pinned
+        if pulled_counter is not None:
+            pulled_counter.inc(len(upper) - pinned)
+        dropped = n - len(upper) - len(lower)
+        stats.tombstones_dropped += dropped
+        dropped_counter.inc(dropped)
+        stats.records_out += len(upper) + len(lower)
+
+        # File ids, device write order and manifest tie-breaks are
+        # simulated state, so the files of the two output streams are
+        # created in the order a record-at-a-time merge would close
+        # them: by the merge position of the record that fills each
+        # file, then the two trailing partial files, upper first.
+        new_upper: list[SSTable] = []
+        new_lower: list[SSTable] = []
+        files = []
+        options = self._options
+        for level, positions, tables in (
+            (upper_level, upper, new_upper), (lower_level, lower, new_lower)
+        ):
+            stream = columns
+            if len(positions) < n:
+                stream = [list(map(column.__getitem__, positions)) for column in columns]
+            stream_sizes = stream[4]
+            closed, trailing = plan_files(
+                stream_sizes, options.block_bytes, options.target_file_bytes
+            )
+            start = 0
+            for block_ends in closed:
+                files.append((positions[block_ends[-1] - 1], level, tables, stream, start, block_ends))
+                start = block_ends[-1]
+            if trailing:
+                files.append((n, level, tables, stream, start, trailing))
+        files.sort(key=itemgetter(0))
+        for _, level, tables, stream, start, block_ends in files:
+            builder = self.make_builder(level)
+            builder.add_encoded_blocks(*stream, start, block_ends)
+            table, _ = builder.finish(foreground=False)
+            stats.bytes_written += table.size_bytes
+            self.note_level_write(level, table.size_bytes)
+            tables.append(table)
+        return new_upper, new_lower
 
     def make_builder(self, level: int) -> SSTableBuilder:
         """A builder writing to ``level``'s tier with router-driven scoring."""
@@ -520,87 +599,6 @@ class CompactionExecutor:
             block_bytes=self._options.block_bytes,
             target_file_bytes=self._options.target_file_bytes,
             bits_per_key=self._options.bits_per_key,
-            clock_value_fn=self._router.clock_value_fn(),
+            clock_values_fn=self._router.clock_values_fn(),
             score_exponent=self._options.score_exponent,
         )
-
-
-class _OutputWriter:
-    """Rotates SSTable builders at the target file size for one level."""
-
-    def __init__(self, executor: CompactionExecutor, level: int) -> None:
-        self._executor = executor
-        self._level = level
-        self._builder: SSTableBuilder | None = None
-        self._tables: list[SSTable] = []
-
-    def add_encoded(
-        self, key: bytes, seqno: int, kind_code: int, buf, start: int, end: int
-    ) -> None:
-        """Emit one record given as an encoded span of an input file.
-
-        This is the per-record body of the merge — the hottest loop in
-        compaction — so :meth:`SSTableBuilder.add_encoded` and
-        :meth:`DataBlockBuilder.add_span` are inlined here: one call
-        frame per record instead of three. Every side effect and its
-        order match the layered path exactly (the merge equivalence
-        tests pin the output files byte for byte).
-        """
-        builder = self._builder
-        if builder is None:
-            builder = self._builder = self._executor.make_builder(self._level)
-        if builder._smallest is None:
-            builder._smallest = key
-        builder._largest = key
-        # DataBlockBuilder.add_span, inlined (span coalescing included).
-        block = builder._block
-        if block._first_key is None:
-            block._first_key = key
-        block._last_key = key
-        block._last_inv = MAX_SEQNO - seqno
-        block._offsets.append(block._position)
-        parts = block._parts
-        if parts:
-            tail = parts[-1]
-            if type(tail) is list and tail[0] is buf and tail[2] == start:
-                tail[2] = end
-            else:
-                parts.append([buf, start, end])
-        else:
-            parts.append([buf, start, end])
-        size = end - start
-        block._position += size
-        # 4 = the per-record u32 restart-offset cost (block._OFFSET.size).
-        block._estimated = block_estimated = block._estimated + 4 + size
-        # SSTableBuilder.add_encoded bookkeeping, inlined.
-        builder._keys.append(key)
-        builder._entry_count += 1
-        if kind_code == 0:
-            builder._tombstones += 1
-        if seqno > builder._max_seqno:
-            builder._max_seqno = seqno
-        clock_value_fn = builder._clock_value_fn
-        if clock_value_fn is not None:
-            clock = float(clock_value_fn(key))
-            if builder._score_exponent == 3:
-                builder._score += clock * clock * clock
-            else:
-                builder._score += clock ** builder._score_exponent
-        if block_estimated >= block.target_bytes:
-            builder._flush_block()
-        self._executor.stats.records_out += 1
-        if builder._data_bytes + builder._block._estimated >= builder.target_file_bytes:
-            self._finish_current()
-
-    def _finish_current(self) -> None:
-        assert self._builder is not None
-        table, _ = self._builder.finish(foreground=False)
-        self._executor.stats.bytes_written += table.size_bytes
-        self._executor.note_level_write(self._level, table.size_bytes)
-        self._tables.append(table)
-        self._builder = None
-
-    def finish(self) -> list[SSTable]:
-        if self._builder is not None and self._builder.entry_count > 0:
-            self._finish_current()
-        return self._tables

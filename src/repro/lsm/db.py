@@ -13,6 +13,7 @@ closed-loop runner turns those into throughput.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappushpop
@@ -21,6 +22,7 @@ from repro.common.clock import SimClock
 from repro.common.stats import CounterSet
 from repro.errors import DBClosedError
 from repro.lsm.block_cache import BlockCache
+from repro.lsm.bloom import key_hashes
 from repro.lsm.compaction import (
     CompactDownRouter,
     CompactionExecutor,
@@ -34,7 +36,7 @@ from repro.lsm.memtable import Memtable, MemtableCursor
 from repro.lsm.options import DBOptions
 from repro.lsm.record import RECORD_HEADER_SIZE, Record, ValueKind, make_put_record
 from repro.lsm.row_cache import RowCache
-from repro.lsm.sstable import RunCursor, SSTable, SSTableBuilder
+from repro.lsm.sstable import RunCursor, SSTable, SSTableBuilder, plan_files
 from repro.lsm.strategy import CompactionStrategy, make_picker, make_strategy
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
@@ -329,7 +331,7 @@ class LsmDB:
                 self.options.target_file_bytes, self._memtable.approximate_bytes * 2
             ),
             bits_per_key=self.options.bits_per_key,
-            clock_value_fn=self.router.clock_value_fn(),
+            clock_values_fn=self.router.clock_values_fn(),
             score_exponent=self.options.score_exponent,
         )
         l0_tier = self.layout.tier_for_level(0)
@@ -337,8 +339,18 @@ class LsmDB:
         with self.tracer.span(
             "flush", tier=l0_tier.name, entries=len(self._memtable)
         ) as span:
-            for record in self._memtable.records():
-                builder.add(record)
+            # One file whatever its size: cut blocks only.
+            records = list(self._memtable.records())
+            keys = [record.user_key for record in records]
+            chunks = [record.encode() for record in records]
+            sizes = list(map(len, chunks))
+            builder.add_encoded_blocks(
+                keys,
+                [record.seqno for record in records],
+                [record.kind for record in records],
+                chunks, sizes, key_hashes(keys),
+                0, plan_files(sizes, self.options.block_bytes, math.inf)[1],
+            )
             table, _ = builder.finish(foreground=False)
             self.manifest.add_file(0, table)
             # Flush I/O is background: the clock does not advance, so the

@@ -17,18 +17,23 @@ from __future__ import annotations
 
 import bisect
 import struct
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
+from repro.common.rng import fnv1a_64
 from repro.errors import CorruptionError
 from repro.lsm.block import (
+    EMPTY_BLOCK_BYTES,
     DataBlock,
     DataBlockBuilder,
+    encode_block,
     extend_records_from,
     extend_spans_from,
+    record_costs,
 )
 from repro.lsm.block_cache import BlockCache, BlockType
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.lsm.record import (
     MAX_SEQNO,
     RECORD_HEADER_SIZE,
@@ -54,10 +59,6 @@ _FOOTER_MAGIC = 0x5052534D  # "PRSM"
 
 #: Score assigned to keys absent from the tracker (§4.3).
 UNTRACKED_CLOCK_VALUE = -1
-
-#: Hoisted enum member: ``record.kind is _DELETE`` on the build loop
-#: avoids the ``is_tombstone`` property-descriptor call per record.
-_DELETE = ValueKind.DELETE
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,12 @@ def decode_index(buf: bytes | memoryview) -> list[IndexEntry]:
 
 
 class SSTable:
-    """Handle to one immutable table: metadata plus the read path."""
+    """Handle to one immutable table: metadata plus the read path.
+
+    ``size_bytes`` and the resident key-hash column are captured when
+    the handle is made: a failure-injection swap of ``file.data``
+    changes neither a live table's accounted size nor its hashes.
+    """
 
     def __init__(
         self,
@@ -122,6 +128,7 @@ class SSTable:
     ) -> None:
         self._backend = backend
         self.file = file
+        self.size_bytes = file.size  # level accounting reads it constantly
         self.max_seqno = max_seqno
         self.smallest_key = smallest_key
         self.largest_key = largest_key
@@ -135,6 +142,9 @@ class SSTable:
         self.popularity_score = popularity_score
         self.created_at_usec = created_at_usec
         self._bloom: BloomFilter | None = None
+        #: Base hash of every key, in file order: memory only, so the
+        #: next compaction's filters need no hashing (or memo lookup).
+        self._key_hashes: array | None = None
         self._index: list[IndexEntry] | None = None
         self._index_keys: list[bytes] | None = None
         # Resident filter/index hits charge one DRAM access for a fixed
@@ -146,10 +156,6 @@ class SSTable:
     @property
     def file_id(self) -> int:
         return self.file.file_id
-
-    @property
-    def size_bytes(self) -> int:
-        return self.file.size
 
     @property
     def tier(self) -> StorageTier:
@@ -286,20 +292,14 @@ class SSTable:
             )
 
     def read_all_records(self, *, foreground: bool = False) -> tuple[list[Record], float]:
-        """Sequentially read every record (compaction input scan).
+        """Sequentially read every record (the record-domain input scan).
 
         Zero-copy: records are decoded directly out of the file's own
         buffer at the offsets the index gives — no per-block slice is
         ever materialized.
         """
-        _, latency = self._backend.read(self.file, 0, self.data_length, foreground=foreground)
-        # The data region starts at byte 0, so index offsets are file
-        # offsets: decode straight from the file's immutable bytes.
-        data = self.file.data
+        data, index, latency = self._read_data_region(foreground)
         records: list[Record] = []
-        # Blocks are parsed via the index so boundaries are exact.
-        index, index_latency = self._index_from_disk(foreground=foreground)
-        latency += index_latency
         for entry in index:
             extend_records_from(data, entry.offset, entry.length, records)
         return records, latency
@@ -311,38 +311,44 @@ class SSTable:
         kinds: list[int],
         starts: list[int],
         ends: list[int],
+        hashes: list[int],
         *,
         foreground: bool = False,
     ) -> tuple[bytes, int, float]:
         """Sequentially read every record as an encoded span.
 
         The encoded-domain counterpart of :meth:`read_all_records`: the
-        device reads are identical (whole data region, then the index if
-        cold), but instead of constructing Record objects it appends one
-        entry per record to the parallel output arrays. The returned
-        buffer is the file's own immutable bytes; spans index into it.
-        Returns (buffer, record_count, latency).
+        device reads are identical, but instead of constructing Record
+        objects it appends one entry per record to the parallel output
+        arrays — ``hashes`` from the table's resident column (computed
+        once for a reopened table), the rest from the blocks. The
+        returned buffer is the file's own immutable bytes; spans index
+        into it. Returns (buffer, record_count, latency).
         """
-        _, latency = self._backend.read(self.file, 0, self.data_length, foreground=foreground)
-        data = self.file.data
-        index, index_latency = self._index_from_disk(foreground=foreground)
-        latency += index_latency
+        data, index, latency = self._read_data_region(foreground)
         count = 0
         for entry in index:
             count += extend_spans_from(
                 data, entry.offset, entry.length, keys, seqnos, kinds, starts, ends
             )
+        if self._key_hashes is None:
+            self._key_hashes = array("Q", key_hashes(keys[len(keys) - count :]))
+        hashes.extend(self._key_hashes)
         return data, count, latency
 
-    def _index_from_disk(self, *, foreground: bool) -> tuple[list[IndexEntry], float]:
-        if self._index is not None:
-            return self._index, 0.0
-        data, latency = self._backend.read(
-            self.file, self.index_offset, self.index_length, foreground=foreground
-        )
-        self._index = decode_index(data)
-        self._index_keys = [entry.last_key for entry in self._index]
-        return self._index, latency
+    def _read_data_region(self, foreground: bool) -> tuple[bytes, list[IndexEntry], float]:
+        """Charge one read of the whole data region, then of the index if
+        cold: (file bytes, index, latency). The region starts at byte 0,
+        so index offsets are offsets into the file's immutable bytes."""
+        _, latency = self._backend.read(self.file, 0, self.data_length, foreground=foreground)
+        if self._index is None:
+            data, index_latency = self._backend.read(
+                self.file, self.index_offset, self.index_length, foreground=foreground
+            )
+            latency += index_latency
+            self._index = decode_index(data)
+            self._index_keys = [entry.last_key for entry in self._index]
+        return self.file.data, self._index, latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -540,12 +546,56 @@ class RunCursor:
                 return True
 
 
+def plan_files(
+    sizes: list[int], block_bytes: int, target_file_bytes: float
+) -> tuple[list[list[int]], list[int]]:
+    """Cut a stream of encoded records into files of blocks.
+
+    Reproduces, one step per *block*, the two rules the per-record entry
+    points apply after every record: a block closes once its serialized
+    size reaches ``block_bytes``, and a file closes once its closed
+    blocks plus the open one reach ``target_file_bytes`` — checked
+    after the block rule, so a file may close mid-block. Returns the
+    files that closed, each as the exclusive end positions of its
+    blocks, and the blocks of the trailing file still open when the
+    stream ended (empty if the last record closed its file).
+    """
+    costs = record_costs(sizes)
+    n = len(sizes)
+    files: list[list[int]] = []
+    blocks: list[int] = []
+    file_start = start = 0
+    while start < n:
+        # First positions at which the open block, then the file with
+        # that block still open, reach their targets; n + 1 when the
+        # stream ends first.
+        end = bisect.bisect_left(costs, costs[start] + block_bytes - EMPTY_BLOCK_BYTES, start + 1)
+        file_cost = target_file_bytes - EMPTY_BLOCK_BYTES * (len(blocks) + 1)
+        cut = bisect.bisect_left(costs, costs[file_start] + file_cost, start + 1)
+        if cut < end:
+            end = cut  # the file fills inside this block
+        elif end > n:
+            blocks.append(n)  # the stream ends inside this block
+            break
+        blocks.append(end)
+        start = end
+        # The block just closed is followed by an empty open one.
+        if costs[end] - costs[file_start] + EMPTY_BLOCK_BYTES * (len(blocks) + 1) >= target_file_bytes:
+            files.append(blocks)
+            blocks = []
+            file_start = end
+    return files, blocks
+
+
 class SSTableBuilder:
     """Builds one SSTable from records supplied in internal-key order.
 
-    ``clock_value_fn`` maps a user key to its tracker CLOCK value (or
-    :data:`UNTRACKED_CLOCK_VALUE`); the builder accumulates the paper's
-    popularity score Σ clockⁿ as entries stream in.
+    ``clock_values_fn`` maps the file's user keys to their tracker CLOCK
+    values (:data:`UNTRACKED_CLOCK_VALUE` for unknown keys) in one call
+    at :meth:`finish`, which sums the paper's popularity score Σ clockⁿ
+    in key order. Records arrive one at a time (:meth:`add`,
+    :meth:`add_encoded`) or a whole file at once, already cut into
+    blocks by :func:`plan_files` (:meth:`add_encoded_blocks`).
     """
 
     def __init__(
@@ -556,27 +606,26 @@ class SSTableBuilder:
         block_bytes: int,
         target_file_bytes: int,
         bits_per_key: int = 10,
-        clock_value_fn: Callable[[bytes], int] | None = None,
+        clock_values_fn: Callable[[list[bytes]], Iterable[int]] | None = None,
         score_exponent: int = 3,
     ) -> None:
         self._backend = backend
         self._tier = tier
-        self._block_bytes = block_bytes
         self.target_file_bytes = target_file_bytes
         self._bits_per_key = bits_per_key
-        self._clock_value_fn = clock_value_fn
+        self._clock_values_fn = clock_values_fn
         self._score_exponent = score_exponent
         self._block = DataBlockBuilder(block_bytes)
         self._finished_blocks: list[bytes] = []
         self._index: list[IndexEntry] = []
         self._data_bytes = 0
         self._keys: list[bytes] = []
+        self._hashes: list[int] = []
         self._smallest: bytes | None = None
         self._largest: bytes | None = None
         self._entry_count = 0
         self._tombstones = 0
         self._max_seqno = 0
-        self._score = 0.0
 
     @property
     def entry_count(self) -> int:
@@ -591,80 +640,74 @@ class SSTableBuilder:
         return self.estimated_bytes >= self.target_file_bytes
 
     def add(self, record: Record) -> None:
-        key = record.user_key
-        if self._smallest is None:
-            self._smallest = key
-        self._largest = key
-        # DataBlockBuilder.add, inlined: every memtable flush funnels
-        # each record through here, so one call frame replaces three.
-        # Side effects and their order match the layered path exactly.
-        block = self._block
-        inv = MAX_SEQNO - record.seqno
-        last_key = block._last_key
-        if last_key is not None and (
-            key < last_key or (key == last_key and inv <= block._last_inv)
-        ):
-            raise ValueError(
-                f"records out of order: {key!r}@{record.seqno} "
-                f"after {last_key!r}@{MAX_SEQNO - block._last_inv}"
-            )
-        if block._first_key is None:
-            block._first_key = key
-        block._last_key = key
-        block._last_inv = inv
-        encoded = record.encode()
-        block._offsets.append(block._position)
-        block._parts.append(encoded)
-        size = len(encoded)
-        block._position += size
-        # 4 = the per-record u32 restart-offset cost (block._OFFSET.size).
-        block._estimated = block_estimated = block._estimated + 4 + size
-        self._keys.append(key)
-        self._entry_count += 1
-        if record.kind is _DELETE:
-            self._tombstones += 1
-        if record.seqno > self._max_seqno:
-            self._max_seqno = record.seqno
-        if self._clock_value_fn is not None:
-            clock = float(self._clock_value_fn(key))
-            if self._score_exponent == 3:
-                # Exact for the integer CLOCK values the trackers emit;
-                # three multiplies beat a pow() call on this hot path.
-                self._score += clock * clock * clock
-            else:
-                self._score += clock ** self._score_exponent
-        if block_estimated >= block.target_bytes:
-            self._flush_block()
+        """Add one record (encoded here; raises ValueError out of order)."""
+        self._block.add(record)
+        self._note_added(record.user_key, record.seqno, record.kind)
 
     def add_encoded(
         self, key: bytes, seqno: int, kind_code: int, buf, start: int, end: int
     ) -> None:
-        """Add one record from its encoded bytes (encoded compaction path).
+        """Add one record already encoded at ``buf[start:end]``.
 
-        Mirrors every side effect of :meth:`add` — boundary keys, bloom
-        key list, tombstone/seqno/score accounting, block rotation —
-        while the payload flows through as a slice of the input file, so
-        the finished table is byte-identical to one built from the
-        equivalent Record objects.
+        Mirrors every side effect of :meth:`add` while the payload flows
+        through as a slice, so the finished table is byte-identical to
+        one built from the equivalent Record objects.
         """
+        self._block.add_span(key, seqno, buf, start, end)
+        self._note_added(key, seqno, kind_code)
+
+    def _note_added(self, key: bytes, seqno: int, kind_code: int) -> None:
+        """Per-record bookkeeping: boundary keys, bloom key list,
+        tombstone and seqno accounting, block rotation."""
         if self._smallest is None:
             self._smallest = key
         self._largest = key
-        self._block.add_span(key, seqno, buf, start, end)
         self._keys.append(key)
+        self._hashes.append(fnv1a_64(key))
         self._entry_count += 1
         if kind_code == 0:
             self._tombstones += 1
         if seqno > self._max_seqno:
             self._max_seqno = seqno
-        if self._clock_value_fn is not None:
-            clock = float(self._clock_value_fn(key))
-            if self._score_exponent == 3:
-                self._score += clock * clock * clock
-            else:
-                self._score += clock ** self._score_exponent
         if self._block.is_full():
             self._flush_block()
+
+    def add_encoded_blocks(
+        self,
+        keys: list[bytes],
+        seqnos: list[int],
+        kinds: list[int],
+        chunks: list[bytes],
+        sizes: list[int],
+        hashes: list[int],
+        start: int,
+        block_ends: list[int],
+    ) -> None:
+        """Add records ``[start, block_ends[-1])`` of the parallel columns.
+
+        The bulk form of :meth:`add_encoded`: ``chunks[i]`` is record
+        i's encoding (``sizes[i]`` bytes, ``kinds[i]`` its wire code)
+        and ``block_ends`` the exclusive end of each block, as
+        :func:`plan_files` cut one file. The finished table is
+        byte-identical to one fed the same records one at a time. Any
+        block left open by the per-record entry points is closed first.
+        """
+        self._flush_block()
+        stop = block_ends[-1]
+        if self._smallest is None:
+            self._smallest = keys[start]
+        self._largest = keys[stop - 1]
+        self._keys += keys[start:stop]
+        self._hashes += hashes[start:stop]
+        self._entry_count += stop - start
+        self._tombstones += kinds[start:stop].count(0)
+        self._max_seqno = max(self._max_seqno, max(seqnos[start:stop]))
+        for end in block_ends:
+            payload = encode_block(chunks, sizes, start, end)
+            self._index.append(IndexEntry(keys[end - 1], self._data_bytes, len(payload)))
+            self._finished_blocks.append(payload)
+            self._data_bytes += len(payload)
+            start = end
 
     def _flush_block(self) -> None:
         if len(self._block) == 0:
@@ -682,10 +725,19 @@ class SSTableBuilder:
             raise ValueError("cannot finish an empty SSTable")
         self._flush_block()
         bloom = BloomFilter.for_capacity(len(self._keys), self._bits_per_key)
-        bloom.add_many(self._keys)
+        bloom.add_many(self._keys, self._hashes)
         filter_block = bloom.encode()
         index_block = encode_index(self._index)
         assert self._smallest is not None and self._largest is not None
+        score = 0.0
+        if self._clock_values_fn is not None:
+            exponent = self._score_exponent
+            # Left to right in key order: float addition is not
+            # associative and the score is part of the file's bytes.
+            for clock in map(float, self._clock_values_fn(self._keys)):
+                # Three multiplies are exact for the integer CLOCK
+                # values the trackers emit, and beat a pow() call.
+                score += clock * clock * clock if exponent == 3 else clock**exponent
         created_at = self._backend.clock.now
         footer = (
             _FOOTER_FIXED.pack(
@@ -697,7 +749,7 @@ class SSTableBuilder:
                 self._entry_count,
                 self._tombstones,
                 self._max_seqno,
-                self._score,
+                score,
                 created_at,
             )
             + self._smallest
@@ -718,7 +770,7 @@ class SSTableBuilder:
             filter_length=len(filter_block),
             index_offset=self._data_bytes + len(filter_block),
             index_length=len(index_block),
-            popularity_score=self._score,
+            popularity_score=score,
             created_at_usec=created_at,
             max_seqno=self._max_seqno,
         )
@@ -726,6 +778,7 @@ class SSTableBuilder:
         # memory (we just built them): resident from birth, as in
         # RocksDB's table cache.
         table._bloom = bloom
+        table._key_hashes = array("Q", self._hashes)
         table._index = list(self._index)
         table._index_keys = [entry.last_key for entry in self._index]
         return table, latency

@@ -65,6 +65,9 @@ class LevelManifest:
         self._run_fences: dict[int, list[list[bytes]]] = {
             level: [] for level in self._stacked
         }
+        #: Bytes per level, maintained by the same three mutation points
+        #: (compaction scheduling asks after every job and every flush).
+        self._level_bytes = [0] * num_levels
         #: Optional observer with record_add/record_remove(level, file_id),
         #: used to persist version edits to the MANIFEST log.
         self.observer = None
@@ -114,10 +117,10 @@ class LevelManifest:
         return sum(len(files) for files in self._levels)
 
     def level_bytes(self, level: int) -> int:
-        return sum(table.size_bytes for table in self._levels[level])
+        return self._level_bytes[level]
 
     def total_bytes(self) -> int:
-        return sum(self.level_bytes(level) for level in range(self.num_levels))
+        return sum(self._level_bytes)
 
     def level_of(self, table: SSTable) -> int | None:
         for level, files in enumerate(self._levels):
@@ -150,6 +153,7 @@ class LevelManifest:
                 )
             files.insert(pos, table)
             fences.insert(pos, table.largest_key)
+        self._level_bytes[level] += table.size_bytes
         if self.observer is not None:
             self.observer.record_add(level, table.file_id)
 
@@ -178,6 +182,7 @@ class LevelManifest:
         self._runs[level].insert(0, run)
         self._run_fences[level].insert(0, [table.largest_key for table in run])
         self._reflatten(level)
+        self._level_bytes[level] += sum(table.size_bytes for table in run)
         if self.observer is not None:
             for table in run:
                 self.observer.record_add(level, table.file_id)
@@ -201,6 +206,7 @@ class LevelManifest:
             self._reflatten(level)
         elif not self._remove_from_run(self._levels[level], self._fences[level], table):
             raise self._not_present(level, table)
+        self._level_bytes[level] -= table.size_bytes
         if self.observer is not None:
             self.observer.record_remove(level, table.file_id)
 
@@ -283,6 +289,9 @@ class LevelManifest:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`CompactionError` on any structural violation."""
+        for level, files in enumerate(self._levels):
+            if self._level_bytes[level] != sum(table.size_bytes for table in files):
+                raise CompactionError(f"L{level} byte total out of sync")
         for level in range(1, self.num_levels):
             if level in self._stacked:
                 runs, run_fences = self._runs[level], self._run_fences[level]

@@ -1,5 +1,7 @@
 """Tests for the read-aware router and the lowest-score picker."""
 
+import dataclasses
+
 import pytest
 
 from repro.common import KIB, MIB, SimClock
@@ -34,6 +36,71 @@ def route_up(router, record, source_level):
 
 def start_job(router, upper=2, budget=1 << 20):
     router.begin_job(upper, upper + 1, b"", b"\xff", budget, budget)
+
+
+def _job_columns():
+    """A job's survivors: hot/cold PUTs and tombstones from both levels."""
+    keys = [b"a", b"b", b"hot", b"c", b"hot2", b"d"]
+    kinds = [1, 0, 1, 1, 1, 0]
+    sizes = [40, 15, 60, 40, 60, 15]
+    levels = [2, 2, 3, 3, 2, 3]
+    return keys, kinds, sizes, levels
+
+
+class TestBulkRouting:
+    """``route_up_keys`` against the per-key loop it stands for."""
+
+    @pytest.mark.parametrize("upper", [0, 2])
+    @pytest.mark.parametrize("require_full", [True, False])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_verdicts_and_stats_equal_the_per_key_loop(self, upper, require_full, fill):
+        states = []
+        for bulk in (False, True):
+            router, tracker, _ = make_router(capacity=2, require_full=require_full)
+            if fill:  # a full tracker: the per-key path decides
+                tracker.on_read(b"hot", 1)
+                tracker.on_read(b"hot", 1)
+                tracker.on_read(b"hot2", 1)
+            start_job(router, upper=upper, budget=100)
+            columns = _job_columns()
+            if bulk:
+                verdicts = router.route_up_keys(*columns)
+            else:
+                verdicts = [router.route_up_key(*row) for row in zip(*columns)]
+            states.append((
+                [False] * 6 if verdicts is None else verdicts,
+                dataclasses.asdict(router.stats),
+                router._budget_bytes,
+                router._pull_budget_bytes,
+            ))
+        assert states[0] == states[1]
+        assert states[0][1]["considered"] == 6
+
+    def test_fast_exits_answer_a_whole_job_with_none(self):
+        router, _, _ = make_router(require_full=True)  # empty tracker
+        start_job(router, upper=2)
+        assert router.route_up_keys(*_job_columns()) is None
+        assert router.stats.suspended_tracker_not_full == 4
+        assert router.stats.rejected_tombstone == 2
+        start_job(router, upper=0)
+        assert router.route_up_keys(*_job_columns()) is None
+        assert router.stats.considered == 12
+        assert router.stats.suspended_tracker_not_full == 4  # L0 counts no reason
+
+    def test_default_is_the_per_key_loop_in_order(self):
+        from repro.lsm.compaction import CompactDownRouter, MergeRouter
+
+        asked = []
+
+        class Recording(MergeRouter):
+            def route_up_key(self, user_key, kind_code, encoded_size, source_level):
+                asked.append((user_key, kind_code, encoded_size, source_level))
+                return kind_code == 1 and source_level == 2
+
+        columns = _job_columns()
+        assert Recording().route_up_keys(*columns) == [True, False, False, False, True, False]
+        assert asked == list(zip(*columns))
+        assert CompactDownRouter().route_up_keys(*columns) == [False] * 6
 
 
 class TestReadAwareRouter:
@@ -114,6 +181,13 @@ class TestReadAwareRouter:
         route_up(router, put(b"hot"), source_level=3)  # from the lower level
         assert router.stats.pulled_up == 1
         assert router.stats.pinned == 0
+
+    def test_clock_values_fn_is_the_bulk_clock_value_fn(self):
+        router, tracker, _ = make_router()
+        tracker.on_read(b"k", 1)
+        keys = [b"unknown", b"k", b"k"]
+        assert router.clock_values_fn()(keys) == [-1, 1, 1]
+        assert list(map(router.clock_value_fn(), keys)) == [-1, 1, 1]
 
     def test_clock_value_fn_reflects_tracker(self):
         router, tracker, _ = make_router()

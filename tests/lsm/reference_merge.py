@@ -8,6 +8,11 @@ merge body — budgeting, ``begin_job``, installation and job accounting
 are the engine's — so run on a twin it must produce byte-identical
 files and the same stats, counters and registry series.
 ``tests/lsm/test_encoded_merge.py`` holds the twins together.
+
+``write_per_record`` is the other half of the spec: the engine's former
+emit loop — one ``SSTableBuilder.add_encoded`` per record, the block and
+file rules asked after every record — which the bulk cut plan
+(``plan_files`` + ``add_encoded_blocks``) must reproduce byte for byte.
 """
 
 from repro.lsm.compaction import CompactionExecutor
@@ -29,8 +34,9 @@ class ReferenceExecutor(CompactionExecutor):
             sources.append(records)
         return sources
 
-    def _merge_spans(self, job, route_up_key):
+    def _merge_spans(self, job, router):
         upper_level, lower_level = job.upper_level, job.lower_level
+        route_up_key = router.route_up_key if router is not None else None
         sources = self._read_records(job.upper_inputs, upper_level)
         upper_ids = {id(record) for records in sources for record in records}
         pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
@@ -100,6 +106,28 @@ class _RecordWriter:
             self._tables.append(table)
             self._builder = None
         return self._tables
+
+
+def write_per_record(make_builder, keys, seqnos, kinds, buf, starts, ends):
+    """Emit encoded records one at a time; returns the finished tables.
+
+    The cut rules in their defining form: ``add_encoded`` rotates the
+    block once ``2 + sum(4 + size) >= block_bytes``; the file closes
+    once ``should_finish()`` — closed blocks plus the open one reach
+    ``target_file_bytes`` — possibly in the middle of a block.
+    """
+    tables = []
+    builder = None
+    for key, seqno, kind, start, end in zip(keys, seqnos, kinds, starts, ends):
+        if builder is None:
+            builder = make_builder()
+        builder.add_encoded(key, seqno, kind, buf, start, end)
+        if builder.should_finish():
+            tables.append(builder.finish(foreground=False)[0])
+            builder = None
+    if builder is not None:
+        tables.append(builder.finish(foreground=False)[0])
+    return tables
 
 
 def use_reference_merge(db):

@@ -1,9 +1,10 @@
 """Tests for the bloom filter."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.rng import fnv1a_64
 from repro.errors import CorruptionError
 from repro.lsm.bloom import BloomFilter
 
@@ -103,6 +104,42 @@ class TestBloomPreservation:
         bulk = BloomFilter.for_capacity(len(keys))
         bulk.add_many(keys)
         assert bulk.encode() == one_by_one.encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(st.binary(min_size=0, max_size=24), min_size=1, max_size=2000),
+        bits_per_key=st.integers(min_value=1, max_value=20),  # 1..14 probes
+        prior=st.lists(st.binary(min_size=1, max_size=8), max_size=20),
+    )
+    def test_bulk_build_is_bit_identical_to_repeated_add(self, keys, bits_per_key, prior):
+        # Few keys hit the 64-bit floor; ``prior`` pre-populates both
+        # filters, so the bulk build must OR into existing bits.
+        one_by_one = BloomFilter.for_capacity(len(keys), bits_per_key)
+        bulk = BloomFilter.for_capacity(len(keys), bits_per_key)
+        for key in prior:
+            one_by_one.add(key)
+            bulk.add(key)
+        for key in keys:
+            one_by_one.add(key)
+        bulk.add_many(keys)
+        assert bulk.encode() == one_by_one.encode()
+        assert all(bulk.may_contain(key) for key in keys + prior)
+
+    def test_bulk_build_when_the_probe_delta_is_a_multiple_of_n_bits(self):
+        # h2 % n_bits == 0: every probe of the key is the same bit, and
+        # the slice store that serves every other key has no step.
+        n_bits = 65
+        key = next(
+            key for key in (b"k%d" % i for i in range(100_000))
+            if ((fnv1a_64(key) >> 32) | 1) % n_bits == 0
+        )
+        others = [b"other%d" % i for i in range(5)]
+        one_by_one, bulk = BloomFilter(n_bits, 7), BloomFilter(n_bits, 7)
+        for each in [key, *others]:
+            one_by_one.add(each)
+        bulk.add_many([key, *others])
+        assert bulk.encode() == one_by_one.encode()
+        assert len(set(bulk._positions(key))) == 1
 
     def test_inlined_probes_match_positions_generator(self):
         bloom = BloomFilter.for_capacity(100)

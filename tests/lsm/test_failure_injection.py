@@ -5,6 +5,8 @@ resource-exhaustion corners, asserting that failures surface as typed
 errors instead of silent wrong answers.
 """
 
+import struct
+
 import pytest
 
 from repro.common import KIB, MIB, SimClock
@@ -127,6 +129,108 @@ class TestScanCorruption:
             file.data = corrupt(file.data, last + 2, file.data[last + 2] + 1)
         with pytest.raises(CorruptionError):
             db.scan(b"", 40)
+
+
+class TestCompactionScanCorruption:
+    """Faults in a compaction input surface from the job, never finish it.
+
+    The input scan takes record spans from each block's own restart
+    array, so the array is checked against the records it frames:
+    offsets start at 0 and ascend inside the record region, and every
+    record's header describes exactly the bytes up to the next restart
+    (the last one up to the region's end). A corrupt input must raise
+    ``CorruptionError`` — not ``struct.error`` or ``IndexError`` — before
+    any output is installed.
+    """
+
+    def _db_table_block(self):
+        from repro.lsm import DBOptions, LsmDB
+        from repro.lsm.block import DataBlock
+
+        db = LsmDB.create("NNNTQ", DBOptions(block_bytes=512))
+        for i in range(40):
+            db.put(f"key{i:04d}".encode(), b"v" * 30)
+        db.flush()
+        (table,) = db.manifest.files(0)
+        first = table._index[0]
+        assert first.offset == 0  # block offsets below are file offsets
+        block = DataBlock(table.file.data[: first.length])
+        assert 4 < block.count < 40
+        return db, table, block, first.length
+
+    @staticmethod
+    def _compact_l0(db, table):
+        from repro.lsm.compaction import CompactionJob
+
+        db.executor.execute(CompactionJob(
+            "leveled", 0, 1, [table], [], table.smallest_key, table.largest_key,
+        ))
+
+    def test_clean_input_compacts(self):
+        db, table, _, _ = self._db_table_block()
+        self._compact_l0(db, table)
+        assert db.manifest.files(0) == [] and db.manifest.file_count(1) == 1
+        assert len(db.scan(b"", 40).items) == 40
+
+    # Header layout: key_len u16 | value_len u32 | kind u8 | seqno u64.
+    # Block layout: records | u32 restart offset per record | u16 count.
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "kind_byte",
+            "seqno_above_max",
+            "end_past_next_restart",
+            "end_before_next_restart",
+            "last_record_truncated",
+            "first_offset_not_zero",
+            "descending_offsets",
+            "offset_out_of_range",
+            "count_too_large",
+            "count_too_small",
+            "count_zero",
+        ],
+    )
+    def test_fault_in_an_input_block_raises(self, fault):
+        db, table, block, block_length = self._db_table_block()
+        file = table.file
+        data = bytearray(file.data)
+        third = block.offsets[2]
+        last = block.offsets[-1]
+        restarts = block.records_end  # file offset of the restart array
+        count_at = block_length - 2
+
+        def put_u32(offset, value):
+            data[offset : offset + 4] = struct.pack("<I", value)
+
+        if fault == "kind_byte":
+            data[third + 6] = 0x7F
+        elif fault == "seqno_above_max":
+            data[third + 14] = 0x01  # top byte of the u64: above 2**56 - 1
+        elif fault == "end_past_next_restart":
+            data[third + 2] += 1  # value_len + 1
+        elif fault == "end_before_next_restart":
+            data[third + 2] -= 1  # value_len - 1: a gap before the successor
+        elif fault == "last_record_truncated":
+            data[last + 2] += 1  # the last value reaches into the restart array
+        elif fault == "first_offset_not_zero":
+            put_u32(restarts, 1)
+        elif fault == "descending_offsets":
+            put_u32(restarts + 8, block.offsets[1] - 1)
+        elif fault == "offset_out_of_range":
+            put_u32(restarts + 8, 1 << 30)
+        elif fault == "count_too_large":
+            data[count_at : count_at + 2] = struct.pack("<H", block.count + 3)
+        elif fault == "count_too_small":
+            data[count_at : count_at + 2] = struct.pack("<H", block.count - 1)
+        else:
+            data[count_at : count_at + 2] = struct.pack("<H", 0)
+        file.data = bytes(data)
+        files_before = [t.file_id for _, t in db.manifest.all_files()]
+        with pytest.raises(CorruptionError):
+            self._compact_l0(db, table)
+        # The job died in its input scan: nothing installed, nothing removed.
+        assert [t.file_id for _, t in db.manifest.all_files()] == files_before
+        assert db.executor.stats.compactions == 0
 
 
 class TestCodecCorruption:
