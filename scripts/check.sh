@@ -110,6 +110,14 @@ if ! python scripts/perf_pairs.py --parent HEAD --workload write-heavy \
     echo "perf-pairs smoke failed or simulated results differ (non-gating); continuing"
 fi
 
+# Non-gating: what the read-hot run keeps alive at --quick op counts —
+# tracemalloc's top allocation sites after load and after the run, and
+# the heap bytes per record beyond the tables' own bytes.
+echo "== heap by allocation site (non-gating) =="
+if ! python scripts/perf_pairs.py --workload read-hot --heap --quick; then
+    echo "heap report failed (non-gating); continuing"
+fi
+
 # Non-gating: end-to-end wall-clock delta. Times the e2e smoke micro
 # (quick scale) and prints the change against the last trajectory point
 # in BENCH_SMOKE.json that recorded one. Machine-load-sensitive, so the

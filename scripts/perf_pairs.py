@@ -12,12 +12,23 @@ improved. Exits 1 if any ``sim_*`` metric or the failed count differs
 between the two sides of a pair: a host-time comparison only means
 something between two programs that simulate the same thing.
 
+Both sides run in the same bytecode-cache state: each gets its own
+``PYTHONPYCACHEPREFIX`` directory, filled by one discarded smoke-sized
+run, and every measured run reads it with ``PYTHONDONTWRITEBYTECODE=1``
+(what ``-B`` sets, inherited by the workers). Without that an exported
+parent compiles every module on its first run while the working tree
+recompiles exactly the files the change edited, which shows up in
+``setup_s``.
+
 ``--quick`` runs one smoke-sized repeat per side (``python -m
 perfbench.worker --quick``; ``run.py`` has no quick flag). ``--stages``
 prints, instead of pairs, a per-stage host-time split of the working
 tree's compaction jobs over one in-process run of the workload, taken by
 wrapping the stage functions from outside (nothing under ``perfbench/``
-or ``src/`` is edited).
+or ``src/`` is edited). ``--heap`` prints, the same way, the working
+tree's ``tracemalloc`` top ten allocation sites after the load phase and
+after the measured run, with the traced bytes per loaded record beyond
+the bytes the tables themselves hold.
 """
 
 from __future__ import annotations
@@ -37,14 +48,20 @@ ROOT = Path(__file__).resolve().parent.parent
 HOST_METRICS = ("host_us_per_op", "host_cpu_us_per_op", "setup_s", "host_peak_rss_mb")
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float, quick: bool) -> dict:
-    """One benchmark run in ``tree``: {metric: value} plus ``failed``."""
-    env = None
+def run_side(tree: Path, workload: str, seed: int, seconds: float, quick: bool,
+             pycache: Path, *, warm: bool = False) -> dict:
+    """One benchmark run in ``tree``: {metric: value} plus ``failed``.
+
+    ``pycache`` is the side's bytecode cache; only a ``warm`` run writes it.
+    """
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    if not warm:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     if quick:
         command = [sys.executable, "-m", "perfbench.worker", "--workload", workload,
                    "--seed", str(seed), "--quick"]
         # What perfbench.runner sets for its workers.
-        env = dict(os.environ, PYTHONPATH=f"{tree}:{tree / 'src'}", PYTHONHASHSEED="0")
+        env.update(PYTHONPATH=f"{tree}:{tree / 'src'}", PYTHONHASHSEED="0")
     else:
         command = [sys.executable, "perfbench/run.py", "--workload", workload,
                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -77,16 +94,22 @@ def quartiles(values: list[float]) -> str:
     return f"{q2:.2f} (q1 {q1:.2f}, q3 {q3:.2f})"
 
 
-def run_pairs(parent: Path, args) -> int:
+def run_pairs(parent: Path, pycache: Path, args) -> int:
+    trees = {"parent": parent, "change": ROOT}
+    for name, tree in trees.items():  # discarded: fills the side's bytecode cache
+        run_side(tree, args.workload, args.first_seed, args.seconds, quick=True,
+                 pycache=pycache / name, warm=True)
+    print("bytecode: per-side PYTHONPYCACHEPREFIX, warmed by one discarded run; "
+          "measured runs write none")
     rows: list[tuple[dict, dict]] = []
     mismatches = []
     for index in range(args.pairs):
         seed = args.first_seed + index
-        sides = [("parent", parent), ("change", ROOT)]
+        sides = list(trees.items())
         if index % 2:
             sides.reverse()
         result = {
-            name: run_side(tree, args.workload, seed, args.seconds, args.quick)
+            name: run_side(tree, args.workload, seed, args.seconds, args.quick, pycache / name)
             for name, tree in sides
         }
         before, after = result["parent"], result["change"]
@@ -192,24 +215,28 @@ class StageClock:
         setattr(owner, attr, timed)
 
 
-def run_stages(args) -> int:
-    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
-    clock = StageClock()
-    for stage, target in CONTEXTS:
-        clock.wrap(target, stage, context=True)
-    for stage, target in STAGES:
-        clock.wrap(target, stage, context=False)
+def single_instance(args):
+    """(workload, runner, config) built the way ``perfbench.worker`` builds them."""
     from perfbench.workloads import SPECS, single_configs
     from repro.bench import harness
     from repro.workloads.ycsb import YCSBWorkload
 
     spec = SPECS[args.workload]
     if spec.fleet:
-        raise SystemExit("--stages runs single-instance workloads only")
+        raise SystemExit("--stages and --heap run single-instance workloads only")
     system_cfg, workload_cfg = single_configs(spec, args.first_seed, args.quick)
     workload = YCSBWorkload(workload_cfg)
     db = harness.build_system(system_cfg, workload)
-    runner = harness.WorkloadRunner(db, clients=system_cfg.clients)
+    return workload, harness.WorkloadRunner(db, clients=system_cfg.clients), workload_cfg
+
+
+def run_stages(args) -> int:
+    clock = StageClock()
+    for stage, target in CONTEXTS:
+        clock.wrap(target, stage, context=True)
+    for stage, target in STAGES:
+        clock.wrap(target, stage, context=False)
+    workload, runner, workload_cfg = single_instance(args)
     runner.load(workload)
     if workload_cfg.warmup_operations > 0:
         runner.warmup(workload)
@@ -236,6 +263,47 @@ def run_stages(args) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# --heap: what the run keeps alive, by allocation site
+# ----------------------------------------------------------------------
+def run_heap(args) -> int:
+    import gc
+    import tracemalloc
+
+    import perfbench.workloads  # noqa: F401  (imported before tracing starts,
+    import repro.bench.harness  # noqa: F401   so module code is not in the table)
+
+    tracemalloc.start()
+    workload, runner, workload_cfg = single_instance(args)
+    records = workload_cfg.record_count
+
+    def report(phase: str) -> None:
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+        traced = tracemalloc.get_traced_memory()[0]
+        file_bytes = runner.db.total_data_bytes()
+        print(f"\n{args.workload} seed {args.first_seed} {phase}: traced {traced / 1e6:.1f} MB, "
+              f"table bytes {file_bytes / 1e6:.1f} MB, "
+              f"{(traced - file_bytes) / records:.1f} B/record beyond table bytes "
+              f"({records} records loaded)")
+        for stat in snapshot.statistics("lineno")[:10]:
+            frame = stat.traceback[0]
+            try:
+                where = str(Path(frame.filename).resolve().relative_to(ROOT))
+            except ValueError:
+                where = frame.filename
+            print(f"  {stat.size / 1e6:7.2f} MB {stat.count:8d} blocks  {where}:{frame.lineno}")
+
+    runner.load(workload)
+    report("after load")
+    if workload_cfg.warmup_operations > 0:
+        runner.warmup(workload)
+    runner.run(workload)
+    report("after run")
+    tracemalloc.stop()
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -246,25 +314,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--stages", action="store_true")
+    parser.add_argument("--heap", action="store_true")
     args = parser.parse_args(argv)
-    if args.stages:
-        return run_stages(args)
+    if args.stages or args.heap:
+        sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+        return run_stages(args) if args.stages else run_heap(args)
     if not args.parent:
-        parser.error("--parent is required unless --stages is given")
-    if Path(args.parent).is_dir():
-        return run_pairs(Path(args.parent).resolve(), args)
-    with tempfile.TemporaryDirectory(prefix="perf_pairs_parent_") as tmp:
-        archive = subprocess.run(
-            ["git", "archive", "--format=tar", args.parent], cwd=ROOT, capture_output=True
-        )
-        if archive.returncode != 0:
-            parser.error(f"not a directory or git ref: {args.parent}")
-        tar_path = Path(tmp) / "parent.tar"
-        tar_path.write_bytes(archive.stdout)
-        with tarfile.open(tar_path) as tar:
-            tar.extractall(tmp)
-        tar_path.unlink()
-        return run_pairs(Path(tmp), args)
+        parser.error("--parent is required unless --stages or --heap is given")
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
+        parent, pycache = Path(args.parent), Path(tmp) / "pycache"
+        if not parent.is_dir():
+            archive = subprocess.run(
+                ["git", "archive", "--format=tar", args.parent], cwd=ROOT, capture_output=True
+            )
+            if archive.returncode != 0:
+                parser.error(f"not a directory or git ref: {args.parent}")
+            parent = Path(tmp) / "parent"
+            parent.mkdir()
+            tar_path = Path(tmp) / "parent.tar"
+            tar_path.write_bytes(archive.stdout)
+            with tarfile.open(tar_path) as tar:
+                tar.extractall(parent)
+            tar_path.unlink()
+        return run_pairs(parent.resolve(), pycache, args)
 
 
 if __name__ == "__main__":

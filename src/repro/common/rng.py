@@ -33,29 +33,40 @@ def make_rng(root_seed: int, *labels: str) -> random.Random:
     return random.Random(derive_seed(root_seed, *labels))
 
 
-#: Memo for :func:`fnv1a_64`, the one table of key hashes in the
-#: process (the bloom filter's bulk build reads it directly). The hash
-#: is byte-serial Python — the single hottest function in an end-to-end
-#: profile — and its inputs repeat constantly: zipfian draws hammer the
-#: hot keys and every compaction re-blooms the same user keys at the
-#: next level. Bounded insert-only (no eviction bookkeeping); once full,
-#: new keys just pay the loop. Memoization of a pure function cannot
-#: affect results.
-FNV_MEMO: dict[bytes, int] = {}
-_FNV_MEMO_MAX = 1 << 20
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: FNV state after ``data[:-3]``, for inputs longer than 8 bytes: keys
+#: are dense decimals, so a thousand share each entry and a hash is one
+#: lookup plus three byte steps. Insert-only up to the bound; once full
+#: (keys sharing no prefix) a new prefix pays slice + failed lookup + loop.
+_PREFIX_STATES: dict[bytes, int] = {}
+_PREFIX_STATES_MAX = 4096
 
 
 def fnv1a_64(data: bytes) -> int:
     """64-bit FNV-1a hash, used for key scrambling and bloom filters.
 
     Pure-Python but cheap; chosen because it is deterministic across
-    processes (unlike :func:`hash` with string randomization).
+    processes (unlike :func:`hash` with string randomization). Remembers
+    nothing per input: zipfian ranks and version tags keep their own tables.
     """
-    acc = FNV_MEMO.get(data)
-    if acc is None:
-        acc = 0xCBF29CE484222325
+    if len(data) <= 8:  # seqno / rank form: no prefix worth sharing
+        acc = _FNV_OFFSET
         for byte in data:
-            acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        if len(FNV_MEMO) < _FNV_MEMO_MAX:
-            FNV_MEMO[data] = acc
-    return acc
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
+        return acc
+    head = data[:-3]
+    acc = _PREFIX_STATES.get(head)
+    if acc is None:
+        acc = _FNV_OFFSET
+        for byte in head:
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
+        if len(_PREFIX_STATES) < _PREFIX_STATES_MAX:
+            _PREFIX_STATES[head] = acc
+    # One reduction for the three steps: a byte only touches the low
+    # bits and the product is taken mod 2**64 either way.
+    return (
+        (((acc ^ data[-3]) * _FNV_PRIME ^ data[-2]) * _FNV_PRIME ^ data[-1]) * _FNV_PRIME
+    ) & _MASK64

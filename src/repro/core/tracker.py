@@ -36,10 +36,10 @@ UNTRACKED = -1
 
 #: version -> 6-bit tag. The tag is a pure function of the version and
 #: hot workloads re-read the same recent versions constantly, so the
-#: hash runs once per distinct version instead of once per read. Capped
-#: like the FNV memo; versions are dense small ints in practice.
+#: hash runs once per distinct version instead of once per read.
+#: Emptied when full: versions only grow, so old ones are not re-read.
 _TAG_CACHE: dict[int, int] = {}
-_TAG_CACHE_MAX = 1 << 20
+_TAG_CACHE_MAX = 1 << 16
 
 
 @dataclass
@@ -122,8 +122,9 @@ class ClockTracker:
         tag = _TAG_CACHE.get(version)
         if tag is None:
             tag = fnv1a_64(version.to_bytes(8, "little")) & 0x3F
-            if len(_TAG_CACHE) < _TAG_CACHE_MAX:
-                _TAG_CACHE[version] = tag
+            if len(_TAG_CACHE) >= _TAG_CACHE_MAX:
+                _TAG_CACHE.clear()
+            _TAG_CACHE[version] = tag
         return tag
 
     # ------------------------------------------------------------------

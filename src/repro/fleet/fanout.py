@@ -7,9 +7,9 @@ finished — and ``fan_out`` collects the same stream into a list.
 ``jobs == 1`` runs inline (no pool, no pickling, easiest to debug);
 ``jobs > 1`` uses a ``spawn`` pool, the start method that works the same
 on every platform and never inherits dirty parent state (fork would
-silently share the parent's fnv/zeta memo caches — harmless for
-results, but a fork/spawn behaviour split is exactly the kind of
-asymmetry the determinism tests exist to rule out).
+silently share the parent's warm zeta / fnv-prefix / version-tag
+tables — harmless for results, but a fork/spawn behaviour split is
+exactly the kind of asymmetry the determinism tests exist to rule out).
 
 The streaming shape exists for the fleet router: ``Pool.imap`` hands
 each result over the moment its payload-order turn comes up, so the

@@ -111,11 +111,11 @@ def owned_indices(
 
     ``owned_indices(...)[t][s]`` are the ascending key indices of
     ``tenants[t]`` that shard ``s`` owns. Hashing each tenant key onto
-    the ring is the dominant set-up cost of a shard and a pure function
-    of ``(tenants, num_shards, vnodes)`` — the ring is built from the
-    two ints alone — so a process hashes each key once however many of
-    the fleet's shards it goes on to run (a pool worker runs several).
-    The result is shared between callers, hence tuples throughout.
+    the ring (a prefix-state lookup and three byte steps per key; no
+    hash is kept) is a pure function of ``(tenants, num_shards,
+    vnodes)`` — the ring is built from the two ints alone — so a
+    process does it once however many of the fleet's shards it goes on
+    to run. The result is shared between callers, hence tuples throughout.
     """
     shard_for_key = ConsistentHashRouter(num_shards, vnodes=vnodes).shard_for_key
     per_tenant = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 
-from repro.common.rng import FNV_MEMO, fnv1a_64
+from repro.common.rng import fnv1a_64
 from repro.errors import CorruptionError
 
 _HEADER = struct.Struct("<IB")  # bit count, probe count
@@ -23,9 +23,8 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def key_hashes(keys) -> list[int]:
-    """The 64-bit base hash of every key: ``fnv1a_64`` through its memo."""
-    memo_get = FNV_MEMO.get
-    return [memo_get(key) or fnv1a_64(key) for key in keys]
+    """The 64-bit base hash of every key, in order."""
+    return list(map(fnv1a_64, keys))
 
 
 class BloomFilter:
@@ -117,9 +116,11 @@ class BloomFilter:
         bits = self._bits
         bits[:] = (from_bytes(bits, "little") | added).to_bytes(len(bits), "little")
 
-    def may_contain(self, key: bytes) -> bool:
-        """False means *definitely absent*; True means possibly present."""
-        base = fnv1a_64(key)
+    def may_contain(self, key: bytes, base: int | None = None) -> bool:
+        """False means *definitely absent*; True means possibly present.
+        ``base`` is ``fnv1a_64(key)`` when the caller already has it."""
+        if base is None:
+            base = fnv1a_64(key)
         h2 = (base >> 32) | 1
         n_bits = self._n_bits
         bits = self._bits

@@ -19,6 +19,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappushpop
 
 from repro.common.clock import SimClock
+from repro.common.rng import fnv1a_64
 from repro.common.stats import CounterSet
 from repro.errors import DBClosedError
 from repro.lsm.block_cache import BlockCache
@@ -452,13 +453,14 @@ class LsmDB:
                     latency += row_latency
                     result = ReadResult(row_value, latency, "rowcache", seqno=row_seqno)
             if result is None:
+                key_hash = fnv1a_64(user_key)  # once, for every table probed
                 for level in level_range:
                     found = None
                     for table in candidates_for_key(level, user_key):
                         file_id = table.file_id
                         if ctx is not None:
                             ctx.scope = f"{level_names[level]}:f{file_id}"
-                        hit, table_latency, filtered = table.get(user_key, cache, ctx=ctx)
+                        hit, table_latency, filtered = table.get(user_key, cache, key_hash, ctx=ctx)
                         latency += table_latency
                         file_read_counts[file_id] = (
                             file_read_counts.get(file_id, 0) + 1

@@ -121,11 +121,6 @@ class Record:
         return record, end
 
 
-def record_sort_key(record: Record) -> tuple[bytes, int]:
-    """Module-level alias usable as a ``sorted`` key function."""
-    return record.internal_sort_key()
-
-
 #: Fixed per-record wire overhead; exported so hot paths can compute
 #: ``encoded_size`` without a method call on a Record in hand.
 RECORD_HEADER_SIZE = _HEADER_SIZE

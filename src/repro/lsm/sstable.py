@@ -143,7 +143,7 @@ class SSTable:
         self.created_at_usec = created_at_usec
         self._bloom: BloomFilter | None = None
         #: Base hash of every key, in file order: memory only, so the
-        #: next compaction's filters need no hashing (or memo lookup).
+        #: next compaction's filters need no hashing.
         self._key_hashes: array | None = None
         self._index: list[IndexEntry] | None = None
         self._index_keys: list[bytes] | None = None
@@ -228,12 +228,14 @@ class SSTable:
     # ------------------------------------------------------------------
     # Point lookup
     # ------------------------------------------------------------------
-    def get(self, user_key: bytes, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[Record | None, float, bool]:
+    def get(self, user_key: bytes, cache: BlockCache, key_hash: int | None = None, *, foreground: bool = True, ctx=None) -> tuple[Record | None, float, bool]:
         """Look up ``user_key``.
 
         Returns (record-or-None, simulated latency, filtered) where
         ``filtered`` is True when the bloom filter short-circuited the
-        lookup without touching index or data blocks.
+        lookup without touching index or data blocks. ``key_hash`` is
+        ``fnv1a_64(user_key)`` when the caller has it (the read lane
+        hashes once per lookup, not once per table).
 
         A probe of a warm table (resident filter and index, cached data
         block) costs bloom test, index bisect, one cache lookup and the
@@ -249,7 +251,7 @@ class SSTable:
                 ctx.add("filter", "dram", latency)
         else:
             bloom, latency = self._load_bloom_filter(cache, foreground=foreground, ctx=ctx)
-        may_contain = bloom.may_contain(user_key)
+        may_contain = bloom.may_contain(user_key, key_hash)
         if ctx is not None:
             ctx.note_probe(may_contain, n_probes=bloom.n_probes)
         if not may_contain:

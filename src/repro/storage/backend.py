@@ -179,10 +179,6 @@ class StorageBackend:
             return file.data, latency
         return file.view[offset : offset + length], latency
 
-    def read_all(self, file: SimFile, *, foreground: bool = False) -> tuple[bytes | memoryview, float]:
-        """Read an entire file (compaction input scans)."""
-        return self.read(file, 0, file.size, foreground=foreground)
-
     # ------------------------------------------------------------------
     # Migration (Mutant)
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Key interning: one bytes object (and one dense int) per distinct key.
+"""Key interning: one bytes object per distinct key.
 
 The workload generators draw the same hot keys over and over — a zipfian
 0.99 run of 10^6 requests touches a few thousand keys for the bulk of its
@@ -13,10 +13,6 @@ cache / tracker dict operations hash each hot key once for the life of
 the run, and equality checks on dict probes short-circuit on pointer
 identity. The wire format is untouched — blocks still store the raw key
 bytes — which is what keeps simulated results bit-identical.
-
-``id_for`` additionally exposes a dense ``0..n-1`` int per distinct key
-(assigned in first-seen order), for callers that want array-indexed
-per-key state instead of a dict keyed by bytes.
 """
 
 from __future__ import annotations
@@ -25,38 +21,36 @@ from __future__ import annotations
 class KeyInterner:
     """Memoizes ``index -> key bytes`` for one fixed key format.
 
-    ``max_size`` bounds the memo so a huge uniformly-distributed keyspace
-    cannot hold every key alive: past the cap, misses fall back to
-    formatting on the fly (correct, just not identity-stable).
+    The table is a list indexed by key index (key spaces are dense
+    ``0..n-1``): one pointer per slot on top of the key bytes. An index
+    at or past ``max_size`` (or a negative one) is formatted on the fly
+    and not stored — correct, just not identity-stable — so one huge
+    index cannot allocate a huge list.
     """
 
-    __slots__ = ("_format", "_by_index", "_ids", "max_size")
+    __slots__ = ("_format", "_by_index", "max_size")
 
     def __init__(self, fmt: str = "user%012d", max_size: int = 1 << 21) -> None:
         if max_size <= 0:
             raise ValueError(f"max_size must be positive: {max_size}")
         self._format = fmt
-        self._by_index: dict[int, bytes] = {}
-        self._ids: dict[bytes, int] = {}
+        self._by_index: list[bytes | None] = []
         self.max_size = max_size
 
     def __len__(self) -> int:
-        return len(self._by_index)
+        """Distinct keys interned."""
+        return len(self._by_index) - self._by_index.count(None)
 
     def key(self, index: int) -> bytes:
         """The canonical bytes object for key ``index``."""
         table = self._by_index
-        cached = table.get(index)
-        if cached is None:
-            cached = (self._format % index).encode("ascii")
-            if len(table) < self.max_size:
-                table[index] = cached
+        if 0 <= index < len(table):
+            cached = table[index]
+            if cached is not None:
+                return cached
+        cached = (self._format % index).encode("ascii")
+        if 0 <= index < self.max_size:
+            if index >= len(table):
+                table.extend([None] * (index + 1 - len(table)))
+            table[index] = cached
         return cached
-
-    def id_for(self, key: bytes) -> int:
-        """A dense int id for ``key``, assigned in first-seen order."""
-        ids = self._ids
-        dense = ids.get(key)
-        if dense is None:
-            dense = ids[key] = len(ids)
-        return dense

@@ -185,10 +185,6 @@ class YCSBWorkload:
         """Format a key index the way YCSB does (interned)."""
         return self.interner.key(index)
 
-    def value_for(self, key: bytes, rng) -> bytes:
-        """A pseudo-random value of the configured size."""
-        return rng.randbytes(self.config.value_bytes)
-
     # ------------------------------------------------------------------
     # Phases (batched form: the canonical generators)
     # ------------------------------------------------------------------
@@ -299,11 +295,6 @@ class YCSBWorkload:
         """Per-op view of :meth:`run_batches` (identical sequence)."""
         for batch in self.run_batches():
             yield from batch.requests()
-
-    @staticmethod
-    def _bounded(index: int, limit: int) -> int:
-        """Clamp generator output to keys that exist (inserts grow it)."""
-        return index if index < limit else index % limit
 
     def total_data_bytes(self) -> int:
         """Approximate serialized size of the loaded data set."""

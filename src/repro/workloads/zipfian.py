@@ -93,10 +93,17 @@ class ScrambledZipfianGenerator(KeyIndexGenerator):
     def __init__(self, n_keys: int, theta: float, rng: random.Random) -> None:
         self._zipf = ZipfianGenerator(n_keys, theta, rng)
         self._n = n_keys
+        #: rank -> index for the ranks drawn so far (at most ``n_keys``):
+        #: the hot ranks repeat constantly and the hash is byte-serial.
+        self._index_of_rank: dict[int, int] = {}
 
     def next_index(self) -> int:
         rank = self._zipf.next_index()
-        return fnv1a_64(rank.to_bytes(8, "little")) % self._n
+        index = self._index_of_rank.get(rank)
+        if index is None:
+            index = fnv1a_64(rank.to_bytes(8, "little")) % self._n
+            self._index_of_rank[rank] = index
+        return index
 
 
 class LatestGenerator(KeyIndexGenerator):

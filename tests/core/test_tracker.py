@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.rng import fnv1a_64
+from repro.core import tracker as tracker_module
 from repro.core.mapper import ClockDistributionMapper
 from repro.core.tracker import UNTRACKED, ClockTracker
 from repro.errors import ConfigError
@@ -132,3 +134,12 @@ class TestVersionTag:
     def test_different_versions_usually_differ(self):
         tags = {ClockTracker._version_tag(v) for v in range(200)}
         assert len(tags) > 30  # 6-bit hash: most of the space is used
+
+    def test_tag_table_is_emptied_when_full_and_tags_do_not_change(self, monkeypatch):
+        monkeypatch.setattr(tracker_module, "_TAG_CACHE_MAX", 50)
+        table = tracker_module._TAG_CACHE
+        table.clear()
+        expected = [fnv1a_64(v.to_bytes(8, "little")) & 0x3F for v in range(400)]
+        for _ in range(2):  # cold, then across resets
+            assert [ClockTracker._version_tag(v) for v in range(400)] == expected
+            assert 0 < len(table) <= 50

@@ -141,6 +141,17 @@ class TestBloomPreservation:
         assert bulk.encode() == one_by_one.encode()
         assert len(set(bulk._positions(key))) == 1
 
+    @pytest.mark.parametrize("bits_per_key", [4, 10])  # looped and unrolled probes
+    def test_a_supplied_base_hash_answers_like_the_key(self, bits_per_key):
+        present = [f"present{i:06d}".encode() for i in range(500)]
+        absent = [f"absent{i:06d}".encode() for i in range(2_000)]
+        bloom = BloomFilter.for_capacity(len(present), bits_per_key)
+        bloom.add_many(present)
+        for key in present + absent:
+            assert bloom.may_contain(key, fnv1a_64(key)) == bloom.may_contain(key)
+        assert all(bloom.may_contain(key, fnv1a_64(key)) for key in present)
+        assert not all(bloom.may_contain(key, fnv1a_64(key)) for key in absent)
+
     def test_inlined_probes_match_positions_generator(self):
         bloom = BloomFilter.for_capacity(100)
         for i in range(100):

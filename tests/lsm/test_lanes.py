@@ -6,14 +6,17 @@ leave identical results and identical books whichever way it is driven.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
 from repro.baselines import MutantDB, MutantOptions, RocksDBLike
 from repro.common import KIB
+from repro.common import rng as rng_module
 from repro.core import PrismDB, PrismOptions
 from repro.errors import DBClosedError
 from repro.lsm import DBOptions, LsmDB
+from repro.lsm.sstable import SSTable
 from repro.obs.attribution import OpContext
 
 
@@ -182,3 +185,42 @@ def test_cached_lane_reads_the_recovered_memtable(wal_enabled):
     assert result.served_by == ("memtable" if wal_enabled else "miss")
     db.put(b"k", b"v2")
     assert db.get(b"k").value == b"v2"
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_a_lookup_hashes_its_key_once_however_many_tables_it_probes(system):
+    """The read lane hands one ``fnv1a_64(key)`` to every table's filter.
+
+    Counted with ``sys.setprofile``: a deterministic stand-in for the
+    host time a per-table re-hash would cost.
+    """
+    db = SYSTEMS[system]()
+    for round_ in range(6):  # overwrites push versions down all five levels
+        for i in range(0, 2000, 2):
+            result = db.put(key(i), b"%d" % round_ * 40)
+            db.clock.advance(result.latency_usec)
+    assert all(db.manifest.files(level) for level in range(1, db.manifest.num_levels))
+    db.row_cache.clear()
+
+    hash_code = rng_module.fnv1a_64.__code__
+    probe_code = SSTable.get.__code__
+    counts = {hash_code: 0, probe_code: 0}
+
+    def profiler(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code in counts:
+            # PrismDB's tracker also hashes the 8-byte version it read.
+            if code is probe_code or len(frame.f_locals["data"]) > 8:
+                counts[code] += 1
+
+    most_probed = 0
+    for i in range(0, 2000, 7):  # present and absent keys alike
+        counts[hash_code] = counts[probe_code] = 0
+        sys.setprofile(profiler)
+        try:
+            db.get(key(i))
+        finally:
+            sys.setprofile(None)
+        assert counts[hash_code] <= 1, (key(i), counts)
+        most_probed = max(most_probed, counts[probe_code])
+    assert most_probed >= 3  # the budget was exercised by multi-table walks

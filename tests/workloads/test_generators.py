@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.common.rng import fnv1a_64
 from repro.errors import ConfigError
 from repro.workloads.zipfian import (
     LatestGenerator,
@@ -86,6 +87,16 @@ class TestScrambledZipfian:
         a = ScrambledZipfianGenerator(1000, 0.99, random.Random(9))
         b = ScrambledZipfianGenerator(1000, 0.99, random.Random(9))
         assert [a.next_index() for _ in range(50)] == [b.next_index() for _ in range(50)]
+
+
+    def test_index_is_the_rank_hash_and_the_table_stays_inside_the_key_space(self):
+        n_keys = 500
+        gen = ScrambledZipfianGenerator(n_keys, 0.99, random.Random(11))
+        ranks = ZipfianGenerator(n_keys, 0.99, random.Random(11))
+        for _ in range(5_000):  # far more draws than keys: repeats hit the table
+            rank = ranks.next_index()
+            assert gen.next_index() == fnv1a_64(rank.to_bytes(8, "little")) % n_keys
+        assert len(gen._index_of_rank) <= n_keys
 
 
 class TestLatest:
