@@ -111,8 +111,9 @@ if ! python scripts/perf_pairs.py --parent HEAD --workload write-heavy \
 fi
 
 # Non-gating: what the read-hot run keeps alive at --quick op counts —
-# tracemalloc's top allocation sites after load and after the run, and
-# the heap bytes per record beyond the tables' own bytes.
+# tracemalloc's top allocation sites after load and after the run, the
+# heap bytes per record beyond the tables' own bytes, and what the run
+# kept alive per measured op with its five largest growth sites.
 echo "== heap by allocation site (non-gating) =="
 if ! python scripts/perf_pairs.py --workload read-hot --heap --quick; then
     echo "heap report failed (non-gating); continuing"

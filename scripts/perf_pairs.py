@@ -28,7 +28,9 @@ wrapping the stage functions from outside (nothing under ``perfbench/``
 or ``src/`` is edited). ``--heap`` prints, the same way, the working
 tree's ``tracemalloc`` top ten allocation sites after the load phase and
 after the measured run, with the traced bytes per loaded record beyond
-the bytes the tables themselves hold.
+the bytes the tables themselves hold, then what warm-up and run kept
+alive beyond new table bytes per measured op and the five sites that
+grew most.
 """
 
 from __future__ import annotations
@@ -277,7 +279,14 @@ def run_heap(args) -> int:
     workload, runner, workload_cfg = single_instance(args)
     records = workload_cfg.record_count
 
-    def report(phase: str) -> None:
+    def where(stat) -> str:
+        frame = stat.traceback[0]
+        try:
+            return f"{Path(frame.filename).resolve().relative_to(ROOT)}:{frame.lineno}"
+        except ValueError:
+            return f"{frame.filename}:{frame.lineno}"
+
+    def report(phase: str):
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
         traced = tracemalloc.get_traced_memory()[0]
@@ -287,20 +296,24 @@ def run_heap(args) -> int:
               f"{(traced - file_bytes) / records:.1f} B/record beyond table bytes "
               f"({records} records loaded)")
         for stat in snapshot.statistics("lineno")[:10]:
-            frame = stat.traceback[0]
-            try:
-                where = str(Path(frame.filename).resolve().relative_to(ROOT))
-            except ValueError:
-                where = frame.filename
-            print(f"  {stat.size / 1e6:7.2f} MB {stat.count:8d} blocks  {where}:{frame.lineno}")
+            print(f"  {stat.size / 1e6:7.2f} MB {stat.count:8d} blocks  {where(stat)}")
+        return snapshot, traced, file_bytes
 
     runner.load(workload)
-    report("after load")
+    loaded, loaded_traced, loaded_files = report("after load")
     if workload_cfg.warmup_operations > 0:
         runner.warmup(workload)
     runner.run(workload)
-    report("after run")
+    ran, ran_traced, ran_files = report("after run")
     tracemalloc.stop()
+    # What warm-up and run kept alive beyond new table bytes, per measured
+    # op: a per-op leak (a sample, an edit, a key) shows as its own number.
+    ops = workload_cfg.operation_count
+    growth = (ran_traced - loaded_traced) - (ran_files - loaded_files)
+    print(f"\nload -> run: {growth / 1e6:+.2f} MB retained beyond table bytes, "
+          f"{growth / ops:.1f} B per measured op ({ops} ops); top growth sites:")
+    for stat in ran.compare_to(loaded, "lineno")[:5]:
+        print(f"  {stat.size_diff / 1e6:+7.2f} MB {stat.count_diff:+8d} blocks  {where(stat)}")
     return 0
 
 

@@ -246,7 +246,7 @@ def _bench_zipfian_setup():
 
     def op(n: int) -> None:
         for _ in range(n):
-            zipfian._ZETA_CACHE.clear()
+            zipfian._zeta.cache_clear()
             zipfian.ScrambledZipfianGenerator(50_000, 0.99, random.Random(0))
 
     return op, True
@@ -339,23 +339,6 @@ def _bench_block_zero_copy():
     return op, True
 
 
-def _bench_key_intern():
-    """Workload key materialization through the interner's memo table."""
-    from repro.workloads.interning import KeyInterner
-
-    interner = KeyInterner()
-    n_keys = 4_096
-    for i in range(n_keys):
-        interner.key(i)
-
-    def op(n: int) -> None:
-        key = interner.key
-        for i in range(n):
-            key(i % n_keys)
-
-    return op, False
-
-
 def _bench_runner_batched():
     """Batched YCSB op generation: RNG draws + batch assembly, per op."""
     from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
@@ -378,11 +361,9 @@ def _bench_runner_batched():
 def _bench_fleet_route():
     """The router's per-request cost: hash the key, bisect the ring."""
     from repro.fleet.router import ConsistentHashRouter
-    from repro.workloads.interning import KeyInterner
 
     router = ConsistentHashRouter(16, vnodes=64)
-    interner = KeyInterner("t00-%010d")
-    keys = [interner.key(i) for i in range(8_192)]
+    keys = [b"t00-%010d" % i for i in range(8_192)]
     n_keys = len(keys)
 
     def op(n: int) -> None:
@@ -723,7 +704,6 @@ BENCHMARKS: dict[str, tuple[str, Callable]] = {
     "compaction.encoded_merge": ("encoded leveled compaction, per record", _bench_compaction_encoded_merge),
     "zipfian.sample": ("scrambled zipfian key draw", _bench_zipfian_sample),
     "zipfian.setup": ("generator construction, zeta cache cold", _bench_zipfian_setup),
-    "key.intern": ("interned workload key lookup", _bench_key_intern),
     "runner.batched": ("batched YCSB op generation, per op", _bench_runner_batched),
     "runner.read_fastlane": ("read fast-lane lookup, per op", _bench_runner_read_fastlane),
     "version.candidates": ("point candidate lookup, 700-file level", _bench_version_candidates),

@@ -27,19 +27,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.rng import fnv1a_64
+from repro.common.rng import _FNV_OFFSET, _FNV_PRIME
 from repro.core.mapper import ClockDistributionMapper
 from repro.errors import ConfigError
 
 #: CLOCK value for keys the tracker does not know (§4.3).
 UNTRACKED = -1
 
-#: version -> 6-bit tag. The tag is a pure function of the version and
-#: hot workloads re-read the same recent versions constantly, so the
-#: hash runs once per distinct version instead of once per read.
-#: Emptied when full: versions only grow, so old ones are not re-read.
-_TAG_CACHE: dict[int, int] = {}
-_TAG_CACHE_MAX = 1 << 16
+# The version tag is the low 6 bits of FNV-1a over the version's 8
+# little-endian bytes. XOR and multiplication mod 2^64 both keep low
+# bits independent of high ones, so those 6 bits evolve as a 64-state
+# machine: _TAG_STEP[(state << 8) | byte] is the next state (16 KiB).
+# _TAG_ZERO4[state] feeds four zero bytes at once — the high half of
+# every version below 2^32.
+_TAG_START = (_FNV_OFFSET & 0x3F) << 8
+_TAG_STEP = bytes(
+    ((state ^ byte) * _FNV_PRIME) & 0x3F for state in range(64) for byte in range(256)
+)
+_TAG_ZERO4 = bytes(
+    _TAG_STEP[_TAG_STEP[_TAG_STEP[_TAG_STEP[state << 8] << 8] << 8] << 8] for state in range(64)
+)
 
 
 @dataclass
@@ -117,15 +124,19 @@ class ClockTracker:
         return len(self._entries) >= self.capacity
 
     @staticmethod
-    def _version_tag(version: int) -> int:
-        """The bottom 6 bits of the version hash (§5), memoized."""
-        tag = _TAG_CACHE.get(version)
-        if tag is None:
-            tag = fnv1a_64(version.to_bytes(8, "little")) & 0x3F
-            if len(_TAG_CACHE) >= _TAG_CACHE_MAX:
-                _TAG_CACHE.clear()
-            _TAG_CACHE[version] = tag
-        return tag
+    def _version_tag(version: int, step: bytes = _TAG_STEP, zero4: bytes = _TAG_ZERO4) -> int:
+        """The bottom 6 bits of the version hash (§5), computed exactly:
+        ``fnv1a_64(version.to_bytes(8, "little")) & 0x3F``, nothing kept."""
+        state = step[_TAG_START | version & 0xFF]
+        state = step[state << 8 | version >> 8 & 0xFF]
+        state = step[state << 8 | version >> 16 & 0xFF]
+        state = step[state << 8 | version >> 24 & 0xFF]
+        if version < 0x100000000:
+            return zero4[state]
+        state = step[state << 8 | version >> 32 & 0xFF]
+        state = step[state << 8 | version >> 40 & 0xFF]
+        state = step[state << 8 | version >> 48 & 0xFF]
+        return step[state << 8 | version >> 56]
 
     # ------------------------------------------------------------------
     # Read path

@@ -42,7 +42,6 @@ from functools import lru_cache
 from repro.common.rng import make_rng
 from repro.errors import ConfigError
 from repro.fleet.router import ConsistentHashRouter
-from repro.workloads.interning import KeyInterner
 from repro.workloads.ycsb import (
     DEFAULT_BATCH_OPS,
     OP_INSERT,
@@ -89,7 +88,7 @@ class TenantSpec:
 
     @property
     def key_format(self) -> str:
-        """Interner format; the tenant name prefix keeps key spaces disjoint."""
+        """Key format; the tenant name prefix keeps key spaces disjoint."""
         return f"{self.name}-%010d"
 
 
@@ -120,24 +119,25 @@ def owned_indices(
     shard_for_key = ConsistentHashRouter(num_shards, vnodes=vnodes).shard_for_key
     per_tenant = []
     for spec in tenants:
-        key_format = spec.key_format
+        key_format = spec.key_format.encode("ascii")
         per_shard: list[list[int]] = [[] for _ in range(num_shards)]
         for index in range(spec.key_count):
-            per_shard[shard_for_key((key_format % index).encode("ascii"))].append(index)
+            per_shard[shard_for_key(key_format % index)].append(index)
         per_tenant.append(tuple(tuple(indices) for indices in per_shard))
     return tuple(per_tenant)
 
 
 class _TenantState:
-    """Per-tenant ownership and generators on one shard."""
+    """Per-tenant ownership and key format on one shard."""
 
-    __slots__ = ("spec", "interner", "owned", "key_len")
+    __slots__ = ("spec", "key_format", "owned", "key_len")
 
     def __init__(self, spec: TenantSpec, owned: tuple[int, ...]):
         self.spec = spec
-        self.interner = KeyInterner(spec.key_format)
+        #: Keys are formatted per request (``key_format % index``), not kept.
+        self.key_format = spec.key_format.encode("ascii")
         self.owned = owned
-        self.key_len = len(self.interner.key(0))
+        self.key_len = len(self.key_format % 0)
 
 
 class ShardOwnership:
@@ -249,7 +249,7 @@ class ShardWorkload:
         for state in self._states:
             rng = make_rng(self.seed, "load", state.spec.name)
             randbytes = rng.randbytes
-            key = state.interner.key
+            key_format = state.key_format
             value_bytes = state.spec.value_bytes
             owned = state.owned
             for start in range(0, len(owned), batch_ops):
@@ -257,7 +257,7 @@ class ShardWorkload:
                 n = len(chunk)
                 yield RequestBatch(
                     [OP_INSERT] * n,
-                    [key(index) for index in chunk],
+                    [key_format % index for index in chunk],
                     [randbytes(value_bytes) for _ in range(n)],
                     [0] * n,
                 )
@@ -309,7 +309,7 @@ class ShardWorkload:
                 state = states[tenant]
                 spec = state.spec
                 generator = generators[tenant]
-                key = state.interner.key(state.owned[generator.next_index()])
+                key = state.key_format % state.owned[generator.next_index()]
                 dice = dice_fn()
                 if dice < spec.read_proportion:
                     append_kind(OP_READ)

@@ -54,36 +54,39 @@ class VersionEdit:
 
 
 class ManifestLog:
-    """Append-only version-edit log charged to one tier's device."""
+    """Append-only version-edit log charged to one tier's device.
+
+    The log is held in its wire form, 6 bytes per edit; only
+    :meth:`edits` — the restart path — decodes it.
+    """
 
     def __init__(self, tier: StorageTier) -> None:
         self._tier = tier
-        self._edits: list[VersionEdit] = []
+        self._log = bytearray()
         self.bytes_written = 0
 
     def __len__(self) -> int:
-        return len(self._edits)
+        return len(self._log) // _RECORD.size
 
     def record_add(self, level: int, file_id: int) -> None:
-        self._append(VersionEdit(EditOp.ADD_FILE, file_id, level))
+        self._append(EditOp.ADD_FILE, file_id, level)
 
     def record_remove(self, level: int, file_id: int) -> None:
-        self._append(VersionEdit(EditOp.REMOVE_FILE, file_id, level))
+        self._append(EditOp.REMOVE_FILE, file_id, level)
 
-    def _append(self, edit: VersionEdit) -> None:
-        self._edits.append(edit)
-        payload = edit.encode()
-        self.bytes_written += len(payload)
+    def _append(self, op: EditOp, file_id: int, level: int) -> None:
+        self._log += _RECORD.pack(op, file_id, level)
+        self.bytes_written += _RECORD.size
         # Manifest appends are small sequential writes off the critical
         # path of user operations.
-        self._tier.device.write(len(payload), foreground=False)
+        self._tier.device.write(_RECORD.size, foreground=False)
 
     def serialized(self) -> bytes:
         """The full log as bytes (what a restart would read)."""
-        return b"".join(edit.encode() for edit in self._edits)
+        return bytes(self._log)
 
     def edits(self) -> list[VersionEdit]:
-        return list(self._edits)
+        return decode_manifest(self._log)
 
     def compact(self, live: dict[int, int]) -> None:
         """Rewrite the log to just the live set (manifest compaction).
@@ -91,13 +94,12 @@ class ManifestLog:
         ``live`` maps file_id -> level. Long-running engines periodically
         rewrite the MANIFEST so it doesn't grow without bound.
         """
-        self._edits = [
-            VersionEdit(EditOp.ADD_FILE, file_id, level)
+        self._log = bytearray().join(
+            _RECORD.pack(EditOp.ADD_FILE, file_id, level)
             for file_id, level in sorted(live.items())
-        ]
-        payload_size = sum(len(edit.encode()) for edit in self._edits)
-        self.bytes_written += payload_size
-        self._tier.device.write(payload_size, foreground=False)
+        )
+        self.bytes_written += len(self._log)
+        self._tier.device.write(len(self._log), foreground=False)
 
 
 def decode_manifest(buf: bytes) -> list[VersionEdit]:

@@ -61,7 +61,7 @@ _FOOTER_MAGIC = 0x5052534D  # "PRSM"
 UNTRACKED_CLOCK_VALUE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexEntry:
     """Points at one data block; ``last_key`` is the block's final user key."""
 
@@ -107,6 +107,13 @@ class SSTable:
     the handle is made: a failure-injection swap of ``file.data``
     changes neither a live table's accounted size nor its hashes.
     """
+
+    __slots__ = (
+        "_backend", "file", "size_bytes", "max_seqno", "smallest_key", "largest_key",
+        "entry_count", "tombstone_count", "data_length", "filter_offset", "filter_length",
+        "index_offset", "index_length", "popularity_score", "created_at_usec", "_bloom",
+        "_key_hashes", "_index", "_index_keys", "_bloom_hit_latency", "_index_hit_latency",
+    )
 
     def __init__(
         self,

@@ -1,6 +1,5 @@
 """YCSB-style workload generators."""
 
-from repro.workloads.interning import KeyInterner
 from repro.workloads.trace import TraceWorkload, dump_trace, load_trace
 from repro.workloads.ycsb import (
     OpKind,
@@ -20,7 +19,6 @@ from repro.workloads.zipfian import (
 )
 
 __all__ = [
-    "KeyInterner",
     "TraceWorkload",
     "dump_trace",
     "load_trace",

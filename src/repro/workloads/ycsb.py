@@ -10,7 +10,7 @@ Two stream shapes are offered. The classic per-op iterators
 (:meth:`~YCSBWorkload.run_stream` and friends) yield one
 :class:`Request` object per operation. The batched form
 (:meth:`~YCSBWorkload.run_batches`) yields :class:`RequestBatch` chunks —
-parallel arrays of int op codes, interned key bytes, values and scan
+parallel arrays of int op codes, key bytes, values and scan
 lengths — so the harness's hot loop indexes arrays instead of
 constructing and destructuring a frozen dataclass per op. Both shapes
 draw from the RNGs in exactly the same order, so they describe the
@@ -26,7 +26,6 @@ from typing import Iterator
 
 from repro.common.rng import make_rng
 from repro.errors import ConfigError
-from repro.workloads.interning import KeyInterner
 from repro.workloads.zipfian import LatestGenerator, make_generator
 
 
@@ -40,10 +39,8 @@ class OpKind(enum.Enum):
 #: Integer op codes used inside :class:`RequestBatch`; array-friendly
 #: stand-ins for :class:`OpKind` on the batched hot path.
 OP_READ, OP_UPDATE, OP_INSERT, OP_SCAN = 0, 1, 2, 3
-#: code -> OpKind (index = code).
+#: code -> OpKind (index = code; ``OP_KINDS.index(kind)`` is the code).
 OP_KINDS = (OpKind.READ, OpKind.UPDATE, OpKind.INSERT, OpKind.SCAN)
-#: OpKind -> code.
-OP_CODES = {kind: code for code, kind in enumerate(OP_KINDS)}
 
 #: Operations per RequestBatch. Large enough to amortize per-batch
 #: bookkeeping, small enough that a batch of 100-byte values stays cache
@@ -65,7 +62,7 @@ class RequestBatch:
     """A chunk of operations as parallel arrays (struct-of-arrays form).
 
     ``kinds[i]`` is an :data:`OP_READ`-style int code; ``keys[i]`` the
-    interned key; ``values[i]`` the payload (``b""`` for reads/scans);
+    key; ``values[i]`` the payload (``b""`` for reads/scans);
     ``scan_lengths[i]`` the scan length (0 for non-scans).
     """
 
@@ -103,13 +100,13 @@ def batches_from_requests(
     Lets the batched runner drive workloads that only implement the
     per-op protocol (e.g. replayed traces) through its one hot loop.
     """
-    op_codes = OP_CODES
+    code_of = OP_KINDS.index
     kinds: list[int] = []
     keys: list[bytes] = []
     values: list[bytes] = []
     lengths: list[int] = []
     for request in requests:
-        kinds.append(op_codes[request.kind])
+        kinds.append(code_of(request.kind))
         keys.append(request.key)
         values.append(request.value)
         lengths.append(request.scan_length)
@@ -177,13 +174,13 @@ class YCSBWorkload:
     def __init__(self, config: YCSBConfig) -> None:
         self.config = config
         self._insert_count = config.record_count
-        #: Shared across phases so the load, warmup and run streams all
-        #: hand out the same interned bytes object for a given key.
-        self.interner = KeyInterner(self.KEY_FORMAT)
+        #: Keys are formatted per request and kept by nobody here: the
+        #: workload's memory does not grow with the key space.
+        self._key_format = self.KEY_FORMAT.encode("ascii")
 
     def key(self, index: int) -> bytes:
-        """Format a key index the way YCSB does (interned)."""
-        return self.interner.key(index)
+        """Format a key index the way YCSB does."""
+        return self._key_format % index
 
     # ------------------------------------------------------------------
     # Phases (batched form: the canonical generators)
@@ -191,7 +188,7 @@ class YCSBWorkload:
     def load_batches(self, batch_ops: int = DEFAULT_BATCH_OPS) -> Iterator[RequestBatch]:
         """Insert every record once, in key order (YCSB's load phase)."""
         rng = make_rng(self.config.seed, "load")
-        key = self.interner.key
+        fmt = self._key_format
         randbytes = rng.randbytes
         value_bytes = self.config.value_bytes
         remaining = self.config.record_count
@@ -199,7 +196,7 @@ class YCSBWorkload:
         while remaining > 0:
             n = batch_ops if batch_ops < remaining else remaining
             remaining -= n
-            keys = [key(i) for i in range(index, index + n)]
+            keys = [fmt % i for i in range(index, index + n)]
             index += n
             values = [randbytes(value_bytes) for _ in range(n)]
             yield RequestBatch([OP_INSERT] * n, keys, values, [0] * n)
@@ -229,7 +226,7 @@ class YCSBWorkload:
         randrange = op_rng.randrange
         randbytes = value_rng.randbytes
         next_index = generator.next_index
-        key = self.interner.key
+        fmt = self._key_format
         value_bytes = cfg.value_bytes
         max_scan = cfg.max_scan_length
         note_insert = (
@@ -253,18 +250,18 @@ class YCSBWorkload:
                 if dice < read_cut:
                     index = next_index()
                     append_kind(OP_READ)
-                    append_key(key(index if index < insert_cursor else index % insert_cursor))
+                    append_key(fmt % (index if index < insert_cursor else index % insert_cursor))
                     append_value(empty)
                     append_length(0)
                 elif dice < update_cut:
                     index = next_index()
                     append_kind(OP_UPDATE)
-                    append_key(key(index if index < insert_cursor else index % insert_cursor))
+                    append_key(fmt % (index if index < insert_cursor else index % insert_cursor))
                     append_value(randbytes(value_bytes))
                     append_length(0)
                 elif dice < insert_cut:
                     append_kind(OP_INSERT)
-                    append_key(key(insert_cursor))
+                    append_key(fmt % insert_cursor)
                     insert_cursor += 1
                     if note_insert is not None:
                         note_insert()
@@ -273,7 +270,7 @@ class YCSBWorkload:
                 else:
                     index = next_index()
                     append_kind(OP_SCAN)
-                    append_key(key(index if index < insert_cursor else index % insert_cursor))
+                    append_key(fmt % (index if index < insert_cursor else index % insert_cursor))
                     append_value(empty)
                     append_length(1 + randrange(max_scan))
             yield RequestBatch(kinds, keys, values, lengths)

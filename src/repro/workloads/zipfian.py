@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 import random
+from functools import lru_cache
 
 from repro.common.rng import fnv1a_64
 from repro.errors import ConfigError
@@ -41,23 +42,17 @@ class UniformGenerator(KeyIndexGenerator):
         return self._rng.randrange(self._n)
 
 
-#: Memoized zeta partial sums. Every ZipfianGenerator construction needs
-#: zeta(n, theta) — an O(n) sum that dominated multi-experiment sweeps
-#: (the Fig. 11 theta sweep builds a generator per run over the same key
-#: space). The cache is tiny in practice: one entry per distinct
-#: (n, theta) pair a process ever uses, and the cached value is the exact
-#: float the direct sum produces, so sampling is bit-identical.
-_ZETA_CACHE: dict[tuple[int, float], float] = {}
-
-
+@lru_cache(maxsize=64)
 def _zeta(n: int, theta: float) -> float:
-    """Riemann zeta partial sum: sum_{i=1..n} 1 / i^theta (memoized)."""
-    key = (n, theta)
-    value = _ZETA_CACHE.get(key)
-    if value is None:
-        value = float(sum(1.0 / (i**theta) for i in range(1, n + 1)))
-        _ZETA_CACHE[key] = value
-    return value
+    """Riemann zeta partial sum: sum_{i=1..n} 1 / i^theta (memoized).
+
+    Every ZipfianGenerator construction needs zeta(n, theta) — an O(n)
+    sum that dominated multi-experiment sweeps (the Fig. 11 theta sweep
+    builds a generator per run over the same key space). One entry per
+    (n, theta) pair, at most 64, each the exact float the direct sum
+    produces, so sampling is bit-identical.
+    """
+    return float(sum(1.0 / (i**theta) for i in range(1, n + 1)))
 
 
 class ZipfianGenerator(KeyIndexGenerator):

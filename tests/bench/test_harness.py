@@ -11,9 +11,11 @@ from repro.bench.harness import (
     build_system,
     run_experiment,
 )
+from repro.common.stats import LatencyRecorder
 from repro.core.prismdb import PrismDB
 from repro.errors import ConfigError
 from repro.workloads import YCSBConfig, YCSBWorkload
+from repro.workloads.ycsb import OP_READ
 
 SMALL = YCSBConfig(record_count=2_000, operation_count=3_000)
 
@@ -80,6 +82,30 @@ class TestWorkloadRunner:
         assert len(runner.read_latency) == 0
         runner.run(workload)
         assert len(runner.read_latency) + len(runner.update_latency) == 100
+
+    def test_each_read_recorded_once_and_sources_sum_to_reads(self, monkeypatch):
+        workload = YCSBWorkload(SMALL)
+        db = build_system(SystemConfig(system="prismdb"), workload)
+        runner = WorkloadRunner(db, clients=8)
+        runner.load(workload)
+        recorded = []
+        original = LatencyRecorder.record
+        monkeypatch.setattr(
+            LatencyRecorder, "record", lambda self, v: (recorded.append(v), original(self, v))
+        )
+        runner.run(workload)
+        reads = sum(batch.kinds.count(OP_READ) for batch in workload.run_batches())
+        assert len(recorded) == SMALL.operation_count  # one sample per op, reads included
+        by_source = runner.read_latency_by_source
+        assert len(by_source) > 1
+        assert len(runner.read_latency) == reads
+        assert sum(len(recorder) for recorder in by_source.values()) == reads
+        # The union is derived, not a second copy: same samples, same summary.
+        merged = sorted(s for recorder in by_source.values() for s in recorder.samples)
+        assert sorted(runner.read_latency.samples) == merged
+        result = runner.result("reads", SystemConfig(system="prismdb"), 1.0)
+        assert result.read_latency == runner.read_latency.summary()
+        assert result.read_latency.count == reads
 
     def test_bad_clients_rejected(self):
         workload = YCSBWorkload(SMALL)

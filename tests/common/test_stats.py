@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import CounterSet, LatencyRecorder, nearest_rank, throughput_kops
+from repro.common.stats import LatencySummary
 
 
 class TestLatencyRecorder:
@@ -181,3 +182,52 @@ class TestLatencyRecorderLazySort:
         recorder = LatencyRecorder()
         with pytest.raises(ValueError):
             recorder.merge(recorder)
+
+
+def reference_summary(samples: list[float]) -> LatencySummary:
+    """The summary of a plain list of float objects."""
+    if not samples:
+        return LatencySummary.empty()
+    ordered = sorted(samples)
+    return LatencySummary(
+        count=len(ordered),
+        mean=sum(ordered) / len(ordered),
+        p50=nearest_rank(ordered, 50.0),
+        p95=nearest_rank(ordered, 95.0),
+        p99=nearest_rank(ordered, 99.0),
+        maximum=ordered[-1],
+    )
+
+
+latencies = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+
+
+class TestUnboxedSamples:
+    @given(st.lists(latencies, max_size=300))
+    def test_summary_equals_the_list_reference_exactly(self, samples):
+        recorder = LatencyRecorder()
+        for sample in samples:
+            recorder.record(sample)
+        assert recorder.summary() == reference_summary(samples)
+        assert list(recorder.samples) == samples
+
+    @given(st.lists(st.lists(latencies, max_size=60), min_size=1, max_size=6), st.randoms())
+    def test_merge_order_never_changes_the_summary(self, populations, rng):
+        recorders = []
+        for samples in populations:
+            recorder = LatencyRecorder()
+            for sample in samples:
+                recorder.record(sample)
+            recorders.append(recorder)
+        expected = reference_summary([s for samples in populations for s in samples])
+        rng.shuffle(recorders)
+        merged = LatencyRecorder()
+        for recorder in recorders:
+            merged.merge(recorder)
+        assert merged.summary() == expected
+
+    def test_integer_latency_is_stored_as_a_float(self):
+        recorder = LatencyRecorder()
+        recorder.record(3)
+        summary = recorder.summary()
+        assert type(summary.p50) is float and type(summary.maximum) is float

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import fnv1a_64
-from repro.core import tracker as tracker_module
 from repro.core.mapper import ClockDistributionMapper
 from repro.core.tracker import UNTRACKED, ClockTracker
 from repro.errors import ConfigError
@@ -135,11 +134,17 @@ class TestVersionTag:
         tags = {ClockTracker._version_tag(v) for v in range(200)}
         assert len(tags) > 30  # 6-bit hash: most of the space is used
 
-    def test_tag_table_is_emptied_when_full_and_tags_do_not_change(self, monkeypatch):
-        monkeypatch.setattr(tracker_module, "_TAG_CACHE_MAX", 50)
-        table = tracker_module._TAG_CACHE
-        table.clear()
-        expected = [fnv1a_64(v.to_bytes(8, "little")) & 0x3F for v in range(400)]
-        for _ in range(2):  # cold, then across resets
-            assert [ClockTracker._version_tag(v) for v in range(400)] == expected
-            assert 0 < len(table) <= 50
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=500)
+    def test_tag_is_the_low_bits_of_the_version_hash(self, version):
+        expected = fnv1a_64(version.to_bytes(8, "little")) & 0x3F
+        assert ClockTracker._version_tag(version) == expected
+
+    @pytest.mark.parametrize("version", [0, 2**24 - 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_tag_at_the_edges(self, version):
+        expected = fnv1a_64(version.to_bytes(8, "little")) & 0x3F
+        assert ClockTracker._version_tag(version) == expected
+
+    def test_tags_of_dense_seqnos_match_the_hash(self):
+        expected = [fnv1a_64(v.to_bytes(8, "little")) & 0x3F for v in range(5_000)]
+        assert [ClockTracker._version_tag(v) for v in range(5_000)] == expected

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fleet.router import ConsistentHashRouter, ring_hash
-from repro.workloads.interning import KeyInterner
 
 #: Pinned ring_hash values. These freeze the router's placement function
 #: across processes, platforms and PRs: if any of them moves, every
@@ -36,27 +35,24 @@ class TestRingHash:
 
 class TestRouter:
     def test_identical_instances_agree(self):
-        interner = KeyInterner("t00-%010d")
         a = ConsistentHashRouter(8, vnodes=32)
         b = ConsistentHashRouter(8, vnodes=32)
         for index in range(2_000):
-            key = interner.key(index)
+            key = b"t00-%010d" % index
             assert a.shard_for_key(key) == b.shard_for_key(key)
 
     def test_single_shard_owns_everything(self):
         router = ConsistentHashRouter(1)
-        interner = KeyInterner("t00-%010d")
         assert all(
-            router.shard_for_key(interner.key(i)) == 0 for i in range(500)
+            router.shard_for_key(b"t00-%010d" % i) == 0 for i in range(500)
         )
 
     def test_balance_within_tolerance(self):
-        # 4 shards x 64 vnodes over 4k interned keys: every shard owns a
+        # 4 shards x 64 vnodes over 4k keys: every shard owns a
         # meaningful share. The bound is loose (hashing, not striping);
         # the default vnode count keeps max/mean well under it.
         router = ConsistentHashRouter(4, vnodes=64)
-        interner = KeyInterner("t00-%010d")
-        counts = router.shard_counts(interner.key(i) for i in range(4_000))
+        counts = router.shard_counts(b"t00-%010d" % i for i in range(4_000))
         assert sum(counts) == 4_000
         assert min(counts) > 0
         mean = 4_000 / 4
@@ -64,8 +60,7 @@ class TestRouter:
 
     def test_shard_counts_matches_shard_for_key(self):
         router = ConsistentHashRouter(3, vnodes=16)
-        interner = KeyInterner("t01-%010d")
-        keys = [interner.key(i) for i in range(300)]
+        keys = [b"t01-%010d" % i for i in range(300)]
         counts = router.shard_counts(keys)
         expected = [0, 0, 0]
         for key in keys:
@@ -75,8 +70,7 @@ class TestRouter:
     def test_growing_the_fleet_moves_few_keys(self):
         # The consistent-hashing property: going from N to N+1 shards
         # remaps roughly 1/(N+1) of the keys, not all of them.
-        interner = KeyInterner("t00-%010d")
-        keys = [interner.key(i) for i in range(4_000)]
+        keys = [b"t00-%010d" % i for i in range(4_000)]
         before = ConsistentHashRouter(4)
         after = ConsistentHashRouter(5)
         moved = sum(

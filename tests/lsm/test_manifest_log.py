@@ -1,6 +1,8 @@
 """Tests for the MANIFEST log and full DB reopen."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -74,6 +76,44 @@ class TestManifestLog:
         log.compact({7: 2})
         assert len(log) == 1
         assert replay_manifest(log.edits()) == {7: 2}
+
+    @given(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 6)),
+                 max_size=80),
+        st.dictionaries(st.integers(0, 2**32 - 1), st.integers(0, 6), max_size=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wire_form_is_the_concatenated_edits(self, trace, live):
+        log = make_log()
+        model = []
+        for is_add, file_id, level in trace:
+            op = EditOp.ADD_FILE if is_add else EditOp.REMOVE_FILE
+            (log.record_add if is_add else log.record_remove)(level, file_id)
+            model.append(VersionEdit(op, file_id, level))
+        assert log.serialized() == b"".join(edit.encode() for edit in model)
+        assert log.edits() == model
+        assert decode_manifest(log.serialized()) == model
+        assert len(log) == len(model)
+        written = log.bytes_written
+        log.compact(live)
+        compacted = [VersionEdit(EditOp.ADD_FILE, f, lv) for f, lv in sorted(live.items())]
+        assert log.serialized() == b"".join(edit.encode() for edit in compacted)
+        assert log.edits() == compacted
+        assert log.bytes_written == written + 6 * len(live)
+
+    def test_edits_retain_six_bytes_each(self):
+        log = make_log()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for file_id in range(10_000):
+                log.record_add(file_id % 7, file_id)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 10_000
+        assert retained / 10_000 <= 8, f"{retained / 10_000:.1f} B/edit"
 
 
 class TestReplayManifest:

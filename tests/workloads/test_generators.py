@@ -133,18 +133,18 @@ class TestFactory:
 
 class TestZetaCache:
     def test_cached_value_is_the_exact_direct_sum(self):
-        from repro.workloads.zipfian import _ZETA_CACHE, _zeta
+        from repro.workloads.zipfian import _zeta
 
-        _ZETA_CACHE.clear()
+        _zeta.cache_clear()
         cold = _zeta(5000, 0.99)
         direct = float(sum(1.0 / (i**0.99) for i in range(1, 5001)))
         assert cold == direct
         assert _zeta(5000, 0.99) == cold  # warm hit, identical float
 
     def test_sampling_identical_with_warm_cache(self):
-        from repro.workloads.zipfian import _ZETA_CACHE
+        from repro.workloads.zipfian import _zeta
 
-        _ZETA_CACHE.clear()
+        _zeta.cache_clear()
         cold = ZipfianGenerator(10_000, 0.99, random.Random(42))
         cold_draws = [cold.next_index() for _ in range(500)]
         warm = ZipfianGenerator(10_000, 0.99, random.Random(42))
