@@ -118,6 +118,12 @@ echo "== heap by allocation site (non-gating) =="
 if ! python scripts/perf_pairs.py --workload read-hot --heap --quick; then
     echo "heap report failed (non-gating); continuing"
 fi
+# The fleet twin: fleet-mixed's shards in-process, in order, as one pool
+# worker runs them — RSS high water, the cyclic garbage left behind and
+# the ownership bytes per key after each shard.
+if ! python scripts/perf_pairs.py --workload fleet-mixed --heap --quick; then
+    echo "fleet heap report failed (non-gating); continuing"
+fi
 
 # Non-gating: end-to-end wall-clock delta. Times the e2e smoke micro
 # (quick scale) and prints the change against the last trajectory point

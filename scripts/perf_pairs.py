@@ -30,7 +30,11 @@ tree's ``tracemalloc`` top ten allocation sites after the load phase and
 after the measured run, with the traced bytes per loaded record beyond
 the bytes the tables themselves hold, then what warm-up and run kept
 alive beyond new table bytes per measured op and the five sites that
-grew most.
+grew most. On ``fleet-mixed`` it instead runs the shards in-process in
+order, as one pool worker would, and prints per shard the process's RSS
+high-water mark, the cyclic garbage ``gc.collect()`` finds after it, and
+the bytes per key of its ownership columns, after the traced bytes the
+shared ownership map retains per tenant key.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ def single_instance(args):
 
     spec = SPECS[args.workload]
     if spec.fleet:
-        raise SystemExit("--stages and --heap run single-instance workloads only")
+        raise SystemExit("--stages runs single-instance workloads only")
     system_cfg, workload_cfg = single_configs(spec, args.first_seed, args.quick)
     workload = YCSBWorkload(workload_cfg)
     db = harness.build_system(system_cfg, workload)
@@ -268,12 +272,49 @@ def run_stages(args) -> int:
 # ----------------------------------------------------------------------
 # --heap: what the run keeps alive, by allocation site
 # ----------------------------------------------------------------------
+def run_fleet_heap(args) -> int:
+    """Per shard of one worker's sequence: RSS high water, cyclic garbage, ownership."""
+    import gc
+    import resource
+    import tracemalloc
+
+    from perfbench.workloads import SPECS, fleet_config
+    from repro.fleet.runner import run_shard
+    from repro.fleet.workload import owned_indices
+
+    config = fleet_config(SPECS[args.workload], args.first_seed, args.quick)
+    tenant_keys = sum(tenant.key_count for tenant in config.tenants)
+    gc.collect()
+    tracemalloc.start()
+    per_tenant = owned_indices(config.tenants, config.shards, config.vnodes)  # the cached pass
+    ownership_bytes = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    print(f"{args.workload} seed {args.first_seed}: {config.shards} shards in-process, in order; "
+          f"ownership map {ownership_bytes / 1e6:.2f} MB for {tenant_keys} tenant keys "
+          f"({ownership_bytes / tenant_keys:.2f} B/key)")
+    for shard_id in range(config.shards):
+        run_shard(config, shard_id)
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        garbage = gc.collect()
+        columns = [per_shard[shard_id] for per_shard in per_tenant]
+        keys = sum(len(column) for column in columns)
+        column_bytes = sum(column.nbytes for column in columns)
+        print(f"  shard {shard_id}: rss high water {peak_mb:7.1f} MB  "
+              f"cyclic garbage {garbage:7d} objects  "
+              f"ownership {column_bytes / keys:.2f} B/key ({keys} keys)")
+    return 0
+
+
 def run_heap(args) -> int:
     import gc
     import tracemalloc
 
     import perfbench.workloads  # noqa: F401  (imported before tracing starts,
     import repro.bench.harness  # noqa: F401   so module code is not in the table)
+    from perfbench.workloads import SPECS
+
+    if SPECS[args.workload].fleet:
+        return run_fleet_heap(args)
 
     tracemalloc.start()
     workload, runner, workload_cfg = single_instance(args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.baselines.mutant import MutantDB, MutantOptions
 from repro.baselines.rocksdb import RocksDBLike
@@ -330,8 +331,27 @@ class RunResult:
             return cls.from_json(json.load(fh))
 
 
+def _lsm_state_snapshot(db: LsmDB) -> dict:
+    """LSM shape at the moment a slow op is captured (JSON-safe)."""
+    return {
+        "clock_usec": db.clock.now,
+        "memtable_bytes": db.memtable_bytes,
+        "l0_files": db.l0_file_count,
+        "levels": db.level_summary(),
+        "backlog_bytes": {
+            tier.name: tier.device.backlog_bytes for tier in db.layout.tiers
+        },
+        "compactions": db.executor.stats.compactions,
+    }
+
+
 class WorkloadRunner:
-    """Drives load and run phases against one database instance."""
+    """Drives load and run phases against one database instance.
+
+    The runner builds no reference cycle through the engine: once
+    :meth:`result` has run, dropping the runner and the engine frees
+    the engine by reference counting, without waiting for the cyclic GC.
+    """
 
     def __init__(
         self,
@@ -397,7 +417,9 @@ class WorkloadRunner:
                 sample_every=attribution_sample_every,
                 slow_k=slow_op_k,
             )
-            self.attribution.state_fn = self._lsm_state_snapshot
+            # A function of the engine alone: a bound method of the
+            # runner would tie runner and attribution into a cycle.
+            self.attribution.state_fn = partial(_lsm_state_snapshot, db)
 
     @property
     def read_latency(self) -> LatencyRecorder:
@@ -408,20 +430,6 @@ class WorkloadRunner:
         for recorder in self.read_latency_by_source.values():
             merged.merge(recorder)
         return merged
-
-    def _lsm_state_snapshot(self) -> dict:
-        """LSM shape at the moment a slow op is captured (JSON-safe)."""
-        db = self.db
-        return {
-            "clock_usec": db.clock.now,
-            "memtable_bytes": db.memtable_bytes,
-            "l0_files": db.l0_file_count,
-            "levels": db.level_summary(),
-            "backlog_bytes": {
-                tier.name: tier.device.backlog_bytes for tier in db.layout.tiers
-            },
-            "compactions": db.executor.stats.compactions,
-        }
 
     def _mark_phase(self, phase: str) -> None:
         if self.sampler is not None:
@@ -566,8 +574,12 @@ class WorkloadRunner:
         return db.clock.now - start
 
     def result(self, label: str, config: SystemConfig, elapsed_usec: float) -> RunResult:
-        """Snapshot all metrics after :meth:`run`."""
+        """Snapshot all metrics after :meth:`run`; ends timeline sampling."""
         db = self.db
+        if self.sampler is not None:
+            # The clock holds the sampler and its probes hold the engine:
+            # left attached, that cycle keeps the whole engine alive.
+            self.sampler.detach()
         compaction = db.executor.stats
         device_reads: dict[str, int] = {}
         device_writes: dict[str, int] = {}

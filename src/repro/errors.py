@@ -45,3 +45,24 @@ class CompactionError(ReproError):
 
 class ObservabilityError(ReproError):
     """Misuse of the metrics registry (type clash, label cardinality)."""
+
+
+class ShardError(ReproError):
+    """A fleet shard failed: names the shard, its seed and a one-line repro.
+
+    Built from plain values (the cause as text), so it pickles back
+    intact from a pool worker.
+    """
+
+    def __init__(self, shard_id: int, seed: int, repro: str, cause: str) -> None:
+        super().__init__(shard_id, seed, repro, cause)
+        self.shard_id = shard_id
+        self.seed = seed
+        self.repro = repro
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return (
+            f"shard {self.shard_id} (seed {self.seed}) failed: {self.cause}\n"
+            f"  repro: {self.repro}"
+        )

@@ -9,7 +9,13 @@ finished — and ``fan_out`` collects the same stream into a list.
 on every platform and never inherits dirty parent state (fork would
 silently share the parent's warm zeta / fnv-prefix / ownership caches —
 harmless for results, but a fork/spawn behaviour split is exactly the
-kind of asymmetry the determinism tests exist to rule out).
+kind of asymmetry the determinism tests exist to rule out). Pool
+workers are never recycled: each one runs many payloads in turn and
+keeps its per-process caches across them, so a worker call must leave
+nothing of its own alive when it returns (the fleet's ``run_shard``
+frees its engine by reference counting). An exception a worker raises
+is re-raised here, in payload order; the fleet wraps its own as
+:class:`~repro.errors.ShardError` so it names the failing shard.
 
 The streaming shape exists for the fleet router: ``Pool.imap`` hands
 each result over the moment its payload-order turn comes up, so the

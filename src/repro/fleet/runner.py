@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.bench.codec import decode_result, encode_result
 from repro.bench.harness import RunResult, SystemConfig, WorkloadRunner, build_system
 from repro.common.rng import derive_seed
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ShardError
 from repro.fleet.fanout import stream_fan_out
 from repro.fleet.merge import ShardAccumulator
 from repro.fleet.pool import DevicePool, PoolParams
@@ -113,7 +113,12 @@ def _split_by_owned(owned: list[int], total: int) -> list[int]:
 
 
 def run_shard(config: FleetConfig, shard_id: int) -> RunResult:
-    """Simulate one shard of the fleet (pure in ``(config, shard_id)``)."""
+    """Simulate one shard of the fleet (pure in ``(config, shard_id)``).
+
+    Nothing built here outlives the call: the shard's engine is freed
+    by reference counting when it returns, so a worker that runs many
+    shards holds one engine at a time.
+    """
     router = ConsistentHashRouter(config.shards, vnodes=config.vnodes)
     # One pass hashes every tenant key onto the ring; both op splits and
     # the workload's owned-key lists derive from it.
@@ -167,10 +172,20 @@ def _shard_worker(payload: tuple[FleetConfig, int]) -> bytes:
 
     The result crosses the process boundary as one binary blob instead
     of a deep JSON dict — pickle moves a single ``bytes`` object rather
-    than re-walking thousands of timeline/metric nodes per shard.
+    than re-walking thousands of timeline/metric nodes per shard. A
+    failure crosses it as a :class:`~repro.errors.ShardError` naming the
+    shard, its seed and a ``run_shard`` call that reproduces it.
     """
     config, shard_id = payload
-    return encode_result(run_shard(config, shard_id))
+    try:
+        return encode_result(run_shard(config, shard_id))
+    except Exception as exc:
+        raise ShardError(
+            shard_id,
+            config.shard_seed(shard_id),
+            f"run_shard({config!r}, {shard_id})",
+            f"{type(exc).__name__}: {exc}",
+        ) from exc
 
 
 def run_fleet(config: FleetConfig, *, jobs: int = 1) -> RunResult:

@@ -7,9 +7,10 @@ exactly the requests the router would deliver to that shard:
 
 * **Ownership** — every tenant's key space is enumerated and hashed
   onto the ring (once per process: :func:`owned_indices`), and the shard
-  keeps the keys the router assigns to it. Ownership depends only on
-  (tenants, shards, vnodes), never on worker count or process identity,
-  because the router hashes with fnv1a-64.
+  keeps the keys the router assigns to it, as a column of 4-byte key
+  indices. Ownership depends only on (tenants, shards, vnodes), never on
+  worker count or process identity, because the router hashes with
+  fnv1a-64.
 * **Skew** — each tenant draws from its own Zipfian (or uniform /
   latest) generator over its *owned* keys. The scrambled-Zipfian rank
   hash spreads a tenant's hot set uniformly over its key space, so the
@@ -35,6 +36,7 @@ worker-count invariance.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -105,7 +107,7 @@ class _ShardConfigView:
 @lru_cache(maxsize=4)
 def owned_indices(
     tenants: tuple[TenantSpec, ...], num_shards: int, vnodes: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
+) -> tuple[tuple[memoryview, ...], ...]:
     """Which key indices of which tenant every shard owns.
 
     ``owned_indices(...)[t][s]`` are the ascending key indices of
@@ -114,16 +116,21 @@ def owned_indices(
     hash is kept) is a pure function of ``(tenants, num_shards,
     vnodes)`` — the ring is built from the two ints alone — so a
     process does it once however many of the fleet's shards it goes on
-    to run. The result is shared between callers, hence tuples throughout.
+    to run. The result is shared between callers, so each column is a
+    read-only ``memoryview`` of unsigned 4-byte ints over ``bytes``:
+    indexing, slicing and ``len`` work as on a tuple, at 4 B per key,
+    and writes raise ``TypeError``.
     """
     shard_for_key = ConsistentHashRouter(num_shards, vnodes=vnodes).shard_for_key
     per_tenant = []
     for spec in tenants:
         key_format = spec.key_format.encode("ascii")
-        per_shard: list[list[int]] = [[] for _ in range(num_shards)]
+        per_shard = [array("I") for _ in range(num_shards)]
         for index in range(spec.key_count):
             per_shard[shard_for_key(key_format % index)].append(index)
-        per_tenant.append(tuple(tuple(indices) for indices in per_shard))
+        per_tenant.append(
+            tuple(memoryview(column.tobytes()).cast("I") for column in per_shard)
+        )
     return tuple(per_tenant)
 
 
@@ -132,7 +139,7 @@ class _TenantState:
 
     __slots__ = ("spec", "key_format", "owned", "key_len")
 
-    def __init__(self, spec: TenantSpec, owned: tuple[int, ...]):
+    def __init__(self, spec: TenantSpec, owned: memoryview):
         self.spec = spec
         #: Keys are formatted per request (``key_format % index``), not kept.
         self.key_format = spec.key_format.encode("ascii")

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness (small scales)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.mutant import MutantDB
@@ -112,6 +115,29 @@ class TestWorkloadRunner:
         db = build_system(SystemConfig(system="rocksdb"), workload)
         with pytest.raises(ConfigError):
             WorkloadRunner(db, clients=0)
+
+    @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+    def test_engine_freed_by_refcount_after_result(self, system):
+        # Sampler and attribution on: the two parts that once tied the
+        # runner and the engine into reference cycles.
+        config = YCSBConfig(record_count=1_000, operation_count=1_500)
+        workload = YCSBWorkload(config)
+        db = build_system(SystemConfig(system=system), workload)
+        engine = weakref.ref(db)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runner = WorkloadRunner(db, sample_interval_ms=0.5, attribution_sample_every=2)
+            runner.load(workload)
+            elapsed = runner.run(workload)
+            result = runner.result(system, SystemConfig(system=system), elapsed)
+            del db, runner
+            assert engine() is None, "a reference cycle kept the engine alive"
+        finally:
+            if enabled:
+                gc.enable()
+        # A detached sampler keeps what it recorded.
+        assert result.timeline["t_ms"] and result.attribution["ops_sampled"] > 0
 
     def test_scan_latency_recorded_separately(self):
         config = YCSBConfig(

@@ -12,11 +12,14 @@ import pkgutil
 import random
 import tracemalloc
 
+import pytest
+
 import repro.workloads
 from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
 from repro.common import rng as rng_module
 from repro.common.stats import LatencyRecorder
 from repro.core import tracker as tracker_module
+from repro.fleet.workload import TenantSpec, owned_indices
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 RECORDS = 20_000
@@ -27,6 +30,9 @@ BUDGET_BYTES_PER_RECORD = 45
 SAMPLES = 20_000
 #: An unboxed double; a list of float objects retains ~32 B per sample.
 BUDGET_BYTES_PER_SAMPLE = 8.5
+TENANT_KEYS = 100_000
+#: A 4-byte index column; a tuple of boxed ints retains ~36 B per key.
+BUDGET_BYTES_PER_OWNED_KEY = 5
 
 
 def traced_bytes(build):
@@ -95,3 +101,17 @@ def test_recorded_latency_samples_are_unboxed():
     recorder, traced = traced_bytes(record)
     assert len(recorder) == SAMPLES
     assert traced / SAMPLES <= BUDGET_BYTES_PER_SAMPLE, f"{traced / SAMPLES:.2f} B/sample"
+
+
+def test_ownership_columns_are_four_bytes_per_key_and_read_only():
+    tenants = (TenantSpec("reader", 60_000), TenantSpec("writer", TENANT_KEYS - 60_000))
+    # The uncached body: a cache hit would allocate nothing.
+    per_tenant, traced = traced_bytes(lambda: owned_indices.__wrapped__(tenants, 8, 64))
+    assert sum(len(column) for columns in per_tenant for column in columns) == TENANT_KEYS
+    per_key = traced / TENANT_KEYS
+    assert per_key <= BUDGET_BYTES_PER_OWNED_KEY, f"{per_key:.2f} B/key"
+    column = per_tenant[0][0]
+    with pytest.raises(TypeError):
+        column[0] = 1
+    with pytest.raises(TypeError):
+        column[0:1] = column[1:2]
