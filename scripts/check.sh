@@ -125,6 +125,13 @@ if ! python scripts/perf_pairs.py --workload fleet-mixed --heap --quick; then
     echo "fleet heap report failed (non-gating); continuing"
 fi
 
+# Non-gating: where scan-cold's load and compaction time goes — commit
+# path, flush, scheduling, adopted moves, merges — at --quick op counts.
+echo "== load and compaction stages (non-gating) =="
+if ! python scripts/perf_pairs.py --workload scan-cold --stages --quick; then
+    echo "stage split failed (non-gating); continuing"
+fi
+
 # Non-gating: end-to-end wall-clock delta. Times the e2e smoke micro
 # (quick scale) and prints the change against the last trajectory point
 # in BENCH_SMOKE.json that recorded one. Machine-load-sensitive, so the

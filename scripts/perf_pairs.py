@@ -23,9 +23,11 @@ recompiles exactly the files the change edited, which shows up in
 ``--quick`` runs one smoke-sized repeat per side (``python -m
 perfbench.worker --quick``; ``run.py`` has no quick flag). ``--stages``
 prints, instead of pairs, a per-stage host-time split of the working
-tree's compaction jobs over one in-process run of the workload, taken by
-wrapping the stage functions from outside (nothing under ``perfbench/``
-or ``src/`` is edited). ``--heap`` prints, the same way, the working
+tree's load phase (commit path, flush, scheduling, adopted moves,
+merges, install) and of its compaction jobs in the measured run, over
+one in-process run of the workload, taken by wrapping the stage
+functions from outside (nothing under ``perfbench/`` or ``src/`` is
+edited). ``--heap`` prints, the same way, the working
 tree's ``tracemalloc`` top ten allocation sites after the load phase and
 after the measured run, with the traced bytes per loaded record beyond
 the bytes the tables themselves hold, then what warm-up and run kept
@@ -175,7 +177,90 @@ STAGES = (
     ("block build", "repro.lsm.sstable:SSTableBuilder.add_encoded_blocks"),
     ("bloom", "repro.lsm.bloom:BloomFilter.add_many"),
     ("finish/write", "repro.lsm.sstable:SSTableBuilder.finish"),
+    ("adopt", "repro.lsm.sstable:SSTableBuilder.adopt"),
 )
+
+
+#: The load phase's split (what ``setup_s`` is made of), timed the same
+#: way. A merge job whose ``SSTableBuilder.adopt`` call returned a table
+#: counts as an adopted move; ``commit path`` is the load minus the flush
+#: and compaction calls it makes, and ``install/other`` the compaction
+#: calls minus scheduling and the jobs' merge bodies.
+LOAD_STAGES = (
+    ("flush", "repro.lsm.db:LsmDB._flush_memtable"),
+    ("compaction", "repro.lsm.compaction:CompactionExecutor.maybe_compact"),
+    ("scheduling", "repro.lsm.strategy:CompactionStrategy.pick_level"),
+    ("scheduling", "repro.lsm.strategy:LevelingStrategy.plan_job"),
+    ("scheduling", "repro.lsm.strategy:TieringStrategy.plan_job"),
+    ("scheduling", "repro.lsm.strategy:LazyLevelingStrategy.plan_job"),
+    ("job", "repro.lsm.compaction:CompactionExecutor._merge_spans"),
+    ("adopt", "repro.lsm.sstable:SSTableBuilder.adopt"),
+)
+
+
+def resolve(target: str):
+    """(owner, attribute name) of a ``"module:owner.attr"`` target."""
+    import importlib
+
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+class LoadSplit:
+    """Seconds and calls per load stage, outermost call of a stage only."""
+
+    def __init__(self) -> None:
+        self.on = False
+        self.seconds: dict[str, float] = {}
+        self.calls: dict[str, int] = {}
+        self._open: set[str] = set()
+        self._adopted = False
+
+    def wrap(self, target: str, stage: str) -> None:
+        owner, attr = resolve(target)
+        original = getattr(owner, attr)
+
+        def timed(*args, **kwargs):
+            if not self.on or stage in self._open:
+                return original(*args, **kwargs)
+            self._open.add(stage)
+            started = time.perf_counter()
+            try:
+                result = original(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - started
+                self._open.discard(stage)
+            name = stage
+            if stage == "adopt":
+                self._adopted = result is not None
+            elif stage == "job":
+                name = "adopted moves" if self._adopted else "merges"
+                self._adopted = False
+            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return result
+
+        setattr(owner, attr, timed)
+
+    def report(self, load_s: float, records: int) -> None:
+        spent = dict.fromkeys(("flush", "compaction", "scheduling", "adopted moves", "merges"), 0.0)
+        spent.update(self.seconds)
+        spent["commit path"] = load_s - spent["flush"] - spent["compaction"]
+        spent["install/other"] = spent["compaction"] - sum(
+            spent[stage] for stage in ("scheduling", "adopted moves", "merges"))
+        print(f" load: {load_s:.3f} s for {records} records, "
+              f"{load_s * 1e6 / records:.2f} us/record")
+        for stage in ("commit path", "flush", "scheduling", "adopted moves", "merges",
+                      "install/other"):
+            calls = self.calls.get(stage, 0)
+            print(f"  {stage:14s} {spent[stage] * 1e3:9.1f} ms  "
+                  f"{spent[stage] / load_s * 100:5.1f} % of load  "
+                  f"{spent[stage] * 1e6 / records:5.2f} us/record"
+                  + (f"  {calls:6d} calls" if calls else ""))
 
 
 class StageClock:
@@ -192,13 +277,7 @@ class StageClock:
         self.calls.clear()
 
     def wrap(self, target: str, stage: str, *, context: bool) -> None:
-        import importlib
-
-        module_name, _, path = target.partition(":")
-        owner = importlib.import_module(module_name)
-        *parents, attr = path.split(".")
-        for part in parents:
-            owner = getattr(owner, part)
+        owner, attr = resolve(target)
         original = getattr(owner, attr)
 
         def timed(*args, **kwargs):
@@ -242,8 +321,17 @@ def run_stages(args) -> int:
         clock.wrap(target, stage, context=True)
     for stage, target in STAGES:
         clock.wrap(target, stage, context=False)
+    load = LoadSplit()
+    for stage, target in LOAD_STAGES:
+        load.wrap(target, stage)
     workload, runner, workload_cfg = single_instance(args)
+    load.on = True
+    started = time.perf_counter()
     runner.load(workload)
+    load_s = time.perf_counter() - started
+    load.on = False
+    print(f"{args.workload} seed {args.first_seed}: load phase with the stage wrappers on")
+    load.report(load_s, workload_cfg.record_count)
     if workload_cfg.warmup_operations > 0:
         runner.warmup(workload)
     clock.reset()

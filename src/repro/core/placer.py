@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.core.mapper import ClockDistributionMapper
 from repro.core.tracker import ClockTracker
@@ -175,5 +176,4 @@ class LowestScorePicker(CompactionPicker):
         files = manifest.files(level)
         if not files:
             return []
-        victim = min(files, key=lambda table: (table.popularity_score, table.file_id))
-        return [victim]
+        return [min(files, key=attrgetter("popularity_score", "file.file_id"))]

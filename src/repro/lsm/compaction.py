@@ -30,9 +30,10 @@ in the job.
 Execution is the fourth primitive of that design space, data *movement*,
 and exists once: :meth:`CompactionExecutor.execute` re-parents a file
 (trivial move) or runs the one merge — scan, sort, shadow, route, range
-check, emit — for leveled and tiered jobs alike. A tiered job is a
-leveled job without lower inputs whose range covers the whole level;
-the styles differ only in how retained outputs are installed.
+check, emit — for leveled and tiered jobs alike; a merge that only
+moves its one input adopts the input's bytes instead of emitting. A
+tiered job is a leveled job without lower inputs whose range covers the
+whole level; the styles differ only in how retained outputs are installed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import abc
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import and_, itemgetter, ne, not_
+from operator import and_, attrgetter, itemgetter, lt, ne, neg, not_, sub
 
 from repro.errors import CompactionError
 from repro.lsm.block_cache import BlockCache
@@ -68,7 +69,10 @@ class LargestFilePicker(CompactionPicker):
         files = manifest.files(level)
         if not files:
             return []
-        return [max(files, key=lambda table: (table.size_bytes, -table.file_id))]
+        # (size, -file_id) decorated at C speed: an attrgetter key cannot
+        # negate. Ids are unique, so a table is never compared.
+        ids = map(neg, map(attrgetter("file.file_id"), files))
+        return [max(zip(map(attrgetter("size_bytes"), files), ids, files))[2]]
 
 
 class OldestFilePicker(CompactionPicker):
@@ -341,14 +345,6 @@ class CompactionExecutor:
     # ------------------------------------------------------------------
     # Scheduling (delegated to the strategy)
     # ------------------------------------------------------------------
-    def hot_bytes(self, level: int) -> int:
-        """Bytes at ``level`` in files carrying a positive popularity score."""
-        return sum(
-            table.size_bytes
-            for table in self._manifest.files(level)
-            if table.popularity_score > 0
-        )
-
     def compaction_score(self, level: int) -> float:
         """> 1.0 means the level needs compaction (strategy-defined)."""
         return self.strategy.score(self, level)
@@ -492,7 +488,9 @@ class CompactionExecutor:
         :meth:`MergeRouter.route_up_keys` call (``router`` is None when
         nothing may route up) and re-emitted as byte slices of the
         input files, each output stream cut into files and blocks by
-        :func:`plan_files`. Returns the new (upper, lower) tables.
+        :func:`plan_files` — unless the job only moves its one input,
+        which :meth:`SSTableBuilder.adopt` then writes again whole.
+        Returns the new (upper, lower) tables.
         tests/lsm/reference_merge.py overrides this method with the
         per-record specification it is proven against.
         """
@@ -511,19 +509,23 @@ class CompactionExecutor:
             pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
         dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
 
-        survivors = newest_versions(merge_order(keys, seqnos), keys)
+        # One input whose keys strictly ascend is in merge order with one
+        # version per key: a move, whose columns are its survivors' own.
+        move = len(job.upper_inputs) == 1 and not job.lower_inputs and all(map(lt, keys, keys[1:]))
+        if move:
+            survivors, chunks, sizes = range(n_upper), None, list(map(sub, ends, starts))
+        else:
+            survivors = newest_versions(merge_order(keys, seqnos), keys)
+            chunks = [bufs[idx][starts[idx] : ends[idx]] for idx in survivors]
+            keys, seqnos, kinds, sizes, hashes = (
+                list(map(keys.__getitem__, survivors)),
+                list(map(seqnos.__getitem__, survivors)),
+                list(map(kinds.__getitem__, survivors)),
+                list(map(len, chunks)),
+                list(map(hashes.__getitem__, survivors)),
+            )
         stats = self.stats
         stats.shadowed_dropped += len(bufs) - len(survivors)
-        chunks = [bufs[idx][starts[idx] : ends[idx]] for idx in survivors]
-        # The survivors' columns, in ``add_encoded_blocks`` argument order.
-        columns = keys, seqnos, kinds, chunks, sizes, hashes = (
-            list(map(keys.__getitem__, survivors)),
-            list(map(seqnos.__getitem__, survivors)),
-            list(map(kinds.__getitem__, survivors)),
-            chunks,
-            list(map(len, chunks)),
-            list(map(hashes.__getitem__, survivors)),
-        )
 
         n = len(survivors)
         routed = None
@@ -555,6 +557,21 @@ class CompactionExecutor:
         stats.tombstones_dropped += dropped
         dropped_counter.inc(dropped)
         stats.records_out += len(upper) + len(lower)
+
+        if move and len(lower) == n:
+            # Every record sinks: the builder adopts the input when a
+            # rebuild would change only its footer.
+            builder = self.make_builder(lower_level)
+            adopted = builder.adopt(job.upper_inputs[0], keys, seqnos, kinds, sizes)
+            if adopted is not None:
+                table, _ = adopted
+                stats.bytes_written += table.size_bytes
+                self.note_level_write(lower_level, table.size_bytes)
+                return [], [table]
+        if chunks is None:
+            chunks = [buf[start:end] for buf, start, end in zip(bufs, starts, ends)]
+        # The survivors' columns, in ``add_encoded_blocks`` argument order.
+        columns = keys, seqnos, kinds, chunks, sizes, hashes
 
         # File ids, device write order and manifest tie-breaks are
         # simulated state, so the files of the two output streams are

@@ -604,7 +604,9 @@ class SSTableBuilder:
     at :meth:`finish`, which sums the paper's popularity score Σ clockⁿ
     in key order. Records arrive one at a time (:meth:`add`,
     :meth:`add_encoded`) or a whole file at once, already cut into
-    blocks by :func:`plan_files` (:meth:`add_encoded_blocks`).
+    blocks by :func:`plan_files` (:meth:`add_encoded_blocks`);
+    :meth:`adopt` writes an existing table again when rebuilding it
+    would change only its footer.
     """
 
     def __init__(
@@ -737,6 +739,53 @@ class SSTableBuilder:
         bloom.add_many(self._keys, self._hashes)
         filter_block = bloom.encode()
         index_block = encode_index(self._index)
+        return self._write(
+            [*self._finished_blocks, filter_block, index_block],
+            len(filter_block), len(index_block), bloom, array("Q", self._hashes),
+            list(self._index), [entry.last_key for entry in self._index], foreground,
+        )
+
+    def adopt(
+        self, table: SSTable, keys: list[bytes], seqnos: list[int], kinds: list[int],
+        sizes: list[int], *, foreground: bool = False,
+    ) -> tuple[SSTable, float] | None:
+        """``table``'s data, filter and index bytes under a fresh footer, or None.
+
+        The columns are ``table``'s records as an input scan read them. If
+        :func:`plan_files` cuts them into ``table``'s blocks and their filter
+        has its geometry, :meth:`finish` would change only the footer's score
+        and ``created_at``; the handle shares ``table``'s resident state."""
+        closed, trailing = plan_files(sizes, self._block.target_bytes, self.target_file_bytes)
+        if len(closed) + bool(trailing) != 1:
+            return None
+        block_ends = trailing or closed[0]
+        costs = record_costs(sizes)
+        lengths = [costs[end] - costs[start] + EMPTY_BLOCK_BYTES
+                   for start, end in zip([0, *block_ends], block_ends)]
+        if lengths != [entry.length for entry in table._index]:
+            return None
+        bloom = table._bloom
+        if bloom is None:  # reopened cold: the filter is in the file
+            start = table.filter_offset
+            bloom = BloomFilter.decode(table.file.view[start : start + table.filter_length])
+        fresh = BloomFilter.for_capacity(len(keys), self._bits_per_key)
+        if (fresh.n_bits, fresh.n_probes) != (bloom.n_bits, bloom.n_probes):
+            return None
+        self._keys, self._smallest, self._largest = keys, keys[0], keys[-1]
+        self._entry_count, self._tombstones = len(keys), kinds.count(0)
+        self._max_seqno, self._data_bytes = max(seqnos), table.data_length
+        return self._write(
+            [table.file.view[: table.index_offset + table.index_length]],
+            table.filter_length, table.index_length, bloom, table._key_hashes,
+            table._index, table._index_keys, foreground,
+        )
+
+    def _write(
+        self, regions: list, filter_length: int, index_length: int, bloom: BloomFilter,
+        hashes: array, index: list[IndexEntry], index_keys: list[bytes], foreground: bool,
+    ) -> tuple[SSTable, float]:
+        """Score, footer, file and resident handle for :meth:`finish` and
+        :meth:`adopt`; ``regions`` are the data, filter and index bytes."""
         assert self._smallest is not None and self._largest is not None
         score = 0.0
         if self._clock_values_fn is not None:
@@ -752,9 +801,9 @@ class SSTableBuilder:
             _FOOTER_FIXED.pack(
                 self._data_bytes,
                 self._data_bytes,
-                len(filter_block),
-                self._data_bytes + len(filter_block),
-                len(index_block),
+                filter_length,
+                self._data_bytes + filter_length,
+                index_length,
                 self._entry_count,
                 self._tombstones,
                 self._max_seqno,
@@ -765,7 +814,7 @@ class SSTableBuilder:
             + self._largest
             + _FOOTER_TAIL.pack(len(self._smallest), len(self._largest), _FOOTER_MAGIC)
         )
-        payload = b"".join(self._finished_blocks) + filter_block + index_block + footer
+        payload = b"".join([*regions, footer])
         file, latency = self._backend.create_file(self._tier, payload, foreground=foreground)
         table = SSTable(
             self._backend,
@@ -776,18 +825,18 @@ class SSTableBuilder:
             tombstone_count=self._tombstones,
             data_length=self._data_bytes,
             filter_offset=self._data_bytes,
-            filter_length=len(filter_block),
-            index_offset=self._data_bytes + len(filter_block),
-            index_length=len(index_block),
+            filter_length=filter_length,
+            index_offset=self._data_bytes + filter_length,
+            index_length=index_length,
             popularity_score=score,
             created_at_usec=created_at,
             max_seqno=self._max_seqno,
         )
         # A freshly written table's filter and index are already in
-        # memory (we just built them): resident from birth, as in
-        # RocksDB's table cache.
+        # memory (just built, or carried over): resident from birth, as
+        # in RocksDB's table cache.
         table._bloom = bloom
-        table._key_hashes = array("Q", self._hashes)
-        table._index = list(self._index)
-        table._index_keys = [entry.last_key for entry in self._index]
+        table._key_hashes = hashes
+        table._index = index
+        table._index_keys = index_keys
         return table, latency

@@ -98,7 +98,7 @@ class SizeRatioTrigger(TriggerPolicy):
             return manifest.file_count(0) / options.l0_compaction_trigger
         target = options.level_target_bytes(level)
         reserve = int(target * options.pin_reserve_fraction)
-        discounted = min(executor.hot_bytes(level), reserve)
+        discounted = min(manifest.hot_bytes(level), reserve)
         return (manifest.level_bytes(level) - discounted) / target
 
 

@@ -65,9 +65,10 @@ class LevelManifest:
         self._run_fences: dict[int, list[list[bytes]]] = {
             level: [] for level in self._stacked
         }
-        #: Bytes per level, maintained by the same three mutation points
-        #: (compaction scheduling asks after every job and every flush).
+        #: Bytes per level, and of them those in positively scored files,
+        #: kept by the same three mutation points for the scheduler.
         self._level_bytes = [0] * num_levels
+        self._hot_bytes = [0] * num_levels
         #: Optional observer with record_add/record_remove(level, file_id),
         #: used to persist version edits to the MANIFEST log.
         self.observer = None
@@ -119,6 +120,10 @@ class LevelManifest:
     def level_bytes(self, level: int) -> int:
         return self._level_bytes[level]
 
+    def hot_bytes(self, level: int) -> int:
+        """Bytes at ``level`` in files carrying a positive popularity score."""
+        return self._hot_bytes[level]
+
     def total_bytes(self) -> int:
         return sum(self._level_bytes)
 
@@ -154,6 +159,8 @@ class LevelManifest:
             files.insert(pos, table)
             fences.insert(pos, table.largest_key)
         self._level_bytes[level] += table.size_bytes
+        if table.popularity_score > 0:
+            self._hot_bytes[level] += table.size_bytes
         if self.observer is not None:
             self.observer.record_add(level, table.file_id)
 
@@ -183,6 +190,7 @@ class LevelManifest:
         self._run_fences[level].insert(0, [table.largest_key for table in run])
         self._reflatten(level)
         self._level_bytes[level] += sum(table.size_bytes for table in run)
+        self._hot_bytes[level] += sum(t.size_bytes for t in run if t.popularity_score > 0)
         if self.observer is not None:
             for table in run:
                 self.observer.record_add(level, table.file_id)
@@ -207,6 +215,8 @@ class LevelManifest:
         elif not self._remove_from_run(self._levels[level], self._fences[level], table):
             raise self._not_present(level, table)
         self._level_bytes[level] -= table.size_bytes
+        if table.popularity_score > 0:
+            self._hot_bytes[level] -= table.size_bytes
         if self.observer is not None:
             self.observer.record_remove(level, table.file_id)
 
@@ -292,6 +302,9 @@ class LevelManifest:
         for level, files in enumerate(self._levels):
             if self._level_bytes[level] != sum(table.size_bytes for table in files):
                 raise CompactionError(f"L{level} byte total out of sync")
+            hot = sum(table.size_bytes for table in files if table.popularity_score > 0)
+            if self._hot_bytes[level] != hot:
+                raise CompactionError(f"L{level} hot byte total out of sync")
         for level in range(1, self.num_levels):
             if level in self._stacked:
                 runs, run_fences = self._runs[level], self._run_fences[level]

@@ -96,6 +96,16 @@ class TestPickers:
         assert LargestFilePicker().pick_files(fx.manifest, 1) == [big]
         assert small in fx.manifest.files(1)
 
+    def test_largest_file_ties_break_to_the_oldest(self):
+        # Equal sizes: the smaller file id wins, though the level's key
+        # order puts the newer file first.
+        fx = CompactionFixture()
+        older = fx.add_table(1, [b"m"])
+        newer = fx.add_table(1, [b"a"])
+        assert older.size_bytes == newer.size_bytes
+        assert fx.manifest.files(1) == [newer, older]
+        assert LargestFilePicker().pick_files(fx.manifest, 1) == [older]
+
     def test_oldest_file_picker(self):
         fx = CompactionFixture()
         first = fx.add_table(1, [b"a"])

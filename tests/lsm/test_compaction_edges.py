@@ -51,11 +51,13 @@ def add_table(backend, layout, manifest, level, keys, *, score=0.0, seqno_base=0
 
 class TestPinReserveScoring:
     def test_hot_bytes_counts_positive_scores_only(self):
-        _, backend, layout, manifest, executor = make_env()
+        _, backend, layout, manifest, _ = make_env()
         cold = add_table(backend, layout, manifest, 1, [b"a"], score=0.0)
         hot = add_table(backend, layout, manifest, 1, [b"m"], score=5.0, seqno_base=10)
-        assert executor.hot_bytes(1) == hot.size_bytes
-        assert executor.hot_bytes(2) == 0
+        assert manifest.hot_bytes(1) == hot.size_bytes
+        assert manifest.hot_bytes(2) == 0
+        manifest.remove_file(1, hot)
+        assert manifest.hot_bytes(1) == 0 and manifest.level_bytes(1) == cold.size_bytes
 
     def test_hot_data_discounted_from_score(self):
         options, backend, layout, manifest, executor = make_env(pin_reserve=1.0)

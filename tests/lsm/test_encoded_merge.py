@@ -19,7 +19,10 @@ from reference_merge import ReferenceExecutor, use_reference_merge, write_per_re
 
 from repro.bench.micro import compaction_merge_replay
 from repro.common import KIB, SimClock
+from repro.core.mapper import ClockDistributionMapper
+from repro.core.placer import ReadAwareRouter
 from repro.core.prismdb import PrismDB, PrismOptions
+from repro.core.tracker import ClockTracker
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.bloom import key_hashes
 from repro.lsm.compaction import (
@@ -33,7 +36,7 @@ from repro.lsm.db import LsmDB
 from repro.lsm.layout import build_layout
 from repro.lsm.options import COMPACTION_SHAPES, DBOptions
 from repro.lsm.record import Record, ValueKind
-from repro.lsm.sstable import SSTableBuilder, plan_files
+from repro.lsm.sstable import SSTable, SSTableBuilder, plan_files
 from repro.lsm.version import LevelManifest
 from repro.storage import NVM_SPEC, StorageBackend, StorageTier
 
@@ -102,11 +105,14 @@ class SpendingRouter(MergeRouter):
 class MergeFixture:
     """test_compaction's fixture, on the engine's merge or the spec's."""
 
+    #: One tier by default; :class:`OnLayout` subclasses swap in another.
+    LAYOUT = "NNNNN"
+
     def __init__(self, *, reference, router=None, options=None, stacked=()):
         self.options = options or small_options()
         self.clock = SimClock()
         self.backend = StorageBackend(self.clock)
-        self.layout = build_layout("NNNNN", self.options, self.clock)
+        self.layout = build_layout(self.LAYOUT, self.options, self.clock)
         self.manifest = LevelManifest(
             self.options.num_levels, run_stacked_levels=stacked
         )
@@ -134,11 +140,11 @@ class MergeFixture:
         self.seqno = 0
 
     def add_table(self, level, keys, *, value=b"v" * 20, kind=ValueKind.PUT,
-                  kind_by_key=None):
+                  kind_by_key=None, block_bytes=None):
         builder = SSTableBuilder(
             self.backend,
             self.layout.tier_for_level(level),
-            block_bytes=self.options.block_bytes,
+            block_bytes=block_bytes or self.options.block_bytes,
             target_file_bytes=1 << 30,
         )
         for key in sorted(keys):
@@ -171,12 +177,15 @@ class MergeFixture:
 
 
 def fingerprint(manifest, num_levels):
-    """Byte-exact snapshot of every live table, per level and run."""
+    """Byte-exact snapshot of every live table, per level and run, with
+    the resident filter, index and key-hash column the read path uses."""
     return {
         level: [
             [
                 (table.file_id, table.smallest_key, table.largest_key,
-                 bytes(table.file.data))
+                 bytes(table.file.data),
+                 table._bloom.encode() if table._bloom is not None else None,
+                 table._index, table._key_hashes)
                 for table in run
             ]
             for run in manifest.runs(level)
@@ -185,18 +194,27 @@ def fingerprint(manifest, num_levels):
     }
 
 
-def run_both(build, *, router_factory=None, stacked=()):
+def router_state(router):
+    """What twins' routers must agree on: a spending log or the PlacerStats."""
+    if isinstance(router, SpendingRouter):
+        return router.state()
+    if isinstance(router, ReadAwareRouter):
+        return dataclasses.asdict(router.stats)
+    return None
+
+
+def run_both(build, *, router_factory=None, stacked=(), options=None):
     """Run ``build(fx)`` on the spec and on the engine; return both states."""
     states = []
     for reference in (True, False):
         router = router_factory() if router_factory else None
-        fx = MergeFixture(reference=reference, router=router, stacked=stacked)
+        fx = MergeFixture(reference=reference, router=router, stacked=stacked, options=options)
         build(fx)
         states.append((
             fingerprint(fx.manifest, fx.options.num_levels),
             dataclasses.asdict(fx.executor.stats),
             fx.executor.metrics.snapshot(),
-            router.state() if isinstance(router, SpendingRouter) else None,
+            router_state(router),
             fx.created,
         ))
     return states
@@ -211,7 +229,22 @@ def assert_equivalent(build, **kwargs):
     return engine_state
 
 
-class TestLeveledEquivalence:
+class OnLayout:
+    """Runs a class's twins on ``LAYOUT``; a subclass re-runs them on another."""
+
+    LAYOUT = MergeFixture.LAYOUT
+
+    @pytest.fixture(autouse=True)
+    def _on_layout(self, monkeypatch):
+        monkeypatch.setattr(MergeFixture, "LAYOUT", self.LAYOUT)
+
+
+#: Two tiers: L0-L1 on NVM, L2 and below on TLC. An L1 -> L2 job crosses
+#: the boundary, so a one-input job there is a move the engine adopts.
+TWO_TIERS = "NNTTT"
+
+
+class TestLeveledEquivalence(OnLayout):
     def test_plain_merge(self):
         def build(fx):
             fx.add_table(1, [f"k{i:04d}".encode() for i in range(0, 100, 2)])
@@ -269,7 +302,7 @@ class TestLeveledEquivalence:
         assert_equivalent(build)
 
 
-class TestRoutedEquivalence:
+class TestRoutedEquivalence(OnLayout):
     def test_pinned_records_retained(self):
         def build(fx):
             fx.add_table(1, [f"k{i:04d}".encode() for i in range(60)])
@@ -364,6 +397,123 @@ class TestRoutedEquivalence:
         assert stats["records_pinned"] == stats["records_pulled_up"] == 0
         assert stats["tombstones_dropped"] == 10
         assert len(tables[bottom]) == 1  # one consolidated run
+
+
+class TestLeveledEquivalenceAcrossTiers(TestLeveledEquivalence):
+    LAYOUT = TWO_TIERS
+
+
+class TestRoutedEquivalenceAcrossTiers(TestRoutedEquivalence):
+    LAYOUT = TWO_TIERS
+
+
+def placer(hot_keys, capacity):
+    """The PrismDB placer over a tracker that has read ``hot_keys`` once.
+
+    Pinning waits for a full tracker (§4.2): below ``capacity`` keys
+    every record sinks; at it, threshold 1.0 pins every tracked key.
+    """
+    mapper = ClockDistributionMapper()
+    tracker = ClockTracker(capacity, mapper)
+    for key in hot_keys:
+        tracker.on_read(key, 1)
+    return ReadAwareRouter(tracker, mapper, pinning_threshold=1.0)
+
+
+MOVED = [f"k{i:04d}".encode() for i in range(60)]
+HOT = MOVED[::3]
+
+
+def reopen_cold(fx, table):
+    """Swap ``table`` for its restart handle: filter and index not resident."""
+    level = fx.manifest.level_of(table)
+    fx.manifest.remove_file(level, table)
+    fx.manifest.add_file(level, SSTable.open(fx.backend, table.file))
+
+
+class TestMoveEquivalence(OnLayout):
+    """One-input jobs, mostly across the tier boundary, against the spec.
+
+    The engine adopts the input when rebuilding it would change only the
+    footer and rebuilds it otherwise. Either way the twins agree on table
+    bytes and resident state, file ids, the create_file log,
+    CompactionStats, the registry and the PlacerStats.
+    """
+
+    LAYOUT = TWO_TIERS
+
+    @staticmethod
+    def _move(level=1, *, prepare=None, hot_capacity=1_000, kind_by_key=None, options=None,
+              block_bytes=None):
+        """Move one table of MOVED from ``level`` down; the engine's state."""
+        def build(fx):
+            table = fx.add_table(level, MOVED, kind_by_key=kind_by_key, block_bytes=block_bytes)
+            if prepare is not None:
+                prepare(fx, table)
+            fx.merge(level, MOVED[0], MOVED[-1])
+
+        return assert_equivalent(
+            build, router_factory=lambda: placer(HOT, hot_capacity), options=options
+        )
+
+    def test_every_record_sinking_adopts(self, adoptions):
+        tables, _, _, placer_stats, created = self._move()
+        assert adoptions == [True]
+        assert placer_stats["suspended_tracker_not_full"] == len(MOVED)
+        (input_id, upper_tier, _), (output_id, lower_tier, _) = created
+        assert [t[0] for run in tables[2] for t in run] == [output_id]
+        assert upper_tier != lower_tier
+
+    def test_tombstones_above_the_bottom_still_adopt(self, adoptions):
+        self._move(kind_by_key=lambda key: ValueKind(key[-1] % 2))
+        assert adoptions == [True]
+
+    def test_pinned_records_fall_back(self, adoptions):
+        _, stats, _, placer_stats, _ = self._move(hot_capacity=len(HOT))
+        assert adoptions == []  # the job never asks: not every record sinks
+        assert stats["records_pinned"] == placer_stats["pinned"] == len(HOT)
+
+    def test_tombstones_dropped_at_the_bottom_fall_back(self, adoptions):
+        bottom = small_options().num_levels - 1
+        _, stats, _, _, _ = self._move(bottom - 1, kind_by_key=lambda key: ValueKind(key[-1] % 2))
+        assert adoptions == []
+        assert stats["tombstones_dropped"] == len(MOVED) // 2
+
+    def test_cold_reopened_input_adopts(self, adoptions):
+        tables, _, _, _, _ = self._move(prepare=reopen_cold)
+        assert adoptions == [True]
+        (output,) = tables[2][0]
+        assert output[-3] is not None  # its filter decoded from the input's bytes
+
+    def test_an_input_holding_two_versions_of_a_key_merges(self, adoptions):
+        # Not a move: the input's keys do not strictly ascend, so the job
+        # sorts and shadows as any merge does and drops the older version.
+        def build(fx):
+            builder = SSTableBuilder(
+                fx.backend, fx.layout.tier_for_level(1),
+                block_bytes=fx.options.block_bytes, target_file_bytes=1 << 30,
+            )
+            for seqno, key in enumerate(MOVED, start=1):
+                if key == MOVED[10]:
+                    builder.add(Record(key, 1_000, ValueKind.PUT, b"newer"))
+                builder.add(Record(key, seqno, ValueKind.PUT, b"v" * 20))
+            fx.manifest.add_file(1, builder.finish()[0])
+            fx.merge(1, MOVED[0], MOVED[-1])
+
+        _, stats, _, _, _ = assert_equivalent(build, router_factory=lambda: placer(HOT, 1_000))
+        assert adoptions == [] and stats["shadowed_dropped"] == 1
+
+    def test_bits_per_key_changed_across_reopen_falls_back(self, adoptions):
+        self._move(prepare=reopen_cold, options=small_options(bits_per_key=12))
+        assert adoptions == [False]  # the filter geometry would differ
+
+    def test_blocks_cut_differently_fall_back(self, adoptions):
+        self._move(block_bytes=512)  # the job's builder cuts 1 KiB blocks
+        assert adoptions == [False]
+
+    def test_an_input_larger_than_a_file_falls_back(self, adoptions):
+        self._move(options=small_options(target_file_bytes=1 * KIB))
+        assert adoptions == [False]
 
 
 class AlternatingRouter(MergeRouter):
@@ -485,6 +635,27 @@ class TestCutPlan:
         # fourth record, long before the 512-byte block would close.
         per_record, bulk = self._both([4] * 10, 512, 100)
         assert bulk == per_record and len(bulk) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=320), min_size=1, max_size=120),
+        block_bytes=st.integers(min_value=24, max_value=700),
+        target_file_bytes=st.integers(min_value=24, max_value=3000),
+    )
+    def test_every_cut_file_replans_to_itself(self, sizes, block_bytes, target_file_bytes):
+        # Why a job that moves one compaction-built file finds it cut the
+        # same way again (what lets the builder adopt it): the rules look
+        # only at the file's own records, so cut alone it is one file
+        # with the same blocks — closed if it closed, open if it was the
+        # stream's trailing file.
+        closed, trailing = plan_files(sizes, block_bytes, target_file_bytes)
+        files = [(ends, True) for ends in closed] + ([(trailing, False)] if trailing else [])
+        start = 0
+        for block_ends, did_close in files:
+            alone = plan_files(sizes[start : block_ends[-1]], block_bytes, target_file_bytes)
+            shifted = [end - start for end in block_ends]
+            assert alone == (([shifted], []) if did_close else ([], shifted))
+            start = block_ends[-1]
 
     def test_unbounded_target_cuts_blocks_only(self):
         # The memtable flush writes one file whatever its size.
@@ -630,3 +801,24 @@ class TestCallBudget:
         assert records == 2_000
         # The above + 1,000 ``route_up_key`` frames + one more output stream.
         assert calls <= 1_450
+
+    def test_an_adopting_job_encodes_no_block_and_fills_no_filter(self, monkeypatch):
+        # A one-input move across tiers writes its input's blocks and
+        # filter again as they are; only the input scan touches records.
+        monkeypatch.setattr(MergeFixture, "LAYOUT", TWO_TIERS)
+        fx = MergeFixture(reference=False)
+        fx.add_table(1, MOVED)
+        called = set()
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_qualname)
+
+        sys.setprofile(profiler)
+        try:
+            fx.merge(1, MOVED[0], MOVED[-1])
+        finally:
+            sys.setprofile(None)
+        assert "extend_spans_from" in called
+        assert not called & {"encode_block", "BloomFilter.add_many", "encode_index"}
+        assert fx.manifest.file_count(1) == 0 and fx.manifest.file_count(2) == 1

@@ -131,6 +131,24 @@ class TestScanCorruption:
             db.scan(b"", 40)
 
 
+#: Faults injected into the first block of a compaction input.
+INPUT_FAULTS = [
+    "kind_byte",
+    "seqno_above_max",
+    "end_past_next_restart",
+    "end_before_next_restart",
+    "last_record_truncated",
+    "first_offset_not_zero",
+    "descending_offsets",
+    "offset_out_of_range",
+    "count_too_large",
+    "count_too_small",
+    "count_zero",
+]
+#: Two tiers: L0 on NVM, L1 and below on TLC.
+MOVE_LAYOUT = "NTTTT"
+
+
 class TestCompactionScanCorruption:
     """Faults in a compaction input surface from the job, never finish it.
 
@@ -143,11 +161,11 @@ class TestCompactionScanCorruption:
     any output is installed.
     """
 
-    def _db_table_block(self):
+    def _db_table_block(self, layout="NNNTQ"):
         from repro.lsm import DBOptions, LsmDB
         from repro.lsm.block import DataBlock
 
-        db = LsmDB.create("NNNTQ", DBOptions(block_bytes=512))
+        db = LsmDB.create(layout, DBOptions(block_bytes=512))
         for i in range(40):
             db.put(f"key{i:04d}".encode(), b"v" * 30)
         db.flush()
@@ -172,26 +190,32 @@ class TestCompactionScanCorruption:
         assert db.manifest.files(0) == [] and db.manifest.file_count(1) == 1
         assert len(db.scan(b"", 40).items) == 40
 
+    def test_clean_moved_input_is_adopted(self, adoptions):
+        # The L0 -> L1 job of the two-tier layout is a one-input move
+        # across the NVM/TLC boundary: the builder adopts the input.
+        db, table, _, _ = self._db_table_block(MOVE_LAYOUT)
+        regions = table.file.data[: table.index_offset + table.index_length]
+        self._compact_l0(db, table)
+        (moved,) = db.manifest.files(1)
+        assert adoptions == [True] and moved.tier.name != table.tier.name
+        assert moved.file.data.startswith(regions)
+        assert len(db.scan(b"", 40).items) == 40
+
     # Header layout: key_len u16 | value_len u32 | kind u8 | seqno u64.
     # Block layout: records | u32 restart offset per record | u16 count.
-    @pytest.mark.parametrize(
-        "fault",
-        [
-            "kind_byte",
-            "seqno_above_max",
-            "end_past_next_restart",
-            "end_before_next_restart",
-            "last_record_truncated",
-            "first_offset_not_zero",
-            "descending_offsets",
-            "offset_out_of_range",
-            "count_too_large",
-            "count_too_small",
-            "count_zero",
-        ],
-    )
+    @pytest.mark.parametrize("fault", INPUT_FAULTS)
     def test_fault_in_an_input_block_raises(self, fault):
-        db, table, block, block_length = self._db_table_block()
+        self._assert_fault_raises(fault, "NNNTQ")
+
+    @pytest.mark.parametrize("fault", INPUT_FAULTS)
+    def test_fault_in_a_moved_input_raises(self, fault, adoptions):
+        # The scan runs before a job decides to adopt its input, so the
+        # move path copies no fault through: it never reaches the builder.
+        self._assert_fault_raises(fault, MOVE_LAYOUT)
+        assert adoptions == []
+
+    def _assert_fault_raises(self, fault, layout):
+        db, table, block, block_length = self._db_table_block(layout)
         file = table.file
         data = bytearray(file.data)
         third = block.offsets[2]

@@ -20,9 +20,14 @@ class ManifestFixture:
         self.seqno = 0
 
     def table(self, lo: bytes, hi: bytes):
-        """Build a tiny table spanning [lo, hi]."""
+        """Build a tiny table spanning [lo, hi].
+
+        Keys score -1, 0 or 1 by their last byte, so tables come out
+        hot (positive score), zero or negative.
+        """
         builder = SSTableBuilder(
-            self.backend, self.tier, block_bytes=512, target_file_bytes=4 * KIB
+            self.backend, self.tier, block_bytes=512, target_file_bytes=4 * KIB,
+            clock_values_fn=lambda keys: [key[-1] % 3 - 1 for key in keys],
         )
         self.seqno += 1
         builder.add(Record(lo, self.seqno, ValueKind.PUT, b"v"))
@@ -184,6 +189,9 @@ def assert_index_matches_brute_force(manifest):
     manifest.check_invariants()  # includes fences == file lists
     for level in range(manifest.num_levels):
         files = manifest.files(level)
+        assert manifest.hot_bytes(level) == sum(
+            t.size_bytes for t in files if t.popularity_score > 0
+        ), level
         for key in PROBES:
             assert manifest.candidates_for_key(level, key) == [
                 t for t in files if t.smallest_key <= key <= t.largest_key
@@ -254,6 +262,19 @@ class TestFenceIndex:
             assert manifest.candidates_for_key(1, b"d") == []
             assert manifest.candidates_for_key(1, b"n") == [right]
             assert manifest.overlapping_files(1, b"a", b"z") == [left, right]
+
+    def test_hot_byte_totals_are_kept_and_checked(self, fx):
+        manifest = LevelManifest(3, run_stacked_levels=(2,))
+        hot, cold = fx.table(b"02", b"02"), fx.table(b"00", b"00")  # scores 1 and -1
+        manifest.add_file(1, hot)
+        manifest.add_run(2, [cold, fx.table(b"05", b"05")])  # -1 and 1
+        assert manifest.hot_bytes(1) == hot.size_bytes
+        assert manifest.hot_bytes(2) == manifest.files(2)[1].size_bytes
+        manifest.remove_file(1, hot)
+        assert manifest.hot_bytes(1) == 0
+        manifest._hot_bytes[2] += 1
+        with pytest.raises(CompactionError, match="hot byte total"):
+            manifest.check_invariants()
 
     def test_remove_needs_the_same_table_not_an_equal_range(self, fx):
         manifest = LevelManifest(3, run_stacked_levels=(2,))
