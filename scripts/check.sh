@@ -125,9 +125,11 @@ if ! python scripts/perf_pairs.py --workload fleet-mixed --heap --quick; then
     echo "fleet heap report failed (non-gating); continuing"
 fi
 
-# Non-gating: where scan-cold's load and compaction time goes — commit
-# path, flush, scheduling, adopted moves, merges — at --quick op counts.
-echo "== load and compaction stages (non-gating) =="
+# Non-gating: where scan-cold's time goes — the load (commit path,
+# flush, scheduling, adopted moves, merges), the measured run's
+# compaction jobs, and its reads (point reads, scans, data-block misses
+# and hits, fresh and memoized seeks) — at --quick op counts.
+echo "== load, compaction and read stages (non-gating) =="
 if ! python scripts/perf_pairs.py --workload scan-cold --stages --quick; then
     echo "stage split failed (non-gating); continuing"
 fi

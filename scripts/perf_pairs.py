@@ -24,11 +24,13 @@ recompiles exactly the files the change edited, which shows up in
 perfbench.worker --quick``; ``run.py`` has no quick flag). ``--stages``
 prints, instead of pairs, a per-stage host-time split of the working
 tree's load phase (commit path, flush, scheduling, adopted moves,
-merges, install) and of its compaction jobs in the measured run, over
-one in-process run of the workload, taken by wrapping the stage
-functions from outside (nothing under ``perfbench/`` or ``src/`` is
-edited). ``--heap`` prints, the same way, the working
-tree's ``tracemalloc`` top ten allocation sites after the load phase and
+merges, install), of its compaction jobs in the measured run and of the
+run's reads (point reads, scans, data-block misses and hits, fresh and
+memoized ``DataBlock.seek``), over one in-process run of the workload,
+taken by wrapping the functions from outside (nothing under
+``perfbench/`` or ``src/`` is edited). ``--heap`` prints, the same way,
+the working tree's ``tracemalloc`` top ten allocation sites after the
+load phase and
 after the measured run, with the traced bytes per loaded record beyond
 the bytes the tables themselves hold, then what warm-up and run kept
 alive beyond new table bytes per measured op and the five sites that
@@ -300,6 +302,76 @@ class StageClock:
         setattr(owner, attr, timed)
 
 
+class ReadSplit:
+    """Seconds and calls of the measured run's reads, wrapped from outside.
+
+    Point reads (the read lane the harness fetches) and scans, then what
+    they spend inside: data-block fetches split into cache misses and
+    hits by the data-miss tally, and ``DataBlock.seek`` split into fresh
+    seeks (no key of the block peeked yet) and memoized ones.
+    """
+
+    NAMES = ("point reads", "scans", "data-block misses", "data-block hits",
+             "seek, fresh", "seek, memoized")
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(self.NAMES, 0.0)
+        self.calls = dict.fromkeys(self.NAMES, 0)
+
+    def _add(self, name: str, started: float) -> None:
+        self.seconds[name] += time.perf_counter() - started
+        self.calls[name] += 1
+
+    def _timed(self, name: str, fn):
+        def timed(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._add(name, started)
+
+        return timed
+
+    def install(self, db) -> None:
+        from repro.lsm.block import DataBlock
+        from repro.lsm.block_cache import BlockType
+        from repro.lsm.sstable import SSTable
+
+        lane_factory = db.read_lane
+        db.read_lane = lambda: self._timed("point reads", lane_factory())
+        db.scan = self._timed("scans", db.scan)
+        data_block, seek = SSTable._data_block, DataBlock.seek
+        data = db.cache.stats.tallies[BlockType.DATA]
+
+        def timed_fetch(*args, **kwargs):
+            misses = data.misses
+            started = time.perf_counter()
+            try:
+                return data_block(*args, **kwargs)
+            finally:
+                self._add("data-block misses" if data.misses != misses
+                          else "data-block hits", started)
+
+        def timed_seek(block, user_key):
+            name = "seek, memoized" if block._peeked else "seek, fresh"
+            started = time.perf_counter()
+            try:
+                return seek(block, user_key)
+            finally:
+                self._add(name, started)
+
+        SSTable._data_block, DataBlock.seek = timed_fetch, timed_seek
+
+    def report(self, measured: float) -> None:
+        print(" reads (fetches and seeks are inside the reads and scans):")
+        for name in self.NAMES:
+            calls = self.calls[name]
+            each = self.seconds[name] * 1e6 / calls if calls else 0.0
+            print(f"  {name:17s} {self.seconds[name] * 1e3:9.1f} ms  "
+                  f"{self.seconds[name] / measured * 100:5.1f} % of the region  "
+                  f"{calls:7d} calls  {each:7.2f} us each")
+
+
 def single_instance(args):
     """(workload, runner, config) built the way ``perfbench.worker`` builds them."""
     from perfbench.workloads import SPECS, single_configs
@@ -335,6 +407,8 @@ def run_stages(args) -> int:
     if workload_cfg.warmup_operations > 0:
         runner.warmup(workload)
     clock.reset()
+    reads = ReadSplit()
+    reads.install(runner.db)
     started = time.perf_counter()
     runner.run(workload)
     measured = time.perf_counter() - started
@@ -354,6 +428,7 @@ def run_stages(args) -> int:
             print(f"  {stage:14s} {spent[stage] * 1e3:9.1f} ms  "
                   f"{spent[stage] / measured * 100:5.1f} % of the region"
                   + (f"  {calls:6d} calls" if calls else ""))
+    reads.report(measured)
     return 0
 
 

@@ -14,23 +14,26 @@ Wire format (v2, LevelDB-style restart trailer)::
 
 The restart-point offset array lets a reader *binary-search the encoded
 buffer* instead of materializing every record in the block.
-:class:`DataBlock` is the decoded-side handle: it parses the trailer
-once (cheap — a single struct call) and then serves lazy point searches
-(:meth:`DataBlock.search` decodes only the one candidate record) and
+:class:`DataBlock` is the decoded-side handle, a *window* over
+immutable ``bytes`` — for a fetched block, the file's own, so nothing is
+copied and a key or value sliced out is one ``bytes`` allocation. It
+parses the trailer once (a single struct call) and then serves lazy
+point searches (:meth:`DataBlock.search` decodes only the candidate) and
 range-scan seeks (:meth:`DataBlock.seek`; the scan cursor in
-:mod:`repro.lsm.sstable` then walks the encoded records itself, one
-header at a time). No engine path builds the full record list any more
-— compactions read whole files through :func:`extend_spans_from` —
-so :meth:`DataBlock.records` is the decode *specification*: what the
-tests' reference scan, the micros and debugging tools call. The block
-cache keeps ``DataBlock`` objects alongside the raw bytes so a cache hit
-never re-parses anything.
+:mod:`repro.lsm.sstable` then walks the encoded records itself). Every
+read from a window is bounded by its ``records_end``, never by
+``len(buf)``, so a corrupt length raises instead of reaching into the
+next block; offsets and error messages stay block-relative.
+:meth:`DataBlock.records` is the decode *specification* (compactions
+read whole files through :func:`extend_spans_from`). The block cache
+keeps ``DataBlock`` objects so a cache hit never re-parses anything.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import accumulate, islice
 
 from repro.errors import CorruptionError
@@ -44,6 +47,12 @@ _KEY_LEN = struct.Struct("<H")
 _REC_HEADER = struct.Struct("<HIBQ")
 #: Serialized size of a block holding no records: the count trailer.
 EMPTY_BLOCK_BYTES = _COUNT.size
+
+
+@lru_cache(maxsize=1024)  # few counts occur; a corrupt trailer may name any
+def _restart_array(count: int) -> struct.Struct:
+    """The ``count`` u32 restart offsets."""
+    return struct.Struct(f"<{count}I")
 
 
 def record_costs(sizes: list[int]) -> list[int]:
@@ -162,31 +171,36 @@ class DataBlockBuilder:
 class DataBlock:
     """Decoded-side handle over one serialized data block.
 
-    Construction parses only the restart trailer (count + offset array).
-    Point lookups binary-search the *encoded* records through the offset
-    array, peeking at keys via header reads, and decode exactly one
-    candidate record; range scans :meth:`seek` the same way and walk on
-    in the encoded domain. :meth:`records` materializes (and memoizes)
-    the full validated list; nothing on the engine's read, scan or
-    compaction paths calls it.
+    The block is the window ``buf[base : base + length]`` (the whole of
+    ``buf`` by default). Construction parses only the restart trailer
+    (count + offset array). Point lookups binary-search the *encoded*
+    records through the offset array, peeking at keys via header reads,
+    and decode exactly one candidate record; range scans :meth:`seek`
+    the same way and walk on in the encoded domain. :meth:`records`
+    materializes (and memoizes) the full validated list; nothing on the
+    engine's read, scan or compaction paths calls it.
+
+    ``offsets`` are block-relative; ``records_end`` is the position in
+    ``buf`` where the record region ends, the bound of every read.
     """
 
-    __slots__ = ("buf", "count", "offsets", "records_end", "_records", "_peeked")
+    __slots__ = ("buf", "base", "count", "offsets", "records_end", "_records", "_peeked")
 
-    def __init__(self, buf: bytes | memoryview) -> None:
-        if len(buf) < _COUNT.size:
+    def __init__(self, buf: bytes, base: int = 0, length: int | None = None) -> None:
+        end = len(buf) if length is None else base + length
+        if end - base < _COUNT.size or end > len(buf):
             raise CorruptionError("truncated data block")
-        (count,) = _COUNT.unpack_from(buf, len(buf) - _COUNT.size)
-        trailer = _COUNT.size + count * _OFFSET.size
-        if len(buf) < trailer:
+        (count,) = _COUNT.unpack_from(buf, end - _COUNT.size)
+        records_end = end - _COUNT.size - count * _OFFSET.size
+        if records_end < base:
             raise CorruptionError(
-                f"truncated restart array: {count} records, {len(buf)} bytes"
+                f"truncated restart array: {count} records, {end - base} bytes"
             )
-        records_end = len(buf) - trailer
-        offsets = struct.unpack_from(f"<{count}I", buf, records_end)
-        if count and (offsets[0] != 0 or offsets[-1] >= records_end):
+        offsets = _restart_array(count).unpack_from(buf, records_end)
+        if count and (offsets[0] != 0 or base + offsets[-1] >= records_end):
             raise CorruptionError(f"restart offsets out of range: {offsets[:4]}...")
         self.buf = buf
+        self.base = base
         self.count = count
         self.offsets = offsets
         self.records_end = records_end
@@ -195,8 +209,7 @@ class DataBlock:
         #: point searches of a hot cached block revisit the same probe
         #: positions (the midpoints are a function of ``count`` alone),
         #: so memoizing them turns the steady-state search into pure
-        #: dict hits — and makes memoryview-backed blocks (which would
-        #: otherwise pay a bytes() per peek) as fast as bytes-backed.
+        #: dict hits.
         self._peeked: dict[int, bytes] = {}
 
     def __len__(self) -> int:
@@ -207,17 +220,15 @@ class DataBlock:
         key = self._peeked.get(index)
         if key is not None:
             return key
-        offset = self.offsets[index]
-        if offset + _REC_HEADER.size > self.records_end:
-            raise CorruptionError(f"truncated record header at offset {offset}")
-        (key_len,) = _KEY_LEN.unpack_from(self.buf, offset)
+        base = self.base
+        offset = base + self.offsets[index]
         start = offset + _REC_HEADER.size
-        key = self.buf[start : start + key_len]
-        if len(key) != key_len:
-            raise CorruptionError(f"truncated record key at offset {offset}")
-        if type(key) is not bytes:
-            key = key.tobytes()
-        self._peeked[index] = key
+        if start > self.records_end:
+            raise CorruptionError(f"truncated record header at offset {offset - base}")
+        (key_len,) = _KEY_LEN.unpack_from(self.buf, offset)
+        if start + key_len > self.records_end:
+            raise CorruptionError(f"truncated record key at offset {offset - base}")
+        key = self._peeked[index] = self.buf[start : start + key_len]
         return key
 
     def seek(self, user_key: bytes) -> int:
@@ -233,22 +244,33 @@ class DataBlock:
 
         Records are in internal order (key asc, seqno desc), so the first
         record at-or-after ``user_key`` is the newest version if the keys
-        match. When the record list is already materialized the search
-        runs over it directly (no byte peeks).
+        match. The candidate is held to the cursor's framing rule: it
+        must end exactly at the next restart offset (the last record at
+        ``records_end``). When the record list is already materialized
+        the search runs over it directly (no byte peeks).
         """
         records = self._records
         if records is not None:
             return search_block(records, user_key)
         key_at = self._key_at
-        lo, hi = 0, self.count
+        count = self.count
+        lo, hi = 0, count
         while lo < hi:
             mid = (lo + hi) // 2
             if key_at(mid) < user_key:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < self.count and key_at(lo) == user_key:
-            record, _ = Record.decode_from(self.buf, self.offsets[lo])
+        if lo < count and key_at(lo) == user_key:
+            base, offsets, records_end = self.base, self.offsets, self.records_end
+            start = base + offsets[lo]
+            record, end = Record.decode_from(self.buf, start, records_end, base)
+            lo += 1
+            if end != (base + offsets[lo] if lo < count else records_end):
+                raise CorruptionError(
+                    f"record at offset {start - base} ends at {end - base}, "
+                    "not at the next restart offset"
+                )
             return record
         return None
 
@@ -256,27 +278,21 @@ class DataBlock:
         """The full decoded record list (memoized)."""
         records = self._records
         if records is None:
-            buf = self.buf
-            if type(buf) is not bytes:
-                # Bulk decode slices two fields per record; against a
-                # memoryview each slice would pay an extra allocation.
-                # One flat bytes() of the block is cheaper than ~80
-                # small conversions and happens at most once per block.
-                buf = bytes(buf)
+            buf, base, offsets, records_end = self.buf, self.base, self.offsets, self.records_end
             records = []
-            offset = 0
+            offset = base
             decode_from = Record.decode_from
             for index in range(self.count):
-                if offset != self.offsets[index]:
+                if offset != base + offsets[index]:
                     raise CorruptionError(
                         f"restart offset mismatch at record {index}: "
-                        f"{self.offsets[index]} != {offset}"
+                        f"{offsets[index]} != {offset - base}"
                     )
-                record, offset = decode_from(buf, offset)
+                record, offset = decode_from(buf, offset, records_end, base)
                 records.append(record)
-            if offset != self.records_end:
+            if offset != records_end:
                 raise CorruptionError(
-                    f"trailing garbage in data block: {self.records_end - offset} bytes"
+                    f"trailing garbage in data block: {records_end - offset} bytes"
                 )
             self._records = records
         return records
@@ -290,37 +306,13 @@ def decode_block(buf: bytes) -> list[Record]:
 def extend_records_from(
     buf: bytes, base: int, length: int, out: list[Record]
 ) -> None:
-    """Append all records of the block at ``buf[base : base + length]``.
-
-    The zero-copy bulk path for compaction input scans: the caller hands
-    the *whole file's* bytes plus the block's index-entry coordinates,
-    and records are decoded in place — no per-block slice, no offset
-    array parse (a sequential walk needs only the count; the end-position
-    check below still catches any framing mismatch).
-    """
-    end = base + length
-    if length < _COUNT.size or end > len(buf):
-        raise CorruptionError("truncated data block")
-    (count,) = _COUNT.unpack_from(buf, end - _COUNT.size)
-    records_end = end - _COUNT.size - count * _OFFSET.size
-    if records_end < base:
-        raise CorruptionError(
-            f"truncated restart array: {count} records, {length} bytes"
-        )
-    offset = base
-    decode_from = Record.decode_from
-    append = out.append
-    for _ in range(count):
-        record, offset = decode_from(buf, offset)
-        append(record)
-    if offset != records_end:
-        raise CorruptionError(
-            f"trailing garbage in data block: {records_end - offset} bytes"
-        )
+    """Append all records of the block at ``buf[base : base + length]``:
+    :meth:`DataBlock.records` of that window (the record-domain scan)."""
+    out.extend(DataBlock(buf, base, length).records())
 
 
 def extend_spans_from(
-    buf,
+    buf: bytes,
     base: int,
     length: int,
     keys: list[bytes],
@@ -355,17 +347,16 @@ def extend_spans_from(
         )
     unpack_header = _REC_HEADER.unpack_from
     header_size = _REC_HEADER.size
-    # Bound methods and a hoisted buffer-type check: this loop runs once
-    # per record of every compaction input, so per-iteration attribute
-    # lookups are measurable against the little real work it does.
+    # Bound methods: this loop runs once per record of every compaction
+    # input, so per-iteration attribute lookups are measurable against
+    # the little real work it does.
     keys_append = keys.append
     seqnos_append = seqnos.append
     kinds_append = kinds.append
     starts_append = starts.append
     ends_append = ends.append
-    raw_bytes = type(buf) is bytes
     offset = base
-    for restart in struct.unpack_from(f"<{count}I", buf, records_end):
+    for restart in _restart_array(count).unpack_from(buf, records_end):
         if offset != base + restart:
             raise CorruptionError(
                 f"restart offset {restart} does not match the record at {offset - base}"
@@ -383,10 +374,7 @@ def extend_spans_from(
         offset = key_end + value_len
         if offset > records_end:
             raise CorruptionError(f"truncated record body at offset {start}")
-        key = buf[key_start:key_end]
-        if not raw_bytes:
-            key = bytes(key)
-        keys_append(key)
+        keys_append(buf[key_start:key_end])
         seqnos_append(seqno)
         kinds_append(kind)
         starts_append(start)

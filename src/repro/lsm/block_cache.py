@@ -6,8 +6,9 @@ means a block's cache-worthiness is set by its *most popular* residents,
 which is why PrismDB's hot-cold separation raises hit rates (Table 4).
 
 Hits are charged a DRAM access; misses fall through to the loader (which
-charges device I/O) and insert the block. Per-type hit/miss counters feed
-the Table 4 reproduction.
+charges device I/O) and insert the block — a data-block fetch is one
+:meth:`BlockCache.data_block` call that reads the backend itself. Per-type
+hit/miss counters feed the Table 4 reproduction.
 
 Each entry carries the raw block bytes *and*, on demand, the decoded
 object parsed from them (a :class:`~repro.lsm.block.DataBlock`, an index
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.obs.metrics import Counter
+from repro.storage.backend import SimFile, StorageBackend
 from repro.storage.device import DRAM_SPEC
 
 T = TypeVar("T")
@@ -119,14 +121,14 @@ class BlockCache:
         self.capacity_bytes = capacity_bytes
         self.stats = CacheStats()
         self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
-        self._file_index: dict[int, set[tuple[int, int]]] = {}
         self._used_bytes = 0
         tallies = self._tallies = self.stats.tallies
-        #: Pre-bound counters for the point-probe path (``SSTable.get``):
-        #: a table-resident filter / index access, and a data-block hit.
+        #: Pre-bound counters for the fetch paths: a table-resident
+        #: filter / index access, and a data-block hit or miss.
         self.filter_resident_hit = tallies[BlockType.FILTER].hit
         self.index_resident_hit = tallies[BlockType.INDEX].hit
         self._data_hit = tallies[BlockType.DATA].hit
+        self._data_miss = tallies[BlockType.DATA].miss
 
     def bind_observability(self, registry) -> None:
         """Mirror hit/miss accounting into ``registry`` (cache.* series)."""
@@ -223,32 +225,44 @@ class BlockCache:
             inserted.decoded = decoded
         return decoded, latency
 
-    def data_block_hit(
-        self, file_id: int, offset: int, decoder: Callable[[bytes], T], ctx=None
-    ) -> tuple[T, float] | None:
-        """The hit half of :meth:`get_or_load_decoded` for a data block.
+    def data_block(
+        self,
+        backend: StorageBackend,
+        file: SimFile,
+        offset: int,
+        length: int,
+        decoder: Callable[[bytes, int, int], T],
+        foreground: bool = True,
+        ctx=None,
+    ) -> tuple[T, float]:
+        """(decoded data block, simulated latency): a fetch in one probe.
 
-        Returns (decoded block, simulated latency) with exactly the
-        accounting of a ``BlockType.DATA`` hit there — LRU touch, one
-        data hit, the entry's DRAM latency (attributed to ``ctx`` when
-        one is given) — or ``None``, having counted nothing, when the
-        block is not cached; the caller then takes
-        :meth:`get_or_load_decoded`, which counts the miss and loads.
-        Probing first means a caller only has to build its loader on a
-        miss.
+        A ``BlockType.DATA`` lookup with :meth:`get_or_load_decoded`'s
+        accounting and no loader: a miss charges ``backend.read`` itself.
+        ``decoder(file.data, offset, length)`` windows the file's own
+        bytes, so no block is ever copied.
         """
-        key = (file_id, offset)
+        key = (file.file_id, offset)
         entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        self._data_hit()
-        decoded = entry.decoded
-        if decoded is None:
-            decoded = entry.decoded = decoder(entry.data)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self._data_hit()
+            decoded = entry.decoded
+            if decoded is None:
+                decoded = entry.decoded = decoder(file.data, offset, length)
+            latency = entry.hit_latency
+            if ctx is not None:
+                ctx.add("data", "dram", latency)
+            return decoded, latency
+        self._data_miss()
         if ctx is not None:
-            ctx.add("data", "dram", entry.hit_latency)
-        return decoded, entry.hit_latency
+            ctx.component = "data"
+        data, latency = backend.read(file, offset, length, foreground=foreground, ctx=ctx)
+        decoded = decoder(file.data, offset, length)
+        inserted = self._insert(key, data)
+        if inserted is not None:
+            inserted.decoded = decoded
+        return decoded, latency
 
     def _insert(self, key: tuple[int, int], data: bytes) -> _Entry | None:
         if self.capacity_bytes == 0 or len(data) > self.capacity_bytes:
@@ -258,35 +272,36 @@ class BlockCache:
             self._entries.move_to_end(key)
         entry = _Entry(data)
         self._entries[key] = entry
-        self._file_index.setdefault(key[0], set()).add(key)
         self._used_bytes += len(data)
         self.stats.insertions += 1
         while self._used_bytes > self.capacity_bytes:
-            evicted_key, evicted = self._entries.popitem(last=False)
+            evicted = self._entries.popitem(last=False)[1]
             self._used_bytes -= len(evicted.data)
-            self._forget(evicted_key)
             self.stats.evictions += 1
             if evicted is entry:
                 return None
         return entry
 
-    def _forget(self, key: tuple[int, int]) -> None:
-        keys = self._file_index.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._file_index[key[0]]
-
-    def invalidate_file(self, file_id: int) -> int:
-        """Drop all blocks of a deleted file; returns count removed."""
-        doomed = self._file_index.pop(file_id, set())
-        for key in doomed:
-            entry = self._entries.pop(key, None)
+    def invalidate_file(self, file_id: int, offsets: Iterable[int]) -> int:
+        """Drop a deleted file's blocks at ``offsets`` — its filter, index
+        and data blocks (``SSTable.block_offsets``); returns count removed."""
+        removed = 0
+        for offset in offsets:
+            entry = self._entries.pop((file_id, offset), None)
             if entry is not None:
                 self._used_bytes -= len(entry.data)
-        return len(doomed)
+                removed += 1
+        return removed
+
+    def check_invariants(self, live_file_ids: Iterable[int]) -> None:
+        """Every cached block names a live file; ``used_bytes`` adds up."""
+        stale = {file_id for file_id, _ in self._entries}.difference(live_file_ids)
+        if stale:
+            raise AssertionError(f"block cache holds blocks of dead files {sorted(stale)}")
+        held = sum(len(entry.data) for entry in self._entries.values())
+        if held != self._used_bytes:
+            raise AssertionError(f"block cache used_bytes {self._used_bytes} != {held} held")
 
     def clear(self) -> None:
         self._entries.clear()
-        self._file_index.clear()
         self._used_bytes = 0

@@ -453,7 +453,7 @@ class CompactionExecutor:
                 for table in tables:
                     manifest.add_file(level, table)
         for table in job.upper_inputs + job.lower_inputs:
-            self._cache.invalidate_file(table.file_id)
+            self._cache.invalidate_file(table.file_id, table.block_offsets())
             self._backend.delete_file(table.file)
 
         self.stats.compactions += 1

@@ -706,9 +706,11 @@ class LsmDB:
         below it. Run-stacked levels get the same rule *within* the
         level, run by run: point reads probe the newest run first and
         stop at the first hit, so a newer run must never hold an older
-        version of a key than a run beneath it.
+        version of a key than a run beneath it. The block cache must hold
+        blocks of live files only, and account exactly the bytes it holds.
         """
         self.manifest.check_invariants()
+        self.cache.check_invariants(table.file_id for _, table in self.manifest.all_files())
         for level in range(self.manifest.num_levels):
             if not self.manifest.is_run_stacked(level):
                 continue

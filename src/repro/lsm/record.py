@@ -85,30 +85,31 @@ class Record:
         )
 
     @staticmethod
-    def decode_from(buf: bytes | memoryview, offset: int) -> tuple["Record", int]:
+    def decode_from(
+        buf: bytes, offset: int, limit: int | None = None, base: int = 0
+    ) -> tuple["Record", int]:
         """Decode one record at ``offset``; returns (record, next_offset).
 
-        Accepts a ``memoryview`` (zero-copy block reads) as well as
-        ``bytes``; the decoded key/value are always independent ``bytes``
-        objects either way.
+        The record must end by ``limit`` (default ``len(buf)``); error
+        messages name offsets relative to ``base``, so a block decoded
+        in place inside a file reports block-relative positions.
         """
-        if offset + _HEADER_SIZE > len(buf):
-            raise CorruptionError(f"truncated record header at offset {offset}")
+        if limit is None:
+            limit = len(buf)
+        if offset + _HEADER_SIZE > limit:
+            raise CorruptionError(f"truncated record header at offset {offset - base}")
         key_len, value_len, kind, seqno = _UNPACK_HEADER(buf, offset)
         start = offset + _HEADER_SIZE
         end = start + key_len + value_len
-        if end > len(buf):
-            raise CorruptionError(f"truncated record body at offset {offset}")
+        if end > limit:
+            raise CorruptionError(f"truncated record body at offset {offset - base}")
         if kind > 1:
-            raise CorruptionError(f"bad record kind {kind} at offset {offset}")
+            raise CorruptionError(f"bad record kind {kind} at offset {offset - base}")
         if seqno > MAX_SEQNO:
-            raise CorruptionError(f"seqno out of range at offset {offset}: {seqno}")
+            raise CorruptionError(f"seqno out of range at offset {offset - base}: {seqno}")
         key_end = start + key_len
         user_key = buf[start:key_end]
         value = buf[key_end:end]
-        if type(user_key) is not bytes:
-            user_key = bytes(user_key)
-            value = bytes(value)
         # Fields already validated above (kind, seqno; key_len is a u16 so
         # it cannot exceed the key-length cap), so the record is assembled
         # directly instead of through the dataclass __init__/__post_init__

@@ -19,6 +19,7 @@ import bisect
 import struct
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from repro.common.rng import fnv1a_64
@@ -179,14 +180,10 @@ class SSTable:
         # Filter blocks behave like RocksDB's table cache: loaded from
         # the device on first access, then resident in table memory for
         # the file's lifetime (get() serves the resident case itself).
-        def loader() -> tuple[bytes, float]:
-            return self._backend.read(
-                self.file, self.filter_offset, self.filter_length,
-                foreground=foreground, ctx=ctx,
-            )
-
         bloom, latency = cache.get_or_load_decoded(
-            self.file_id, self.filter_offset, BlockType.FILTER, loader,
+            self.file_id, self.filter_offset, BlockType.FILTER,
+            partial(self._backend.read, self.file, self.filter_offset, self.filter_length,
+                    foreground=foreground, ctx=ctx),
             BloomFilter.decode, ctx,
         )
         self._bloom = bloom
@@ -195,20 +192,15 @@ class SSTable:
     def _index_entries(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[list[IndexEntry], float]:
         # Index blocks live in the table cache as well (see above).
         if self._index is not None:
-            cache.record_resident_hit(BlockType.INDEX)
+            cache.index_resident_hit()
             latency = self._index_hit_latency
             if ctx is not None:
                 ctx.add("index", "dram", latency)
             return self._index, latency
-
-        def loader() -> tuple[bytes, float]:
-            return self._backend.read(
-                self.file, self.index_offset, self.index_length,
-                foreground=foreground, ctx=ctx,
-            )
-
         entries, latency = cache.get_or_load_decoded(
-            self.file_id, self.index_offset, BlockType.INDEX, loader,
+            self.file_id, self.index_offset, BlockType.INDEX,
+            partial(self._backend.read, self.file, self.index_offset, self.index_length,
+                    foreground=foreground, ctx=ctx),
             decode_index, ctx,
         )
         self._index = entries
@@ -216,21 +208,15 @@ class SSTable:
         return entries, latency
 
     def _data_block(self, entry: IndexEntry, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[DataBlock, float]:
-        # A cached block needs no loader: probe first, build the
-        # closure only on a miss.
-        cached = cache.data_block_hit(self.file.file_id, entry.offset, DataBlock, ctx)
-        if cached is not None:
-            return cached
-
-        def loader() -> tuple[bytes, float]:
-            return self._backend.read(
-                self.file, entry.offset, entry.length,
-                foreground=foreground, ctx=ctx,
-            )
-
-        return cache.get_or_load_decoded(
-            self.file_id, entry.offset, BlockType.DATA, loader, DataBlock, ctx
+        # One cache call; the block is a window over the file's own bytes.
+        return cache.data_block(
+            self._backend, self.file, entry.offset, entry.length, DataBlock, foreground, ctx
         )
+
+    def block_offsets(self) -> list[int]:
+        """Offsets of every block the cache may hold for this table —
+        filter, index and data — read from the resident index."""
+        return [self.filter_offset, self.index_offset, *[entry.offset for entry in self._index]]
 
     # ------------------------------------------------------------------
     # Point lookup
@@ -452,14 +438,15 @@ class RunCursor:
     cursor lands on gets the checks ``Record.decode_from`` and
     ``DataBlock.records()`` apply (header and body inside the record
     region, kind, seqno, record end == next restart offset). Records it
-    never lands on are not decoded.
+    never lands on are not decoded. ``key`` and :meth:`value` are
+    ``bytes`` slices of the block's window over the file's own bytes.
     """
 
     __slots__ = (
         "key", "inv", "kind", "latency",
         "_run", "_run_pos", "_start_key", "_cache", "_foreground", "_ctx",
         "_table", "_entries", "_entry_pos",
-        "_buf", "_offsets", "_count", "_records_end", "_index",
+        "_buf", "_base", "_offsets", "_count", "_records_end", "_index",
         "_value_start", "_end",
     )
 
@@ -484,29 +471,31 @@ class RunCursor:
             index = self._index
         else:
             return False
+        base = self._base
         offsets = self._offsets
-        offset = offsets[index]
+        offset = base + offsets[index]
         records_end = self._records_end
         if offset + RECORD_HEADER_SIZE > records_end:
-            raise CorruptionError(f"truncated record header at offset {offset}")
+            raise CorruptionError(f"truncated record header at offset {offset - base}")
         buf = self._buf
         key_len, value_len, kind, seqno = unpack_record_header(buf, offset)
         if kind > 1:
-            raise CorruptionError(f"bad record kind {kind} at offset {offset}")
+            raise CorruptionError(f"bad record kind {kind} at offset {offset - base}")
         if seqno > MAX_SEQNO:
-            raise CorruptionError(f"seqno out of range at offset {offset}: {seqno}")
+            raise CorruptionError(f"seqno out of range at offset {offset - base}: {seqno}")
         key_start = offset + RECORD_HEADER_SIZE
         value_start = key_start + key_len
         end = value_start + value_len
         if end > records_end:
-            raise CorruptionError(f"truncated record body at offset {offset}")
+            raise CorruptionError(f"truncated record body at offset {offset - base}")
         self._index = index
         index += 1
-        if end != (offsets[index] if index < self._count else records_end):
+        if end != (base + offsets[index] if index < self._count else records_end):
             raise CorruptionError(
-                f"record at offset {offset} ends at {end}, not at the next restart offset"
+                f"record at offset {offset - base} ends at {end - base}, "
+                "not at the next restart offset"
             )
-        self.key = buf[key_start:value_start].tobytes()
+        self.key = buf[key_start:value_start]
         self.inv = MAX_SEQNO - seqno
         self.kind = kind
         self._value_start = value_start
@@ -515,7 +504,7 @@ class RunCursor:
 
     def value(self) -> bytes:
         """The current record's value (``b""`` for a tombstone)."""
-        return self._buf[self._value_start : self._end].tobytes()
+        return self._buf[self._value_start : self._end]
 
     def _next_block(self) -> bool:
         """Fetch forward to the next block holding a record to land on.
@@ -545,8 +534,8 @@ class RunCursor:
             self._entry_pos = pos + 1
             index = block.seek(self._start_key) if self._index < 0 else 0
             if index < block.count:
-                buf = block.buf
-                self._buf = memoryview(buf) if type(buf) is bytes else buf
+                self._buf = block.buf
+                self._base = block.base
                 self._offsets = block.offsets
                 self._count = block.count
                 self._records_end = block.records_end

@@ -173,8 +173,15 @@ class StorageBackend:
             self.stats.lock_stalls += 1
             if ctx is not None:
                 ctx.add("migration_stall", file.tier.name, stall)
-        latency = file.tier.device.read(length, foreground=foreground, ctx=ctx) + stall
-        self._tally(file.tier, length, is_read=True, foreground=foreground)
+        tier = file.tier
+        latency = tier.device.read(length, foreground=foreground, ctx=ctx) + stall
+        stats = self.stats  # _tally's read branch, inline: once per block fetched
+        if foreground:
+            stats.foreground_read_bytes += length
+        else:
+            stats.background_read_bytes += length
+        tiers = stats.per_tier_read_bytes
+        tiers[tier.name] = tiers.get(tier.name, 0) + length
         if offset == 0 and length == len(file.data):
             return file.data, latency
         return file.view[offset : offset + length], latency

@@ -1,8 +1,28 @@
 """Tests for the LRU block cache."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.common import MIB, SimClock
 from repro.lsm.block_cache import BlockCache, BlockType
+from repro.storage import NVM_SPEC, StorageBackend, StorageTier
+
+
+def backend_with(*payloads):
+    """A backend holding one file per payload (ids 1, 2, ...)."""
+    clock = SimClock()
+    backend = StorageBackend(clock)
+    tier = StorageTier("nvm", NVM_SPEC, 64 * MIB, clock)
+    return backend, [backend.create_file(tier, payload)[0] for payload in payloads]
+
+
+def counted_upper(decodes):
+    """A data-block decoder over a window of the file's bytes."""
+    def decoder(buf, base, length):
+        decodes.append(1)
+        return buf[base : base + length].upper()
+    return decoder
 
 
 def loader_for(data, latency=100.0, calls=None):
@@ -75,14 +95,16 @@ class TestBlockCache:
         cache.get_or_load(1, 0, BlockType.DATA, loader_for(b"a" * 10))
         cache.get_or_load(1, 10, BlockType.DATA, loader_for(b"b" * 10))
         cache.get_or_load(2, 0, BlockType.DATA, loader_for(b"c" * 10))
-        removed = cache.invalidate_file(1)
+        # The file's block offsets, as its index gives them; 20 was never cached.
+        removed = cache.invalidate_file(1, [0, 10, 20])
         assert removed == 2
         assert len(cache) == 1
         assert cache.used_bytes == 10
+        cache.check_invariants([2])
 
     def test_invalidate_missing_file_is_noop(self):
         cache = BlockCache(1000)
-        assert cache.invalidate_file(99) == 0
+        assert cache.invalidate_file(99, [0, 10]) == 0
 
     def test_clear(self):
         cache = BlockCache(1000)
@@ -161,7 +183,7 @@ class TestDecodedCache:
             return data
 
         cache.get_or_load_decoded(1, 0, BlockType.DATA, loader_for(b"abc"), decoder)
-        cache.invalidate_file(1)
+        cache.invalidate_file(1, [0])
         cache.get_or_load_decoded(1, 0, BlockType.DATA, loader_for(b"abc"), decoder)
         assert len(decodes) == 2
 
@@ -198,53 +220,79 @@ class TestDecodedCache:
 
 
 class TestProbePathAccounting:
-    """The pre-bound probe-path counters keep the general path's books."""
+    """The pre-bound fetch-path counters keep the general path's books."""
 
     def test_data_block_hit_miss_counts_nothing(self):
+        # A data_block hit counts one data hit and nothing of a miss: no
+        # miss, no insertion, no device read, no decode.
+        backend, (file,) = backend_with(b"abcdefgh" * 4)
         cache = BlockCache(1024)
-        assert cache.data_block_hit(1, 0, bytes.upper) is None
-        assert cache.stats.hits == {}
-        assert cache.stats.misses == {}
-        assert len(cache) == 0
+        decodes = []
+        cache.data_block(backend, file, 8, 8, counted_upper(decodes))
+        before = (backend.stats.foreground_read_bytes, cache.stats.insertions, len(decodes))
+        block, latency = cache.data_block(backend, file, 8, 8, counted_upper(decodes))
+        assert block == b"ABCDEFGH"
+        assert latency < 1.0  # one DRAM access
+        assert cache.stats.hits == {BlockType.DATA: 1}
+        assert cache.stats.misses == {BlockType.DATA: 1}
+        assert (backend.stats.foreground_read_bytes, cache.stats.insertions, len(decodes)) == before
 
     def test_data_block_hit_matches_get_or_load_decoded(self):
-        # Same block sequence through both hit paths: latencies, LRU
-        # order, stats and the next eviction victim must be identical.
-        blocks = [(1, 0, b"a" * 80), (1, 80, b"b" * 120), (2, 0, b"c" * 60)]
-        touches = [(1, 0), (2, 0), (1, 0), (1, 80), (2, 0)]
+        # The same block sequence through data_block and through the
+        # loader form: decoded blocks, latencies, LRU order, stats,
+        # device charges and the eviction victims must be identical.
+        payloads = [b"a" * 80 + b"b" * 120, b"c" * 60 + b"d" * 100]
+        blocks = {(1, 0): 80, (1, 80): 120, (2, 0): 60, (2, 60): 100}
+        fetches = [(1, 0), (1, 80), (2, 0), (1, 0), (2, 60), (1, 80), (2, 0), (1, 0)]
+        general_backend, general_files = backend_with(*payloads)
+        fast_backend, fast_files = backend_with(*payloads)
         general, fast = BlockCache(300), BlockCache(300)
-        for cache in (general, fast):
-            for file_id, offset, data in blocks:
-                cache.get_or_load_decoded(
-                    file_id, offset, BlockType.DATA, loader_for(data), bytes.upper
-                )
-        for file_id, offset in touches:
+        for file_id, offset in fetches:
+            length = blocks[file_id, offset]
+            file = general_files[file_id - 1]
+
+            def loader(file=file, offset=offset, length=length):
+                return general_backend.read(file, offset, length)
+
             expected = general.get_or_load_decoded(
-                file_id, offset, BlockType.DATA, loader_for(b"unused"), bytes.upper
+                file_id, offset, BlockType.DATA, loader, lambda view: view.tobytes().upper()
             )
-            assert fast.data_block_hit(file_id, offset, bytes.upper) == expected
-        assert list(fast._entries) == list(general._entries)
-        assert fast.stats.hits == general.stats.hits == {BlockType.DATA: len(touches)}
+            got = fast.data_block(
+                fast_backend, fast_files[file_id - 1], offset, length, counted_upper([])
+            )
+            assert got == expected
+            assert list(fast._entries) == list(general._entries)
+        assert fast.stats.hits == general.stats.hits != {}
         assert fast.stats.misses == general.stats.misses
-        for cache in (general, fast):
-            cache.get_or_load_decoded(
-                3, 0, BlockType.DATA, loader_for(b"d" * 100), bytes.upper
-            )
-        assert list(fast._entries) == list(general._entries)
-        assert fast.stats.evictions == general.stats.evictions == 1
+        assert fast.stats.evictions == general.stats.evictions > 0
+        assert fast.used_bytes == general.used_bytes
+        assert fast_backend.stats == general_backend.stats
 
     def test_data_block_hit_decodes_lazily_once(self):
+        backend, (file,) = backend_with(b"xyzabc")
         cache = BlockCache(1024)
-        cache.get_or_load(1, 0, BlockType.DATA, loader_for(b"abc"))
+        cache.get_or_load(1, 3, BlockType.DATA, lambda: backend.read(file, 3, 3))
         decodes = []
-
-        def decoder(data):
-            decodes.append(1)
-            return data.upper()
-
-        assert cache.data_block_hit(1, 0, decoder)[0] == b"ABC"
-        assert cache.data_block_hit(1, 0, decoder)[0] == b"ABC"
+        assert cache.data_block(backend, file, 3, 3, counted_upper(decodes))[0] == b"ABC"
+        assert cache.data_block(backend, file, 3, 3, counted_upper(decodes))[0] == b"ABC"
         assert len(decodes) == 1
+
+    def test_data_block_miss_charges_one_read_to_the_data_component(self):
+        from repro.obs.attribution import OpContext
+
+        backend, (file,) = backend_with(b"k" * 4096)
+        cache = BlockCache(1 << 20)
+        ctx = OpContext("read")
+        block, latency = cache.data_block(backend, file, 1024, 512, counted_upper([]), ctx=ctx)
+        assert block == b"K" * 512
+        assert backend.stats.foreground_read_bytes == 512
+        assert file.tier.device.stats.reads == 1
+        assert sum(ctx.parts.values()) == pytest.approx(latency)
+        # The device time lands on the data component, not the default "io".
+        assert "data/nvm" in ctx.parts and not any(part.startswith("io/") for part in ctx.parts)
+        cache.check_invariants([file.file_id])
+        with pytest.raises(AssertionError, match="dead files"):
+            cache.check_invariants([])
 
     def test_every_lookup_is_one_hit_or_one_miss_per_type(self):
         from repro.obs import MetricsRegistry
@@ -270,12 +318,10 @@ class TestProbePathAccounting:
         looked_up(BlockType.INDEX)
         cache.record_resident_hit(BlockType.INDEX)
         looked_up(BlockType.INDEX)
-        cache.get_or_load(1, 16, BlockType.DATA, loader_for(b"d" * 8))
-        looked_up(BlockType.DATA)
-        for _ in range(4):
-            assert cache.data_block_hit(1, 16, bytes.upper) is not None
+        backend, (file,) = backend_with(b"d" * 32)
+        for _ in range(5):  # miss, then four hits
+            cache.data_block(backend, file, 16, 8, counted_upper([]))
             looked_up(BlockType.DATA)
-        assert cache.data_block_hit(1, 999, bytes.upper) is None  # not a lookup
 
         stats = cache.stats
         for block_type in BlockType:
@@ -288,3 +334,62 @@ class TestProbePathAccounting:
         assert stats.misses == dict.fromkeys(BlockType, 1)
         assert stats.hit_rate(BlockType.DATA) == pytest.approx(0.8)
         assert stats.hit_rate() == pytest.approx(11 / 14)
+
+
+SHAPES = ("leveling", "tiering", "lazy-leveling")
+
+
+def _system(name, shape):
+    from repro.baselines import MutantDB, MutantOptions, RocksDBLike
+    from repro.common import KIB
+    from repro.core import PrismDB, PrismOptions
+    from repro.lsm import DBOptions
+
+    options = DBOptions(
+        memtable_bytes=1 * KIB, target_file_bytes=1 * KIB, level1_target_bytes=2 * KIB,
+        level_size_multiplier=3, block_bytes=256, block_cache_bytes=2 * KIB,
+        compaction_shape=shape, tiering_run_trigger=3,
+    )
+    if name == "rocksdb":
+        return RocksDBLike.create("NNNTQ", options)
+    if name == "prismdb":
+        return PrismDB.create("NNNTQ", options, PrismOptions(tracker_capacity=32))
+    return MutantDB.create("NNNTQ", options, MutantOptions(epoch_usec=200.0))
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["put", "put", "get", "scan", "delete"]), st.integers(0, 199)),
+    min_size=600, max_size=1000,
+)
+
+
+class TestCacheInvariantsUnderCompaction:
+    """After every compaction job the cache holds blocks of live files
+    only, and ``used_bytes`` is what its entries hold — whatever mix of
+    reads, scans and writes filled it, per system and compaction shape."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=OPS)
+    def test_check_invariants_after_every_job(self, system, shape, ops):
+        db = _system(system, shape)
+        execute = db.executor.execute
+
+        def checked(job):
+            execute(job)
+            db.check_invariants()
+
+        db.executor.execute = checked
+        for op, i in ops:
+            key = b"key%05d" % i
+            if op == "put":
+                result = db.put(key, b"v" * 60)
+            elif op == "delete":
+                result = db.delete(key)
+            elif op == "get":
+                result = db.get(key)
+            else:
+                result = db.scan(key, 20)
+            db.clock.advance(result.latency_usec)
+        db.check_invariants()

@@ -131,6 +131,91 @@ class TestScanCorruption:
             db.scan(b"", 40)
 
 
+#: Faults injected into one record (or the trailer) of a middle block.
+WINDOW_FAULTS = ["key_len_too_long", "value_len_plus_4", "value_len_plus_5000", "count_plus_1"]
+
+
+class TestWindowCorruption:
+    """A data block is decoded in place, as a window over its file's bytes.
+
+    The middle block of a multi-block file has a nonzero base and
+    neighbours on both sides, so a length that runs past the window
+    reaches real bytes of the next block. Every reader bounds itself by
+    the window's record region — a point read, a scan that seeks into
+    the block, a scan that walks into it, and ``DataBlock.records()`` —
+    so each fault raises ``CorruptionError`` naming block-relative
+    offsets, and no reader returns another block's bytes.
+    """
+
+    def _db_table_block(self):
+        from repro.lsm import DBOptions, LsmDB
+        from repro.lsm.block import DataBlock
+
+        db = LsmDB.create("NNNTQ", DBOptions(block_bytes=512))
+        for i in range(200):
+            db.put(f"key{i:04d}".encode(), b"v" * 30)
+        db.flush()
+        (table,) = db.manifest.files(0)
+        entry = table._index[len(table._index) // 2]
+        # A standalone copy, for the block-relative offsets and keys.
+        block = DataBlock(table.file.data[entry.offset : entry.offset + entry.length])
+        assert entry.offset > 0 and 4 < block.count
+        db.cache.clear()
+        return db, table, entry, block
+
+    # Header layout: key_len u16 | value_len u32 | kind u8 | seqno u64.
+    def _inject(self, fault, table, entry, block, target):
+        data = bytearray(table.file.data)
+        at = entry.offset + block.offsets[target]
+        if fault == "key_len_too_long":
+            data[at : at + 2] = struct.pack("<H", entry.length)  # into the next block
+        elif fault == "count_plus_1":
+            count_at = entry.offset + entry.length - 2
+            data[count_at : count_at + 2] = struct.pack("<H", block.count + 1)
+        else:
+            (value_len,) = struct.unpack_from("<I", data, at + 2)
+            extra = 4 if fault == "value_len_plus_4" else 5000
+            assert at + value_len + extra < len(data)  # +5000 stays inside the file
+            data[at + 2 : at + 6] = struct.pack("<I", value_len + extra)
+        table.file.data = bytes(data)
+
+    @pytest.mark.parametrize("fault", WINDOW_FAULTS)
+    def test_every_reader_of_the_window_raises(self, fault):
+        from repro.lsm.block import DataBlock
+
+        db, table, entry, block = self._db_table_block()
+        target = 3  # mid-block: a record on each side
+        key = block._key_at(target)
+        before = table._index[table._index.index(entry) - 1].last_key
+        self._inject(fault, table, entry, block, target)
+        # The record-level faults name the faulted record's block offset.
+        named = None if fault == "count_plus_1" else f"at offset {block.offsets[target]}"
+        readers = {
+            "get": lambda: db.get(key),
+            "scan seek": lambda: db.scan(key, 5),
+            "scan landing": lambda: db.scan(before, block.count + 5),
+        }
+        for name, read in readers.items():
+            db.cache.clear()
+            with pytest.raises(CorruptionError) as raised:
+                read()
+            if named is not None:
+                assert named in str(raised.value), (name, str(raised.value))
+        with pytest.raises(CorruptionError):
+            DataBlock(table.file.data, entry.offset, entry.length).records()
+
+    def test_get_of_a_record_ending_past_its_successor_raises(self):
+        # value_len + 4 on a mid-block record: the candidate decodes inside
+        # the block, but ends four bytes into the next record's header.
+        db, table, entry, block = self._db_table_block()
+        key = block._key_at(3)
+        assert db.get(key).value == b"v" * 30
+        self._inject("value_len_plus_4", table, entry, block, 3)
+        db.cache.clear()
+        with pytest.raises(CorruptionError, match="not at the next restart offset"):
+            db.get(key)
+
+
 #: Faults injected into the first block of a compaction input.
 INPUT_FAULTS = [
     "kind_byte",

@@ -300,3 +300,64 @@ def test_short_scans_decode_no_record_and_no_block(monkeypatch):
     table = db.manifest.files(4)[0]
     assert DataBlock(table.file.data[: table._index[0].length]).records()
     assert calls["decode_from"] > 1 and calls["records"] == 1
+
+
+def _deep_db():
+    db = make_db()
+    rng = random.Random(3)
+    for _ in range(3):
+        order = list(range(600))
+        rng.shuffle(order)
+        for i in order:
+            db.put(f"key{i:05d}".encode(), rng.randbytes(30))
+    assert all(db.manifest.file_count(level) for level in range(5))
+    return db
+
+
+def test_a_fetched_block_is_a_window_over_the_file_bytes():
+    db = _deep_db()
+    table = db.manifest.files(4)[0]
+    entry = table._index[len(table._index) // 2]
+    block, _ = table._data_block(entry, db.cache)
+    assert block.buf is table.file.data and block.base == entry.offset
+    key = block._key_at(0)
+    assert type(key) is bytes and db.get(key).found
+    assert type(db.scan(key, 1).items[0][1]) is bytes
+
+
+def test_a_cold_scan_enters_the_cache_once_per_block_fetch():
+    """Counted with ``sys.setprofile``: a data-block fetch is one call into
+    ``BlockCache``, calls no closure of the engine's, and no key or value a scan
+    lands on goes through ``memoryview.tobytes``."""
+    import os
+    import sys
+
+    import repro
+
+    package = os.path.dirname(repro.__file__)
+    db = _deep_db()
+    db.cache.clear()
+    data = db.cache.stats.tallies[BlockType.DATA]
+    counts = {"entries": 0, "closures": 0, "tobytes": 0}
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            qualname = frame.f_code.co_qualname
+            if "<locals>" in qualname and frame.f_code.co_filename.startswith(package):
+                counts["closures"] += 1
+            elif qualname.startswith("BlockCache.") and not (
+                frame.f_back.f_code.co_qualname.startswith("BlockCache.")
+            ):
+                counts["entries"] += 1
+        elif event == "c_call" and getattr(arg, "__qualname__", "") == "memoryview.tobytes":
+            counts["tobytes"] += 1
+
+    fetches = data.hits + data.misses
+    sys.setprofile(profiler)
+    try:
+        items = db.scan(b"key00100", 60).items
+    finally:
+        sys.setprofile(None)
+    fetches = data.hits + data.misses - fetches
+    assert len(items) == 60 and data.misses > 5
+    assert counts == {"entries": fetches, "closures": 0, "tobytes": 0}
