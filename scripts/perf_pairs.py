@@ -28,9 +28,13 @@ merges, install), of its compaction jobs in the measured run and of the
 run's reads (point reads, scans, data-block misses and hits, fresh and
 memoized ``DataBlock.seek``), over one in-process run of the workload,
 taken by wrapping the functions from outside (nothing under
-``perfbench/`` or ``src/`` is edited). ``--heap`` prints, the same way,
-the working tree's ``tracemalloc`` top ten allocation sites after the
-load phase and
+``perfbench/`` or ``src/`` is edited). ``--heap`` opens with the fixed
+footprint of fresh processes: a bare interpreter's peak RSS, the
+benchmark worker's after its imports, the extension modules those load
+beyond the bare set and, on ``fleet-mixed``, a spawned pool worker's RSS
+after bootstrap and after importing ``repro.fleet.runner``. It then
+prints, the same way as ``--stages``, the working tree's
+``tracemalloc`` top ten allocation sites after the load phase and
 after the measured run, with the traced bytes per loaded record beyond
 the bytes the tables themselves hold, then what warm-up and run kept
 alive beyond new table bytes per measured op and the five sites that
@@ -435,6 +439,67 @@ def run_stages(args) -> int:
 # ----------------------------------------------------------------------
 # --heap: what the run keeps alive, by allocation site
 # ----------------------------------------------------------------------
+#: What ``perfbench.worker`` imports before it runs a workload of each kind.
+WORKER_IMPORTS = {
+    False: "import perfbench.worker, perfbench.oracle, repro.bench.harness, repro.workloads.ycsb",
+    True: "import perfbench.worker, perfbench.oracle, repro.fleet.runner",
+}
+
+#: Prints ``<label> <peak RSS KiB> <loaded extension modules...>``; imports
+#: nothing that is not already loaded at interpreter start.
+FOOTPRINT = """
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+with open("/proc/self/status") as status:
+    peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print({label!r}, peak_kib, *sorted(
+    name for name, module in list(sys.modules.items())
+    if (getattr(getattr(module, "__spec__", None), "origin", None) or "").endswith(
+        tuple(EXTENSION_SUFFIXES))), flush=True)
+"""
+
+#: A spawn pool worker of a process run as ``-m perfbench.worker``:
+#: its footprint after bootstrap, then after the import that unpickling
+#: the fleet's shard function costs.
+POOL_WORKER = """
+import importlib.util, multiprocessing
+sys.modules["__main__"].__spec__ = importlib.util.find_spec("perfbench.worker")
+with multiprocessing.get_context("spawn").Pool(1) as pool:
+    pool.apply(exec, ({bootstrap!r}, {{}}))
+    pool.apply(exec, ("import repro.fleet.runner" + {runner!r}, {{}}))
+"""
+
+
+def print_footprint(fleet: bool) -> None:
+    """One line: a bare interpreter's peak RSS, the benchmark worker's after
+    its imports, the extension modules those load beyond the bare set and,
+    for the fleet, a spawned pool worker's."""
+    env = dict(os.environ, PYTHONPATH=f"{ROOT}:{ROOT / 'src'}", PYTHONHASHSEED="0")
+
+    def probe(code: str) -> dict[str, tuple[float, set[str]]]:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"footprint probe exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        rows = (line.split() for line in proc.stdout.splitlines())
+        return {label: (int(kib) / 1024, set(names)) for label, kib, *names in rows}
+
+    bare_mb, bare = probe(FOOTPRINT.format(label="bare"))["bare"]
+    code = WORKER_IMPORTS[fleet] + FOOTPRINT.format(label="imports")
+    if fleet:
+        code += POOL_WORKER.format(bootstrap=FOOTPRINT.format(label="bootstrap"),
+                                   runner=FOOTPRINT.format(label="runner"))
+    seen = probe(code)
+    imports_mb, loaded = seen["imports"]
+    line = (f"fixed footprint: bare interpreter {bare_mb:.2f} MB, after the worker's imports "
+            f"{imports_mb:.2f} MB ({imports_mb - bare_mb:+.2f}); extension modules beyond "
+            f"bare: {' '.join(sorted(loaded - bare)) or 'none'}")
+    if fleet:
+        line += (f"; spawned pool worker {seen['bootstrap'][0]:.2f} MB after bootstrap, "
+                 f"{seen['runner'][0]:.2f} MB after importing repro.fleet.runner")
+    print(line, flush=True)
+
+
 def run_fleet_heap(args) -> int:
     """Per shard of one worker's sequence: RSS high water, cyclic garbage, ownership."""
     import gc
@@ -476,6 +541,7 @@ def run_heap(args) -> int:
     import repro.bench.harness  # noqa: F401   so module code is not in the table)
     from perfbench.workloads import SPECS
 
+    print_footprint(SPECS[args.workload].fleet)
     if SPECS[args.workload].fleet:
         return run_fleet_heap(args)
 

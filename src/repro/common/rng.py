@@ -5,12 +5,24 @@ probabilistic pinning coin flip) takes an explicit seed or
 :class:`random.Random` instance so runs are reproducible. This module
 centralizes seed derivation so that two components seeded from the same
 root seed do not accidentally share a stream.
+
+Seeds hash with the interpreter's built-in SHA-256, not :mod:`hashlib`,
+whose OpenSSL costs every engine process ~3.7 MB of RSS for about ten
+short strings per run; CPython's :mod:`random` avoids it the same way
+("hashlib is pretty heavy to load"). The digest, so every seed, is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_seed(root_seed: int, *labels: str) -> int:
@@ -19,10 +31,13 @@ def derive_seed(root_seed: int, *labels: str) -> int:
     The derivation hashes ``root_seed`` together with the label path, so
     ``derive_seed(s, "ycsb", "keys")`` and ``derive_seed(s, "mapper")``
     produce independent streams that are stable across runs and platforms.
+    ``"/"`` separates the labels, so a label may not contain one.
     """
-    h = hashlib.sha256()
+    h = sha256()
     h.update(str(int(root_seed)).encode("ascii"))
     for label in labels:
+        if "/" in label:
+            raise ValueError(f"a seed label may not contain '/': {label!r}")
         h.update(b"/")
         h.update(label.encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big") & ((1 << 63) - 1)

@@ -1,5 +1,10 @@
 """Tests for unit helpers and deterministic RNG derivation."""
 
+import hashlib
+import importlib
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +73,12 @@ class TestRng:
     def test_label_path_is_not_ambiguous(self):
         # ("ab",) and ("a", "b") must not collide.
         assert derive_seed(7, "ab") != derive_seed(7, "a", "b")
+        # "/" separates labels, so no label may contain one: ("a/b",) would
+        # alias ("a", "b") and ("a/",) would alias ("a", "").
+        assert derive_seed(7, "a", "") != derive_seed(7, "a")
+        for labels in (("a/b",), ("a/",), ("ok", "/")):
+            with pytest.raises(ValueError, match="'/'"):
+                derive_seed(7, *labels)
 
     def test_make_rng_streams_are_reproducible(self):
         a = make_rng(9, "workload")
@@ -82,6 +93,84 @@ class TestRng:
 
     def test_fnv1a_fits_64_bits(self):
         assert fnv1a_64(b"some longer input value") < (1 << 64)
+
+
+#: ``derive_seed`` for every label path ``src/`` uses: the seeds behind
+#: every stream, fleet shard and baseline artifact. A change of hash
+#: module or encoding that moves one moves every simulated result.
+KNOWN_SEEDS = (
+    ((1, "load"), 7537351906712662839),
+    ((1, "warmup", "ops"), 9105572857958031889),
+    ((1, "warmup", "keys"), 621617369724341584),
+    ((1, "warmup", "values"), 4779456925597434447),
+    ((1, "ops", "ops"), 7795498160178511690),
+    ((1, "ops", "keys"), 2741663107599665180),
+    ((1, "ops", "values"), 6350756245065597432),
+    ((1, "fleet", "shard0"), 5673099278267962126),
+    ((1, "fleet", "shard7"), 2152190695185210652),
+    ((1, "load", "reader"), 121595600503502637),
+    ((1, "load", "t00"), 6361882139406465411),
+    ((1, "warmup", "keys", "writer"), 717135722519414609),
+    ((1, "ops", "keys", "reader"), 3438581381706839810),
+    ((42, "obs", "attribution"), 5363710643172982418),
+    ((7, "fig6"), 8692270780658502800),
+    ((-3, "x"), 5659814359912701001),
+    ((0,), 6912158355717386040),
+    ((1 << 70, "big"), 1074335285399360224),
+)
+
+
+def _derive_seed_reference(root_seed: int, *labels: str) -> int:
+    """The specification: SHA-256 of ``"<root>/<label>/..."``, top 63 bits of 64."""
+    text = "/".join((str(root_seed), *labels)).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(text).digest()[:8], "big") & ((1 << 63) - 1)
+
+
+def check_known_seeds(derive) -> None:
+    for args, seed in KNOWN_SEEDS:
+        assert derive(*args) == seed, args
+
+
+class TestSeedKnownAnswers:
+    def test_every_label_path_in_use(self):
+        check_known_seeds(derive_seed)
+
+    def test_make_rng_streams_are_pinned(self):
+        assert make_rng(1, "load").getrandbits(64) == (
+            random.Random(7537351906712662839).getrandbits(64)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=-(1 << 80), max_value=1 << 80),
+        st.lists(
+            # Labels are UTF-8 encodable (no lone surrogates) and "/"-free.
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"),
+                    max_size=12),
+            max_size=4,
+        ),
+    )
+    def test_matches_hashlib(self, root_seed, labels):
+        assert derive_seed(root_seed, *labels) == _derive_seed_reference(root_seed, *labels)
+
+    @pytest.mark.parametrize("blocked", [("_sha256",), ("_sha256", "_sha2")])
+    def test_every_import_branch_gives_the_same_seeds(self, blocked, monkeypatch):
+        # Blocking _sha256 takes the 3.12+ branch (or, before 3.12, the
+        # hashlib fallback); blocking _sha2 as well always falls back.
+        namespace = vars(rng_module)
+        saved = dict(namespace)
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        try:
+            importlib.reload(rng_module)
+            assert rng_module.sha256.__module__ != "_sha256"
+            check_known_seeds(rng_module.derive_seed)
+        finally:
+            # Reload runs in the same namespace: put back the very objects
+            # (functions, _PREFIX_STATES) every other importer holds.
+            namespace.clear()
+            namespace.update(saved)
+        check_known_seeds(derive_seed)
 
 
 class TestFnvAgainstReference:
