@@ -28,15 +28,6 @@ python scripts/check_links.py
 echo "== unit tests (-m 'not bench') =="
 python -m pytest -m "not bench" "$@"
 
-# Non-gating: wall-clock microbenchmarks of the simulator's hot-path
-# primitives. Numbers vary with machine load, so failures or slow
-# results never fail the check — the output is for eyeballing
-# wall-clock regressions (see docs/PERFORMANCE.md).
-echo "== micro-smoke (non-gating) =="
-if ! python -m repro.bench micro --quick; then
-    echo "micro-smoke failed (non-gating); continuing"
-fi
-
 # Non-gating: a 2-point compaction design-space sweep (leveling vs
 # tiering at one mix, tiny workload) exercising the strategy layer and
 # sweep artifact plumbing end to end. Simulated numbers at this scale
@@ -132,43 +123,6 @@ fi
 echo "== load, compaction and read stages (non-gating) =="
 if ! python scripts/perf_pairs.py --workload scan-cold --stages --quick; then
     echo "stage split failed (non-gating); continuing"
-fi
-
-# Non-gating: end-to-end wall-clock delta. Times the e2e smoke micro
-# (quick scale) and prints the change against the last trajectory point
-# in BENCH_SMOKE.json that recorded one. Machine-load-sensitive, so the
-# result never fails the check — the recorded trajectory is appended by
-# scripts/perf_gate.py (REPRO_PERF_GATE=1), not here.
-echo "== e2e wall-clock delta (non-gating) =="
-if ! python - <<'PY'
-import json
-import sys
-
-sys.path.insert(0, "src")
-from repro.bench.micro import run_micro
-
-(result,) = run_micro(quick=True, name_filter="e2e.smoke")
-now = result.best_ns / 1e3
-print(f"e2e.smoke now: {now:.2f} us/op (quick scale, best-of)")
-try:
-    with open("BENCH_SMOKE.json", encoding="utf-8") as fh:
-        points = json.load(fh)["points"]
-    last = next(
-        point["micros"]["e2e.smoke"]
-        for point in reversed(points)
-        if "e2e.smoke" in point.get("micros", {})
-    )
-except (OSError, ValueError, KeyError, StopIteration):
-    print("no recorded e2e.smoke micro in BENCH_SMOKE.json yet; no delta")
-else:
-    delta = now - last
-    print(
-        f"last recorded: {last:.2f} us/op -> delta {delta:+.2f} us/op "
-        f"({delta / last * 100:+.1f}%)"
-    )
-PY
-then
-    echo "e2e delta failed (non-gating); continuing"
 fi
 
 # Opt-in perf gate: smoke-runs every system, appends a trajectory point

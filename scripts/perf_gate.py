@@ -108,10 +108,10 @@ def _point_key(point: dict) -> tuple[str, str]:
     """A point's identity for duplicate detection.
 
     Two points are duplicates when they have the same commit and
-    identical *simulated* system metrics. Wall-clock seconds and micro
-    timings are real-time measurements that jitter between otherwise
-    identical runs, so they are excluded — re-running the gate on an
-    unchanged tree should not grow the trajectory.
+    identical *simulated* system metrics. Wall-clock seconds are a
+    real-time measurement that jitters between otherwise identical runs,
+    so they are excluded — re-running the gate on an unchanged tree
+    should not grow the trajectory.
     """
     systems = {
         name: {
@@ -135,9 +135,7 @@ def prune_duplicate_points(points: list[dict]) -> tuple[list[dict], int]:
 
 
 def append_trajectory_point(
-    results: dict[str, RunResult],
-    wall_clock: dict[str, float],
-    micros: dict[str, float] | None = None,
+    results: dict[str, RunResult], wall_clock: dict[str, float]
 ) -> None:
     """Append one per-PR trajectory point to BENCH_SMOKE.json.
 
@@ -163,11 +161,6 @@ def append_trajectory_point(
             for system, result in results.items()
         },
     }
-    if micros:
-        # Best-of micro timings (µs per unit); real-time like wall_clock.
-        point["micros"] = {
-            name: round(best_usec, 4) for name, best_usec in micros.items()
-        }
     points = history["points"]
     if points and _point_key(points[-1]) == _point_key(point):
         print(
@@ -261,30 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     wall_clock["fleet"] = time.perf_counter() - started
     gate("fleet", fleet_result)
 
-    # Hot-path micros (quick scale): tracked per PR so the trajectory
-    # records simulator-speed levers, not just the e2e smoke wall
-    # clock. Best-of timings in µs per unit.
-    from repro.bench.micro import run_micro
-
-    micros: dict[str, float] = {}
-    for name in (
-        "compaction.encoded_merge",
-        "codec.encode",
-        "codec.decode",
-        "runner.read_fastlane",
-        "version.candidates",
-        "sstable.get_resident",
-        "db.scan_short",
-        "e2e.smoke",
-    ):
-        for micro in run_micro(quick=True, name_filter=name):
-            micros[micro.name] = micro.best_ns / 1e3
-    print(
-        "[perf-gate] micros (us, best): "
-        + ", ".join(f"{name} {usec:.2f}" for name, usec in micros.items())
-    )
-
-    append_trajectory_point(results, wall_clock, micros)
+    append_trajectory_point(results, wall_clock)
     print(f"[perf-gate] trajectory point recorded in {SMOKE_FILE}")
     return 1 if failed else 0
 

@@ -11,7 +11,6 @@ Usage::
     python -m repro.bench compare a.json b.json --tolerance 5
     python -m repro.bench explain run.json         # latency attribution table
     python -m repro.bench explain a.json b.json    # decompose the p99 delta
-    python -m repro.bench micro --quick             # wall-clock primitives
     python -m repro.bench sweep --out results/sweep # compaction design space
     REPRO_BENCH_SCALE=quick python -m repro.bench run all
 
@@ -232,12 +231,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return run_explain(args)
 
 
-def _cmd_micro(args: argparse.Namespace) -> int:
-    from repro.bench.micro import run_micro_command
-
-    return run_micro_command(args)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.sweep import run_sweep
 
@@ -255,7 +248,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     from repro.bench.compare import add_compare_arguments
-    from repro.bench.micro import add_micro_arguments
     from repro.bench.report import add_report_arguments, add_workload_arguments
 
     parser = argparse.ArgumentParser(
@@ -323,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_explain_arguments(explain_p)
     explain_p.set_defaults(func=_cmd_explain)
-
-    micro_p = sub.add_parser(
-        "micro",
-        help="wall-clock microbenchmarks of simulator hot-path primitives",
-    )
-    add_micro_arguments(micro_p)
-    micro_p.set_defaults(func=_cmd_micro)
 
     from repro.bench.sweep import add_sweep_arguments
 

@@ -3,221 +3,51 @@
 Worker processes hand their shard's :class:`~repro.bench.harness.RunResult`
 back to the router. Shipping it as a ``to_json()`` dict makes ``pickle``
 walk (and the router re-walk) tens of thousands of Python objects per
-shard — timeline arrays, histogram buckets, metric series. This module
-flattens the same tree into one length-prefixed byte string once, on the
-worker side; the pool then moves a single ``bytes`` object and the
-router decodes it straight back.
+shard. This module serializes the tree once, on the worker side, with
+the interpreter's built-in ``marshal``; the pool moves one ``bytes``.
 
-The contract that makes this safe to put under the determinism tests:
+``decode_tree(encode_tree(tree)) == tree`` exactly, for every JSON-safe
+tree: types (``1`` is not ``1.0``, ``True`` is not ``1``), float bits
+and dict insertion order all round-trip, so the fleet digests cannot
+tell the binary boundary from a dict hand-off.
 
-    ``decode_tree(encode_tree(tree)) == tree``  — exactly, for every
-    JSON-safe tree (``None``/``bool``/``int``/``float``/``str``/``list``/
-    ``dict`` with string keys). Types round-trip (``1`` never comes back
-    as ``1.0``, ``True`` never as ``1``), floats round-trip bit-for-bit
-    (IEEE-754 via ``struct``), and dict insertion order is preserved.
-
-So ``decode_result(encode_result(r))`` rebuilds a result whose
-``to_json()`` tree — and therefore whose JSON artifact bytes — are
-identical to the original's, and the fleet digests cannot tell the
-binary boundary from the old dict hand-off.
-
-Wire format: ``MAGIC`` + version byte + one value. Every value is a
-1-byte tag followed by its payload; variable-size payloads carry a u32
-length/count prefix (hence "length-prefixed"). Two array tags pack
-homogeneous numeric lists — the bulk of a timeline — as raw ``struct``
-arrays instead of per-element tagged values.
+Wire format: ``MAGIC`` + version byte + u32 payload length +
+``marshal.dumps(tree, 2)``. Format 2 is pinned, not ``marshal.version``:
+formats 3 and up write back-references, so one list referenced twice
+would decode as one shared object where JSON gives two. The length
+catches truncation and the trailing bytes ``marshal.loads`` ignores.
 """
 
 from __future__ import annotations
 
-from struct import Struct, error as StructError
+import marshal
+from struct import Struct
 
 from repro.errors import CorruptionError
 
 #: Artifact framing: magic + 1-byte wire version.
 MAGIC = b"RBC1"
-VERSION = 1
+VERSION = 2
 
-# Value tags. Order matters to nobody but the decoder's dispatch; the
-# numbers are frozen by VERSION.
-_T_NONE = 0
-_T_FALSE = 1
-_T_TRUE = 2
-_T_INT = 3  # <q  (int64)
-_T_FLOAT = 4  # <d  (IEEE-754 binary64: exact round-trip)
-_T_STR = 5  # u32 byte length + UTF-8
-_T_LIST = 6  # u32 count + tagged items
-_T_DICT = 7  # u32 count + (str key, tagged value) pairs, insertion order
-_T_FLOAT_ARRAY = 8  # u32 count + <{n}d  (list of only floats)
-_T_INT_ARRAY = 9  # u32 count + <{n}q  (list of only int64s)
-_T_BIGINT = 10  # u32 byte length + ASCII decimal (ints beyond int64)
-
+_MARSHAL_FORMAT = 2
 _U32 = Struct("<I")
-_I64 = Struct("<q")
-_F64 = Struct("<d")
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
 _HEADER = MAGIC + bytes([VERSION])
 
 
 def encode_tree(tree) -> bytes:
-    """Encode one JSON-safe tree (no framing header; see :func:`encode_result`)."""
-    out = bytearray()
-    _encode_value(tree, out)
-    return bytes(out)
-
-
-def _encode_value(value, out: bytearray) -> None:
-    # bool first: bool is a subclass of int, and the whole point is that
-    # True must come back as True, not 1.
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_T_INT)
-            out += _I64.pack(value)
-        else:
-            text = str(value).encode("ascii")
-            out.append(_T_BIGINT)
-            out += _U32.pack(len(text))
-            out += text
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif type(value) is str:
-        data = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _U32.pack(len(data))
-        out += data
-    elif type(value) is list:
-        n = len(value)
-        # Homogeneous numeric lists (timeline columns, histogram bucket
-        # counts) pack as one struct array: no per-element tag bytes and
-        # no per-element Python dispatch on either side.
-        if n:
-            kinds = {type(item) for item in value}
-            if kinds == {float}:
-                out.append(_T_FLOAT_ARRAY)
-                out += _U32.pack(n)
-                out += Struct(f"<{n}d").pack(*value)
-                return
-            if kinds == {int} and all(
-                _INT64_MIN <= item <= _INT64_MAX for item in value
-            ):
-                out.append(_T_INT_ARRAY)
-                out += _U32.pack(n)
-                out += Struct(f"<{n}q").pack(*value)
-                return
-        out.append(_T_LIST)
-        out += _U32.pack(n)
-        for item in value:
-            _encode_value(item, out)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(
-                    f"codec dict keys must be str, got {type(key).__name__}"
-                )
-            data = key.encode("utf-8")
-            out += _U32.pack(len(data))
-            out += data
-            _encode_value(item, out)
-    else:
-        raise TypeError(f"codec cannot encode {type(value).__name__}")
+    """One JSON-safe tree as u32 length + marshal payload (no magic)."""
+    payload = marshal.dumps(tree, _MARSHAL_FORMAT)
+    return _U32.pack(len(payload)) + payload
 
 
 def decode_tree(buf: bytes | memoryview):
     """Decode one tree previously produced by :func:`encode_tree`."""
-    view = memoryview(buf)
-    value, offset = _decode_value(view, 0)
-    if offset != len(view):
-        raise CorruptionError(
-            f"trailing bytes after encoded tree: {len(view) - offset}"
-        )
-    return value
-
-
-def _decode_value(view: memoryview, offset: int):
+    if len(buf) < _U32.size or _U32.unpack_from(buf)[0] != len(buf) - _U32.size:
+        raise CorruptionError(f"encoded tree length mismatch ({len(buf)} bytes)")
     try:
-        tag = view[offset]
-    except IndexError:
-        raise CorruptionError("truncated encoded tree") from None
-    offset += 1
-    try:
-        if tag == _T_NONE:
-            return None, offset
-        if tag == _T_TRUE:
-            return True, offset
-        if tag == _T_FALSE:
-            return False, offset
-        if tag == _T_INT:
-            return _I64.unpack_from(view, offset)[0], offset + 8
-        if tag == _T_FLOAT:
-            return _F64.unpack_from(view, offset)[0], offset + 8
-        if tag == _T_STR:
-            (length,) = _U32.unpack_from(view, offset)
-            offset += 4
-            end = offset + length
-            if end > len(view):
-                raise CorruptionError("truncated string payload")
-            return str(view[offset:end], "utf-8"), end
-        if tag == _T_LIST:
-            (count,) = _U32.unpack_from(view, offset)
-            offset += 4
-            items = []
-            append = items.append
-            for _ in range(count):
-                item, offset = _decode_value(view, offset)
-                append(item)
-            return items, offset
-        if tag == _T_DICT:
-            (count,) = _U32.unpack_from(view, offset)
-            offset += 4
-            out = {}
-            for _ in range(count):
-                (length,) = _U32.unpack_from(view, offset)
-                offset += 4
-                end = offset + length
-                if end > len(view):
-                    raise CorruptionError("truncated dict key")
-                key = str(view[offset:end], "utf-8")
-                out[key], offset = _decode_value(view, end)
-            return out, offset
-        if tag == _T_FLOAT_ARRAY:
-            (count,) = _U32.unpack_from(view, offset)
-            offset += 4
-            end = offset + 8 * count
-            if end > len(view):
-                raise CorruptionError("truncated float array")
-            return list(Struct(f"<{count}d").unpack_from(view, offset)), end
-        if tag == _T_INT_ARRAY:
-            (count,) = _U32.unpack_from(view, offset)
-            offset += 4
-            end = offset + 8 * count
-            if end > len(view):
-                raise CorruptionError("truncated int array")
-            return list(Struct(f"<{count}q").unpack_from(view, offset)), end
-        if tag == _T_BIGINT:
-            (length,) = _U32.unpack_from(view, offset)
-            offset += 4
-            end = offset + length
-            if end > len(view):
-                raise CorruptionError("truncated bigint payload")
-            return int(str(view[offset:end], "ascii")), end
-    except CorruptionError:
-        raise
-    except (StructError, ValueError, UnicodeDecodeError) as exc:
-        # struct.error on short unpack_from, bad UTF-8/decimal payloads.
+        return marshal.loads(memoryview(buf)[_U32.size :])
+    except (EOFError, ValueError, TypeError) as exc:
         raise CorruptionError(f"corrupt encoded tree: {exc}") from exc
-    raise CorruptionError(f"unknown value tag {tag}")
 
 
 def encode_result(result) -> bytes:
@@ -229,11 +59,11 @@ def decode_result(buf: bytes):
     """Rebuild a :class:`~repro.bench.harness.RunResult` from :func:`encode_result`."""
     from repro.bench.harness import RunResult
 
-    if len(buf) < len(_HEADER) or buf[: len(MAGIC)] != MAGIC:
+    if buf[: len(MAGIC)] != MAGIC:
         raise CorruptionError("not an encoded run artifact (bad magic)")
-    version = buf[len(MAGIC)]
-    if version != VERSION:
-        raise CorruptionError(
-            f"unsupported artifact wire version {version} (this build reads {VERSION})"
-        )
-    return RunResult.from_json(decode_tree(memoryview(buf)[len(_HEADER) :]))
+    if len(buf) < len(_HEADER) or buf[len(MAGIC)] != VERSION:
+        raise CorruptionError(f"unsupported artifact wire version (this build reads {VERSION})")
+    tree = decode_tree(memoryview(buf)[len(_HEADER) :])
+    if type(tree) is not dict:
+        raise CorruptionError(f"artifact payload is a {type(tree).__name__}, not a dict")
+    return RunResult.from_json(tree)

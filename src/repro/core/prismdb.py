@@ -34,9 +34,6 @@ class PrismOptions:
     clock_bits: int = 2
     #: Whether pinning waits for the tracker to fill (§4.2).
     require_full_tracker: bool = True
-    #: Hand-steps budget per read for deferred eviction; None lets the
-    #: sweep run until occupancy fits.
-    eviction_steps_per_read: int | None = None
     #: Enable up-compaction (keys rising from the lower level, §4.3).
     #: Disable for the retention-only ablation.
     up_compaction: bool = True
@@ -137,7 +134,6 @@ class PrismDB(LsmDB):
         obs_tracked_inc = self._obs_tracked_reads.inc
         on_read = self.tracker.on_read
         run_evictions = self.tracker.run_evictions
-        eviction_steps = self.prism_options.eviction_steps_per_read
 
         def lookup(user_key, ctx=None):
             result = base(user_key, ctx)
@@ -148,7 +144,7 @@ class PrismDB(LsmDB):
                 ctx.add("tracker", "-", tracker_overhead)
             obs_tracked_inc()
             on_read(user_key, result.seqno or 0)
-            run_evictions(eviction_steps)
+            run_evictions()
             # Direct construction instead of dataclasses.replace(): replace()
             # re-walks the field list on every read.
             return ReadResult(result.value, latency, result.served_by, result.seqno)

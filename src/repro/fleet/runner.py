@@ -9,8 +9,8 @@ pins to committed digests:
   workload is the router-partitioned slice, and nothing it computes
   depends on which process ran it or when.
 * Workers return their artifact as one binary blob
-  (:func:`repro.bench.codec.encode_result` — a length-prefixed encoding
-  of the same tree ``to_json()`` builds, with an exact-round-trip
+  (:func:`repro.bench.codec.encode_result` — the same tree ``to_json()``
+  builds in ``marshal`` format 2, framed, with an exact-round-trip
   guarantee), and :func:`stream_fan_out` yields the blobs in shard
   order regardless of completion order. ``jobs == 1`` rides the same
   encode/decode path, so a single-process run cannot diverge from a

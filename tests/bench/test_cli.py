@@ -134,33 +134,6 @@ class TestSubcommands:
         assert code == 0
         assert artifact.exists()
 
-
-class TestMicroSubcommand:
-    def test_micro_filter_runs_and_prints_table(self, capsys):
-        code = main(["micro", "--filter", "metrics", "--repeats", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "metrics.counter_inc" in out
-        assert "ops/sec" in out
-
-    def test_micro_unknown_filter_is_usage_error(self, capsys):
-        assert main(["micro", "--filter", "nosuchbench"]) == 2
-
-    def test_micro_json_output(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "micro.json"
-        code = main(
-            ["micro", "--filter", "zipfian.sample", "--repeats", "1",
-             "--json", str(out_file)]
-        )
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["schema"] == 1
-        names = [bench["name"] for bench in payload["benchmarks"]]
-        assert names == ["zipfian.sample"]
-        assert payload["benchmarks"][0]["ops_per_sec"] > 0
-
     def test_run_with_profile_prints_report(self, capsys):
         code = main(["run", "table1", "--profile", "--profile-limit", "5"])
         out = capsys.readouterr().out

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_merge import ReferenceExecutor, use_reference_merge, write_per_record
 
-from repro.bench.micro import compaction_merge_replay
 from repro.common import KIB, SimClock
 from repro.core.mapper import ClockDistributionMapper
 from repro.core.placer import ReadAwareRouter
@@ -758,6 +757,79 @@ class TestShapeEquivalence:
             assert stats["compactions"] > 0 and stats["tombstones_dropped"] > 0
             if make_db is not _plain_db:
                 assert stats["records_pinned"] > 0
+
+
+def compaction_merge_replay():
+    """A fixed 2,000-record leveled job, replayable; ``(replay, records)``.
+
+    Builds one upper and two overlapping lower tables once;
+    ``replay(router)`` runs the same L1->L2 job through a fresh
+    manifest/executor pair — the inputs are immutable SSTables, so every
+    execution re-reads the same spans and does the merge itself (span
+    scan, key/seqno ordering, routing, fused emission), not table
+    construction.
+    """
+    options = DBOptions(
+        memtable_bytes=4 * KIB,
+        target_file_bytes=64 * KIB,
+        level1_target_bytes=128 * KIB,
+        level_size_multiplier=4,
+        block_bytes=4 * KIB,
+    )
+    clock = SimClock()
+    backend = StorageBackend(clock)
+    layout = build_layout("NNNNN", options, clock)
+
+    def build_table(level: int, keys) -> object:
+        builder = SSTableBuilder(
+            backend,
+            layout.tier_for_level(level),
+            block_bytes=options.block_bytes,
+            target_file_bytes=1 << 30,
+        )
+        for seqno, key in enumerate(sorted(keys), start=1):
+            builder.add(Record(key, seqno, ValueKind.PUT, b"v" * 32))
+        table, _ = builder.finish()
+        return table
+
+    upper = [build_table(1, [f"k{i:06d}".encode() for i in range(0, 2_000, 2)])]
+    lower = [
+        build_table(2, [f"k{i:06d}".encode() for i in range(0, 1_000, 2)]),
+        build_table(2, [f"k{i:06d}".encode() for i in range(1_000, 2_000, 2)]),
+    ]
+    job = CompactionJob(
+        style="leveled",
+        upper_level=1,
+        lower_level=2,
+        upper_inputs=upper,
+        lower_inputs=lower,
+        upper_lo=upper[0].smallest_key,
+        upper_hi=upper[0].largest_key,
+        drop_tombstones=False,  # L2 is not the bottom of five levels
+    )
+
+    def replay(router) -> None:
+        manifest = LevelManifest(options.num_levels)
+        for table in upper:
+            manifest.add_file(1, table)
+        for table in lower:
+            manifest.add_file(2, table)
+        executor = CompactionExecutor(
+            backend, manifest, layout, options, BlockCache(64 * KIB),
+            LargestFilePicker(), router,
+        )
+        executor.execute(job)
+        # The merge deletes its inputs; resurrect them so the next
+        # replay runs the identical job (reads address the SimFile
+        # object directly, so flipping the tombstone and re-allocating
+        # tier capacity is all a replay needs).
+        for table in upper + lower:
+            file = table.file
+            if file.deleted:
+                file.deleted = False
+                file.tier.allocate(file.size)
+
+    return replay, 2_000
 
 
 class TestCallBudget:
