@@ -24,16 +24,16 @@ from repro.lsm.options import DBOptions
 from repro.storage.tier import StorageTier
 
 
+#: Per-epoch multiplicative temperature decay (the paper's alpha).
+COOLING_ALPHA = 0.999
+
+
 @dataclass
 class MutantOptions:
     """Mutant knobs (§6 baseline configuration)."""
 
-    #: Per-epoch multiplicative temperature decay.
-    cooling_alpha: float = 0.999
     #: Optimization epoch length in simulated microseconds (paper: 1 s).
     epoch_usec: float = seconds(1)
-    #: Cap on migrations per epoch; None = unlimited (paper default).
-    max_migrations_per_epoch: int | None = None
     #: Mutant's "migration resistance" optimization (its paper's knob the
     #: PrismDB evaluation deliberately left off): a file only migrates if
     #: its temperature differs from the tier-boundary temperature by this
@@ -42,8 +42,6 @@ class MutantOptions:
     migration_resistance: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cooling_alpha < 1.0:
-            raise ConfigError("cooling_alpha must be in (0, 1)")
         if self.epoch_usec <= 0:
             raise ConfigError("epoch_usec must be positive")
         if self.migration_resistance < 0.0:
@@ -143,7 +141,7 @@ class MutantDB(LsmDB):
     # ------------------------------------------------------------------
     def _cool_and_update_temperatures(self) -> None:
         """temp = alpha * temp + accesses-since-last-epoch, per live file."""
-        alpha = self.mutant_options.cooling_alpha
+        alpha = COOLING_ALPHA
         live_ids = {table.file_id for _, table in self.manifest.all_files()}
         for file_id in list(self._temperatures):
             if file_id not in live_ids:
@@ -188,11 +186,8 @@ class MutantDB(LsmDB):
                 assignment[table.file_id] = self._tiers_fast_first[-1]
 
         migrations = 0
-        limit = self.mutant_options.max_migrations_per_epoch
         resistance = self.mutant_options.migration_resistance
         for table in tables:
-            if limit is not None and migrations >= limit:
-                break
             target = assignment[table.file_id]
             if table.tier is target:
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 from repro.baselines.mutant import MutantDB, MutantOptions
@@ -29,13 +29,7 @@ from repro.lsm.options import DBOptions, options_for_db_size
 from repro.obs.attribution import LatencyAttribution
 from repro.obs.timeline import TimelineSampler
 from repro.storage.endurance import device_lifetime_seconds
-from repro.workloads.ycsb import (
-    OP_READ,
-    OP_SCAN,
-    YCSBConfig,
-    YCSBWorkload,
-    batches_from_requests,
-)
+from repro.workloads.ycsb import OP_READ, OP_SCAN, YCSBConfig, YCSBWorkload
 
 #: Systems the experiments compare.
 SYSTEM_NAMES = ("rocksdb", "prismdb", "mutant")
@@ -189,134 +183,49 @@ class RunResult:
     def to_json(self) -> dict:
         """A strictly JSON-safe dict that round-trips via :meth:`from_json`.
 
-        ``inf`` (the lifetime-years of a tier that saw no writes) is not
-        valid JSON, so it is encoded as the string ``"inf"``; integer
-        dict keys (per-level bytes) become strings and are restored on
-        load.
+        Keys follow the field order, ``schema`` first. ``inf`` (the
+        lifetime-years of a tier that saw no writes) is not valid JSON,
+        so it is encoded as the string ``"inf"``; integer dict keys
+        (per-level bytes) become strings and are restored on load.
         """
-
-        def summary(s: LatencySummary) -> dict:
-            return {
-                "count": s.count,
-                "mean": s.mean,
-                "p50": s.p50,
-                "p95": s.p95,
-                "p99": s.p99,
-                "maximum": s.maximum,
-            }
-
-        return {
-            "schema": self.SCHEMA,
-            "label": self.label,
-            "system": self.system,
-            "layout_code": self.layout_code,
-            "operations": self.operations,
-            "elapsed_usec": self.elapsed_usec,
-            "throughput_kops": self.throughput_kops,
-            "read_latency": summary(self.read_latency),
-            "update_latency": summary(self.update_latency),
-            "scan_latency": summary(self.scan_latency),
-            "reads_by_source": dict(self.reads_by_source),
-            "read_latency_by_source": {
-                source: summary(s)
-                for source, s in self.read_latency_by_source.items()
-            },
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_hit_rate_data": self.cache_hit_rate_data,
-            "compactions": self.compactions,
-            "compaction_read_bytes": self.compaction_read_bytes,
-            "compaction_write_bytes": self.compaction_write_bytes,
-            "flush_bytes": self.flush_bytes,
-            "wal_bytes": self.wal_bytes,
-            "user_write_bytes": self.user_write_bytes,
-            "write_amplification": self.write_amplification,
-            "per_level_write_bytes": {
-                str(level): count
-                for level, count in self.per_level_write_bytes.items()
-            },
-            "pinned_records": self.pinned_records,
-            "pulled_up_records": self.pulled_up_records,
-            "migrations": self.migrations,
-            "migration_bytes": self.migration_bytes,
-            "device_read_bytes": dict(self.device_read_bytes),
-            "device_write_bytes": dict(self.device_write_bytes),
-            "device_wear_cycles": dict(self.device_wear_cycles),
-            "device_lifetime_years": {
-                tier: "inf" if math.isinf(years) else years
-                for tier, years in self.device_lifetime_years.items()
-            },
-            "storage_cost_dollars": self.storage_cost_dollars,
-            "metrics": self.metrics,
-            "timeline": self.timeline,
-            "attribution": self.attribution,
-            **({"fleet": self.fleet} if self.fleet else {}),
-        }
+        data = {"schema": self.SCHEMA}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            encode = _ENCODE.get(f.name)
+            data[f.name] = value if encode is None else encode(value)
+        if not self.fleet:
+            del data["fleet"]
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "RunResult":
-        """Rebuild a :class:`RunResult` from :meth:`to_json` output."""
+        """Rebuild a :class:`RunResult` from :meth:`to_json` output.
+
+        Raises :class:`ConfigError` on another schema, a payload that is
+        not an object, or a missing field (``timeline`` and ``fleet``
+        are optional).
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(f"run artifact is a {type(data).__name__}, not an object")
         schema = data.get("schema")
         if schema != cls.SCHEMA:
             raise ConfigError(
                 f"unsupported run-artifact schema {schema!r} "
                 f"(this build reads schema {cls.SCHEMA})"
             )
-
-        def summary(d: dict) -> LatencySummary:
-            return LatencySummary(
-                count=d["count"],
-                mean=d["mean"],
-                p50=d["p50"],
-                p95=d["p95"],
-                p99=d["p99"],
-                maximum=d["maximum"],
-            )
-
-        return cls(
-            label=data["label"],
-            system=data["system"],
-            layout_code=data["layout_code"],
-            operations=data["operations"],
-            elapsed_usec=data["elapsed_usec"],
-            throughput_kops=data["throughput_kops"],
-            read_latency=summary(data["read_latency"]),
-            update_latency=summary(data["update_latency"]),
-            scan_latency=summary(data["scan_latency"]),
-            reads_by_source=dict(data["reads_by_source"]),
-            read_latency_by_source={
-                source: summary(d)
-                for source, d in data["read_latency_by_source"].items()
-            },
-            cache_hit_rate=data["cache_hit_rate"],
-            cache_hit_rate_data=data["cache_hit_rate_data"],
-            compactions=data["compactions"],
-            compaction_read_bytes=data["compaction_read_bytes"],
-            compaction_write_bytes=data["compaction_write_bytes"],
-            flush_bytes=data["flush_bytes"],
-            wal_bytes=data["wal_bytes"],
-            user_write_bytes=data["user_write_bytes"],
-            write_amplification=data["write_amplification"],
-            per_level_write_bytes={
-                int(level): count
-                for level, count in data["per_level_write_bytes"].items()
-            },
-            pinned_records=data["pinned_records"],
-            pulled_up_records=data["pulled_up_records"],
-            migrations=data["migrations"],
-            migration_bytes=data["migration_bytes"],
-            device_read_bytes=dict(data["device_read_bytes"]),
-            device_write_bytes=dict(data["device_write_bytes"]),
-            device_wear_cycles=dict(data["device_wear_cycles"]),
-            device_lifetime_years={
-                tier: float("inf") if years == "inf" else years
-                for tier, years in data["device_lifetime_years"].items()
-            },
-            storage_cost_dollars=data["storage_cost_dollars"],
-            metrics=data["metrics"],
-            timeline=data.get("timeline", {}),
-            attribution=data["attribution"],
-            fleet=data.get("fleet", {}),
-        )
+        kwargs = {}
+        for f in fields(cls):
+            if f.name not in data:
+                if f.name in _OPTIONAL:
+                    continue
+                raise ConfigError(f"run artifact is missing field {f.name!r}")
+            decode = _DECODE.get(f.name)
+            value = data[f.name]
+            try:
+                kwargs[f.name] = value if decode is None else decode(value)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"run artifact field {f.name!r} is malformed: {exc}") from exc
+        return cls(**kwargs)
 
     def save(self, path: str) -> None:
         """Write the artifact as JSON (strict: no NaN/Infinity literals)."""
@@ -329,6 +238,43 @@ class RunResult:
         """Read an artifact previously written by :meth:`save`."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _summary_in(d: dict) -> LatencySummary:
+    return LatencySummary(**d)
+
+
+def _summaries_out(by_source: dict) -> dict:
+    return {source: asdict(s) for source, s in by_source.items()}
+
+
+def _summaries_in(by_source: dict) -> dict:
+    return {source: _summary_in(d) for source, d in by_source.items()}
+
+
+#: The only per-field JSON code: every other field is stored as is.
+_ENCODE = {
+    "read_latency": asdict,
+    "update_latency": asdict,
+    "scan_latency": asdict,
+    "read_latency_by_source": _summaries_out,
+    "per_level_write_bytes": lambda d: {str(level): n for level, n in d.items()},
+    "device_lifetime_years": lambda d: {
+        tier: "inf" if math.isinf(years) else years for tier, years in d.items()
+    },
+}
+_DECODE = {
+    "read_latency": _summary_in,
+    "update_latency": _summary_in,
+    "scan_latency": _summary_in,
+    "read_latency_by_source": _summaries_in,
+    "per_level_write_bytes": lambda d: {int(level): n for level, n in d.items()},
+    "device_lifetime_years": lambda d: {
+        tier: float("inf") if years == "inf" else years for tier, years in d.items()
+    },
+}
+#: Blocks an artifact may leave out; they take the field default.
+_OPTIONAL = ("timeline", "fleet")
 
 
 def _lsm_state_snapshot(db: LsmDB) -> dict:
@@ -450,18 +396,9 @@ class WorkloadRunner:
     # as maximal *groups* of consecutive same-opcode requests, and every
     # group dispatches through the engine's lanes (``db.read_lane()`` /
     # ``db.write_lane()``, fetched once per phase — see
-    # docs/PERFORMANCE.md). Workloads that only speak the per-op Request
-    # protocol (replayed traces) are adapted through
-    # batches_from_requests, so there is exactly one loop per phase.
-    # ``clock.advance(latency / clients)`` runs after every operation.
+    # docs/PERFORMANCE.md). ``clock.advance(latency / clients)`` runs
+    # after every operation.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _phase_batches(workload, phase: str):
-        batches = getattr(workload, f"{phase}_batches", None)
-        if batches is not None:
-            return batches()
-        return batches_from_requests(getattr(workload, f"{phase}_stream")())
-
     def load(self, workload: YCSBWorkload) -> float:
         """Load phase; returns simulated elapsed usec."""
         db = self.db
@@ -470,7 +407,7 @@ class WorkloadRunner:
         commit = db.write_lane()
         advance = db.clock.advance
         clients = self.clients
-        for batch in self._phase_batches(workload, "load"):
+        for batch in workload.load_batches():
             for key, value in zip(batch.keys, batch.values):
                 advance(commit(key, value).latency_usec / clients)
         db.flush()
@@ -486,7 +423,7 @@ class WorkloadRunner:
         scan = db.scan
         advance = db.clock.advance
         clients = self.clients
-        for batch in self._phase_batches(workload, "warmup"):
+        for batch in workload.warmup_batches():
             kinds = batch.kinds
             keys = batch.keys
             values = batch.values
@@ -532,7 +469,7 @@ class WorkloadRunner:
         by_source = self.read_latency_by_source
         observe_read = self._observe_read
         ops = 0
-        for batch in self._phase_batches(workload, "run"):
+        for batch in workload.run_batches():
             kinds = batch.kinds
             keys = batch.keys
             values = batch.values

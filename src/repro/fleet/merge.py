@@ -6,10 +6,12 @@ worker processes may compute them in any interleaving. Every rule below
 either merges exactly (sums of counters, histogram-bucket addition,
 global top-K) or is a documented deterministic approximation:
 
-* **operations / bytes / counts** — exact sums.
-* **elapsed** — max of shard clocks (shards run concurrently);
-  **throughput** — sum of per-shard throughputs (each shard is an
-  independent server contributing its own ops/sec).
+* **operations / bytes / counts / throughput / cost** (``_SUMMED``) —
+  exact sums; throughput sums because each shard is an independent
+  server contributing its own ops/sec. **Per-key dicts** (``_FOLDED``:
+  reads by source, per-level and per-device bytes, wear) — summed key
+  by key.
+* **elapsed** — max of shard clocks (shards run concurrently).
 * **latency summaries** — rebuilt from the merged ``op.latency_usec``
   histograms: count/mean/max are exact, percentiles are bucket-resolution
   (<= 2x relative error with the default powers-of-two bounds). This is
@@ -18,7 +20,7 @@ global top-K) or is a documented deterministic approximation:
 * **write amplification** — recomputed from merged byte totals (exact).
 * **wear** — per-tier mean across shards (each shard wrote its own
   device image); **lifetime** — min (the fleet replaces a tier when its
-  worst device dies); **cost** — sum.
+  worst device dies).
 * **metrics / timeline / attribution** — the dedicated merge functions
   in ``repro.obs`` (see their docstrings for exact-vs-approximate).
 
@@ -48,12 +50,7 @@ def _summary_from_row(row: dict | None) -> LatencySummary:
     if row is None or row["count"] == 0:
         return LatencySummary.empty()
     return LatencySummary(
-        count=row["count"],
-        mean=row["mean"],
-        p50=row["p50"],
-        p95=row["p95"],
-        p99=row["p99"],
-        maximum=row["max"],
+        row["count"], row["mean"], row["p50"], row["p95"], row["p99"], row["max"]
     )
 
 
@@ -65,6 +62,10 @@ def _find_row(metrics: dict, name: str, **labels) -> dict | None:
         if row["labels"] == labels:
             return row
     return None
+
+
+def _op_summary(metrics: dict, op: str) -> LatencySummary:
+    return _summary_from_row(_find_row(metrics, "op.latency_usec", op=op))
 
 
 def _sum_rows(metrics: dict, name: str, label: str | None = None) -> float:
@@ -79,6 +80,37 @@ def _sum_rows(metrics: dict, name: str, label: str | None = None) -> float:
     return total
 
 
+def _hit_rate(metrics: dict, label: str | None = None) -> float:
+    """Cache hit rate from the merged hit/miss counters (exact)."""
+    hits = _sum_rows(metrics, "cache.hits", label)
+    misses = _sum_rows(metrics, "cache.misses", label)
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
+#: Extensive counters: the fleet value is the sum over shards.
+_SUMMED = (
+    "operations", "throughput_kops", "compactions", "compaction_read_bytes",
+    "compaction_write_bytes", "flush_bytes", "wal_bytes", "user_write_bytes",
+    "pinned_records", "pulled_up_records", "migrations", "migration_bytes",
+    "storage_cost_dollars",
+)
+#: Per-key dicts summed key by key, keys in first-seen order; wear is
+#: then divided by the shard count (a per-tier mean).
+_FOLDED = (
+    "reads_by_source", "per_level_write_bytes", "device_read_bytes",
+    "device_write_bytes", "device_wear_cycles",
+)
+#: Fields with a rule of their own in :meth:`ShardAccumulator.add` or
+#: :meth:`ShardAccumulator.finish`. ``label`` is the caller's and
+#: ``fleet`` the router's, so neither is merged.
+_EXPLICIT = (
+    "system", "layout_code", "elapsed_usec", "read_latency", "update_latency",
+    "scan_latency", "read_latency_by_source", "cache_hit_rate",
+    "cache_hit_rate_data", "write_amplification", "device_lifetime_years",
+    "metrics", "timeline", "attribution",
+)
+
+
 class ShardAccumulator:
     """Fold shard :class:`RunResult` artifacts into one fleet result.
 
@@ -86,35 +118,19 @@ class ShardAccumulator:
     each worker's artifact streams back from the pool, so the merge
     overlaps the slowest shard's simulation instead of waiting behind a
     barrier. All scalar/dict accumulators are left-to-right reductions
-    in ``add`` order — exactly the ``sum()``/``max()``/first-seen-key
-    folds the list-based merge performed — so feeding shards in shard
-    order produces a bit-identical artifact. Only the three blocks whose
-    merge functions need the full collection (metrics registry,
-    timeline, attribution) are deferred to :meth:`finish`.
+    in ``add`` order, so feeding shards in shard order produces a
+    bit-identical artifact. Only the three blocks whose merge functions
+    need the full collection (metrics registry, timeline, attribution)
+    are deferred to :meth:`finish`.
     """
 
     def __init__(self) -> None:
         self._first: RunResult | None = None
         self._count = 0
-        self._operations = 0
+        # An int 0 start adds exactly like 0.0 to a float field.
+        self._sums = dict.fromkeys(_SUMMED, 0)
+        self._folds: dict[str, dict] = {name: {} for name in _FOLDED}
         self._elapsed_usec = 0.0
-        self._throughput_kops = 0.0
-        self._compactions = 0
-        self._compaction_read_bytes = 0
-        self._compaction_write_bytes = 0
-        self._flush_bytes = 0
-        self._wal_bytes = 0
-        self._user_write_bytes = 0
-        self._pinned_records = 0
-        self._pulled_up_records = 0
-        self._migrations = 0
-        self._migration_bytes = 0
-        self._storage_cost_dollars = 0.0
-        self._reads_by_source: dict = {}
-        self._per_level_write_bytes: dict = {}
-        self._device_read_bytes: dict = {}
-        self._device_write_bytes: dict = {}
-        self._wear_sums: dict = {}
         self._lifetimes: dict[str, float] = {}
         self._metrics: list[dict] = []
         self._timelines: list[dict] = []
@@ -122,11 +138,6 @@ class ShardAccumulator:
 
     def __len__(self) -> int:
         return self._count
-
-    @staticmethod
-    def _fold_dict(into: dict, more: dict) -> None:
-        for key, value in more.items():
-            into[key] = into.get(key, 0) + value
 
     def add(self, result: RunResult) -> None:
         """Fold one shard's result in (shards must share system/layout)."""
@@ -143,26 +154,14 @@ class ShardAccumulator:
                 f"{first.system}/{first.layout_code}"
             )
         self._count += 1
-        self._operations += result.operations
+        sums = self._sums
+        for name in _SUMMED:
+            sums[name] += getattr(result, name)
+        for name, into in self._folds.items():
+            for key, value in getattr(result, name).items():
+                into[key] = into.get(key, 0) + value
         if result.elapsed_usec > self._elapsed_usec:
             self._elapsed_usec = result.elapsed_usec
-        self._throughput_kops += result.throughput_kops
-        self._compactions += result.compactions
-        self._compaction_read_bytes += result.compaction_read_bytes
-        self._compaction_write_bytes += result.compaction_write_bytes
-        self._flush_bytes += result.flush_bytes
-        self._wal_bytes += result.wal_bytes
-        self._user_write_bytes += result.user_write_bytes
-        self._pinned_records += result.pinned_records
-        self._pulled_up_records += result.pulled_up_records
-        self._migrations += result.migrations
-        self._migration_bytes += result.migration_bytes
-        self._storage_cost_dollars += result.storage_cost_dollars
-        self._fold_dict(self._reads_by_source, result.reads_by_source)
-        self._fold_dict(self._per_level_write_bytes, result.per_level_write_bytes)
-        self._fold_dict(self._device_read_bytes, result.device_read_bytes)
-        self._fold_dict(self._device_write_bytes, result.device_write_bytes)
-        self._fold_dict(self._wear_sums, result.device_wear_cycles)
         for tier, years in result.device_lifetime_years.items():
             current = self._lifetimes.get(tier)
             self._lifetimes[tier] = (
@@ -181,77 +180,42 @@ class ShardAccumulator:
         metrics = MetricsRegistry.merge_snapshots(self._metrics)
 
         # Latency populations from the merged registry histograms.
-        read = _summary_from_row(_find_row(metrics, "op.latency_usec", op="read"))
-        update = _summary_from_row(
-            _find_row(metrics, "op.latency_usec", op="update")
-        )
-        scan = _summary_from_row(_find_row(metrics, "op.latency_usec", op="scan"))
         by_source: dict[str, LatencySummary] = {}
         source_metric = metrics.get("read.latency_usec")
         if source_metric is not None:
             for row in source_metric["series"]:
                 by_source[row["labels"]["source"]] = _summary_from_row(row)
 
-        cache_hits = _sum_rows(metrics, "cache.hits")
-        cache_misses = _sum_rows(metrics, "cache.misses")
-        data_hits = _sum_rows(metrics, "cache.hits", label="data")
-        data_misses = _sum_rows(metrics, "cache.misses", label="data")
-
-        flush_bytes = self._flush_bytes
-        wal_bytes = self._wal_bytes
-        user_write_bytes = self._user_write_bytes
-        compaction_write_bytes = self._compaction_write_bytes
-
+        sums = self._sums
+        folds = dict(self._folds)
+        folds["device_wear_cycles"] = {
+            tier: total / self._count
+            for tier, total in folds["device_wear_cycles"].items()
+        }
+        user_write_bytes = sums["user_write_bytes"]
         return RunResult(
             label=label,
             system=first.system,
             layout_code=first.layout_code,
-            operations=self._operations,
             elapsed_usec=self._elapsed_usec,
-            throughput_kops=self._throughput_kops,
-            read_latency=read,
-            update_latency=update,
-            scan_latency=scan,
-            reads_by_source=self._reads_by_source,
+            read_latency=_op_summary(metrics, "read"),
+            update_latency=_op_summary(metrics, "update"),
+            scan_latency=_op_summary(metrics, "scan"),
             read_latency_by_source=by_source,
-            cache_hit_rate=(
-                cache_hits / (cache_hits + cache_misses)
-                if cache_hits + cache_misses
-                else 0.0
-            ),
-            cache_hit_rate_data=(
-                data_hits / (data_hits + data_misses)
-                if data_hits + data_misses
-                else 0.0
-            ),
-            compactions=self._compactions,
-            compaction_read_bytes=self._compaction_read_bytes,
-            compaction_write_bytes=compaction_write_bytes,
-            flush_bytes=flush_bytes,
-            wal_bytes=wal_bytes,
-            user_write_bytes=user_write_bytes,
+            cache_hit_rate=_hit_rate(metrics),
+            cache_hit_rate_data=_hit_rate(metrics, label="data"),
             write_amplification=(
-                (flush_bytes + compaction_write_bytes + wal_bytes)
+                (sums["flush_bytes"] + sums["compaction_write_bytes"] + sums["wal_bytes"])
                 / user_write_bytes
                 if user_write_bytes
                 else 0.0
             ),
-            per_level_write_bytes=self._per_level_write_bytes,
-            pinned_records=self._pinned_records,
-            pulled_up_records=self._pulled_up_records,
-            migrations=self._migrations,
-            migration_bytes=self._migration_bytes,
-            device_read_bytes=self._device_read_bytes,
-            device_write_bytes=self._device_write_bytes,
-            device_wear_cycles={
-                tier: total / self._count
-                for tier, total in self._wear_sums.items()
-            },
             device_lifetime_years=self._lifetimes,
-            storage_cost_dollars=self._storage_cost_dollars,
             metrics=metrics,
             timeline=merge_timelines(self._timelines),
             attribution=merge_attributions(self._attributions),
+            **sums,
+            **folds,
         )
 
 

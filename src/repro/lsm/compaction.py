@@ -617,5 +617,4 @@ class CompactionExecutor:
             target_file_bytes=self._options.target_file_bytes,
             bits_per_key=self._options.bits_per_key,
             clock_values_fn=self._router.clock_values_fn(),
-            score_exponent=self._options.score_exponent,
         )

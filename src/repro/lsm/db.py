@@ -46,6 +46,9 @@ from repro.storage.backend import StorageBackend
 from repro.storage.device import DRAM_SPEC
 
 _DELETE = ValueKind.DELETE
+#: Simulated CPU cost of every foreground operation (request parsing,
+#: memtable walk, etc.), charged before any device time.
+CPU_OVERHEAD_USEC = 2.0
 #: The "value" :meth:`LsmDB.delete` hands the write lane. A private
 #: object, so ``put(key, None)`` still fails on ``len(None)`` instead of
 #: silently writing a tombstone.
@@ -157,7 +160,6 @@ class LsmDB:
         # so the hot paths skip the dataclass attribute walk.
         self._row_cache_enabled = bool(self.options.row_cache_bytes)
         self._memtable_limit = self.options.memtable_bytes
-        self._cpu_overhead = self.options.cpu_overhead_usec
         #: The compaction shape+trigger composite; an explicit instance
         #: wins, otherwise DBOptions.compaction_shape/_trigger select one.
         self.strategy = strategy or make_strategy(self.options)
@@ -183,11 +185,7 @@ class LsmDB:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.wal = (
-            WriteAheadLog(layout.wal_tier, sync_every=self.options.wal_sync_every)
-            if self.options.wal_enabled
-            else None
-        )
+        self.wal = WriteAheadLog(layout.wal_tier, sync_every=self.options.wal_sync_every)
         # The MANIFEST lives next to the WAL on the fastest tier; every
         # add/remove of an SSTable is logged so the level structure can
         # be rebuilt on restart (see reopen()).
@@ -293,11 +291,10 @@ class LsmDB:
         reopened.manifest_log.compact(live)
         reopened.manifest.observer = reopened.manifest_log
         # Replay the WAL into the fresh memtable.
-        if self.wal is not None and reopened.wal is not None:
-            for record in self.wal.replay():
-                reopened._memtable.add(record)
-                max_seqno = max(max_seqno, record.seqno)
-                reopened.wal.append(record)
+        for record in self.wal.replay():
+            reopened._memtable.add(record)
+            max_seqno = max(max_seqno, record.seqno)
+            reopened.wal.append(record)
         reopened._seqno = max_seqno
         return reopened
 
@@ -307,17 +304,13 @@ class LsmDB:
         Drops the memtable and the DRAM block cache (as a power loss
         would), then replays the live WAL segment to rebuild the
         memtable — the recovery path every WAL-backed LSM implements.
-        Returns the number of records replayed. Without a WAL, unflushed
-        writes are simply gone (the data-loss mode the WAL exists to
-        prevent); the sequence counter is preserved either way so new
-        writes stay newer than every surviving version.
+        Returns the number of records replayed. The sequence counter is
+        preserved, so new writes stay newer than every surviving version.
         """
         self._check_open()
         self._memtable = Memtable()
         self.cache.clear()
         self.row_cache.clear()
-        if self.wal is None:
-            return 0
         replayed = self.wal.replay()
         for record in replayed:
             self._memtable.add(record)
@@ -333,7 +326,6 @@ class LsmDB:
             ),
             bits_per_key=self.options.bits_per_key,
             clock_values_fn=self.router.clock_values_fn(),
-            score_exponent=self.options.score_exponent,
         )
         l0_tier = self.layout.tier_for_level(0)
         busy_before = l0_tier.device.stats.busy_usec
@@ -362,8 +354,7 @@ class LsmDB:
         self._obs_flush_count.inc()
         self._obs_flush_bytes.inc(table.size_bytes)
         self.executor.note_level_write(0, table.size_bytes)
-        if self.wal is not None:
-            self.wal.truncate()
+        self.wal.truncate()
         self._memtable = Memtable()
 
     # ------------------------------------------------------------------
@@ -413,7 +404,7 @@ class LsmDB:
     def _build_read_lane(self):
         """The base point-read path every system's lane is built on."""
         self._check_open()
-        cpu_overhead = self._cpu_overhead
+        cpu_overhead = CPU_OVERHEAD_USEC
         row_cache_enabled = self._row_cache_enabled
         row_lookup = self.row_cache.lookup
         row_insert = self.row_cache.insert
@@ -432,7 +423,7 @@ class LsmDB:
 
         def lookup(user_key, ctx=None):
             latency = cpu_overhead
-            if ctx is not None and latency:
+            if ctx is not None:
                 ctx.add("cpu", "-", latency)
             result = None
             record = self._memtable.get(user_key)
@@ -502,9 +493,9 @@ class LsmDB:
     def _build_write_lane(self):
         """The base put/delete path every system's lane is built on."""
         self._check_open()
-        cpu_overhead = self._cpu_overhead
+        cpu_overhead = CPU_OVERHEAD_USEC
         wal = self.wal
-        wal_append = wal.append if wal is not None else None
+        wal_append = wal.append
         row_invalidate = self.row_cache.invalidate
         stats = self.stats
         obs_writes_inc = self._obs_user_writes.inc
@@ -525,10 +516,9 @@ class LsmDB:
                 record = make_put_record(user_key, seqno, value)
                 encoded_size = header_size + len(user_key) + len(value)
             latency = cpu_overhead
-            if ctx is not None and latency:
+            if ctx is not None:
                 ctx.add("cpu", "-", latency)
-            if wal_append is not None:
-                latency += wal_append(record, ctx, size=encoded_size)
+            latency += wal_append(record, ctx, size=encoded_size)
             row_invalidate(user_key)
             memtable = self._memtable
             memtable.add(record)
@@ -546,8 +536,7 @@ class LsmDB:
                 flush_memtable()
                 flushed = True
                 compactions = maybe_compact()
-            if wal is not None:
-                stats.wal_bytes = wal.total_bytes
+            stats.wal_bytes = wal.total_bytes
             return WriteResult(latency, flushed, compactions)
 
         return commit
@@ -557,8 +546,8 @@ class LsmDB:
         self._check_open()
         if count < 0:
             raise ValueError(f"negative scan count: {count}")
-        latency = self._cpu_overhead
-        if ctx is not None and latency:
+        latency = CPU_OVERHEAD_USEC
+        if ctx is not None:
             ctx.add("cpu", "-", latency)
         cache = self.cache
         # Sources open in this order, which fixes the order of their

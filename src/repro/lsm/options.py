@@ -50,22 +50,12 @@ class DBOptions:
     #: Optional object-granularity row cache (RocksDB's row_cache); 0
     #: disables it. Used by the §3.3 caching-granularity extension.
     row_cache_bytes: int = 0
-    #: Whether updates are logged to the WAL before the memtable.
-    wal_enabled: bool = True
     #: Group-commit factor: only every N-th WAL append pays the device's
     #: program latency; the others ride in the same batch and pay only
     #: transfer cost. 1 (the default) syncs every append — the paper's
     #: single-instance configuration. The fleet router raises this to
     #: model router-side batched WAL (see docs/FLEET.md).
     wal_sync_every: int = 1
-    #: Per-operation CPU cost (request parsing, memtable walk, etc.).
-    cpu_overhead_usec: float = 2.0
-    #: Extra per-read CPU cost of PrismDB's tracker insertion; the paper
-    #: microbenchmarks it at < 2 us (§6.5). Applied only when a tracker
-    #: is attached.
-    tracker_overhead_usec: float = 1.5
-    #: Exponent n in the SST popularity score Σ clockⁿ (§4.3; paper uses 3).
-    score_exponent: int = 3
     #: Fraction of each level's target reserved for pinned (hot) data.
     #: Hot-scored file bytes up to this reserve are excluded from the
     #: level's compaction score, so retaining popular keys does not

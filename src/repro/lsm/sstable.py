@@ -590,8 +590,8 @@ class SSTableBuilder:
 
     ``clock_values_fn`` maps the file's user keys to their tracker CLOCK
     values (:data:`UNTRACKED_CLOCK_VALUE` for unknown keys) in one call
-    at :meth:`finish`, which sums the paper's popularity score Σ clockⁿ
-    in key order. Records arrive one at a time (:meth:`add`,
+    at :meth:`finish`, which sums the paper's popularity score Σ clock³
+    (§4.3) in key order. Records arrive one at a time (:meth:`add`,
     :meth:`add_encoded`) or a whole file at once, already cut into
     blocks by :func:`plan_files` (:meth:`add_encoded_blocks`);
     :meth:`adopt` writes an existing table again when rebuilding it
@@ -607,14 +607,12 @@ class SSTableBuilder:
         target_file_bytes: int,
         bits_per_key: int = 10,
         clock_values_fn: Callable[[list[bytes]], Iterable[int]] | None = None,
-        score_exponent: int = 3,
     ) -> None:
         self._backend = backend
         self._tier = tier
         self.target_file_bytes = target_file_bytes
         self._bits_per_key = bits_per_key
         self._clock_values_fn = clock_values_fn
-        self._score_exponent = score_exponent
         self._block = DataBlockBuilder(block_bytes)
         self._finished_blocks: list[bytes] = []
         self._index: list[IndexEntry] = []
@@ -778,13 +776,12 @@ class SSTableBuilder:
         assert self._smallest is not None and self._largest is not None
         score = 0.0
         if self._clock_values_fn is not None:
-            exponent = self._score_exponent
             # Left to right in key order: float addition is not
             # associative and the score is part of the file's bytes.
             for clock in map(float, self._clock_values_fn(self._keys)):
-                # Three multiplies are exact for the integer CLOCK
-                # values the trackers emit, and beat a pow() call.
-                score += clock * clock * clock if exponent == 3 else clock**exponent
+                # Three multiplies (the paper's exponent) are exact for
+                # the integer CLOCK values the trackers emit.
+                score += clock * clock * clock
         created_at = self._backend.clock.now
         footer = (
             _FOOTER_FIXED.pack(

@@ -1,14 +1,7 @@
 """YCSB-style workload generators."""
 
 from repro.workloads.trace import TraceWorkload, dump_trace, load_trace
-from repro.workloads.ycsb import (
-    OpKind,
-    Request,
-    RequestBatch,
-    YCSBConfig,
-    YCSBWorkload,
-    batches_from_requests,
-)
+from repro.workloads.ycsb import RequestBatch, YCSBConfig, YCSBWorkload
 from repro.workloads.zipfian import (
     KeyIndexGenerator,
     LatestGenerator,
@@ -22,12 +15,9 @@ __all__ = [
     "TraceWorkload",
     "dump_trace",
     "load_trace",
-    "OpKind",
-    "Request",
     "RequestBatch",
     "YCSBConfig",
     "YCSBWorkload",
-    "batches_from_requests",
     "KeyIndexGenerator",
     "LatestGenerator",
     "ScrambledZipfianGenerator",

@@ -17,62 +17,74 @@ Format: one request per line, tab-separated::
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import CorruptionError
-from repro.workloads.ycsb import OpKind, Request
+from repro.workloads.ycsb import (
+    DEFAULT_BATCH_OPS,
+    OP_INSERT,
+    OP_READ,
+    OP_SCAN,
+    OP_UPDATE,
+    RequestBatch,
+)
+
+#: Trace op names, indexed by op code.
+_OP_NAMES = ("READ", "UPDATE", "INSERT", "SCAN")
 
 
-def dump_trace(requests: Iterable[Request], path: str | Path) -> int:
-    """Write a request stream to ``path``; returns the request count."""
+def dump_trace(batches: Iterable[RequestBatch], path: str | Path) -> int:
+    """Write a batch stream to ``path``; returns the request count."""
     count = 0
     with open(path, "w", encoding="ascii") as handle:
-        for request in requests:
-            handle.write(format_request(request) + "\n")
-            count += 1
+        for batch in batches:
+            for request in zip(batch.kinds, batch.keys, batch.values, batch.scan_lengths):
+                handle.write(format_request(*request) + "\n")
+            count += len(batch)
     return count
 
 
-def format_request(request: Request) -> str:
+def format_request(kind: int, key: bytes, value: bytes = b"", scan_length: int = 0) -> str:
     """One request as a trace line."""
-    key_hex = request.key.hex()
-    if request.kind == OpKind.READ:
+    key_hex = key.hex()
+    if kind == OP_READ:
         return f"READ\t{key_hex}"
-    if request.kind in (OpKind.UPDATE, OpKind.INSERT):
-        return f"{request.kind.name}\t{key_hex}\t{request.value.hex()}"
-    if request.kind == OpKind.SCAN:
-        return f"SCAN\t{key_hex}\t{request.scan_length}"
-    raise ValueError(f"unsupported request kind: {request.kind}")
+    if kind in (OP_UPDATE, OP_INSERT):
+        return f"{_OP_NAMES[kind]}\t{key_hex}\t{value.hex()}"
+    if kind == OP_SCAN:
+        return f"SCAN\t{key_hex}\t{scan_length}"
+    raise ValueError(f"unsupported request kind: {kind}")
 
 
-def parse_request(line: str, line_number: int = 0) -> Request:
-    """Parse one trace line back into a :class:`Request`."""
+def parse_request(line: str, line_number: int = 0) -> tuple[int, bytes, bytes, int]:
+    """Parse one trace line into ``(kind, key, value, scan_length)``."""
     parts = line.rstrip("\n").split("\t")
     where = f"trace line {line_number}"
     if not parts or not parts[0]:
         raise CorruptionError(f"{where}: empty record")
     kind_name = parts[0]
     try:
-        kind = OpKind[kind_name]
-    except KeyError as exc:
+        kind = _OP_NAMES.index(kind_name)
+    except ValueError as exc:
         raise CorruptionError(f"{where}: unknown op {kind_name!r}") from exc
     try:
         key = bytes.fromhex(parts[1])
     except (IndexError, ValueError) as exc:
         raise CorruptionError(f"{where}: bad key field") from exc
-    if kind == OpKind.READ:
+    if kind == OP_READ:
         if len(parts) != 2:
             raise CorruptionError(f"{where}: READ takes exactly one field")
-        return Request(kind, key)
-    if kind in (OpKind.UPDATE, OpKind.INSERT):
+        return kind, key, b"", 0
+    if kind in (OP_UPDATE, OP_INSERT):
         if len(parts) != 3:
             raise CorruptionError(f"{where}: {kind_name} takes key and value")
         try:
             value = bytes.fromhex(parts[2])
         except ValueError as exc:
             raise CorruptionError(f"{where}: bad value field") from exc
-        return Request(kind, key, value)
+        return kind, key, value, 0
     if len(parts) != 3:
         raise CorruptionError(f"{where}: SCAN takes key and length")
     try:
@@ -81,15 +93,21 @@ def parse_request(line: str, line_number: int = 0) -> Request:
         raise CorruptionError(f"{where}: bad scan length") from exc
     if length < 0:
         raise CorruptionError(f"{where}: negative scan length")
-    return Request(kind, key, scan_length=length)
+    return kind, key, b"", length
 
 
-def load_trace(path: str | Path) -> Iterator[Request]:
-    """Stream requests back from a trace file."""
+def load_trace(
+    path: str | Path, batch_ops: int = DEFAULT_BATCH_OPS
+) -> Iterator[RequestBatch]:
+    """Stream a trace file back as :class:`RequestBatch` chunks."""
     with open(path, "r", encoding="ascii") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if line.strip():
-                yield parse_request(line, line_number)
+        parsed = (
+            parse_request(line, line_number)
+            for line_number, line in enumerate(handle, start=1)
+            if line.strip()
+        )
+        while chunk := list(islice(parsed, batch_ops)):
+            yield RequestBatch(*map(list, zip(*chunk)))
 
 
 class TraceWorkload:
@@ -111,20 +129,21 @@ class TraceWorkload:
         self._run_path = Path(run_path)
         self._warmup_path = Path(warmup_path) if warmup_path else None
 
-    def load_stream(self) -> Iterator[Request]:
+    def load_batches(self) -> Iterator[RequestBatch]:
         return load_trace(self._load_path)
 
-    def warmup_stream(self) -> Iterator[Request]:
+    def warmup_batches(self) -> Iterator[RequestBatch]:
         if self._warmup_path is None:
             return iter(())
         return load_trace(self._warmup_path)
 
-    def run_stream(self) -> Iterator[Request]:
+    def run_batches(self) -> Iterator[RequestBatch]:
         return load_trace(self._run_path)
 
     def total_data_bytes(self) -> int:
         """Serialized size estimate of the load phase (record framing incl.)."""
         total = 0
-        for request in self.load_stream():
-            total += len(request.key) + len(request.value) + 15
+        for batch in self.load_batches():
+            for key, value in zip(batch.keys, batch.values):
+                total += len(key) + len(value) + 15
         return total

@@ -6,21 +6,13 @@ with a parameter, "latest", uniform), and value size. The workload yields
 a deterministic request stream given a seed, so every system is measured
 against byte-identical traffic.
 
-Two stream shapes are offered. The classic per-op iterators
-(:meth:`~YCSBWorkload.run_stream` and friends) yield one
-:class:`Request` object per operation. The batched form
-(:meth:`~YCSBWorkload.run_batches`) yields :class:`RequestBatch` chunks —
-parallel arrays of int op codes, key bytes, values and scan
-lengths — so the harness's hot loop indexes arrays instead of
-constructing and destructuring a frozen dataclass per op. Both shapes
-draw from the RNGs in exactly the same order, so they describe the
-identical operation sequence; the per-op iterators are in fact thin
-adapters over the batches.
+Each phase yields :class:`RequestBatch` chunks — parallel arrays of int
+op codes, key bytes, values and scan lengths — so the harness's hot loop
+indexes arrays instead of building an object per op.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,33 +21,13 @@ from repro.errors import ConfigError
 from repro.workloads.zipfian import LatestGenerator, make_generator
 
 
-class OpKind(enum.Enum):
-    READ = "read"
-    UPDATE = "update"
-    INSERT = "insert"
-    SCAN = "scan"
-
-
-#: Integer op codes used inside :class:`RequestBatch`; array-friendly
-#: stand-ins for :class:`OpKind` on the batched hot path.
+#: Integer op codes used inside :class:`RequestBatch`.
 OP_READ, OP_UPDATE, OP_INSERT, OP_SCAN = 0, 1, 2, 3
-#: code -> OpKind (index = code; ``OP_KINDS.index(kind)`` is the code).
-OP_KINDS = (OpKind.READ, OpKind.UPDATE, OpKind.INSERT, OpKind.SCAN)
 
 #: Operations per RequestBatch. Large enough to amortize per-batch
 #: bookkeeping, small enough that a batch of 100-byte values stays cache
 #: friendly.
 DEFAULT_BATCH_OPS = 1024
-
-
-@dataclass(frozen=True)
-class Request:
-    """One operation in the stream."""
-
-    kind: OpKind
-    key: bytes
-    value: bytes = b""
-    scan_length: int = 0
 
 
 class RequestBatch:
@@ -82,39 +54,6 @@ class RequestBatch:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def requests(self) -> Iterator[Request]:
-        """Adapt the arrays back into per-op :class:`Request` objects."""
-        op_kinds = OP_KINDS
-        for kind, key, value, length in zip(
-            self.kinds, self.keys, self.values, self.scan_lengths
-        ):
-            yield Request(op_kinds[kind], key, value, length)
-
-
-def batches_from_requests(
-    requests: Iterator[Request], batch_ops: int = DEFAULT_BATCH_OPS
-) -> Iterator[RequestBatch]:
-    """Chunk any per-op Request stream into :class:`RequestBatch` form.
-
-    Lets the batched runner drive workloads that only implement the
-    per-op protocol (e.g. replayed traces) through its one hot loop.
-    """
-    code_of = OP_KINDS.index
-    kinds: list[int] = []
-    keys: list[bytes] = []
-    values: list[bytes] = []
-    lengths: list[int] = []
-    for request in requests:
-        kinds.append(code_of(request.kind))
-        keys.append(request.key)
-        values.append(request.value)
-        lengths.append(request.scan_length)
-        if len(kinds) >= batch_ops:
-            yield RequestBatch(kinds, keys, values, lengths)
-            kinds, keys, values, lengths = [], [], [], []
-    if kinds:
-        yield RequestBatch(kinds, keys, values, lengths)
 
 
 @dataclass
@@ -183,7 +122,7 @@ class YCSBWorkload:
         return self._key_format % index
 
     # ------------------------------------------------------------------
-    # Phases (batched form: the canonical generators)
+    # Phases
     # ------------------------------------------------------------------
     def load_batches(self, batch_ops: int = DEFAULT_BATCH_OPS) -> Iterator[RequestBatch]:
         """Insert every record once, in key order (YCSB's load phase)."""
@@ -274,24 +213,6 @@ class YCSBWorkload:
                     append_value(empty)
                     append_length(1 + randrange(max_scan))
             yield RequestBatch(kinds, keys, values, lengths)
-
-    # ------------------------------------------------------------------
-    # Phases (per-op form: adapters over the batches)
-    # ------------------------------------------------------------------
-    def load_stream(self) -> Iterator[Request]:
-        """Per-op view of :meth:`load_batches` (identical sequence)."""
-        for batch in self.load_batches():
-            yield from batch.requests()
-
-    def warmup_stream(self) -> Iterator[Request]:
-        """Per-op view of :meth:`warmup_batches` (identical sequence)."""
-        for batch in self.warmup_batches():
-            yield from batch.requests()
-
-    def run_stream(self) -> Iterator[Request]:
-        """Per-op view of :meth:`run_batches` (identical sequence)."""
-        for batch in self.run_batches():
-            yield from batch.requests()
 
     def total_data_bytes(self) -> int:
         """Approximate serialized size of the loaded data set."""

@@ -11,6 +11,7 @@ from repro.bench.compare import (
     main as compare_main,
     regressions,
 )
+from repro.bench.cli import main as cli_main
 from repro.bench.harness import RunResult, SystemConfig, run_experiment
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
@@ -180,6 +181,29 @@ class TestCompare:
         RunResult.from_json(data).save(cand)
         assert compare_main([str(base), str(cand), "--tolerance", "5"]) == 1
         assert compare_main([str(base), str(tmp_path / "missing.json")]) == 2
+
+
+class TestMalformedArtifact:
+    def test_missing_field_is_named(self):
+        with pytest.raises(ConfigError, match="missing field 'system'"):
+            RunResult.from_json({"schema": 2, "label": "x"})
+
+    def test_malformed_field_is_named(self, sampled_result):
+        data = sampled_result.to_json()
+        data["read_latency"] = 5
+        with pytest.raises(ConfigError, match="field 'read_latency' is malformed"):
+            RunResult.from_json(data)
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(ConfigError, match="not an object"):
+            RunResult.from_json([2, "x"])
+
+    def test_compare_prints_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema": 2, "label": "x"}')
+        assert cli_main(["compare", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: run artifact is missing field 'system'\n"
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import RocksDBLike
 from repro.common import KIB
 from repro.core import PrismDB, PrismOptions
+from repro.core.prismdb import TRACKER_OVERHEAD_USEC
 from repro.errors import ConfigError
 from repro.lsm import DBOptions
 
@@ -65,8 +66,8 @@ class TestPrismDB:
             db.put(b"k", b"v")
         base = baseline.get(b"k").latency_usec
         latency = prism.get(b"k").latency_usec
-        assert prism.options.tracker_overhead_usec > 0
-        assert latency == pytest.approx(base + prism.options.tracker_overhead_usec)
+        assert TRACKER_OVERHEAD_USEC > 0
+        assert latency == pytest.approx(base + TRACKER_OVERHEAD_USEC)
 
     def test_update_resets_clock_via_version_tag(self):
         db = make_db()

@@ -7,6 +7,8 @@ LatencyRecorder, MetricsRegistry snapshots, timelines, attribution
 exports, and the full RunResult merge.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.bench.harness import RunResult, SystemConfig, run_experiment
@@ -14,7 +16,7 @@ from repro.common.clock import SimClock
 from repro.common.rng import make_rng
 from repro.common.stats import LatencyRecorder, LatencySummary
 from repro.errors import ConfigError, ObservabilityError
-from repro.fleet.merge import merge_run_results
+from repro.fleet.merge import _EXPLICIT, _FOLDED, _SUMMED, merge_run_results
 from repro.fleet.pool import DevicePool, PoolParams
 from repro.fleet.runner import FleetConfig, default_tenants, run_shard
 from repro.obs.metrics import MetricsRegistry
@@ -181,6 +183,12 @@ class TestRunResultMerge:
         a = merge_run_results(shard_results)
         b = merge_run_results(shard_results[::-1])
         assert a.to_json() == b.to_json()
+
+    def test_every_field_has_one_merge_rule(self):
+        rules = _SUMMED + _FOLDED + _EXPLICIT
+        assert len(rules) == len(set(rules))
+        merged = {f.name for f in fields(RunResult)} - {"label", "fleet"}
+        assert set(rules) == merged
 
     def test_mixed_systems_rejected(self, shard_results):
         other = shard_results[1]

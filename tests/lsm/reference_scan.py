@@ -13,7 +13,7 @@ same simulated side: latency bit for bit, cache tallies, device stats.
 
 import bisect
 
-from repro.lsm.db import ScanResult
+from repro.lsm.db import CPU_OVERHEAD_USEC, ScanResult
 from repro.lsm.iterators import merge_records, visible_records
 
 
@@ -36,8 +36,8 @@ def reference_scan(db, start_key, count, *, ctx=None):
     db._check_open()
     if count < 0:
         raise ValueError(f"negative scan count: {count}")
-    latency = db._cpu_overhead
-    if ctx is not None and latency:
+    latency = CPU_OVERHEAD_USEC
+    if ctx is not None:
         ctx.add("cpu", "-", latency)
     latencies = [0.0]
 

@@ -147,12 +147,6 @@ class TestFlushAndCompaction:
         db.put(b"k", b"v")
         assert db.stats.wal_bytes > 0
 
-    def test_wal_disabled(self):
-        db = make_db(wal_enabled=False)
-        db.put(b"k", b"v")
-        assert db.wal is None
-        assert db.stats.wal_bytes == 0
-
 
 class TestScan:
     def test_scan_returns_sorted_live_keys(self):

@@ -172,17 +172,16 @@ def test_reopened_instance_hands_out_its_own_lanes(system):
     assert reopened.stats.user_reads == 2 and db.stats.user_reads == 1
 
 
-@pytest.mark.parametrize("wal_enabled", [True, False])
-def test_cached_lane_reads_the_recovered_memtable(wal_enabled):
-    db = LsmDB.create("NNNTQ", tiny_options(wal_enabled=wal_enabled, row_cache_bytes=0))
+def test_cached_lane_reads_the_recovered_memtable():
+    db = LsmDB.create("NNNTQ", tiny_options(row_cache_bytes=0))
     db.put(b"k", b"v")
     assert db.get(b"k").served_by == "memtable"  # lanes are cached from here on
     db.simulate_crash_and_recover()
     result = db.get(b"k")
-    # With a WAL the write is replayed; without one it is gone. Either way
-    # the answer comes from the memtable built by recovery, not the old one.
-    assert result.value == (b"v" if wal_enabled else None)
-    assert result.served_by == ("memtable" if wal_enabled else "miss")
+    # The WAL replays the write into the memtable built by recovery, and
+    # the cached lane reads that one, not the old one.
+    assert result.value == b"v"
+    assert result.served_by == "memtable"
     db.put(b"k", b"v2")
     assert db.get(b"k").value == b"v2"
 

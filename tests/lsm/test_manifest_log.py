@@ -200,15 +200,6 @@ class TestReopen:
         reopened.flush()
         reopened.check_invariants()
 
-    def test_reopen_without_wal_loses_memtable_only(self):
-        db = LsmDB.create("NNNTQ", tiny_options(wal_enabled=False))
-        db.put(b"flushed", b"1")
-        db.flush()
-        db.put(b"unflushed", b"2")
-        reopened = db.reopen()
-        assert reopened.get(b"flushed").value == b"1"
-        assert not reopened.get(b"unflushed").found
-
     def test_reopen_starts_with_cold_cache_and_compacted_manifest(self):
         db = LsmDB.create("NNNTQ", tiny_options())
         self._churn(db, 2000)

@@ -35,15 +35,6 @@ class TestCrashRecovery:
         assert db.get(b"durable").value == b"on-disk"
         assert db.get(b"volatile").value == b"in-memtable"
 
-    def test_without_wal_unflushed_writes_are_lost(self):
-        db = LsmDB.create("NNNTQ", tiny_options(wal_enabled=False))
-        db.put(b"durable", b"on-disk")
-        db.flush()
-        db.put(b"volatile", b"in-memtable")
-        assert db.simulate_crash_and_recover() == 0
-        assert db.get(b"durable").value == b"on-disk"
-        assert not db.get(b"volatile").found
-
     def test_deletes_survive_crash(self):
         db = LsmDB.create("NNNTQ", tiny_options())
         db.put(b"k", b"v")

@@ -87,7 +87,7 @@ class TestSSTableBuild:
             return clock_values.get(key, UNTRACKED_CLOCK_VALUE)
 
         records = [put(b"cold", 1), put(b"hot", 2), put(b"warm", 3)]
-        table = build_table(backend, tier, records, clock_values_fn=lambda keys: map(clock_fn, keys), score_exponent=3)
+        table = build_table(backend, tier, records, clock_values_fn=lambda keys: map(clock_fn, keys))
         # (-1)^3 + 3^3 + 2^3 = -1 + 27 + 8 = 34
         assert table.popularity_score == pytest.approx(34.0)
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from request_ops import ops
+
 from repro.errors import CorruptionError
 from repro.workloads.trace import (
     TraceWorkload,
@@ -12,25 +14,32 @@ from repro.workloads.trace import (
     load_trace,
     parse_request,
 )
-from repro.workloads.ycsb import OpKind, Request, YCSBConfig, YCSBWorkload
+from repro.workloads.ycsb import (
+    OP_INSERT,
+    OP_READ,
+    OP_SCAN,
+    OP_UPDATE,
+    YCSBConfig,
+    YCSBWorkload,
+)
 
 
 class TestLineCodec:
     def test_read_round_trip(self):
-        request = Request(OpKind.READ, b"key\x00\xff")
-        assert parse_request(format_request(request)) == request
+        request = (OP_READ, b"key\x00\xff", b"", 0)
+        assert parse_request(format_request(*request)) == request
 
     def test_update_round_trip(self):
-        request = Request(OpKind.UPDATE, b"k", b"value bytes \x01")
-        assert parse_request(format_request(request)) == request
+        request = (OP_UPDATE, b"k", b"value bytes \x01", 0)
+        assert parse_request(format_request(*request)) == request
 
     def test_insert_round_trip(self):
-        request = Request(OpKind.INSERT, b"k", b"v")
-        assert parse_request(format_request(request)) == request
+        request = (OP_INSERT, b"k", b"v", 0)
+        assert parse_request(format_request(*request)) == request
 
     def test_scan_round_trip(self):
-        request = Request(OpKind.SCAN, b"start", scan_length=42)
-        assert parse_request(format_request(request)) == request
+        request = (OP_SCAN, b"start", b"", 42)
+        assert parse_request(format_request(*request)) == request
 
     def test_bad_lines_rejected(self):
         for line in (
@@ -49,20 +58,20 @@ class TestLineCodec:
                 parse_request(line, 7)
 
     @given(
-        st.sampled_from(list(OpKind)),
+        st.sampled_from([OP_READ, OP_UPDATE, OP_INSERT, OP_SCAN]),
         st.binary(min_size=1, max_size=32),
         st.binary(max_size=32),
         st.integers(min_value=0, max_value=1000),
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, kind, key, value, scan_length):
-        if kind == OpKind.READ:
-            request = Request(kind, key)
-        elif kind == OpKind.SCAN:
-            request = Request(kind, key, scan_length=scan_length)
+        if kind == OP_READ:
+            request = (kind, key, b"", 0)
+        elif kind == OP_SCAN:
+            request = (kind, key, b"", scan_length)
         else:
-            request = Request(kind, key, value)
-        assert parse_request(format_request(request)) == request
+            request = (kind, key, value, 0)
+        assert parse_request(format_request(*request)) == request
 
 
 class TestTraceFiles:
@@ -70,16 +79,22 @@ class TestTraceFiles:
         config = YCSBConfig(record_count=50, operation_count=120)
         workload = YCSBWorkload(config)
         path = tmp_path / "run.trace"
-        count = dump_trace(workload.run_stream(), path)
+        count = dump_trace(workload.run_batches(), path)
         assert count == 120
-        replayed = list(load_trace(path))
-        original = list(workload.run_stream())
+        replayed = list(ops(load_trace(path)))
+        original = list(ops(workload.run_batches()))
         assert replayed == original
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("READ\taa\n\nREAD\tbb\n")
-        assert len(list(load_trace(path))) == 2
+        assert len(list(ops(load_trace(path)))) == 2
+
+    def test_bad_line_named_by_number(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("READ\taa\n\nNOPE\tbb\n")
+        with pytest.raises(CorruptionError, match="trace line 3"):
+            list(load_trace(path))
 
     def test_trace_workload_phases(self, tmp_path):
         config = YCSBConfig(record_count=30, operation_count=40, warmup_operations=20)
@@ -87,20 +102,20 @@ class TestTraceFiles:
         load_path = tmp_path / "load.trace"
         warm_path = tmp_path / "warm.trace"
         run_path = tmp_path / "run.trace"
-        dump_trace(workload.load_stream(), load_path)
-        dump_trace(workload.warmup_stream(), warm_path)
-        dump_trace(workload.run_stream(), run_path)
+        dump_trace(workload.load_batches(), load_path)
+        dump_trace(workload.warmup_batches(), warm_path)
+        dump_trace(workload.run_batches(), run_path)
         trace = TraceWorkload(load_path, run_path, warmup_path=warm_path)
-        assert len(list(trace.load_stream())) == 30
-        assert len(list(trace.warmup_stream())) == 20
-        assert len(list(trace.run_stream())) == 40
+        assert len(list(ops(trace.load_batches()))) == 30
+        assert len(list(ops(trace.warmup_batches()))) == 20
+        assert len(list(ops(trace.run_batches()))) == 40
         assert trace.total_data_bytes() == workload.total_data_bytes()
 
     def test_no_warmup_is_empty(self, tmp_path):
         path = tmp_path / "x.trace"
         path.write_text("READ\taa\n")
         trace = TraceWorkload(path, path)
-        assert list(trace.warmup_stream()) == []
+        assert list(trace.warmup_batches()) == []
 
     def test_trace_drives_runner(self, tmp_path):
         from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
@@ -109,8 +124,8 @@ class TestTraceFiles:
         workload = YCSBWorkload(config)
         load_path = tmp_path / "load.trace"
         run_path = tmp_path / "run.trace"
-        dump_trace(workload.load_stream(), load_path)
-        dump_trace(workload.run_stream(), run_path)
+        dump_trace(workload.load_batches(), load_path)
+        dump_trace(workload.run_batches(), run_path)
         trace = TraceWorkload(load_path, run_path)
 
         db = build_system(SystemConfig(system="rocksdb"), workload)

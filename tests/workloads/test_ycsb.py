@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
+from request_ops import ops
+
 from repro.errors import ConfigError
-from repro.workloads.ycsb import OpKind, YCSBConfig, YCSBWorkload
+from repro.workloads.ycsb import OP_INSERT, OP_READ, OP_SCAN, OP_UPDATE, YCSBConfig, YCSBWorkload
 
 
 class TestConfig:
@@ -39,10 +41,10 @@ class TestConfig:
 class TestStreams:
     def test_load_inserts_every_key_once(self):
         workload = YCSBWorkload(YCSBConfig(record_count=50, operation_count=0))
-        requests = list(workload.load_stream())
+        requests = list(ops(workload.load_batches()))
         assert len(requests) == 50
-        assert all(r.kind == OpKind.INSERT for r in requests)
-        assert len({r.key for r in requests}) == 50
+        assert all(kind == OP_INSERT for kind, _, _, _ in requests)
+        assert len({key for _, key, _, _ in requests}) == 50
 
     def test_key_format(self):
         workload = YCSBWorkload(YCSBConfig())
@@ -50,36 +52,36 @@ class TestStreams:
 
     def test_values_have_configured_size(self):
         workload = YCSBWorkload(YCSBConfig(record_count=10, operation_count=20, value_bytes=37))
-        for request in workload.load_stream():
-            assert len(request.value) == 37
+        for _, _, value, _ in ops(workload.load_batches()):
+            assert len(value) == 37
 
     def test_run_mix_matches_proportions(self):
         config = YCSBConfig(record_count=100, operation_count=4000)
         workload = YCSBWorkload(config)
-        counts = Counter(r.kind for r in workload.run_stream())
-        assert counts[OpKind.READ] / 4000 == pytest.approx(0.95, abs=0.02)
-        assert counts[OpKind.UPDATE] / 4000 == pytest.approx(0.05, abs=0.02)
+        counts = Counter(kind for kind, _, _, _ in ops(workload.run_batches()))
+        assert counts[OP_READ] / 4000 == pytest.approx(0.95, abs=0.02)
+        assert counts[OP_UPDATE] / 4000 == pytest.approx(0.05, abs=0.02)
 
     def test_run_stream_deterministic(self):
         config = YCSBConfig(record_count=100, operation_count=200, seed=5)
-        a = [(r.kind, r.key, r.value) for r in YCSBWorkload(config).run_stream()]
-        b = [(r.kind, r.key, r.value) for r in YCSBWorkload(config).run_stream()]
+        a = list(ops(YCSBWorkload(config).run_batches()))
+        b = list(ops(YCSBWorkload(config).run_batches()))
         assert a == b
 
     def test_different_seeds_differ(self):
         reqs = lambda seed: [
-            r.key
-            for r in YCSBWorkload(
+            key
+            for _, key, _, _ in ops(YCSBWorkload(
                 YCSBConfig(record_count=100, operation_count=100, seed=seed)
-            ).run_stream()
+            ).run_batches())
         ]
         assert reqs(1) != reqs(2)
 
     def test_warmup_differs_from_run(self):
         config = YCSBConfig(record_count=100, operation_count=100, warmup_operations=100)
         workload = YCSBWorkload(config)
-        warmup = [r.key for r in workload.warmup_stream()]
-        run = [r.key for r in workload.run_stream()]
+        warmup = [key for _, key, _, _ in ops(workload.warmup_batches())]
+        run = [key for _, key, _, _ in ops(workload.run_batches())]
         assert warmup != run
         assert len(warmup) == 100
 
@@ -87,8 +89,8 @@ class TestStreams:
         config = YCSBConfig(record_count=50, operation_count=500)
         workload = YCSBWorkload(config)
         valid = {workload.key(i) for i in range(50)}
-        for request in workload.run_stream():
-            assert request.key in valid
+        for _, key, _, _ in ops(workload.run_batches()):
+            assert key in valid
 
     def test_inserts_extend_keyspace(self):
         config = YCSBConfig(
@@ -99,7 +101,7 @@ class TestStreams:
             insert_proportion=0.5,
         )
         workload = YCSBWorkload(config)
-        keys = {r.key for r in workload.run_stream() if r.kind == OpKind.INSERT}
+        keys = {key for kind, key, _, _ in ops(workload.run_batches()) if kind == OP_INSERT}
         assert all(int(k[4:]) >= 50 for k in keys)
 
     def test_scan_requests(self):
@@ -112,9 +114,9 @@ class TestStreams:
             max_scan_length=10,
         )
         workload = YCSBWorkload(config)
-        scans = [r for r in workload.run_stream() if r.kind == OpKind.SCAN]
+        scans = [length for kind, _, _, length in ops(workload.run_batches()) if kind == OP_SCAN]
         assert scans
-        assert all(1 <= r.scan_length <= 10 for r in scans)
+        assert all(1 <= length <= 10 for length in scans)
 
     def test_total_data_bytes_scales(self):
         small = YCSBWorkload(YCSBConfig(record_count=10, operation_count=0)).total_data_bytes()
@@ -126,7 +128,7 @@ class TestStreams:
             record_count=200, operation_count=300, distribution="latest"
         )
         workload = YCSBWorkload(config)
-        keys = [r.key for r in workload.run_stream()]
+        keys = [key for _, key, _, _ in ops(workload.run_batches())]
         # "latest" favours the end of the keyspace.
         hot = sum(1 for k in keys if int(k[4:]) > 150)
         assert hot > len(keys) * 0.4
