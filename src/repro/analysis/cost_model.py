@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.common.units import GIB, MIB
+from repro.common.units import GIB
 from repro.errors import ConfigError
 from repro.storage.device import SPECS_BY_CODE, DeviceSpec
 from repro.storage.endurance import DEFAULT_LIFETIME_SECONDS, provision_capacity

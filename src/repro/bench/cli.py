@@ -153,8 +153,8 @@ def _timeline_from_args(args: argparse.Namespace) -> dict:
                 f"`report --save --sample-interval-ms N`"
             )
         return result.timeline
-    from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
-    from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+    from repro.bench.harness import SystemConfig, run_experiment
+    from repro.workloads.ycsb import YCSBConfig
 
     workload_config = YCSBConfig.read_update(
         args.read_pct,
@@ -165,18 +165,8 @@ def _timeline_from_args(args: argparse.Namespace) -> dict:
     system_config = SystemConfig(
         system=args.system, layout_code=args.layout, seed=args.seed
     )
-    workload = YCSBWorkload(workload_config)
-    db = build_system(system_config, workload)
-    runner = WorkloadRunner(
-        db,
-        clients=system_config.clients,
-        sample_interval_ms=args.interval_ms,
-        timeline_capacity=args.buffer,
-    )
-    runner.load(workload)
-    elapsed = runner.run(workload)
-    result = runner.result(
-        f"{args.system}/{args.layout}", system_config, elapsed
+    result = run_experiment(
+        system_config, workload_config, sample_interval_ms=args.interval_ms
     )
     if args.save:
         result.save(args.save)
@@ -292,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=("sparkline", "table", "csv", "json"))
     timeline_p.add_argument("--interval-ms", type=float, default=10.0,
                             help="sampling interval in simulated ms (default: 10)")
-    timeline_p.add_argument("--buffer", type=int, default=4096,
-                            help="ring-buffer capacity in samples (default: 4096)")
     timeline_p.add_argument("--out", metavar="FILE", default=None,
                             help="write the rendering here instead of stdout")
     timeline_p.add_argument("--save", metavar="FILE", default=None,

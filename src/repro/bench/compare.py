@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
 from dataclasses import dataclass
 
 from repro.bench.harness import RunResult
 from repro.bench.reporting import format_experiment
-from repro.errors import ReproError
 
 #: Metrics where a *decrease* beyond tolerance is a regression.
 HIGHER_IS_BETTER = {
@@ -229,16 +227,3 @@ def add_compare_arguments(parser: argparse.ArgumentParser) -> None:
         help="hide metrics with zero drift from the table",
     )
 
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench compare",
-        description="Diff two run artifacts and fail on regressions.",
-    )
-    add_compare_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return run_compare(args)
-    except (ReproError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2

@@ -16,12 +16,10 @@ mix) -> measured run. All systems get byte-identical traffic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.analysis.cost_model import (
-    default_level_profiles,
     enumerate_configs,
-    evaluate_config,
     pareto_frontier,
     table3_costs,
 )
@@ -30,6 +28,7 @@ from repro.bench.harness import (
     SystemConfig,
     WorkloadRunner,
     build_system,
+    run_experiment,
 )
 from repro.bench.reporting import fmt, pct
 from repro.core.mapper import ClockDistributionMapper
@@ -591,13 +590,7 @@ def ext_scan_workload(runner: ExperimentRunner | None = None):
             seed=scale.seed,
             warmup_operations=max(1, scale.settle_operations // 10),
         )
-        workload = YCSBWorkload(base)
-        db = build_system(config, workload)
-        harness = WorkloadRunner(db, clients=config.clients)
-        harness.load(workload)
-        harness.warmup(workload)
-        elapsed = harness.run(workload)
-        result = harness.result(system, config, elapsed)
+        result = run_experiment(config, base, label=system)
         rows.append(
             [system, fmt(result.throughput_kops), fmt(result.scan_latency.mean),
              fmt(result.scan_latency.p99)]

@@ -20,10 +20,11 @@ import sys
 
 from repro.bench.harness import RunResult
 from repro.bench.reporting import format_experiment
-from repro.errors import ReproError
+from repro.errors import ConfigError
 from repro.obs.attribution import (
     BAND_LABELS,
     BANDS,
+    LatencyAttribution,
     attribution_table,
     diff_attribution,
 )
@@ -36,7 +37,11 @@ _UPGRADE_HINT = (
 
 
 def _load_attribution(path: str) -> dict | None:
-    """The artifact's attribution block, or None (with a hint) if absent."""
+    """The artifact's attribution block, or None (with a hint) if absent.
+
+    Raises :class:`ConfigError` naming the file when the block is
+    malformed.
+    """
     result = RunResult.load(path)
     if not result.attribution:
         print(
@@ -44,6 +49,13 @@ def _load_attribution(path: str) -> dict | None:
             file=sys.stderr,
         )
         return None
+    try:
+        LatencyAttribution.from_dict(result.attribution)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"artifact {path} has a malformed attribution block: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     return result.attribution
 
 
@@ -162,16 +174,3 @@ def add_explain_arguments(parser: argparse.ArgumentParser) -> None:
         help="emit the raw attribution block / diff as JSON",
     )
 
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench explain",
-        description="Render or diff per-request latency attribution.",
-    )
-    add_explain_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return run_explain(args)
-    except (ReproError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2

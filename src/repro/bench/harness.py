@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
@@ -25,8 +26,9 @@ from repro.errors import ConfigError
 from repro.lsm.block_cache import BlockType
 from repro.lsm.db import LsmDB
 from repro.lsm.layout import build_layout
-from repro.lsm.options import DBOptions, options_for_db_size
+from repro.lsm.options import options_for_db_size
 from repro.obs.attribution import LatencyAttribution
+from repro.obs.metrics import Histogram
 from repro.obs.timeline import TimelineSampler
 from repro.storage.endurance import device_lifetime_seconds
 from repro.workloads.ycsb import OP_READ, OP_SCAN, YCSBConfig, YCSBWorkload
@@ -305,7 +307,6 @@ class WorkloadRunner:
         *,
         clients: int = 8,
         sample_interval_ms: float | None = None,
-        timeline_capacity: int = 4096,
         attribution_sample_every: int | None = None,
         slow_op_k: int = 8,
     ) -> None:
@@ -313,24 +314,24 @@ class WorkloadRunner:
             raise ConfigError("clients must be >= 1")
         self.db = db
         self.clients = clients
+        # Each measured op's latency is recorded once, in run order, in
+        # the recorder of its kind. Scans are kept apart from point reads
+        # (YCSB-E style workloads would otherwise skew the read
+        # percentiles). Per-source summaries, the registry histograms
+        # and the timeline's interval percentiles all derive from these.
+        self.read_latency = LatencyRecorder()
         self.update_latency = LatencyRecorder()
-        #: Scans recorded separately from point reads (YCSB-E style
-        #: workloads would otherwise skew the read percentiles).
         self.scan_latency = LatencyRecorder()
-        #: Read latencies bucketed by the source that served the read
-        #: ("memtable", "L0".."L4", "miss"): where does the tail live?
-        #: Each measured read is recorded here only; :attr:`read_latency`
-        #: is their union.
-        self.read_latency_by_source: dict[str, LatencyRecorder] = {}
-        self._ops_run = 0
-        # Registry-side mirrors of the recorders above: bucketed
-        # histograms in the DB's MetricsRegistry, so `repro.bench report`
-        # can rebuild the latency tables from the snapshot alone.
-        self._op_hist = {
-            op: db.metrics.histogram("op.latency_usec", op=op)
-            for op in ("read", "update", "scan")
+        self._latencies = {
+            "read": self.read_latency,
+            "update": self.update_latency,
+            "scan": self.scan_latency,
         }
-        self._source_hist: dict[str, object] = {}
+        # The source that served each measured read ("memtable",
+        # "L0".."L4", "miss"), in run order: an index into _sources,
+        # the sources in first-seen order.
+        self._read_source = array("B")
+        self._sources: list[str] = []
         #: Optional time-series telemetry: pass ``sample_interval_ms`` to
         #: record registry deltas every N simulated milliseconds (see
         #: repro.obs.timeline). Off by default — the clock observer and
@@ -341,11 +342,11 @@ class WorkloadRunner:
                 db.metrics,
                 db.clock,
                 interval_ms=sample_interval_ms,
-                capacity=timeline_capacity,
                 probes={
                     "memtable.bytes": lambda: db.memtable_bytes,
                     "l0.files": lambda: db.l0_file_count,
                 },
+                latencies=self._latencies,
             ).attach()
         #: Per-request latency provenance: pass ``attribution_sample_every``
         #: to break every N-th measured op's latency down by
@@ -367,26 +368,18 @@ class WorkloadRunner:
             # runner would tie runner and attribution into a cycle.
             self.attribution.state_fn = partial(_lsm_state_snapshot, db)
 
-    @property
-    def read_latency(self) -> LatencyRecorder:
-        """Every measured read: a fresh merge of the per-source recorders.
-
-        Summaries sort, so the merge order changes no summary."""
-        merged = LatencyRecorder()
-        for recorder in self.read_latency_by_source.values():
-            merged.merge(recorder)
-        return merged
+    def _reads_by_source(self) -> dict[str, LatencyRecorder]:
+        """The measured reads split by serving source, in run order."""
+        split = [array("d") for _ in self._sources]
+        for latency, index in zip(self.read_latency.samples, self._read_source):
+            split[index].append(latency)
+        return {
+            source: LatencyRecorder(samples) for source, samples in zip(self._sources, split)
+        }
 
     def _mark_phase(self, phase: str) -> None:
         if self.sampler is not None:
             self.sampler.mark_phase(phase)
-
-    def _observe_read(self, source: str, latency: float) -> None:
-        hist = self._source_hist.get(source)
-        if hist is None:
-            hist = self.db.metrics.histogram("read.latency_usec", source=source)
-            self._source_hist[source] = hist
-        hist.observe(latency)
 
     # ------------------------------------------------------------------
     # Phase drivers
@@ -461,21 +454,18 @@ class WorkloadRunner:
             scan = self.attribution.attributed("scan", scan)
         advance = db.clock.advance
         clients = self.clients
+        record_read = self.read_latency.record
         record_update = self.update_latency.record
         record_scan = self.scan_latency.record
-        observe_read_hist = self._op_hist["read"].observe
-        observe_update_hist = self._op_hist["update"].observe
-        observe_scan_hist = self._op_hist["scan"].observe
-        by_source = self.read_latency_by_source
-        observe_read = self._observe_read
-        ops = 0
+        append_source = self._read_source.append
+        sources = self._sources
+        source_index = {source: i for i, source in enumerate(sources)}
         for batch in workload.run_batches():
             kinds = batch.kinds
             keys = batch.keys
             values = batch.values
             lengths = batch.scan_lengths
             n = len(kinds)
-            ops += n
             i = 0
             while i < n:
                 kind = kinds[i]
@@ -486,28 +476,25 @@ class WorkloadRunner:
                     for k in range(i, j):
                         result = lookup(keys[k])
                         latency = result.latency_usec
+                        record_read(latency)
                         source = result.served_by
-                        bucket = by_source.get(source)
-                        if bucket is None:
-                            bucket = by_source[source] = LatencyRecorder()
-                        bucket.record(latency)
-                        observe_read_hist(latency)
-                        observe_read(source, latency)
+                        index = source_index.get(source)
+                        if index is None:
+                            index = source_index[source] = len(sources)
+                            sources.append(source)
+                        append_source(index)
                         advance(latency / clients)
                 elif kind != OP_SCAN:
                     for k in range(i, j):
                         latency = commit(keys[k], values[k]).latency_usec
                         record_update(latency)
-                        observe_update_hist(latency)
                         advance(latency / clients)
                 else:
                     for k in range(i, j):
                         latency = scan(keys[k], lengths[k]).latency_usec
                         record_scan(latency)
-                        observe_scan_hist(latency)
                         advance(latency / clients)
                 i = j
-        self._ops_run += ops
         return db.clock.now - start
 
     def result(self, label: str, config: SystemConfig, elapsed_usec: float) -> RunResult:
@@ -517,6 +504,16 @@ class WorkloadRunner:
             # The clock holds the sampler and its probes hold the engine:
             # left attached, that cycle keeps the whole engine alive.
             self.sampler.detach()
+        operations = sum(len(recorder) for recorder in self._latencies.values())
+        by_source = self._reads_by_source()
+        # The registry histograms catch up on the samples they have not
+        # seen, in record order: counts, sums and extremes are the ones
+        # observing each op as it finished would have given.
+        metrics = db.metrics
+        for op, recorder in self._latencies.items():
+            _observe_new(metrics.histogram("op.latency_usec", op=op), recorder)
+        for source, recorder in by_source.items():
+            _observe_new(metrics.histogram("read.latency_usec", source=source), recorder)
         compaction = db.executor.stats
         device_reads: dict[str, int] = {}
         device_writes: dict[str, int] = {}
@@ -540,16 +537,15 @@ class WorkloadRunner:
             label=label,
             system=config.system,
             layout_code=config.layout_code,
-            operations=self._ops_run,
+            operations=operations,
             elapsed_usec=elapsed_usec,
-            throughput_kops=throughput_kops(self._ops_run, elapsed_usec),
+            throughput_kops=throughput_kops(operations, elapsed_usec),
             read_latency=self.read_latency.summary(),
             update_latency=self.update_latency.summary(),
             scan_latency=self.scan_latency.summary(),
             reads_by_source=db.stats.reads_by_source.as_dict(),
             read_latency_by_source={
-                source: recorder.summary()
-                for source, recorder in self.read_latency_by_source.items()
+                source: recorder.summary() for source, recorder in by_source.items()
             },
             cache_hit_rate=db.cache.stats.hit_rate(),
             cache_hit_rate_data=db.cache.stats.hit_rate(BlockType.DATA),
@@ -570,12 +566,17 @@ class WorkloadRunner:
             device_wear_cycles=device_wear,
             device_lifetime_years=device_life,
             storage_cost_dollars=db.layout.total_cost_dollars(),
-            metrics=db.metrics.snapshot(),
+            metrics=metrics.snapshot(),
             timeline=self.sampler.to_dict() if self.sampler is not None else {},
             attribution=(
                 self.attribution.to_dict() if self.attribution is not None else {}
             ),
         )
+
+
+def _observe_new(hist: Histogram, recorder: LatencyRecorder) -> None:
+    for latency in recorder.samples[hist.count:]:
+        hist.observe(latency)
 
 
 def run_experiment(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
 from repro.bench.reporting import (
@@ -72,15 +71,6 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--slow-k", type=int, default=8, metavar="K",
                         help="slowest ops to retain with full span trees "
                              "(default: 8)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench report",
-        description="Run a workload and report from the metrics registry.",
-    )
-    add_report_arguments(parser)
-    return parser
 
 
 def run_report(args: argparse.Namespace) -> int:
@@ -148,13 +138,3 @@ def run_report(args: argparse.Namespace) -> int:
         print(f"saved run artifact to {args.save}")
     return 0
 
-
-def main(argv: list[str]) -> int:
-    from repro.errors import ReproError
-
-    args = build_parser().parse_args(argv)
-    try:
-        return run_report(args)
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2

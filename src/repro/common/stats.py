@@ -55,8 +55,10 @@ class LatencyRecorder:
     list of the same floats gives.
     """
 
-    def __init__(self) -> None:
-        self._samples = array("d")
+    def __init__(self, samples=()) -> None:
+        # ``samples`` seeds the population with already-recorded
+        # latencies (a split of another recorder's), unchecked.
+        self._samples = array("d", samples)
         self._ordered: array | None = None
 
     def record(self, latency_usec: float) -> None:
@@ -64,16 +66,6 @@ class LatencyRecorder:
         if latency_usec < 0:
             raise ValueError(f"negative latency recorded: {latency_usec}")
         self._samples.append(latency_usec)
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder's samples into this one.
-
-        Used to combine per-phase populations (e.g. warmup + measured, or
-        per-client recorders) into one summary without re-recording.
-        """
-        if other is self:
-            raise ValueError("cannot merge a recorder into itself")
-        self._samples.extend(other._samples)
 
     def __len__(self) -> int:
         return len(self._samples)

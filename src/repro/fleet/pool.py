@@ -15,12 +15,11 @@ itself a pure function of the per-shard results:
 1. Per technology (NVM / TLC / QLC), sum every shard's per-interval
    device write bytes — the fleet's write pressure on the pool.
 2. Evolve a pool backlog: inflow minus drain at the pool's sustained
-   write bandwidth (``per-device sustained bw * background_share *
+   write bandwidth (``per-device sustained bw * BACKGROUND_SHARE *
    shards / oversubscription``), clamped at zero — the same backlog
    model :class:`~repro.storage.device.Device` applies per instance.
-3. Convert each interval's backlog to a queueing penalty exactly as
-   ``Device.queue_penalty_usec`` does: ``min(max_penalty, drain_time *
-   interference_factor)``.
+3. Convert each interval's backlog to a queueing penalty with the
+   function ``Device`` uses, :func:`~repro.storage.device.queue_penalty_usec`.
 4. Weight each interval's penalty by the fleet's foreground-visible
    read bytes in that interval and report the weighted penalty
    distribution; the merge adds it comonotonically (percentile to
@@ -41,33 +40,28 @@ from dataclasses import dataclass
 
 from repro.common.stats import LatencySummary
 from repro.errors import ConfigError
-from repro.storage.device import SPECS_BY_NAME
+from repro.storage.device import (
+    BACKGROUND_SHARE,
+    INTERFERENCE_FACTOR,
+    MAX_PENALTY_USEC,
+    SPECS_BY_NAME,
+    queue_penalty_usec,
+)
 
 
 @dataclass(frozen=True)
 class PoolParams:
-    """Pool sizing and interference knobs (defaults mirror ``Device``)."""
+    """Pool sizing; the interference model is ``Device``'s own."""
 
     #: Shards per pooled device: 2.0 means two shards share one device's
     #: worth of each flash technology. 1.0 = dedicated devices.
     oversubscription: float = 2.0
-    background_share: float = 0.6
-    interference_factor: float = 0.35
-    max_penalty_usec: float = 5_000.0
 
     def __post_init__(self) -> None:
         if self.oversubscription < 1.0:
             raise ConfigError(
                 f"oversubscription must be >= 1.0: {self.oversubscription}"
             )
-        if not 0.0 < self.background_share <= 1.0:
-            raise ConfigError(
-                f"background_share must be in (0, 1]: {self.background_share}"
-            )
-        if self.interference_factor < 0.0:
-            raise ConfigError("interference_factor must be non-negative")
-        if self.max_penalty_usec < 0.0:
-            raise ConfigError("max_penalty_usec must be non-negative")
 
 
 def _weighted_percentile(
@@ -114,9 +108,9 @@ class DevicePool:
             "shards": self.num_shards,
             "params": {
                 "oversubscription": params.oversubscription,
-                "background_share": params.background_share,
-                "interference_factor": params.interference_factor,
-                "max_penalty_usec": params.max_penalty_usec,
+                "background_share": BACKGROUND_SHARE,
+                "interference_factor": INTERFERENCE_FACTOR,
+                "max_penalty_usec": MAX_PENALTY_USEC,
             },
             "tiers": {},
             "penalty": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0},
@@ -154,7 +148,7 @@ class DevicePool:
                 continue
             devices = self.num_shards / params.oversubscription
             pool_bw = spec.sustained_write_bandwidth_bps * devices
-            drain_per_interval = pool_bw * params.background_share * interval_sec
+            drain_per_interval = pool_bw * BACKGROUND_SHARE * interval_sec
             writes = write_by_tech[tech]
             reads = read_by_tech.get(tech, [0.0] * rows)
             backlog = 0.0
@@ -165,14 +159,7 @@ class DevicePool:
             for k in range(rows):
                 backlog = max(0.0, backlog + writes[k] - drain_per_interval)
                 peak_backlog = max(peak_backlog, backlog)
-                if backlog > 0.0:
-                    drain_usec = backlog / pool_bw * 1_000_000.0
-                    penalty = min(
-                        params.max_penalty_usec,
-                        drain_usec * params.interference_factor,
-                    )
-                else:
-                    penalty = 0.0
+                penalty = queue_penalty_usec(backlog, pool_bw)
                 weight = reads[k] if k < len(reads) else 0.0
                 penalty_pop.append((penalty, weight))
                 tech_weighted += penalty * weight

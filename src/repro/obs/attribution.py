@@ -36,6 +36,7 @@ stalls) and ``other`` for any residual.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Callable
 
 from repro.common.rng import make_rng
@@ -197,20 +198,14 @@ class LatencyAttribution:
         residual = total_usec - sum(parts.values())
         if residual:
             parts[RESIDUAL_KEY] = parts.get(RESIDUAL_KEY, 0.0) + residual
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:  # same rule as Histogram.observe: (b[i-1], b[i]]
-            mid = (lo + hi) // 2
-            if total_usec <= bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        # The same rule as Histogram.observe: bucket i holds (b[i-1], b[i]].
+        index = bisect_left(self.bounds, total_usec)
         cells = self._cells.get(ctx.op)
         if cells is None:
-            cells = self._cells[ctx.op] = [None] * (len(bounds) + 1)
-        cell = cells[lo]
+            cells = self._cells[ctx.op] = [None] * (len(self.bounds) + 1)
+        cell = cells[index]
         if cell is None:
-            cell = cells[lo] = _Cell()
+            cell = cells[index] = _Cell()
         cell.count += 1
         cell.total_usec += total_usec
         cell_parts = cell.parts

@@ -317,9 +317,7 @@ class MetricsRegistry:
     def instrument(self, name: str, **labels):
         """The live instrument for one series, or None if absent.
 
-        Read-only access for consumers that need more than a scalar —
-        the timeline sampler diffs histogram bucket vectors between
-        samples through this accessor.
+        Read-only access for consumers that need more than a scalar.
         """
         entry = self._metrics.get(name)
         if entry is None:

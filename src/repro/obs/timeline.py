@@ -10,8 +10,9 @@ inherently temporal. :class:`TimelineSampler` subscribes to the
 
 * ``throughput_kops`` — operations completed in the interval;
 * ``read_p50_usec`` / ``read_p99_usec`` / ``update_p50_usec`` /
-  ``update_p99_usec`` — interval percentiles from *histogram bucket
-  deltas* (``op.latency_usec``), so each point reflects only that
+  ``update_p99_usec`` — interval percentiles over the latencies the
+  harness recorded since the previous row (``latencies``, bucketed as
+  ``op.latency_usec`` buckets them), so each point reflects only that
   interval's operations;
 * ``device.read_bytes{tier=..}`` / ``device.write_bytes{tier=..}`` —
   bytes moved per tier in the interval (foreground + background);
@@ -39,13 +40,15 @@ bit-identical timelines (tested in ``tests/obs/test_timeline.py``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Callable
 
 from repro.common.clock import SimClock
+from repro.common.stats import LatencyRecorder
 from repro.errors import ObservabilityError
 from repro.obs.metrics import (
-    Histogram,
+    DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     percentile_from_buckets,
 )
@@ -67,6 +70,7 @@ class TimelineSampler:
         interval_ms: float = 10.0,
         capacity: int = 4096,
         probes: dict[str, Callable[[], float]] | None = None,
+        latencies: dict[str, LatencyRecorder] | None = None,
     ) -> None:
         if interval_ms <= 0:
             raise ObservabilityError(f"interval_ms must be positive: {interval_ms}")
@@ -78,6 +82,9 @@ class TimelineSampler:
         self.interval_usec = float(interval_ms) * 1_000.0
         self.capacity = capacity
         self.probes = dict(probes or {})
+        #: Per-op latency recorders ("read", "update", "scan") the
+        #: throughput and percentile series are computed from.
+        self.latencies = dict(latencies or {})
         self.dropped = 0
         self._rows: deque[tuple[float, str, dict[str, float]]] = deque(maxlen=capacity)
         self._phase = ""
@@ -85,7 +92,7 @@ class TimelineSampler:
         self._next_sample_usec = clock.now + self.interval_usec
         # Previous-sample state for delta series.
         self._prev_scalars: dict[str, float] = {}
-        self._prev_buckets: dict[str, list[int]] = {}
+        self._prev_counts: dict[str, int] = {}
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -135,34 +142,26 @@ class TimelineSampler:
         self._prev_scalars[key] = value
         return value - previous
 
-    def _histogram_delta(self, key: str, hist: Histogram) -> list[int]:
-        previous = self._prev_buckets.get(key)
-        current = list(hist.bucket_counts)
-        self._prev_buckets[key] = current
-        if previous is None:
-            return current
-        return [c - p for c, p in zip(current, previous)]
-
     def _take_sample(self, at_usec: float) -> None:
         registry = self.registry
         values: dict[str, float] = {}
 
-        # Throughput and interval latency percentiles from op histograms.
+        # Throughput and interval latency percentiles over the samples
+        # recorded since the previous row, bucketed as Histogram.observe
+        # buckets them.
+        bounds = DEFAULT_LATENCY_BUCKETS
         ops_delta = 0.0
-        for op in ("read", "update", "scan"):
-            hist = registry.instrument("op.latency_usec", op=op)
-            if hist is None:
-                continue
-            delta = self._histogram_delta(f"op:{op}", hist)
-            op_count = sum(delta)
-            ops_delta += op_count
+        for op, recorder in self.latencies.items():
+            samples = recorder.samples
+            seen = self._prev_counts.get(op, 0)
+            self._prev_counts[op] = len(samples)
+            ops_delta += len(samples) - seen
             if op in ("read", "update"):
-                values[f"{op}_p50_usec"] = percentile_from_buckets(
-                    hist.bounds, delta, 50.0
-                )
-                values[f"{op}_p99_usec"] = percentile_from_buckets(
-                    hist.bounds, delta, 99.0
-                )
+                delta = [0] * (len(bounds) + 1)
+                for latency in samples[seen:]:
+                    delta[bisect_left(bounds, latency)] += 1
+                values[f"{op}_p50_usec"] = percentile_from_buckets(bounds, delta, 50.0)
+                values[f"{op}_p99_usec"] = percentile_from_buckets(bounds, delta, 99.0)
         interval_sec = self.interval_usec / 1_000_000.0
         values["throughput_kops"] = ops_delta / interval_sec / 1_000.0
 

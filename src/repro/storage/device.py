@@ -180,29 +180,32 @@ class _DeviceObs:
         self.queue_penalty = registry.histogram("device.queue_penalty_usec", tier=tier)
 
 
+#: The queueing model's constants, shared by every :class:`Device` and
+#: the fleet's pooled devices. ``BACKGROUND_SHARE`` is the fraction of
+#: write bandwidth a device dedicates to draining background
+#: (compaction/migration) I/O while foreground traffic is present; the
+#: rest of the backlog falls on foreground accesses as a penalty of
+#: ``INTERFERENCE_FACTOR`` times its drain time, at most
+#: ``MAX_PENALTY_USEC``.
+BACKGROUND_SHARE = 0.6
+INTERFERENCE_FACTOR = 0.35
+MAX_PENALTY_USEC = 5_000.0
+
+
+def queue_penalty_usec(backlog_bytes: float, drain_bps: float) -> float:
+    """Extra latency a foreground access pays behind ``backlog_bytes``."""
+    if backlog_bytes <= 0:
+        return 0.0
+    drain_usec = backlog_bytes / drain_bps * 1_000_000.0
+    return min(MAX_PENALTY_USEC, drain_usec * INTERFERENCE_FACTOR)
+
+
 class Device:
-    """A device instance: a spec plus capacity, wear and a backlog queue.
+    """A device instance: a spec plus capacity, wear and a backlog queue."""
 
-    ``background_share`` is the fraction of write bandwidth the device
-    dedicates to draining background (compaction/migration) I/O while
-    foreground traffic is present; the remainder of the model's queueing
-    penalty falls on foreground accesses via :meth:`queue_penalty_usec`.
-    """
-
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        capacity_bytes: int,
-        clock: SimClock,
-        *,
-        background_share: float = 0.6,
-        interference_factor: float = 0.35,
-        max_penalty_usec: float = 5_000.0,
-    ) -> None:
+    def __init__(self, spec: DeviceSpec, capacity_bytes: int, clock: SimClock) -> None:
         if capacity_bytes <= 0:
             raise ConfigError(f"device capacity must be positive: {capacity_bytes}")
-        if not 0.0 < background_share <= 1.0:
-            raise ConfigError(f"background_share must be in (0, 1]: {background_share}")
         self.spec = spec
         self.capacity_bytes = capacity_bytes
         #: Attribution label for this device's latency; the owning
@@ -212,9 +215,6 @@ class Device:
         self.tier_name = spec.name.lower()
         self.stats = DeviceStats()
         self._clock = clock
-        self._background_share = background_share
-        self._interference_factor = interference_factor
-        self._max_penalty_usec = max_penalty_usec
         self._backlog_bytes = 0.0
         self._last_drain_usec = clock.now
         self._obs: _DeviceObs | None = None
@@ -240,7 +240,7 @@ class Device:
         self._last_drain_usec = now
         if elapsed <= 0 or self._backlog_bytes <= 0:
             return
-        drain_rate = self.spec.sustained_write_bandwidth_bps * self._background_share
+        drain_rate = self.spec.sustained_write_bandwidth_bps * BACKGROUND_SHARE
         drained = elapsed / 1_000_000.0 * drain_rate
         self._backlog_bytes = max(0.0, self._backlog_bytes - drained)
 
@@ -252,11 +252,9 @@ class Device:
 
     def queue_penalty_usec(self) -> float:
         """Extra latency a foreground access pays due to background work."""
-        backlog = self.backlog_bytes
-        if backlog <= 0:
-            return 0.0
-        drain_usec = backlog / self.spec.sustained_write_bandwidth_bps * 1_000_000.0
-        return min(self._max_penalty_usec, drain_usec * self._interference_factor)
+        return queue_penalty_usec(
+            self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
+        )
 
     # ------------------------------------------------------------------
     # I/O charging
@@ -278,7 +276,9 @@ class Device:
         penalty = 0.0
         if foreground:
             self.stats.bytes_read_foreground += n_bytes
-            penalty = self.queue_penalty_usec()
+            penalty = queue_penalty_usec(
+                self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
+            )
             latency = base + penalty
             if ctx is not None:
                 ctx.add(ctx.component, self.tier_name, base)
@@ -322,7 +322,9 @@ class Device:
             obs.busy.inc(base)
             (obs.write_fg if foreground else obs.write_bg).inc(n_bytes)
         if foreground:
-            penalty = self.queue_penalty_usec()
+            penalty = queue_penalty_usec(
+                self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
+            )
             if self._obs is not None:
                 self._obs.queue_penalty.observe(penalty)
             if ctx is not None:

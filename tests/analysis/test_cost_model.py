@@ -3,14 +3,13 @@
 import pytest
 
 from repro.analysis import (
-    ConfigEvaluation,
     default_level_profiles,
     enumerate_configs,
     evaluate_config,
     pareto_frontier,
     table3_costs,
 )
-from repro.common import GIB, MIB
+from repro.common import MIB
 from repro.errors import ConfigError
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.bench.compare import (
     compare_results,
     comparison_table,
-    main as compare_main,
     regressions,
 )
 from repro.bench.cli import main as cli_main
@@ -175,12 +174,12 @@ class TestCompare:
         cand = tmp_path / "cand.json"
         sampled_result.save(base)
         sampled_result.save(cand)
-        assert compare_main([str(base), str(cand)]) == 0
+        assert cli_main(["compare", str(base), str(cand)]) == 0
         data = sampled_result.to_json()
         data["read_latency"]["p99"] *= 1.2
         RunResult.from_json(data).save(cand)
-        assert compare_main([str(base), str(cand), "--tolerance", "5"]) == 1
-        assert compare_main([str(base), str(tmp_path / "missing.json")]) == 2
+        assert cli_main(["compare", str(base), str(cand), "--tolerance", "5"]) == 1
+        assert cli_main(["compare", str(base), str(tmp_path / "missing.json")]) == 2
 
 
 class TestMalformedArtifact:

@@ -1,7 +1,5 @@
 """Tests for the command-line entry point."""
 
-import pytest
-
 from repro.bench.cli import EXPERIMENTS, main
 
 

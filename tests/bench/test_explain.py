@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.explain import main as explain_main
+from repro.bench.cli import main
 from repro.bench.harness import RunResult, SystemConfig, run_experiment
 from repro.workloads.ycsb import YCSBConfig
 
@@ -31,6 +31,10 @@ def artifact_pair(tmp_path_factory):
         result.save(path)
         paths.append(path)
     return paths
+
+
+def explain_main(argv):
+    return main(["explain", *argv])
 
 
 class TestSingleArtifact:
@@ -110,3 +114,16 @@ class TestInputValidation:
     def test_missing_file_exits_two(self, capsys):
         assert explain_main(["/nonexistent/run.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_attribution_block_exits_two(self, artifact_pair, tmp_path, capsys):
+        # A block without its buckets must not surface as a traceback
+        # (and exit 1, the regression code): one error line, exit 2.
+        data = RunResult.load(artifact_pair[0]).to_json()
+        data["attribution"] = {"schema": 1, "ops": {"read": {"count": 3}}}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert explain_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert "Traceback" not in err

@@ -10,7 +10,6 @@ import pytest
 
 from repro.bench.cli import main as bench_main
 from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
-from repro.bench.report import build_parser, run_report
 from repro.bench.reporting import format_metrics_snapshot, latency_breakdown_table
 from repro.lsm.block_cache import BlockType
 from repro.workloads import YCSBConfig, YCSBWorkload
@@ -163,16 +162,16 @@ class TestReportViews:
 
     def test_report_command_smoke(self, capsys, tmp_path):
         trace_path = str(tmp_path / "run.trace.jsonl")
-        args = build_parser().parse_args(
+        assert bench_main(
             [
+                "report",
                 "--records", "500",
                 "--ops", "800",
                 "--metrics",
                 "--breakdown",
                 "--trace", trace_path,
             ]
-        )
-        assert run_report(args) == 0
+        ) == 0
         out = capsys.readouterr().out
         assert "Latency breakdown" in out
         assert "Metrics registry" in out

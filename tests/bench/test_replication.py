@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import SystemConfig
-from repro.bench.replication import Replicated, _summarize, run_replicated
+from repro.bench.replication import _summarize, run_replicated
 from repro.errors import ConfigError
 from repro.workloads import YCSBConfig
 

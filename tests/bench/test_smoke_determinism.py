@@ -6,9 +6,12 @@ run of each system with the gate's exact parameters must show *zero
 drift* against ``benchmarks/results/baseline_<system>.json``. Any
 unintentional change to simulated behavior — block format, cache
 accounting, merge order, RNG draw order — shows up here as a failing
-metric diff, with the offending metrics named.
+metric diff, with the offending metrics named. The whole artifact —
+registry histograms, timeline rows and all — must then equal the
+committed file too.
 """
 
+import json
 import os
 
 import pytest
@@ -86,3 +89,6 @@ def test_smoke_run_matches_committed_baseline_exactly(system):
         "baseline_scan.json: `RunResult.save` of this module's scan_smoke_run()):\n"
         + "\n".join(drifted)
     )
+    # Beyond the compared scalars: every registry series and timeline row.
+    with open(baseline_path, encoding="utf-8") as fh:
+        assert candidate.to_json() == json.load(fh)

@@ -19,11 +19,16 @@ the digest from the assertion message into the EXPECTED constant.
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from repro.bench.compare import comparable_scalars
 from repro.fleet.runner import FleetConfig, default_tenants, run_fleet
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+#: The perf gate's committed fleet smoke: the same config as fast_config().
+BASELINE_FLEET = os.path.join(REPO_ROOT, "benchmarks", "results", "baseline_fleet.json")
 
 #: sha256 over the sorted-key JSON of comparable_scalars(merged result).
 EXPECTED_FAST_DIGEST = (
@@ -69,6 +74,10 @@ class TestWorkerCountInvariance:
             f"(got {got}); if the behaviour change is intentional, update "
             "EXPECTED_FAST_DIGEST in this test"
         )
+        # The digest covers scalars only; the committed artifact pins
+        # every registry series, timeline row and the pool block.
+        with open(BASELINE_FLEET, encoding="utf-8") as fh:
+            assert inline.to_json() == json.load(fh)
 
     def test_seed_still_matters(self):
         # Guard against the invariance being vacuous (everything

@@ -3,8 +3,8 @@
 The fleet's worker-count invariance rests on every merge being a pure
 function that reproduces what a single observer of the combined stream
 would have recorded. These tests pin that property for each layer:
-LatencyRecorder, MetricsRegistry snapshots, timelines, attribution
-exports, and the full RunResult merge.
+MetricsRegistry snapshots, timelines, attribution exports, and the full
+RunResult merge.
 """
 
 from dataclasses import fields
@@ -14,7 +14,7 @@ import pytest
 from repro.bench.harness import RunResult, SystemConfig, run_experiment
 from repro.common.clock import SimClock
 from repro.common.rng import make_rng
-from repro.common.stats import LatencyRecorder, LatencySummary
+from repro.common.stats import LatencySummary
 from repro.errors import ConfigError, ObservabilityError
 from repro.fleet.merge import _EXPLICIT, _FOLDED, _SUMMED, merge_run_results
 from repro.fleet.pool import DevicePool, PoolParams
@@ -22,42 +22,6 @@ from repro.fleet.runner import FleetConfig, default_tenants, run_shard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler, merge_timelines
 from repro.workloads.ycsb import YCSBConfig
-
-
-def shard_samples(seed, count=400):
-    rng = make_rng(seed, "merge-test")
-    return [rng.random() * 5_000.0 for _ in range(count)]
-
-
-class TestLatencyRecorderMerge:
-    def test_merged_recorders_equal_combined_stream(self):
-        shards = [shard_samples(seed) for seed in range(4)]
-        combined = LatencyRecorder()
-        for samples in shards:
-            for sample in samples:
-                combined.record(sample)
-        merged = LatencyRecorder()
-        for samples in shards:
-            recorder = LatencyRecorder()
-            for sample in samples:
-                recorder.record(sample)
-            merged.merge(recorder)
-        assert merged.summary() == combined.summary()
-
-    def test_merge_order_does_not_matter(self):
-        shards = [shard_samples(seed) for seed in range(3)]
-        forward, backward = LatencyRecorder(), LatencyRecorder()
-        for samples in shards:
-            recorder = LatencyRecorder()
-            for sample in samples:
-                recorder.record(sample)
-            forward.merge(recorder)
-        for samples in reversed(shards):
-            recorder = LatencyRecorder()
-            for sample in samples:
-                recorder.record(sample)
-            backward.merge(recorder)
-        assert forward.summary() == backward.summary()
 
 
 class TestSnapshotMerge:

@@ -13,7 +13,7 @@ from repro.lsm.compaction import (
     MergeRouter,
     OldestFilePicker,
 )
-from repro.lsm.layout import build_layout, homogeneous_layout
+from repro.lsm.layout import build_layout
 from repro.lsm.options import DBOptions
 from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import SSTableBuilder

@@ -1,8 +1,5 @@
 """Crash-recovery tests: the WAL protects unflushed writes."""
 
-import random
-
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Property-based tests of the SSTable build/read pipeline."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.stats import LatencyRecorder
 from repro.errors import ObservabilityError
 from repro.obs import MetricsRegistry, TimelineSampler, timeline_series
 from repro.obs.metrics import percentile_from_buckets
@@ -18,6 +19,11 @@ def clock():
 @pytest.fixture
 def registry():
     return MetricsRegistry()
+
+
+@pytest.fixture
+def reads():
+    return LatencyRecorder()
 
 
 def make_sampler(registry, clock, **kwargs):
@@ -92,26 +98,24 @@ class TestDeltas:
         clock.advance(1_000.0)
         assert sampler.rows[-1][2]["cache.hit_rate"] == 0.0
 
-    def test_throughput_from_op_histogram_deltas(self, registry, clock):
-        hist = registry.histogram("op.latency_usec", op="read")
-        sampler = make_sampler(registry, clock)
+    def test_throughput_from_op_histogram_deltas(self, registry, clock, reads):
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
         for _ in range(10):
-            hist.observe(5.0)
+            reads.record(5.0)
         clock.advance(1_000.0)
         clock.advance(1_000.0)
         first, second = (row[2]["throughput_kops"] for row in sampler.rows)
         assert first == pytest.approx(10 / 0.001 / 1_000.0)  # 10 ops in 1 ms
         assert second == 0.0
 
-    def test_interval_percentiles_from_bucket_deltas(self, registry, clock):
-        hist = registry.histogram("op.latency_usec", op="read")
-        sampler = make_sampler(registry, clock)
-        hist.observe(1.0)
+    def test_interval_percentiles_from_bucket_deltas(self, registry, clock, reads):
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
+        reads.record(1.0)
         clock.advance(1_000.0)
         # The second interval sees only slow reads; a cumulative p99
         # would still be dragged down by the fast first interval.
         for _ in range(20):
-            hist.observe(1_000.0)
+            reads.record(1_000.0)
         clock.advance(1_000.0)
         p99s = [row[2]["read_p99_usec"] for row in sampler.rows]
         assert p99s[0] == 1.0
@@ -167,9 +171,9 @@ class TestPhasesAndExport:
         for values in exported["series"].values():
             assert len(values) == 2
 
-    def test_timeline_series_accessor(self, registry, clock):
-        registry.histogram("op.latency_usec", op="read").observe(1.0)
-        sampler = make_sampler(registry, clock)
+    def test_timeline_series_accessor(self, registry, clock, reads):
+        reads.record(1.0)
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
         clock.advance(1_000.0)
         exported = sampler.to_dict()
         assert timeline_series(exported, "throughput_kops")[0] > 0
@@ -179,6 +183,27 @@ class TestPhasesAndExport:
         clock.advance(1_000.0)
         with pytest.raises(ObservabilityError):
             timeline_series(sampler.to_dict(), "nope")
+
+
+class TestBucketRule:
+    def test_interval_percentiles_match_a_histogram_of_the_same_samples(
+        self, registry, clock, reads
+    ):
+        # The ranked samples (p50: 2.0, p99: 4096.0) sit on bucket edges,
+        # where a bisect_right rule would report the next bucket's bound.
+        values = [0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 64.0, 4096.0]
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
+        hist = registry.histogram("op.latency_usec", op="read")
+        for value in values:
+            reads.record(value)
+            hist.observe(value)
+        clock.advance(1_000.0)
+        row = sampler.rows[0][2]
+        assert (row["read_p50_usec"], row["read_p99_usec"]) == (2.0, 4096.0)
+        for pct in (50.0, 99.0):
+            assert row[f"read_p{pct:.0f}_usec"] == percentile_from_buckets(
+                hist.bounds, hist.bucket_counts, pct
+            )
 
 
 class TestPercentileFromBuckets:
@@ -203,11 +228,10 @@ class TestEdgeCases:
     """Boundary behaviours: idle intervals, markers on sample edges,
     and bucket deltas that return to zero after a burst."""
 
-    def test_zero_op_interval_rows_are_all_zero(self, registry, clock):
-        hist = registry.histogram("op.latency_usec", op="read")
-        sampler = make_sampler(registry, clock)
+    def test_zero_op_interval_rows_are_all_zero(self, registry, clock, reads):
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
         for _ in range(5):
-            hist.observe(10.0)
+            reads.record(10.0)
         clock.advance(1_000.0)  # busy interval
         clock.advance(1_000.0)  # idle interval
         clock.advance(1_000.0)  # another idle interval
@@ -219,14 +243,13 @@ class TestEdgeCases:
             assert values["read_p99_usec"] == 0.0
 
     def test_zero_op_interval_does_not_reuse_previous_percentiles(
-        self, registry, clock
+        self, registry, clock, reads
     ):
         # A cumulative-percentile bug would echo the burst's p99 into the
         # idle interval; the delta view must report 0 (no ops).
-        hist = registry.histogram("op.latency_usec", op="read")
-        sampler = make_sampler(registry, clock)
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
         for _ in range(20):
-            hist.observe(5_000.0)
+            reads.record(5_000.0)
         clock.advance(1_000.0)
         clock.advance(1_000.0)
         p99s = [row[2]["read_p99_usec"] for row in sampler.rows]
@@ -251,28 +274,23 @@ class TestEdgeCases:
         assert sampler.rows[0][1] == "warmup"
 
     def test_bucket_delta_goes_negative_free_when_bucket_empties(
-        self, registry, clock
+        self, registry, clock, reads
     ):
-        # Histogram bucket counts are cumulative and never decrease; an
-        # interval where a previously hot bucket sees no observations
-        # must yield a zero delta for it, not a stale or negative count.
-        hist = registry.histogram("op.latency_usec", op="read")
-        sampler = make_sampler(registry, clock)
+        # An interval where a previously hot bucket sees no samples must
+        # not count that bucket again.
+        sampler = make_sampler(registry, clock, latencies={"read": reads})
         for _ in range(8):
-            hist.observe(3.0)  # lands in one low bucket
+            reads.record(3.0)  # lands in the (2, 4] bucket
         clock.advance(1_000.0)
         for _ in range(4):
-            hist.observe(4_000.0)  # a different, high bucket
+            reads.record(4_000.0)  # a different, high bucket
         clock.advance(1_000.0)
         # Interval ops counted via throughput: 8 then 4, never 12.
         kops = [row[2]["throughput_kops"] for row in sampler.rows]
         assert kops[0] == pytest.approx(8 / 0.001 / 1_000.0)
         assert kops[1] == pytest.approx(4 / 0.001 / 1_000.0)
-        # The second interval's delta must drop the first interval's hot
-        # bucket to zero (and hold no negative entries anywhere).
-        sampler._histogram_delta("probe", hist)  # prime the probe key
-        idle_delta = sampler._histogram_delta("probe", hist)
-        assert all(count == 0 for count in idle_delta)
+        # The second interval's median is its own high bucket's bound.
+        assert [row[2]["read_p50_usec"] for row in sampler.rows] == [4.0, 4096.0]
         # And a further idle interval reports an all-zero row.
         clock.advance(1_000.0)
         assert sampler.rows[2][2]["throughput_kops"] == 0.0
@@ -281,8 +299,7 @@ class TestEdgeCases:
     def test_probe_error_free_zero_interval_export(self, registry, clock):
         # to_dict on a timeline whose only rows are zero-op intervals is
         # still JSON-safe and column-aligned.
-        registry.histogram("op.latency_usec", op="read")
-        sampler = make_sampler(registry, clock)
+        sampler = make_sampler(registry, clock, latencies={"read": LatencyRecorder()})
         clock.advance(3_000.0)
         doc = sampler.to_dict()
         assert len(doc["t_ms"]) == 3

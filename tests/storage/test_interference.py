@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common import GIB, MIB, SimClock
 from repro.storage import NVM_SPEC, QLC_SPEC, TLC_SPEC, Device
+from repro.storage.device import MAX_PENALTY_USEC
 
 
 class TestBacklogDynamics:
@@ -21,9 +22,9 @@ class TestBacklogDynamics:
 
     def test_penalty_saturates_at_cap(self):
         clock = SimClock()
-        dev = Device(QLC_SPEC, GIB, clock, max_penalty_usec=5_000.0)
+        dev = Device(QLC_SPEC, GIB, clock)
         dev.write(64 * MIB, foreground=False)
-        assert dev.queue_penalty_usec() == pytest.approx(5_000.0)
+        assert dev.queue_penalty_usec() == pytest.approx(MAX_PENALTY_USEC)
 
     def test_sustained_bandwidth_slows_qlc_drain(self):
         # The same backlog drains much faster on NVM than QLC because
