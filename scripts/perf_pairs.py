@@ -31,8 +31,9 @@ taken by wrapping the functions from outside (nothing under
 ``perfbench/`` or ``src/`` is edited). ``--heap`` opens with the fixed
 footprint of fresh processes: a bare interpreter's peak RSS, the
 benchmark worker's after its imports, the extension modules those load
-beyond the bare set and, on ``fleet-mixed``, a spawned pool worker's RSS
-after bootstrap and after importing ``repro.fleet.runner``. It then
+beyond the bare set and, on ``fleet-mixed``, a pool worker's RSS (started
+the way the fan-out starts it, method named) after bootstrap and after
+importing ``repro.fleet.runner``. It then
 prints, the same way as ``--stages``, the working tree's
 ``tracemalloc`` top ten allocation sites after the load phase and
 after the measured run, with the traced bytes per loaded record beyond
@@ -68,9 +69,9 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, quick: bool,
 
     ``pycache`` is the side's bytecode cache; only a ``warm`` run writes it.
     """
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
-    if not warm:
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache), PYTHONDONTWRITEBYTECODE="1")
+    if warm:  # writes the cache even where the caller's environment forbids it
+        del env["PYTHONDONTWRITEBYTECODE"]
     if quick:
         command = [sys.executable, "-m", "perfbench.worker", "--workload", workload,
                    "--seed", str(seed), "--quick"]
@@ -458,13 +459,17 @@ print({label!r}, peak_kib, *sorted(
         tuple(EXTENSION_SUFFIXES))), flush=True)
 """
 
-#: A spawn pool worker of a process run as ``-m perfbench.worker``:
-#: its footprint after bootstrap, then after the import that unpickling
-#: the fleet's shard function costs.
+#: A pool worker of a process run as ``-m perfbench.worker``, started by
+#: the fan-out's own start method (printed as a row of its own): its
+#: footprint after bootstrap, then after the import that unpickling the
+#: fleet's shard function costs (none when forked).
 POOL_WORKER = """
 import importlib.util, multiprocessing
+from repro.fleet.fanout import start_method
 sys.modules["__main__"].__spec__ = importlib.util.find_spec("perfbench.worker")
-with multiprocessing.get_context("spawn").Pool(1) as pool:
+method = start_method()
+print("method", 0, method, flush=True)
+with multiprocessing.get_context(method).Pool(1) as pool:
     pool.apply(exec, ({bootstrap!r}, {{}}))
     pool.apply(exec, ("import repro.fleet.runner" + {runner!r}, {{}}))
 """
@@ -473,7 +478,7 @@ with multiprocessing.get_context("spawn").Pool(1) as pool:
 def print_footprint(fleet: bool) -> None:
     """One line: a bare interpreter's peak RSS, the benchmark worker's after
     its imports, the extension modules those load beyond the bare set and,
-    for the fleet, a spawned pool worker's."""
+    for the fleet, a pool worker's, started as the fan-out starts it."""
     env = dict(os.environ, PYTHONPATH=f"{ROOT}:{ROOT / 'src'}", PYTHONHASHSEED="0")
 
     def probe(code: str) -> dict[str, tuple[float, set[str]]]:
@@ -495,7 +500,8 @@ def print_footprint(fleet: bool) -> None:
             f"{imports_mb:.2f} MB ({imports_mb - bare_mb:+.2f}); extension modules beyond "
             f"bare: {' '.join(sorted(loaded - bare)) or 'none'}")
     if fleet:
-        line += (f"; spawned pool worker {seen['bootstrap'][0]:.2f} MB after bootstrap, "
+        (method,) = seen["method"][1]
+        line += (f"; {method} pool worker {seen['bootstrap'][0]:.2f} MB after bootstrap, "
                  f"{seen['runner'][0]:.2f} MB after importing repro.fleet.runner")
     print(line, flush=True)
 

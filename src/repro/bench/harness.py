@@ -29,7 +29,7 @@ from repro.lsm.layout import build_layout
 from repro.lsm.options import options_for_db_size
 from repro.obs.attribution import LatencyAttribution
 from repro.obs.metrics import Histogram
-from repro.obs.timeline import TimelineSampler
+from repro.obs.timeline import TimelineSampler, check_interval_ms
 from repro.storage.endurance import device_lifetime_seconds
 from repro.workloads.ycsb import OP_READ, OP_SCAN, YCSBConfig, YCSBWorkload
 
@@ -76,6 +76,20 @@ class SystemConfig:
             raise ConfigError(f"unknown system {self.system!r}")
         if self.clients < 1:
             raise ConfigError("clients must be >= 1")
+        if self.cache_fraction < 0:
+            raise ConfigError(f"cache_fraction must be non-negative: {self.cache_fraction}")
+
+
+def check_runner_options(
+    *, clients: int, sample_interval_ms: float | None, attribution_sample_every: int | None
+) -> None:
+    """The :class:`WorkloadRunner` argument rules, checkable before any engine exists."""
+    if clients < 1:
+        raise ConfigError("clients must be >= 1")
+    if sample_interval_ms is not None:
+        check_interval_ms(sample_interval_ms)
+    if attribution_sample_every is not None and attribution_sample_every < 1:
+        raise ConfigError(f"attribution_sample_every must be >= 1: {attribution_sample_every}")
 
 
 def build_system(config: SystemConfig, workload: YCSBWorkload) -> LsmDB:
@@ -310,8 +324,11 @@ class WorkloadRunner:
         attribution_sample_every: int | None = None,
         slow_op_k: int = 8,
     ) -> None:
-        if clients < 1:
-            raise ConfigError("clients must be >= 1")
+        check_runner_options(
+            clients=clients,
+            sample_interval_ms=sample_interval_ms,
+            attribution_sample_every=attribution_sample_every,
+        )
         self.db = db
         self.clients = clients
         # Each measured op's latency is recorded once, in run order, in
@@ -355,10 +372,6 @@ class WorkloadRunner:
         #: when on, :meth:`run` wraps its three engine callables once.
         self.attribution: LatencyAttribution | None = None
         if attribution_sample_every is not None:
-            if attribution_sample_every < 1:
-                raise ConfigError(
-                    f"attribution_sample_every must be >= 1: {attribution_sample_every}"
-                )
             self.attribution = LatencyAttribution(
                 seed=db.options.seed,
                 sample_every=attribution_sample_every,

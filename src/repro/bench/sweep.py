@@ -155,7 +155,7 @@ def _sweep_cell_worker(
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    from repro.fleet.fanout import fan_out
+    from repro.fleet.fanout import stream_fan_out
 
     cells = [
         (layout, read_pct, shape)
@@ -163,21 +163,22 @@ def run_sweep(args: argparse.Namespace) -> int:
         for read_pct in args.mixes
         for shape in args.shapes
     ]
-    for done, (layout, read_pct, shape) in enumerate(cells, start=1):
+    raw = stream_fan_out(
+        _sweep_cell_worker,
+        [(args, layout, shape, read_pct) for layout, read_pct, shape in cells],
+        getattr(args, "jobs", 1),
+    )
+    results: dict[tuple[str, int, str], RunResult] = {}
+    # One progress line per cell as its result arrives, in cell order.
+    for done, (cell, data) in enumerate(zip(cells, raw), start=1):
+        results[cell] = RunResult.from_json(data)
+        layout, read_pct, shape = cell
         print(
             f"[{done}/{len(cells)}] "
             f"{cell_label(args.system, layout, shape, read_pct)}"
             + (f" (jobs={args.jobs})" if args.jobs > 1 else ""),
             file=sys.stderr,
         )
-    raw = fan_out(
-        _sweep_cell_worker,
-        [(args, layout, shape, read_pct) for layout, read_pct, shape in cells],
-        getattr(args, "jobs", 1),
-    )
-    results: dict[tuple[str, int, str], RunResult] = {
-        cell: RunResult.from_json(data) for cell, data in zip(cells, raw)
-    }
 
     headers, rows = render_sweep_table(results, args.layouts, args.mixes, args.shapes)
     title = (

@@ -29,14 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.codec import decode_result, encode_result
-from repro.bench.harness import RunResult, SystemConfig, WorkloadRunner, build_system
+from repro.bench.harness import (
+    RunResult,
+    SystemConfig,
+    WorkloadRunner,
+    build_system,
+    check_runner_options,
+)
 from repro.common.rng import derive_seed
 from repro.errors import ConfigError, ShardError
 from repro.fleet.fanout import stream_fan_out
 from repro.fleet.merge import ShardAccumulator
 from repro.fleet.pool import DevicePool, PoolParams
 from repro.fleet.router import ConsistentHashRouter
-from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec
+from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec, check_tenants
 
 
 def default_tenants(
@@ -87,9 +93,31 @@ class FleetConfig:
             raise ConfigError("operation counts must be non-negative")
         if self.group_commit < 1:
             raise ConfigError(f"group_commit must be >= 1: {self.group_commit}")
+        # Build what every shard builds from the other fields, so a bad
+        # value fails here, in the router, before any worker starts.
+        check_tenants(self.tenants)
+        ConsistentHashRouter(self.shards, vnodes=self.vnodes)
+        self.system_config(0)
+        check_runner_options(
+            clients=self.clients,
+            sample_interval_ms=self.sample_interval_ms,
+            attribution_sample_every=self.attribution_sample_every,
+        )
 
     def shard_seed(self, shard_id: int) -> int:
         return derive_seed(self.seed, "fleet", f"shard{shard_id}")
+
+    def system_config(self, shard_id: int) -> SystemConfig:
+        """The system shard ``shard_id`` runs."""
+        return SystemConfig(
+            system=self.system,
+            layout_code=self.layout_code,
+            cache_fraction=self.cache_fraction,
+            pinning_threshold=self.pinning_threshold,
+            wal_sync_every=self.group_commit,
+            clients=self.clients,
+            seed=self.shard_seed(shard_id),
+        )
 
 
 def _split_by_owned(owned: list[int], total: int) -> list[int]:
@@ -134,15 +162,7 @@ def run_shard(config: FleetConfig, shard_id: int) -> RunResult:
         seed=config.shard_seed(shard_id),
         ownership=ownership,
     )
-    system_config = SystemConfig(
-        system=config.system,
-        layout_code=config.layout_code,
-        cache_fraction=config.cache_fraction,
-        pinning_threshold=config.pinning_threshold,
-        wal_sync_every=config.group_commit,
-        clients=config.clients,
-        seed=config.shard_seed(shard_id),
-    )
+    system_config = config.system_config(shard_id)
     db = build_system(system_config, workload)
     runner = WorkloadRunner(
         db,

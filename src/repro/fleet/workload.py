@@ -52,7 +52,7 @@ from repro.workloads.ycsb import (
     OP_UPDATE,
     RequestBatch,
 )
-from repro.workloads.zipfian import make_generator
+from repro.workloads.zipfian import check_distribution, make_generator
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,23 @@ class TenantSpec:
             raise ConfigError(f"{self.name}: value_bytes must be positive")
         if self.max_scan_length <= 0:
             raise ConfigError(f"{self.name}: max_scan_length must be positive")
+        try:
+            check_distribution(self.distribution, self.zipf_theta)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
 
     @property
     def key_format(self) -> str:
         """Key format; the tenant name prefix keeps key spaces disjoint."""
         return f"{self.name}-%010d"
+
+
+def check_tenants(tenants: tuple[TenantSpec, ...]) -> None:
+    """A fleet's tenant set: at least one tenant, names unique."""
+    if not tenants:
+        raise ConfigError("fleet workload needs at least one tenant")
+    if len({t.name for t in tenants}) != len(tenants):
+        raise ConfigError("tenant names must be unique")
 
 
 @dataclass(frozen=True)
@@ -191,10 +203,7 @@ class ShardWorkload:
         seed: int = 0,
         ownership: ShardOwnership | None = None,
     ) -> None:
-        if not tenants:
-            raise ConfigError("fleet workload needs at least one tenant")
-        if len({t.name for t in tenants}) != len(tenants):
-            raise ConfigError("tenant names must be unique")
+        check_tenants(tenants)
         if not 0 <= shard_id < router.num_shards:
             raise ConfigError(f"shard_id out of range: {shard_id}")
         if operations < 0 or warmup_operations < 0:

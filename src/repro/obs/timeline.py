@@ -59,6 +59,12 @@ from repro.obs.metrics import (
 MAX_CATCHUP_SAMPLES = 64
 
 
+def check_interval_ms(interval_ms: float) -> None:
+    """The sampling-interval rule, checkable before any sampler exists."""
+    if interval_ms <= 0:
+        raise ObservabilityError(f"interval_ms must be positive: {interval_ms}")
+
+
 class TimelineSampler:
     """Samples registry deltas into ring-buffered time series."""
 
@@ -72,8 +78,7 @@ class TimelineSampler:
         probes: dict[str, Callable[[], float]] | None = None,
         latencies: dict[str, LatencyRecorder] | None = None,
     ) -> None:
-        if interval_ms <= 0:
-            raise ObservabilityError(f"interval_ms must be positive: {interval_ms}")
+        check_interval_ms(interval_ms)
         if capacity < 1:
             raise ObservabilityError(f"capacity must be >= 1: {capacity}")
         self.registry = registry

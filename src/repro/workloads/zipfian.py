@@ -55,14 +55,19 @@ def _zeta(n: int, theta: float) -> float:
     return float(sum(1.0 / (i**theta) for i in range(1, n + 1)))
 
 
+def check_theta(theta: float) -> None:
+    """The Zipfian skew rule: theta in (0, 2), excluding 1.0."""
+    if not 0.0 < theta < 2.0 or theta == 1.0:
+        raise ConfigError(f"theta must be in (0,2) excluding 1.0: {theta}")
+
+
 class ZipfianGenerator(KeyIndexGenerator):
     """Gray et al. Zipfian sampler over ranks 0..n-1 (rank 0 hottest)."""
 
     def __init__(self, n_keys: int, theta: float, rng: random.Random) -> None:
         if n_keys <= 0:
             raise ConfigError(f"n_keys must be positive: {n_keys}")
-        if not 0.0 < theta < 2.0 or theta == 1.0:
-            raise ConfigError(f"theta must be in (0,2) excluding 1.0: {theta}")
+        check_theta(theta)
         self._n = n_keys
         self._theta = theta
         self._rng = rng
@@ -123,12 +128,19 @@ class LatestGenerator(KeyIndexGenerator):
         return max(0, self._n - 1 - rank)
 
 
+def check_distribution(name: str, theta: float) -> None:
+    """What :func:`make_generator` requires of a name and theta, before any key exists."""
+    if name not in ("uniform", "zipfian", "latest"):
+        raise ConfigError(f"unknown distribution {name!r}")
+    if name != "uniform":
+        check_theta(theta)
+
+
 def make_generator(name: str, n_keys: int, theta: float, rng: random.Random) -> KeyIndexGenerator:
     """Factory by distribution name: uniform / zipfian / latest."""
+    check_distribution(name, theta)
     if name == "uniform":
         return UniformGenerator(n_keys, rng)
     if name == "zipfian":
         return ScrambledZipfianGenerator(n_keys, theta, rng)
-    if name == "latest":
-        return LatestGenerator(n_keys, theta, rng)
-    raise ConfigError(f"unknown distribution {name!r}")
+    return LatestGenerator(n_keys, theta, rng)

@@ -3,7 +3,9 @@
 import argparse
 import json
 import os
+import sys
 
+from repro.bench import sweep
 from repro.bench.cli import main
 from repro.bench.harness import RunResult
 from repro.bench.sweep import (
@@ -88,6 +90,29 @@ class TestSweepCli:
 
     def test_cli_rejects_unknown_shape(self, capsys):
         assert main(["sweep", "--shapes", "spiral"]) == 2
+
+    def test_progress_line_k_follows_the_kth_result(self, monkeypatch, capsys):
+        events = []
+        run_cell = sweep._sweep_cell_worker
+
+        def worker(payload):
+            data = run_cell(payload)
+            events.append("result")
+            return data
+
+        class Stderr:
+            def write(self, text):
+                if text.startswith("["):
+                    events.append(text.split()[0])
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sweep, "_sweep_cell_worker", worker)
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        code = main(["sweep", *TINY, "--shapes", "leveling", "tiering", "--mixes", "90"])
+        assert code == 0
+        assert events == ["result", "[1/2]", "result", "[2/2]"]
 
     def test_jobs_do_not_change_the_artifacts(self, tmp_path, capsys):
         # Cells are independent seeded runs, so fanning them over a

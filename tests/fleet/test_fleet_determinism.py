@@ -1,11 +1,12 @@
 """Worker-count invariance, pinned to committed digests.
 
 The fleet contract: the merged artifact is a pure function of the
-``FleetConfig`` — never of ``--jobs``, process scheduling, or wall-clock
-time. The fast test proves bit-identity between an inline run and a
-2-process spawn run of the same 4-shard fleet, and pins the result to a
-committed digest so cross-PR drift is caught even when both job counts
-drift together.
+``FleetConfig`` — never of ``--jobs``, the pool's start method, process
+scheduling, or wall-clock time. The fast test proves bit-identity
+between an inline run and a 2-process run of the same 4-shard fleet
+under both ``fork`` (the Linux default) and ``spawn`` (the only method
+on macOS and Windows), and pins the result to a committed digest so
+cross-PR drift is caught even when both job counts drift together.
 
 The slow companion is the ISSUE-scale run — 16 shards, 10^7 fleet
 operations — that only manifests behaviours (level spills, compaction
@@ -19,11 +20,16 @@ the digest from the assertion message into the EXPECTED constant.
 
 import hashlib
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from repro.bench.compare import comparable_scalars
+from repro.fleet import fanout
 from repro.fleet.runner import FleetConfig, default_tenants, run_fleet
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -56,11 +62,26 @@ def fast_config():
     )
 
 
+FORK = pytest.param(
+    "fork",
+    marks=[
+        pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="no fork on this platform",
+        ),
+        pytest.mark.filterwarnings("error::DeprecationWarning"),
+    ],
+)
+
+
 class TestWorkerCountInvariance:
-    def test_jobs_do_not_change_the_artifact(self):
-        # One inline run, one through the spawn pool: the full JSON
-        # artifacts (metrics, timeline, attribution, fleet block) must
-        # be byte-identical — --jobs buys wall clock and nothing else.
+    @pytest.mark.parametrize("method", [FORK, "spawn"])
+    def test_jobs_do_not_change_the_artifact(self, method, monkeypatch):
+        # One inline run, one through a pool started by ``method``: the
+        # full JSON artifacts (metrics, timeline, attribution, fleet
+        # block) must be byte-identical — --jobs buys wall clock and
+        # nothing else.
+        monkeypatch.setattr(fanout, "start_method", lambda: method)
         config = fast_config()
         inline = run_fleet(config, jobs=1)
         fanned = run_fleet(config, jobs=2)
@@ -78,6 +99,25 @@ class TestWorkerCountInvariance:
         # every registry series, timeline row and the pool block.
         with open(BASELINE_FLEET, encoding="utf-8") as fh:
             assert inline.to_json() == json.load(fh)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is Linux-only")
+    def test_a_single_threaded_caller_on_linux_gets_fork(self):
+        code = "from repro.fleet.fanout import start_method; print(start_method())"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "fork"
+
+    def test_a_caller_with_a_second_thread_gets_spawn(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert fanout.start_method() == "spawn"
+        finally:
+            release.set()
+            thread.join()
 
     def test_seed_still_matters(self):
         # Guard against the invariance being vacuous (everything

@@ -5,8 +5,9 @@ freed by reference counting the moment ``run_shard`` returns — the
 checks run with the cyclic GC off, so an engine kept alive by a
 reference cycle fails here instead of growing a worker's RSS by one
 engine per shard. A shard that raises must come back, inline or from a
-spawn pool, as a :class:`~repro.errors.ShardError` that names the shard
-and its seed and carries a ``run_shard`` call that reproduces it.
+pool, as a :class:`~repro.errors.ShardError` that names the shard and
+its seed and carries a ``run_shard`` call that reproduces it. A bad
+config field never gets that far: it fails where the config is built.
 """
 
 import gc
@@ -15,7 +16,9 @@ import weakref
 
 import pytest
 
-from repro.errors import ConfigError, ShardError
+from repro.bench.cli import main
+from repro.bench.harness import SystemConfig
+from repro.errors import ConfigError, ReproError, ShardError
 from repro.fleet import runner as fleet_runner
 from repro.fleet.runner import FleetConfig, default_tenants, run_fleet, run_shard
 from repro.fleet.workload import TenantSpec
@@ -83,3 +86,45 @@ def test_failing_shard_names_itself_and_its_repro(jobs):
     namespace = {"run_shard": run_shard, "FleetConfig": FleetConfig, "TenantSpec": TenantSpec}
     with pytest.raises(ConfigError, match="shard 1 owns no keys"):
         eval(error.repro, namespace)
+
+
+#: A bad value per field, and the rule that rejects it where it is built.
+BAD_CONFIGS = {
+    "vnodes": (lambda: FleetConfig(vnodes=0), "vnodes must be >= 1"),
+    "clients": (lambda: FleetConfig(clients=0), "clients must be >= 1"),
+    "sample_interval_ms": (
+        lambda: FleetConfig(sample_interval_ms=0), "interval_ms must be positive"
+    ),
+    "attribution_sample_every": (
+        lambda: FleetConfig(attribution_sample_every=0), "attribution_sample_every must be >= 1"
+    ),
+    "no tenants": (lambda: FleetConfig(tenants=()), "at least one tenant"),
+    "duplicate tenants": (
+        lambda: FleetConfig(tenants=(TenantSpec("a", 10), TenantSpec("a", 10))),
+        "tenant names must be unique",
+    ),
+    "system": (lambda: FleetConfig(system="bogus"), "unknown system"),
+    "fleet cache_fraction": (
+        lambda: FleetConfig(cache_fraction=-0.5), "cache_fraction must be non-negative"
+    ),
+    "system cache_fraction": (
+        lambda: SystemConfig(cache_fraction=-0.5), "cache_fraction must be non-negative"
+    ),
+    "theta 1.0": (lambda: TenantSpec("t", 10, zipf_theta=1.0), "theta must be in"),
+    "theta 3.0": (lambda: TenantSpec("t", 10, zipf_theta=3.0), "theta must be in"),
+    "distribution": (
+        lambda: TenantSpec("t", 10, distribution="bogus"), "unknown distribution"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_a_bad_config_fails_where_it_is_built(case):
+    build, message = BAD_CONFIGS[case]
+    with pytest.raises(ReproError, match=message):
+        build()
+
+
+def test_a_bad_fleet_flag_prints_one_error_line(capsys):
+    assert main(["fleet", "--vnodes", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: vnodes must be >= 1: 0"]

@@ -1,7 +1,8 @@
 """The C extension modules an engine process may load.
 
 Every process the benchmark starts (a single-instance run, the fleet
-router, each pool worker) pays for every shared library it loads, once.
+router, each pool worker) pays for every shared library it loads, once;
+a forked pool worker shares the router's, a spawned one loads its own.
 OpenSSL's ``_hashlib`` alone is ~3.7 MB of resident memory, an eighth of
 a fleet worker's peak. This test drives the engine's entry points in a
 fresh interpreter and fails, naming the module, when they load an
