@@ -566,9 +566,11 @@ class WorkloadRunner:
             compaction_read_bytes=compaction.bytes_read,
             compaction_write_bytes=compaction.bytes_written,
             flush_bytes=db.stats.flush_bytes,
-            wal_bytes=db.stats.wal_bytes,
+            wal_bytes=db.wal.total_bytes,
             user_write_bytes=db.stats.user_write_bytes,
-            write_amplification=db.stats.write_amplification(compaction.bytes_written),
+            write_amplification=db.stats.write_amplification(
+                compaction.bytes_written, db.wal.total_bytes
+            ),
             per_level_write_bytes=dict(compaction.per_level_write_bytes),
             pinned_records=compaction.records_pinned,
             pulled_up_records=compaction.records_pulled_up,

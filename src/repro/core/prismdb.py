@@ -101,7 +101,12 @@ class PrismDB(LsmDB):
             **kwargs,
         )
         self.tracker.bind_observability(self.metrics)
-        self._obs_tracked_reads = self.metrics.counter("prism.tracked_reads")
+        # Every tracked read is exactly one insert, version hit or mismatch.
+        stats = self.tracker.stats
+        self.metrics.view(
+            "prism.tracked_reads",
+            lambda: stats.inserts + stats.version_hits + stats.version_mismatches,
+        )
 
     @classmethod
     def create(
@@ -135,7 +140,6 @@ class PrismDB(LsmDB):
         """The base read lane plus the tracker tail (§5, Fig. 8)."""
         base = self._build_read_lane()
         tracker_overhead = TRACKER_OVERHEAD_USEC
-        obs_tracked_inc = self._obs_tracked_reads.inc
         on_read = self.tracker.on_read
         run_evictions = self.tracker.run_evictions
 
@@ -146,7 +150,6 @@ class PrismDB(LsmDB):
             latency = result.latency_usec + tracker_overhead
             if ctx is not None:
                 ctx.add("tracker", "-", tracker_overhead)
-            obs_tracked_inc()
             on_read(user_key, result.seqno or 0)
             run_evictions()
             # Direct construction instead of dataclasses.replace(): replace()

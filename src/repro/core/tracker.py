@@ -26,6 +26,7 @@ slightly out of insertion order after churn, which — as the paper argues
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.common.rng import _FNV_OFFSET, _FNV_PRIME
 from repro.core.mapper import ClockDistributionMapper
@@ -89,31 +90,17 @@ class ClockTracker:
         self._ring: list[bytes] = []
         self._hand = 0
         self.stats = TrackerStats()
-        self._obs: dict[str, object] | None = None
-        self._obs_occupancy = None
 
     def bind_observability(self, registry) -> None:
-        """Mirror tracker activity into ``registry`` (tracker.* series).
-
-        Registers ``tracker.events{kind=...}`` counters for inserts,
-        version hits/mismatches, evictions, decrements, and hand steps,
-        plus a ``tracker.occupancy`` gauge. Counters start at zero at
-        bind time; :class:`TrackerStats` remains the tracker-lifetime
-        record.
-        """
-        self._obs = {
-            kind: registry.counter("tracker.events", kind=kind)
-            for kind in (
-                "insert",
-                "version_hit",
-                "version_mismatch",
-                "eviction",
-                "decrement",
-                "hand_step",
-            )
-        }
-        self._obs_occupancy = registry.gauge("tracker.occupancy")
-        self._obs_occupancy.set(len(self._entries))
+        """Register ``tracker.events{kind}`` views of :attr:`stats` and a
+        ``tracker.occupancy`` gauge reading ``len(self)``."""
+        for kind, field in (
+            ("insert", "inserts"), ("version_hit", "version_hits"),
+            ("version_mismatch", "version_mismatches"), ("eviction", "evictions"),
+            ("decrement", "decrements"), ("hand_step", "hand_steps"),
+        ):
+            registry.view("tracker.events", partial(getattr, self.stats, field), kind=kind)
+        registry.view("tracker.occupancy", self.__len__, gauge=True)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -150,24 +137,17 @@ class ClockTracker:
             self._ring.append(user_key)
             self._mapper.on_insert(1)
             self.stats.inserts += 1
-            if self._obs is not None:
-                self._obs["insert"].inc()
-                self._obs_occupancy.set(len(self._entries))
             return
         clock, old_tag = entry
         if old_tag == tag:
             # Same version read again: promote to maximum popularity.
             self.stats.version_hits += 1
-            if self._obs is not None:
-                self._obs["version_hit"].inc()
             if clock != self.max_clock:
                 self._mapper.on_change(clock, self.max_clock)
             self._entries[user_key] = (self.max_clock, tag)
         else:
             # The key was updated since we last saw it: treat as new.
             self.stats.version_mismatches += 1
-            if self._obs is not None:
-                self._obs["version_mismatch"].inc()
             if clock != 1:
                 self._mapper.on_change(clock, 1)
             self._entries[user_key] = (1, tag)
@@ -184,10 +164,6 @@ class ClockTracker:
         back at capacity.
         """
         if len(self._entries) <= self.capacity:
-            # Nothing overflows; the hand would not move. Skip straight
-            # to the occupancy gauge the full path ends with.
-            if self._obs is not None:
-                self._obs_occupancy.set(len(self._entries))
             return 0
         budget = max_steps if max_steps is not None else self._eviction_batch * max(
             1, len(self._entries) - self.capacity
@@ -205,8 +181,6 @@ class ClockTracker:
             key = self._ring[self._hand]
             entry = self._entries.get(key)
             self.stats.hand_steps += 1
-            if self._obs is not None:
-                self._obs["hand_step"].inc()
             if entry is None:
                 # Lazy-deleted slot; drop it in place.
                 self._ring[self._hand] = self._ring[-1]
@@ -220,17 +194,11 @@ class ClockTracker:
                 self._mapper.on_evict(0)
                 self.stats.evictions += 1
                 evicted += 1
-                if self._obs is not None:
-                    self._obs["eviction"].inc()
             else:
                 self._entries[key] = (clock - 1, tag)
                 self._mapper.on_change(clock, clock - 1)
                 self.stats.decrements += 1
-                if self._obs is not None:
-                    self._obs["decrement"].inc()
                 self._hand += 1
-        if self._obs is not None:
-            self._obs_occupancy.set(len(self._entries))
         return evicted
 
     def _compact_ring(self) -> None:

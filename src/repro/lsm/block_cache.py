@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from functools import partial
 from typing import Callable, Iterable, TypeVar
 
-from repro.obs.metrics import Counter
 from repro.storage.backend import SimFile, StorageBackend
 from repro.storage.device import DRAM_SPEC
 
@@ -53,30 +53,24 @@ class _Entry:
 
 
 class _Tally:
-    """Hit/miss counts of one block type and their registry mirrors.
+    """Hit/miss counts of one block type.
 
     The cache binds one tally per type up front, so counting a lookup
-    is two attribute bumps — no ``BlockType``-keyed dict (``Enum``
-    hashing is a Python-level call) on the probe path. The mirrors are
-    detached counters until :meth:`BlockCache.bind_observability` swaps
-    in the registry's.
+    is one attribute bump — no ``BlockType``-keyed dict (``Enum``
+    hashing is a Python-level call) on the probe path.
     """
 
-    __slots__ = ("hits", "misses", "obs_hits", "obs_misses")
+    __slots__ = ("hits", "misses")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.obs_hits = Counter()
-        self.obs_misses = Counter()
 
     def hit(self) -> None:
         self.hits += 1
-        self.obs_hits.inc()
 
     def miss(self) -> None:
         self.misses += 1
-        self.obs_misses.inc()
 
 
 class CacheStats:
@@ -131,10 +125,10 @@ class BlockCache:
         self._data_miss = tallies[BlockType.DATA].miss
 
     def bind_observability(self, registry) -> None:
-        """Mirror hit/miss accounting into ``registry`` (cache.* series)."""
+        """Register ``cache.hits`` / ``cache.misses`` views of the tallies."""
         for bt, tally in self._tallies.items():
-            tally.obs_hits = registry.counter("cache.hits", type=bt.value)
-            tally.obs_misses = registry.counter("cache.misses", type=bt.value)
+            registry.view("cache.hits", partial(getattr, tally, "hits"), type=bt.value)
+            registry.view("cache.misses", partial(getattr, tally, "misses"), type=bt.value)
 
     def record_resident_hit(self, block_type: BlockType) -> None:
         """Count a hit served from table-resident memory (filter/index).

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappushpop
 
 from repro.common.clock import SimClock
@@ -106,14 +106,13 @@ class DBStats:
     reads_by_source: CounterSet = field(default_factory=CounterSet)
     flush_count: int = 0
     flush_bytes: int = 0
-    wal_bytes: int = 0
     bloom_negative_skips: int = 0
 
-    def write_amplification(self, compaction_write_bytes: int) -> float:
+    def write_amplification(self, compaction_write_bytes: int, wal_bytes: int) -> float:
         """(flush + compaction + WAL bytes) / user bytes written."""
         if self.user_write_bytes == 0:
             return 0.0
-        total = self.flush_bytes + compaction_write_bytes + self.wal_bytes
+        total = self.flush_bytes + compaction_write_bytes + wal_bytes
         return total / self.user_write_bytes
 
 
@@ -192,19 +191,19 @@ class LsmDB:
         self.manifest_log = ManifestLog(layout.wal_tier)
         self.manifest.observer = self.manifest_log
         self.stats = DBStats()
+        stats = self.stats
+        for name, field_name in (
+            ("writes", "user_writes"), ("write_bytes", "user_write_bytes"),
+            ("flush.count", "flush_count"), ("flush.bytes", "flush_bytes"),
+            ("bloom_negative_skips", "bloom_negative_skips"),
+        ):
+            self.metrics.view(f"db.{name}", partial(getattr, stats, field_name))
+        self.metrics.count_views("db.reads", "source", stats.reads_by_source.counts)
         #: Per-SST-file probe counts (Mutant's temperature signal).
         self.file_read_counts: dict[int, int] = {}
         self._memtable = Memtable()
         self._seqno = 0
         self._closed = False
-        #: Memoized per-source counters for the read path (avoids a
-        #: registry lookup per get).
-        self._read_source_counters: dict[str, object] = {}
-        self._obs_user_writes = self.metrics.counter("db.writes")
-        self._obs_user_write_bytes = self.metrics.counter("db.write_bytes")
-        self._obs_flush_count = self.metrics.counter("db.flush.count")
-        self._obs_flush_bytes = self.metrics.counter("db.flush.bytes")
-        self._obs_bloom_skips = self.metrics.counter("db.bloom_negative_skips")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -351,8 +350,6 @@ class LsmDB:
             span.set_duration(l0_tier.device.stats.busy_usec - busy_before)
         self.stats.flush_count += 1
         self.stats.flush_bytes += table.size_bytes
-        self._obs_flush_count.inc()
-        self._obs_flush_bytes.inc(table.size_bytes)
         self.executor.note_level_write(0, table.size_bytes)
         self.wal.truncate()
         self._memtable = Memtable()
@@ -416,9 +413,6 @@ class LsmDB:
         file_read_counts = self.file_read_counts
         stats = self.stats
         reads_by_source_add = self.stats.reads_by_source.add
-        source_counters = self._read_source_counters
-        metrics_counter = self.metrics.counter
-        obs_bloom_skips_inc = self._obs_bloom_skips.inc
         dram_read_time = DRAM_SPEC.read_time_usec
 
         def lookup(user_key, ctx=None):
@@ -458,7 +452,6 @@ class LsmDB:
                         )
                         if filtered:
                             stats.bloom_negative_skips += 1
-                            obs_bloom_skips_inc()
                         if hit is not None:
                             found = hit
                             break
@@ -479,13 +472,7 @@ class LsmDB:
             value = result.value
             if value is not None:
                 stats.user_read_bytes += len(value)
-            served_by = result.served_by
-            reads_by_source_add(served_by)
-            counter = source_counters.get(served_by)
-            if counter is None:
-                counter = metrics_counter("db.reads", source=served_by)
-                source_counters[served_by] = counter
-            counter.inc()
+            reads_by_source_add(result.served_by)
             return result
 
         return lookup
@@ -494,12 +481,9 @@ class LsmDB:
         """The base put/delete path every system's lane is built on."""
         self._check_open()
         cpu_overhead = CPU_OVERHEAD_USEC
-        wal = self.wal
-        wal_append = wal.append
+        wal_append = self.wal.append
         row_invalidate = self.row_cache.invalidate
         stats = self.stats
-        obs_writes_inc = self._obs_user_writes.inc
-        obs_write_bytes_inc = self._obs_user_write_bytes.inc
         memtable_limit = self._memtable_limit
         dram_write_time = DRAM_SPEC.write_time_usec
         flush_memtable = self._flush_memtable
@@ -528,15 +512,12 @@ class LsmDB:
             latency += memtable_latency
             stats.user_writes += 1
             stats.user_write_bytes += encoded_size
-            obs_writes_inc()
-            obs_write_bytes_inc(encoded_size)
             flushed = False
             compactions = 0
             if memtable.approximate_bytes >= memtable_limit:
                 flush_memtable()
                 flushed = True
                 compactions = maybe_compact()
-            stats.wal_bytes = wal.total_bytes
             return WriteResult(latency, flushed, compactions)
 
         return commit
@@ -672,9 +653,10 @@ class LsmDB:
             f"{exec_stats.records_pinned} pinned / "
             f"{exec_stats.records_pulled_up} pulled up"
         )
+        wa = self.stats.write_amplification(exec_stats.bytes_written, self.wal.total_bytes)
         lines.append(
             f"  user I/O: {self.stats.user_reads} reads, {self.stats.user_writes} writes, "
-            f"WA {self.stats.write_amplification(exec_stats.bytes_written):.2f}"
+            f"WA {wa:.2f}"
         )
         for tier in self.layout.tiers:
             device = tier.device

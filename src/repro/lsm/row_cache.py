@@ -55,13 +55,12 @@ class RowCache:
         # key -> (value-or-None, seqno of the version cached)
         self._entries: OrderedDict[bytes, tuple[bytes | None, int]] = OrderedDict()
         self._used_bytes = 0
-        self._obs_hits = None
-        self._obs_misses = None
 
     def bind_observability(self, registry) -> None:
-        """Mirror hit/miss accounting into ``registry`` (rowcache.* series)."""
-        self._obs_hits = registry.counter("rowcache.hits")
-        self._obs_misses = registry.counter("rowcache.misses")
+        """Register ``rowcache.hits`` / ``rowcache.misses`` views of :attr:`stats`."""
+        stats = self.stats
+        registry.view("rowcache.hits", lambda: stats.hits)
+        registry.view("rowcache.misses", lambda: stats.misses)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -87,16 +86,12 @@ class RowCache:
             self._entries.move_to_end(key)
             value, seqno = entry
             self.stats.hits += 1
-            if self._obs_hits is not None:
-                self._obs_hits.inc()
             size = self._entry_size(key, value)
             latency = DRAM_SPEC.read_time_usec(size)
             if ctx is not None:
                 ctx.add("rowcache", "dram", latency)
             return True, value, seqno, latency
         self.stats.misses += 1
-        if self._obs_misses is not None:
-            self._obs_misses.inc()
         return False, None, 0, 0.0
 
     def insert(self, key: bytes, value: bytes | None, seqno: int) -> None:

@@ -56,7 +56,9 @@ class WriteAheadLog:
                 ctx.component = "wal"
             return self._tier.device.write(size, foreground=True, ctx=ctx)
         transfer = size / self._tier.spec.write_bandwidth_bps * 1_000_000.0
-        self._tier.device.stats.bytes_written_foreground += size
+        # Not a device access: a named residue until ROADMAP item 1
+        # ("durable bytes") folds it into the foreground writes.
+        self._tier.device.stats.bytes_written_grouped += size
         if ctx is not None:
             ctx.add("wal", self._tier.name, transfer)
         return transfer

@@ -34,6 +34,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    View,
     exponential_buckets,
     format_series,
     label_key,
@@ -60,6 +61,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "View",
     "DEFAULT_LATENCY_BUCKETS",
     "exponential_buckets",
     "format_series",

@@ -15,14 +15,20 @@ nearest-rank over the cumulative bucket counts, reported at the bucket's
 upper bound (clamped to the observed maximum), which for the default
 base-2 boundaries bounds the relative error by the bucket width.
 
+An event the engine already counts in a stats object (``DeviceStats``,
+``CacheStats``, ``DBStats``, ...) is not counted again here: its series
+is a :class:`View` that reads the stats field when queried, so the
+registry and the stats object cannot drift apart. Only what has no stats
+twin is pushed: the histograms and the per-job ``compaction.*`` counters.
+
 Two guards keep instrumentation honest:
 
 * a metric name must always be used with one instrument type and one
   label-name set (re-registering ``device.read_bytes`` as a histogram, or
   with different label names, raises :class:`ObservabilityError`);
-* each metric name may hold at most ``max_series_per_metric`` distinct
-  label combinations, so an unbounded label value (a raw key, a file id)
-  fails fast instead of silently exhausting memory.
+* each metric name may hold at most :data:`MAX_SERIES_PER_METRIC`
+  distinct label combinations, so an unbounded label value (a raw key, a
+  file id) fails fast instead of silently exhausting memory.
 """
 
 from __future__ import annotations
@@ -30,12 +36,17 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import Iterator
+from collections.abc import Mapping
+from functools import partial
+from typing import Callable, Iterator
 
 from repro.common.stats import LatencySummary
 from repro.errors import ObservabilityError
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
+
+#: Distinct label combinations one metric name may hold.
+MAX_SERIES_PER_METRIC = 256
 
 #: Label key: canonical, hashable form of one label combination.
 LabelKey = tuple[tuple[str, str], ...]
@@ -79,11 +90,43 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+class View:
+    """A counter or gauge whose value is read from its source when queried."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        return float(self.read())
+
+
+class _CountViews(Mapping):
+    """The series of ``name{label}`` read from a live ``{value: count}``
+    dict: a series exists once its label value is a key of the dict."""
+
+    def __init__(self, label: str, counts: dict) -> None:
+        self.label = label
+        self.counts = counts
+
+    def __getitem__(self, key: LabelKey) -> View:
+        value = key[0][1] if len(key) == 1 and key[0][0] == self.label else None
+        if value not in self.counts:
+            raise KeyError(key)
+        return View(partial(self.counts.__getitem__, value))
+
+    def __iter__(self) -> Iterator[LabelKey]:
+        if len(self.counts) > MAX_SERIES_PER_METRIC:
+            raise ObservabilityError(
+                f"a {self.label!r} view exceeds {MAX_SERIES_PER_METRIC} label values"
+            )
+        return iter([((self.label, value),) for value in self.counts])
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 def exponential_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
@@ -207,12 +250,10 @@ class Histogram:
 class MetricsRegistry:
     """Named, labeled instruments with snapshot and query support."""
 
-    def __init__(self, *, max_series_per_metric: int = 256) -> None:
-        if max_series_per_metric < 1:
-            raise ObservabilityError("max_series_per_metric must be >= 1")
-        self.max_series_per_metric = max_series_per_metric
-        # name -> (kind, labelnames, {label_key: instrument})
-        self._metrics: dict[str, tuple[str, frozenset[str], dict[LabelKey, object]]] = {}
+    def __init__(self) -> None:
+        # name -> (kind, labelnames, {label_key: instrument}); the series
+        # of a count_views() metric are a read-only _CountViews mapping.
+        self._metrics: dict[str, tuple[str, frozenset[str], Mapping[LabelKey, object]]] = {}
         # Fast handle cache: (kind, name, labels-in-call-order, extra) ->
         # instrument. Repeated counter()/gauge()/histogram() calls from
         # the same call site hit this dict directly and skip the
@@ -237,6 +278,8 @@ class MetricsRegistry:
             entry = (kind, frozenset(labels), {})
             self._metrics[name] = entry
         existing_kind, labelnames, series = entry
+        if not isinstance(series, dict):
+            raise ObservabilityError(f"metric {name!r} is read from a dict of counts")
         if existing_kind != kind:
             raise ObservabilityError(
                 f"metric {name!r} already registered as {existing_kind}, not {kind}"
@@ -249,9 +292,9 @@ class MetricsRegistry:
         key = label_key(labels)
         instrument = series.get(key)
         if instrument is None:
-            if len(series) >= self.max_series_per_metric:
+            if len(series) >= MAX_SERIES_PER_METRIC:
                 raise ObservabilityError(
-                    f"metric {name!r} exceeds {self.max_series_per_metric} "
+                    f"metric {name!r} exceeds {MAX_SERIES_PER_METRIC} "
                     f"label combinations (runaway label cardinality?)"
                 )
             instrument = factory()
@@ -274,6 +317,21 @@ class MetricsRegistry:
             instrument = self._get_or_create(name, "gauge", Gauge, labels)
             self._handles[key] = instrument
         return instrument
+
+    def view(self, name: str, read: Callable[[], float], *, gauge=False, **labels) -> View:
+        """A counter (or gauge) series reading ``read()``; a re-bind re-points it."""
+        kind = "gauge" if gauge else "counter"
+        view = self._get_or_create(name, kind, partial(View, read), labels)
+        if not isinstance(view, View):
+            raise ObservabilityError(f"metric {name!r} is already pushed, not a view")
+        view.read = read
+        return view
+
+    def count_views(self, name: str, label: str, counts: dict) -> None:
+        """Register ``name{label}`` as one counter view per key of ``counts``."""
+        if name in self._metrics or not _NAME_RE.match(name):
+            raise ObservabilityError(f"metric {name!r} is invalid or already registered")
+        self._metrics[name] = ("counter", frozenset((label,)), _CountViews(label, counts))
 
     def histogram(
         self,

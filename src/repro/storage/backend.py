@@ -19,7 +19,7 @@ access patterns the systems above it need:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.clock import SimClock
 from repro.errors import StorageError
@@ -62,20 +62,18 @@ class SimFile:
 
 @dataclass
 class BackendStats:
-    """Aggregate I/O statistics across all tiers, by purpose."""
+    """File lifecycle, migration and lock-stall counts.
 
-    foreground_read_bytes: int = 0
-    foreground_write_bytes: int = 0
-    background_read_bytes: int = 0
-    background_write_bytes: int = 0
+    Bytes moved are counted once, by each tier's device
+    (:class:`~repro.storage.device.DeviceStats`).
+    """
+
     files_created: int = 0
     files_deleted: int = 0
     migrations: int = 0
     migration_bytes: int = 0
     lock_stall_usec: float = 0.0
     lock_stalls: int = 0
-    per_tier_read_bytes: dict[str, int] = field(default_factory=dict)
-    per_tier_write_bytes: dict[str, int] = field(default_factory=dict)
 
 
 class StorageBackend:
@@ -102,21 +100,6 @@ class StorageBackend:
             raise StorageError(f"no live file with id {file_id}")
         return file
 
-    def _tally(self, tier: StorageTier, n_bytes: int, *, is_read: bool, foreground: bool) -> None:
-        if is_read:
-            bucket = self.stats.per_tier_read_bytes
-            if foreground:
-                self.stats.foreground_read_bytes += n_bytes
-            else:
-                self.stats.background_read_bytes += n_bytes
-        else:
-            bucket = self.stats.per_tier_write_bytes
-            if foreground:
-                self.stats.foreground_write_bytes += n_bytes
-            else:
-                self.stats.background_write_bytes += n_bytes
-        bucket[tier.name] = bucket.get(tier.name, 0) + n_bytes
-
     # ------------------------------------------------------------------
     # File lifecycle
     # ------------------------------------------------------------------
@@ -128,7 +111,6 @@ class StorageBackend:
         """
         tier.allocate(len(data))
         latency = tier.device.write(len(data), foreground=foreground)
-        self._tally(tier, len(data), is_read=False, foreground=foreground)
         file = SimFile(next(self._ids), tier, data)
         self._files[file.file_id] = file
         self.stats.files_created += 1
@@ -173,15 +155,7 @@ class StorageBackend:
             self.stats.lock_stalls += 1
             if ctx is not None:
                 ctx.add("migration_stall", file.tier.name, stall)
-        tier = file.tier
-        latency = tier.device.read(length, foreground=foreground, ctx=ctx) + stall
-        stats = self.stats  # _tally's read branch, inline: once per block fetched
-        if foreground:
-            stats.foreground_read_bytes += length
-        else:
-            stats.background_read_bytes += length
-        tiers = stats.per_tier_read_bytes
-        tiers[tier.name] = tiers.get(tier.name, 0) + length
+        latency = file.tier.device.read(length, foreground=foreground, ctx=ctx) + stall
         if offset == 0 and length == len(file.data):
             return file.data, latency
         return file.view[offset : offset + length], latency
@@ -207,8 +181,6 @@ class StorageBackend:
         write_time = dst_tier.spec.write_time_usec(file.size)
         src_tier.device.read(file.size, foreground=False)
         dst_tier.device.write(file.size, foreground=False)
-        self._tally(src_tier, file.size, is_read=True, foreground=False)
-        self._tally(dst_tier, file.size, is_read=False, foreground=False)
         src_tier.release(file.size)
         file.tier = dst_tier
         lock_duration = max(read_time, write_time)

@@ -19,6 +19,7 @@ compaction I/O (Fig. 12) translates into higher foreground throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.common.clock import SimClock
 from repro.common.units import BLOCK_SIZE, GIB, MIB
@@ -148,6 +149,10 @@ class DeviceStats:
     bytes_read_background: int = 0
     bytes_written_foreground: int = 0
     bytes_written_background: int = 0
+    #: WAL appends that rode in a group commit: the log charges their
+    #: transfer itself, not through :meth:`Device.write`, so they count
+    #: no access, busy time or ``device.write_bytes`` series.
+    bytes_written_grouped: int = 0
     reads: int = 0
     writes: int = 0
     busy_usec: float = 0.0
@@ -158,26 +163,11 @@ class DeviceStats:
 
     @property
     def bytes_written(self) -> int:
-        return self.bytes_written_foreground + self.bytes_written_background
-
-
-class _DeviceObs:
-    """Registry handles one bound device increments on every access."""
-
-    __slots__ = (
-        "read_fg", "read_bg", "write_fg", "write_bg",
-        "reads", "writes", "busy", "queue_penalty",
-    )
-
-    def __init__(self, registry, tier: str) -> None:
-        self.read_fg = registry.counter("device.read_bytes", tier=tier, mode="foreground")
-        self.read_bg = registry.counter("device.read_bytes", tier=tier, mode="background")
-        self.write_fg = registry.counter("device.write_bytes", tier=tier, mode="foreground")
-        self.write_bg = registry.counter("device.write_bytes", tier=tier, mode="background")
-        self.reads = registry.counter("device.reads", tier=tier)
-        self.writes = registry.counter("device.writes", tier=tier)
-        self.busy = registry.counter("device.busy_usec", tier=tier)
-        self.queue_penalty = registry.histogram("device.queue_penalty_usec", tier=tier)
+        return (
+            self.bytes_written_foreground
+            + self.bytes_written_background
+            + self.bytes_written_grouped
+        )
 
 
 #: The queueing model's constants, shared by every :class:`Device` and
@@ -217,18 +207,24 @@ class Device:
         self._clock = clock
         self._backlog_bytes = 0.0
         self._last_drain_usec = clock.now
-        self._obs: _DeviceObs | None = None
+        self._queue_penalty = None
 
     def bind_observability(self, registry, *, tier: str) -> None:
-        """Mirror all I/O accounting into ``registry`` under ``tier``.
+        """Register this device's ``device.*`` series in ``registry``.
 
-        Called by the owning database once the device's tier name is
-        known; re-binding (e.g. on :meth:`LsmDB.reopen`) points the
-        device at the new instance's registry, whose counters start at
-        zero — registry totals are per-database-instance, while
-        :attr:`stats` is cumulative for the device's lifetime.
+        The byte, access and busy-time series read :attr:`stats`, the
+        device's lifetime tally, so after :meth:`LsmDB.reopen` the new
+        instance's series continue from the shared device's totals.
+        Only the queue-penalty histogram is pushed, from here on.
         """
-        self._obs = _DeviceObs(registry, tier)
+        stats = self.stats
+        for name, prefix in (("read_bytes", "bytes_read_"), ("write_bytes", "bytes_written_")):
+            for mode in ("foreground", "background"):
+                read = partial(getattr, stats, prefix + mode)
+                registry.view(f"device.{name}", read, tier=tier, mode=mode)
+        for name in ("reads", "writes", "busy_usec"):
+            registry.view(f"device.{name}", partial(getattr, stats, name), tier=tier)
+        self._queue_penalty = registry.histogram("device.queue_penalty_usec", tier=tier)
 
     # ------------------------------------------------------------------
     # Background backlog
@@ -293,15 +289,8 @@ class Device:
             self._backlog_bytes += n_bytes * 0.5
             latency = base
         self.stats.busy_usec += base
-        if self._obs is not None:
-            obs = self._obs
-            obs.reads.inc()
-            obs.busy.inc(base)
-            if foreground:
-                obs.read_fg.inc(n_bytes)
-                obs.queue_penalty.observe(penalty)
-            else:
-                obs.read_bg.inc(n_bytes)
+        if foreground and self._queue_penalty is not None:
+            self._queue_penalty.observe(penalty)
         return latency
 
     def write(self, n_bytes: int, *, foreground: bool = True, ctx=None) -> float:
@@ -316,17 +305,12 @@ class Device:
         self.stats.writes += 1
         base = self.spec.write_time_usec(n_bytes)
         self.stats.busy_usec += base
-        if self._obs is not None:
-            obs = self._obs
-            obs.writes.inc()
-            obs.busy.inc(base)
-            (obs.write_fg if foreground else obs.write_bg).inc(n_bytes)
         if foreground:
             penalty = queue_penalty_usec(
                 self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
             )
-            if self._obs is not None:
-                self._obs.queue_penalty.observe(penalty)
+            if self._queue_penalty is not None:
+                self._queue_penalty.observe(penalty)
             if ctx is not None:
                 ctx.add(ctx.component, self.tier_name, base)
                 if penalty:

@@ -1,9 +1,12 @@
-"""Integration tests: the metrics registry agrees with the stat objects.
+"""Integration tests: each registry series reads the right stats field.
 
-The registry counters are incremented at different sites than the legacy
-stats dataclasses (DeviceStats, CacheStats, DBStats), so equality here is
-a real wiring check, not a tautology: every byte the device model moved
-must show up, exactly once, in the per-tier registry series.
+The stats objects (DeviceStats, CacheStats, RowCacheStats, DBStats,
+TrackerStats) are the only tally of an engine event; the registry's
+series for them are read-through views. These tests check that every
+name reads the field it claims to, that the views stay views (a pushed
+counter beside a stats field would be a second tally that can drift),
+and that the one byte stream the device series leave out — grouped WAL
+appends, ``DeviceStats.bytes_written_grouped`` — is named and exact.
 """
 
 import pytest
@@ -12,6 +15,7 @@ from repro.bench.cli import main as bench_main
 from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
 from repro.bench.reporting import format_metrics_snapshot, latency_breakdown_table
 from repro.lsm.block_cache import BlockType
+from repro.obs import View
 from repro.workloads import YCSBConfig, YCSBWorkload
 
 #: Fixed YCSB-A mini-run (50/50 read/update, zipfian) per the issue.
@@ -23,25 +27,53 @@ YCSB_A = YCSBConfig(
     seed=7,
 )
 
+#: (system, wal_sync_every): the paper's sync-every-append WAL, and the
+#: group commit every fleet run uses.
+RUNS = [("prismdb", 1), ("rocksdb", 1), ("prismdb", 8), ("rocksdb", 8)]
 
-@pytest.fixture(scope="module", params=["prismdb", "rocksdb"])
-def finished_run(request):
+
+def mini_run(system, wal_sync_every=1, row_cache_share=0.0):
     """One completed mini-run: (db, RunResult)."""
     workload = YCSBWorkload(YCSB_A)
-    config = SystemConfig(system=request.param, seed=7)
+    config = SystemConfig(
+        system=system, seed=7, wal_sync_every=wal_sync_every,
+        row_cache_share=row_cache_share,
+    )
     db = build_system(config, workload)
     runner = WorkloadRunner(db, clients=config.clients)
     runner.load(workload)
     elapsed = runner.run(workload)
-    return db, runner.result(request.param, config, elapsed)
+    return db, runner.result(system, config, elapsed)
+
+
+@pytest.fixture(
+    scope="module",
+    params=RUNS,
+    ids=[system if sync == 1 else f"{system}-wal{sync}" for system, sync in RUNS],
+)
+def finished_run(request):
+    return mini_run(*request.param)
 
 
 class TestByteConservation:
     def test_per_tier_write_bytes_match_device_model(self, finished_run):
         db, _ = finished_run
         for tier in db.layout.tiers:
+            stats = tier.device.stats
             registry_bytes = db.metrics.total("device.write_bytes", tier=tier.name)
-            assert registry_bytes == tier.device.stats.bytes_written, tier.name
+            assert registry_bytes + stats.bytes_written_grouped == stats.bytes_written, tier.name
+            foreground = db.metrics.value(
+                "device.write_bytes", tier=tier.name, mode="foreground"
+            )
+            assert foreground == stats.bytes_written_foreground, tier.name
+
+    def test_grouped_wal_bytes_only_under_group_commit(self, finished_run):
+        db, _ = finished_run
+        grouped = db.layout.wal_tier.device.stats.bytes_written_grouped
+        assert (grouped > 0) == (db.options.wal_sync_every > 1)
+        for tier in db.layout.tiers:
+            if tier is not db.layout.wal_tier:
+                assert tier.device.stats.bytes_written_grouped == 0, tier.name
 
     def test_per_tier_read_bytes_match_device_model(self, finished_run):
         db, _ = finished_run
@@ -51,7 +83,8 @@ class TestByteConservation:
 
     def test_total_write_bytes_match_run_result(self, finished_run):
         db, result = finished_run
-        assert db.metrics.total("device.write_bytes") == result.total_io_write_bytes
+        grouped = sum(tier.device.stats.bytes_written_grouped for tier in db.layout.tiers)
+        assert db.metrics.total("device.write_bytes") + grouped == result.total_io_write_bytes
         assert db.metrics.total("device.read_bytes") == result.total_io_read_bytes
 
     def test_io_counts_match_device_model(self, finished_run):
@@ -63,6 +96,56 @@ class TestByteConservation:
             assert db.metrics.value("device.writes", tier=tier.name) == (
                 tier.device.stats.writes
             )
+            assert db.metrics.value("device.busy_usec", tier=tier.name) == (
+                tier.device.stats.busy_usec
+            )
+
+    def test_device_series_read_lifetime_stats_after_reopen(self):
+        # A reopened instance shares the machine's devices; its device
+        # series read their lifetime stats instead of restarting at zero.
+        db, _ = mini_run("rocksdb")
+        reopened = db.reopen()
+        wal_tier = reopened.layout.wal_tier.name
+        assert reopened.metrics.total("device.write_bytes", tier=wal_tier) > 0
+        for _ in range(2):
+            for tier in reopened.layout.tiers:
+                stats = tier.device.stats
+                for registry in (db.metrics, reopened.metrics):
+                    for mode, field in (("foreground", "bytes_written_foreground"),
+                                        ("background", "bytes_written_background")):
+                        assert registry.value(
+                            "device.write_bytes", tier=tier.name, mode=mode
+                        ) == getattr(stats, field), (tier.name, mode)
+                    assert registry.total("device.read_bytes", tier=tier.name) == (
+                        stats.bytes_read
+                    )
+                    assert registry.value("device.reads", tier=tier.name) == stats.reads
+                    assert registry.value("device.writes", tier=tier.name) == stats.writes
+            reopened.put(b"after-reopen", b"v" * 100)
+            reopened.flush()
+
+
+#: The families whose every series must read a stats field.
+READ_THROUGH = (
+    "device.read_bytes", "device.write_bytes", "device.reads", "device.writes",
+    "device.busy_usec", "cache.", "rowcache.", "db.", "tracker.", "prism.",
+)
+
+
+@pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
+def test_stats_backed_series_are_read_through(system):
+    db, _ = mini_run(system, row_cache_share=0.2)
+    checked = set()
+    for name in db.metrics.names():
+        if not name.startswith(READ_THROUGH):
+            continue
+        for labels, instrument in db.metrics.series(name):
+            assert isinstance(instrument, View), (name, labels)
+            checked.add(name.split(".")[0])
+    expected = {"device", "cache", "rowcache", "db"}
+    if system == "prismdb":
+        expected |= {"tracker", "prism"}
+    assert checked == expected
 
 
 class TestCacheConservation:

@@ -229,13 +229,14 @@ class TestProbePathAccounting:
         cache = BlockCache(1024)
         decodes = []
         cache.data_block(backend, file, 8, 8, counted_upper(decodes))
-        before = (backend.stats.foreground_read_bytes, cache.stats.insertions, len(decodes))
+        device = file.tier.device.stats
+        before = (device.bytes_read_foreground, cache.stats.insertions, len(decodes))
         block, latency = cache.data_block(backend, file, 8, 8, counted_upper(decodes))
         assert block == b"ABCDEFGH"
         assert latency < 1.0  # one DRAM access
         assert cache.stats.hits == {BlockType.DATA: 1}
         assert cache.stats.misses == {BlockType.DATA: 1}
-        assert (backend.stats.foreground_read_bytes, cache.stats.insertions, len(decodes)) == before
+        assert (device.bytes_read_foreground, cache.stats.insertions, len(decodes)) == before
 
     def test_data_block_hit_matches_get_or_load_decoded(self):
         # The same block sequence through data_block and through the
@@ -267,6 +268,7 @@ class TestProbePathAccounting:
         assert fast.stats.evictions == general.stats.evictions > 0
         assert fast.used_bytes == general.used_bytes
         assert fast_backend.stats == general_backend.stats
+        assert fast_files[0].tier.device.stats == general_files[0].tier.device.stats
 
     def test_data_block_hit_decodes_lazily_once(self):
         backend, (file,) = backend_with(b"xyzabc")
@@ -285,7 +287,7 @@ class TestProbePathAccounting:
         ctx = OpContext("read")
         block, latency = cache.data_block(backend, file, 1024, 512, counted_upper([]), ctx=ctx)
         assert block == b"K" * 512
-        assert backend.stats.foreground_read_bytes == 512
+        assert file.tier.device.stats.bytes_read_foreground == 512
         assert file.tier.device.stats.reads == 1
         assert sum(ctx.parts.values()) == pytest.approx(latency)
         # The device time lands on the data component, not the default "io".

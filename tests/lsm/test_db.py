@@ -145,7 +145,7 @@ class TestFlushAndCompaction:
     def test_wal_bytes_accumulate(self):
         db = make_db()
         db.put(b"k", b"v")
-        assert db.stats.wal_bytes > 0
+        assert db.wal.total_bytes > 0
 
 
 class TestScan:
@@ -202,7 +202,7 @@ class TestStats:
         for i in range(500):
             db.put(f"key{i:06d}".encode(), b"v" * 40)
         db.flush()
-        wa = db.stats.write_amplification(db.executor.stats.bytes_written)
+        wa = db.stats.write_amplification(db.executor.stats.bytes_written, db.wal.total_bytes)
         assert wa > 1.0  # at minimum the WAL + flush double-write
 
 

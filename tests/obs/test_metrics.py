@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import MAX_SERIES_PER_METRIC
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
+    View,
     exponential_buckets,
     format_series,
     label_key,
@@ -37,8 +39,7 @@ class TestCounterGauge:
     def test_gauge_moves_both_ways(self):
         gauge = MetricsRegistry().gauge("tracker.occupancy")
         gauge.set(10)
-        gauge.dec(3)
-        gauge.inc(1)
+        gauge.set(8)
         assert gauge.value == 8
 
     def test_missing_series_value_is_zero(self):
@@ -59,8 +60,8 @@ class TestGuards:
             registry.counter("device.reads", level=3)
 
     def test_label_cardinality_guard(self):
-        registry = MetricsRegistry(max_series_per_metric=4)
-        for i in range(4):
+        registry = MetricsRegistry()
+        for i in range(MAX_SERIES_PER_METRIC):
             registry.counter("db.reads", source=f"L{i}")
         with pytest.raises(ObservabilityError):
             registry.counter("db.reads", source="one-too-many")
@@ -70,6 +71,78 @@ class TestGuards:
         for bad in ("Caps.name", "1leading", "trailing.", "sp ace", ""):
             with pytest.raises(ObservabilityError):
                 registry.counter(bad)
+
+
+class TestReadThrough:
+    def test_view_follows_its_source(self):
+        registry = MetricsRegistry()
+        source = {"n": 0}
+        view = registry.view("device.reads", lambda: source["n"], tier="nvm")
+        assert registry.value("device.reads", tier="nvm") == 0.0
+        source["n"] = 5
+        assert registry.value("device.reads", tier="nvm") == 5.0
+        assert registry.total("device.reads") == 5.0
+        # Binding the series again points it at the new source.
+        assert registry.view("device.reads", lambda: 2, tier="nvm") is view
+        assert registry.value("device.reads", tier="nvm") == 2.0
+
+    def test_count_views_appear_with_their_keys(self):
+        registry = MetricsRegistry()
+        counts: dict[str, int] = {}
+        registry.count_views("db.reads", "source", counts)
+        assert registry.snapshot()["db.reads"]["series"] == []
+        counts["L1"] = 3
+        counts["memtable"] = 2
+        assert registry.value("db.reads", source="L1") == 3.0
+        assert registry.value("db.reads", source="L2") == 0.0
+        assert registry.instrument("db.reads") is None
+        assert registry.total("db.reads") == 5.0
+        assert registry.label_values("db.reads", "source") == ["L1", "memtable"]
+
+    def test_guards_raise_on_views(self):
+        registry = MetricsRegistry()
+        registry.view("tracker.occupancy", lambda: 1, gauge=True)
+        with pytest.raises(ObservabilityError):
+            registry.view("tracker.occupancy", lambda: 1)  # gauge, not counter
+        registry.view("device.reads", lambda: 1, tier="nvm")
+        with pytest.raises(ObservabilityError):
+            registry.view("device.reads", lambda: 1, level=3)
+        with pytest.raises(ObservabilityError):
+            registry.view("Bad.Name", lambda: 1)
+        registry.counter("db.writes")
+        with pytest.raises(ObservabilityError):
+            registry.view("db.writes", lambda: 1)  # already a pushed counter
+        for i in range(MAX_SERIES_PER_METRIC):
+            registry.view("cache.hits", lambda: 1, type=f"t{i}")
+        with pytest.raises(ObservabilityError):
+            registry.view("cache.hits", lambda: 1, type="one-too-many")
+
+    def test_guards_raise_on_count_views(self):
+        registry = MetricsRegistry()
+        counts = {f"L{i}": 1 for i in range(MAX_SERIES_PER_METRIC + 1)}
+        registry.count_views("db.reads", "source", counts)
+        with pytest.raises(ObservabilityError):
+            registry.snapshot()
+        with pytest.raises(ObservabilityError):
+            registry.count_views("db.reads", "source", {})
+        with pytest.raises(ObservabilityError):
+            registry.counter("db.reads", source="L0")
+
+    def test_view_snapshot_row_is_a_float(self):
+        registry = MetricsRegistry()
+        registry.view("db.writes", lambda: 3)
+        registry.view("tracker.occupancy", lambda: 7, gauge=True)
+        registry.count_views("db.reads", "source", {"L0": 4})
+        snapshot = registry.snapshot()
+        assert snapshot["db.writes"] == {
+            "type": "counter", "series": [{"labels": {}, "value": 3.0}]
+        }
+        assert snapshot["tracker.occupancy"]["type"] == "gauge"
+        for name in ("db.writes", "tracker.occupancy", "db.reads"):
+            (row,) = snapshot[name]["series"]
+            assert type(row["value"]) is float, name
+        assert isinstance(registry.instrument("db.reads", source="L0"), View)
+        assert registry.render_flat()["db.reads{source=L0}"] == 4.0
 
 
 class TestBuckets:

@@ -107,10 +107,11 @@ class TestStorageBackend:
     def test_stats_tally_by_tier(self):
         file, _ = self.backend.create_file(self.nvm, b"x" * 100, foreground=True)
         self.backend.read(file, 0, 50)
-        assert self.backend.stats.per_tier_write_bytes["nvm"] == 100
-        assert self.backend.stats.per_tier_read_bytes["nvm"] == 50
-        assert self.backend.stats.foreground_write_bytes == 100
-        assert self.backend.stats.foreground_read_bytes == 50
+        assert self.nvm.device.stats.bytes_written == 100
+        assert self.nvm.device.stats.bytes_read == 50
+        assert self.nvm.device.stats.bytes_written_foreground == 100
+        assert self.nvm.device.stats.bytes_read_foreground == 50
+        assert self.qlc.device.stats.bytes_written == self.qlc.device.stats.bytes_read == 0
 
     def test_live_files_counter(self):
         assert self.backend.live_files == 0
