@@ -28,6 +28,14 @@ python scripts/check_links.py
 echo "== unit tests (-m 'not bench') =="
 python -m pytest -m "not bench" "$@"
 
+# Gating: the engine's tests again under the dev-mode interpreter (debug
+# allocator hooks, buffer and resource checks) with every warning an
+# error, so the unboxed array and memoryview code in the block, table
+# and storage layers runs under the interpreter's own checks.
+echo "== engine tests under python -X dev -W error =="
+python -X dev -W error -m pytest -q tests/core tests/lsm tests/storage \
+    tests/bench/test_heap_budget.py
+
 # Non-gating: a 2-point compaction design-space sweep (leveling vs
 # tiering at one mix, tiny workload) exercising the strategy layer and
 # sweep artifact plumbing end to end. Simulated numbers at this scale

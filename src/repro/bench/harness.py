@@ -78,6 +78,12 @@ class SystemConfig:
             raise ConfigError("clients must be >= 1")
         if self.cache_fraction < 0:
             raise ConfigError(f"cache_fraction must be non-negative: {self.cache_fraction}")
+        if not 0.0 <= self.row_cache_share <= 1.0:
+            raise ConfigError(f"row_cache_share out of range: {self.row_cache_share}")
+        if not 0.0 <= self.pinning_threshold <= 1.0:
+            raise ConfigError(f"pinning_threshold must be in [0, 1]: {self.pinning_threshold}")
+        if not 0.0 < self.tracker_fraction <= 1.0:
+            raise ConfigError(f"tracker_fraction must be in (0, 1]: {self.tracker_fraction}")
 
 
 def check_runner_options(
@@ -96,8 +102,6 @@ def build_system(config: SystemConfig, workload: YCSBWorkload) -> LsmDB:
     """Instantiate the system under test, sized for the workload."""
     db_bytes = workload.total_data_bytes()
     cache_bytes = 0 if config.cache_disabled else int(db_bytes * config.cache_fraction)
-    if not 0.0 <= config.row_cache_share <= 1.0:
-        raise ConfigError(f"row_cache_share out of range: {config.row_cache_share}")
     row_bytes = int(cache_bytes * config.row_cache_share)
     options = options_for_db_size(
         db_bytes,

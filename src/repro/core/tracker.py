@@ -3,8 +3,9 @@
 The tracker maps recently-read keys to a multi-bit CLOCK value. Faithful
 to the paper's implementation:
 
-* Each tracked key stores one byte: the CLOCK value in the top bits and a
-  6-bit hash of the key's *version* in the bottom bits. A read whose
+* Each tracked key stores one small int, ``clock << 6 | tag``: the CLOCK
+  value in the top bits and a 6-bit hash of the key's *version* in the
+  bottom bits — the paper's tag byte at the 2-bit default. A read whose
   version tag matches bumps the CLOCK to its maximum; a mismatched
   version is treated as a brand-new key (CLOCK = 1), so stale popularity
   does not survive updates.
@@ -49,6 +50,11 @@ _TAG_ZERO4 = bytes(
     _TAG_STEP[_TAG_STEP[_TAG_STEP[_TAG_STEP[state << 8] << 8] << 8] << 8] for state in range(64)
 )
 
+# An entry packs the CLOCK above the 6-bit tag; CLOCK 1 is one _CLOCK_ONE.
+_TAG_BITS = 6
+_TAG_MASK = (1 << _TAG_BITS) - 1
+_CLOCK_ONE = 1 << _TAG_BITS
+
 
 @dataclass
 class TrackerStats:
@@ -83,8 +89,10 @@ class ClockTracker:
         self.max_clock = (1 << clock_bits) - 1
         self._mapper = mapper
         self._eviction_batch = eviction_batch
-        # key -> (clock_value, version_tag)
-        self._entries: dict[bytes, tuple[int, int]] = {}
+        self._max_entry = self.max_clock << _TAG_BITS
+        # key -> clock_value << 6 | version_tag: a cached small int at the
+        # 2-bit default, so an entry costs its dict slot and nothing else.
+        self._entries: dict[bytes, int] = {}
         # CLOCK ring with lazy deletion: evicted keys linger until the
         # hand passes them.
         self._ring: list[bytes] = []
@@ -131,26 +139,27 @@ class ClockTracker:
     def on_read(self, user_key: bytes, version: int) -> None:
         """Record a read of ``user_key`` at ``version`` (a seqno)."""
         tag = self._version_tag(version)
-        entry = self._entries.get(user_key)
+        entries = self._entries
+        entry = entries.get(user_key)
         if entry is None:
-            self._entries[user_key] = (1, tag)
+            entries[user_key] = _CLOCK_ONE | tag
             self._ring.append(user_key)
             self._mapper.on_insert(1)
             self.stats.inserts += 1
             return
-        clock, old_tag = entry
-        if old_tag == tag:
+        clock = entry >> _TAG_BITS
+        if entry & _TAG_MASK == tag:
             # Same version read again: promote to maximum popularity.
             self.stats.version_hits += 1
             if clock != self.max_clock:
                 self._mapper.on_change(clock, self.max_clock)
-            self._entries[user_key] = (self.max_clock, tag)
+            entries[user_key] = self._max_entry | tag
         else:
             # The key was updated since we last saw it: treat as new.
             self.stats.version_mismatches += 1
             if clock != 1:
                 self._mapper.on_change(clock, 1)
-            self._entries[user_key] = (1, tag)
+            entries[user_key] = _CLOCK_ONE | tag
 
     # ------------------------------------------------------------------
     # Background eviction (the CLOCK hand)
@@ -186,7 +195,7 @@ class ClockTracker:
                 self._ring[self._hand] = self._ring[-1]
                 self._ring.pop()
                 continue
-            clock, tag = entry
+            clock = entry >> _TAG_BITS
             if clock == 0:
                 del self._entries[key]
                 self._ring[self._hand] = self._ring[-1]
@@ -195,7 +204,7 @@ class ClockTracker:
                 self.stats.evictions += 1
                 evicted += 1
             else:
-                self._entries[key] = (clock - 1, tag)
+                self._entries[key] = entry - _CLOCK_ONE
                 self._mapper.on_change(clock, clock - 1)
                 self.stats.decrements += 1
                 self._hand += 1
@@ -213,7 +222,7 @@ class ClockTracker:
     def clock_value(self, user_key: bytes) -> int:
         """The key's CLOCK value, or :data:`UNTRACKED` (-1) if absent."""
         entry = self._entries.get(user_key)
-        return UNTRACKED if entry is None else entry[0]
+        return UNTRACKED if entry is None else entry >> _TAG_BITS
 
     def clock_values(self, user_keys: list[bytes]) -> list[int]:
         """:meth:`clock_value` of every key, in order, in one call.
@@ -221,7 +230,7 @@ class ClockTracker:
         An output file's Σclockⁿ score reads its whole key list at once.
         """
         return [
-            UNTRACKED if entry is None else entry[0]
+            UNTRACKED if entry is None else entry >> _TAG_BITS
             for entry in map(self._entries.get, user_keys)
         ]
 
@@ -231,6 +240,7 @@ class ClockTracker:
     def snapshot_distribution(self) -> dict[int, int]:
         """Ground-truth CLOCK histogram (tests compare mapper vs. this)."""
         histogram: dict[int, int] = {}
-        for clock, _ in self._entries.values():
+        for entry in self._entries.values():
+            clock = entry >> _TAG_BITS
             histogram[clock] = histogram.get(clock, 0) + 1
         return histogram

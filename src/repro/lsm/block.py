@@ -17,7 +17,7 @@ buffer* instead of materializing every record in the block.
 :class:`DataBlock` is the decoded-side handle, a *window* over
 immutable ``bytes`` — for a fetched block, the file's own, so nothing is
 copied and a key or value sliced out is one ``bytes`` allocation. It
-parses the trailer once (a single struct call) and then serves lazy
+parses the trailer once (one unboxed array copy) and then serves lazy
 point searches (:meth:`DataBlock.search` decodes only the candidate) and
 range-scan seeks (:meth:`DataBlock.seek`; the scan cursor in
 :mod:`repro.lsm.sstable` then walks the encoded records itself). Every
@@ -32,8 +32,9 @@ keeps ``DataBlock`` objects so a cache hit never re-parses anything.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate, islice
 
 from repro.errors import CorruptionError
@@ -48,11 +49,22 @@ _REC_HEADER = struct.Struct("<HIBQ")
 #: Serialized size of a block holding no records: the count trailer.
 EMPTY_BLOCK_BYTES = _COUNT.size
 
+# A resident restart array is the wire's u32 run copied into an array('I').
+if array("I").itemsize != _OFFSET.size:  # pragma: no cover - no such CPython target
+    raise ImportError(f"array('I') holds {array('I').itemsize} bytes, not {_OFFSET.size}")
 
-@lru_cache(maxsize=1024)  # few counts occur; a corrupt trailer may name any
-def _restart_array(count: int) -> struct.Struct:
-    """The ``count`` u32 restart offsets."""
-    return struct.Struct(f"<{count}I")
+
+def restart_offsets(buf: bytes, start: int, end: int, byteorder: str = sys.byteorder) -> array:
+    """The little-endian u32 restart offsets at ``buf[start:end]``, unboxed.
+
+    A host of ``byteorder`` reads the run natively; a big-endian one
+    then byteswaps it into the wire's values.
+    """
+    offsets = array("I")
+    offsets.frombytes(buf[start:end])
+    if byteorder == "big":
+        offsets.byteswap()
+    return offsets
 
 
 def record_costs(sizes: list[int]) -> list[int]:
@@ -180,8 +192,9 @@ class DataBlock:
     materializes (and memoizes) the full validated list; nothing on the
     engine's read, scan or compaction paths calls it.
 
-    ``offsets`` are block-relative; ``records_end`` is the position in
-    ``buf`` where the record region ends, the bound of every read.
+    ``offsets`` are block-relative, an unboxed ``array('I')`` copy of the
+    trailer's run; ``records_end`` is the position in ``buf`` where the
+    record region ends, the bound of every read.
     """
 
     __slots__ = ("buf", "base", "count", "offsets", "records_end", "_records", "_peeked")
@@ -196,9 +209,9 @@ class DataBlock:
             raise CorruptionError(
                 f"truncated restart array: {count} records, {end - base} bytes"
             )
-        offsets = _restart_array(count).unpack_from(buf, records_end)
+        offsets = restart_offsets(buf, records_end, end - _COUNT.size)
         if count and (offsets[0] != 0 or base + offsets[-1] >= records_end):
-            raise CorruptionError(f"restart offsets out of range: {offsets[:4]}...")
+            raise CorruptionError(f"restart offsets out of range: {tuple(offsets[:4])}...")
         self.buf = buf
         self.base = base
         self.count = count
@@ -356,7 +369,7 @@ def extend_spans_from(
     starts_append = starts.append
     ends_append = ends.append
     offset = base
-    for restart in _restart_array(count).unpack_from(buf, records_end):
+    for restart in restart_offsets(buf, records_end, end_of_block - _COUNT.size):
         if offset != base + restart:
             raise CorruptionError(
                 f"restart offset {restart} does not match the record at {offset - base}"

@@ -11,8 +11,8 @@ charges device I/O) and insert the block — a data-block fetch is one
 hit/miss counters feed the Table 4 reproduction.
 
 Each entry carries the raw block bytes *and*, on demand, the decoded
-object parsed from them (a :class:`~repro.lsm.block.DataBlock`, an index
-entry list, a constructed bloom filter). A cache hit therefore never
+object parsed from them (a :class:`~repro.lsm.block.DataBlock`, the
+index columns, a constructed bloom filter). A cache hit therefore never
 re-parses — the wall-clock cost that used to dominate the Python read
 path — while the *simulated* accounting is untouched: capacity, LRU
 order, eviction, and the charged DRAM latency are all still computed

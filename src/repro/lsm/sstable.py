@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import struct
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
@@ -62,28 +61,27 @@ _FOOTER_MAGIC = 0x5052534D  # "PRSM"
 UNTRACKED_CLOCK_VALUE = -1
 
 
-@dataclass(frozen=True, slots=True)
-class IndexEntry:
-    """Points at one data block; ``last_key`` is the block's final user key."""
-
-    last_key: bytes
-    offset: int
-    length: int
+#: A table's resident index as three columns, one row per data block:
+#: the block's last user key, its offset and its length (the wire widths).
+Index = tuple[list[bytes], array, array]
 
 
-def encode_index(entries: list[IndexEntry]) -> bytes:
-    parts = [_INDEX_COUNT.pack(len(entries))]
-    for entry in entries:
-        parts.append(_INDEX_ENTRY.pack(len(entry.last_key), entry.offset, entry.length))
-        parts.append(entry.last_key)
+def encode_index(keys: list[bytes], offsets: Iterable[int], lengths: Iterable[int]) -> bytes:
+    parts = [_INDEX_COUNT.pack(len(keys))]
+    for key, offset, length in zip(keys, offsets, lengths, strict=True):
+        parts.append(_INDEX_ENTRY.pack(len(key), offset, length))
+        parts.append(key)
     return b"".join(parts)
 
 
-def decode_index(buf: bytes | memoryview) -> list[IndexEntry]:
+def decode_index(buf: bytes | memoryview) -> Index:
+    """(last keys, ``array('Q')`` offsets, ``array('I')`` lengths)."""
     if len(buf) < _INDEX_COUNT.size:
         raise CorruptionError("truncated index block")
     (count,) = _INDEX_COUNT.unpack_from(buf, 0)
-    entries: list[IndexEntry] = []
+    keys: list[bytes] = []
+    offsets = array("Q")
+    lengths = array("I")
     pos = _INDEX_COUNT.size
     is_view = type(buf) is not bytes
     for _ in range(count):
@@ -97,8 +95,10 @@ def decode_index(buf: bytes | memoryview) -> list[IndexEntry]:
         pos += key_len
         # Index keys feed bisect comparisons, which memoryview slices do
         # not support; keep them as real bytes.
-        entries.append(IndexEntry(bytes(last_key) if is_view else last_key, offset, length))
-    return entries
+        keys.append(bytes(last_key) if is_view else last_key)
+        offsets.append(offset)
+        lengths.append(length)
+    return keys, offsets, lengths
 
 
 class SSTable:
@@ -107,13 +107,16 @@ class SSTable:
     ``size_bytes`` and the resident key-hash column are captured when
     the handle is made: a failure-injection swap of ``file.data``
     changes neither a live table's accounted size nor its hashes.
+    The resident index is the :data:`Index` columns ``_index_keys``,
+    ``_index_offsets`` and ``_index_lengths``, all None until loaded.
     """
 
     __slots__ = (
         "_backend", "file", "size_bytes", "max_seqno", "smallest_key", "largest_key",
         "entry_count", "tombstone_count", "data_length", "filter_offset", "filter_length",
         "index_offset", "index_length", "popularity_score", "created_at_usec", "_bloom",
-        "_key_hashes", "_index", "_index_keys", "_bloom_hit_latency", "_index_hit_latency",
+        "_key_hashes", "_index_keys", "_index_offsets", "_index_lengths",
+        "_bloom_hit_latency", "_index_hit_latency",
     )
 
     def __init__(
@@ -153,8 +156,9 @@ class SSTable:
         #: Base hash of every key, in file order: memory only, so the
         #: next compaction's filters need no hashing.
         self._key_hashes: array | None = None
-        self._index: list[IndexEntry] | None = None
         self._index_keys: list[bytes] | None = None
+        self._index_offsets: array | None = None
+        self._index_lengths: array | None = None
         # Resident filter/index hits charge one DRAM access for a fixed
         # block length; the latency is a pure function of that length,
         # so it is computed once per table instead of once per probe.
@@ -189,34 +193,36 @@ class SSTable:
         self._bloom = bloom
         return bloom, latency
 
-    def _index_entries(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[list[IndexEntry], float]:
+    def _load_index(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> float:
+        """Make the index columns resident; returns the access latency."""
         # Index blocks live in the table cache as well (see above).
-        if self._index is not None:
+        if self._index_keys is not None:
             cache.index_resident_hit()
             latency = self._index_hit_latency
             if ctx is not None:
                 ctx.add("index", "dram", latency)
-            return self._index, latency
-        entries, latency = cache.get_or_load_decoded(
+            return latency
+        index, latency = cache.get_or_load_decoded(
             self.file_id, self.index_offset, BlockType.INDEX,
             partial(self._backend.read, self.file, self.index_offset, self.index_length,
                     foreground=foreground, ctx=ctx),
             decode_index, ctx,
         )
-        self._index = entries
-        self._index_keys = [entry.last_key for entry in entries]
-        return entries, latency
+        self._index_keys, self._index_offsets, self._index_lengths = index
+        return latency
 
-    def _data_block(self, entry: IndexEntry, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[DataBlock, float]:
+    def _data_block(
+        self, offset: int, length: int, cache: BlockCache, *, foreground: bool = True, ctx=None
+    ) -> tuple[DataBlock, float]:
         # One cache call; the block is a window over the file's own bytes.
         return cache.data_block(
-            self._backend, self.file, entry.offset, entry.length, DataBlock, foreground, ctx
+            self._backend, self.file, offset, length, DataBlock, foreground, ctx
         )
 
     def block_offsets(self) -> list[int]:
         """Offsets of every block the cache may hold for this table —
         filter, index and data — read from the resident index."""
-        return [self.filter_offset, self.index_offset, *[entry.offset for entry in self._index]]
+        return [self.filter_offset, self.index_offset, *self._index_offsets]
 
     # ------------------------------------------------------------------
     # Point lookup
@@ -249,20 +255,22 @@ class SSTable:
             ctx.note_probe(may_contain, n_probes=bloom.n_probes)
         if not may_contain:
             return None, latency, True
-        index = self._index
-        if index is not None:
+        index_keys = self._index_keys
+        if index_keys is not None:
             cache.index_resident_hit()
             latency += self._index_hit_latency
             if ctx is not None:
                 ctx.add("index", "dram", self._index_hit_latency)
         else:
-            index, index_latency = self._index_entries(cache, foreground=foreground, ctx=ctx)
-            latency += index_latency
-        assert self._index_keys is not None
-        pos = bisect.bisect_left(self._index_keys, user_key)
-        if pos >= len(index):
+            latency += self._load_index(cache, foreground=foreground, ctx=ctx)
+            index_keys = self._index_keys
+        pos = bisect.bisect_left(index_keys, user_key)
+        if pos >= len(index_keys):
             return None, latency, False
-        block, block_latency = self._data_block(index[pos], cache, foreground=foreground, ctx=ctx)
+        block, block_latency = self._data_block(
+            self._index_offsets[pos], self._index_lengths[pos], cache,
+            foreground=foreground, ctx=ctx,
+        )
         latency += block_latency
         # Lazy point search: binary-search the encoded buffer through the
         # restart-point offsets and decode only the candidate record.
@@ -293,10 +301,10 @@ class SSTable:
         buffer at the offsets the index gives — no per-block slice is
         ever materialized.
         """
-        data, index, latency = self._read_data_region(foreground)
+        data, latency = self._read_data_region(foreground)
         records: list[Record] = []
-        for entry in index:
-            extend_records_from(data, entry.offset, entry.length, records)
+        for offset, length in zip(self._index_offsets, self._index_lengths):
+            extend_records_from(data, offset, length, records)
         return records, latency
 
     def read_all_spans(
@@ -320,30 +328,30 @@ class SSTable:
         returned buffer is the file's own immutable bytes; spans index
         into it. Returns (buffer, record_count, latency).
         """
-        data, index, latency = self._read_data_region(foreground)
+        data, latency = self._read_data_region(foreground)
         count = 0
-        for entry in index:
+        for offset, length in zip(self._index_offsets, self._index_lengths):
             count += extend_spans_from(
-                data, entry.offset, entry.length, keys, seqnos, kinds, starts, ends
+                data, offset, length, keys, seqnos, kinds, starts, ends
             )
         if self._key_hashes is None:
             self._key_hashes = array("Q", key_hashes(keys[len(keys) - count :]))
         hashes.extend(self._key_hashes)
         return data, count, latency
 
-    def _read_data_region(self, foreground: bool) -> tuple[bytes, list[IndexEntry], float]:
+    def _read_data_region(self, foreground: bool) -> tuple[bytes, float]:
         """Charge one read of the whole data region, then of the index if
-        cold: (file bytes, index, latency). The region starts at byte 0,
-        so index offsets are offsets into the file's immutable bytes."""
+        cold (leaving its columns resident): (file bytes, latency). The
+        region starts at byte 0, so index offsets are offsets into the
+        file's immutable bytes."""
         _, latency = self._backend.read(self.file, 0, self.data_length, foreground=foreground)
-        if self._index is None:
+        if self._index_keys is None:
             data, index_latency = self._backend.read(
                 self.file, self.index_offset, self.index_length, foreground=foreground
             )
             latency += index_latency
-            self._index = decode_index(data)
-            self._index_keys = [entry.last_key for entry in self._index]
-        return self.file.data, self._index, latency
+            self._index_keys, self._index_offsets, self._index_lengths = decode_index(data)
+        return self.file.data, latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -445,7 +453,7 @@ class RunCursor:
     __slots__ = (
         "key", "inv", "kind", "latency",
         "_run", "_run_pos", "_start_key", "_cache", "_foreground", "_ctx",
-        "_table", "_entries", "_entry_pos",
+        "_table", "_index_offsets", "_index_lengths", "_entry_pos",
         "_buf", "_base", "_offsets", "_count", "_records_end", "_index",
         "_value_start", "_end",
     )
@@ -457,7 +465,8 @@ class RunCursor:
         self._cache = cache
         self._foreground = foreground
         self._ctx = ctx
-        self._entries: list[IndexEntry] | tuple = ()
+        self._index_offsets: array | tuple = ()
+        self._index_lengths: array | tuple = ()
         self._entry_pos = 0  # next block of the open file to fetch
         self._count = 0
         self._index = -1  # negative until the first landing: seek, don't start at 0
@@ -515,20 +524,22 @@ class RunCursor:
         cache, foreground, ctx = self._cache, self._foreground, self._ctx
         pending = 0.0
         while True:
-            entries = self._entries
+            offsets = self._index_offsets
             pos = self._entry_pos
-            if pos == len(entries):
+            if pos == len(offsets):
                 if self._run_pos == len(self._run):
                     return False  # and every later call lands here again
                 table = self._table = self._run[self._run_pos]
                 self._run_pos += 1
                 # A new file starts a new pending latency: its index
                 # fetch first, exactly as a fresh per-file iterator did.
-                self._entries, pending = table._index_entries(cache, foreground=foreground, ctx=ctx)
+                pending = table._load_index(cache, foreground=foreground, ctx=ctx)
+                self._index_offsets = table._index_offsets
+                self._index_lengths = table._index_lengths
                 self._entry_pos = bisect.bisect_left(table._index_keys, self._start_key)
                 continue
             block, block_latency = self._table._data_block(
-                entries[pos], cache, foreground=foreground, ctx=ctx
+                offsets[pos], self._index_lengths[pos], cache, foreground=foreground, ctx=ctx
             )
             pending += block_latency
             self._entry_pos = pos + 1
@@ -615,7 +626,10 @@ class SSTableBuilder:
         self._clock_values_fn = clock_values_fn
         self._block = DataBlockBuilder(block_bytes)
         self._finished_blocks: list[bytes] = []
-        self._index: list[IndexEntry] = []
+        # The index columns the finished table keeps resident.
+        self._index_keys: list[bytes] = []
+        self._index_offsets = array("Q")
+        self._index_lengths = array("I")
         self._data_bytes = 0
         self._keys: list[bytes] = []
         self._hashes: list[int] = []
@@ -701,10 +715,7 @@ class SSTableBuilder:
         self._tombstones += kinds[start:stop].count(0)
         self._max_seqno = max(self._max_seqno, max(seqnos[start:stop]))
         for end in block_ends:
-            payload = encode_block(chunks, sizes, start, end)
-            self._index.append(IndexEntry(keys[end - 1], self._data_bytes, len(payload)))
-            self._finished_blocks.append(payload)
-            self._data_bytes += len(payload)
+            self._append_block(keys[end - 1], encode_block(chunks, sizes, start, end))
             start = end
 
     def _flush_block(self) -> None:
@@ -712,8 +723,12 @@ class SSTableBuilder:
             return
         last_key = self._block.last_key
         assert last_key is not None
-        payload = self._block.finish()
-        self._index.append(IndexEntry(last_key, self._data_bytes, len(payload)))
+        self._append_block(last_key, self._block.finish())
+
+    def _append_block(self, last_key: bytes, payload: bytes) -> None:
+        self._index_keys.append(last_key)
+        self._index_offsets.append(self._data_bytes)
+        self._index_lengths.append(len(payload))
         self._finished_blocks.append(payload)
         self._data_bytes += len(payload)
 
@@ -725,11 +740,12 @@ class SSTableBuilder:
         bloom = BloomFilter.for_capacity(len(self._keys), self._bits_per_key)
         bloom.add_many(self._keys, self._hashes)
         filter_block = bloom.encode()
-        index_block = encode_index(self._index)
+        index = self._index_keys, self._index_offsets, self._index_lengths
+        index_block = encode_index(*index)
         return self._write(
             [*self._finished_blocks, filter_block, index_block],
             len(filter_block), len(index_block), bloom, array("Q", self._hashes),
-            list(self._index), [entry.last_key for entry in self._index], foreground,
+            index, foreground,
         )
 
     def adopt(
@@ -749,7 +765,7 @@ class SSTableBuilder:
         costs = record_costs(sizes)
         lengths = [costs[end] - costs[start] + EMPTY_BLOCK_BYTES
                    for start, end in zip([0, *block_ends], block_ends)]
-        if lengths != [entry.length for entry in table._index]:
+        if lengths != table._index_lengths.tolist():
             return None
         bloom = table._bloom
         if bloom is None:  # reopened cold: the filter is in the file
@@ -764,12 +780,12 @@ class SSTableBuilder:
         return self._write(
             [table.file.view[: table.index_offset + table.index_length]],
             table.filter_length, table.index_length, bloom, table._key_hashes,
-            table._index, table._index_keys, foreground,
+            (table._index_keys, table._index_offsets, table._index_lengths), foreground,
         )
 
     def _write(
         self, regions: list, filter_length: int, index_length: int, bloom: BloomFilter,
-        hashes: array, index: list[IndexEntry], index_keys: list[bytes], foreground: bool,
+        hashes: array, index: Index, foreground: bool,
     ) -> tuple[SSTable, float]:
         """Score, footer, file and resident handle for :meth:`finish` and
         :meth:`adopt`; ``regions`` are the data, filter and index bytes."""
@@ -823,6 +839,5 @@ class SSTableBuilder:
         # in RocksDB's table cache.
         table._bloom = bloom
         table._key_hashes = hashes
-        table._index = index
-        table._index_keys = index_keys
+        table._index_keys, table._index_offsets, table._index_lengths = index
         return table, latency

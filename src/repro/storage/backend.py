@@ -27,34 +27,30 @@ from repro.storage.tier import StorageTier
 
 
 class SimFile:
-    """One immutable simulated file resident on a tier."""
+    """One immutable simulated file resident on a tier.
 
-    __slots__ = ("file_id", "tier", "_data", "view", "locked_until_usec", "deleted")
+    ``data`` is the file's whole contents. Failure injection may swap in
+    corrupted bytes wholesale; ``view`` is made from ``data`` per call,
+    so every read after the swap sees the new bytes.
+    """
+
+    __slots__ = ("file_id", "tier", "data", "locked_until_usec", "deleted")
 
     def __init__(self, file_id: int, tier: StorageTier, data: bytes) -> None:
         self.file_id = file_id
         self.tier = tier
-        self._data = data
-        #: Reusable zero-copy window over ``data``; block reads slice it
-        #: instead of copying the byte range. Kept in sync with ``data``
-        #: by the setter (file contents only change under failure
-        #: injection, which swaps in corrupted bytes wholesale).
-        self.view = memoryview(data)
+        self.data = data
         self.locked_until_usec = 0.0
         self.deleted = False
 
     @property
-    def data(self) -> bytes:
-        return self._data
-
-    @data.setter
-    def data(self, data: bytes) -> None:
-        self._data = data
-        self.view = memoryview(data)
+    def view(self) -> memoryview:
+        """A zero-copy window over ``data``, made per call."""
+        return memoryview(self.data)
 
     @property
     def size(self) -> int:
-        return len(self._data)
+        return len(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimFile(id={self.file_id}, tier={self.tier.name}, {self.size} B)"

@@ -82,6 +82,13 @@ class YCSBConfig:
             raise ConfigError("record_count must be positive")
         if self.operation_count < 0:
             raise ConfigError("operation_count must be non-negative")
+        if self.warmup_operations < 0:
+            raise ConfigError(f"warmup_operations must be non-negative: {self.warmup_operations}")
+        for name in (
+            "read_proportion", "update_proportion", "insert_proportion", "scan_proportion"
+        ):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]: {getattr(self, name)}")
         total = (
             self.read_proportion
             + self.update_proportion
@@ -92,6 +99,8 @@ class YCSBConfig:
             raise ConfigError(f"operation proportions must sum to 1.0, got {total}")
         if self.value_bytes <= 0:
             raise ConfigError("value_bytes must be positive")
+        if self.max_scan_length <= 0:
+            raise ConfigError(f"max_scan_length must be positive: {self.max_scan_length}")
 
     @staticmethod
     def read_update(read_pct: int, **overrides) -> "YCSBConfig":

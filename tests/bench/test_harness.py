@@ -2,11 +2,13 @@
 
 import gc
 import weakref
+from functools import partial
 
 import pytest
 
-from repro.baselines.mutant import MutantDB
+from repro.baselines.mutant import MutantDB, MutantOptions
 from repro.baselines.rocksdb import RocksDBLike
+from repro.bench import harness
 from repro.bench.harness import (
     RunResult,
     SystemConfig,
@@ -31,6 +33,23 @@ class TestSystemConfig:
     def test_bad_clients_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(clients=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(tracker_fraction=-1.0), "tracker_fraction must be in"),
+            (dict(tracker_fraction=0.0), "tracker_fraction must be in"),
+            (dict(row_cache_share=2.0), "row_cache_share out of range"),
+            (dict(row_cache_share=-0.1), "row_cache_share out of range"),
+            (dict(pinning_threshold=7), "pinning_threshold must be in"),
+            (dict(pinning_threshold=-0.5), "pinning_threshold must be in"),
+        ],
+        ids=["tracker_negative", "tracker_zero", "row_cache_above", "row_cache_below",
+             "pinning_above", "pinning_below"],
+    )
+    def test_a_bad_field_fails_where_the_config_is_built(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            SystemConfig(system="prismdb", **fields)
 
 
 class TestBuildSystem:
@@ -177,17 +196,36 @@ class TestRunExperiment:
         assert result.storage_cost_dollars > 0
         assert sum(result.reads_by_source.values()) > 0
 
-    def test_mutant_reports_migrations(self):
-        result = run_experiment(SystemConfig(system="mutant"), SMALL)
-        assert result.migrations >= 0  # field present and non-negative
+    def test_mutant_reports_migrations(self, monkeypatch):
+        # The default 1 s epoch never elapses in a run this short; a 1 ms
+        # one puts optimiser passes inside the measured phase.
+        monkeypatch.setattr(harness, "MutantOptions", partial(MutantOptions, epoch_usec=1_000))
+        config = SystemConfig(system="mutant")
+        workload = YCSBWorkload(SMALL)
+        db = build_system(config, workload)
+        assert db.mutant_options.epoch_usec == 1_000
+        runner = WorkloadRunner(db)
+        runner.load(workload)
+        epochs = db.mutant_stats.epochs
+        result = runner.result("mutant", config, runner.run(workload))
+        assert db.mutant_stats.epochs > epochs
+        assert result.migrations == db.mutant_stats.migrations > 0
+        assert result.migration_bytes > 0
 
     def test_prism_reports_pins(self):
-        result = run_experiment(
-            SystemConfig(system="prismdb", pinning_threshold=0.5),
-            YCSBConfig(record_count=2_000, operation_count=6_000, warmup_operations=4_000,
-                       read_proportion=0.7, update_proportion=0.3),
+        workload_config = YCSBConfig(
+            record_count=2_000, operation_count=6_000, warmup_operations=4_000,
+            read_proportion=0.7, update_proportion=0.3,
         )
-        assert result.pinned_records + result.pulled_up_records >= 0
+        config = SystemConfig(system="prismdb", pinning_threshold=0.5)
+        workload = YCSBWorkload(workload_config)
+        db = build_system(config, workload)
+        runner = WorkloadRunner(db)
+        runner.load(workload)
+        runner.warmup(workload)
+        assert db.tracker.is_full  # pinning is live from the first measured op
+        result = runner.result("prismdb", config, runner.run(workload))
+        assert result.pinned_records + result.pulled_up_records > 0
 
     def test_device_io_accounted(self):
         result = run_experiment(SystemConfig(system="rocksdb"), SMALL)

@@ -19,14 +19,19 @@ from repro.bench.harness import SystemConfig, WorkloadRunner, build_system
 from repro.common import rng as rng_module
 from repro.common.stats import LatencyRecorder
 from repro.core import tracker as tracker_module
+from repro.core.mapper import ClockDistributionMapper
+from repro.core.tracker import ClockTracker
 from repro.fleet.workload import TenantSpec, owned_indices
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+from repro.workloads.zipfian import ZipfianGenerator
 
 RECORDS = 20_000
-#: Measured 32.5 B/record (hash column 8, per-table and per-block
-#: metadata); ~99 while the workload interned every key (key bytes ~49,
-#: list slot 8), 216.6 with a process-wide hash memo as well.
-BUDGET_BYTES_PER_RECORD = 45
+#: Measured 27.2 B/record (hash column 8, per-table metadata, the index
+#: columns, tracker entries); 32.7 with an index object per block and a
+#: (clock, tag) tuple per tracked key, ~99 while the workload interned
+#: every key (key bytes ~49, list slot 8), 216.6 with a process-wide
+#: hash memo as well.
+BUDGET_BYTES_PER_RECORD = 28.5
 SAMPLES = 20_000
 #: An unboxed double; a list of float objects retains ~32 B per sample.
 BUDGET_BYTES_PER_SAMPLE = 8.5
@@ -34,9 +39,15 @@ TENANT_KEYS = 100_000
 #: A 4-byte index column; a tuple of boxed ints retains ~36 B per key.
 BUDGET_BYTES_PER_OWNED_KEY = 5
 READ_OPS = 5_000
-#: Measured 0.53 B per cached byte (restart offsets, key peeks, entry and
-#: window objects); a cache that copied each block it holds is >= 1.5.
-BUDGET_HEAP_PER_CACHED_BYTE = 0.75
+#: Measured 0.35 B per cached byte (unboxed restart offsets, key peeks,
+#: entry and window objects); 0.53 with a tuple of boxed restart offsets
+#: per block; a cache that copied each block it holds is >= 1.5.
+BUDGET_HEAP_PER_CACHED_BYTE = 0.40
+TRACKED_KEYS = 10_000
+#: Measured 67.6 B per tracked key beyond its key bytes (dict slot and
+#: index, ring slot; the packed clock/tag entry is a cached small int);
+#: a (clock, tag) tuple per key made it 123.6.
+BUDGET_BYTES_PER_TRACKED_KEY = 72
 
 
 def traced_bytes(build):
@@ -101,6 +112,28 @@ def test_a_read_run_keeps_no_copy_of_the_blocks_it_caches():
     # blocks are windows over.
     assert cached > 0.9 * db.cache.capacity_bytes
     assert freed / cached <= BUDGET_HEAP_PER_CACHED_BYTE, f"{freed / cached:.2f} B/cached B"
+
+
+def test_tracker_keeps_one_small_int_per_tracked_key():
+    # read-hot's key popularity: zipf-0.99 over five times the capacity,
+    # with the CLOCK hand run after every read as the read lane does.
+    rng = random.Random(5)
+    zipf = ZipfianGenerator(5 * TRACKED_KEYS, 0.99, rng)
+    # Keys are made outside the trace: their bytes are the data's.
+    keys = [f"user{i:012d}".encode() for i in range(5 * TRACKED_KEYS)]
+    reads = [(keys[zipf.next_index()], rng.randrange(1, 4)) for _ in range(10 * TRACKED_KEYS)]
+
+    def track():
+        tracker = ClockTracker(TRACKED_KEYS, ClockDistributionMapper())
+        for key, version in reads:
+            tracker.on_read(key, version)
+            tracker.run_evictions()
+        return tracker
+
+    tracker, traced = traced_bytes(track)
+    assert len(tracker) == TRACKED_KEYS
+    per_key = traced / TRACKED_KEYS
+    assert per_key <= BUDGET_BYTES_PER_TRACKED_KEY, f"{per_key:.1f} B/tracked key"
 
 
 def test_no_module_level_table_grows_with_the_data():

@@ -1,8 +1,12 @@
 """Tests for the CLOCK tracker."""
 
+import random
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_tracker import TupleTracker
 
 from repro.common.rng import fnv1a_64
 from repro.core.mapper import ClockDistributionMapper
@@ -148,3 +152,47 @@ class TestVersionTag:
     def test_tags_of_dense_seqnos_match_the_hash(self):
         expected = [fnv1a_64(v.to_bytes(8, "little")) & 0x3F for v in range(5_000)]
         assert [ClockTracker._version_tag(v) for v in range(5_000)] == expected
+
+
+class TestPackedEntries:
+    """One ``clock << 6 | tag`` int per key against a (clock, tag) tuple."""
+
+    @pytest.mark.parametrize("clock_bits", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_packed_tracker_matches_the_tuple_reference(self, clock_bits, seed):
+        rng = random.Random(seed)
+        max_clock = (1 << clock_bits) - 1
+        trackers = [
+            cls(24, ClockDistributionMapper(max_clock), clock_bits=clock_bits, eviction_batch=2)
+            for cls in (ClockTracker, TupleTracker)
+        ]
+        keys = [f"key{i}".encode() for i in range(80)]
+        # Versions past 2**32 take the tag's eight-byte branch.
+        versions = [0, 1, 2, 7, 2**32 + 5, 2**56 - 1]
+        for _ in range(3_000):
+            if rng.random() < 0.2:
+                steps = rng.choice([None, 1, 3, 10])
+                assert len({tracker.run_evictions(steps) for tracker in trackers}) == 1
+            else:
+                key, version = rng.choice(keys), rng.choice(versions)
+                for tracker in trackers:
+                    tracker.on_read(key, version)
+            if rng.random() < 0.05:
+                packed, reference = trackers
+                assert packed.clock_values(keys) == reference.clock_values(keys)
+        packed, reference = trackers
+        assert [packed.clock_value(key) for key in keys] == reference.clock_values(keys)
+        assert packed.snapshot_distribution() == reference.snapshot_distribution()
+        assert packed._mapper.counts() == reference._mapper.counts()
+        assert asdict(packed.stats) == asdict(reference.stats)
+        assert packed.stats.evictions > 0 and packed.stats.version_mismatches > 0
+        assert list(packed._entries) == list(reference._entries)
+        assert packed._ring == reference._ring and packed._hand == reference._hand
+
+    def test_an_entry_is_a_cached_small_int_at_two_bits(self):
+        tracker, _ = make_tracker(capacity=4)
+        tracker.on_read(b"k", 2**64 - 1)
+        tracker.on_read(b"k", 2**64 - 1)  # clock 3: the largest entry
+        (entry,) = tracker._entries.values()
+        assert entry == 3 << 6 | ClockTracker._version_tag(2**64 - 1)
+        assert entry is int(str(entry))  # CPython shares ints up to 256

@@ -19,10 +19,12 @@ from repro.lsm.iterators import merge_records, visible_records
 
 def reference_iter_from(table, user_key, cache, *, foreground=True, ctx=None):
     """``SSTable.iter_from`` over fully decoded blocks."""
-    index, pending_latency = table._index_entries(cache, foreground=foreground, ctx=ctx)
+    pending_latency = table._load_index(cache, foreground=foreground, ctx=ctx)
     pos = bisect.bisect_left(table._index_keys, user_key)
-    for entry in index[pos:]:
-        block, block_latency = table._data_block(entry, cache, foreground=foreground, ctx=ctx)
+    for offset, length in zip(table._index_offsets[pos:], table._index_lengths[pos:]):
+        block, block_latency = table._data_block(
+            offset, length, cache, foreground=foreground, ctx=ctx
+        )
         pending_latency += block_latency
         for record in block.records():
             if record.user_key < user_key:

@@ -1,9 +1,19 @@
 """Tests for data block building, decoding and search."""
 
+import random
+import struct
+import sys
+
 import pytest
 
 from repro.errors import CorruptionError
-from repro.lsm.block import DataBlock, DataBlockBuilder, decode_block, search_block
+from repro.lsm.block import (
+    DataBlock,
+    DataBlockBuilder,
+    decode_block,
+    restart_offsets,
+    search_block,
+)
 from repro.lsm.record import Record, ValueKind
 
 
@@ -175,3 +185,36 @@ class TestDataBlock:
         builder.add(put(b"dup", 3, b"old"))
         block = DataBlock(builder.finish())
         assert block.search(b"dup").value == b"new"
+
+
+class TestRestartOffsetColumn:
+    """``DataBlock.offsets`` is an unboxed copy of the trailer's u32 run."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_offsets_equal_a_struct_decode(self, seed):
+        rng = random.Random(seed)
+        builder = DataBlockBuilder(1 << 20)
+        for i in range(rng.randrange(60)):
+            builder.add(put(f"k{i:05d}".encode(), i + 1, rng.randbytes(rng.randrange(300))))
+        payload = builder.finish()
+        # A window with neighbours on both sides, as a fetched block is.
+        head = rng.randbytes(rng.randrange(1, 50))
+        block = DataBlock(head + payload + rng.randbytes(9), len(head), len(payload))
+        expected = struct.unpack_from(f"<{block.count}I", block.buf, block.records_end)
+        assert block.offsets.typecode == "I"
+        assert tuple(block.offsets) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_host_of_either_byte_order_reads_the_wire_values(self, seed):
+        rng = random.Random(seed)
+        values = [rng.randrange(2**32) for _ in range(rng.randrange(1, 40))]
+        head = rng.randbytes(rng.randrange(8))
+        wire = head + struct.pack(f"<{len(values)}I", *values)
+        assert list(restart_offsets(wire, len(head), len(wire))) == values
+        # What a host of the other order reads natively from the wire is
+        # what this host reads with every 4-byte word reversed.
+        foreign = head + b"".join(
+            wire[at : at + 4][::-1] for at in range(len(head), len(wire), 4)
+        )
+        other = "little" if sys.byteorder == "big" else "big"
+        assert list(restart_offsets(foreign, len(head), len(wire), other)) == values

@@ -184,7 +184,8 @@ def fingerprint(manifest, num_levels):
                 (table.file_id, table.smallest_key, table.largest_key,
                  bytes(table.file.data),
                  table._bloom.encode() if table._bloom is not None else None,
-                 table._index, table._key_hashes)
+                 (table._index_keys, table._index_offsets, table._index_lengths),
+                 table._key_hashes)
                 for table in run
             ]
             for run in manifest.runs(level)

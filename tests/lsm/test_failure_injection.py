@@ -99,9 +99,8 @@ class TestScanCorruption:
             db.put(f"key{i:04d}".encode(), b"v" * 30)
         db.flush()
         (table,) = db.manifest.files(0)
-        first = table._index[0]
-        assert first.offset == 0  # block offsets below are file offsets
-        block = DataBlock(table.file.data[: first.length])
+        assert table._index_offsets[0] == 0  # block offsets below are file offsets
+        block = DataBlock(table.file.data[: table._index_lengths[0]])
         assert 4 < block.count < 40  # the scan below crosses into block 2
         assert len(db.scan(b"", 40).items) == 40  # clean before the fault
         db.cache.clear()
@@ -156,21 +155,23 @@ class TestWindowCorruption:
             db.put(f"key{i:04d}".encode(), b"v" * 30)
         db.flush()
         (table,) = db.manifest.files(0)
-        entry = table._index[len(table._index) // 2]
+        pos = len(table._index_keys) // 2
+        offset, length = table._index_offsets[pos], table._index_lengths[pos]
         # A standalone copy, for the block-relative offsets and keys.
-        block = DataBlock(table.file.data[entry.offset : entry.offset + entry.length])
-        assert entry.offset > 0 and 4 < block.count
+        block = DataBlock(table.file.data[offset : offset + length])
+        assert offset > 0 and 4 < block.count
         db.cache.clear()
-        return db, table, entry, block
+        return db, table, pos, block
 
     # Header layout: key_len u16 | value_len u32 | kind u8 | seqno u64.
-    def _inject(self, fault, table, entry, block, target):
+    def _inject(self, fault, table, pos, block, target):
         data = bytearray(table.file.data)
-        at = entry.offset + block.offsets[target]
+        offset, length = table._index_offsets[pos], table._index_lengths[pos]
+        at = offset + block.offsets[target]
         if fault == "key_len_too_long":
-            data[at : at + 2] = struct.pack("<H", entry.length)  # into the next block
+            data[at : at + 2] = struct.pack("<H", length)  # into the next block
         elif fault == "count_plus_1":
-            count_at = entry.offset + entry.length - 2
+            count_at = offset + length - 2
             data[count_at : count_at + 2] = struct.pack("<H", block.count + 1)
         else:
             (value_len,) = struct.unpack_from("<I", data, at + 2)
@@ -183,11 +184,11 @@ class TestWindowCorruption:
     def test_every_reader_of_the_window_raises(self, fault):
         from repro.lsm.block import DataBlock
 
-        db, table, entry, block = self._db_table_block()
+        db, table, pos, block = self._db_table_block()
         target = 3  # mid-block: a record on each side
         key = block._key_at(target)
-        before = table._index[table._index.index(entry) - 1].last_key
-        self._inject(fault, table, entry, block, target)
+        before = table._index_keys[pos - 1]
+        self._inject(fault, table, pos, block, target)
         # The record-level faults name the faulted record's block offset.
         named = None if fault == "count_plus_1" else f"at offset {block.offsets[target]}"
         readers = {
@@ -201,16 +202,17 @@ class TestWindowCorruption:
                 read()
             if named is not None:
                 assert named in str(raised.value), (name, str(raised.value))
+        offset, length = table._index_offsets[pos], table._index_lengths[pos]
         with pytest.raises(CorruptionError):
-            DataBlock(table.file.data, entry.offset, entry.length).records()
+            DataBlock(table.file.data, offset, length).records()
 
     def test_get_of_a_record_ending_past_its_successor_raises(self):
         # value_len + 4 on a mid-block record: the candidate decodes inside
         # the block, but ends four bytes into the next record's header.
-        db, table, entry, block = self._db_table_block()
+        db, table, pos, block = self._db_table_block()
         key = block._key_at(3)
         assert db.get(key).value == b"v" * 30
-        self._inject("value_len_plus_4", table, entry, block, 3)
+        self._inject("value_len_plus_4", table, pos, block, 3)
         db.cache.clear()
         with pytest.raises(CorruptionError, match="not at the next restart offset"):
             db.get(key)
@@ -255,11 +257,10 @@ class TestCompactionScanCorruption:
             db.put(f"key{i:04d}".encode(), b"v" * 30)
         db.flush()
         (table,) = db.manifest.files(0)
-        first = table._index[0]
-        assert first.offset == 0  # block offsets below are file offsets
-        block = DataBlock(table.file.data[: first.length])
+        assert table._index_offsets[0] == 0  # block offsets below are file offsets
+        block = DataBlock(table.file.data[: table._index_lengths[0]])
         assert 4 < block.count < 40
-        return db, table, block, first.length
+        return db, table, block, table._index_lengths[0]
 
     @staticmethod
     def _compact_l0(db, table):
@@ -342,6 +343,49 @@ class TestCompactionScanCorruption:
         assert db.executor.stats.compactions == 0
 
 
+class TestSwappedBytes:
+    """A failure-injection swap of ``file.data`` reaches every reader at once:
+    no window over the old bytes outlives the swap."""
+
+    def test_a_partial_read_sees_the_new_bytes(self):
+        backend, table = build_table()
+        file = table.file
+        before, _ = backend.read(file, 3, 5)
+        file.data = corrupt(file.data, 5, file.data[5] ^ 0xFF)
+        after, _ = backend.read(file, 3, 5)
+        assert bytes(after) == file.data[3:8] != bytes(before)
+
+    def test_an_index_load_decodes_the_new_bytes(self):
+        from repro.lsm.sstable import encode_index
+
+        backend, table = build_table()
+        keys, offsets, lengths = table._index_keys, table._index_offsets, table._index_lengths
+        moved = [offset + 1 for offset in offsets]  # same widths, so same size
+        start, end = table.index_offset, table.index_offset + table.index_length
+        data = table.file.data
+        table.file.data = data[:start] + encode_index(keys, moved, lengths) + data[end:]
+        table._index_keys = table._index_offsets = table._index_lengths = None
+        table._load_index(BlockCache(64 * KIB))
+        assert list(table._index_offsets) == moved and table._index_lengths == lengths
+
+    @pytest.mark.parametrize("resident_filter", [True, False])
+    def test_an_adopted_move_copies_the_new_bytes(self, resident_filter):
+        backend, table = build_table()
+        keys, seqnos, kinds, starts, ends, hashes = [], [], [], [], [], []
+        table.read_all_spans(keys, seqnos, kinds, starts, ends, hashes)
+        # A value byte of the first record: every structure stays valid.
+        at = ends[0] - 1
+        table.file.data = corrupt(table.file.data, at, ord("w"))
+        if not resident_filter:  # adopt then decodes the filter from the file
+            table._bloom = None
+        builder = SSTableBuilder(backend, table.tier, block_bytes=512, target_file_bytes=1 << 30)
+        sizes = [end - start for start, end in zip(starts, ends)]
+        adopted, _ = builder.adopt(table, keys, seqnos, kinds, sizes)
+        copied = table.index_offset + table.index_length
+        assert adopted.file.data[:copied] == table.file.data[:copied]
+        assert adopted.file.data[at] == ord("w")
+
+
 class TestCodecCorruption:
     def test_bloom_truncation(self):
         bloom = BloomFilter.for_capacity(10)
@@ -350,9 +394,9 @@ class TestCodecCorruption:
             BloomFilter.decode(bloom.encode()[:2])
 
     def test_index_truncation(self):
-        from repro.lsm.sstable import IndexEntry, encode_index
+        from repro.lsm.sstable import encode_index
 
-        payload = encode_index([IndexEntry(b"abc", 0, 10)])
+        payload = encode_index([b"abc"], [0], [10])
         with pytest.raises(CorruptionError):
             decode_index(payload[:-2])
 

@@ -298,7 +298,7 @@ def test_short_scans_decode_no_record_and_no_block(monkeypatch):
     # and a full decode of one block goes through records().
     assert db.get(b"key00300").found
     table = db.manifest.files(4)[0]
-    assert DataBlock(table.file.data[: table._index[0].length]).records()
+    assert DataBlock(table.file.data[: table._index_lengths[0]]).records()
     assert calls["decode_from"] > 1 and calls["records"] == 1
 
 
@@ -317,9 +317,10 @@ def _deep_db():
 def test_a_fetched_block_is_a_window_over_the_file_bytes():
     db = _deep_db()
     table = db.manifest.files(4)[0]
-    entry = table._index[len(table._index) // 2]
-    block, _ = table._data_block(entry, db.cache)
-    assert block.buf is table.file.data and block.base == entry.offset
+    pos = len(table._index_keys) // 2
+    offset = table._index_offsets[pos]
+    block, _ = table._data_block(offset, table._index_lengths[pos], db.cache)
+    assert block.buf is table.file.data and block.base == offset
     key = block._key_at(0)
     assert type(key) is bytes and db.get(key).found
     assert type(db.scan(key, 1).items[0][1]) is bytes

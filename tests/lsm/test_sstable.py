@@ -1,5 +1,9 @@
 """Tests for SSTable build and read paths."""
 
+import random
+import struct
+from array import array
+
 import pytest
 
 from repro.common import KIB, MIB, SimClock
@@ -7,7 +11,6 @@ from repro.lsm.block_cache import BlockCache, BlockType
 from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import (
     UNTRACKED_CLOCK_VALUE,
-    IndexEntry,
     RunCursor,
     SSTableBuilder,
     decode_index,
@@ -40,11 +43,42 @@ def build_table(backend, tier, records, **kwargs):
 
 class TestIndexCodec:
     def test_round_trip(self):
-        entries = [IndexEntry(b"abc", 0, 100), IndexEntry(b"xyz", 100, 250)]
-        assert decode_index(encode_index(entries)) == entries
+        keys, offsets, lengths = decode_index(encode_index([b"abc", b"xyz"], [0, 100], [100, 250]))
+        assert keys == [b"abc", b"xyz"]
+        assert offsets == array("Q", [0, 100]) and lengths == array("I", [100, 250])
 
     def test_empty_index(self):
-        assert decode_index(encode_index([])) == []
+        assert decode_index(encode_index([], [], [])) == ([], array("Q"), array("I"))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_equal_a_struct_decode(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(50)
+        keys = sorted(rng.randbytes(rng.randrange(30)) for _ in range(n))
+        buf = encode_index(
+            keys, [rng.randrange(2**64) for _ in keys], [rng.randrange(2**32) for _ in keys]
+        )
+        (count,) = struct.unpack_from("<I", buf, 0)
+        expected, pos = [], 4
+        for _ in range(count):
+            key_len, offset, length = struct.unpack_from("<HQI", buf, pos)
+            pos += 14
+            expected.append((buf[pos : pos + key_len], offset, length))
+            pos += key_len
+        for source in (buf, memoryview(buf)):  # a whole-file or a partial read
+            got_keys, offsets, lengths = decode_index(source)
+            assert (offsets.typecode, lengths.typecode) == ("Q", "I")
+            assert all(type(key) is bytes for key in got_keys)
+            assert list(zip(got_keys, offsets, lengths)) == expected
+
+    def test_a_built_table_keeps_its_file_index_as_columns(self):
+        backend, tier, _ = make_env()
+        table = build_table(backend, tier, [put(f"k{i:04d}".encode(), i + 1) for i in range(300)])
+        start = table.index_offset
+        on_file = decode_index(table.file.data[start : start + table.index_length])
+        assert on_file == (table._index_keys, table._index_offsets, table._index_lengths)
+        assert len(on_file[0]) > 1
+        assert table.block_offsets() == [table.filter_offset, start, *on_file[1]]
 
 
 class TestSSTableBuild:
@@ -136,8 +170,7 @@ class TestSSTableRead:
     def test_filter_loaded_from_device_once_when_not_resident(self):
         # Simulate a reopened table: drop the resident copies.
         self.table._bloom = None
-        self.table._index = None
-        self.table._index_keys = None
+        self.table._index_keys = self.table._index_offsets = self.table._index_lengths = None
         self.table.get(self.records[0].user_key, self.cache)
         assert self.cache.stats.misses.get(BlockType.FILTER) == 1
         assert self.cache.stats.misses.get(BlockType.INDEX) == 1
@@ -189,7 +222,8 @@ class TestSSTableRead:
         attributed_cache = BlockCache(256 * KIB)
         if not resident:  # as after a reopen: filter and index are cold
             for table in (self.table, twin):
-                table._bloom = table._index = table._index_keys = None
+                table._bloom = table._index_keys = None
+                table._index_offsets = table._index_lengths = None
         for key in self.probe_keys():
             ctx = OpContext("read")
             plain = self.table.get(key, self.cache)

@@ -30,6 +30,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             YCSBConfig(operation_count=-1)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(read_proportion=1.5, update_proportion=-0.5), "read_proportion must be in"),
+            (dict(read_proportion=0.5, update_proportion=1.5, insert_proportion=-1.0),
+             "update_proportion must be in"),
+            (dict(read_proportion=0.5, update_proportion=0.5, insert_proportion=-0.2,
+                  scan_proportion=0.2), "insert_proportion must be in"),
+            (dict(read_proportion=0.5, update_proportion=0.5, insert_proportion=0.2,
+                  scan_proportion=-0.2), "scan_proportion must be in"),
+            (dict(warmup_operations=-3), "warmup_operations must be non-negative"),
+            (dict(read_proportion=0.5, update_proportion=0.0, scan_proportion=0.5,
+                  max_scan_length=0), "max_scan_length must be positive"),
+        ],
+        ids=["read", "update", "insert", "scan", "warmup", "max_scan_length"],
+    )
+    def test_a_bad_field_fails_where_the_config_is_built(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            YCSBConfig(**fields)
+
     def test_read_update_shorthand(self):
         config = YCSBConfig.read_update(80)
         assert config.read_proportion == pytest.approx(0.8)
