@@ -36,16 +36,15 @@ echo "== engine tests under python -X dev -W error =="
 python -X dev -W error -m pytest -q tests/core tests/lsm tests/storage \
     tests/bench/test_heap_budget.py
 
-# Non-gating: a 2-point compaction design-space sweep (leveling vs
-# tiering at one mix, tiny workload) exercising the strategy layer and
-# sweep artifact plumbing end to end. Simulated numbers at this scale
-# are not meaningful; the gating coverage lives in tests/bench/ and
-# tests/lsm/ (see docs/COMPACTION.md).
-echo "== sweep-smoke (non-gating) =="
-if ! python -m repro.bench sweep --shapes leveling tiering --mixes 95 \
-        --records 600 --ops 500; then
-    echo "sweep-smoke failed (non-gating); continuing"
-fi
+# Gating: a 3-point compaction design-space sweep (every shape at one
+# mix, tiny workload) exercising the strategy layer and sweep artifact
+# plumbing end to end. The run is deterministic, so a broken shape
+# fails here. Simulated numbers at this scale are not meaningful; the
+# shapes' output is pinned by tests/bench/test_sweep.py (see
+# docs/COMPACTION.md).
+echo "== sweep-smoke =="
+python -m repro.bench sweep --shapes leveling tiering lazy-leveling --mixes 95 \
+    --records 600 --ops 500
 
 # Non-gating: latency-attribution smoke. Two tiny seeded runs saved
 # with --attribution, rendered and diffed by `repro.bench explain`.

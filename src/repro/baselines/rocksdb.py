@@ -14,7 +14,6 @@ components (memtable, caches, filter/index/data blocks, WAL, devices).
 
 from __future__ import annotations
 
-from repro.lsm.compaction import CompactDownRouter, LargestFilePicker
 from repro.lsm.db import LsmDB
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
@@ -30,15 +29,6 @@ class RocksDBLike(LsmDB):
         **kwargs,
     ) -> None:
         kwargs.setdefault("name", "rocksdb")
-        picker = kwargs.pop("picker", None)
-        if picker is None and (options is None or options.compaction_picker == "default"):
-            # RocksDB's own default; a non-"default" compaction_picker in
-            # the options names an explicit override and wins instead.
-            picker = LargestFilePicker()
-        super().__init__(
-            layout,
-            options,
-            picker=picker,
-            router=kwargs.pop("router", None) or CompactDownRouter(),
-            **kwargs,
-        )
+        # LsmDB's defaults are RocksDB's: largest-file picking and the
+        # compact-down router.
+        super().__init__(layout, options, **kwargs)

@@ -96,8 +96,6 @@ class RunKey:
     prism_overrides: tuple = ()
     row_cache_share: float = 0.0
     compaction_shape: str = "leveling"
-    compaction_trigger: str = "size-ratio"
-    compaction_picker: str = "default"
 
 
 class ExperimentRunner:
@@ -133,21 +131,19 @@ class ExperimentRunner:
         prism_overrides: dict | None = None,
         row_cache_share: float = 0.0,
         compaction_shape: str = "leveling",
-        compaction_trigger: str = "size-ratio",
-        compaction_picker: str = "default",
     ) -> RunResult:
         """Run one configuration (memoized).
 
         ``prism_overrides`` are extra :class:`PrismOptions` fields for
-        ablation variants (e.g. ``{"up_compaction": False}``). The
-        ``compaction_*`` names select the policy axes of
-        :mod:`repro.lsm.strategy` (defaults: the paper's configuration).
+        ablation variants (e.g. ``{"up_compaction": False}``).
+        ``compaction_shape`` selects a shape of :mod:`repro.lsm.strategy`
+        (default: the paper's leveling).
         """
         overrides_key = tuple(sorted((prism_overrides or {}).items()))
         key = RunKey(
             system, layout, read_pct, distribution, zipf_theta,
             cache_disabled, pinning_threshold, overrides_key, row_cache_share,
-            compaction_shape, compaction_trigger, compaction_picker,
+            compaction_shape,
         )
         cached = self._results.get(key)
         if cached is not None:
@@ -169,8 +165,6 @@ class ExperimentRunner:
             prism_overrides=dict(prism_overrides or {}),
             row_cache_share=row_cache_share,
             compaction_shape=compaction_shape,
-            compaction_trigger=compaction_trigger,
-            compaction_picker=compaction_picker,
             clients=self.scale.clients,
             seed=self.scale.seed,
         )
@@ -625,7 +619,7 @@ def ext_design_space(runner: ExperimentRunner | None = None):
     router, at a read-heavy and a write-heavy mix, against the leveled
     RocksDB reference. The throughput winner per mix is starred — the
     who-wins-where result the `repro-bench sweep` subcommand explores on
-    bigger grids (more mixes, layouts, triggers, pickers).
+    bigger grids (more mixes and layouts).
     """
     runner = runner or shared_runner()
     from repro.lsm.options import COMPACTION_SHAPES

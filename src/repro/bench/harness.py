@@ -54,16 +54,12 @@ class SystemConfig:
     row_cache_share: float = 0.0
     #: PrismDB pinning threshold override (Fig. 14 sweeps this).
     pinning_threshold: float = 0.10
-    #: Tracker size as a fraction of the key space (paper: 10 %).
-    tracker_fraction: float = 0.10
     #: Extra PrismOptions fields for ablation variants.
     prism_overrides: dict = field(default_factory=dict)
-    #: Compaction policy axes (see repro.lsm.strategy / docs/COMPACTION.md).
-    #: The defaults reproduce the paper's configuration exactly, so the
+    #: Compaction shape (see repro.lsm.strategy / docs/COMPACTION.md).
+    #: The default reproduces the paper's configuration exactly, so the
     #: baselines' determinism tests are unaffected.
     compaction_shape: str = "leveling"
-    compaction_trigger: str = "size-ratio"
-    compaction_picker: str = "default"
     #: WAL group-commit factor (1 = sync every append, the paper's
     #: configuration). The fleet router raises it to model router-side
     #: batched WAL (see repro.fleet / docs/FLEET.md).
@@ -82,8 +78,6 @@ class SystemConfig:
             raise ConfigError(f"row_cache_share out of range: {self.row_cache_share}")
         if not 0.0 <= self.pinning_threshold <= 1.0:
             raise ConfigError(f"pinning_threshold must be in [0, 1]: {self.pinning_threshold}")
-        if not 0.0 < self.tracker_fraction <= 1.0:
-            raise ConfigError(f"tracker_fraction must be in (0, 1]: {self.tracker_fraction}")
 
 
 def check_runner_options(
@@ -109,8 +103,6 @@ def build_system(config: SystemConfig, workload: YCSBWorkload) -> LsmDB:
         row_cache_bytes=row_bytes,
         seed=config.seed,
         compaction_shape=config.compaction_shape,
-        compaction_trigger=config.compaction_trigger,
-        compaction_picker=config.compaction_picker,
         wal_sync_every=config.wal_sync_every,
     )
     clock = SimClock()
@@ -119,8 +111,8 @@ def build_system(config: SystemConfig, workload: YCSBWorkload) -> LsmDB:
         return RocksDBLike(layout, options, clock=clock)
     if config.system == "mutant":
         return MutantDB(layout, options, MutantOptions(), clock=clock)
-    prism = PrismOptions(
-        tracker_capacity=max(1, int(workload.config.record_count * config.tracker_fraction)),
+    prism = PrismOptions.for_keyspace(
+        workload.config.record_count,
         pinning_threshold=config.pinning_threshold,
         **config.prism_overrides,
     )

@@ -34,7 +34,7 @@ import sys
 
 from repro.bench.harness import SYSTEM_NAMES, RunResult, SystemConfig, run_experiment
 from repro.bench.reporting import fmt, format_experiment
-from repro.lsm.options import COMPACTION_PICKERS, COMPACTION_SHAPES, COMPACTION_TRIGGERS
+from repro.lsm.options import COMPACTION_SHAPES
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -51,12 +51,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=COMPACTION_SHAPES, metavar="SHAPE",
                         help=f"compaction shapes to compare (default: all; "
                              f"choices: {', '.join(COMPACTION_SHAPES)})")
-    parser.add_argument("--trigger", default="size-ratio",
-                        choices=COMPACTION_TRIGGERS,
-                        help="compaction trigger for every cell (default: size-ratio)")
-    parser.add_argument("--picker", default="default", choices=COMPACTION_PICKERS,
-                        help="compaction picker for every cell (default: the "
-                             "system's own choice)")
     parser.add_argument("--mixes", nargs="+", type=int, default=[95, 50],
                         metavar="READ_PCT",
                         help="read percentages of the measured mixes "
@@ -94,8 +88,6 @@ def run_sweep_cell(args: argparse.Namespace, layout: str, shape: str,
         system=args.system,
         layout_code=layout,
         compaction_shape=shape,
-        compaction_trigger=args.trigger,
-        compaction_picker=args.picker,
         clients=args.clients,
         seed=args.seed,
     )
@@ -182,8 +174,8 @@ def run_sweep(args: argparse.Namespace) -> int:
 
     headers, rows = render_sweep_table(results, args.layouts, args.mixes, args.shapes)
     title = (
-        f"Design-space sweep: {args.system}, trigger={args.trigger}, "
-        f"picker={args.picker} ({args.records} records, {args.ops} ops/cell)"
+        f"Design-space sweep: {args.system} "
+        f"({args.records} records, {args.ops} ops/cell)"
     )
     print(format_experiment(title, headers, rows))
 
@@ -191,8 +183,6 @@ def run_sweep(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
         index = {
             "system": args.system,
-            "trigger": args.trigger,
-            "picker": args.picker,
             "seed": args.seed,
             "records": args.records,
             "operations": args.ops,

@@ -87,12 +87,9 @@ class PrismDB(LsmDB):
             allow_pull_up=self.prism_options.up_compaction,
         )
         kwargs.setdefault("name", "prismdb")
-        if (
-            self.prism_options.score_based_selection
-            and options.compaction_picker == "default"
-        ):
-            # §4.3 lowest-score picking is PrismDB's default; an explicit
-            # compaction_picker name in the options overrides it.
+        if self.prism_options.score_based_selection:
+            # §4.3 lowest-score picking is PrismDB's default; an injected
+            # picker overrides it.
             kwargs.setdefault("picker", LowestScorePicker())
         super().__init__(
             layout,

@@ -9,7 +9,6 @@ from repro.lsm.compaction import (
     CompactionStats,
     LargestFilePicker,
     MergeRouter,
-    OldestFilePicker,
 )
 from repro.lsm.db import DBStats, LsmDB, ReadResult, ScanResult, WriteResult
 from repro.lsm.manifest_log import EditOp, ManifestLog, VersionEdit, decode_manifest, replay_manifest
@@ -32,7 +31,6 @@ __all__ = [
     "CompactionStats",
     "LargestFilePicker",
     "MergeRouter",
-    "OldestFilePicker",
     "DBStats",
     "LsmDB",
     "ReadResult",

@@ -1,19 +1,18 @@
 """Compaction: pluggable policies over one shared executor.
 
 The executor is shared by every system in the reproduction; behaviour is
-specialized through three orthogonal policy axes (the design space of
-Sarkar et al., arXiv:2202.04522 — see docs/COMPACTION.md) plus the
-record-routing seam the paper turns:
+specialized through two policy axes (from the design space of Sarkar et
+al., arXiv:2202.04522 — see docs/COMPACTION.md) plus the record-routing
+seam the paper turns:
 
 * a :class:`~repro.lsm.strategy.CompactionStrategy` — the *shape* axis —
   decides how runs are arranged per level (leveling, tiering with run
-  stacks, lazy-leveling) and plans whole compaction jobs, consulting a
-  :class:`~repro.lsm.strategy.TriggerPolicy` (*trigger* axis: size
-  ratio, file count, staleness) for when a level is over-full;
-* a :class:`CompactionPicker` — the *picking* axis — chooses *which SST
-  file* a partial (leveled) compaction takes from an over-full level
-  (classic RocksDB: largest file; PrismDB §4.3: the file with the lowest
-  popularity score; also oldest and round-robin); and
+  stacks, lazy-leveling), when a level is over-full, and plans whole
+  compaction jobs;
+* a :class:`CompactionPicker` — the *picking* axis, one per system —
+  chooses *which SST file* a partial (leveled) compaction takes from an
+  over-full level (classic RocksDB: largest file; PrismDB §4.3: the file
+  with the lowest popularity score); and
 * a :class:`MergeRouter` decides *where each merged record goes*
   (classic: everything moves down; PrismDB §4.2-4.3: popular keys are
   pinned to the upper level or pulled up from the lower one). The router
@@ -73,40 +72,6 @@ class LargestFilePicker(CompactionPicker):
         # negate. Ids are unique, so a table is never compared.
         ids = map(neg, map(attrgetter("file.file_id"), files))
         return [max(zip(map(attrgetter("size_bytes"), files), ids, files))[2]]
-
-
-class OldestFilePicker(CompactionPicker):
-    """Round-robin-ish alternative: compact the oldest file first."""
-
-    def pick_files(self, manifest: LevelManifest, level: int) -> list[SSTable]:
-        files = manifest.files(level)
-        if not files:
-            return []
-        return [min(files, key=lambda table: table.file_id)]
-
-
-class RoundRobinPicker(CompactionPicker):
-    """Cycle through a level's files in file-id order.
-
-    A per-level cursor remembers the last picked file id; each pick takes
-    the live file with the smallest id strictly above the cursor,
-    wrapping to the smallest id when the cursor passes the end. Every
-    file gets compacted eventually regardless of size or popularity —
-    the fairness baseline of the picking axis.
-    """
-
-    def __init__(self) -> None:
-        self._cursor: dict[int, int] = {}
-
-    def pick_files(self, manifest: LevelManifest, level: int) -> list[SSTable]:
-        files = manifest.files(level)
-        if not files:
-            return []
-        cursor = self._cursor.get(level, -1)
-        above = [table for table in files if table.file_id > cursor]
-        victim = min(above or files, key=lambda table: table.file_id)
-        self._cursor[level] = victim.file_id
-        return [victim]
 
 
 class MergeRouter(abc.ABC):

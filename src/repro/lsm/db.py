@@ -3,12 +3,12 @@
 :class:`LsmDB` is the engine every system in the reproduction runs on:
 vanilla RocksDB-style behaviour falls out of the default picker/router,
 PrismDB plugs in its read-aware picker/router, and Mutant wraps the same
-engine with a file-migration layer. Compaction *shape* and *trigger* are
-a third seam: ``DBOptions.compaction_shape`` / ``compaction_trigger``
-select a :class:`~repro.lsm.strategy.CompactionStrategy` (leveling by
-default; tiering and lazy-leveling stack multiple sorted runs per
-level). All reads and writes return simulated latencies; the harness's
-closed-loop runner turns those into throughput.
+engine with a file-migration layer. Compaction *shape* is a third seam:
+``DBOptions.compaction_shape`` selects a
+:class:`~repro.lsm.strategy.CompactionStrategy` (leveling by default;
+tiering and lazy-leveling stack multiple sorted runs per level). All
+reads and writes return simulated latencies; the harness's closed-loop
+runner turns those into throughput.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.lsm.options import DBOptions
 from repro.lsm.record import RECORD_HEADER_SIZE, Record, ValueKind, make_put_record
 from repro.lsm.row_cache import RowCache
 from repro.lsm.sstable import RunCursor, SSTable, SSTableBuilder, plan_files
-from repro.lsm.strategy import CompactionStrategy, make_picker, make_strategy
+from repro.lsm.strategy import CompactionStrategy, make_strategy
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
 from repro.obs import MetricsRegistry, Tracer
@@ -159,18 +159,15 @@ class LsmDB:
         # so the hot paths skip the dataclass attribute walk.
         self._row_cache_enabled = bool(self.options.row_cache_bytes)
         self._memtable_limit = self.options.memtable_bytes
-        #: The compaction shape+trigger composite; an explicit instance
-        #: wins, otherwise DBOptions.compaction_shape/_trigger select one.
+        #: The compaction shape; an explicit instance wins, otherwise
+        #: DBOptions.compaction_shape selects one.
         self.strategy = strategy or make_strategy(self.options)
         self.manifest = LevelManifest(
             self.options.num_levels,
             run_stacked_levels=self.strategy.run_stacked_levels(self.options),
         )
-        #: Picker precedence: explicit instance, then the
-        #: DBOptions.compaction_picker name, then the classic default.
-        self.picker = (
-            picker or make_picker(self.options.compaction_picker) or LargestFilePicker()
-        )
+        #: An injected picker wins; otherwise the classic largest-file one.
+        self.picker = picker or LargestFilePicker()
         self.router = router or CompactDownRouter()
         self.executor = CompactionExecutor(
             self.backend,

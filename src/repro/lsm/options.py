@@ -16,12 +16,6 @@ from repro.errors import ConfigError
 #: Compaction *shape* axis (see repro.lsm.strategy / docs/COMPACTION.md):
 #: how runs are arranged per level and what a compaction job merges.
 COMPACTION_SHAPES = ("leveling", "tiering", "lazy-leveling")
-#: Compaction *trigger* axis: when a level is considered over-full.
-COMPACTION_TRIGGERS = ("size-ratio", "file-count", "staleness")
-#: Compaction *picking* axis: which file(s) a partial compaction takes.
-#: "default" defers to the system (RocksDB: largest; PrismDB: lowest
-#: popularity score).
-COMPACTION_PICKERS = ("default", "largest", "oldest", "lowest-score", "round-robin")
 
 
 @dataclass
@@ -72,26 +66,9 @@ class DBOptions:
     #: level down), or "lazy-leveling" (tiering in the middle levels,
     #: leveling at the last — Dostoevsky's hybrid).
     compaction_shape: str = "leveling"
-    #: Compaction trigger by name: "size-ratio" (RocksDB-style level
-    #: bytes vs target, L0 by file count), "file-count" (any level fires
-    #: at ``file_count_trigger`` files), or "staleness" (size-ratio plus
-    #: a fire when a level's oldest file falls ``staleness_file_window``
-    #: file-ids behind the newest file in the tree).
-    compaction_trigger: str = "size-ratio"
-    #: Compaction picker by name; "default" defers to the system's
-    #: choice (largest-file unless a picker is injected, as PrismDB's
-    #: lowest-score picker is). Picking only matters for partial
-    #: (leveled) compactions — tiered shapes always merge whole levels.
-    compaction_picker: str = "default"
     #: Tiering / lazy-leveling: a run-stacked level compacts when it
     #: holds this many sorted runs.
     tiering_run_trigger: int = 4
-    #: "file-count" trigger: a leveled level (L1+) compacts at this many
-    #: files; L0 keeps using ``l0_compaction_trigger``.
-    file_count_trigger: int = 8
-    #: "staleness" trigger: a level fires when its oldest file's id lags
-    #: the newest file id in the tree by at least this window.
-    staleness_file_window: int = 64
 
     def __post_init__(self) -> None:
         if self.memtable_bytes <= 0:
@@ -111,22 +88,20 @@ class DBOptions:
                 f"unknown compaction_shape {self.compaction_shape!r}; "
                 f"choose from {COMPACTION_SHAPES}"
             )
-        if self.compaction_trigger not in COMPACTION_TRIGGERS:
-            raise ConfigError(
-                f"unknown compaction_trigger {self.compaction_trigger!r}; "
-                f"choose from {COMPACTION_TRIGGERS}"
-            )
-        if self.compaction_picker not in COMPACTION_PICKERS:
-            raise ConfigError(
-                f"unknown compaction_picker {self.compaction_picker!r}; "
-                f"choose from {COMPACTION_PICKERS}"
-            )
         if self.tiering_run_trigger < 2:
             raise ConfigError("tiering_run_trigger must be >= 2")
-        if self.file_count_trigger < 1:
-            raise ConfigError("file_count_trigger must be >= 1")
-        if self.staleness_file_window < 1:
-            raise ConfigError("staleness_file_window must be >= 1")
+        if self.bits_per_key < 1:
+            raise ConfigError(f"bits_per_key must be >= 1: {self.bits_per_key}")
+        if self.block_cache_bytes < 0:
+            raise ConfigError(
+                f"block_cache_bytes must be non-negative: {self.block_cache_bytes}"
+            )
+        if self.row_cache_bytes < 0:
+            raise ConfigError(f"row_cache_bytes must be non-negative: {self.row_cache_bytes}")
+        if not 0.0 <= self.pin_reserve_fraction <= 1.0:
+            raise ConfigError(
+                f"pin_reserve_fraction must be in [0, 1]: {self.pin_reserve_fraction}"
+            )
         if self.wal_sync_every < 1:
             raise ConfigError("wal_sync_every must be >= 1")
 

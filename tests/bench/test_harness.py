@@ -37,15 +37,12 @@ class TestSystemConfig:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (dict(tracker_fraction=-1.0), "tracker_fraction must be in"),
-            (dict(tracker_fraction=0.0), "tracker_fraction must be in"),
             (dict(row_cache_share=2.0), "row_cache_share out of range"),
             (dict(row_cache_share=-0.1), "row_cache_share out of range"),
             (dict(pinning_threshold=7), "pinning_threshold must be in"),
             (dict(pinning_threshold=-0.5), "pinning_threshold must be in"),
         ],
-        ids=["tracker_negative", "tracker_zero", "row_cache_above", "row_cache_below",
-             "pinning_above", "pinning_below"],
+        ids=["row_cache_above", "row_cache_below", "pinning_above", "pinning_below"],
     )
     def test_a_bad_field_fails_where_the_config_is_built(self, fields, message):
         with pytest.raises(ConfigError, match=message):
@@ -71,7 +68,7 @@ class TestBuildSystem:
 
     def test_tracker_sized_from_keyspace(self):
         workload = YCSBWorkload(SMALL)
-        db = build_system(SystemConfig(system="prismdb", tracker_fraction=0.10), workload)
+        db = build_system(SystemConfig(system="prismdb"), workload)
         assert db.tracker.capacity == 200
 
 

@@ -1,12 +1,16 @@
 """Tests for the design-space sweep subcommand and its artifacts."""
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 
+import pytest
+
 from repro.bench import sweep
 from repro.bench.cli import main
+from repro.bench.compare import comparable_scalars
 from repro.bench.harness import RunResult
 from repro.bench.sweep import (
     add_sweep_arguments,
@@ -51,6 +55,38 @@ class TestSweepCells:
             result = run_sweep_cell(args, "NNNTQ", shape, 50)
             assert result.system == "prismdb"
             assert result.label == cell_label("prismdb", "NNNTQ", shape, 50)
+
+
+#: sha256 over the sorted-key JSON of one cell's comparable_scalars,
+#: keyed by (system, shape, read_pct, records, ops). No committed
+#: baseline or perfbench workload runs a run-stacked shape, so these pin
+#: the tiering and lazy-leveling scoring to its output; the 6000-record
+#: cells are the ones whose measured phase compacts repeatedly (16 jobs).
+SHAPE_DIGESTS = {
+    ("prismdb", "tiering", 95, 600, 500): "0ab11d8ad7919ff3c0f6b8a48d596de91dcb3b301a23630b54980e9595fbbc8d",
+    ("prismdb", "tiering", 50, 600, 500): "7bd2b3c84b6c6c4e30e4d4c13228b24c20b57a167a67b322b6012fbbf853ed80",
+    ("prismdb", "lazy-leveling", 95, 600, 500): "0ab11d8ad7919ff3c0f6b8a48d596de91dcb3b301a23630b54980e9595fbbc8d",
+    ("prismdb", "lazy-leveling", 50, 600, 500): "7bd2b3c84b6c6c4e30e4d4c13228b24c20b57a167a67b322b6012fbbf853ed80",
+    ("rocksdb", "tiering", 95, 600, 500): "62c57108a566b7f855730a9c41018f102fcc6924931834a394a41059b57c1d5e",
+    ("rocksdb", "tiering", 50, 600, 500): "fb13c3a14196e58021b34e8e0be068254e0e3f78823b98a4d30d061a16324674",
+    ("rocksdb", "lazy-leveling", 95, 600, 500): "62c57108a566b7f855730a9c41018f102fcc6924931834a394a41059b57c1d5e",
+    ("rocksdb", "lazy-leveling", 50, 600, 500): "fb13c3a14196e58021b34e8e0be068254e0e3f78823b98a4d30d061a16324674",
+    ("prismdb", "tiering", 50, 6000, 3000): "c70e2fd69c02cee328a07b70fe1c05b8a1ccc75a3f0da425c134991a85444c01",
+    ("prismdb", "lazy-leveling", 50, 6000, 3000): "c70e2fd69c02cee328a07b70fe1c05b8a1ccc75a3f0da425c134991a85444c01",
+    ("rocksdb", "tiering", 50, 6000, 3000): "737e0b66a9019cd213ff42dd71cba8b36022fad329ba03a8129ff601d00c1db4",
+    ("rocksdb", "lazy-leveling", 50, 6000, 3000): "737e0b66a9019cd213ff42dd71cba8b36022fad329ba03a8129ff601d00c1db4",
+}
+
+
+@pytest.mark.parametrize(
+    "system, shape, read_pct, records, ops", sorted(SHAPE_DIGESTS)
+)
+def test_run_stacked_shapes_match_committed_digests(system, shape, read_pct, records, ops):
+    args = parse_sweep(["--records", str(records), "--ops", str(ops), "--system", system])
+    result = run_sweep_cell(args, "NNNTQ", shape, read_pct)
+    payload = json.dumps(comparable_scalars(result), sort_keys=True)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert digest == SHAPE_DIGESTS[(system, shape, read_pct, records, ops)]
 
 
 class TestSweepTable:

@@ -11,7 +11,6 @@ from repro.lsm.compaction import (
     CompactionJob,
     LargestFilePicker,
     MergeRouter,
-    OldestFilePicker,
 )
 from repro.lsm.layout import build_layout
 from repro.lsm.options import DBOptions
@@ -106,16 +105,9 @@ class TestPickers:
         assert fx.manifest.files(1) == [newer, older]
         assert LargestFilePicker().pick_files(fx.manifest, 1) == [older]
 
-    def test_oldest_file_picker(self):
-        fx = CompactionFixture()
-        first = fx.add_table(1, [b"a"])
-        fx.add_table(1, [b"m"])
-        assert OldestFilePicker().pick_files(fx.manifest, 1) == [first]
-
     def test_empty_level_picks_nothing(self):
         fx = CompactionFixture()
         assert LargestFilePicker().pick_files(fx.manifest, 1) == []
-        assert OldestFilePicker().pick_files(fx.manifest, 1) == []
 
 
 class TestScores:

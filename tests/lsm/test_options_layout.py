@@ -26,6 +26,28 @@ class TestDBOptions:
         with pytest.raises(ConfigError):
             DBOptions(level1_target_bytes=1 * KIB, target_file_bytes=64 * KIB)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(block_cache_bytes=-4096), "block_cache_bytes must be non-negative"),
+            (dict(row_cache_bytes=-10), "row_cache_bytes must be non-negative"),
+            (dict(pin_reserve_fraction=-1.0), "pin_reserve_fraction must be in"),
+            (dict(pin_reserve_fraction=3.0), "pin_reserve_fraction must be in"),
+            (dict(bits_per_key=-3), "bits_per_key must be >= 1"),
+            (dict(bits_per_key=0), "bits_per_key must be >= 1"),
+        ],
+        ids=["block_cache_negative", "row_cache_negative", "pin_reserve_below",
+             "pin_reserve_above", "bits_per_key_negative", "bits_per_key_zero"],
+    )
+    def test_an_out_of_range_field_fails_where_the_options_are_built(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            DBOptions(**fields)
+
+    def test_range_edges_are_accepted(self):
+        DBOptions(block_cache_bytes=0, row_cache_bytes=0, bits_per_key=1)
+        DBOptions(pin_reserve_fraction=0.0)
+        DBOptions(pin_reserve_fraction=1.0)
+
     def test_level_targets_exponential(self):
         opts = DBOptions(level1_target_bytes=256 * KIB, level_size_multiplier=8)
         assert opts.level_target_bytes(1) == 256 * KIB

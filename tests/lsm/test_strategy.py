@@ -1,4 +1,4 @@
-"""Tests for the compaction strategy layer (shape / trigger axes)."""
+"""Tests for the compaction strategy layer (the shape axis)."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.lsm.compaction import (
     CompactDownRouter,
     CompactionExecutor,
     LargestFilePicker,
-    OldestFilePicker,
-    RoundRobinPicker,
 )
 from repro.lsm.db import LsmDB
 from repro.lsm.layout import build_layout
@@ -18,15 +16,10 @@ from repro.lsm.options import DBOptions
 from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import SSTableBuilder
 from repro.lsm.strategy import (
-    FileCountTrigger,
     LazyLevelingStrategy,
     LevelingStrategy,
-    SizeRatioTrigger,
-    StalenessTrigger,
     TieringStrategy,
-    make_picker,
     make_strategy,
-    make_trigger,
 )
 from repro.lsm.compaction import MergeRouter
 from repro.lsm.version import LevelManifest
@@ -127,31 +120,9 @@ class TestFactories:
             LazyLevelingStrategy,
         )
 
-    def test_trigger_names(self):
-        assert isinstance(make_trigger("size-ratio"), SizeRatioTrigger)
-        assert isinstance(make_trigger("file-count"), FileCountTrigger)
-        assert isinstance(make_trigger("staleness"), StalenessTrigger)
-        with pytest.raises(ConfigError):
-            make_trigger("nope")
-
-    def test_picker_names(self):
-        assert make_picker("default") is None
-        assert isinstance(make_picker("largest"), LargestFilePicker)
-        assert isinstance(make_picker("oldest"), OldestFilePicker)
-        assert isinstance(make_picker("round-robin"), RoundRobinPicker)
-        from repro.core.placer import LowestScorePicker
-
-        assert isinstance(make_picker("lowest-score"), LowestScorePicker)
-        with pytest.raises(ConfigError):
-            make_picker("nope")
-
     def test_options_validate_policy_names(self):
         with pytest.raises(ConfigError):
             small_options(compaction_shape="spiral")
-        with pytest.raises(ConfigError):
-            small_options(compaction_trigger="vibes")
-        with pytest.raises(ConfigError):
-            small_options(compaction_picker="dartboard")
         with pytest.raises(ConfigError):
             small_options(tiering_run_trigger=1)
 
@@ -226,25 +197,6 @@ class TestShapeInvariants:
 
 
 class TestTriggers:
-    def test_file_count_trigger_fires_at_threshold(self):
-        fx = StrategyFixture(
-            small_options(compaction_trigger="file-count", file_count_trigger=3)
-        )
-        fx.add_table(1, [b"a"])
-        fx.add_table(1, [b"b"])
-        assert fx.executor.compaction_score(1) == pytest.approx(2 / 3)
-        fx.add_table(1, [b"c"])
-        assert fx.executor.compaction_score(1) == pytest.approx(1.0)
-        assert fx.executor.pick_compaction_level() == 1
-
-    def test_file_count_trigger_keeps_l0_threshold(self):
-        fx = StrategyFixture(
-            small_options(compaction_trigger="file-count", file_count_trigger=3)
-        )
-        for i in range(fx.options.l0_compaction_trigger):
-            fx.add_table(0, [f"k{i}".encode()])
-        assert fx.executor.compaction_score(0) == pytest.approx(1.0)
-
     def test_tiering_run_trigger_fires_at_threshold(self):
         fx = StrategyFixture(
             small_options(compaction_shape="tiering", tiering_run_trigger=2)
@@ -255,26 +207,9 @@ class TestTriggers:
         assert fx.manifest.run_count(1) == 2
         assert fx.executor.compaction_score(1) == pytest.approx(1.0)
 
-    def test_staleness_trigger_fires_on_old_files(self):
-        fx = StrategyFixture(
-            small_options(compaction_trigger="staleness", staleness_file_window=4)
-        )
-        old = fx.add_table(1, [b"a"])
-        assert fx.executor.compaction_score(1) < 1.0
-        for i in range(4):  # newer files elsewhere age the L1 file
-            fx.add_table(2, [f"m{i}".encode()])
-        assert fx.executor.compaction_score(1) >= 1.0
-        trigger = fx.executor.strategy.trigger
-        assert trigger.prefers_oldest(fx.executor, 1)
-        # The planned job takes the stale (oldest) file, so the firing
-        # converges even with a size-based picker configured.
-        job = fx.executor.strategy.plan_job(fx.executor, 1)
-        assert old in job.upper_inputs
-
     def test_size_ratio_is_default_and_unchanged(self):
         fx = StrategyFixture()
         assert isinstance(fx.executor.strategy, LevelingStrategy)
-        assert isinstance(fx.executor.strategy.trigger, SizeRatioTrigger)
         assert fx.executor.compaction_score(4) == 0.0  # bottom never
 
 
@@ -336,22 +271,6 @@ class TestTieredExecution:
             lazy.executor.run_job(4)
 
 
-class TestRoundRobinPicker:
-    def test_cycles_through_files_in_id_order(self):
-        fx = StrategyFixture(picker=RoundRobinPicker())
-        tables = [
-            fx.add_table(1, [b"a"]),
-            fx.add_table(1, [b"m"]),
-            fx.add_table(1, [b"x"]),
-        ]
-        picker = fx.executor.picker
-        picks = [picker.pick_files(fx.manifest, 1)[0] for _ in range(4)]
-        assert picks == [tables[0], tables[1], tables[2], tables[0]]
-
-    def test_empty_level(self):
-        assert RoundRobinPicker().pick_files(LevelManifest(5), 1) == []
-
-
 class TestStrategyThroughDbOptions:
     def test_reopen_preserves_shape_and_data(self):
         db = LsmDB.create("NNNNN", small_options(compaction_shape="tiering"))
@@ -363,7 +282,7 @@ class TestStrategyThroughDbOptions:
             assert reopened.get(key).value == value
 
     def test_explicit_strategy_instance_wins(self):
-        strategy = TieringStrategy(FileCountTrigger())
+        strategy = TieringStrategy()
         db = LsmDB.create("NNNNN", small_options(), strategy=strategy)
         assert db.executor.strategy is strategy
         assert db.manifest.is_run_stacked(1)
