@@ -197,6 +197,23 @@ class TestShapeInvariants:
 
 
 class TestTriggers:
+    def test_file_count_trigger_fires_at_threshold(self):
+        fx = StrategyFixture(small_options(l0_compaction_trigger=3))
+        fx.add_table(0, [b"a"])
+        fx.add_table(0, [b"b"])
+        assert fx.executor.compaction_score(0) == pytest.approx(2 / 3)
+        assert fx.executor.pick_compaction_level() is None
+        fx.add_table(0, [b"c"])
+        assert fx.executor.compaction_score(0) == pytest.approx(1.0)
+        assert fx.executor.pick_compaction_level() == 0
+
+    def test_file_count_trigger_keeps_l0_threshold(self):
+        for shape in ("leveling", "tiering", "lazy-leveling"):
+            fx = StrategyFixture(small_options(compaction_shape=shape))
+            for i in range(fx.options.l0_compaction_trigger):
+                fx.add_table(0, [f"k{i}".encode()])
+            assert fx.executor.compaction_score(0) == pytest.approx(1.0), shape
+
     def test_tiering_run_trigger_fires_at_threshold(self):
         fx = StrategyFixture(
             small_options(compaction_shape="tiering", tiering_run_trigger=2)
