@@ -46,6 +46,12 @@ echo "== sweep-smoke =="
 python -m repro.bench sweep --shapes leveling tiering lazy-leveling --mixes 95 \
     --records 600 --ops 500
 
+# Gating: the two slower examples (seconds each) run to completion; the
+# fast ones run in the unit pass (tests/test_examples.py).
+echo "== examples =="
+python examples/social_graph_cache.py >/dev/null
+python examples/tiering_deep_dive.py >/dev/null
+
 # Non-gating: latency-attribution smoke. Two tiny seeded runs saved
 # with --attribution, rendered and diffed by `repro.bench explain`.
 # Asserts the plumbing end to end (artifact schema v2, attribution

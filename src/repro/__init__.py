@@ -27,8 +27,6 @@ from repro.lsm import (
     StorageLayout,
     WriteResult,
     build_layout,
-    homogeneous_layout,
-    nnntq_layout,
     options_for_db_size,
 )
 from repro.workloads import YCSBConfig, YCSBWorkload
@@ -50,8 +48,6 @@ __all__ = [
     "StorageLayout",
     "WriteResult",
     "build_layout",
-    "homogeneous_layout",
-    "nnntq_layout",
     "options_for_db_size",
     "YCSBConfig",
     "YCSBWorkload",

@@ -1,15 +1,7 @@
-"""Analytic models: the Fig. 4 cost/latency enumeration and amplification."""
+"""Analytic models: the Fig. 4 cost/latency enumeration and level sizing."""
 
-from repro.analysis.amplification import (
-    IOBreakdown,
-    read_amplification,
-    write_amplification,
-)
 from repro.analysis.level_model import (
-    PinReserveImpact,
     levels_required,
-    optimal_multiplier,
-    pin_reserve_impact,
     write_amplification_estimate,
 )
 from repro.analysis.cost_model import (
@@ -25,13 +17,7 @@ from repro.analysis.cost_model import (
 )
 
 __all__ = [
-    "IOBreakdown",
-    "read_amplification",
-    "write_amplification",
-    "PinReserveImpact",
     "levels_required",
-    "optimal_multiplier",
-    "pin_reserve_impact",
     "write_amplification_estimate",
     "PAPER_DB_BYTES",
     "TABLE3_CODES",

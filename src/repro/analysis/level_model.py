@@ -5,8 +5,7 @@ is minimized when the ratio between consecutive level sizes is constant —
 that is why the placer must respect level sizing rather than pile hot
 data arbitrarily high. This module makes that math executable: steady-
 state write amplification as a function of the multiplier and level
-count, the optimal multiplier for a given data size, and how much extra
-amplification a pin reserve introduces.
+count, and how many levels a data size needs.
 
 The standard model: each user byte is written once to the WAL, once per
 flush, and then once per level it descends through; a leveled merge into
@@ -16,9 +15,6 @@ on average (output levels are half-full on average).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -59,64 +55,3 @@ def write_amplification_estimate(
     base = (1.0 if wal else 0.0) + 1.0  # WAL + flush
     per_level = 1.0 + multiplier * merge_fullness
     return base + levels * per_level
-
-
-def optimal_multiplier(db_bytes: int, level1_bytes: int, *, max_multiplier: int = 64) -> int:
-    """The multiplier minimizing estimated WA for a given data size.
-
-    Larger multipliers need fewer levels but pay more per merge; the
-    classical optimum sits near ``e`` times the per-level cost balance —
-    here found by direct search, which also respects integer levels.
-    """
-    best_multiplier, best_wa = 2, math.inf
-    for multiplier in range(2, max_multiplier + 1):
-        levels = levels_required(db_bytes, level1_bytes, multiplier)
-        wa = write_amplification_estimate(levels, multiplier)
-        if wa < best_wa:
-            best_multiplier, best_wa = multiplier, wa
-    return best_multiplier
-
-
-@dataclass(frozen=True)
-class PinReserveImpact:
-    """Effect of reserving level capacity for pinned data."""
-
-    reserve_fraction: float
-    effective_multiplier: float
-    write_amplification: float
-    baseline_write_amplification: float
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Relative WA increase the reserve costs."""
-        if self.baseline_write_amplification == 0:
-            return 0.0
-        return (
-            self.write_amplification / self.baseline_write_amplification - 1.0
-        )
-
-
-def pin_reserve_impact(
-    levels: int,
-    multiplier: int,
-    reserve_fraction: float,
-) -> PinReserveImpact:
-    """Estimate the WA cost of a pin reserve (DESIGN.md's knob).
-
-    Reserving a fraction ``r`` of each level for pinned data shrinks the
-    capacity available to transient data to ``(1 - r/(1+r))`` of target,
-    which behaves like a slightly smaller effective multiplier — the
-    quantitative form of the paper's warning that deviating from the
-    sizing rule increases write amplification.
-    """
-    if not 0.0 <= reserve_fraction < 1.0:
-        raise ConfigError("reserve_fraction must be in [0, 1)")
-    baseline = write_amplification_estimate(levels, multiplier)
-    effective = multiplier * (1.0 + reserve_fraction)
-    adjusted = write_amplification_estimate(levels, multiplier, merge_fullness=0.5 * (1.0 + reserve_fraction))
-    return PinReserveImpact(
-        reserve_fraction=reserve_fraction,
-        effective_multiplier=effective,
-        write_amplification=adjusted,
-        baseline_write_amplification=baseline,
-    )

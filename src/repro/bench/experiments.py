@@ -16,7 +16,7 @@ mix) -> measured run. All systems get byte-identical traffic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.analysis.cost_model import (
     enumerate_configs,
@@ -82,28 +82,12 @@ class ExperimentScale:
         return ExperimentScale()
 
 
-@dataclass(frozen=True)
-class RunKey:
-    """Memoization key for one simulated run."""
-
-    system: str
-    layout: str
-    read_pct: int
-    distribution: str
-    zipf_theta: float
-    cache_disabled: bool
-    pinning_threshold: float
-    prism_overrides: tuple = ()
-    row_cache_share: float = 0.0
-    compaction_shape: str = "leveling"
-
-
 class ExperimentRunner:
     """Builds, ages and measures systems, memoizing by configuration."""
 
     def __init__(self, scale: ExperimentScale | None = None) -> None:
         self.scale = scale or ExperimentScale.from_env()
-        self._results: dict[RunKey, RunResult] = {}
+        self._results: dict[tuple, RunResult] = {}
 
     def workload_config(self, *, read_pct: int = 95, distribution: str = "zipfian", zipf_theta: float = 0.99) -> YCSBConfig:
         scale = self.scale
@@ -126,24 +110,29 @@ class ExperimentRunner:
         read_pct: int = 95,
         distribution: str = "zipfian",
         zipf_theta: float = 0.99,
-        cache_disabled: bool = False,
-        pinning_threshold: float = 0.10,
-        prism_overrides: dict | None = None,
-        row_cache_share: float = 0.0,
-        compaction_shape: str = "leveling",
+        **settings,
     ) -> RunResult:
         """Run one configuration (memoized).
 
-        ``prism_overrides`` are extra :class:`PrismOptions` fields for
-        ablation variants (e.g. ``{"up_compaction": False}``).
-        ``compaction_shape`` selects a shape of :mod:`repro.lsm.strategy`
-        (default: the paper's leveling).
+        ``settings`` are :class:`SystemConfig` fields over the scale's
+        cache fraction, clients and seed, e.g. ``cache_fraction=0.0`` or
+        ``prism_overrides={"up_compaction": False}``. Runs are memoized on
+        the workload parameters and every field of the resulting config,
+        so an explicit default finds the same run.
         """
-        overrides_key = tuple(sorted((prism_overrides or {}).items()))
-        key = RunKey(
-            system, layout, read_pct, distribution, zipf_theta,
-            cache_disabled, pinning_threshold, overrides_key, row_cache_share,
-            compaction_shape,
+        config = SystemConfig(
+            system=system,
+            layout_code=layout,
+            **{
+                "cache_fraction": self.scale.cache_fraction,
+                "clients": self.scale.clients,
+                "seed": self.scale.seed,
+                **settings,
+            },
+        )
+        key = (read_pct, distribution, zipf_theta) + tuple(
+            tuple(sorted(value.items())) if isinstance(value, dict) else value
+            for value in (getattr(config, f.name) for f in fields(config))
         )
         cached = self._results.get(key)
         if cached is not None:
@@ -156,18 +145,6 @@ class ExperimentRunner:
             warmup_operations=self.scale.aging_operations,
         )
         settle = replace(base, warmup_operations=self.scale.settle_operations)
-        config = SystemConfig(
-            system=system,
-            layout_code=layout,
-            cache_fraction=self.scale.cache_fraction,
-            cache_disabled=cache_disabled,
-            pinning_threshold=pinning_threshold,
-            prism_overrides=dict(prism_overrides or {}),
-            row_cache_share=row_cache_share,
-            compaction_shape=compaction_shape,
-            clients=self.scale.clients,
-            seed=self.scale.seed,
-        )
         workload = YCSBWorkload(base)
         db = build_system(config, workload)
         runner = WorkloadRunner(db, clients=config.clients)
@@ -244,7 +221,7 @@ def fig3_level_distribution(runner: ExperimentRunner | None = None):
 # ----------------------------------------------------------------------
 def table2_read_levels(runner: ExperimentRunner | None = None):
     runner = runner or shared_runner()
-    result = runner.run("rocksdb", "NNNTQ", cache_disabled=True)
+    result = runner.run("rocksdb", "NNNTQ", cache_fraction=0.0)
     total = sum(result.reads_by_source.values()) or 1
     headers = ["Memtable", "L0", "L1", "L2", "L3", "L4"]
     row = [pct(result.reads_by_source.get("memtable", 0) / total)]
@@ -456,8 +433,8 @@ def fig13_no_cache(runner: ExperimentRunner | None = None):
     headers = ["config", "RocksDB (no cache)", "PrismDB (no cache)"]
     rows = []
     for name, code in (("TLC", "TTTTT"), ("Het", "NNNTQ")):
-        rocks = runner.run("rocksdb", code, cache_disabled=True)
-        prism = runner.run("prismdb", code, cache_disabled=True)
+        rocks = runner.run("rocksdb", code, cache_fraction=0.0)
+        prism = runner.run("prismdb", code, cache_fraction=0.0)
         rows.append([name, fmt(rocks.throughput_kops), fmt(prism.throughput_kops)])
     return headers, rows
 

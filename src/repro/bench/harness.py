@@ -47,8 +47,6 @@ class SystemConfig:
     #: 1:10 DRAM:storage ratio with 20 % of DRAM for the block cache, but
     #: also leans on the OS page cache; this fraction stands in for both).
     cache_fraction: float = 0.10
-    #: Disable DRAM caching entirely (Fig. 13).
-    cache_disabled: bool = False
     #: Share of the DRAM cache budget given to an object-granularity row
     #: cache instead of the block cache (the §3.3 granularity extension).
     row_cache_share: float = 0.0
@@ -95,7 +93,7 @@ def check_runner_options(
 def build_system(config: SystemConfig, workload: YCSBWorkload) -> LsmDB:
     """Instantiate the system under test, sized for the workload."""
     db_bytes = workload.total_data_bytes()
-    cache_bytes = 0 if config.cache_disabled else int(db_bytes * config.cache_fraction)
+    cache_bytes = int(db_bytes * config.cache_fraction)
     row_bytes = int(cache_bytes * config.row_cache_share)
     options = options_for_db_size(
         db_bytes,

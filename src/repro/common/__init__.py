@@ -14,14 +14,8 @@ from repro.common.units import (
     GIB,
     KIB,
     MIB,
-    TIB,
-    bytes_to_gib,
-    format_bytes,
     format_usec,
-    microseconds,
-    milliseconds,
     seconds,
-    usec_to_seconds,
 )
 
 __all__ = [
@@ -38,12 +32,6 @@ __all__ = [
     "GIB",
     "KIB",
     "MIB",
-    "TIB",
-    "bytes_to_gib",
-    "format_bytes",
     "format_usec",
-    "microseconds",
-    "milliseconds",
     "seconds",
-    "usec_to_seconds",
 ]

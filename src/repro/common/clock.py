@@ -73,17 +73,5 @@ class SimClock:
                 self._notify()
         return self._now
 
-    def advance_to(self, timestamp_usec: float) -> float:
-        """Move the clock forward to ``timestamp_usec`` if it is in the future.
-
-        A timestamp in the past is a no-op (never an error) so that
-        independent event sources can race benignly.
-        """
-        if timestamp_usec > self._now:
-            self._now = timestamp_usec
-            if self._observers:
-                self._notify()
-        return self._now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.1f}us)"

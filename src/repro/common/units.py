@@ -3,7 +3,7 @@
 The simulator measures time in **microseconds** (float) and data in
 **bytes** (int). These helpers keep magic numbers out of the rest of the
 code base and make configuration literals readable, e.g. ``4 * KIB`` or
-``MILLISECONDS(2)``.
+``seconds(2)``.
 """
 
 from __future__ import annotations
@@ -12,51 +12,14 @@ from __future__ import annotations
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-TIB = 1024 * GIB
 
 #: The block size used by data blocks and the device models (a flash page).
 BLOCK_SIZE = 4 * KIB
 
 
-def microseconds(value: float) -> float:
-    """Identity helper — the native simulator time unit."""
-    return float(value)
-
-
-def milliseconds(value: float) -> float:
-    """Convert milliseconds to simulator microseconds."""
-    return float(value) * 1_000.0
-
-
 def seconds(value: float) -> float:
     """Convert seconds to simulator microseconds."""
     return float(value) * 1_000_000.0
-
-
-def usec_to_seconds(usec: float) -> float:
-    """Convert simulator microseconds back to seconds."""
-    return usec / 1_000_000.0
-
-
-def bytes_to_gib(n_bytes: float) -> float:
-    """Convert a byte count to (fractional) GiB."""
-    return n_bytes / GIB
-
-
-def format_bytes(n_bytes: float) -> str:
-    """Render a byte count with a human-readable binary suffix.
-
-    >>> format_bytes(2048)
-    '2.0 KiB'
-    """
-    value = float(n_bytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)} B"
-            return f"{value:.1f} {suffix}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
 
 
 def format_usec(usec: float) -> str:

@@ -16,7 +16,6 @@ Two pieces plug into the engine's compaction seams:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -56,7 +55,6 @@ class ReadAwareRouter(MergeRouter):
         mapper: ClockDistributionMapper,
         *,
         pinning_threshold: float = 0.10,
-        seed: int = 0,
         require_full_tracker: bool = True,
         allow_pull_up: bool = True,
     ) -> None:
@@ -66,7 +64,6 @@ class ReadAwareRouter(MergeRouter):
         self._mapper = mapper
         self._allow_pull_up = allow_pull_up
         self.pinning_threshold = pinning_threshold
-        self._rng = random.Random(seed)
         self._require_full_tracker = require_full_tracker
         self._budget_bytes = 0
         self._pull_budget_bytes = 0
@@ -86,14 +83,15 @@ class ReadAwareRouter(MergeRouter):
         upper_lo: bytes,
         upper_hi: bytes,
         upper_budget_bytes: int,
-        pull_budget_bytes: int = 0,
     ) -> None:
         # The level-sizing constraint (§4.3): never retain more data in
         # the upper level than its target leaves room for, otherwise the
-        # level stays over-full and compaction churns. Pulls (records
-        # rising from below) get only genuine headroom.
+        # level stays over-full and compaction churns. Pulls keep a
+        # counter of their own that pins do not draw down, so a pull can
+        # be admitted past what pins left of the budget (DESIGN.md,
+        # "Known modelling quirks").
         self._budget_bytes = upper_budget_bytes
-        self._pull_budget_bytes = min(pull_budget_bytes, upper_budget_bytes)
+        self._pull_budget_bytes = upper_budget_bytes
         self._upper_level = upper_level
 
     def route_up_key(

@@ -82,7 +82,6 @@ class PrismDB(LsmDB):
             self.tracker,
             self.mapper,
             pinning_threshold=self.prism_options.pinning_threshold,
-            seed=options.seed,
             require_full_tracker=self.prism_options.require_full_tracker,
             allow_pull_up=self.prism_options.up_compaction,
         )

@@ -23,14 +23,6 @@ class CapacityError(StorageError):
     """A tier or file would exceed its configured capacity."""
 
 
-class FileLockedError(StorageError):
-    """A simulated file is locked (e.g. by a Mutant migration)."""
-
-
-class EnduranceExceededError(StorageError):
-    """A device has consumed its entire program/erase budget."""
-
-
 class CorruptionError(ReproError):
     """A serialized structure (block, SSTable, WAL record) failed to parse."""
 

@@ -12,7 +12,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.db import DBStats, LsmDB, ReadResult, ScanResult, WriteResult
 from repro.lsm.manifest_log import EditOp, ManifestLog, VersionEdit, decode_manifest, replay_manifest
-from repro.lsm.layout import StorageLayout, build_layout, homogeneous_layout, nnntq_layout
+from repro.lsm.layout import StorageLayout, build_layout
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import DBOptions, options_for_db_size
 from repro.lsm.record import MAX_SEQNO, Record, ValueKind
@@ -43,8 +43,6 @@ __all__ = [
     "replay_manifest",
     "StorageLayout",
     "build_layout",
-    "homogeneous_layout",
-    "nnntq_layout",
     "Memtable",
     "DBOptions",
     "options_for_db_size",

@@ -106,7 +106,7 @@ class DataBlockBuilder:
 
     __slots__ = (
         "target_bytes", "_chunks", "_sizes", "_estimated",
-        "_first_key", "_last_key", "_last_inv",
+        "_last_key", "_last_inv",
     )
 
     def __init__(self, target_bytes: int) -> None:
@@ -120,7 +120,6 @@ class DataBlockBuilder:
         # keeps the previous (key, inverted-seqno) pair instead of
         # building two sort-key tuples per add.
         self._estimated = EMPTY_BLOCK_BYTES
-        self._first_key: bytes | None = None
         self._last_key: bytes | None = None
         self._last_inv = 0
 
@@ -154,8 +153,6 @@ class DataBlockBuilder:
         self._append(key, MAX_SEQNO - seqno, buf[start:end])
 
     def _append(self, key: bytes, inv: int, encoded) -> None:
-        if self._first_key is None:
-            self._first_key = key
         self._last_key = key
         self._last_inv = inv
         self._chunks.append(encoded)
@@ -164,10 +161,6 @@ class DataBlockBuilder:
 
     def is_full(self) -> bool:
         return self._estimated >= self.target_bytes
-
-    @property
-    def first_key(self) -> bytes | None:
-        return self._first_key
 
     @property
     def last_key(self) -> bytes | None:

@@ -103,17 +103,14 @@ class MergeRouter(abc.ABC):
         upper_lo: bytes,
         upper_hi: bytes,
         upper_budget_bytes: int,
-        pull_budget_bytes: int = 0,
     ) -> None:
         """Hook called once per compaction job before routing starts.
 
         ``upper_budget_bytes`` is how much data the upper level can
         retain after this job without exceeding its size target — the
-        level-sizing constraint §4.3 says the placer must respect.
-        ``pull_budget_bytes`` is the stricter allowance for records
-        *rising* from the lower level: pulls add net-new bytes to the
-        upper level, so they are only granted genuine headroom below the
-        target (retentions merely keep bytes that were already there).
+        level-sizing constraint §4.3 says the placer must respect. It
+        covers retained records and records pulled up from the lower
+        level alike.
         """
 
     @abc.abstractmethod
@@ -387,16 +384,17 @@ class CompactionExecutor:
             # the job's pinning budget is whatever of that allowance
             # remains once the inputs are gone. Levels beyond the
             # allowance pin nothing until cold data drains, so compaction
-            # always converges. Pulls draw on the same budget (the router
-            # caps them; a job without lower inputs has nothing to pull).
+            # always converges. Pulls are meant to draw on the same budget,
+            # but the router's pull counter does not see pins (DESIGN.md
+            # "Known modelling quirks"); a job without lower inputs has
+            # nothing to pull.
             input_bytes = sum(table.size_bytes for table in job.upper_inputs)
             remaining = self._manifest.level_bytes(upper_level) - input_bytes
             target = self._options.level_target_bytes(upper_level)
             allowance = int(target * (1.0 + self._options.pin_reserve_fraction))
             upper_budget = max(0, allowance - remaining)
             self._router.begin_job(
-                upper_level, lower_level, job.upper_lo, job.upper_hi,
-                upper_budget, upper_budget,
+                upper_level, lower_level, job.upper_lo, job.upper_hi, upper_budget
             )
             if not self._router.never_routes_up:
                 router = self._router

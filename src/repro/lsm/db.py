@@ -584,10 +584,6 @@ class LsmDB:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> dict:
-        """A JSON-safe snapshot of every registered metric series."""
-        return self.metrics.snapshot()
-
     @property
     def memtable_bytes(self) -> int:
         """Approximate bytes buffered in the active memtable."""

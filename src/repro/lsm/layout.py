@@ -47,20 +47,18 @@ class StorageLayout:
         return f"{self.code} ({', '.join(parts)})"
 
 
-def build_layout(
-    code: str,
-    options: DBOptions,
-    clock: SimClock,
-    *,
-    capacity_headroom: float = 4.0,
-) -> StorageLayout:
+#: A tier's capacity over the sum of its levels' targets: room for
+#: compaction transients and level overshoot.
+CAPACITY_HEADROOM = 4.0
+
+
+def build_layout(code: str, options: DBOptions, clock: SimClock) -> StorageLayout:
     """Create tiers for a configuration string like ``"NNNTQ"``.
 
     Each maximal run of identical codes becomes one tier whose capacity
-    is the sum of its levels' targets times ``capacity_headroom`` (room
-    for compaction transients and level overshoot). The WAL lives on the
-    tier hosting L0, as it does on the paper's testbed where the fastest
-    device holds the log.
+    is the sum of its levels' targets times ``CAPACITY_HEADROOM``. The
+    WAL lives on the tier hosting L0, as it does on the paper's testbed
+    where the fastest device holds the log.
     """
     code = code.upper()
     if len(code) != options.num_levels:
@@ -86,7 +84,7 @@ def build_layout(
             tier = StorageTier(
                 name=f"{spec.name.lower()}-L{run_start}" + (f"-L{level - 1}" if level - 1 > run_start else ""),
                 spec=spec,
-                capacity_bytes=max(1, int(capacity * capacity_headroom)),
+                capacity_bytes=max(1, int(capacity * CAPACITY_HEADROOM)),
                 clock=clock,
                 nominal_bytes=max(1, int(capacity)),
             )
@@ -95,15 +93,3 @@ def build_layout(
                 level_to_tier.append(tier)
             run_start = level
     return StorageLayout(code=code, tiers=tiers, level_to_tier=level_to_tier, wal_tier=level_to_tier[0])
-
-
-#: The paper's named configurations.
-def nnntq_layout(options: DBOptions | None = None, clock: SimClock | None = None, **kwargs) -> StorageLayout:
-    """The paper's default heterogeneous configuration (Fig. 2b)."""
-    return build_layout("NNNTQ", options or DBOptions(), clock or SimClock(), **kwargs)
-
-
-def homogeneous_layout(letter: str, options: DBOptions | None = None, clock: SimClock | None = None, **kwargs) -> StorageLayout:
-    """A single-technology configuration, e.g. ``homogeneous_layout("Q")``."""
-    options = options or DBOptions()
-    return build_layout(letter * options.num_levels, options, clock or SimClock(), **kwargs)

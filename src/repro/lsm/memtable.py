@@ -22,7 +22,7 @@ from bisect import bisect_left
 from typing import Iterator
 
 from repro.lsm.iterators import keyed_records
-from repro.lsm.record import Record, ValueKind
+from repro.lsm.record import Record
 
 
 class Memtable:
@@ -92,11 +92,6 @@ class Memtable:
     def largest_key(self) -> bytes | None:
         keys = self._ordered_keys()
         return keys[-1] if keys else None
-
-    def live_entry_count(self) -> int:
-        """Number of non-tombstone entries currently buffered."""
-        put = ValueKind.PUT
-        return sum(1 for record in self._records.values() if record.kind == put)
 
 
 class MemtableCursor:

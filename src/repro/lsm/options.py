@@ -57,8 +57,7 @@ class DBOptions:
     #: level-sizing accommodation that keeps pinning from churning
     #: (§4.3's "placer must take level sizing into account").
     pin_reserve_fraction: float = 0.5
-    #: RNG seed for stochastic policy decisions (PrismDB's placer; the
-    #: harness also seeds latency-attribution sampling from it).
+    #: RNG seed of the harness's latency-attribution sampling.
     seed: int = 0
     #: Compaction shape by name: "leveling" (one sorted run per level,
     #: the default and the paper's configuration), "tiering" (a stack of
@@ -112,10 +111,6 @@ class DBOptions:
         if level == 0:
             return self.l0_compaction_trigger * self.memtable_bytes
         return self.level1_target_bytes * self.level_size_multiplier ** (level - 1)
-
-    def total_capacity_bytes(self) -> int:
-        """Sum of all level targets."""
-        return sum(self.level_target_bytes(level) for level in range(self.num_levels))
 
 
 def options_for_db_size(

@@ -36,11 +36,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     View,
     exponential_buckets,
-    format_series,
     label_key,
     percentile_from_buckets,
 )
-from repro.obs.timeline import TimelineSampler, merge_timelines, timeline_series
+from repro.obs.timeline import TimelineSampler, merge_timelines
 from repro.obs.tracing import (
     NOOP_TRACER,
     Tracer,
@@ -64,12 +63,10 @@ __all__ = [
     "View",
     "DEFAULT_LATENCY_BUCKETS",
     "exponential_buckets",
-    "format_series",
     "label_key",
     "percentile_from_buckets",
     "TimelineSampler",
     "merge_timelines",
-    "timeline_series",
     "Tracer",
     "NOOP_TRACER",
     "jsonl_to_chrome_json",

@@ -100,10 +100,6 @@ class OpContext:
         if n_probes:
             probes["bloom_hashes"] = probes.get("bloom_hashes", 0) + n_probes
 
-    @property
-    def attributed_usec(self) -> float:
-        return sum(self.parts.values())
-
 
 class _Cell:
     """Aggregated breakdown of every op that landed in one latency bucket."""

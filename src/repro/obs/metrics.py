@@ -57,14 +57,6 @@ def label_key(labels: dict[str, object]) -> LabelKey:
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
 
 
-def format_series(name: str, key: LabelKey) -> str:
-    """Render ``component.metric{label=value,...}`` for display."""
-    if not key:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in key)
-    return f"{name}{{{inner}}}"
-
-
 class Counter:
     """A monotonically non-decreasing value (float, so usec sums fit)."""
 
@@ -510,17 +502,3 @@ class MetricsRegistry:
         for metric in merged.values():
             metric["series"].sort(key=lambda row: label_key(row["labels"]))
         return merged
-
-    def render_flat(self) -> dict[str, float]:
-        """Flat ``name{label=value}`` -> scalar view (histograms: count)."""
-        flat: dict[str, float] = {}
-        for name in self.names():
-            _, _, series = self._metrics[name]
-            for key in sorted(series):
-                instrument = series[key]
-                if isinstance(instrument, Histogram):
-                    flat[format_series(name + ".count", key)] = float(instrument.count)
-                    flat[format_series(name + ".sum", key)] = instrument.total
-                else:
-                    flat[format_series(name, key)] = instrument.value
-        return flat

@@ -361,11 +361,3 @@ def merge_timelines(timelines: list[dict]) -> dict:
         "series": series,
     }
 
-
-def timeline_series(timeline: dict, name: str) -> list[float]:
-    """One series' values from a :meth:`TimelineSampler.to_dict` export."""
-    series = timeline.get("series", {})
-    if name not in series:
-        known = ", ".join(sorted(series)) or "(none)"
-        raise ObservabilityError(f"unknown timeline series {name!r}; have: {known}")
-    return series[name]

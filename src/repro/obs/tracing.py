@@ -97,12 +97,16 @@ class _Span:
         )
 
 
+#: Events one tracer keeps; beyond it new events are dropped and counted
+#: in :attr:`Tracer.dropped_events`.
+MAX_EVENTS = 1_000_000
+
+
 class Tracer:
     """Span/instant recorder over a simulated clock.
 
     ``clock`` may be None only while disabled (the no-op mode never reads
-    it). ``max_events`` bounds memory: beyond it new events are dropped
-    and counted in :attr:`dropped_events`.
+    it). ``MAX_EVENTS`` bounds memory.
     """
 
     def __init__(
@@ -111,7 +115,6 @@ class Tracer:
         *,
         enabled: bool = True,
         sample_every: int = 1,
-        max_events: int = 1_000_000,
     ) -> None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1: {sample_every}")
@@ -120,7 +123,6 @@ class Tracer:
         self.clock = clock  # type: ignore[assignment]
         self._enabled = enabled
         self._sample_every = sample_every
-        self._max_events = max_events
         self._span_seq = 0
         self.events: list[dict] = []
         self.dropped_events = 0
@@ -157,7 +159,7 @@ class Tracer:
     # Recording
     # ------------------------------------------------------------------
     def _append(self, event: dict) -> None:
-        if len(self.events) >= self._max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped_events += 1
             return
         self.events.append(event)

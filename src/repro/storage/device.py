@@ -330,11 +330,6 @@ class Device:
         """Full-capacity program/erase cycles consumed so far."""
         return self.stats.bytes_written / self.capacity_bytes
 
-    @property
-    def life_fraction_used(self) -> float:
-        """Fraction of the device's endurance budget consumed (0..)."""
-        return self.wear_cycles / self.spec.pe_cycles
-
     def cost_dollars(self) -> float:
         """Purchase cost of this device instance at its capacity."""
         return self.capacity_bytes / GIB * self.spec.cost_per_gb

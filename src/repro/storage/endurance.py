@@ -30,13 +30,6 @@ class ProvisioningResult:
     cost_dollars: float
     lifetime_limited: bool
 
-    @property
-    def spare_fraction(self) -> float:
-        """Spare capacity as a fraction of the data size (0 = none)."""
-        if self.data_bytes == 0:
-            return 0.0
-        return self.provisioned_bytes / self.data_bytes - 1.0
-
 
 def provision_capacity(
     spec: DeviceSpec,

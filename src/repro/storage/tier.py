@@ -14,6 +14,10 @@ from repro.common.clock import SimClock
 from repro.errors import CapacityError, ConfigError
 from repro.storage.device import Device, DeviceSpec
 
+#: The hard allocation limit over a tier's capacity: room for a
+#: compaction that holds both its inputs and its outputs.
+SLACK_FACTOR = 2.0
+
 
 class StorageTier:
     """One capacity-limited pool backed by a single device technology."""
@@ -25,13 +29,10 @@ class StorageTier:
         capacity_bytes: int,
         clock: SimClock,
         *,
-        slack_factor: float = 2.0,
         nominal_bytes: int | None = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ConfigError(f"tier {name}: capacity must be positive")
-        if slack_factor < 1.0:
-            raise ConfigError(f"tier {name}: slack_factor must be >= 1.0")
         self.name = name
         self.device = Device(spec, capacity_bytes, clock)
         # Per-request latency attribution names the tier, not the raw
@@ -42,7 +43,6 @@ class StorageTier:
         #: ``capacity_bytes`` adds headroom for compaction transients.
         #: Placement policies (Mutant's optimizer) budget against this.
         self.nominal_bytes = nominal_bytes if nominal_bytes is not None else capacity_bytes
-        self._slack_factor = slack_factor
         self._used_bytes = 0
 
     @property
@@ -54,10 +54,6 @@ class StorageTier:
         return self._used_bytes
 
     @property
-    def free_bytes(self) -> int:
-        return max(0, self.capacity_bytes - self._used_bytes)
-
-    @property
     def utilization(self) -> float:
         """Used fraction of nominal capacity (can exceed 1.0 within slack)."""
         return self._used_bytes / self.capacity_bytes
@@ -65,14 +61,14 @@ class StorageTier:
     def allocate(self, n_bytes: int) -> None:
         """Reserve ``n_bytes``; raises :class:`CapacityError` past slack.
 
-        The slack factor tolerates transient overshoot while a compaction
+        ``SLACK_FACTOR`` tolerates transient overshoot while a compaction
         holds both its inputs and outputs; steady-state usage above
         nominal capacity indicates a mis-sized level layout and is
         surfaced via :attr:`utilization`.
         """
         if n_bytes < 0:
             raise ValueError(f"negative allocation: {n_bytes}")
-        hard_limit = int(self.capacity_bytes * self._slack_factor)
+        hard_limit = int(self.capacity_bytes * SLACK_FACTOR)
         if self._used_bytes + n_bytes > hard_limit:
             raise CapacityError(
                 f"tier {self.name}: allocating {n_bytes} B would exceed "

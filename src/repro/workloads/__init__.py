@@ -1,6 +1,5 @@
 """YCSB-style workload generators."""
 
-from repro.workloads.trace import TraceWorkload, dump_trace, load_trace
 from repro.workloads.ycsb import RequestBatch, YCSBConfig, YCSBWorkload
 from repro.workloads.zipfian import (
     KeyIndexGenerator,
@@ -12,9 +11,6 @@ from repro.workloads.zipfian import (
 )
 
 __all__ = [
-    "TraceWorkload",
-    "dump_trace",
-    "load_trace",
     "RequestBatch",
     "YCSBConfig",
     "YCSBWorkload",

@@ -121,7 +121,6 @@ class YCSBWorkload:
 
     def __init__(self, config: YCSBConfig) -> None:
         self.config = config
-        self._insert_count = config.record_count
         #: Keys are formatted per request and kept by nobody here: the
         #: workload's memory does not grow with the key space.
         self._key_format = self.KEY_FORMAT.encode("ascii")

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.level_model import (
     levels_required,
-    optimal_multiplier,
-    pin_reserve_impact,
     write_amplification_estimate,
 )
 from repro.common import GIB, MIB
@@ -78,37 +76,3 @@ class TestWriteAmplification:
             write_amplification_estimate(3, 1)
         with pytest.raises(ConfigError):
             write_amplification_estimate(3, 10, merge_fullness=2.0)
-
-
-class TestOptimalMultiplier:
-    def test_returns_valid_multiplier(self):
-        m = optimal_multiplier(10 * GIB, 64 * MIB)
-        assert 2 <= m <= 64
-
-    def test_optimum_beats_neighbours(self):
-        db, level1 = 100 * GIB, 64 * MIB
-        best = optimal_multiplier(db, level1)
-        best_wa = write_amplification_estimate(levels_required(db, level1, best), best)
-        for other in (2, 10, 32, 64):
-            wa = write_amplification_estimate(levels_required(db, level1, other), other)
-            assert best_wa <= wa + 1e-9
-
-
-class TestPinReserveImpact:
-    def test_zero_reserve_is_free(self):
-        impact = pin_reserve_impact(4, 10, 0.0)
-        assert impact.overhead_fraction == pytest.approx(0.0)
-
-    def test_reserve_costs_amplification(self):
-        impact = pin_reserve_impact(4, 10, 0.5)
-        assert impact.write_amplification > impact.baseline_write_amplification
-        assert 0.0 < impact.overhead_fraction < 1.0
-
-    def test_monotone_in_reserve(self):
-        small = pin_reserve_impact(4, 10, 0.2).overhead_fraction
-        large = pin_reserve_impact(4, 10, 0.8).overhead_fraction
-        assert large > small
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            pin_reserve_impact(4, 10, 1.0)

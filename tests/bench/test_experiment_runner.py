@@ -22,6 +22,11 @@ class TestMemoization:
         b = tiny_runner.run("rocksdb", "NNNTQ")
         assert a is b
 
+    def test_explicit_default_returns_same_object(self, tiny_runner):
+        a = tiny_runner.run("prismdb", "NNNTQ")
+        b = tiny_runner.run("prismdb", "NNNTQ", pinning_threshold=0.10)
+        assert a is b
+
     def test_different_layout_is_a_new_run(self, tiny_runner):
         a = tiny_runner.run("rocksdb", "NNNTQ")
         b = tiny_runner.run("rocksdb", "QQQQQ")

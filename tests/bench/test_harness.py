@@ -63,7 +63,7 @@ class TestBuildSystem:
 
     def test_cache_disabled(self):
         workload = YCSBWorkload(SMALL)
-        db = build_system(SystemConfig(system="rocksdb", cache_disabled=True), workload)
+        db = build_system(SystemConfig(system="rocksdb", cache_fraction=0.0), workload)
         assert db.cache.capacity_bytes == 0
 
     def test_tracker_sized_from_keyspace(self):

@@ -36,15 +36,6 @@ class TestSimClock:
         clock.advance(0.0)
         assert clock.now == 3.0
 
-    def test_advance_to_future(self):
-        clock = SimClock()
-        clock.advance_to(100.0)
-        assert clock.now == 100.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = SimClock(50.0)
-        clock.advance_to(10.0)
-        assert clock.now == 50.0
 
 
 class TestClockObservers:
@@ -56,19 +47,11 @@ class TestClockObservers:
         clock.advance(2.0)
         assert seen == [5.0, 7.0]
 
-    def test_observer_fires_on_advance_to(self):
-        clock = SimClock(10.0)
-        seen = []
-        clock.subscribe(seen.append)
-        clock.advance_to(25.0)
-        assert seen == [25.0]
-
     def test_no_fire_when_time_does_not_move(self):
         clock = SimClock(10.0)
         seen = []
         clock.subscribe(seen.append)
         clock.advance(0.0)
-        clock.advance_to(5.0)  # past: no-op
         assert seen == []
 
     def test_unsubscribe_stops_notifications(self):

@@ -13,15 +13,11 @@ from repro.common import (
     GIB,
     KIB,
     MIB,
-    bytes_to_gib,
     derive_seed,
     fnv1a_64,
-    format_bytes,
     format_usec,
     make_rng,
-    milliseconds,
     seconds,
-    usec_to_seconds,
 )
 from repro.common import rng as rng_module
 
@@ -42,17 +38,7 @@ class TestUnits:
 
     def test_time_conversions_round_trip(self):
         assert seconds(1) == 1_000_000.0
-        assert milliseconds(1) == 1_000.0
-        assert usec_to_seconds(seconds(2.5)) == pytest.approx(2.5)
-
-    def test_bytes_to_gib(self):
-        assert bytes_to_gib(GIB) == 1.0
-        assert bytes_to_gib(512 * MIB) == 0.5
-
-    def test_format_bytes(self):
-        assert format_bytes(100) == "100 B"
-        assert format_bytes(2048) == "2.0 KiB"
-        assert format_bytes(3 * MIB) == "3.0 MiB"
+        assert seconds(2.5) / 1_000_000.0 == pytest.approx(2.5)
 
     def test_format_usec(self):
         assert format_usec(500) == "500.0 us"

@@ -35,7 +35,7 @@ def route_up(router, record, source_level):
 
 
 def start_job(router, upper=2, budget=1 << 20):
-    router.begin_job(upper, upper + 1, b"", b"\xff", budget, budget)
+    router.begin_job(upper, upper + 1, b"", b"\xff", budget)
 
 
 def _job_columns():
@@ -136,7 +136,7 @@ class TestReadAwareRouter:
         router, tracker, _ = make_router()
         tracker.on_read(b"hot", 1)
         tracker.on_read(b"hot", 1)
-        router.begin_job(0, 1, b"", b"\xff", 1 << 20, 1 << 20)
+        router.begin_job(0, 1, b"", b"\xff", 1 << 20)
         assert not route_up(router, put(b"hot"), source_level=0)
 
     def test_waits_for_full_tracker(self):
@@ -157,21 +157,24 @@ class TestReadAwareRouter:
             tracker.on_read(key, 1)
             tracker.on_read(key, 1)
         record = put(b"a")
-        router.begin_job(2, 3, b"", b"\xff", record.encoded_size(), record.encoded_size())
+        router.begin_job(2, 3, b"", b"\xff", record.encoded_size())
         assert route_up(router, record, source_level=2)
         assert not route_up(router, put(b"b"), source_level=2)
         assert router.stats.rejected_budget_exhausted == 1
 
-    def test_pull_budget_separate_from_pin_budget(self):
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pins do not draw down the router's pull counter "
+        "(DESIGN.md, Known modelling quirks)",
+    )
+    def test_pull_draws_on_what_pins_left_of_the_budget(self):
         router, tracker, _ = make_router(threshold=1.0)
         for key in (b"a", b"b"):
             tracker.on_read(key, 1)
             tracker.on_read(key, 1)
-        record = put(b"a")
-        # Pin budget is large; pull budget covers nothing.
-        router.begin_job(2, 3, b"", b"\xff", 1 << 20, 0)
-        assert not route_up(router, record, source_level=3)  # pull denied
-        assert route_up(router, record, source_level=2)  # retention allowed
+        router.begin_job(2, 3, b"", b"\xff", 100)
+        assert router.route_up_key(b"a", 1, 80, 2)  # pin 80 B
+        assert not router.route_up_key(b"b", 1, 50, 3)  # 20 B left: no pull
 
     def test_pull_counted_separately(self):
         router, tracker, _ = make_router()

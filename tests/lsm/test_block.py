@@ -62,14 +62,14 @@ class TestDataBlockBuilder:
         builder.add(put(b"a", 1))
         builder.finish()
         assert len(builder) == 0
-        assert builder.first_key is None
+        assert builder.last_key is None
 
     def test_first_last_key(self):
         builder = DataBlockBuilder(4096)
         builder.add(put(b"a", 2))
         builder.add(put(b"b", 1))
-        assert builder.first_key == b"a"
         assert builder.last_key == b"b"
+        assert decode_block(builder.finish())[0].user_key == b"a"
 
 
 class TestDecodeBlock:

@@ -85,9 +85,9 @@ class SpendingRouter(MergeRouter):
         self.budget = 0
 
     def begin_job(self, upper_level, lower_level, upper_lo, upper_hi,
-                  upper_budget_bytes, pull_budget_bytes=0):
+                  upper_budget_bytes):
         self.jobs.append((upper_level, lower_level, upper_lo, upper_hi,
-                          upper_budget_bytes, pull_budget_bytes))
+                          upper_budget_bytes))
         self.budget = upper_budget_bytes
 
     def route_up_key(self, user_key, kind_code, encoded_size, source_level):
@@ -689,7 +689,7 @@ def _drive(db, *, reference):
     state = {
         "tables": fingerprint(db.manifest, db.options.num_levels),
         "compaction": dataclasses.asdict(db.executor.stats),
-        "metrics": db.metrics_snapshot(),
+        "metrics": db.metrics.snapshot(),
     }
     if isinstance(db, PrismDB):
         state["placer"] = dataclasses.asdict(db.placer.stats)

@@ -415,7 +415,7 @@ class TestResourceExhaustion:
     def test_tier_capacity_error_is_typed(self):
         clock = SimClock()
         backend = StorageBackend(clock)
-        tiny = StorageTier("tiny", NVM_SPEC, 1024, clock, slack_factor=1.0)
+        tiny = StorageTier("tiny", NVM_SPEC, 1024, clock)
         with pytest.raises(CapacityError):
             backend.create_file(tiny, b"x" * 4096)
 

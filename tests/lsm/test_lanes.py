@@ -77,7 +77,7 @@ def books(db):
     return {
         "stats": stats,
         "file_read_counts": dict(db.file_read_counts),
-        "metrics": db.metrics_snapshot(),
+        "metrics": db.metrics.snapshot(),
         "clock": db.clock.now,
         "levels": db.level_summary(),
         "mutant": dataclasses.asdict(db.mutant_stats) if hasattr(db, "mutant_stats") else None,

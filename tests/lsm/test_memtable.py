@@ -77,10 +77,3 @@ class TestMemtable:
             mem.add(put(key, i + 1))
         assert mem.smallest_key() == b"a"
         assert mem.largest_key() == b"z"
-
-    def test_live_entry_count_excludes_tombstones(self):
-        mem = Memtable()
-        mem.add(put(b"a", 1))
-        mem.add(put(b"b", 2))
-        mem.add(tombstone(b"b", 3))
-        assert mem.live_entry_count() == 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import KIB, MIB, SimClock
 from repro.errors import ConfigError
-from repro.lsm.layout import build_layout, homogeneous_layout, nnntq_layout
+from repro.lsm.layout import CAPACITY_HEADROOM, build_layout
 from repro.lsm.options import DBOptions, options_for_db_size
 
 
@@ -64,12 +64,6 @@ class TestDBOptions:
         with pytest.raises(ValueError):
             DBOptions().level_target_bytes(-1)
 
-    def test_total_capacity(self):
-        opts = DBOptions()
-        assert opts.total_capacity_bytes() == sum(
-            opts.level_target_bytes(level) for level in range(opts.num_levels)
-        )
-
 
 class TestOptionsForDbSize:
     def test_bottom_level_matches_db_size(self):
@@ -95,7 +89,7 @@ class TestOptionsForDbSize:
 
 class TestLayouts:
     def test_nnntq_groups_runs(self):
-        layout = nnntq_layout()
+        layout = build_layout("NNNTQ", DBOptions(), SimClock())
         assert layout.code == "NNNTQ"
         assert len(layout.tiers) == 3
         assert layout.tier_for_level(0) is layout.tier_for_level(2)
@@ -104,11 +98,11 @@ class TestLayouts:
         assert layout.tier_for_level(4).spec.name == "QLC"
 
     def test_wal_on_l0_tier(self):
-        layout = nnntq_layout()
+        layout = build_layout("NNNTQ", DBOptions(), SimClock())
         assert layout.wal_tier is layout.tier_for_level(0)
 
     def test_homogeneous_single_tier(self):
-        layout = homogeneous_layout("Q")
+        layout = build_layout("QQQQQ", DBOptions(), SimClock())
         assert layout.code == "QQQQQ"
         assert len(layout.tiers) == 1
         assert all(layout.tier_for_level(level) is layout.tiers[0] for level in range(5))
@@ -123,9 +117,9 @@ class TestLayouts:
 
     def test_capacity_scales_with_level_targets(self):
         opts = DBOptions()
-        layout = build_layout("NNNTQ", opts, SimClock(), capacity_headroom=2.0)
+        layout = build_layout("NNNTQ", opts, SimClock())
         qlc = layout.tier_for_level(4)
-        assert qlc.capacity_bytes == 2 * opts.level_target_bytes(4)
+        assert qlc.capacity_bytes == int(CAPACITY_HEADROOM * opts.level_target_bytes(4))
 
     def test_total_cost_positive_and_ordered(self):
         opts = DBOptions()
@@ -134,12 +128,12 @@ class TestLayouts:
         assert nvm_only.total_cost_dollars() > qlc_only.total_cost_dollars() > 0
 
     def test_level_out_of_range(self):
-        layout = nnntq_layout()
+        layout = build_layout("NNNTQ", DBOptions(), SimClock())
         with pytest.raises(ValueError):
             layout.tier_for_level(9)
 
     def test_describe_mentions_technologies(self):
-        description = nnntq_layout().describe()
+        description = build_layout("NNNTQ", DBOptions(), SimClock()).describe()
         assert "NVM" in description and "QLC" in description
 
     def test_case_insensitive_code(self):

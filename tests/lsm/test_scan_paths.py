@@ -139,7 +139,7 @@ def books(db):
         "devices": {
             tier.name: dataclasses.asdict(tier.device.stats) for tier in db.layout.tiers
         },
-        "metrics": db.metrics_snapshot(),
+        "metrics": db.metrics.snapshot(),
         "user_scans": db.stats.user_scans,
         "clock": db.clock.now,
     }

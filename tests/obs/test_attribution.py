@@ -35,7 +35,6 @@ class TestOpContext:
         ctx.add("data", "tlc", 5.0)
         ctx.add("filter", "dram", 1.0)
         assert ctx.parts == {"data/tlc": 15.0, "filter/dram": 1.0}
-        assert ctx.attributed_usec == pytest.approx(16.0)
 
     def test_events_preserve_order_and_scope(self):
         ctx = OpContext("read")

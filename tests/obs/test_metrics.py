@@ -12,7 +12,6 @@ from repro.obs import (
     MetricsRegistry,
     View,
     exponential_buckets,
-    format_series,
     label_key,
 )
 
@@ -142,7 +141,7 @@ class TestReadThrough:
             (row,) = snapshot[name]["series"]
             assert type(row["value"]) is float, name
         assert isinstance(registry.instrument("db.reads", source="L0"), View)
-        assert registry.render_flat()["db.reads{source=L0}"] == 4.0
+        assert registry.instrument("db.reads", source="L0").value == 4.0
 
 
 class TestBuckets:
@@ -257,17 +256,6 @@ class TestRegistryViews:
         assert hist_row["p50"] == 12.0  # clamped to the observed max
         assert sum(hist_row["buckets"]) == 1
 
-    def test_render_flat(self):
-        registry = MetricsRegistry()
-        registry.counter("db.reads", source="L0").inc(3)
-        registry.histogram("op.latency_usec", op="read").observe(4.0)
-        flat = registry.render_flat()
-        assert flat["db.reads{source=L0}"] == 3.0
-        assert flat["op.latency_usec.count{op=read}"] == 1.0
-        assert flat["op.latency_usec.sum{op=read}"] == 4.0
-
-    def test_format_series_and_label_key(self):
+    def test_label_key(self):
         key = label_key({"tier": "nvm", "level": 2})
         assert key == (("level", "2"), ("tier", "nvm"))
-        assert format_series("device.reads", key) == "device.reads{level=2,tier=nvm}"
-        assert format_series("db.writes", ()) == "db.writes"

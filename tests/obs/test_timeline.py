@@ -7,7 +7,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.stats import LatencyRecorder
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry, TimelineSampler, timeline_series
+from repro.obs import MetricsRegistry, TimelineSampler
 from repro.obs.metrics import percentile_from_buckets
 
 
@@ -170,19 +170,6 @@ class TestPhasesAndExport:
         assert len(exported["t_ms"]) == len(exported["phase"]) == 2
         for values in exported["series"].values():
             assert len(values) == 2
-
-    def test_timeline_series_accessor(self, registry, clock, reads):
-        reads.record(1.0)
-        sampler = make_sampler(registry, clock, latencies={"read": reads})
-        clock.advance(1_000.0)
-        exported = sampler.to_dict()
-        assert timeline_series(exported, "throughput_kops")[0] > 0
-
-    def test_timeline_series_unknown_name(self, registry, clock):
-        sampler = make_sampler(registry, clock)
-        clock.advance(1_000.0)
-        with pytest.raises(ObservabilityError):
-            timeline_series(sampler.to_dict(), "nope")
 
 
 class TestBucketRule:

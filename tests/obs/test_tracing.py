@@ -7,7 +7,7 @@ import pytest
 from repro.common import KIB
 from repro.common.clock import SimClock
 from repro.lsm import DBOptions, LsmDB
-from repro.obs import NOOP_TRACER, Tracer, jsonl_to_chrome_json, read_jsonl
+from repro.obs import NOOP_TRACER, Tracer, jsonl_to_chrome_json, read_jsonl, tracing
 
 
 class TestNoopMode:
@@ -78,9 +78,10 @@ class TestRecording:
                 clock.advance(1.0)
         assert len(tracer.events) == 3
 
-    def test_max_events_bounds_memory(self):
+    def test_max_events_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_EVENTS", 2)
         clock = SimClock()
-        tracer = Tracer(clock, max_events=2)
+        tracer = Tracer(clock)
         for _ in range(5):
             with tracer.span("op"):
                 pass

@@ -107,7 +107,6 @@ class TestDevice:
         dev, _ = self._device(capacity=1 * MIB)
         dev.write(2 * MIB, foreground=True)
         assert dev.wear_cycles == pytest.approx(2.0)
-        assert dev.life_fraction_used == pytest.approx(2.0 / NVM_SPEC.pe_cycles)
 
     def test_cost_scales_with_capacity(self):
         dev, _ = self._device(capacity=10 * GIB)

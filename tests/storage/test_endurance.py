@@ -17,7 +17,6 @@ class TestProvisionCapacity:
         result = provision_capacity(QLC_SPEC, 100 * GIB, 0.0)
         assert result.provisioned_bytes == 100 * GIB
         assert not result.lifetime_limited
-        assert result.spare_fraction == pytest.approx(0.0)
 
     def test_cost_matches_capacity(self):
         result = provision_capacity(QLC_SPEC, 100 * GIB, 0.0)

@@ -12,8 +12,6 @@ class TestErrorHierarchy:
             "ConfigError",
             "StorageError",
             "CapacityError",
-            "FileLockedError",
-            "EnduranceExceededError",
             "CorruptionError",
             "DBClosedError",
             "CompactionError",
@@ -23,8 +21,6 @@ class TestErrorHierarchy:
 
     def test_storage_sub_hierarchy(self):
         assert issubclass(errors.CapacityError, errors.StorageError)
-        assert issubclass(errors.FileLockedError, errors.StorageError)
-        assert issubclass(errors.EnduranceExceededError, errors.StorageError)
 
     def test_catchall_works(self):
         with pytest.raises(errors.ReproError):
@@ -44,8 +40,7 @@ class TestPublicApi:
             "LsmDB",
             "DBOptions",
             "options_for_db_size",
-            "nnntq_layout",
-            "homogeneous_layout",
+            "build_layout",
             "YCSBConfig",
             "YCSBWorkload",
         ):
