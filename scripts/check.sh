@@ -52,12 +52,14 @@ echo "== examples =="
 python examples/social_graph_cache.py >/dev/null
 python examples/tiering_deep_dive.py >/dev/null
 
-# Non-gating: latency-attribution smoke. Two tiny seeded runs saved
-# with --attribution, rendered and diffed by `repro.bench explain`.
-# Asserts the plumbing end to end (artifact schema v2, attribution
-# block, table rendering); the numbers themselves are covered by
-# deterministic tests in tests/bench/test_explain.py.
-echo "== explain-smoke (non-gating) =="
+# Gating: latency-attribution smoke, the only end-to-end run of
+# `report --attribution` -> `explain` (about 1.5 s). Two tiny seeded runs
+# saved with --attribution, rendered and diffed by `repro.bench explain`.
+# Asserts the charge seam's plumbing end to end (artifact schema v2,
+# attribution block, table rendering); the numbers themselves are
+# covered by deterministic tests in tests/bench/test_explain.py and
+# tests/bench/test_harness.py::TestAttributionNeverPerturbs.
+echo "== explain-smoke =="
 explain_smoke() {
     local dir
     dir=$(mktemp -d)
@@ -74,7 +76,8 @@ explain_smoke() {
     return $status
 }
 if ! explain_smoke; then
-    echo "explain-smoke failed (non-gating); continuing"
+    echo "explain-smoke failed"
+    exit 1
 fi
 
 # Non-gating: sharded-fleet smoke. A 2-shard fleet through the

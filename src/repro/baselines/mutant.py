@@ -122,9 +122,9 @@ class MutantDB(LsmDB):
         """``lane`` with the per-op epoch check prepended."""
         maybe_epoch = self._maybe_run_epoch
 
-        def checked(*args, **kwargs):
+        def checked(*args):
             maybe_epoch()
-            return lane(*args, **kwargs)
+            return lane(*args)
 
         return checked
 

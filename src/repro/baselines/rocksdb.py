@@ -6,10 +6,10 @@ layout this is "RocksDB on one SSD"; on NNNTQ it is the paper's *LSM-het*
 configuration (§3.2) — levels mapped to tiers but with no read-awareness,
 which is exactly the strawman Fig. 2a shows barely beating pure QLC.
 
-Per-request latency attribution flows through unchanged: the baseline
-adds no components of its own, so ``get``/``put``/``scan`` accept the
-inherited ``ctx`` keyword and the breakdown contains only core LSM
-components (memtable, caches, filter/index/data blocks, WAL, devices).
+Per-request latency attribution needs nothing here: the baseline adds
+no components of its own, so the breakdown holds only what the core
+LSM's charge sites name (memtable, caches, filter/index/data blocks,
+WAL, devices).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from repro.errors import ConfigError
 from repro.lsm.db import LsmDB, ReadResult
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
+from repro.obs.attribution import attribute
 
 #: Per-read CPU cost of the tracker insertion on the read path; the
 #: paper microbenchmarks it at < 2 us (§6.5).
@@ -139,13 +140,12 @@ class PrismDB(LsmDB):
         on_read = self.tracker.on_read
         run_evictions = self.tracker.run_evictions
 
-        def lookup(user_key, ctx=None):
-            result = base(user_key, ctx)
+        def lookup(user_key):
+            result = base(user_key)
             # Tracker insertion sits on the read critical path; eviction is
             # deferred to the "background" sweep right after.
             latency = result.latency_usec + tracker_overhead
-            if ctx is not None:
-                ctx.add("tracker", "-", tracker_overhead)
+            attribute("tracker", "-", tracker_overhead)
             on_read(user_key, result.seqno or 0)
             run_evictions()
             # Direct construction instead of dataclasses.replace(): replace()

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from functools import partial
 from typing import Callable, Iterable, TypeVar
 
+from repro.obs.attribution import attribute
 from repro.storage.backend import SimFile, StorageBackend
 from repro.storage.device import DRAM_SPEC
 
@@ -153,16 +154,13 @@ class BlockCache:
         offset: int,
         block_type: BlockType,
         loader: Callable[[], tuple[bytes, float]],
-        ctx=None,
     ) -> tuple[bytes, float]:
         """Return (block bytes, simulated latency).
 
-        On a hit the latency is one DRAM access for the block size; on a
-        miss it is whatever the loader charges (device I/O) and the block
-        is inserted. ``ctx`` (an
-        :class:`~repro.obs.attribution.OpContext`) attributes hits to
-        ``(block type, dram)``; on a miss the block type is handed to the
-        loader's device via ``ctx.component``.
+        On a hit the latency is one DRAM access for the block size,
+        attributed to ``(block type, dram)``; on a miss it is whatever
+        the loader charges (device I/O, which names its own component)
+        and the block is inserted.
         """
         key = (file_id, offset)
         entry = self._entries.get(key)
@@ -170,12 +168,9 @@ class BlockCache:
             self._entries.move_to_end(key)
             self._tallies[block_type].hit()
             latency = entry.hit_latency
-            if ctx is not None:
-                ctx.add(block_type.value, "dram", latency)
+            attribute(block_type.value, "dram", latency)
             return entry.data, latency
         self._tallies[block_type].miss()
-        if ctx is not None:
-            ctx.component = block_type.value
         data, latency = loader()
         self._insert(key, data)
         return data, latency
@@ -187,7 +182,6 @@ class BlockCache:
         block_type: BlockType,
         loader: Callable[[], tuple[bytes, float]],
         decoder: Callable[[bytes], T],
-        ctx=None,
     ) -> tuple[T, float]:
         """Return (decoded block object, simulated latency).
 
@@ -206,12 +200,9 @@ class BlockCache:
             if decoded is None:
                 decoded = entry.decoded = decoder(entry.data)
             latency = entry.hit_latency
-            if ctx is not None:
-                ctx.add(block_type.value, "dram", latency)
+            attribute(block_type.value, "dram", latency)
             return decoded, latency
         self._tallies[block_type].miss()
-        if ctx is not None:
-            ctx.component = block_type.value
         data, latency = loader()
         decoded = decoder(data)
         inserted = self._insert(key, data)
@@ -226,13 +217,12 @@ class BlockCache:
         offset: int,
         length: int,
         decoder: Callable[[bytes, int, int], T],
-        foreground: bool = True,
-        ctx=None,
     ) -> tuple[T, float]:
         """(decoded data block, simulated latency): a fetch in one probe.
 
         A ``BlockType.DATA`` lookup with :meth:`get_or_load_decoded`'s
-        accounting and no loader: a miss charges ``backend.read`` itself.
+        accounting and no loader: a miss charges a foreground
+        ``backend.read`` of the ``data`` component itself.
         ``decoder(file.data, offset, length)`` windows the file's own
         bytes, so no block is ever copied.
         """
@@ -245,13 +235,10 @@ class BlockCache:
             if decoded is None:
                 decoded = entry.decoded = decoder(file.data, offset, length)
             latency = entry.hit_latency
-            if ctx is not None:
-                ctx.add("data", "dram", latency)
+            attribute("data", "dram", latency)
             return decoded, latency
         self._data_miss()
-        if ctx is not None:
-            ctx.component = "data"
-        data, latency = backend.read(file, offset, length, foreground=foreground, ctx=ctx)
+        data, latency = backend.read(file, offset, length, component="data")
         decoded = decoder(file.data, offset, length)
         inserted = self._insert(key, data)
         if inserted is not None:

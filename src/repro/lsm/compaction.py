@@ -432,7 +432,7 @@ class CompactionExecutor:
         """
         read_counter = self.metrics.counter("compaction.read_bytes", level=level)
         for table in tables:
-            buf, count, _ = table.read_all_spans(*columns, foreground=False)
+            buf, count = table.read_all_spans(*columns)
             self.stats.bytes_read += table.size_bytes
             self.stats.records_in += count
             read_counter.inc(table.size_bytes)
@@ -525,9 +525,8 @@ class CompactionExecutor:
             # Every record sinks: the builder adopts the input when a
             # rebuild would change only its footer.
             builder = self.make_builder(lower_level)
-            adopted = builder.adopt(job.upper_inputs[0], keys, seqnos, kinds, sizes)
-            if adopted is not None:
-                table, _ = adopted
+            table = builder.adopt(job.upper_inputs[0], keys, seqnos, kinds, sizes)
+            if table is not None:
                 stats.bytes_written += table.size_bytes
                 self.note_level_write(lower_level, table.size_bytes)
                 return [], [table]
@@ -565,7 +564,7 @@ class CompactionExecutor:
         for _, level, tables, stream, start, block_ends in files:
             builder = self.make_builder(level)
             builder.add_encoded_blocks(*stream, start, block_ends)
-            table, _ = builder.finish(foreground=False)
+            table = builder.finish()
             stats.bytes_written += table.size_bytes
             self.note_level_write(level, table.size_bytes)
             tables.append(table)

@@ -42,6 +42,7 @@ from repro.lsm.strategy import CompactionStrategy, make_strategy
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.attribution import attribute, set_scope
 from repro.storage.backend import StorageBackend
 from repro.storage.device import DRAM_SPEC
 
@@ -225,16 +226,14 @@ class LsmDB:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def put(self, user_key: bytes, value: bytes, *, ctx=None) -> WriteResult:
+    def put(self, user_key: bytes, value: bytes) -> WriteResult:
         """Insert or update a key."""
         self._check_open()
-        if ctx is None:
-            return self._commit(user_key, value)
-        return self._commit(user_key, value, ctx=ctx)
+        return self._commit(user_key, value)
 
-    def delete(self, user_key: bytes, *, ctx=None) -> WriteResult:
+    def delete(self, user_key: bytes) -> WriteResult:
         """Delete a key (writes a tombstone)."""
-        return self.put(user_key, _TOMBSTONE, ctx=ctx)
+        return self.put(user_key, _TOMBSTONE)
 
     def flush(self) -> int:
         """Force-flush the memtable; returns compactions triggered."""
@@ -340,7 +339,7 @@ class LsmDB:
                 chunks, sizes, key_hashes(keys),
                 0, plan_files(sizes, self.options.block_bytes, math.inf)[1],
             )
-            table, _ = builder.finish(foreground=False)
+            table = builder.finish()
             self.manifest.add_file(0, table)
             # Flush I/O is background: the clock does not advance, so the
             # span duration is the modeled device service time instead.
@@ -354,17 +353,10 @@ class LsmDB:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, user_key: bytes, *, ctx=None) -> ReadResult:
-        """Point lookup; returns the newest committed value or None.
-
-        ``ctx`` (an :class:`~repro.obs.attribution.OpContext`) records a
-        per-component latency breakdown of the lookup; it never changes
-        the simulated latency itself.
-        """
+    def get(self, user_key: bytes) -> ReadResult:
+        """Point lookup; returns the newest committed value or None."""
         self._check_open()
-        if ctx is None:
-            return self._lookup(user_key)
-        return self._lookup(user_key, ctx=ctx)
+        return self._lookup(user_key)
 
     # ------------------------------------------------------------------
     # Lanes: the one definition of each point operation
@@ -373,18 +365,19 @@ class LsmDB:
     # stable handle bound once; they re-read only ``self._memtable``
     # (swapped on flush and recovery) and ``self._seqno``. The harness
     # fetches lanes per phase; get/put/delete call the instance's cached
-    # pair, positionally when ``ctx`` is None — the arity perfbench's
-    # oracle wrappers accept. A subclass extends an operation by
+    # pair. Lanes take exactly ``(key)`` / ``(key, value)`` — the arity
+    # perfbench's oracle wrappers accept — and name what they charge to
+    # :mod:`repro.obs.attribution`'s seam. A subclass extends an operation by
     # overriding the public factory around ``self._build_*_lane()``.
     # The closed check runs at hand-out and in the public methods; a
     # lane obtained before ``close()`` is not re-checked.
     # ------------------------------------------------------------------
     def read_lane(self):
-        """Return ``lookup(user_key, ctx=None) -> ReadResult``."""
+        """Return ``lookup(user_key) -> ReadResult``."""
         return self._build_read_lane()
 
     def write_lane(self):
-        """Return ``commit(user_key, value, ctx=None) -> WriteResult``."""
+        """Return ``commit(user_key, value) -> WriteResult``."""
         return self._build_write_lane()
 
     @cached_property
@@ -412,16 +405,14 @@ class LsmDB:
         reads_by_source_add = self.stats.reads_by_source.add
         dram_read_time = DRAM_SPEC.read_time_usec
 
-        def lookup(user_key, ctx=None):
+        def lookup(user_key):
             latency = cpu_overhead
-            if ctx is not None:
-                ctx.add("cpu", "-", latency)
+            attribute("cpu", "-", latency)
             result = None
             record = self._memtable.get(user_key)
             if record is not None:
                 memtable_latency = dram_read_time(record.encoded_size())
-                if ctx is not None:
-                    ctx.add("memtable", "dram", memtable_latency)
+                attribute("memtable", "dram", memtable_latency)
                 latency += memtable_latency
                 result = ReadResult(
                     None if record.kind is _DELETE else record.value,
@@ -430,7 +421,7 @@ class LsmDB:
                     seqno=record.seqno,
                 )
             elif row_cache_enabled:
-                row_hit, row_value, row_seqno, row_latency = row_lookup(user_key, ctx)
+                row_hit, row_value, row_seqno, row_latency = row_lookup(user_key)
                 if row_hit:
                     latency += row_latency
                     result = ReadResult(row_value, latency, "rowcache", seqno=row_seqno)
@@ -440,9 +431,8 @@ class LsmDB:
                     found = None
                     for table in candidates_for_key(level, user_key):
                         file_id = table.file_id
-                        if ctx is not None:
-                            ctx.scope = f"{level_names[level]}:f{file_id}"
-                        hit, table_latency, filtered = table.get(user_key, cache, key_hash, ctx=ctx)
+                        set_scope(level_names[level], file_id)
+                        hit, table_latency, filtered = table.get(user_key, cache, key_hash)
                         latency += table_latency
                         file_read_counts[file_id] = (
                             file_read_counts.get(file_id, 0) + 1
@@ -487,7 +477,7 @@ class LsmDB:
         maybe_compact = self.executor.maybe_compact
         header_size = RECORD_HEADER_SIZE
 
-        def commit(user_key, value, ctx=None):
+        def commit(user_key, value):
             seqno = self._seqno + 1
             self._seqno = seqno
             if value is _TOMBSTONE:
@@ -497,15 +487,13 @@ class LsmDB:
                 record = make_put_record(user_key, seqno, value)
                 encoded_size = header_size + len(user_key) + len(value)
             latency = cpu_overhead
-            if ctx is not None:
-                ctx.add("cpu", "-", latency)
-            latency += wal_append(record, ctx, size=encoded_size)
+            attribute("cpu", "-", latency)
+            latency += wal_append(record, size=encoded_size)
             row_invalidate(user_key)
             memtable = self._memtable
             memtable.add(record)
             memtable_latency = dram_write_time(encoded_size)
-            if ctx is not None:
-                ctx.add("memtable", "dram", memtable_latency)
+            attribute("memtable", "dram", memtable_latency)
             latency += memtable_latency
             stats.user_writes += 1
             stats.user_write_bytes += encoded_size
@@ -519,14 +507,13 @@ class LsmDB:
 
         return commit
 
-    def scan(self, start_key: bytes, count: int, *, ctx=None) -> ScanResult:
+    def scan(self, start_key: bytes, count: int) -> ScanResult:
         """Return up to ``count`` live key-value pairs from ``start_key``."""
         self._check_open()
         if count < 0:
             raise ValueError(f"negative scan count: {count}")
         latency = CPU_OVERHEAD_USEC
-        if ctx is not None:
-            ctx.add("cpu", "-", latency)
+        attribute("cpu", "-", latency)
         cache = self.cache
         # Sources open in this order, which fixes the order of their
         # first fetches: memtable, overlapping L0 files newest first
@@ -535,11 +522,11 @@ class LsmDB:
         cursors: list = [MemtableCursor(self._memtable, start_key)]
         for table in self.manifest.files(0):
             if table.largest_key >= start_key:
-                cursors.append(RunCursor((table,), 0, start_key, cache, ctx=ctx))
+                cursors.append(RunCursor((table,), 0, start_key, cache))
         for level in range(1, self.manifest.num_levels):
             for run, pos in self.manifest.seek_runs(level, start_key):
                 if pos < len(run):
-                    cursors.append(RunCursor(run, pos, start_key, cache, ctx=ctx))
+                    cursors.append(RunCursor(run, pos, start_key, cache))
         # One merge loop. Heap entries are (key, MAX_SEQNO - seqno,
         # source order): internal-key order, and seqnos are unique, so
         # the order only ever breaks a tie between equal records. The
@@ -682,7 +669,7 @@ class LsmDB:
             for run in self.manifest.runs(level):  # newest first
                 run_versions: dict[bytes, tuple[int, int]] = {}
                 for table in run:
-                    records, _ = table.read_all_records(foreground=False)
+                    records = table.read_all_records()
                     for record in records:
                         key = record.user_key
                         lo, hi = run_versions.get(key, (record.seqno, record.seqno))
@@ -701,7 +688,7 @@ class LsmDB:
             level_min: dict[bytes, int] = {}
             level_max: dict[bytes, int] = {}
             for table in self.manifest.files(level):
-                records, _ = table.read_all_records(foreground=False)
+                records = table.read_all_records()
                 for record in records:
                     key = record.user_key
                     level_min[key] = min(level_min.get(key, record.seqno), record.seqno)

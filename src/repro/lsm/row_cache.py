@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.obs.attribution import attribute
 from repro.storage.device import DRAM_SPEC
 
 
@@ -73,13 +74,13 @@ class RowCache:
     def _entry_size(key: bytes, value: bytes | None) -> int:
         return len(key) + (len(value) if value is not None else 0) + ENTRY_OVERHEAD_BYTES
 
-    def lookup(self, key: bytes, ctx=None) -> tuple[bool, bytes | None, int, float]:
+    def lookup(self, key: bytes) -> tuple[bool, bytes | None, int, float]:
         """Probe for ``key``.
 
         Returns (hit, value, seqno, latency). ``value`` may be None on a
         hit: the cache also remembers confirmed-absent keys (a read that
         missed everywhere), which spares repeated full-tree misses.
-        ``ctx`` attributes hit latency to ``(rowcache, dram)``.
+        Hit latency is attributed to ``(rowcache, dram)``.
         """
         entry = self._entries.get(key)
         if entry is not None:
@@ -88,8 +89,7 @@ class RowCache:
             self.stats.hits += 1
             size = self._entry_size(key, value)
             latency = DRAM_SPEC.read_time_usec(size)
-            if ctx is not None:
-                ctx.add("rowcache", "dram", latency)
+            attribute("rowcache", "dram", latency)
             return True, value, seqno, latency
         self.stats.misses += 1
         return False, None, 0, 0.0

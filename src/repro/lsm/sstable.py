@@ -41,6 +41,7 @@ from repro.lsm.record import (
     ValueKind,
     unpack_record_header,
 )
+from repro.obs.attribution import attribute, note_probe
 from repro.storage.backend import SimFile, StorageBackend
 from repro.storage.device import DRAM_SPEC
 from repro.storage.tier import StorageTier
@@ -180,44 +181,39 @@ class SSTable:
     # ------------------------------------------------------------------
     # Block fetch helpers (cache-mediated, latency-charged)
     # ------------------------------------------------------------------
-    def _load_bloom_filter(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> tuple[BloomFilter, float]:
+    def _load_bloom_filter(self, cache: BlockCache) -> tuple[BloomFilter, float]:
         # Filter blocks behave like RocksDB's table cache: loaded from
         # the device on first access, then resident in table memory for
         # the file's lifetime (get() serves the resident case itself).
         bloom, latency = cache.get_or_load_decoded(
             self.file_id, self.filter_offset, BlockType.FILTER,
             partial(self._backend.read, self.file, self.filter_offset, self.filter_length,
-                    foreground=foreground, ctx=ctx),
-            BloomFilter.decode, ctx,
+                    component="filter"),
+            BloomFilter.decode,
         )
         self._bloom = bloom
         return bloom, latency
 
-    def _load_index(self, cache: BlockCache, *, foreground: bool = True, ctx=None) -> float:
+    def _load_index(self, cache: BlockCache) -> float:
         """Make the index columns resident; returns the access latency."""
         # Index blocks live in the table cache as well (see above).
         if self._index_keys is not None:
             cache.index_resident_hit()
             latency = self._index_hit_latency
-            if ctx is not None:
-                ctx.add("index", "dram", latency)
+            attribute("index", "dram", latency)
             return latency
         index, latency = cache.get_or_load_decoded(
             self.file_id, self.index_offset, BlockType.INDEX,
             partial(self._backend.read, self.file, self.index_offset, self.index_length,
-                    foreground=foreground, ctx=ctx),
-            decode_index, ctx,
+                    component="index"),
+            decode_index,
         )
         self._index_keys, self._index_offsets, self._index_lengths = index
         return latency
 
-    def _data_block(
-        self, offset: int, length: int, cache: BlockCache, *, foreground: bool = True, ctx=None
-    ) -> tuple[DataBlock, float]:
+    def _data_block(self, offset: int, length: int, cache: BlockCache) -> tuple[DataBlock, float]:
         # One cache call; the block is a window over the file's own bytes.
-        return cache.data_block(
-            self._backend, self.file, offset, length, DataBlock, foreground, ctx
-        )
+        return cache.data_block(self._backend, self.file, offset, length, DataBlock)
 
     def block_offsets(self) -> list[int]:
         """Offsets of every block the cache may hold for this table —
@@ -227,7 +223,7 @@ class SSTable:
     # ------------------------------------------------------------------
     # Point lookup
     # ------------------------------------------------------------------
-    def get(self, user_key: bytes, cache: BlockCache, key_hash: int | None = None, *, foreground: bool = True, ctx=None) -> tuple[Record | None, float, bool]:
+    def get(self, user_key: bytes, cache: BlockCache, key_hash: int | None = None) -> tuple[Record | None, float, bool]:
         """Look up ``user_key``.
 
         Returns (record-or-None, simulated latency, filtered) where
@@ -246,30 +242,26 @@ class SSTable:
         if bloom is not None:
             cache.filter_resident_hit()
             latency = self._bloom_hit_latency
-            if ctx is not None:
-                ctx.add("filter", "dram", latency)
+            attribute("filter", "dram", latency)
         else:
-            bloom, latency = self._load_bloom_filter(cache, foreground=foreground, ctx=ctx)
+            bloom, latency = self._load_bloom_filter(cache)
         may_contain = bloom.may_contain(user_key, key_hash)
-        if ctx is not None:
-            ctx.note_probe(may_contain, n_probes=bloom.n_probes)
+        note_probe(may_contain, bloom.n_probes)
         if not may_contain:
             return None, latency, True
         index_keys = self._index_keys
         if index_keys is not None:
             cache.index_resident_hit()
             latency += self._index_hit_latency
-            if ctx is not None:
-                ctx.add("index", "dram", self._index_hit_latency)
+            attribute("index", "dram", self._index_hit_latency)
         else:
-            latency += self._load_index(cache, foreground=foreground, ctx=ctx)
+            latency += self._load_index(cache)
             index_keys = self._index_keys
         pos = bisect.bisect_left(index_keys, user_key)
         if pos >= len(index_keys):
             return None, latency, False
         block, block_latency = self._data_block(
-            self._index_offsets[pos], self._index_lengths[pos], cache,
-            foreground=foreground, ctx=ctx,
+            self._index_offsets[pos], self._index_lengths[pos], cache
         )
         latency += block_latency
         # Lazy point search: binary-search the encoded buffer through the
@@ -279,7 +271,7 @@ class SSTable:
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def iter_from(self, user_key: bytes, cache: BlockCache, *, foreground: bool = True, ctx=None) -> Iterator[tuple[Record, float]]:
+    def iter_from(self, user_key: bytes, cache: BlockCache) -> Iterator[tuple[Record, float]]:
         """Yield (record, latency-of-this-step) for keys >= ``user_key``.
 
         A :class:`RunCursor` over this one table, with each step
@@ -287,25 +279,25 @@ class SSTable:
         fetch and of each block fetch is attributed to the first record
         yielded after that fetch.
         """
-        cursor = RunCursor((self,), 0, user_key, cache, foreground=foreground, ctx=ctx)
+        cursor = RunCursor((self,), 0, user_key, cache)
         while cursor.advance():
             yield (
                 Record(cursor.key, MAX_SEQNO - cursor.inv, ValueKind(cursor.kind), cursor.value()),
                 cursor.latency,
             )
 
-    def read_all_records(self, *, foreground: bool = False) -> tuple[list[Record], float]:
+    def read_all_records(self) -> list[Record]:
         """Sequentially read every record (the record-domain input scan).
 
         Zero-copy: records are decoded directly out of the file's own
         buffer at the offsets the index gives — no per-block slice is
-        ever materialized.
+        ever materialized. The reads are background I/O.
         """
-        data, latency = self._read_data_region(foreground)
+        data = self._read_data_region()
         records: list[Record] = []
         for offset, length in zip(self._index_offsets, self._index_lengths):
             extend_records_from(data, offset, length, records)
-        return records, latency
+        return records
 
     def read_all_spans(
         self,
@@ -315,9 +307,7 @@ class SSTable:
         starts: list[int],
         ends: list[int],
         hashes: list[int],
-        *,
-        foreground: bool = False,
-    ) -> tuple[bytes, int, float]:
+    ) -> tuple[bytes, int]:
         """Sequentially read every record as an encoded span.
 
         The encoded-domain counterpart of :meth:`read_all_records`: the
@@ -326,9 +316,9 @@ class SSTable:
         arrays — ``hashes`` from the table's resident column (computed
         once for a reopened table), the rest from the blocks. The
         returned buffer is the file's own immutable bytes; spans index
-        into it. Returns (buffer, record_count, latency).
+        into it. Returns (buffer, record_count).
         """
-        data, latency = self._read_data_region(foreground)
+        data = self._read_data_region()
         count = 0
         for offset, length in zip(self._index_offsets, self._index_lengths):
             count += extend_spans_from(
@@ -337,21 +327,20 @@ class SSTable:
         if self._key_hashes is None:
             self._key_hashes = array("Q", key_hashes(keys[len(keys) - count :]))
         hashes.extend(self._key_hashes)
-        return data, count, latency
+        return data, count
 
-    def _read_data_region(self, foreground: bool) -> tuple[bytes, float]:
-        """Charge one read of the whole data region, then of the index if
-        cold (leaving its columns resident): (file bytes, latency). The
-        region starts at byte 0, so index offsets are offsets into the
-        file's immutable bytes."""
-        _, latency = self._backend.read(self.file, 0, self.data_length, foreground=foreground)
+    def _read_data_region(self) -> bytes:
+        """Charge one background read of the whole data region, then of
+        the index if cold (leaving its columns resident), and return the
+        file's bytes. The region starts at byte 0, so index offsets are
+        offsets into the file's immutable bytes."""
+        self._backend.read(self.file, 0, self.data_length, foreground=False)
         if self._index_keys is None:
-            data, index_latency = self._backend.read(
-                self.file, self.index_offset, self.index_length, foreground=foreground
+            data, _ = self._backend.read(
+                self.file, self.index_offset, self.index_length, foreground=False
             )
-            latency += index_latency
             self._index_keys, self._index_offsets, self._index_lengths = decode_index(data)
-        return self.file.data, latency
+        return self.file.data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -361,7 +350,7 @@ class SSTable:
         )
 
     @staticmethod
-    def open(backend: StorageBackend, file: SimFile, *, foreground: bool = False) -> "SSTable":
+    def open(backend: StorageBackend, file: SimFile) -> "SSTable":
         """Reconstruct a table handle from its on-"disk" footer.
 
         The restart path: reads the footer tail, then the fixed footer
@@ -372,7 +361,7 @@ class SSTable:
         tail_size = _FOOTER_TAIL.size
         if file.size < tail_size:
             raise CorruptionError(f"file {file.file_id} too small for a footer")
-        tail_bytes, _ = backend.read(file, file.size - tail_size, tail_size, foreground=foreground)
+        tail_bytes, _ = backend.read(file, file.size - tail_size, tail_size, foreground=False)
         smallest_len, largest_len, magic = _FOOTER_TAIL.unpack(tail_bytes)
         if magic != _FOOTER_MAGIC:
             raise CorruptionError(f"file {file.file_id}: bad footer magic {magic:#x}")
@@ -380,7 +369,7 @@ class SSTable:
         if file.size < footer_size:
             raise CorruptionError(f"file {file.file_id}: truncated footer")
         footer_bytes, _ = backend.read(
-            file, file.size - footer_size, footer_size - tail_size, foreground=foreground
+            file, file.size - footer_size, footer_size - tail_size, foreground=False
         )
         (
             data_length,
@@ -452,19 +441,17 @@ class RunCursor:
 
     __slots__ = (
         "key", "inv", "kind", "latency",
-        "_run", "_run_pos", "_start_key", "_cache", "_foreground", "_ctx",
+        "_run", "_run_pos", "_start_key", "_cache",
         "_table", "_index_offsets", "_index_lengths", "_entry_pos",
         "_buf", "_base", "_offsets", "_count", "_records_end", "_index",
         "_value_start", "_end",
     )
 
-    def __init__(self, run, pos: int, start_key: bytes, cache: BlockCache, *, foreground: bool = True, ctx=None) -> None:
+    def __init__(self, run, pos: int, start_key: bytes, cache: BlockCache) -> None:
         self._run = run
         self._run_pos = pos  # next file to open
         self._start_key = start_key
         self._cache = cache
-        self._foreground = foreground
-        self._ctx = ctx
         self._index_offsets: array | tuple = ()
         self._index_lengths: array | tuple = ()
         self._entry_pos = 0  # next block of the open file to fetch
@@ -521,7 +508,7 @@ class RunCursor:
         Sets the block fields, ``_index`` (the landing position) and
         ``latency``; returns False when the run has no further block.
         """
-        cache, foreground, ctx = self._cache, self._foreground, self._ctx
+        cache = self._cache
         pending = 0.0
         while True:
             offsets = self._index_offsets
@@ -533,13 +520,13 @@ class RunCursor:
                 self._run_pos += 1
                 # A new file starts a new pending latency: its index
                 # fetch first, exactly as a fresh per-file iterator did.
-                pending = table._load_index(cache, foreground=foreground, ctx=ctx)
+                pending = table._load_index(cache)
                 self._index_offsets = table._index_offsets
                 self._index_lengths = table._index_lengths
                 self._entry_pos = bisect.bisect_left(table._index_keys, self._start_key)
                 continue
             block, block_latency = self._table._data_block(
-                offsets[pos], self._index_lengths[pos], cache, foreground=foreground, ctx=ctx
+                offsets[pos], self._index_lengths[pos], cache
             )
             pending += block_latency
             self._entry_pos = pos + 1
@@ -732,8 +719,9 @@ class SSTableBuilder:
         self._finished_blocks.append(payload)
         self._data_bytes += len(payload)
 
-    def finish(self, *, foreground: bool = False) -> tuple[SSTable, float]:
-        """Serialize remaining state and write the file to the tier."""
+    def finish(self) -> SSTable:
+        """Serialize remaining state and write the file to the tier
+        (background I/O)."""
         if self._entry_count == 0:
             raise ValueError("cannot finish an empty SSTable")
         self._flush_block()
@@ -744,14 +732,13 @@ class SSTableBuilder:
         index_block = encode_index(*index)
         return self._write(
             [*self._finished_blocks, filter_block, index_block],
-            len(filter_block), len(index_block), bloom, array("Q", self._hashes),
-            index, foreground,
+            len(filter_block), len(index_block), bloom, array("Q", self._hashes), index,
         )
 
     def adopt(
         self, table: SSTable, keys: list[bytes], seqnos: list[int], kinds: list[int],
-        sizes: list[int], *, foreground: bool = False,
-    ) -> tuple[SSTable, float] | None:
+        sizes: list[int]
+    ) -> SSTable | None:
         """``table``'s data, filter and index bytes under a fresh footer, or None.
 
         The columns are ``table``'s records as an input scan read them. If
@@ -780,13 +767,13 @@ class SSTableBuilder:
         return self._write(
             [table.file.view[: table.index_offset + table.index_length]],
             table.filter_length, table.index_length, bloom, table._key_hashes,
-            (table._index_keys, table._index_offsets, table._index_lengths), foreground,
+            (table._index_keys, table._index_offsets, table._index_lengths),
         )
 
     def _write(
         self, regions: list, filter_length: int, index_length: int, bloom: BloomFilter,
-        hashes: array, index: Index, foreground: bool,
-    ) -> tuple[SSTable, float]:
+        hashes: array, index: Index,
+    ) -> SSTable:
         """Score, footer, file and resident handle for :meth:`finish` and
         :meth:`adopt`; ``regions`` are the data, filter and index bytes."""
         assert self._smallest is not None and self._largest is not None
@@ -817,7 +804,7 @@ class SSTableBuilder:
             + _FOOTER_TAIL.pack(len(self._smallest), len(self._largest), _FOOTER_MAGIC)
         )
         payload = b"".join([*regions, footer])
-        file, latency = self._backend.create_file(self._tier, payload, foreground=foreground)
+        file = self._backend.create_file(self._tier, payload)
         table = SSTable(
             self._backend,
             file,
@@ -840,4 +827,4 @@ class SSTableBuilder:
         table._bloom = bloom
         table._key_hashes = hashes
         table._index_keys, table._index_offsets, table._index_lengths = index
-        return table, latency
+        return table

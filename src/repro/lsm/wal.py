@@ -10,6 +10,7 @@ truncated when the memtable they cover is flushed.
 from __future__ import annotations
 
 from repro.lsm.record import Record
+from repro.obs.attribution import attribute
 from repro.storage.tier import StorageTier
 
 
@@ -32,16 +33,15 @@ class WriteAheadLog:
     def tier(self) -> StorageTier:
         return self._tier
 
-    def append(self, record: Record, ctx=None, *, size: int | None = None) -> float:
+    def append(self, record: Record, *, size: int | None = None) -> float:
         """Log one record; returns the simulated write latency.
 
         With ``sync_every`` > 1, writes are group-committed: only every
         N-th append pays the device's program latency (the others ride
-        in the same batch and pay only the transfer cost). ``ctx``
-        attributes the log write to ``(wal, tier)`` on the request's
-        latency breakdown. ``size`` lets callers that already computed
-        ``record.encoded_size()`` (the write fast lane) skip recomputing
-        it here.
+        in the same batch and pay only the transfer cost). The log write
+        is attributed to ``(wal, tier)``. ``size`` lets callers that
+        already computed ``record.encoded_size()`` (the write fast lane)
+        skip recomputing it here.
         """
         if size is None:
             size = record.encoded_size()
@@ -52,15 +52,12 @@ class WriteAheadLog:
         self._appends_since_sync += 1
         if self._appends_since_sync >= self._sync_every:
             self._appends_since_sync = 0
-            if ctx is not None:
-                ctx.component = "wal"
-            return self._tier.device.write(size, foreground=True, ctx=ctx)
+            return self._tier.device.write(size, component="wal")
         transfer = size / self._tier.spec.write_bandwidth_bps * 1_000_000.0
         # Not a device access: a named residue until ROADMAP item 1
         # ("durable bytes") folds it into the foreground writes.
         self._tier.device.stats.bytes_written_grouped += size
-        if ctx is not None:
-            ctx.add("wal", self._tier.name, transfer)
+        attribute("wal", self._tier.name, transfer)
         return transfer
 
     def truncate(self) -> None:

@@ -5,13 +5,11 @@ does latency go on average"; this module answers the tail question the
 paper's headline claims hinge on — *which component made this p99 read
 slow*. Three pieces:
 
-* :class:`OpContext` — a request-scoped accumulator threaded from the
-  harness through the engine's read/write lanes and ``scan`` into the
-  row cache, memtable, block cache, WAL and per-tier device models.
-  Every simulated microsecond an operation is charged is also
-  attributed to one ``(component, tier)`` bucket; the context never
-  *adds* latency, so runs with attribution enabled are bit-identical to
-  runs without.
+* :class:`OpContext` and the charge seam — while an op is active
+  (:func:`attributing`), the code that charges simulated time also
+  names it, :func:`attribute` ``(component, tier, usec)``, so every
+  charged microsecond lands in one bucket. Attribution never *adds*
+  latency: runs with it enabled are bit-identical to runs without.
 * :class:`LatencyAttribution` — the per-run aggregator: per op type and
   latency bucket it keeps the summed breakdown (bounded memory), retains
   a worst-K slow-op log with the full event list plus an LSM state
@@ -37,7 +35,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from repro.common.rng import make_rng
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
@@ -62,19 +61,16 @@ RESIDUAL_KEY = "other/-"
 class OpContext:
     """Latency breakdown of one in-flight operation.
 
-    Layers call :meth:`add` with the microseconds they just charged.
-    ``component`` is a mutable hand-off slot: the block cache sets it to
-    the block type before invoking a device loader, so the device — which
-    only knows its tier — can attribute the I/O to the right component.
+    :meth:`add` is the only writer of ``parts`` and ``events``; the
+    engine reaches it through :func:`attribute` while the op is active.
     ``scope`` labels events with the probe site (e.g. ``L3:f17``) so the
     slow-op log reads as a span tree.
     """
 
-    __slots__ = ("op", "component", "scope", "parts", "events", "probes")
+    __slots__ = ("op", "scope", "parts", "events", "probes")
 
     def __init__(self, op: str) -> None:
         self.op = op
-        self.component = "io"
         self.scope = ""
         #: ``"component/tier" -> usec`` accumulated charges.
         self.parts: dict[str, float] = {}
@@ -99,6 +95,44 @@ class OpContext:
             probes["bloom_negative"] = probes.get("bloom_negative", 0) + 1
         if n_probes:
             probes["bloom_hashes"] = probes.get("bloom_hashes", 0) + n_probes
+
+
+#: The op being attributed, or None; set only by :func:`attributing`. The
+#: simulator runs one op at a time and fleet shards are separate
+#: processes, so one slot per process is enough.
+_active: OpContext | None = None
+
+
+@contextmanager
+def attributing(ctx: OpContext) -> Iterator[OpContext]:
+    """Attribute every charge made inside the ``with`` block to ``ctx``."""
+    global _active
+    _active = ctx
+    try:
+        yield ctx
+    finally:
+        _active = None
+
+
+def attribute(component: str, tier: str, usec: float) -> None:
+    """Attribute ``usec`` just charged to ``(component, tier)`` of the active op."""
+    ctx = _active
+    if ctx is not None:
+        ctx.add(component, tier, usec)
+
+
+def note_probe(positive: bool, n_probes: int) -> None:
+    """Count a bloom probe outcome on the active op."""
+    ctx = _active
+    if ctx is not None:
+        ctx.note_probe(positive, n_probes=n_probes)
+
+
+def set_scope(level_name: str, file_id: int) -> None:
+    """Label the active op's next events with the probe site ``L3:f17``."""
+    ctx = _active
+    if ctx is not None:
+        ctx.scope = f"{level_name}:f{file_id}"
 
 
 class _Cell:
@@ -168,17 +202,20 @@ class LatencyAttribution:
     def attributed(self, op: str, call: Callable) -> Callable:
         """Wrap an engine entry point so each call is offered for attribution.
 
-        ``call`` accepts a ``ctx`` keyword and returns a result carrying
-        ``latency_usec``; the wrapper is transparent otherwise.
+        ``call`` returns a result carrying ``latency_usec``; a sampled call
+        runs with its :class:`OpContext` active. The wrapper is transparent
+        otherwise, so ``call`` may be any callable of the same arity.
         """
         begin = self.begin
         observe = self.observe
 
         def attributed_call(*args):
             ctx = begin(op)
-            result = call(*args, ctx=ctx)
-            if ctx is not None:
-                observe(ctx, result.latency_usec)
+            if ctx is None:
+                return call(*args)
+            with attributing(ctx):
+                result = call(*args)
+            observe(ctx, result.latency_usec)
             return result
 
         return attributed_call

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.common.clock import SimClock
 from repro.errors import StorageError
+from repro.obs.attribution import attribute
 from repro.storage.tier import StorageTier
 
 
@@ -99,18 +100,18 @@ class StorageBackend:
     # ------------------------------------------------------------------
     # File lifecycle
     # ------------------------------------------------------------------
-    def create_file(self, tier: StorageTier, data: bytes, *, foreground: bool = False) -> tuple[SimFile, float]:
+    def create_file(self, tier: StorageTier, data: bytes) -> SimFile:
         """Write ``data`` as a new file on ``tier``.
 
-        Returns the file and the simulated write latency (0 for
-        background writes, which are charged to the tier's backlog).
+        The write is background I/O (flush, compaction): it adds no
+        foreground latency and is charged to the tier's backlog.
         """
         tier.allocate(len(data))
-        latency = tier.device.write(len(data), foreground=foreground)
+        tier.device.write(len(data), foreground=False)
         file = SimFile(next(self._ids), tier, data)
         self._files[file.file_id] = file
         self.stats.files_created += 1
-        return file, latency
+        return file
 
     def delete_file(self, file: SimFile) -> None:
         """Delete a file and release its tier capacity. Idempotent."""
@@ -124,7 +125,7 @@ class StorageBackend:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read(self, file: SimFile, offset: int, length: int, *, foreground: bool = True, ctx=None) -> tuple[bytes | memoryview, float]:
+    def read(self, file: SimFile, offset: int, length: int, *, foreground: bool = True, component: str = "io") -> tuple[bytes | memoryview, float]:
         """Read ``length`` bytes at ``offset``; returns (data, latency).
 
         The returned data is zero-copy: a whole-file read hands back the
@@ -133,9 +134,8 @@ class StorageBackend:
         ``bytes`` (rare — decoders slice out exactly the fields they
         keep) must convert explicitly.
 
-        ``ctx`` (an :class:`~repro.obs.attribution.OpContext`) attributes
-        the device time to the requesting component and any mid-migration
-        lock stall to ``(migration_stall, tier)``.
+        The device time is attributed to ``component`` and any
+        mid-migration lock stall to ``(migration_stall, tier)``.
         """
         if file.deleted:
             raise StorageError(f"read from deleted file {file.file_id}")
@@ -149,9 +149,8 @@ class StorageBackend:
             stall = file.locked_until_usec - self._clock.now
             self.stats.lock_stall_usec += stall
             self.stats.lock_stalls += 1
-            if ctx is not None:
-                ctx.add("migration_stall", file.tier.name, stall)
-        latency = file.tier.device.read(length, foreground=foreground, ctx=ctx) + stall
+            attribute("migration_stall", file.tier.name, stall)
+        latency = file.tier.device.read(length, foreground=foreground, component=component) + stall
         if offset == 0 and length == len(file.data):
             return file.data, latency
         return file.view[offset : offset + length], latency

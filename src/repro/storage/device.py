@@ -24,6 +24,7 @@ from functools import partial
 from repro.common.clock import SimClock
 from repro.common.units import BLOCK_SIZE, GIB, MIB
 from repro.errors import ConfigError
+from repro.obs.attribution import attribute
 
 
 @dataclass(frozen=True)
@@ -255,69 +256,63 @@ class Device:
     # ------------------------------------------------------------------
     # I/O charging
     # ------------------------------------------------------------------
-    def read(self, n_bytes: int, *, foreground: bool = True, ctx=None) -> float:
+    def _charge_foreground(self, component: str, base: float) -> float:
+        """Latency of a foreground access of service time ``base``: adds
+        and observes the queueing penalty, and attributes ``base`` to
+        ``(component, tier)`` and the penalty to ``compact_wait``."""
+        penalty = queue_penalty_usec(
+            self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
+        )
+        if self._queue_penalty is not None:
+            self._queue_penalty.observe(penalty)
+        attribute(component, self.tier_name, base)
+        if penalty:
+            attribute("compact_wait", self.tier_name, penalty)
+        return base + penalty
+
+    def read(self, n_bytes: int, *, foreground: bool = True, component: str = "io") -> float:
         """Charge a read and return its simulated latency in usec.
 
-        ``ctx`` is an optional :class:`~repro.obs.attribution.OpContext`:
-        when present, the base service time is attributed to
-        ``(ctx.component, tier)`` and the queueing penalty — time spent
-        behind background compaction/migration backlog — to
-        ``(compact_wait, tier)``. Attribution never changes the returned
-        latency.
+        A foreground read's service time is attributed to ``component``
+        (``filter``, ``index``, ``data``) on this tier, and its queueing
+        penalty — time spent behind background compaction/migration
+        backlog — to ``compact_wait``.
         """
         if n_bytes < 0:
             raise ValueError(f"negative read size: {n_bytes}")
-        self.stats.reads += 1
+        stats = self.stats
+        stats.reads += 1
         base = self.spec.read_time_usec(n_bytes)
-        penalty = 0.0
+        stats.busy_usec += base
         if foreground:
-            self.stats.bytes_read_foreground += n_bytes
-            penalty = queue_penalty_usec(
-                self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
-            )
-            latency = base + penalty
-            if ctx is not None:
-                ctx.add(ctx.component, self.tier_name, base)
-                if penalty:
-                    ctx.add("compact_wait", self.tier_name, penalty)
-        else:
-            self.stats.bytes_read_background += n_bytes
-            # Background reads contend like background writes do: they
-            # occupy the device, so they join the backlog at read cost
-            # converted to equivalent write-bandwidth bytes.
-            self._drain_backlog()
-            self._backlog_bytes += n_bytes * 0.5
-            latency = base
-        self.stats.busy_usec += base
-        if foreground and self._queue_penalty is not None:
-            self._queue_penalty.observe(penalty)
-        return latency
+            stats.bytes_read_foreground += n_bytes
+            return self._charge_foreground(component, base)
+        stats.bytes_read_background += n_bytes
+        # Background reads contend like background writes do: they
+        # occupy the device, so they join the backlog at read cost
+        # converted to equivalent write-bandwidth bytes.
+        self._drain_backlog()
+        self._backlog_bytes += n_bytes * 0.5
+        return base
 
-    def write(self, n_bytes: int, *, foreground: bool = True, ctx=None) -> float:
+    def write(self, n_bytes: int, *, foreground: bool = True, component: str = "io") -> float:
         """Charge a write and return its simulated latency in usec.
 
-        Background writes (compactions, migrations) return 0 latency to
-        the caller — they happen off the critical path — but enqueue
-        their bytes in the backlog, which slows later foreground I/O.
+        Foreground writes are charged like foreground reads. Background
+        writes (compactions, migrations) return 0 latency to the caller —
+        they happen off the critical path — but enqueue their bytes in
+        the backlog, which slows later foreground I/O.
         """
         if n_bytes < 0:
             raise ValueError(f"negative write size: {n_bytes}")
-        self.stats.writes += 1
+        stats = self.stats
+        stats.writes += 1
         base = self.spec.write_time_usec(n_bytes)
-        self.stats.busy_usec += base
+        stats.busy_usec += base
         if foreground:
-            penalty = queue_penalty_usec(
-                self.backlog_bytes, self.spec.sustained_write_bandwidth_bps
-            )
-            if self._queue_penalty is not None:
-                self._queue_penalty.observe(penalty)
-            if ctx is not None:
-                ctx.add(ctx.component, self.tier_name, base)
-                if penalty:
-                    ctx.add("compact_wait", self.tier_name, penalty)
-            self.stats.bytes_written_foreground += n_bytes
-            return base + penalty
-        self.stats.bytes_written_background += n_bytes
+            stats.bytes_written_foreground += n_bytes
+            return self._charge_foreground(component, base)
+        stats.bytes_written_background += n_bytes
         self._drain_backlog()
         self._backlog_bytes += n_bytes
         return 0.0

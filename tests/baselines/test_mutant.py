@@ -99,7 +99,7 @@ class TestMigration:
         db.run_optimizer_epoch()
         hot_table = None
         for _, table in db.manifest.all_files():
-            records, _ = table.read_all_records()
+            records = table.read_all_records()
             if any(r.user_key == b"key000100" for r in records):
                 hot_table = table
         assert hot_table is not None

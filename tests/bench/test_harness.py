@@ -1,6 +1,8 @@
 """Tests for the benchmark harness (small scales)."""
 
 import gc
+import hashlib
+import json
 import weakref
 from functools import partial
 
@@ -19,6 +21,7 @@ from repro.bench.harness import (
 from repro.common.stats import LatencyRecorder
 from repro.core.prismdb import PrismDB
 from repro.errors import ConfigError
+from repro.obs.attribution import RESIDUAL_KEY
 from repro.workloads import YCSBConfig, YCSBWorkload
 from repro.workloads.ycsb import OP_READ
 
@@ -244,6 +247,17 @@ class TestAttributionNeverPerturbs:
         max_scan_length=20,
     )
 
+    #: sha256 of each cell's attribution export at ``sample_every=1``. Mutant
+    #: equals RocksDB at this size: no optimizer epoch runs.
+    DIGESTS = {
+        ("rocksdb", 0.0): "fc68fd6d2f033277c0d2362436a6df4b8c8c1c7a343e04b4fcb191756c794290",
+        ("rocksdb", 0.5): "a6da6d393c15223f5d82a45505cac6561e1a19e13bf9adaae201bb0ffc806659",
+        ("prismdb", 0.0): "44b9748f82f2c535b698597a659a81d8ad0dfdacd891628dadd114cfda9b3ce0",
+        ("prismdb", 0.5): "64c117fa17557e5a725136c085f14eb9b76f6c743f611f47adb177f18fd87f26",
+    }
+    DIGESTS["mutant", 0.0] = DIGESTS["rocksdb", 0.0]
+    DIGESTS["mutant", 0.5] = DIGESTS["rocksdb", 0.5]
+
     @pytest.mark.parametrize("row_cache_share", [0.0, 0.5])
     @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
     def test_artifact_equal_with_and_without_attribution(self, system, row_cache_share):
@@ -259,3 +273,12 @@ class TestAttributionNeverPerturbs:
             assert ops["ops_offered"] == self.MIXED.operation_count
             assert ops["ops_sampled"] == self.MIXED.operation_count // sample_every
             assert attributed == plain
+            if sample_every == 1:
+                # Every charged microsecond is attributed where it is charged:
+                # what no charge site named is float association noise only.
+                for op, info in ops["ops"].items():
+                    residual = sum(bucket["parts"].get(RESIDUAL_KEY, 0.0)
+                                   for bucket in info["buckets"])
+                    assert abs(residual) <= 1e-12 * info["total_usec"], op
+                digest = hashlib.sha256(json.dumps(ops, sort_keys=True).encode()).hexdigest()
+                assert digest == self.DIGESTS[system, row_cache_share]

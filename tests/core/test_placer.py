@@ -222,7 +222,7 @@ class TestLowestScorePicker:
         for i, score in enumerate(scores):
             builder = SSTableBuilder(backend, tier, block_bytes=512, target_file_bytes=4 * KIB)
             builder.add(put(bytes([lo + i * 2]), seqno=i + 1))
-            table, _ = builder.finish()
+            table = builder.finish()
             table.popularity_score = score
             manifest.add_file(1, table)
         return manifest

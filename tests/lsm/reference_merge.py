@@ -27,7 +27,7 @@ class ReferenceExecutor(CompactionExecutor):
         sources = []
         read_counter = self.metrics.counter("compaction.read_bytes", level=level)
         for table in tables:
-            records, _ = table.read_all_records(foreground=False)
+            records = table.read_all_records()
             self.stats.bytes_read += table.size_bytes
             self.stats.records_in += len(records)
             read_counter.inc(table.size_bytes)
@@ -100,7 +100,7 @@ class _RecordWriter:
 
     def finish(self):
         if self._builder is not None:
-            table, _ = self._builder.finish(foreground=False)
+            table = self._builder.finish()
             self._executor.stats.bytes_written += table.size_bytes
             self._executor.note_level_write(self._level, table.size_bytes)
             self._tables.append(table)
@@ -123,10 +123,10 @@ def write_per_record(make_builder, keys, seqnos, kinds, buf, starts, ends):
             builder = make_builder()
         builder.add_encoded(key, seqno, kind, buf, start, end)
         if builder.should_finish():
-            tables.append(builder.finish(foreground=False)[0])
+            tables.append(builder.finish())
             builder = None
     if builder is not None:
-        tables.append(builder.finish(foreground=False)[0])
+        tables.append(builder.finish())
     return tables
 
 

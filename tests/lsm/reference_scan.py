@@ -15,16 +15,15 @@ import bisect
 
 from repro.lsm.db import CPU_OVERHEAD_USEC, ScanResult
 from repro.lsm.iterators import merge_records, visible_records
+from repro.obs.attribution import attribute
 
 
-def reference_iter_from(table, user_key, cache, *, foreground=True, ctx=None):
+def reference_iter_from(table, user_key, cache):
     """``SSTable.iter_from`` over fully decoded blocks."""
-    pending_latency = table._load_index(cache, foreground=foreground, ctx=ctx)
+    pending_latency = table._load_index(cache)
     pos = bisect.bisect_left(table._index_keys, user_key)
     for offset, length in zip(table._index_offsets[pos:], table._index_lengths[pos:]):
-        block, block_latency = table._data_block(
-            offset, length, cache, foreground=foreground, ctx=ctx
-        )
+        block, block_latency = table._data_block(offset, length, cache)
         pending_latency += block_latency
         for record in block.records():
             if record.user_key < user_key:
@@ -33,14 +32,13 @@ def reference_iter_from(table, user_key, cache, *, foreground=True, ctx=None):
             pending_latency = 0.0
 
 
-def reference_scan(db, start_key, count, *, ctx=None):
+def reference_scan(db, start_key, count):
     """``LsmDB.scan`` as a chain of generators over decoded records."""
     db._check_open()
     if count < 0:
         raise ValueError(f"negative scan count: {count}")
     latency = CPU_OVERHEAD_USEC
-    if ctx is not None:
-        ctx.add("cpu", "-", latency)
+    attribute("cpu", "-", latency)
     latencies = [0.0]
 
     def charged(source):
@@ -50,12 +48,12 @@ def reference_scan(db, start_key, count, *, ctx=None):
 
     def level_iter(run, pos):
         for index in range(pos, len(run)):
-            yield from reference_iter_from(run[index], start_key, db.cache, ctx=ctx)
+            yield from reference_iter_from(run[index], start_key, db.cache)
 
     sources = [db._memtable.scan_from(start_key)]
     for table in db.manifest.files(0):
         if table.largest_key >= start_key:
-            sources.append(charged(reference_iter_from(table, start_key, db.cache, ctx=ctx)))
+            sources.append(charged(reference_iter_from(table, start_key, db.cache)))
     for level in range(1, db.manifest.num_levels):
         for run, pos in db.manifest.seek_runs(level, start_key):
             if pos < len(run):

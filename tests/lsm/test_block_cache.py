@@ -14,7 +14,7 @@ def backend_with(*payloads):
     clock = SimClock()
     backend = StorageBackend(clock)
     tier = StorageTier("nvm", NVM_SPEC, 64 * MIB, clock)
-    return backend, [backend.create_file(tier, payload)[0] for payload in payloads]
+    return backend, [backend.create_file(tier, payload) for payload in payloads]
 
 
 def counted_upper(decodes):
@@ -280,12 +280,13 @@ class TestProbePathAccounting:
         assert len(decodes) == 1
 
     def test_data_block_miss_charges_one_read_to_the_data_component(self):
-        from repro.obs.attribution import OpContext
+        from repro.obs.attribution import OpContext, attributing
 
         backend, (file,) = backend_with(b"k" * 4096)
         cache = BlockCache(1 << 20)
         ctx = OpContext("read")
-        block, latency = cache.data_block(backend, file, 1024, 512, counted_upper([]), ctx=ctx)
+        with attributing(ctx):
+            block, latency = cache.data_block(backend, file, 1024, 512, counted_upper([]))
         assert block == b"K" * 512
         assert file.tier.device.stats.bytes_read_foreground == 512
         assert file.tier.device.stats.reads == 1

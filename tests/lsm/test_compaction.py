@@ -62,7 +62,7 @@ class CompactionFixture:
         for key in sorted(keys):
             self.seqno += 1
             builder.add(Record(key, self.seqno, kind, value if kind == ValueKind.PUT else b""))
-        table, _ = builder.finish()
+        table = builder.finish()
         self.manifest.add_file(level, table)
         return table
 
@@ -82,7 +82,7 @@ class CompactionFixture:
     def all_records(self, level):
         result = []
         for table in self.manifest.files(level):
-            records, _ = table.read_all_records()
+            records = table.read_all_records()
             result.extend(records)
         return result
 

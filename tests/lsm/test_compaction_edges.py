@@ -43,7 +43,7 @@ def add_table(backend, layout, manifest, level, keys, *, score=0.0, seqno_base=0
     )
     for i, key in enumerate(sorted(keys)):
         builder.add(Record(key, seqno_base + i + 1, ValueKind.PUT, b"v" * 40))
-    table, _ = builder.finish()
+    table = builder.finish()
     table.popularity_score = score
     manifest.add_file(level, table)
     return table

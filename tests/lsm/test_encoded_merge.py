@@ -121,10 +121,10 @@ class MergeFixture:
         self.created: list[tuple[int, str, int]] = []
         create_file = self.backend.create_file
 
-        def logging_create_file(tier, payload, **kwargs):
-            file, latency = create_file(tier, payload, **kwargs)
+        def logging_create_file(tier, payload):
+            file = create_file(tier, payload)
             self.created.append((file.file_id, tier.name, len(payload)))
-            return file, latency
+            return file
 
         self.backend.create_file = logging_create_file
         self.executor = (ReferenceExecutor if reference else CompactionExecutor)(
@@ -155,7 +155,7 @@ class MergeFixture:
                 record_kind,
                 value if record_kind == ValueKind.PUT else b"",
             ))
-        table, _ = builder.finish()
+        table = builder.finish()
         self.manifest.add_file(level, table)
         return table
 
@@ -497,7 +497,7 @@ class TestMoveEquivalence(OnLayout):
                 if key == MOVED[10]:
                     builder.add(Record(key, 1_000, ValueKind.PUT, b"newer"))
                 builder.add(Record(key, seqno, ValueKind.PUT, b"v" * 20))
-            fx.manifest.add_file(1, builder.finish()[0])
+            fx.manifest.add_file(1, builder.finish())
             fx.merge(1, MOVED[0], MOVED[-1])
 
         _, stats, _, _, _ = assert_equivalent(build, router_factory=lambda: placer(HOT, 1_000))
@@ -608,7 +608,7 @@ class TestCutPlan:
                     builder.add_encoded_blocks(
                         keys, seqnos, kinds, chunks, sizes, key_hashes(keys), start, block_ends
                     )
-                    tables.append(builder.finish(foreground=False)[0])
+                    tables.append(builder.finish())
                     start = block_ends[-1]
             outputs.append([bytes(table.file.data) for table in tables])
         return outputs
@@ -790,7 +790,7 @@ def compaction_merge_replay():
         )
         for seqno, key in enumerate(sorted(keys), start=1):
             builder.add(Record(key, seqno, ValueKind.PUT, b"v" * 32))
-        table, _ = builder.finish()
+        table = builder.finish()
         return table
 
     upper = [build_table(1, [f"k{i:06d}".encode() for i in range(0, 2_000, 2)])]

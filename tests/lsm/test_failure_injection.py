@@ -26,7 +26,7 @@ def build_table(n=50):
     builder = SSTableBuilder(backend, tier, block_bytes=512, target_file_bytes=1 << 30)
     for i in range(n):
         builder.add(Record(f"key{i:04d}".encode(), i + 1, ValueKind.PUT, b"v" * 30))
-    table, _ = builder.finish()
+    table = builder.finish()
     return backend, table
 
 
@@ -380,7 +380,7 @@ class TestSwappedBytes:
             table._bloom = None
         builder = SSTableBuilder(backend, table.tier, block_bytes=512, target_file_bytes=1 << 30)
         sizes = [end - start for start, end in zip(starts, ends)]
-        adopted, _ = builder.adopt(table, keys, seqnos, kinds, sizes)
+        adopted = builder.adopt(table, keys, seqnos, kinds, sizes)
         copied = table.index_offset + table.index_length
         assert adopted.file.data[:copied] == table.file.data[:copied]
         assert adopted.file.data[at] == ord("w")
@@ -462,7 +462,7 @@ class TestMigrationLockStalls:
         from repro.storage import QLC_SPEC
 
         qlc = StorageTier("qlc", QLC_SPEC, 64 * MIB, clock)
-        file, _ = backend.create_file(nvm, b"z" * MIB)
+        file = backend.create_file(nvm, b"z" * MIB)
         lock = backend.migrate_file(file, qlc)
         _, stalled = backend.read(file, 0, 4096)
         assert stalled > lock  # waits out the lock

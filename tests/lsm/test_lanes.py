@@ -17,7 +17,7 @@ from repro.core import PrismDB, PrismOptions
 from repro.errors import DBClosedError
 from repro.lsm import DBOptions, LsmDB
 from repro.lsm.sstable import SSTable
-from repro.obs.attribution import OpContext
+from repro.obs.attribution import LatencyAttribution, OpContext, attributing
 
 
 def tiny_options(**kwargs):
@@ -88,20 +88,22 @@ def drive_public(db):
     return drive(db, db.get, db.put, db.delete)
 
 
-def drive_public_with_ctx(db):
+def drive_public_attributed(db):
     contexts = []
 
-    def with_ctx(op, call):
+    def attributed(op, call):
         def traced(*args):
             contexts.append(OpContext(op))
-            result = call(*args, ctx=contexts[-1])
+            with attributing(contexts[-1]):
+                result = call(*args)
             assert sum(contexts[-1].parts.values()) == pytest.approx(result.latency_usec)
             return result
 
         return traced
 
     results = drive(
-        db, with_ctx("read", db.get), with_ctx("update", db.put), with_ctx("update", db.delete)
+        db, attributed("read", db.get), attributed("update", db.put),
+        attributed("update", db.delete),
     )
     assert len(contexts) == len(results)
     return results
@@ -127,10 +129,32 @@ def test_public_methods_and_lanes_keep_identical_books(system):
     if system == "mutant":
         assert reference_db.mutant_stats.epochs > 0
 
-    for other in (drive_public_with_ctx, drive_lanes):
+    for other in (drive_public_attributed, drive_lanes):
         twin = SYSTEMS[system]()
         assert other(twin) == reference
         assert books(twin) == books(reference_db)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_attribution_wraps_arity_exact_lane_wrappers(system):
+    # perfbench's oracle wraps each lane in a closure of the lane's own
+    # arity; attribution must wrap such a closure as it is.
+    db = SYSTEMS[system]()
+    lookup, commit = db.read_lane(), db.write_lane()
+    attribution = LatencyAttribution()
+    attribution.attributed("update", lambda k, v: commit(k, v))(b"k", b"v")
+    attribution.attributed("read", lambda k: lookup(k))(b"k")
+    attribution.attributed("scan", lambda k, n: db.scan(k, n))(b"", 5)
+    ops = attribution.to_dict()["ops"]
+    parts = {
+        op: {name for bucket in info["buckets"] for name in bucket["parts"]}
+        for op, info in ops.items()
+    }
+    tracker = {"tracker/-"} if system == "prismdb" else set()
+    assert parts["read"] == {"cpu/-", "memtable/dram"} | tracker
+    assert {"cpu/-", "memtable/dram"} < parts["update"]
+    assert any(name.startswith("wal/") for name in parts["update"])
+    assert parts["scan"] == {"cpu/-"}
 
 
 def test_put_none_is_an_error_not_a_tombstone():

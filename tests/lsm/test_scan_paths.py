@@ -4,6 +4,7 @@ oracle in ``reference_scan.py`` (items *and* the simulated side)."""
 
 import dataclasses
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +16,7 @@ from repro.lsm import DBOptions, LsmDB
 from repro.lsm.block import DataBlock
 from repro.lsm.block_cache import BlockType
 from repro.lsm.record import Record
-from repro.obs.attribution import OpContext
+from repro.obs.attribution import OpContext, attributing
 
 
 def make_db(**kwargs):
@@ -183,10 +184,11 @@ class ScanTwins:
             self.delete(twin_key(i))
 
     def scan(self, start_key, count, *, attributed=False):
-        engine_ctx = OpContext("scan") if attributed else None
-        oracle_ctx = OpContext("scan") if attributed else None
-        got = self.engine.scan(start_key, count, ctx=engine_ctx)
-        want = reference_scan(self.oracle, start_key, count, ctx=oracle_ctx)
+        engine_ctx, oracle_ctx = OpContext("scan"), OpContext("scan")
+        with attributing(engine_ctx) if attributed else nullcontext():
+            got = self.engine.scan(start_key, count)
+        with attributing(oracle_ctx) if attributed else nullcontext():
+            want = reference_scan(self.oracle, start_key, count)
         assert got.items == want.items
         assert got.latency_usec == want.latency_usec  # bit for bit, no approx
         expected = sorted((k, v) for k, v in self.model.items() if k >= start_key)

@@ -17,7 +17,7 @@ def build(records, block_bytes=512):
     builder = SSTableBuilder(backend, tier, block_bytes=block_bytes, target_file_bytes=1 << 30)
     for record in records:
         builder.add(record)
-    table, _ = builder.finish()
+    table = builder.finish()
     return table, BlockCache(64 * KIB)
 
 
@@ -48,7 +48,7 @@ class TestSSTableProperties:
             for seqno, key in enumerate(sorted(keys))
         ]
         table, _ = build(records)
-        read_back, _ = table.read_all_records()
+        read_back = table.read_all_records()
         assert read_back == records
 
     @given(unique_keys, st.binary(min_size=1, max_size=24))

@@ -84,7 +84,7 @@ class StrategyFixture:
             builder.add(
                 Record(key, self.seqno, kind, value if kind == ValueKind.PUT else b"")
             )
-        table, _ = builder.finish()
+        table = builder.finish()
         self.manifest.add_file(level, table)
         return table
 
@@ -243,7 +243,7 @@ class TestTieredExecution:
         keys = sorted(
             r.user_key
             for t in fx.manifest.files(2)
-            for r in t.read_all_records()[0]
+            for r in t.read_all_records()
         )
         assert keys == [b"a", b"b", b"y", b"z"]
 
@@ -260,7 +260,7 @@ class TestTieredExecution:
         keys = [
             r.user_key
             for t in fx.manifest.files(4)
-            for r in t.read_all_records()[0]
+            for r in t.read_all_records()
         ]
         assert keys == [b"a"]  # tombstone applied and dropped
         assert fx.executor.stats.tombstones_dropped == 1

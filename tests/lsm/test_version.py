@@ -34,7 +34,7 @@ class ManifestFixture:
         if hi != lo:
             self.seqno += 1
             builder.add(Record(hi, self.seqno, ValueKind.PUT, b"v"))
-        table, _ = builder.finish()
+        table = builder.finish()
         return table
 
 

@@ -9,9 +9,13 @@ from repro.obs.attribution import (
     RESIDUAL_KEY,
     LatencyAttribution,
     OpContext,
+    attribute,
+    attributing,
     attribution_table,
     band_breakdown,
     diff_attribution,
+    note_probe,
+    set_scope,
 )
 
 
@@ -52,6 +56,29 @@ class TestOpContext:
         ctx.note_probe(False, n_probes=7)
         ctx.note_probe(True, n_probes=7)
         assert ctx.probes == {"bloom": 2, "bloom_negative": 1, "bloom_hashes": 14}
+
+
+class TestSeam:
+    def test_charges_land_on_the_active_op_only(self):
+        ctx = OpContext("read")
+        attribute("data", "tlc", 1.0)  # no op active: nothing to record
+        with attributing(ctx):
+            set_scope("L3", 17)
+            attribute("data", "tlc", 10.0)
+            note_probe(False, 7)
+        attribute("data", "tlc", 2.0)
+        set_scope("L4", 20)
+        note_probe(True, 7)
+        assert ctx.events == [("L3:f17", "data", "tlc", 10.0)]
+        assert ctx.probes == {"bloom": 1, "bloom_negative": 1, "bloom_hashes": 7}
+
+    def test_the_slot_clears_when_the_call_raises(self):
+        ctx = OpContext("read")
+        with pytest.raises(RuntimeError):
+            with attributing(ctx):
+                raise RuntimeError
+        attribute("data", "tlc", 1.0)
+        assert ctx.parts == {}
 
 
 class TestAggregation:

@@ -62,59 +62,60 @@ class TestStorageBackend:
 
     def test_create_and_read_round_trip(self):
         payload = bytes(range(256)) * 16
-        file, _ = self.backend.create_file(self.nvm, payload)
+        file = self.backend.create_file(self.nvm, payload)
         data, latency = self.backend.read(file, 0, len(payload))
         assert data == payload
         assert latency > 0
 
     def test_create_allocates_tier_capacity(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * 1000)
+        file = self.backend.create_file(self.nvm, b"x" * 1000)
         assert self.nvm.used_bytes == 1000
         self.backend.delete_file(file)
         assert self.nvm.used_bytes == 0
 
     def test_partial_read(self):
-        file, _ = self.backend.create_file(self.nvm, b"0123456789")
+        file = self.backend.create_file(self.nvm, b"0123456789")
         data, _ = self.backend.read(file, 3, 4)
         assert data == b"3456"
 
     def test_out_of_bounds_read_fails(self):
-        file, _ = self.backend.create_file(self.nvm, b"abc")
+        file = self.backend.create_file(self.nvm, b"abc")
         with pytest.raises(StorageError):
             self.backend.read(file, 0, 4)
         with pytest.raises(StorageError):
             self.backend.read(file, -1, 1)
 
     def test_read_deleted_file_fails(self):
-        file, _ = self.backend.create_file(self.nvm, b"abc")
+        file = self.backend.create_file(self.nvm, b"abc")
         self.backend.delete_file(file)
         with pytest.raises(StorageError):
             self.backend.read(file, 0, 1)
 
     def test_delete_is_idempotent(self):
-        file, _ = self.backend.create_file(self.nvm, b"abc")
+        file = self.backend.create_file(self.nvm, b"abc")
         self.backend.delete_file(file)
         self.backend.delete_file(file)
         assert self.backend.stats.files_deleted == 1
 
-    def test_foreground_write_has_latency_background_does_not(self):
-        _, bg_latency = self.backend.create_file(self.nvm, b"x" * 4096, foreground=False)
-        _, fg_latency = self.backend.create_file(self.nvm, b"x" * 4096, foreground=True)
-        assert bg_latency == 0.0
-        assert fg_latency > 0.0
+    def test_create_file_is_background_io(self):
+        self.backend.create_file(self.nvm, b"x" * 4096)
+        stats = self.nvm.device.stats
+        assert stats.bytes_written_background == 4096
+        assert stats.bytes_written_foreground == 0
+        assert self.nvm.device.backlog_bytes > 0  # queued behind later foreground I/O
 
     def test_stats_tally_by_tier(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * 100, foreground=True)
+        file = self.backend.create_file(self.nvm, b"x" * 100)
         self.backend.read(file, 0, 50)
         assert self.nvm.device.stats.bytes_written == 100
         assert self.nvm.device.stats.bytes_read == 50
-        assert self.nvm.device.stats.bytes_written_foreground == 100
+        assert self.nvm.device.stats.bytes_written_background == 100
         assert self.nvm.device.stats.bytes_read_foreground == 50
         assert self.qlc.device.stats.bytes_written == self.qlc.device.stats.bytes_read == 0
 
     def test_live_files_counter(self):
         assert self.backend.live_files == 0
-        file, _ = self.backend.create_file(self.nvm, b"a")
+        file = self.backend.create_file(self.nvm, b"a")
         assert self.backend.live_files == 1
         self.backend.delete_file(file)
         assert self.backend.live_files == 0
@@ -128,19 +129,19 @@ class TestMigration:
         self.qlc = make_tier("qlc", QLC_SPEC, capacity=1 * GIB, clock=self.clock)
 
     def test_migration_moves_capacity(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * MIB)
+        file = self.backend.create_file(self.nvm, b"x" * MIB)
         self.backend.migrate_file(file, self.qlc)
         assert file.tier is self.qlc
         assert self.nvm.used_bytes == 0
         assert self.qlc.used_bytes == MIB
 
     def test_migration_to_same_tier_is_noop(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * 100)
+        file = self.backend.create_file(self.nvm, b"x" * 100)
         assert self.backend.migrate_file(file, self.nvm) == 0.0
         assert self.backend.stats.migrations == 0
 
     def test_migration_locks_file_and_reads_stall(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * MIB)
+        file = self.backend.create_file(self.nvm, b"x" * MIB)
         lock_duration = self.backend.migrate_file(file, self.qlc)
         assert lock_duration > 0
         _, stalled = self.backend.read(file, 0, 4096)
@@ -149,7 +150,7 @@ class TestMigration:
         assert stalled > unlocked_cost
 
     def test_lock_expires_with_clock(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * MIB)
+        file = self.backend.create_file(self.nvm, b"x" * MIB)
         lock_duration = self.backend.migrate_file(file, self.qlc)
         stalls_during = self.backend.stats.lock_stalls
         self.clock.advance(lock_duration + 1.0)
@@ -159,13 +160,13 @@ class TestMigration:
         assert self.backend.stats.lock_stalls == stalls_during
 
     def test_migrate_deleted_file_fails(self):
-        file, _ = self.backend.create_file(self.nvm, b"x")
+        file = self.backend.create_file(self.nvm, b"x")
         self.backend.delete_file(file)
         with pytest.raises(StorageError):
             self.backend.migrate_file(file, self.qlc)
 
     def test_migration_stats(self):
-        file, _ = self.backend.create_file(self.nvm, b"x" * 1000)
+        file = self.backend.create_file(self.nvm, b"x" * 1000)
         self.backend.migrate_file(file, self.qlc)
         assert self.backend.stats.migrations == 1
         assert self.backend.stats.migration_bytes == 1000
