@@ -450,6 +450,7 @@ class LsmDB:
                             seqno=found.seqno,
                         )
                         break
+                set_scope()  # later charges belong to no table probe
                 if result is None:
                     result = ReadResult(None, latency, "miss")
                 if row_cache_enabled:

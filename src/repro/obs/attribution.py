@@ -128,11 +128,12 @@ def note_probe(positive: bool, n_probes: int) -> None:
         ctx.note_probe(positive, n_probes=n_probes)
 
 
-def set_scope(level_name: str, file_id: int) -> None:
-    """Label the active op's next events with the probe site ``L3:f17``."""
+def set_scope(level_name: str = "", file_id: int = 0) -> None:
+    """Label the active op's next events with the probe site ``L3:f17``;
+    with no arguments, clear the label."""
     ctx = _active
     if ctx is not None:
-        ctx.scope = f"{level_name}:f{file_id}"
+        ctx.scope = f"{level_name}:f{file_id}" if level_name else ""
 
 
 class _Cell:

@@ -157,6 +157,19 @@ def test_attribution_wraps_arity_exact_lane_wrappers(system):
     assert parts["scan"] == {"cpu/-"}
 
 
+def test_a_charge_after_the_level_walk_is_outside_every_table_scope():
+    db = SYSTEMS["prismdb"]()
+    for i in range(0, 400, 2):
+        db.put(key(i), b"v" * 40)
+    db.flush()
+    ctx = OpContext("read")
+    with attributing(ctx):
+        assert db.get(key(0)).served_by.startswith("L")
+    probe_scope = ctx.events[1][0]  # the first charge after cpu: the filter
+    assert probe_scope.startswith("L") and ":f" in probe_scope
+    assert ctx.events[-1][:2] == ("", "tracker")
+
+
 def test_put_none_is_an_error_not_a_tombstone():
     db = LsmDB.create("NNNTQ", tiny_options())
     db.put(b"k", b"v")
