@@ -554,6 +554,24 @@ def run_heap(args) -> int:
     tracemalloc.start()
     workload, runner, workload_cfg = single_instance(args)
     records = workload_cfg.record_count
+    # Each compaction job resets the peak, so the phase's is folded in
+    # here; the widest job (most input records) of the phase is kept.
+    executor = runner.db.executor
+    execute, phase = executor.execute, {"peak": 0, "job": (0, 0, 0)}
+
+    def traced_execute(job):
+        stats = executor.stats
+        records_in, written = stats.records_in, stats.bytes_written
+        held, peak = tracemalloc.get_traced_memory()
+        phase["peak"] = max(phase["peak"], peak)
+        tracemalloc.reset_peak()
+        execute(job)
+        count = stats.records_in - records_in
+        if count > phase["job"][0]:
+            beyond = tracemalloc.get_traced_memory()[1] - held - (stats.bytes_written - written)
+            phase["job"] = (count, len(job.upper_inputs) + len(job.lower_inputs), beyond)
+
+    executor.execute = traced_execute
 
     def where(stat) -> str:
         frame = stat.traceback[0]
@@ -562,15 +580,22 @@ def run_heap(args) -> int:
         except ValueError:
             return f"{frame.filename}:{frame.lineno}"
 
-    def report(phase: str):
+    def report(name: str):
         gc.collect()
+        traced, peak = tracemalloc.get_traced_memory()
         snapshot = tracemalloc.take_snapshot()
-        traced = tracemalloc.get_traced_memory()[0]
         file_bytes = runner.db.total_data_bytes()
-        print(f"\n{args.workload} seed {args.first_seed} {phase}: traced {traced / 1e6:.1f} MB, "
+        print(f"\n{args.workload} seed {args.first_seed} {name}: traced {traced / 1e6:.1f} MB "
+              f"(peak {max(peak, phase['peak']) / 1e6:.1f} MB), "
               f"table bytes {file_bytes / 1e6:.1f} MB, "
               f"{(traced - file_bytes) / records:.1f} B/record beyond table bytes "
               f"({records} records loaded)")
+        count, files, beyond = phase["job"]
+        if count:
+            print(f"  widest compaction job: {files} input files, {count} records in, peak "
+                  f"{beyond / 1e6:.2f} MB beyond its output bytes ({beyond / count:.0f} B/record)")
+        phase.update(peak=0, job=(0, 0, 0))
+        tracemalloc.reset_peak()
         for stat in snapshot.statistics("lineno")[:10]:
             print(f"  {stat.size / 1e6:7.2f} MB {stat.count:8d} blocks  {where(stat)}")
         return snapshot, traced, file_bytes

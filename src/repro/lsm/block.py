@@ -35,7 +35,9 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
+from operator import add
+from typing import MutableSequence, Sequence
 
 from repro.errors import CorruptionError
 from repro.lsm.record import MAX_SEQNO, Record
@@ -52,6 +54,12 @@ EMPTY_BLOCK_BYTES = _COUNT.size
 # A resident restart array is the wire's u32 run copied into an array('I').
 if array("I").itemsize != _OFFSET.size:  # pragma: no cover - no such CPython target
     raise ImportError(f"array('I') holds {array('I').itemsize} bytes, not {_OFFSET.size}")
+
+#: Typecode of the unboxed u64 columns (seqnos, spans, key hashes):
+#: ``unsigned long`` where it is 8 bytes. CPython converts an int into
+#: it a digit at a time, where ``Q`` takes a byte-array round trip, so
+#: its appends and builds cost about half as much.
+U64 = "L" if array("L").itemsize == 8 else "Q"
 
 
 def restart_offsets(buf: bytes, start: int, end: int, byteorder: str = sys.byteorder) -> array:
@@ -76,20 +84,23 @@ def record_costs(sizes: list[int]) -> list[int]:
     for every prefix at once, which lets a bulk build find where a block
     fills by bisection instead of by adding records one at a time.
     """
-    return list(accumulate(map(_OFFSET.size.__add__, sizes), initial=0))
+    # ``add`` over ``repeat``: an int's bound ``__add__`` is a slot
+    # wrapper, several times the cost per call of a builtin.
+    return list(accumulate(map(add, sizes, repeat(_OFFSET.size)), initial=0))
 
 
-def encode_block(chunks: list[bytes], sizes: list[int], start: int, end: int) -> bytes:
-    """Serialize the already-encoded records ``chunks[start:end]`` as one block.
+def encode_block(chunks: list[bytes], sizes: Sequence[int], start: int, end: int) -> bytes:
+    """Serialize records ``[start, end)`` of a stream as one block.
 
     The one serializer of the block format: one join, one pack of the
-    restart array and count. ``sizes`` are the chunks' lengths.
+    restart array and count. ``chunks`` are exactly those records'
+    encodings; ``sizes`` are the lengths of the whole stream's.
     """
     count = end - start
     if count > 0xFFFF:
         raise ValueError(f"too many records in one block: {count}")
     restarts = accumulate(islice(sizes, start, end - 1), initial=0) if count else ()
-    return b"".join(chunks[start:end]) + struct.pack(f"<{count}IH", *restarts, count)
+    return b"".join(chunks) + struct.pack(f"<{count}IH", *restarts, count)
 
 
 class DataBlockBuilder:
@@ -322,12 +333,12 @@ def extend_spans_from(
     base: int,
     length: int,
     keys: list[bytes],
-    seqnos: list[int],
-    kinds: list[int],
-    starts: list[int],
-    ends: list[int],
+    seqnos: MutableSequence[int],
+    kinds: MutableSequence[int],
+    starts: MutableSequence[int],
+    ends: MutableSequence[int],
 ) -> int:
-    """Append each record of a block as parallel arrays of encoded spans.
+    """Append each record of a block as parallel columns of encoded spans.
 
     The encoded-domain counterpart of :func:`extend_records_from`: walks
     the block at ``buf[base : base + length]`` and appends, per record,
@@ -335,7 +346,10 @@ def extend_spans_from(
     seqno and wire kind code, and the ``[start, end)`` byte span of the
     record's full encoding within ``buf`` — enough for a merge to order,
     shadow, route, and re-emit records as slices without ever building a
-    :class:`Record`. Returns the number of records appended.
+    :class:`Record`. All but ``keys`` may be unboxed (the merge's are:
+    ``kinds`` a bytearray, the rest :data:`U64` arrays), storing each
+    value in its 1 or 8 bytes instead of an int object. Returns the
+    number of records appended.
 
     The walk is held against the block's own restart array: every
     record must start exactly at its restart offset, so the offsets
@@ -360,7 +374,6 @@ def extend_spans_from(
     seqnos_append = seqnos.append
     kinds_append = kinds.append
     starts_append = starts.append
-    ends_append = ends.append
     offset = base
     for restart in restart_offsets(buf, records_end, end_of_block - _COUNT.size):
         if offset != base + restart:
@@ -384,11 +397,15 @@ def extend_spans_from(
         seqnos_append(seqno)
         kinds_append(kind)
         starts_append(start)
-        ends_append(offset)
     if offset != records_end:
         raise CorruptionError(
             f"trailing garbage in data block: {records_end - offset} bytes"
         )
+    if count:
+        # Each record ends where the next starts (checked above), the
+        # last at ``records_end``: one slice copy, not a call per record.
+        ends.extend(starts[len(starts) - count + 1 :])
+        ends.append(records_end)
     return count
 
 

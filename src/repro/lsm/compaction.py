@@ -38,12 +38,15 @@ whole level; the styles differ only in how retained outputs are installed.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import and_, attrgetter, itemgetter, lt, ne, neg, not_, sub
+from typing import Callable
 
 from repro.errors import CompactionError
+from repro.lsm.block import U64
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
@@ -218,21 +221,49 @@ class CompactionJob:
     drop_tombstones: bool = False
 
 
-def merge_order(keys: list[bytes], seqnos: list[int]) -> list[int]:
+def merge_order(keys: list[bytes], seqnos: array) -> list[int]:
     """Argsort of the records into internal-key order (key asc, seqno desc).
 
     Two stable C sorts; the order is unique as seqnos are globally unique.
     """
     order = list(range(len(keys)))
-    order.sort(key=seqnos.__getitem__, reverse=True)
+    # Boxed for the sort's length only: an array's ``__getitem__`` is a
+    # slot wrapper, several times a list's cost per call.
+    order.sort(key=seqnos.tolist().__getitem__, reverse=True)
     order.sort(key=keys.__getitem__)
     return order
 
 
-def newest_versions(order: list[int], keys: list[bytes]) -> list[int]:
-    """Shadowing: keep, of ``order``, the first (newest) record per user key."""
+def newest_versions(order: list[int], keys: list[bytes]) -> array:
+    """Shadowing: keep, of ``order``, the first (newest) record per user
+    key, as an unboxed position column."""
     sorted_keys = list(map(keys.__getitem__, order))
-    return list(compress(order, chain((True,), map(ne, sorted_keys, sorted_keys[1:]))))
+    return array("I", compress(order, chain((True,), map(ne, sorted_keys, sorted_keys[1:]))))
+
+
+def gatherer(positions) -> Callable:
+    """A function from a column to ``column[p]`` for each ``p`` of
+    ``positions``, in the column's own type: a list or bytearray stays
+    one, an array keeps its typecode and a range of positions (a move's
+    survivors) becomes an ``array('I')``.
+
+    One ``itemgetter`` serves every column: a C pass per column, where
+    mapping an array's slot-wrapper ``__getitem__`` costs a call each.
+    """
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+    else:  # an itemgetter returns a tuple only for two or more
+        def pick(column):
+            return [column[p] for p in positions]
+
+    def gather(column):
+        if type(column) is array:
+            return array(column.typecode, pick(column))
+        if type(column) is range:
+            return array("I", pick(column))
+        return type(column)(pick(column))
+
+    return gather
 
 
 class CompactionExecutor:
@@ -423,12 +454,13 @@ class CompactionExecutor:
         self.metrics.counter("compaction.count", level=upper_level).inc()
 
     def _scan_inputs(self, tables: list[SSTable], level: int, columns, bufs: list) -> None:
-        """Append every record of ``tables`` to the parallel span arrays.
+        """Append every record of ``tables`` to the parallel span columns.
 
         No Record objects exist: each table contributes its
-        key/seqno/kind/start/end ``columns`` plus one buffer reference
-        per record (``bufs`` is per-record so the merge can slice
-        without tracking run boundaries).
+        key/seqno/kind/start/end/hash ``columns`` (a key list, a kind
+        bytearray and unboxed arrays) plus one buffer reference per
+        record (``bufs`` is per-record so the merge can slice without
+        tracking run boundaries).
         """
         read_counter = self.metrics.counter("compaction.read_bytes", level=level)
         for table in tables:
@@ -445,20 +477,25 @@ class CompactionExecutor:
 
         This is the *movement* primitive, in the encoded domain and in
         bulk: a few passes per job and per block, no Record object and
-        no frame per record. Inputs are scanned as parallel span arrays
-        (upper-table records occupy the prefix, which is how origin is
-        recovered); survivors are routed by one
-        :meth:`MergeRouter.route_up_keys` call (``router`` is None when
-        nothing may route up) and re-emitted as byte slices of the
-        input files, each output stream cut into files and blocks by
-        :func:`plan_files` — unless the job only moves its one input,
-        which :meth:`SSTableBuilder.adopt` then writes again whole.
+        no frame per record. Inputs are scanned as parallel span
+        columns, unboxed but for the keys (upper-table records occupy
+        the prefix, which is how origin is recovered); survivors are
+        routed by one :meth:`MergeRouter.route_up_keys` call (``router``
+        is None when nothing may route up) and re-emitted as byte slices
+        of the input files, each output stream cut into files and blocks
+        by :func:`plan_files` — unless the job only moves its one input,
+        which :meth:`SSTableBuilder.adopt` then writes again whole. The
+        slices are taken file by file as each is built, so the job's heap
+        is its columns plus one output file's records.
         Returns the new (upper, lower) tables.
         tests/lsm/reference_merge.py overrides this method with the
         per-record specification it is proven against.
         """
         upper_level, lower_level = job.upper_level, job.lower_level
-        columns = keys, seqnos, kinds, starts, ends, hashes = [], [], [], [], [], []
+        keys: list[bytes] = []
+        kinds = bytearray()  # appends and gathers cheaper than an array('B')'s
+        seqnos, starts, ends, hashes = array(U64), array(U64), array(U64), array(U64)
+        columns = keys, seqnos, kinds, starts, ends, hashes
         bufs: list = []
         self._scan_inputs(job.upper_inputs, upper_level, columns, bufs)
         n_upper = len(keys)
@@ -475,18 +512,15 @@ class CompactionExecutor:
         # One input whose keys strictly ascend is in merge order with one
         # version per key: a move, whose columns are its survivors' own.
         move = len(job.upper_inputs) == 1 and not job.lower_inputs and all(map(lt, keys, keys[1:]))
+        sizes = array(U64, map(sub, ends, starts))
         if move:
-            survivors, chunks, sizes = range(n_upper), None, list(map(sub, ends, starts))
+            survivors = range(n_upper)
         else:
             survivors = newest_versions(merge_order(keys, seqnos), keys)
-            chunks = [bufs[idx][starts[idx] : ends[idx]] for idx in survivors]
-            keys, seqnos, kinds, sizes, hashes = (
-                list(map(keys.__getitem__, survivors)),
-                list(map(seqnos.__getitem__, survivors)),
-                list(map(kinds.__getitem__, survivors)),
-                list(map(len, chunks)),
-                list(map(hashes.__getitem__, survivors)),
-            )
+            gather = gatherer(survivors)
+            keys, seqnos, kinds, sizes, hashes = [
+                gather(column) for column in (keys, seqnos, kinds, sizes, hashes)
+            ]
         stats = self.stats
         stats.shadowed_dropped += len(bufs) - len(survivors)
 
@@ -496,7 +530,7 @@ class CompactionExecutor:
             levels = [upper_level if idx < n_upper else lower_level for idx in survivors]
             routed = router.route_up_keys(keys, kinds, sizes, levels)
         if routed is None:
-            upper, sinking = [], repeat(True)
+            upper, sinking = [], None
         else:
             if upper_level != 0:
                 # Up-routing outside the upper input range would violate
@@ -505,11 +539,11 @@ class CompactionExecutor:
                 # counted the record.
                 lo, hi = job.upper_lo, job.upper_hi
                 routed = [up and lo <= key <= hi for up, key in zip(routed, keys)]
-            upper = list(compress(range(n), routed))
+            upper = array("I", compress(range(n), routed))
             sinking = map(not_, routed)
-        if job.drop_tombstones:
-            sinking = map(and_, sinking, kinds)  # kind code 0 = DELETE
-        lower = list(compress(range(n), sinking))
+        if job.drop_tombstones:  # kind code 0 = DELETE
+            sinking = kinds if sinking is None else map(and_, sinking, kinds)
+        lower = range(n) if sinking is None else array("I", compress(range(n), sinking))
         pinned = sum(map(n_upper.__gt__, map(survivors.__getitem__, upper)))
         stats.records_pinned += pinned
         pinned_counter.inc(pinned)
@@ -530,10 +564,9 @@ class CompactionExecutor:
                 stats.bytes_written += table.size_bytes
                 self.note_level_write(lower_level, table.size_bytes)
                 return [], [table]
-        if chunks is None:
-            chunks = [buf[start:end] for buf, start, end in zip(bufs, starts, ends)]
-        # The survivors' columns, in ``add_encoded_blocks`` argument order.
-        columns = keys, seqnos, kinds, chunks, sizes, hashes
+        # The survivors' columns, in ``add_encoded_blocks`` argument order
+        # but for the records' bytes: their origin in the scanned columns.
+        columns = keys, seqnos, kinds, survivors, sizes, hashes
 
         # File ids, device write order and manifest tie-breaks are
         # simulated state, so the files of the two output streams are
@@ -549,7 +582,8 @@ class CompactionExecutor:
         ):
             stream = columns
             if len(positions) < n:
-                stream = [list(map(column.__getitem__, positions)) for column in columns]
+                gather = gatherer(positions)
+                stream = [gather(column) for column in columns]
             stream_sizes = stream[4]
             closed, trailing = plan_files(
                 stream_sizes, options.block_bytes, options.target_file_bytes
@@ -562,8 +596,11 @@ class CompactionExecutor:
                 files.append((n, level, tables, stream, start, trailing))
         files.sort(key=itemgetter(0))
         for _, level, tables, stream, start, block_ends in files:
+            # This file's records' bytes, and no other file's.
+            origins = stream[3][start : block_ends[-1]]
+            chunks = [bufs[i][starts[i] : ends[i]] for i in origins]
             builder = self.make_builder(level)
-            builder.add_encoded_blocks(*stream, start, block_ends)
+            builder.add_encoded_blocks(*stream[:3], chunks, *stream[4:], start, block_ends)
             table = builder.finish()
             stats.bytes_written += table.size_bytes
             self.note_level_write(level, table.size_bytes)

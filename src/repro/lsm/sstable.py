@@ -19,12 +19,13 @@ import bisect
 import struct
 from array import array
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.common.rng import fnv1a_64
 from repro.errors import CorruptionError
 from repro.lsm.block import (
     EMPTY_BLOCK_BYTES,
+    U64,
     DataBlock,
     DataBlockBuilder,
     encode_block,
@@ -302,21 +303,24 @@ class SSTable:
     def read_all_spans(
         self,
         keys: list[bytes],
-        seqnos: list[int],
-        kinds: list[int],
-        starts: list[int],
-        ends: list[int],
-        hashes: list[int],
+        seqnos: array,
+        kinds: bytearray,
+        starts: array,
+        ends: array,
+        hashes: array,
     ) -> tuple[bytes, int]:
         """Sequentially read every record as an encoded span.
 
         The encoded-domain counterpart of :meth:`read_all_records`: the
         device reads are identical, but instead of constructing Record
         objects it appends one entry per record to the parallel output
-        arrays — ``hashes`` from the table's resident column (computed
-        once for a reopened table), the rest from the blocks. The
-        returned buffer is the file's own immutable bytes; spans index
-        into it. Returns (buffer, record_count).
+        columns — ``hashes`` from the table's resident column (computed
+        once for a reopened table; into a :data:`~repro.lsm.block.U64`
+        array one memory copy), the rest from the blocks. Every column
+        but ``keys`` may be unboxed (``kinds`` a bytearray, the others
+        u64 arrays) or a list. The returned buffer is the file's own
+        immutable bytes; spans index into it. Returns (buffer,
+        record_count).
         """
         data = self._read_data_region()
         count = 0
@@ -325,7 +329,7 @@ class SSTable:
                 data, offset, length, keys, seqnos, kinds, starts, ends
             )
         if self._key_hashes is None:
-            self._key_hashes = array("Q", key_hashes(keys[len(keys) - count :]))
+            self._key_hashes = array(U64, key_hashes(keys[len(keys) - count :]))
         hashes.extend(self._key_hashes)
         return data, count
 
@@ -619,7 +623,7 @@ class SSTableBuilder:
         self._index_lengths = array("I")
         self._data_bytes = 0
         self._keys: list[bytes] = []
-        self._hashes: list[int] = []
+        self._hashes = array(U64)
         self._smallest: bytes | None = None
         self._largest: bytes | None = None
         self._entry_count = 0
@@ -674,22 +678,25 @@ class SSTableBuilder:
     def add_encoded_blocks(
         self,
         keys: list[bytes],
-        seqnos: list[int],
-        kinds: list[int],
+        seqnos: Sequence[int],
+        kinds: Sequence[int],
         chunks: list[bytes],
-        sizes: list[int],
-        hashes: list[int],
+        sizes: Sequence[int],
+        hashes: Sequence[int],
         start: int,
         block_ends: list[int],
     ) -> None:
         """Add records ``[start, block_ends[-1])`` of the parallel columns.
 
-        The bulk form of :meth:`add_encoded`: ``chunks[i]`` is record
-        i's encoding (``sizes[i]`` bytes, ``kinds[i]`` its wire code)
-        and ``block_ends`` the exclusive end of each block, as
-        :func:`plan_files` cut one file. The finished table is
-        byte-identical to one fed the same records one at a time. Any
-        block left open by the per-record entry points is closed first.
+        The bulk form of :meth:`add_encoded`: ``chunks`` holds those
+        records' encodings only (record i's is ``chunks[i - start]``,
+        ``sizes[i]`` bytes, ``kinds[i]`` its wire code), so a caller
+        copies one file's record bytes at a time; ``block_ends`` is the
+        exclusive end of each block, as :func:`plan_files` cut one file.
+        The other columns may be lists or unboxed arrays. The finished
+        table is byte-identical to one fed the same records one at a
+        time. Any block left open by the per-record entry points is
+        closed first.
         """
         self._flush_block()
         stop = block_ends[-1]
@@ -697,12 +704,14 @@ class SSTableBuilder:
             self._smallest = keys[start]
         self._largest = keys[stop - 1]
         self._keys += keys[start:stop]
-        self._hashes += hashes[start:stop]
+        self._hashes.extend(hashes[start:stop])
         self._entry_count += stop - start
         self._tombstones += kinds[start:stop].count(0)
         self._max_seqno = max(self._max_seqno, max(seqnos[start:stop]))
+        first = start
         for end in block_ends:
-            self._append_block(keys[end - 1], encode_block(chunks, sizes, start, end))
+            block = encode_block(chunks[start - first : end - first], sizes, start, end)
+            self._append_block(keys[end - 1], block)
             start = end
 
     def _flush_block(self) -> None:
@@ -732,19 +741,21 @@ class SSTableBuilder:
         index_block = encode_index(*index)
         return self._write(
             [*self._finished_blocks, filter_block, index_block],
-            len(filter_block), len(index_block), bloom, array("Q", self._hashes), index,
+            # An exact-size copy: the builder's column has growth slack.
+            len(filter_block), len(index_block), bloom, array(U64, self._hashes), index,
         )
 
     def adopt(
-        self, table: SSTable, keys: list[bytes], seqnos: list[int], kinds: list[int],
-        sizes: list[int]
+        self, table: SSTable, keys: list[bytes], seqnos: Sequence[int], kinds: Sequence[int],
+        sizes: Sequence[int]
     ) -> SSTable | None:
         """``table``'s data, filter and index bytes under a fresh footer, or None.
 
-        The columns are ``table``'s records as an input scan read them. If
-        :func:`plan_files` cuts them into ``table``'s blocks and their filter
-        has its geometry, :meth:`finish` would change only the footer's score
-        and ``created_at``; the handle shares ``table``'s resident state."""
+        The columns are ``table``'s records as an input scan read them
+        (lists or unboxed arrays). If :func:`plan_files` cuts them into
+        ``table``'s blocks and their filter has its geometry, :meth:`finish`
+        would change only the footer's score and ``created_at``; the handle
+        shares ``table``'s resident state."""
         closed, trailing = plan_files(sizes, self._block.target_bytes, self.target_file_bytes)
         if len(closed) + bool(trailing) != 1:
             return None

@@ -8,7 +8,8 @@ O(n) setup for the zeta constant, O(1) per sample. The *scrambled*
 variant hashes ranks over the key space so popular keys are spread
 uniformly across the key range rather than clustered at its start —
 essential here, because clustering would let a single SSTable hold the
-whole hot set and trivialize hot-cold separation.
+whole hot set and trivialize hot-cold separation. No generator keeps
+anything per draw: the scramble is a closed-form hash of the rank.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import abc
 import random
 from functools import lru_cache
 
-from repro.common.rng import fnv1a_64
+from repro.common.rng import fnv1a_64_u64
 from repro.errors import ConfigError
 
 
@@ -88,22 +89,19 @@ class ZipfianGenerator(KeyIndexGenerator):
 
 
 class ScrambledZipfianGenerator(KeyIndexGenerator):
-    """Zipfian ranks hashed over the key space (YCSB's default)."""
+    """Zipfian ranks hashed over the key space (YCSB's default).
+
+    Rank r maps to ``fnv1a_64(r.to_bytes(8, "little")) % n_keys``,
+    computed in closed form per draw (:func:`fnv1a_64_u64`): a memo of
+    the ranks drawn would grow with the key space.
+    """
 
     def __init__(self, n_keys: int, theta: float, rng: random.Random) -> None:
         self._zipf = ZipfianGenerator(n_keys, theta, rng)
         self._n = n_keys
-        #: rank -> index for the ranks drawn so far (at most ``n_keys``):
-        #: the hot ranks repeat constantly and the hash is byte-serial.
-        self._index_of_rank: dict[int, int] = {}
 
     def next_index(self) -> int:
-        rank = self._zipf.next_index()
-        index = self._index_of_rank.get(rank)
-        if index is None:
-            index = fnv1a_64(rank.to_bytes(8, "little")) % self._n
-            self._index_of_rank[rank] = index
-        return index
+        return fnv1a_64_u64(self._zipf.next_index()) % self._n
 
 
 class LatestGenerator(KeyIndexGenerator):

@@ -23,7 +23,7 @@ from repro.core.mapper import ClockDistributionMapper
 from repro.core.tracker import ClockTracker
 from repro.fleet.workload import TenantSpec, owned_indices
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
-from repro.workloads.zipfian import ZipfianGenerator
+from repro.workloads.zipfian import ScrambledZipfianGenerator, ZipfianGenerator
 
 RECORDS = 20_000
 #: Measured 27.2 B/record (hash column 8, per-table metadata, the index
@@ -48,6 +48,23 @@ TRACKED_KEYS = 10_000
 #: index, ring slot; the packed clock/tag entry is a cached small int);
 #: a (clock, tag) tuple per key made it 123.6.
 BUDGET_BYTES_PER_TRACKED_KEY = 72
+#: A compaction job's heap high water beyond its output tables' bytes,
+#: per input record, over the jobs of a write-heavy run. Measured 473.6
+#: B for the largest over every job (a 109-record job: per-job constants
+#: such as the bloom scratch dominate there) and 174.4 over the jobs of
+#: at least WIDE_JOB_RECORDS inputs (the widest, 2,182 records from 18
+#: files, 153.4). With a bytes copy of every survivor held for the
+#: whole job and boxed seqno, span, size and hash columns they were
+#: 591.4 and 485.7.
+BUDGET_JOB_BYTES_PER_INPUT_RECORD = 500
+BUDGET_WIDE_JOB_BYTES_PER_INPUT_RECORD = 185
+WIDE_JOB_RECORDS = 1_000
+ZIPF_KEYS = 100_000
+ZIPF_DRAWS = 50_000
+#: What a scrambled zipfian generator retains after ZIPF_DRAWS draws,
+#: its random state included: measured 4.0 KB; a rank -> index memo
+#: made it ~1.5 MB.
+BUDGET_GENERATOR_BYTES = 8 * 1024
 
 
 def traced_bytes(build):
@@ -134,6 +151,53 @@ def test_tracker_keeps_one_small_int_per_tracked_key():
     assert len(tracker) == TRACKED_KEYS
     per_key = traced / TRACKED_KEYS
     assert per_key <= BUDGET_BYTES_PER_TRACKED_KEY, f"{per_key:.1f} B/tracked key"
+
+
+def test_a_compaction_job_holds_its_columns_and_one_output_file():
+    # write-heavy's shape: PrismDB, 20/80 read/update, zipf-0.99.
+    workload = YCSBWorkload(
+        YCSBConfig(record_count=RECORDS, operation_count=RECORDS, value_bytes=100,
+                   read_proportion=0.2, update_proportion=0.8, seed=1)
+    )
+    db = build_system(SystemConfig(system="prismdb", layout_code="NNNTQ"), workload)
+    executor, stats = db.executor, db.executor.stats
+    execute = executor.execute
+    jobs = []  # (heap beyond output bytes per input record, input records)
+
+    def traced_execute(job):
+        records_in, written = stats.records_in, stats.bytes_written
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        execute(job)
+        peak = tracemalloc.get_traced_memory()[1]
+        count = stats.records_in - records_in
+        if count:  # a trivial move reads nothing
+            jobs.append(((peak - held - (stats.bytes_written - written)) / count, count))
+
+    executor.execute = traced_execute
+    runner = WorkloadRunner(db)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        runner.load(workload)
+        runner.run(workload)
+    finally:
+        tracemalloc.stop()
+    per_record, count = max(jobs)
+    assert per_record <= BUDGET_JOB_BYTES_PER_INPUT_RECORD, f"{per_record:.1f} B/record, {count}"
+    per_record, count = max(job for job in jobs if job[1] >= WIDE_JOB_RECORDS)
+    assert per_record <= BUDGET_WIDE_JOB_BYTES_PER_INPUT_RECORD, f"{per_record:.1f} B/rec, {count}"
+
+
+def test_a_key_generator_keeps_nothing_per_draw():
+    def draw():
+        generator = ScrambledZipfianGenerator(ZIPF_KEYS, 0.99, random.Random(3))
+        for _ in range(ZIPF_DRAWS):
+            generator.next_index()
+        return generator
+
+    _, traced = traced_bytes(draw)
+    assert traced <= BUDGET_GENERATOR_BYTES, f"{traced} B after {ZIPF_DRAWS} draws"
 
 
 def test_no_module_level_table_grows_with_the_data():

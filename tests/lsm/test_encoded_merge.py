@@ -605,8 +605,10 @@ class TestCutPlan:
                 tables, start = [], 0
                 for block_ends in closed + ([trailing] if trailing else []):
                     builder = make_builder()
+                    # Only the file's own records' bytes, as the merge passes them.
                     builder.add_encoded_blocks(
-                        keys, seqnos, kinds, chunks, sizes, key_hashes(keys), start, block_ends
+                        keys, seqnos, kinds, chunks[start : block_ends[-1]], sizes,
+                        key_hashes(keys), start, block_ends,
                     )
                     tables.append(builder.finish())
                     start = block_ends[-1]
