@@ -60,21 +60,14 @@ _PREFIX_STATES: dict[bytes, int] = {}
 _PREFIX_STATES_MAX = 4096
 
 
-#: FNV state after the one byte ``b``: the first step of every hash.
-_FIRST_STEP = tuple(((_FNV_OFFSET ^ byte) * _FNV_PRIME) & _MASK64 for byte in range(256))
-#: A step's multiply followed by five zero bytes' steps: XOR with 0 is
-#: the identity, so each zero byte is one more multiply by the prime.
-_FNV_PRIME_POW6 = pow(_FNV_PRIME, 6, 1 << 64)
-
-
 def fnv1a_64(data: bytes) -> int:
     """64-bit FNV-1a hash, used for key scrambling and bloom filters.
 
     Pure-Python but cheap; chosen because it is deterministic across
     processes (unlike :func:`hash` with string randomization). Remembers
-    nothing per input, and neither do its integer callers: zipfian ranks
-    hash through :func:`fnv1a_64_u64`, version tags through the
-    tracker's 6-bit step table.
+    nothing per input, and neither does the scrambled zipfian generator,
+    which hashes each rank it draws; version tags keep the tracker's
+    6-bit step table.
     """
     if len(data) <= 8:  # seqno / rank form: no prefix worth sharing
         acc = _FNV_OFFSET
@@ -94,20 +87,3 @@ def fnv1a_64(data: bytes) -> int:
     return (
         (((acc ^ data[-3]) * _FNV_PRIME ^ data[-2]) * _FNV_PRIME ^ data[-1]) * _FNV_PRIME
     ) & _MASK64
-
-
-def fnv1a_64_u64(value: int) -> int:
-    """``fnv1a_64(value.to_bytes(8, "little"))``, without the bytes.
-
-    Below 2**24 the top five bytes are zero, so the hash is three byte
-    steps and five multiplies, taken as one by ``prime**6``: a byte XOR
-    only touches the low bits and products are reduced mod 2**64 either
-    way, so one mask per step keeps the operands small and is exact.
-    Larger values take the general byte loop.
-    """
-    if value < 0x1000000:
-        return (
-            ((_FIRST_STEP[value & 0xFF] ^ value >> 8 & 0xFF) * _FNV_PRIME & _MASK64 ^ value >> 16)
-            * _FNV_PRIME_POW6
-        ) & _MASK64
-    return fnv1a_64(value.to_bytes(8, "little"))

@@ -35,8 +35,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, islice, repeat
-from operator import add
+from itertools import accumulate, islice
 from typing import MutableSequence, Sequence
 
 from repro.errors import CorruptionError
@@ -54,12 +53,6 @@ EMPTY_BLOCK_BYTES = _COUNT.size
 # A resident restart array is the wire's u32 run copied into an array('I').
 if array("I").itemsize != _OFFSET.size:  # pragma: no cover - no such CPython target
     raise ImportError(f"array('I') holds {array('I').itemsize} bytes, not {_OFFSET.size}")
-
-#: Typecode of the unboxed u64 columns (seqnos, spans, key hashes):
-#: ``unsigned long`` where it is 8 bytes. CPython converts an int into
-#: it a digit at a time, where ``Q`` takes a byte-array round trip, so
-#: its appends and builds cost about half as much.
-U64 = "L" if array("L").itemsize == 8 else "Q"
 
 
 def restart_offsets(buf: bytes, start: int, end: int, byteorder: str = sys.byteorder) -> array:
@@ -84,9 +77,7 @@ def record_costs(sizes: list[int]) -> list[int]:
     for every prefix at once, which lets a bulk build find where a block
     fills by bisection instead of by adding records one at a time.
     """
-    # ``add`` over ``repeat``: an int's bound ``__add__`` is a slot
-    # wrapper, several times the cost per call of a builtin.
-    return list(accumulate(map(add, sizes, repeat(_OFFSET.size)), initial=0))
+    return list(accumulate(map(_OFFSET.size.__add__, sizes), initial=0))
 
 
 def encode_block(chunks: list[bytes], sizes: Sequence[int], start: int, end: int) -> bytes:
@@ -347,7 +338,7 @@ def extend_spans_from(
     record's full encoding within ``buf`` — enough for a merge to order,
     shadow, route, and re-emit records as slices without ever building a
     :class:`Record`. All but ``keys`` may be unboxed (the merge's are:
-    ``kinds`` a bytearray, the rest :data:`U64` arrays), storing each
+    ``kinds`` a bytearray, the rest ``array('Q')``), storing each
     value in its 1 or 8 bytes instead of an int object. Returns the
     number of records appended.
 
@@ -374,6 +365,7 @@ def extend_spans_from(
     seqnos_append = seqnos.append
     kinds_append = kinds.append
     starts_append = starts.append
+    ends_append = ends.append
     offset = base
     for restart in restart_offsets(buf, records_end, end_of_block - _COUNT.size):
         if offset != base + restart:
@@ -397,15 +389,11 @@ def extend_spans_from(
         seqnos_append(seqno)
         kinds_append(kind)
         starts_append(start)
+        ends_append(offset)
     if offset != records_end:
         raise CorruptionError(
             f"trailing garbage in data block: {records_end - offset} bytes"
         )
-    if count:
-        # Each record ends where the next starts (checked above), the
-        # last at ``records_end``: one slice copy, not a call per record.
-        ends.extend(starts[len(starts) - count + 1 :])
-        ends.append(records_end)
     return count
 
 

@@ -41,12 +41,11 @@ import abc
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import and_, attrgetter, itemgetter, lt, ne, neg, not_, sub
 from typing import Callable
 
 from repro.errors import CompactionError
-from repro.lsm.block import U64
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
@@ -227,9 +226,7 @@ def merge_order(keys: list[bytes], seqnos: array) -> list[int]:
     Two stable C sorts; the order is unique as seqnos are globally unique.
     """
     order = list(range(len(keys)))
-    # Boxed for the sort's length only: an array's ``__getitem__`` is a
-    # slot wrapper, several times a list's cost per call.
-    order.sort(key=seqnos.tolist().__getitem__, reverse=True)
+    order.sort(key=seqnos.__getitem__, reverse=True)
     order.sort(key=keys.__getitem__)
     return order
 
@@ -244,8 +241,7 @@ def newest_versions(order: list[int], keys: list[bytes]) -> array:
 def gatherer(positions) -> Callable:
     """A function from a column to ``column[p]`` for each ``p`` of
     ``positions``, in the column's own type: a list or bytearray stays
-    one, an array keeps its typecode and a range of positions (a move's
-    survivors) becomes an ``array('I')``.
+    one and an array keeps its typecode.
 
     One ``itemgetter`` serves every column: a C pass per column, where
     mapping an array's slot-wrapper ``__getitem__`` costs a call each.
@@ -259,8 +255,6 @@ def gatherer(positions) -> Callable:
     def gather(column):
         if type(column) is array:
             return array(column.typecode, pick(column))
-        if type(column) is range:
-            return array("I", pick(column))
         return type(column)(pick(column))
 
     return gather
@@ -493,8 +487,8 @@ class CompactionExecutor:
         """
         upper_level, lower_level = job.upper_level, job.lower_level
         keys: list[bytes] = []
-        kinds = bytearray()  # appends and gathers cheaper than an array('B')'s
-        seqnos, starts, ends, hashes = array(U64), array(U64), array(U64), array(U64)
+        kinds = bytearray()
+        seqnos, starts, ends, hashes = array("Q"), array("Q"), array("Q"), array("Q")
         columns = keys, seqnos, kinds, starts, ends, hashes
         bufs: list = []
         self._scan_inputs(job.upper_inputs, upper_level, columns, bufs)
@@ -512,9 +506,9 @@ class CompactionExecutor:
         # One input whose keys strictly ascend is in merge order with one
         # version per key: a move, whose columns are its survivors' own.
         move = len(job.upper_inputs) == 1 and not job.lower_inputs and all(map(lt, keys, keys[1:]))
-        sizes = array(U64, map(sub, ends, starts))
+        sizes = array("Q", map(sub, ends, starts))
         if move:
-            survivors = range(n_upper)
+            survivors = array("I", range(n_upper))
         else:
             survivors = newest_versions(merge_order(keys, seqnos), keys)
             gather = gatherer(survivors)
@@ -530,7 +524,7 @@ class CompactionExecutor:
             levels = [upper_level if idx < n_upper else lower_level for idx in survivors]
             routed = router.route_up_keys(keys, kinds, sizes, levels)
         if routed is None:
-            upper, sinking = [], None
+            upper, sinking = [], repeat(True)
         else:
             if upper_level != 0:
                 # Up-routing outside the upper input range would violate
@@ -541,9 +535,9 @@ class CompactionExecutor:
                 routed = [up and lo <= key <= hi for up, key in zip(routed, keys)]
             upper = array("I", compress(range(n), routed))
             sinking = map(not_, routed)
-        if job.drop_tombstones:  # kind code 0 = DELETE
-            sinking = kinds if sinking is None else map(and_, sinking, kinds)
-        lower = range(n) if sinking is None else array("I", compress(range(n), sinking))
+        if job.drop_tombstones:
+            sinking = map(and_, sinking, kinds)  # kind code 0 = DELETE
+        lower = array("I", compress(range(n), sinking))
         pinned = sum(map(n_upper.__gt__, map(survivors.__getitem__, upper)))
         stats.records_pinned += pinned
         pinned_counter.inc(pinned)

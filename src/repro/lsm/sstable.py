@@ -19,13 +19,12 @@ import bisect
 import struct
 from array import array
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 from repro.common.rng import fnv1a_64
 from repro.errors import CorruptionError
 from repro.lsm.block import (
     EMPTY_BLOCK_BYTES,
-    U64,
     DataBlock,
     DataBlockBuilder,
     encode_block,
@@ -303,11 +302,11 @@ class SSTable:
     def read_all_spans(
         self,
         keys: list[bytes],
-        seqnos: array,
-        kinds: bytearray,
-        starts: array,
-        ends: array,
-        hashes: array,
+        seqnos: MutableSequence[int],
+        kinds: MutableSequence[int],
+        starts: MutableSequence[int],
+        ends: MutableSequence[int],
+        hashes: MutableSequence[int],
     ) -> tuple[bytes, int]:
         """Sequentially read every record as an encoded span.
 
@@ -315,12 +314,11 @@ class SSTable:
         device reads are identical, but instead of constructing Record
         objects it appends one entry per record to the parallel output
         columns — ``hashes`` from the table's resident column (computed
-        once for a reopened table; into a :data:`~repro.lsm.block.U64`
-        array one memory copy), the rest from the blocks. Every column
-        but ``keys`` may be unboxed (``kinds`` a bytearray, the others
-        u64 arrays) or a list. The returned buffer is the file's own
-        immutable bytes; spans index into it. Returns (buffer,
-        record_count).
+        once for a reopened table), the rest from the blocks. Every
+        column but ``keys`` may be a list or unboxed: ``kinds`` a
+        bytearray, the others ``array('Q')``, into which the hashes are
+        one memory copy. The returned buffer is the file's own immutable
+        bytes; spans index into it. Returns (buffer, record_count).
         """
         data = self._read_data_region()
         count = 0
@@ -329,7 +327,7 @@ class SSTable:
                 data, offset, length, keys, seqnos, kinds, starts, ends
             )
         if self._key_hashes is None:
-            self._key_hashes = array(U64, key_hashes(keys[len(keys) - count :]))
+            self._key_hashes = array("Q", key_hashes(keys[len(keys) - count :]))
         hashes.extend(self._key_hashes)
         return data, count
 
@@ -623,7 +621,7 @@ class SSTableBuilder:
         self._index_lengths = array("I")
         self._data_bytes = 0
         self._keys: list[bytes] = []
-        self._hashes = array(U64)
+        self._hashes = array("Q")
         self._smallest: bytes | None = None
         self._largest: bytes | None = None
         self._entry_count = 0
@@ -742,7 +740,7 @@ class SSTableBuilder:
         return self._write(
             [*self._finished_blocks, filter_block, index_block],
             # An exact-size copy: the builder's column has growth slack.
-            len(filter_block), len(index_block), bloom, array(U64, self._hashes), index,
+            len(filter_block), len(index_block), bloom, array("Q", self._hashes), index,
         )
 
     def adopt(

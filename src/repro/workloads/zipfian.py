@@ -9,7 +9,7 @@ variant hashes ranks over the key space so popular keys are spread
 uniformly across the key range rather than clustered at its start —
 essential here, because clustering would let a single SSTable hold the
 whole hot set and trivialize hot-cold separation. No generator keeps
-anything per draw: the scramble is a closed-form hash of the rank.
+anything per draw: the scramble hashes the rank again each time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import abc
 import random
 from functools import lru_cache
 
-from repro.common.rng import fnv1a_64_u64
+from repro.common.rng import fnv1a_64
 from repro.errors import ConfigError
 
 
@@ -92,8 +92,8 @@ class ScrambledZipfianGenerator(KeyIndexGenerator):
     """Zipfian ranks hashed over the key space (YCSB's default).
 
     Rank r maps to ``fnv1a_64(r.to_bytes(8, "little")) % n_keys``,
-    computed in closed form per draw (:func:`fnv1a_64_u64`): a memo of
-    the ranks drawn would grow with the key space.
+    hashed again on every draw: a memo of the ranks drawn would grow
+    with the key space.
     """
 
     def __init__(self, n_keys: int, theta: float, rng: random.Random) -> None:
@@ -101,7 +101,7 @@ class ScrambledZipfianGenerator(KeyIndexGenerator):
         self._n = n_keys
 
     def next_index(self) -> int:
-        return fnv1a_64_u64(self._zipf.next_index()) % self._n
+        return fnv1a_64(self._zipf.next_index().to_bytes(8, "little")) % self._n
 
 
 class LatestGenerator(KeyIndexGenerator):

@@ -4,10 +4,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
-from repro.common.rng import fnv1a_64, fnv1a_64_u64
+from repro.common.rng import fnv1a_64
 from repro.errors import ConfigError
 from repro.workloads.zipfian import (
     LatestGenerator,
@@ -100,14 +98,6 @@ class TestScrambledZipfian:
             assert gen.next_index() == fnv1a_64(rank.to_bytes(8, "little")) % n_keys
         # The hash is computed per draw: there is no rank table to bound.
         assert not [value for value in vars(gen).values() if isinstance(value, (dict, list))]
-
-    @given(rank=st.integers(min_value=0, max_value=2**64 - 1))
-    @example(rank=2**24 - 1)  # the last rank of the closed form
-    @example(rank=2**24)  # the first of the byte loop
-    @example(rank=2**32)
-    def test_the_closed_form_rank_hash_is_fnv1a_of_the_rank_bytes(self, rank):
-        # next_index is this hash mod n_keys (checked per draw above).
-        assert fnv1a_64_u64(rank) == fnv1a_64(rank.to_bytes(8, "little"))
 
 
 class TestLatest:
