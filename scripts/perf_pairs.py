@@ -478,23 +478,34 @@ with multiprocessing.get_context(method).Pool(1) as pool:
 def print_footprint(fleet: bool) -> None:
     """One line: a bare interpreter's peak RSS, the benchmark worker's after
     its imports, the extension modules those load beyond the bare set and,
-    for the fleet, a pool worker's, started as the fan-out starts it."""
-    env = dict(os.environ, PYTHONPATH=f"{ROOT}:{ROOT / 'src'}", PYTHONHASHSEED="0")
+    for the fleet, a pool worker's, started as the fan-out starts it.
 
-    def probe(code: str) -> dict[str, tuple[float, set[str]]]:
-        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"footprint probe exited {proc.returncode}\n{proc.stderr[-2000:]}")
-        rows = (line.split() for line in proc.stdout.splitlines())
-        return {label: (int(kib) / 1024, set(names)) for label, kib, *names in rows}
-
-    bare_mb, bare = probe(FOOTPRINT.format(label="bare"))["bare"]
+    The probes read bytecode from their own ``PYTHONPYCACHEPREFIX``, warmed
+    by one discarded probe, so no module is compiled inside a measured read.
+    """
     code = WORKER_IMPORTS[fleet] + FOOTPRINT.format(label="imports")
     if fleet:
         code += POOL_WORKER.format(bootstrap=FOOTPRINT.format(label="bootstrap"),
                                    runner=FOOTPRINT.format(label="runner"))
-    seen = probe(code)
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_footprint_") as pycache:
+        env = dict(os.environ, PYTHONPATH=f"{ROOT}:{ROOT / 'src'}", PYTHONHASHSEED="0",
+                   PYTHONPYCACHEPREFIX=pycache)
+        # Only the warm probe writes the cache, even where the caller's
+        # environment forbids it.
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+        def probe(code: str, *, warm: bool = False) -> dict[str, tuple[float, set[str]]]:
+            probe_env = env if warm else dict(env, PYTHONDONTWRITEBYTECODE="1")
+            proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=probe_env,
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"footprint probe exited {proc.returncode}\n{proc.stderr[-2000:]}")
+            rows = (line.split() for line in proc.stdout.splitlines())
+            return {label: (int(kib) / 1024, set(names)) for label, kib, *names in rows}
+
+        probe(code, warm=True)  # discarded: fills the bytecode cache
+        bare_mb, bare = probe(FOOTPRINT.format(label="bare"))["bare"]
+        seen = probe(code)
     imports_mb, loaded = seen["imports"]
     line = (f"fixed footprint: bare interpreter {bare_mb:.2f} MB, after the worker's imports "
             f"{imports_mb:.2f} MB ({imports_mb - bare_mb:+.2f}); extension modules beyond "

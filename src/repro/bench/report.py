@@ -3,15 +3,15 @@
 Runs one YCSB workload against one system and prints views derived
 *entirely* from the run's :class:`~repro.obs.MetricsRegistry` snapshot —
 the per-phase latency breakdown (the Fig. 10 reproduction), the full
-metrics dump, and optionally a JSONL trace of flush/compaction spans
-(openable in chrome://tracing after ``jsonl_to_chrome_json``; see
-``docs/OBSERVABILITY.md``).
+metrics dump, and optionally the background-job log as a chrome trace
+(one event per flush, trivial move and merge; Chrome's trace viewer and
+Perfetto open it as written; see ``docs/OBSERVABILITY.md``).
 
 Usage::
 
     python -m repro.bench report                       # breakdown table
     python -m repro.bench report --metrics             # full registry dump
-    python -m repro.bench report --trace run.trace.jsonl
+    python -m repro.bench report --trace run.trace.json
     python -m repro.bench report --system rocksdb --ops 20000
 """
 
@@ -26,6 +26,7 @@ from repro.bench.reporting import (
     format_metrics_snapshot,
     latency_breakdown_table,
 )
+from repro.lsm.compaction import JobRecord
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 
@@ -53,9 +54,8 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="dump the raw snapshot as JSON instead of tables")
     parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="record spans during the run; write JSONL here")
-    parser.add_argument("--trace-sample-every", type=int, default=1,
-                        help="keep every Nth span (default: all)")
+                        help="log every background job of the run; write it "
+                             "here as chrome-trace JSON")
     parser.add_argument("--save", metavar="FILE", default=None,
                         help="persist the whole RunResult as a JSON artifact "
                              "(usable with `repro.bench compare/timeline`)")
@@ -71,6 +71,47 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--slow-k", type=int, default=8, metavar="K",
                         help="slowest ops to retain with full span trees "
                              "(default: 8)")
+
+
+def chrome_trace(jobs: list[JobRecord]) -> dict:
+    """The job log as chrome-trace JSON: one complete event per job.
+
+    Each job kind is a process and each tier (``upper->lower`` for a job
+    that crosses tiers) a thread of it, named by ``M`` metadata events.
+    Ids follow first appearance, so identical runs give identical files.
+    """
+    pids: dict[str, int] = {}
+    tids: dict[tuple[int, str], int] = {}
+    meta, events = [], []
+    for job in jobs:
+        lane = job.upper_tier
+        if job.lower_tier != lane:
+            lane = f"{lane}->{job.lower_tier}"
+        pid = pids.get(job.kind)
+        if pid is None:
+            pid = pids[job.kind] = len(pids) + 1
+            meta.append(_metadata("process_name", pid, 0, job.kind))
+        tid = tids.get((pid, lane))
+        if tid is None:
+            tid = tids[pid, lane] = sum(1 for owner, _ in tids if owner == pid)
+            meta.append(_metadata("thread_name", pid, tid, lane))
+        events.append({
+            "name": job.kind, "cat": "repro", "ph": "X", "ts": job.start_usec,
+            "dur": job.busy_usec, "pid": pid, "tid": tid,
+            "args": {
+                "level": job.upper_level, "tier": job.upper_tier,
+                "lower_level": job.lower_level, "lower_tier": job.lower_tier,
+                "inputs": job.inputs, "input_bytes": job.input_bytes,
+                "upper_write_bytes": job.upper_write_bytes,
+                "lower_write_bytes": job.lower_write_bytes,
+            },
+        })
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+
+
+def _metadata(name: str, pid: int, tid: int, label: str) -> dict:
+    return {"name": name, "cat": "__metadata", "ph": "M", "ts": 0,
+            "pid": pid, "tid": tid, "args": {"name": label}}
 
 
 def run_report(args: argparse.Namespace) -> int:
@@ -89,7 +130,7 @@ def run_report(args: argparse.Namespace) -> int:
         # Fail on an unwritable path now, not after the simulation ran.
         with open(args.trace, "w", encoding="utf-8"):
             pass
-        db.tracer.enable(sample_every=args.trace_sample_every)
+        db.executor.jobs = []
     sample_interval = args.sample_interval_ms
     if sample_interval is None and args.save:
         sample_interval = 10.0  # artifacts should carry a timeline
@@ -129,10 +170,9 @@ def run_report(args: argparse.Namespace) -> int:
             print(f"== Metrics registry: {result.label} ==")
             print(format_metrics_snapshot(result.metrics))
     if args.trace:
-        written = db.tracer.write_jsonl(args.trace)
-        dropped = db.tracer.dropped_events
-        suffix = f" ({dropped} dropped)" if dropped else ""
-        print(f"wrote {written} trace events to {args.trace}{suffix}")
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            json.dump(chrome_trace(db.executor.jobs), handle, sort_keys=True)
+        print(f"wrote {len(db.executor.jobs)} job events to {args.trace}")
     if args.save:
         result.save(args.save)
         print(f"saved run artifact to {args.save}")

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import and_, attrgetter, itemgetter, lt, ne, neg, not_, sub
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.errors import CompactionError
 from repro.lsm.block_cache import BlockCache
@@ -51,7 +51,7 @@ from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTable, SSTableBuilder, plan_files
 from repro.lsm.version import LevelManifest
-from repro.obs import NOOP_TRACER, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.storage.backend import StorageBackend
 
 
@@ -220,6 +220,33 @@ class CompactionJob:
     drop_tombstones: bool = False
 
 
+class JobRecord(NamedTuple):
+    """One background job in :attr:`CompactionExecutor.jobs`.
+
+    A flush has no input file and writes at level 0, which is both its
+    upper and its lower level; a trivial move's input is the file it
+    re-parents, and it writes no table.
+    """
+
+    #: ``"flush"``, ``"trivial-move"`` or the merge's style
+    #: (``"leveled"``, ``"tiered"``).
+    kind: str
+    #: Simulated time the job started at (the clock does not move during it).
+    start_usec: float
+    #: Device service time the job consumed, on every device.
+    busy_usec: float
+    upper_level: int
+    upper_tier: str
+    lower_level: int
+    lower_tier: str
+    #: Input files and their bytes (a flush: the memtable's encoded records).
+    inputs: int
+    input_bytes: int
+    #: Output table bytes installed at the upper and at the lower level.
+    upper_write_bytes: int
+    lower_write_bytes: int
+
+
 def merge_order(keys: list[bytes], seqnos: array) -> list[int]:
     """Argsort of the records into internal-key order (key asc, seqno desc).
 
@@ -280,7 +307,6 @@ class CompactionExecutor:
         *,
         strategy=None,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self._backend = backend
         self._manifest = manifest
@@ -296,7 +322,10 @@ class CompactionExecutor:
         self.strategy = strategy
         self.stats = CompactionStats()
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NOOP_TRACER
+        #: The background-job log: None (off, the default) or a list that
+        #: every flush, trivial move and merge appends one
+        #: :class:`JobRecord` to. Off costs one ``is None`` test per job.
+        self.jobs: list[JobRecord] | None = None
 
     # Public read-only views for strategy objects (which receive the
     # executor and must not reach into name-mangled internals).
@@ -363,6 +392,8 @@ class CompactionExecutor:
 
     def execute(self, job: CompactionJob) -> None:
         """Run a planned :class:`CompactionJob`: a trivial move or a merge."""
+        if self.jobs is not None:
+            start, busy_before = self._backend.clock.now, self.busy_usec()
         if job.style == "trivial-move":
             # Same tier, nothing to merge: re-parent the file without I/O.
             table = job.upper_inputs[0]
@@ -370,36 +401,48 @@ class CompactionExecutor:
             self._manifest.add_file(job.lower_level, table)
             self.stats.trivial_moves += 1
             self.metrics.counter("compaction.trivial_moves", level=job.upper_level).inc()
-            self.tracer.instant(
-                "trivial_move", level=job.upper_level, file_id=table.file_id,
-                bytes=table.size_bytes,
-            )
-            return
-        if job.style not in ("leveled", "tiered"):
+            new_upper = new_lower = ()
+        elif job.style in ("leveled", "tiered"):
+            new_upper, new_lower = self._compact(job)
+        else:
             raise CompactionError(f"unknown compaction job style {job.style!r}")
-        upper_tier = self._layout.tier_for_level(job.upper_level)
-        lower_tier = self._layout.tier_for_level(job.lower_level)
-        devices = {id(t.device): t.device for t in (upper_tier, lower_tier)}.values()
-        span = self.tracer.span(
-            "compaction",
-            level=job.upper_level,
-            tier=upper_tier.name,
-            lower_tier=lower_tier.name,
-            inputs=len(job.upper_inputs) + len(job.lower_inputs),
-        )
-        busy_before = sum(device.stats.busy_usec for device in devices)
-        with span:
-            self._compact(job)
+        if self.jobs is not None:
             # Background I/O returns zero foreground latency, so the
-            # simulated clock does not move during a compaction; the
-            # span's duration is instead the device service time the job
-            # consumed — the quantity Fig. 10/12 attribute.
-            span.set_duration(
-                sum(device.stats.busy_usec for device in devices) - busy_before
+            # simulated clock does not move during a job; its duration is
+            # instead the device service time it consumed.
+            inputs = job.upper_inputs + job.lower_inputs
+            self.log_job(
+                job.style, start, self.busy_usec() - busy_before,
+                job.upper_level, job.lower_level,
+                len(inputs), sum(table.size_bytes for table in inputs),
+                sum(table.size_bytes for table in new_upper),
+                sum(table.size_bytes for table in new_lower),
             )
 
-    def _compact(self, job: CompactionJob) -> None:
-        """Budget the job, merge its inputs, install the outputs."""
+    def busy_usec(self) -> float:
+        """Device service time so far, over every tier's device: a job's
+        delta includes its MANIFEST appends wherever the log lives."""
+        devices = {id(tier.device): tier.device for tier in self._layout.tiers}
+        return sum(device.stats.busy_usec for device in devices.values())
+
+    def log_job(
+        self, kind: str, start_usec: float, busy_usec: float, upper_level: int,
+        lower_level: int, inputs: int, input_bytes: int, upper_write_bytes: int,
+        lower_write_bytes: int,
+    ) -> None:
+        """Append one :class:`JobRecord` to :attr:`jobs` (which must be on)."""
+        tier = self._layout.tier_for_level
+        self.jobs.append(JobRecord(
+            kind, start_usec, busy_usec, upper_level, tier(upper_level).name,
+            lower_level, tier(lower_level).name, inputs, input_bytes,
+            upper_write_bytes, lower_write_bytes,
+        ))
+
+    def _compact(self, job: CompactionJob) -> tuple[list[SSTable], list[SSTable]]:
+        """Budget the job, merge its inputs, install the outputs.
+
+        Returns the (upper, lower) tables it wrote.
+        """
         upper_level, lower_level = job.upper_level, job.lower_level
         router = None
         # An in-place consolidation (tiering's bottom level) has no upper
@@ -446,6 +489,7 @@ class CompactionExecutor:
 
         self.stats.compactions += 1
         self.metrics.counter("compaction.count", level=upper_level).inc()
+        return new_upper, new_lower
 
     def _scan_inputs(self, tables: list[SSTable], level: int, columns, bufs: list) -> None:
         """Append every record of ``tables`` to the parallel span columns.

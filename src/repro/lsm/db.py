@@ -41,7 +41,7 @@ from repro.lsm.sstable import RunCursor, SSTable, SSTableBuilder, plan_files
 from repro.lsm.strategy import CompactionStrategy, make_strategy
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.obs.attribution import attribute, set_scope
 from repro.storage.backend import StorageBackend
 from repro.storage.device import DRAM_SPEC
@@ -131,7 +131,6 @@ class LsmDB:
         router: MergeRouter | None = None,
         strategy: CompactionStrategy | None = None,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         name: str = "lsm",
     ) -> None:
         self.options = options or DBOptions()
@@ -144,11 +143,9 @@ class LsmDB:
         self.layout = layout
         self.clock = clock or SimClock()
         self.backend = backend or StorageBackend(self.clock)
-        #: The observability substrate: one registry + tracer per DB
-        #: instance. The tracer starts disabled (zero overhead); call
-        #: ``db.tracer.enable()`` to record spans.
+        #: The observability substrate: one registry per DB instance
+        #: (the background-job log is ``db.executor.jobs``).
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or Tracer(self.clock, enabled=False)
         for tier in layout.tiers:
             tier.device.bind_observability(self.metrics, tier=tier.name)
         self.cache = BlockCache(self.options.block_cache_bytes)
@@ -180,7 +177,6 @@ class LsmDB:
             self.router,
             strategy=self.strategy,
             metrics=self.metrics,
-            tracer=self.tracer,
         )
         self.wal = WriteAheadLog(layout.wal_tier, sync_every=self.options.wal_sync_every)
         # The MANIFEST lives next to the WAL on the fastest tier; every
@@ -322,31 +318,33 @@ class LsmDB:
             bits_per_key=self.options.bits_per_key,
             clock_values_fn=self.router.clock_values_fn(),
         )
-        l0_tier = self.layout.tier_for_level(0)
-        busy_before = l0_tier.device.stats.busy_usec
-        with self.tracer.span(
-            "flush", tier=l0_tier.name, entries=len(self._memtable)
-        ) as span:
-            # One file whatever its size: cut blocks only.
-            records = list(self._memtable.records())
-            keys = [record.user_key for record in records]
-            chunks = [record.encode() for record in records]
-            sizes = list(map(len, chunks))
-            builder.add_encoded_blocks(
-                keys,
-                [record.seqno for record in records],
-                [record.kind for record in records],
-                chunks, sizes, key_hashes(keys),
-                0, plan_files(sizes, self.options.block_bytes, math.inf)[1],
-            )
-            table = builder.finish()
-            self.manifest.add_file(0, table)
+        executor = self.executor
+        if executor.jobs is not None:
+            start, busy_before = self.clock.now, executor.busy_usec()
+        # One file whatever its size: cut blocks only.
+        records = list(self._memtable.records())
+        keys = [record.user_key for record in records]
+        chunks = [record.encode() for record in records]
+        sizes = list(map(len, chunks))
+        builder.add_encoded_blocks(
+            keys,
+            [record.seqno for record in records],
+            [record.kind for record in records],
+            chunks, sizes, key_hashes(keys),
+            0, plan_files(sizes, self.options.block_bytes, math.inf)[1],
+        )
+        table = builder.finish()
+        self.manifest.add_file(0, table)
+        if executor.jobs is not None:
             # Flush I/O is background: the clock does not advance, so the
-            # span duration is the modeled device service time instead.
-            span.set_duration(l0_tier.device.stats.busy_usec - busy_before)
+            # job's duration is the modeled device service time instead.
+            executor.log_job(
+                "flush", start, executor.busy_usec() - busy_before,
+                0, 0, 0, sum(sizes), 0, table.size_bytes,
+            )
         self.stats.flush_count += 1
         self.stats.flush_bytes += table.size_bytes
-        self.executor.note_level_write(0, table.size_bytes)
+        executor.note_level_write(0, table.size_bytes)
         self.wal.truncate()
         self._memtable = Memtable()
 

@@ -1,4 +1,4 @@
-"""Observability: the metrics registry and the simulated-clock tracer.
+"""Observability: the metrics registry, timelines and latency attribution.
 
 ``repro.obs`` is the substrate every layer reports into:
 
@@ -6,16 +6,18 @@
   labeled dimensions (``tier``, ``level``, ``op``, ``source``, ...),
   snapshot once per run; per-tier I/O accounting and the Fig. 10 latency
   breakdown are derived from it alone.
-* :class:`Tracer` — ``with tracer.span("compaction", tier="tlc"): ...``
-  spans stamped with *simulated* time, emitted as chrome-trace events
-  (JSONL on disk, loadable in chrome://tracing / Perfetto).
+* :class:`TimelineSampler` — registry series sampled on the simulated
+  clock, the run's time series.
 * :class:`LatencyAttribution` / :class:`OpContext` — request-scoped
   latency provenance: every sampled operation carries a breakdown of its
   simulated latency by ``(component, tier)``, aggregated per percentile
   band and persisted in run artifacts (``repro-bench explain``).
 
-See ``docs/OBSERVABILITY.md`` for the naming scheme, the trace schema
-and worked examples.
+Individual background jobs are not a registry series: the compaction
+executor's job log (``db.executor.jobs``, off by default) records one
+row per flush, trivial move and merge, and ``repro-bench report --trace``
+writes it as a chrome trace. See ``docs/OBSERVABILITY.md`` for the
+naming scheme, the job-log schema and worked examples.
 """
 
 from repro.obs.attribution import (
@@ -40,12 +42,6 @@ from repro.obs.metrics import (
     percentile_from_buckets,
 )
 from repro.obs.timeline import TimelineSampler, merge_timelines
-from repro.obs.tracing import (
-    NOOP_TRACER,
-    Tracer,
-    jsonl_to_chrome_json,
-    read_jsonl,
-)
 
 __all__ = [
     "BANDS",
@@ -67,8 +63,4 @@ __all__ = [
     "percentile_from_buckets",
     "TimelineSampler",
     "merge_timelines",
-    "Tracer",
-    "NOOP_TRACER",
-    "jsonl_to_chrome_json",
-    "read_jsonl",
 ]

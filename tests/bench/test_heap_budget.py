@@ -32,6 +32,11 @@ RECORDS = 20_000
 #: every key (key bytes ~49, list slot 8), 216.6 with a process-wide
 #: hash memo as well.
 BUDGET_BYTES_PER_RECORD = 28.5
+#: The background-job log, which that load runs with off: measured
+#: 221.3 B per job record (a named 11-tuple, two floats, three byte
+#: counts); its 591 jobs would lift the load to 33.0 B/record, past
+#: BUDGET_BYTES_PER_RECORD, so the log cannot be always on.
+BUDGET_BYTES_PER_JOB_RECORD = 240
 SAMPLES = 20_000
 #: An unboxed double; a list of float objects retains ~32 B per sample.
 BUDGET_BYTES_PER_SAMPLE = 8.5
@@ -103,6 +108,28 @@ def test_load_phase_heap_per_record_stays_in_budget():
     db, traced = traced_bytes(load)
     beyond_files = (traced - db.total_data_bytes()) / RECORDS
     assert beyond_files <= BUDGET_BYTES_PER_RECORD, f"{beyond_files:.1f} B/record"
+
+
+def test_a_job_record_is_a_few_hundred_bytes():
+    workload = YCSBWorkload(
+        YCSBConfig(record_count=RECORDS, operation_count=0, value_bytes=100, seed=1)
+    )
+    db = build_system(SystemConfig(system="prismdb", layout_code="NNNTQ"), workload)
+    db.executor.jobs = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        WorkloadRunner(db).load(workload)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        jobs = len(db.executor.jobs)
+        db.executor.jobs = None
+        gc.collect()
+        per_job = (held - tracemalloc.get_traced_memory()[0]) / jobs
+    finally:
+        tracemalloc.stop()
+    assert jobs > 500
+    assert per_job <= BUDGET_BYTES_PER_JOB_RECORD, f"{per_job:.1f} B/job record"
 
 
 def test_a_read_run_keeps_no_copy_of_the_blocks_it_caches():

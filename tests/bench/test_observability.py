@@ -9,6 +9,9 @@ and that the one byte stream the device series leave out — grouped WAL
 appends, ``DeviceStats.bytes_written_grouped`` — is named and exact.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
 from repro.bench.cli import main as bench_main
@@ -244,7 +247,7 @@ class TestReportViews:
         assert "op.latency_usec" in text
 
     def test_report_command_smoke(self, capsys, tmp_path):
-        trace_path = str(tmp_path / "run.trace.jsonl")
+        trace_path = str(tmp_path / "run.trace.json")
         assert bench_main(
             [
                 "report",
@@ -258,9 +261,12 @@ class TestReportViews:
         out = capsys.readouterr().out
         assert "Latency breakdown" in out
         assert "Metrics registry" in out
-        assert "trace events" in out
+        assert "job events" in out
         with open(trace_path) as handle:
-            assert sum(1 for line in handle if line.strip()) > 0
+            events = json.load(handle)["traceEvents"]
+        names = Counter(event["name"] for event in events if event["ph"] == "X")
+        assert names["flush"] > 0
+        assert names["leveled"] + names["trivial-move"] > 0
 
     def test_report_via_bench_cli(self, capsys):
         assert bench_main(["report", "--records", "300", "--ops", "400"]) == 0

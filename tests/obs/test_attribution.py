@@ -111,7 +111,7 @@ class TestAggregation:
         }
         assert indices == {0: 1, 1: 1, 2: 1, 3: 1}
 
-    def test_sample_every_mirrors_tracer_cadence(self):
+    def test_sample_every_keeps_every_nth_op(self):
         attr = LatencyAttribution(seed=0, sample_every=3)
         sampled = sum(
             1
