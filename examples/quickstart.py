@@ -59,7 +59,7 @@ def main() -> None:
         )
 
     print(f"\ncompactions: {db.executor.stats.compactions}")
-    print(f"records pinned by read-aware compaction: {db.executor.stats.records_pinned}")
+    print(f"records pinned by read-aware compaction: {db.executor.stats.records.get('pinned', 0)}")
     print(f"tracker occupancy: {len(db.tracker)}/{db.tracker.capacity}")
 
 

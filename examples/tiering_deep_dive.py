@@ -77,8 +77,8 @@ def main() -> None:
 
     stats = prism.executor.stats
     print(
-        f"\npinned {stats.records_pinned} records, pulled up "
-        f"{stats.records_pulled_up} from lower tiers; "
+        f"\npinned {stats.records.get('pinned', 0)} records, pulled up "
+        f"{stats.records.get('pulled_up', 0)} from lower tiers; "
         f"{stats.compactions} compactions "
         f"(RocksDB did {rocks.executor.stats.compactions})"
     )

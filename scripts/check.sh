@@ -111,6 +111,7 @@ fi
 # (scripts/perf_pairs.py; a clean tree compares HEAD with itself). One
 # smoke-sized pair resolves nothing about speed; what it checks is that
 # every sim_* metric and the failed count are identical on both sides.
+# Its verdicts read "unresolved": "lower"/"higher" needs 10+ pairs (verdict()).
 echo "== perf-pairs smoke (non-gating) =="
 if ! python scripts/perf_pairs.py --parent HEAD --workload write-heavy \
         --pairs 1 --quick; then

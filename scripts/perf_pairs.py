@@ -7,8 +7,9 @@ Runs ``perfbench/run.py --workload W --seed s --seconds S --trace 0``
 alternately in a checkout of the parent (a directory, or a git ref
 exported with ``git archive`` into a temporary directory) and in the
 working tree — seed ``s`` = 1..N, the side that runs first alternating —
-and prints every pair, both medians with quartiles, and how many pairs
-improved. Exits 1 if any ``sim_*`` metric or the failed count differs
+and prints every pair, both medians with quartiles, how many pairs
+improved and a verdict (:func:`verdict`): ``lower`` or ``higher`` only
+from 10 or more pairs that resolve it, else ``unresolved``. Exits 1 if any ``sim_*`` metric or the failed count differs
 between the two sides of a pair: a host-time comparison only means
 something between two programs that simulate the same thing.
 
@@ -109,6 +110,24 @@ def quartiles(values: list[float]) -> str:
     return f"{q2:.2f} (q1 {q1:.2f}, q3 {q3:.2f})"
 
 
+def verdict(before: list[float], after: list[float]) -> str:
+    """``lower`` or ``higher`` only where the pairs resolve a change: at
+    least 10 pairs, the change on that side in 9 of every 10, and its
+    median past the parent's by more than the parent's interquartile
+    range; ``unresolved (N pairs)`` otherwise."""
+    n = len(before)
+    if n >= 10:
+        q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive")
+        shift = statistics.median(after) - statistics.median(before)
+        lower = sum(a < b for b, a in zip(before, after))
+        higher = sum(a > b for b, a in zip(before, after))
+        if 10 * lower >= 9 * n and -shift > q3 - q1:
+            return "lower"
+        if 10 * higher >= 9 * n and shift > q3 - q1:
+            return "higher"
+    return f"unresolved ({n} pairs)"
+
+
 def run_pairs(parent: Path, pycache: Path, args) -> int:
     trees = {"parent": parent, "change": ROOT}
     for name, tree in trees.items():  # discarded: fills the side's bytecode cache
@@ -151,7 +170,8 @@ def run_pairs(parent: Path, pycache: Path, args) -> int:
         improved = sum(a < b for b, a in zip(before, after))
         change = (statistics.median(after) / statistics.median(before) - 1.0) * 100.0
         print(f"  {metric:20s} {quartiles(before)} -> {quartiles(after)}  "
-              f"median {change:+.1f}%  lower in {improved}/{len(rows)} pairs")
+              f"median {change:+.1f}%, lower in {improved}/{len(rows)} pairs: "
+              f"{verdict(before, after)}")
     if mismatches:
         for seed, names in mismatches:
             print(f"SIMULATED RESULT DIFFERS at seed {seed}: {', '.join(names)}")

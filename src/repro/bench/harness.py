@@ -566,8 +566,8 @@ class WorkloadRunner:
                 compaction.bytes_written, db.wal.total_bytes
             ),
             per_level_write_bytes=dict(compaction.per_level_write_bytes),
-            pinned_records=compaction.records_pinned,
-            pulled_up_records=compaction.records_pulled_up,
+            pinned_records=compaction.records.get("pinned", 0),
+            pulled_up_records=compaction.records.get("pulled_up", 0),
             migrations=migrations.migrations if migrations else 0,
             migration_bytes=migrations.migration_bytes if migrations else 0,
             device_read_bytes=device_reads,

@@ -51,7 +51,6 @@ from repro.lsm.layout import StorageLayout
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTable, SSTableBuilder, plan_files
 from repro.lsm.version import LevelManifest
-from repro.obs import MetricsRegistry
 from repro.storage.backend import StorageBackend
 
 
@@ -168,24 +167,47 @@ class CompactDownRouter(MergeRouter):
         return False
 
 
+def tally(counts: dict, key, amount: int = 1) -> None:
+    """Add ``amount`` to ``counts[key]``; a zero amount still creates the key."""
+    counts[key] = counts.get(key, 0) + amount
+
+
 @dataclass
 class CompactionStats:
-    """Cumulative compaction accounting (feeds Fig. 12)."""
+    """Cumulative compaction accounting (feeds Fig. 12).
 
-    compactions: int = 0
-    trivial_moves: int = 0
-    bytes_read: int = 0
+    The dicts are what the ``compaction.*`` registry series read
+    (:meth:`CompactionExecutor.bind_observability`): a series exists
+    once its key does.
+    """
+
     bytes_written: int = 0
     records_in: int = 0
     records_out: int = 0
-    records_pinned: int = 0
-    records_pulled_up: int = 0
-    tombstones_dropped: int = 0
     shadowed_dropped: int = 0
+    #: Merges and trivial moves, by the job's upper level.
+    per_level_merges: dict[int, int] = field(default_factory=dict)
+    per_level_trivial_moves: dict[int, int] = field(default_factory=dict)
+    #: Merge input bytes by the level read; a leveled job reads its
+    #: lower level even when it has no lower input.
+    per_level_read_bytes: dict[int, int] = field(default_factory=dict)
+    #: Table bytes written by level, flushes included.
     per_level_write_bytes: dict[int, int] = field(default_factory=dict)
+    #: Surviving records by outcome: ``pinned``, ``tombstone_dropped``
+    #: and, from the first leveled job on, ``pulled_up``.
+    records: dict[str, int] = field(default_factory=dict)
 
-    def note_level_write(self, level: int, n_bytes: int) -> None:
-        self.per_level_write_bytes[level] = self.per_level_write_bytes.get(level, 0) + n_bytes
+    @property
+    def compactions(self) -> int:
+        return sum(self.per_level_merges.values())
+
+    @property
+    def trivial_moves(self) -> int:
+        return sum(self.per_level_trivial_moves.values())
+
+    @property
+    def bytes_read(self) -> int:
+        return sum(self.per_level_read_bytes.values())
 
 
 @dataclass
@@ -306,7 +328,6 @@ class CompactionExecutor:
         router: MergeRouter,
         *,
         strategy=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self._backend = backend
         self._manifest = manifest
@@ -321,7 +342,6 @@ class CompactionExecutor:
             strategy = make_strategy(options)
         self.strategy = strategy
         self.stats = CompactionStats()
-        self.metrics = metrics or MetricsRegistry()
         #: The background-job log: None (off, the default) or a list that
         #: every flush, trivial move and merge appends one
         #: :class:`JobRecord` to. Off costs one ``is None`` test per job.
@@ -349,14 +369,21 @@ class CompactionExecutor:
     def router(self) -> MergeRouter:
         return self._router
 
+    def bind_observability(self, registry) -> None:
+        """Register the ``compaction.*`` series as views of :attr:`stats`."""
+        stats = self.stats
+        registry.count_views(
+            "compaction.write_bytes", stats.per_level_write_bytes,
+            level=str, tier=lambda level: self._layout.tier_for_level(level).name,
+        )
+        registry.count_views("compaction.read_bytes", stats.per_level_read_bytes, level=str)
+        registry.count_views("compaction.count", stats.per_level_merges, level=str)
+        registry.count_views("compaction.trivial_moves", stats.per_level_trivial_moves, level=str)
+        registry.count_views("compaction.records", stats.records, kind=str)
+
     def note_level_write(self, level: int, n_bytes: int) -> None:
         """Account output bytes landing at ``level`` (flush or compaction)."""
-        self.stats.note_level_write(level, n_bytes)
-        self.metrics.counter(
-            "compaction.write_bytes",
-            level=level,
-            tier=self._layout.tier_for_level(level).name,
-        ).inc(n_bytes)
+        tally(self.stats.per_level_write_bytes, level, n_bytes)
 
     # ------------------------------------------------------------------
     # Scheduling (delegated to the strategy)
@@ -399,8 +426,7 @@ class CompactionExecutor:
             table = job.upper_inputs[0]
             self._manifest.remove_file(job.upper_level, table)
             self._manifest.add_file(job.lower_level, table)
-            self.stats.trivial_moves += 1
-            self.metrics.counter("compaction.trivial_moves", level=job.upper_level).inc()
+            tally(self.stats.per_level_trivial_moves, job.upper_level)
             new_upper = new_lower = ()
         elif job.style in ("leveled", "tiered"):
             new_upper, new_lower = self._compact(job)
@@ -487,8 +513,7 @@ class CompactionExecutor:
             self._cache.invalidate_file(table.file_id, table.block_offsets())
             self._backend.delete_file(table.file)
 
-        self.stats.compactions += 1
-        self.metrics.counter("compaction.count", level=upper_level).inc()
+        tally(self.stats.per_level_merges, upper_level)
         return new_upper, new_lower
 
     def _scan_inputs(self, tables: list[SSTable], level: int, columns, bufs: list) -> None:
@@ -500,13 +525,11 @@ class CompactionExecutor:
         record (``bufs`` is per-record so the merge can slice without
         tracking run boundaries).
         """
-        read_counter = self.metrics.counter("compaction.read_bytes", level=level)
         for table in tables:
             buf, count = table.read_all_spans(*columns)
-            self.stats.bytes_read += table.size_bytes
             self.stats.records_in += count
-            read_counter.inc(table.size_bytes)
             bufs.extend([buf] * count)
+        tally(self.stats.per_level_read_bytes, level, sum(table.size_bytes for table in tables))
 
     def _merge_spans(
         self, job: CompactionJob, router: MergeRouter | None
@@ -537,15 +560,12 @@ class CompactionExecutor:
         bufs: list = []
         self._scan_inputs(job.upper_inputs, upper_level, columns, bufs)
         n_upper = len(keys)
-        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
-        pulled_counter = None
         # Keyed on the style, not on ``lower_inputs``, only for the
         # registry: a leveled job has always reported its lower-level
         # read and pull-up series, at zero when it had nothing to read.
-        if job.style == "leveled":
+        leveled = job.style == "leveled"
+        if leveled:
             self._scan_inputs(job.lower_inputs, lower_level, columns, bufs)
-            pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
-        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
 
         # One input whose keys strictly ascend is in merge order with one
         # version per key: a move, whose columns are its survivors' own.
@@ -583,14 +603,10 @@ class CompactionExecutor:
             sinking = map(and_, sinking, kinds)  # kind code 0 = DELETE
         lower = array("I", compress(range(n), sinking))
         pinned = sum(map(n_upper.__gt__, map(survivors.__getitem__, upper)))
-        stats.records_pinned += pinned
-        pinned_counter.inc(pinned)
-        stats.records_pulled_up += len(upper) - pinned
-        if pulled_counter is not None:
-            pulled_counter.inc(len(upper) - pinned)
-        dropped = n - len(upper) - len(lower)
-        stats.tombstones_dropped += dropped
-        dropped_counter.inc(dropped)
+        tally(stats.records, "pinned", pinned)
+        if leveled:
+            tally(stats.records, "pulled_up", len(upper) - pinned)
+        tally(stats.records, "tombstone_dropped", n - len(upper) - len(lower))
         stats.records_out += len(upper) + len(lower)
 
         if move and len(lower) == n:

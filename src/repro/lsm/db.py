@@ -176,8 +176,8 @@ class LsmDB:
             self.picker,
             self.router,
             strategy=self.strategy,
-            metrics=self.metrics,
         )
+        self.executor.bind_observability(self.metrics)
         self.wal = WriteAheadLog(layout.wal_tier, sync_every=self.options.wal_sync_every)
         # The MANIFEST lives next to the WAL on the fastest tier; every
         # add/remove of an SSTable is logged so the level structure can
@@ -192,7 +192,7 @@ class LsmDB:
             ("bloom_negative_skips", "bloom_negative_skips"),
         ):
             self.metrics.view(f"db.{name}", partial(getattr, stats, field_name))
-        self.metrics.count_views("db.reads", "source", stats.reads_by_source.counts)
+        self.metrics.count_views("db.reads", stats.reads_by_source.counts, source=str)
         #: Per-SST-file probe counts (Mutant's temperature signal).
         self.file_read_counts: dict[int, int] = {}
         self._memtable = Memtable()
@@ -629,8 +629,8 @@ class LsmDB:
             f"  compactions: {exec_stats.compactions} "
             f"(+{exec_stats.trivial_moves} trivial moves), "
             f"{exec_stats.bytes_written / 2**20:.1f} MB written, "
-            f"{exec_stats.records_pinned} pinned / "
-            f"{exec_stats.records_pulled_up} pulled up"
+            f"{exec_stats.records.get('pinned', 0)} pinned / "
+            f"{exec_stats.records.get('pulled_up', 0)} pulled up"
         )
         wa = self.stats.write_amplification(exec_stats.bytes_written, self.wal.total_bytes)
         lines.append(

@@ -15,11 +15,11 @@ nearest-rank over the cumulative bucket counts, reported at the bucket's
 upper bound (clamped to the observed maximum), which for the default
 base-2 boundaries bounds the relative error by the bucket width.
 
-An event the engine already counts in a stats object (``DeviceStats``,
-``CacheStats``, ``DBStats``, ...) is not counted again here: its series
-is a :class:`View` that reads the stats field when queried, so the
-registry and the stats object cannot drift apart. Only what has no stats
-twin is pushed: the histograms and the per-job ``compaction.*`` counters.
+An event the engine counts lives in a stats object (``DeviceStats``,
+``CacheStats``, ``DBStats``, ``CompactionStats``, ...) and is not
+counted again here: its series is a :class:`View` that reads the stats
+field when queried, so the registry and the stats object cannot drift
+apart. Only the histograms are pushed.
 
 Two guards keep instrumentation honest:
 
@@ -97,25 +97,33 @@ class View:
 
 
 class _CountViews(Mapping):
-    """The series of ``name{label}`` read from a live ``{value: count}``
-    dict: a series exists once its label value is a key of the dict."""
+    """The series of ``name{labels}`` read from a live ``{key: count}``
+    dict: one series per key of the dict, whose label values are the
+    label functions applied to the key. Keys are only ever added."""
 
-    def __init__(self, label: str, counts: dict) -> None:
-        self.label = label
+    def __init__(self, counts: dict, labels: dict[str, Callable]) -> None:
         self.counts = counts
+        self.labels = labels
+        self._keys: dict[LabelKey, object] = {}
+
+    def _by_label(self) -> dict[LabelKey, object]:
+        """Label key -> dict key, rebuilt when the dict has grown."""
+        if len(self._keys) != len(self.counts):
+            if len(self.counts) > MAX_SERIES_PER_METRIC:
+                raise ObservabilityError(
+                    f"a {sorted(self.labels)} view exceeds {MAX_SERIES_PER_METRIC} label values"
+                )
+            self._keys = {
+                label_key({name: fn(key) for name, fn in self.labels.items()}): key
+                for key in self.counts
+            }
+        return self._keys
 
     def __getitem__(self, key: LabelKey) -> View:
-        value = key[0][1] if len(key) == 1 and key[0][0] == self.label else None
-        if value not in self.counts:
-            raise KeyError(key)
-        return View(partial(self.counts.__getitem__, value))
+        return View(partial(self.counts.__getitem__, self._by_label()[key]))
 
     def __iter__(self) -> Iterator[LabelKey]:
-        if len(self.counts) > MAX_SERIES_PER_METRIC:
-            raise ObservabilityError(
-                f"a {self.label!r} view exceeds {MAX_SERIES_PER_METRIC} label values"
-            )
-        return iter([((self.label, value),) for value in self.counts])
+        return iter(self._by_label())
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -246,16 +254,6 @@ class MetricsRegistry:
         # name -> (kind, labelnames, {label_key: instrument}); the series
         # of a count_views() metric are a read-only _CountViews mapping.
         self._metrics: dict[str, tuple[str, frozenset[str], Mapping[LabelKey, object]]] = {}
-        # Fast handle cache: (kind, name, labels-in-call-order, extra) ->
-        # instrument. Repeated counter()/gauge()/histogram() calls from
-        # the same call site hit this dict directly and skip the
-        # canonicalization (frozenset + sorted label_key) and validation
-        # of the slow path. Misses (first call, or a differing kwarg
-        # order) fall through to _get_or_create, which still enforces
-        # every guard, so invalid re-registrations raise exactly as
-        # before. Two kwarg orders for the same series simply occupy two
-        # cache slots pointing at the same instrument.
-        self._handles: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Registration / lookup
@@ -295,20 +293,10 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels) -> Counter:
         """Get or create a counter for one label combination."""
-        key = ("counter", name, tuple(labels.items()))
-        instrument = self._handles.get(key)
-        if instrument is None:
-            instrument = self._get_or_create(name, "counter", Counter, labels)
-            self._handles[key] = instrument
-        return instrument
+        return self._get_or_create(name, "counter", Counter, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = ("gauge", name, tuple(labels.items()))
-        instrument = self._handles.get(key)
-        if instrument is None:
-            instrument = self._get_or_create(name, "gauge", Gauge, labels)
-            self._handles[key] = instrument
-        return instrument
+        return self._get_or_create(name, "gauge", Gauge, labels)
 
     def view(self, name: str, read: Callable[[], float], *, gauge=False, **labels) -> View:
         """A counter (or gauge) series reading ``read()``; a re-bind re-points it."""
@@ -319,27 +307,17 @@ class MetricsRegistry:
         view.read = read
         return view
 
-    def count_views(self, name: str, label: str, counts: dict) -> None:
-        """Register ``name{label}`` as one counter view per key of ``counts``."""
+    def count_views(self, name: str, counts: dict, **labels: Callable) -> None:
+        """Register ``name{labels}`` as one counter view per key of
+        ``counts``, labelled by each label's function of the key
+        (``level=str``); the metric has no series until a key exists."""
         if name in self._metrics or not _NAME_RE.match(name):
             raise ObservabilityError(f"metric {name!r} is invalid or already registered")
-        self._metrics[name] = ("counter", frozenset((label,)), _CountViews(label, counts))
+        self._metrics[name] = ("counter", frozenset(labels), _CountViews(counts, labels))
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        **labels,
-    ) -> Histogram:
-        key = ("histogram", name, tuple(labels.items()), buckets)
-        instrument = self._handles.get(key)
-        if instrument is None:
-            instrument = self._get_or_create(
-                name, "histogram", lambda: Histogram(buckets), labels
-            )
-            self._handles[key] = instrument
-        return instrument
+    def histogram(self, name: str, **labels) -> Histogram:
+        """Get or create a histogram with the default latency buckets."""
+        return self._get_or_create(name, "histogram", Histogram, labels)
 
     # ------------------------------------------------------------------
     # Queries
@@ -413,6 +391,8 @@ class MetricsRegistry:
         out: dict = {}
         for name in self.names():
             kind, _, series = self._metrics[name]
+            if not series:  # a count view before its first key
+                continue
             rendered = []
             for key in sorted(series):
                 instrument = series[key]

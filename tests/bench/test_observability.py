@@ -131,7 +131,7 @@ class TestByteConservation:
 #: The families whose every series must read a stats field.
 READ_THROUGH = (
     "device.read_bytes", "device.write_bytes", "device.reads", "device.writes",
-    "device.busy_usec", "cache.", "rowcache.", "db.", "tracker.", "prism.",
+    "device.busy_usec", "cache.", "rowcache.", "db.", "tracker.", "prism.", "compaction.",
 )
 
 
@@ -145,7 +145,7 @@ def test_stats_backed_series_are_read_through(system):
         for labels, instrument in db.metrics.series(name):
             assert isinstance(instrument, View), (name, labels)
             checked.add(name.split(".")[0])
-    expected = {"device", "cache", "rowcache", "db"}
+    expected = {"device", "cache", "rowcache", "db", "compaction"}
     if system == "prismdb":
         expected |= {"tracker", "prism"}
     assert checked == expected

@@ -77,6 +77,30 @@ SHAPE_DIGESTS = {
     ("rocksdb", "lazy-leveling", 50, 6000, 3000): "737e0b66a9019cd213ff42dd71cba8b36022fad329ba03a8129ff601d00c1db4",
 }
 
+#: sha256 over the sorted-key JSON of the same cells' whole registry
+#: snapshot (``result.metrics``): which series exist, zero-valued ones
+#: included, and every value. No committed artifact records the registry
+#: of a run-stacked shape (a tiering run has no trivial move and no
+#: ``compaction.records{kind=pulled_up}`` series).
+METRICS_DIGESTS = {
+    ("prismdb", "lazy-leveling", 50, 600, 500): "d8f263ae993ba42b6c6eb66757cc797c07fb42a03d820a2e372bcb0c89c9ce09",
+    ("prismdb", "lazy-leveling", 50, 6000, 3000): "81c862853ee92d909759310631f5884661743b605873a3c67a27b0738c5bafc8",
+    ("prismdb", "lazy-leveling", 95, 600, 500): "f5aeb1a97ffe22f15b731ed15cbdfaa946c90d05c11d976d8c457dd0a7890f03",
+    ("prismdb", "tiering", 50, 600, 500): "d8f263ae993ba42b6c6eb66757cc797c07fb42a03d820a2e372bcb0c89c9ce09",
+    ("prismdb", "tiering", 50, 6000, 3000): "81c862853ee92d909759310631f5884661743b605873a3c67a27b0738c5bafc8",
+    ("prismdb", "tiering", 95, 600, 500): "f5aeb1a97ffe22f15b731ed15cbdfaa946c90d05c11d976d8c457dd0a7890f03",
+    ("rocksdb", "lazy-leveling", 50, 600, 500): "50cd0c0465b11652bb08a807102788ab460f2005f4d5836abbf3d5d91bea5da4",
+    ("rocksdb", "lazy-leveling", 50, 6000, 3000): "9dc4ea4c12d597203a5a3afee6b6a9fcc30e0a6171f5198ef83ba068d353a867",
+    ("rocksdb", "lazy-leveling", 95, 600, 500): "759e8f689c38fff46cc994fa765904845e21c05f9a7a31603eca6413250d294b",
+    ("rocksdb", "tiering", 50, 600, 500): "50cd0c0465b11652bb08a807102788ab460f2005f4d5836abbf3d5d91bea5da4",
+    ("rocksdb", "tiering", 50, 6000, 3000): "9dc4ea4c12d597203a5a3afee6b6a9fcc30e0a6171f5198ef83ba068d353a867",
+    ("rocksdb", "tiering", 95, 600, 500): "759e8f689c38fff46cc994fa765904845e21c05f9a7a31603eca6413250d294b",
+}
+
+
+def sha256_json(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize(
     "system, shape, read_pct, records, ops", sorted(SHAPE_DIGESTS)
@@ -84,9 +108,9 @@ SHAPE_DIGESTS = {
 def test_run_stacked_shapes_match_committed_digests(system, shape, read_pct, records, ops):
     args = parse_sweep(["--records", str(records), "--ops", str(ops), "--system", system])
     result = run_sweep_cell(args, "NNNTQ", shape, read_pct)
-    payload = json.dumps(comparable_scalars(result), sort_keys=True)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    assert digest == SHAPE_DIGESTS[(system, shape, read_pct, records, ops)]
+    cell = (system, shape, read_pct, records, ops)
+    assert sha256_json(comparable_scalars(result)) == SHAPE_DIGESTS[cell]
+    assert sha256_json(result.metrics) == METRICS_DIGESTS[cell]
 
 
 class TestSweepTable:

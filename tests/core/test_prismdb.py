@@ -119,7 +119,7 @@ class TestPrismDB:
                 db.put(rng.choice(keys), rng.randbytes(24))
             else:
                 db.get(rng.choice(hot if rng.random() < 0.8 else keys))
-        total = db.executor.stats.records_pinned + db.executor.stats.records_pulled_up
+        total = db.executor.stats.records["pinned"] + db.executor.stats.records["pulled_up"]
         assert total > 0
 
     def test_reads_still_correct_with_pinning(self):

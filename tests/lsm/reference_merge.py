@@ -6,7 +6,7 @@ spans: every input table is decoded into ``Record`` objects
 are re-encoded through ``SSTableBuilder.add``. It overrides only the
 merge body — budgeting, ``begin_job``, installation and job accounting
 are the engine's — so run on a twin it must produce byte-identical
-files and the same stats, counters and registry series.
+files and the same stats, which the registry series read.
 ``tests/lsm/test_encoded_merge.py`` holds the twins together.
 
 ``write_per_record`` is the other half of the spec: the engine's former
@@ -15,7 +15,7 @@ file rules asked after every record — which the bulk cut plan
 (``plan_files`` + ``add_encoded_blocks``) must reproduce byte for byte.
 """
 
-from repro.lsm.compaction import CompactionExecutor
+from repro.lsm.compaction import CompactionExecutor, tally
 from repro.lsm.iterators import merge_sorted_lists
 from repro.lsm.record import ValueKind
 
@@ -25,12 +25,11 @@ class ReferenceExecutor(CompactionExecutor):
 
     def _read_records(self, tables, level):
         sources = []
-        read_counter = self.metrics.counter("compaction.read_bytes", level=level)
+        tally(self.stats.per_level_read_bytes, level, 0)  # the series exists with no input
         for table in tables:
             records = table.read_all_records()
-            self.stats.bytes_read += table.size_bytes
+            tally(self.stats.per_level_read_bytes, level, table.size_bytes)
             self.stats.records_in += len(records)
-            read_counter.inc(table.size_bytes)
             sources.append(records)
         return sources
 
@@ -39,11 +38,12 @@ class ReferenceExecutor(CompactionExecutor):
         route_up_key = router.route_up_key if router is not None else None
         sources = self._read_records(job.upper_inputs, upper_level)
         upper_ids = {id(record) for records in sources for record in records}
-        pinned_counter = self.metrics.counter("compaction.records", kind="pinned")
-        if job.style == "leveled":  # registers the series even with no inputs
+        records = self.stats.records
+        tally(records, "pinned", 0)
+        if job.style == "leveled":  # reports the series even with no inputs
             sources += self._read_records(job.lower_inputs, lower_level)
-            pulled_counter = self.metrics.counter("compaction.records", kind="pulled_up")
-        dropped_counter = self.metrics.counter("compaction.records", kind="tombstone_dropped")
+            tally(records, "pulled_up", 0)
+        tally(records, "tombstone_dropped", 0)
 
         upper_writer = _RecordWriter(self, upper_level)
         lower_writer = _RecordWriter(self, lower_level)
@@ -66,16 +66,10 @@ class ReferenceExecutor(CompactionExecutor):
             # overlaps anyway). Asked after the router, whose own
             # bookkeeping has then already counted the record.
             if routed and (upper_level == 0 or job.upper_lo <= record.user_key <= job.upper_hi):
-                if from_upper:
-                    self.stats.records_pinned += 1
-                    pinned_counter.inc()
-                else:
-                    self.stats.records_pulled_up += 1
-                    pulled_counter.inc()
+                tally(records, "pinned" if from_upper else "pulled_up")
                 upper_writer.add(record)
             elif job.drop_tombstones and record.kind is ValueKind.DELETE:
-                self.stats.tombstones_dropped += 1
-                dropped_counter.inc()
+                tally(records, "tombstone_dropped")
             else:
                 lower_writer.add(record)
         return upper_writer.finish(), lower_writer.finish()

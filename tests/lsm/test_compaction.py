@@ -159,7 +159,7 @@ class TestCompactionExecution:
         fx.add_table(3, [b"k"], kind=ValueKind.DELETE)
         fx.merge(3, b"k", b"k", drop_tombstones=True)
         assert fx.all_records(4) == []
-        assert fx.executor.stats.tombstones_dropped == 1
+        assert fx.executor.stats.records["tombstone_dropped"] == 1
 
     def test_job_flag_decides_tombstone_drop_even_at_bottom(self):
         # drop_tombstones is the planner's call, not the executor's: a
@@ -170,7 +170,7 @@ class TestCompactionExecution:
         records = fx.all_records(4)
         assert len(records) == 1
         assert records[0].is_tombstone
-        assert fx.executor.stats.tombstones_dropped == 0
+        assert fx.executor.stats.records["tombstone_dropped"] == 0
 
     def test_tombstone_kept_above_bottom(self):
         fx = CompactionFixture()
@@ -254,7 +254,7 @@ class TestRouterIntegration:
         fx.merge(1, b"a", b"b")
         assert sorted(r.user_key for r in fx.all_records(1)) == [b"a", b"b"]
         assert fx.all_records(2) == []
-        assert fx.executor.stats.records_pinned == 2
+        assert fx.executor.stats.records["pinned"] == 2
 
     def test_up_compaction_pulls_lower_records(self):
         fx = CompactionFixture(router=PinEverythingRouter())
@@ -263,7 +263,7 @@ class TestRouterIntegration:
         fx.merge(1, b"a", b"z")
         upper_keys = sorted(r.user_key for r in fx.all_records(1))
         assert upper_keys == [b"a", b"m", b"z"]
-        assert fx.executor.stats.records_pulled_up == 1
+        assert fx.executor.stats.records["pulled_up"] == 1
 
     def test_up_compaction_respects_upper_range(self):
         fx = CompactionFixture(router=PinEverythingRouter())

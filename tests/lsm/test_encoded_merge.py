@@ -37,6 +37,7 @@ from repro.lsm.options import COMPACTION_SHAPES, DBOptions
 from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import SSTable, SSTableBuilder, plan_files
 from repro.lsm.version import LevelManifest
+from repro.obs import MetricsRegistry
 from repro.storage import NVM_SPEC, StorageBackend, StorageTier
 
 
@@ -136,6 +137,9 @@ class MergeFixture:
             LargestFilePicker(),
             self.router,
         )
+        #: Each twin's own registry, bound as ``LsmDB`` binds its executor's.
+        self.metrics = MetricsRegistry()
+        self.executor.bind_observability(self.metrics)
         self.seqno = 0
 
     def add_table(self, level, keys, *, value=b"v" * 20, kind=ValueKind.PUT,
@@ -213,7 +217,7 @@ def run_both(build, *, router_factory=None, stacked=(), options=None):
         states.append((
             fingerprint(fx.manifest, fx.options.num_levels),
             dataclasses.asdict(fx.executor.stats),
-            fx.executor.metrics.snapshot(),
+            fx.metrics.snapshot(),
             router_state(router),
             fx.created,
         ))
@@ -353,7 +357,7 @@ class TestRoutedEquivalence(OnLayout):
         assert budget < jobs[0][4]  # b"x" was charged like the other three
         assert [t[1:3] for run in tables[1] for t in run] == [(b"d", b"f")]
         assert [t[1:3] for run in tables[2] for t in run] == [(b"x", b"x")]
-        assert stats["records_pulled_up"] == 1  # b"e" only
+        assert stats["records"]["pulled_up"] == 1  # b"e" only
 
     def test_l0_job_is_exempt_from_the_range_check(self):
         # L0 files overlap freely, so a record pulled from L1 may rise
@@ -366,8 +370,8 @@ class TestRoutedEquivalence(OnLayout):
         tables, stats, _, _, _ = assert_equivalent(
             build, router_factory=lambda: SplitKeyRouter(b"\xff")
         )
-        assert stats["records_pulled_up"] == 3
-        assert stats["records_pinned"] == 2
+        assert stats["records"]["pulled_up"] == 3
+        assert stats["records"]["pinned"] == 2
         assert tables[1] == []
 
     def test_in_place_consolidation_routes_nothing(self):
@@ -394,8 +398,7 @@ class TestRoutedEquivalence(OnLayout):
             build, router_factory=SpendingRouter, stacked=(bottom,)
         )
         assert jobs == [] and granted == []
-        assert stats["records_pinned"] == stats["records_pulled_up"] == 0
-        assert stats["tombstones_dropped"] == 10
+        assert stats["records"] == {"pinned": 0, "tombstone_dropped": 10}  # no pulled_up
         assert len(tables[bottom]) == 1  # one consolidated run
 
 
@@ -471,13 +474,13 @@ class TestMoveEquivalence(OnLayout):
     def test_pinned_records_fall_back(self, adoptions):
         _, stats, _, placer_stats, _ = self._move(hot_capacity=len(HOT))
         assert adoptions == []  # the job never asks: not every record sinks
-        assert stats["records_pinned"] == placer_stats["pinned"] == len(HOT)
+        assert stats["records"]["pinned"] == placer_stats["pinned"] == len(HOT)
 
     def test_tombstones_dropped_at_the_bottom_fall_back(self, adoptions):
         bottom = small_options().num_levels - 1
         _, stats, _, _, _ = self._move(bottom - 1, kind_by_key=lambda key: ValueKind(key[-1] % 2))
         assert adoptions == []
-        assert stats["tombstones_dropped"] == len(MOVED) // 2
+        assert stats["records"]["tombstone_dropped"] == len(MOVED) // 2
 
     def test_cold_reopened_input_adopts(self, adoptions):
         tables, _, _, _, _ = self._move(prepare=reopen_cold)
@@ -553,7 +556,7 @@ class TestFileCreationOrder:
         # partial files last, upper first.
         assert levels != sorted(levels) and levels != sorted(levels, reverse=True)
         assert levels[-2:] == [1, 2]
-        assert stats["records_pinned"] > 0 and stats["records_pulled_up"] > 0
+        assert stats["records"]["pinned"] > 0 and stats["records"]["pulled_up"] > 0
 
 
 def _encoded_stream(value_sizes):
@@ -757,9 +760,10 @@ class TestShapeEquivalence:
             # bottom (and a routing router routed) for the comparison
             # to mean anything.
             stats = engine_state["compaction"]
-            assert stats["compactions"] > 0 and stats["tombstones_dropped"] > 0
+            assert sum(stats["per_level_merges"].values()) > 0
+            assert stats["records"]["tombstone_dropped"] > 0
             if make_db is not _plain_db:
-                assert stats["records_pinned"] > 0
+                assert stats["records"]["pinned"] > 0
 
 
 def compaction_merge_replay():

@@ -263,7 +263,7 @@ class TestTieredExecution:
             for r in t.read_all_records()
         ]
         assert keys == [b"a"]  # tombstone applied and dropped
-        assert fx.executor.stats.tombstones_dropped == 1
+        assert fx.executor.stats.records["tombstone_dropped"] == 1
 
     def test_pinned_router_composes_with_tiering(self):
         fx = StrategyFixture(
@@ -274,7 +274,7 @@ class TestTieredExecution:
         fx.add_table(1, [b"b", b"y"])
         fx.executor.run_job(1)
         # Everything was retained at L1 as a fresh run; nothing sank.
-        assert fx.executor.stats.records_pinned == 4
+        assert fx.executor.stats.records["pinned"] == 4
         assert fx.manifest.run_count(1) == 1
         assert fx.manifest.file_count(2) == 0
 

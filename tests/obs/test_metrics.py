@@ -88,8 +88,8 @@ class TestReadThrough:
     def test_count_views_appear_with_their_keys(self):
         registry = MetricsRegistry()
         counts: dict[str, int] = {}
-        registry.count_views("db.reads", "source", counts)
-        assert registry.snapshot()["db.reads"]["series"] == []
+        registry.count_views("db.reads", counts, source=str)
+        assert "db.reads" not in registry.snapshot()  # no series before a key
         counts["L1"] = 3
         counts["memtable"] = 2
         assert registry.value("db.reads", source="L1") == 3.0
@@ -97,6 +97,23 @@ class TestReadThrough:
         assert registry.instrument("db.reads") is None
         assert registry.total("db.reads") == 5.0
         assert registry.label_values("db.reads", "source") == ["L1", "memtable"]
+
+    def test_count_views_label_each_key_by_function(self):
+        registry = MetricsRegistry()
+        counts: dict[int, int] = {}
+        tiers = {0: "nvm", 1: "nvm", 2: "tlc"}
+        registry.count_views("compaction.write_bytes", counts, level=str, tier=tiers.get)
+        counts[2] = 7
+        counts[0] = 0  # a zero count is a series too
+        assert registry.value("compaction.write_bytes", level=2, tier="tlc") == 7.0
+        assert registry.value("compaction.write_bytes", level=2, tier="nvm") == 0.0
+        assert registry.label_values("compaction.write_bytes", "tier") == ["nvm", "tlc"]
+        assert registry.snapshot()["compaction.write_bytes"]["series"] == [
+            {"labels": {"level": "0", "tier": "nvm"}, "value": 0.0},
+            {"labels": {"level": "2", "tier": "tlc"}, "value": 7.0},
+        ]
+        counts[1] = 5  # a key added later is a series at once
+        assert registry.total("compaction.write_bytes", tier="nvm") == 5.0
 
     def test_guards_raise_on_views(self):
         registry = MetricsRegistry()
@@ -119,11 +136,11 @@ class TestReadThrough:
     def test_guards_raise_on_count_views(self):
         registry = MetricsRegistry()
         counts = {f"L{i}": 1 for i in range(MAX_SERIES_PER_METRIC + 1)}
-        registry.count_views("db.reads", "source", counts)
+        registry.count_views("db.reads", counts, source=str)
         with pytest.raises(ObservabilityError):
             registry.snapshot()
         with pytest.raises(ObservabilityError):
-            registry.count_views("db.reads", "source", {})
+            registry.count_views("db.reads", {}, source=str)
         with pytest.raises(ObservabilityError):
             registry.counter("db.reads", source="L0")
 
@@ -131,7 +148,7 @@ class TestReadThrough:
         registry = MetricsRegistry()
         registry.view("db.writes", lambda: 3)
         registry.view("tracker.occupancy", lambda: 7, gauge=True)
-        registry.count_views("db.reads", "source", {"L0": 4})
+        registry.count_views("db.reads", {"L0": 4}, source=str)
         snapshot = registry.snapshot()
         assert snapshot["db.writes"] == {
             "type": "counter", "series": [{"labels": {}, "value": 3.0}]
