@@ -142,15 +142,6 @@ if ! python scripts/perf_pairs.py --workload scan-cold --stages --quick; then
     echo "stage split failed (non-gating); continuing"
 fi
 
-# Opt-in perf gate: smoke-runs every system, appends a trajectory point
-# to BENCH_SMOKE.json, and fails on regressions beyond tolerance vs the
-# committed baselines. Enable with REPRO_PERF_GATE=1; tune the allowed
-# drift with REPRO_PERF_TOLERANCE (percent, default 15).
-if [[ "${REPRO_PERF_GATE:-0}" != "0" ]]; then
-    echo "== perf gate (REPRO_PERF_GATE=${REPRO_PERF_GATE}) =="
-    python scripts/perf_gate.py --tolerance "${REPRO_PERF_TOLERANCE:-15}"
-fi
-
 # Non-gating: Python line totals, so a PR's CHANGES.md line can quote
 # the ROADMAP's "least code" number without hand-counting.
 echo "== line totals (non-gating) =="

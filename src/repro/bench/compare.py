@@ -1,7 +1,7 @@
 """``repro.bench compare``: regression-gated diff of two run artifacts.
 
 Two :class:`~repro.bench.harness.RunResult` artifacts (written with
-``RunResult.save`` / ``repro.bench report --save`` / the perf gate) are
+``RunResult.save`` / ``repro.bench report --save``) are
 diffed metric-by-metric. Every metric gets a drift percentage; *gated*
 metrics additionally have a direction — throughput and cache hit rates
 regress downward, latencies / write amplification / I/O volume regress

@@ -211,8 +211,8 @@ def _shard_worker(payload: tuple[FleetConfig, int]) -> bytes:
 def run_fleet(config: FleetConfig, *, jobs: int = 1) -> RunResult:
     """Run every shard (``jobs`` processes) and merge into one result.
 
-    Wall-clock timing is deliberately the *caller's* job (the CLI and
-    the perf gate wrap this call): the returned result — including its
+    Wall-clock timing is deliberately the *caller's* job (the CLI wraps
+    this call): the returned result — including its
     JSON artifact bytes — must be a pure function of ``config``, never
     of ``jobs`` or elapsed real time.
     """

@@ -247,6 +247,11 @@ class Histogram:
         )
 
 
+def _scalar(instrument) -> float:
+    """A series' scalar: a histogram's observation count, else its value."""
+    return instrument.count if isinstance(instrument, Histogram) else instrument.value
+
+
 class MetricsRegistry:
     """Named, labeled instruments with snapshot and query support."""
 
@@ -336,11 +341,7 @@ class MetricsRegistry:
     def value(self, name: str, **labels) -> float:
         """One series' scalar value; 0.0 if the series does not exist."""
         instrument = self.instrument(name, **labels)
-        if instrument is None:
-            return 0.0
-        if isinstance(instrument, Histogram):
-            return float(instrument.count)
-        return instrument.value
+        return 0.0 if instrument is None else float(_scalar(instrument))
 
     def instrument(self, name: str, **labels):
         """The live instrument for one series, or None if absent.
@@ -354,12 +355,16 @@ class MetricsRegistry:
 
     def label_values(self, name: str, label: str) -> list[str]:
         """Sorted distinct values ``label`` takes across ``name``'s series."""
-        values = {
-            labels[label]
-            for labels, _ in self.series(name)
-            if label in labels
-        }
-        return sorted(values)
+        return list(self.totals_by(name, label))
+
+    def totals_by(self, name: str, label: str) -> dict[str, float]:
+        """Sorted ``{value: total(name, label=value)}``, in one pass over the series."""
+        out: dict[str, float] = {}
+        for labels, instrument in self.series(name):
+            if label in labels:
+                value = labels[label]
+                out[value] = out.get(value, 0.0) + _scalar(instrument)
+        return dict(sorted(out.items()))
 
     def total(self, name: str, **label_filter) -> float:
         """Sum of all series of ``name`` whose labels match the filter.
@@ -372,10 +377,7 @@ class MetricsRegistry:
         out = 0.0
         for labels, instrument in self.series(name):
             if all(labels.get(k) == v for k, v in wanted.items()):
-                if isinstance(instrument, Histogram):
-                    out += instrument.count
-                else:
-                    out += instrument.value
+                out += _scalar(instrument)
         return out
 
     # ------------------------------------------------------------------

@@ -170,16 +170,16 @@ class TimelineSampler:
         interval_sec = self.interval_usec / 1_000_000.0
         values["throughput_kops"] = ops_delta / interval_sec / 1_000.0
 
-        # Per-tier I/O and busy fraction.
-        for tier in registry.label_values("device.busy_usec", "tier"):
-            read_bytes = registry.total("device.read_bytes", tier=tier)
-            write_bytes = registry.total("device.write_bytes", tier=tier)
-            busy = registry.total("device.busy_usec", tier=tier)
+        # Per-tier I/O and busy fraction. Each metric below is read in
+        # one pass over its series (totals_by), never once per label value.
+        read_bytes = registry.totals_by("device.read_bytes", "tier")
+        write_bytes = registry.totals_by("device.write_bytes", "tier")
+        for tier, busy in registry.totals_by("device.busy_usec", "tier").items():
             values[f"device.read_bytes{{tier={tier}}}"] = self._counter_delta(
-                f"dr:{tier}", read_bytes
+                f"dr:{tier}", read_bytes.get(tier, 0.0)
             )
             values[f"device.write_bytes{{tier={tier}}}"] = self._counter_delta(
-                f"dw:{tier}", write_bytes
+                f"dw:{tier}", write_bytes.get(tier, 0.0)
             )
             values[f"device.busy_frac{{tier={tier}}}"] = (
                 self._counter_delta(f"db:{tier}", busy) / self.interval_usec
@@ -200,19 +200,17 @@ class TimelineSampler:
             values[f"{metric}.hit_rate"] = hit_delta / lookups if lookups else 0.0
 
         # Compaction flow by source level.
-        for level in registry.label_values("compaction.count", "level"):
-            values[f"compaction.count{{level={level}}}"] = self._counter_delta(
-                f"cc:{level}", registry.total("compaction.count", level=level)
-            )
-        for level in registry.label_values("compaction.write_bytes", "level"):
-            values[f"compaction.write_bytes{{level={level}}}"] = self._counter_delta(
-                f"cw:{level}", registry.total("compaction.write_bytes", level=level)
-            )
+        for name, prefix in (("compaction.count", "cc"), ("compaction.write_bytes", "cw")):
+            for level, total in registry.totals_by(name, "level").items():
+                values[f"{name}{{level={level}}}"] = self._counter_delta(
+                    f"{prefix}:{level}", total
+                )
 
         # Placer activity (PrismDB pin / pull-up rates).
+        records = registry.totals_by("compaction.records", "kind")
         for kind in ("pinned", "pulled_up"):
             values[f"compaction.records{{kind={kind}}}"] = self._counter_delta(
-                f"cr:{kind}", registry.total("compaction.records", kind=kind)
+                f"cr:{kind}", records.get(kind, 0.0)
             )
 
         # Instantaneous levels: tracker occupancy gauge plus probes.

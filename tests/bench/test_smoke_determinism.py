@@ -1,18 +1,21 @@
 """Same-seed smoke runs must match the committed baselines exactly.
 
-The perf gate (``scripts/perf_gate.py``) compares smoke artifacts with a
-tolerance band; this test is the stricter, always-on version: a fresh
-run of each system with the gate's exact parameters must show *zero
-drift* against ``benchmarks/results/baseline_<system>.json``. Any
-unintentional change to simulated behavior — block format, cache
-accounting, merge order, RNG draw order — shows up here as a failing
-metric diff, with the offending metrics named. The whole artifact —
-registry histograms, timeline rows and all — must then equal the
-committed file too.
+This is the repository's determinism gate: a fresh run of each smoke
+cell must show *zero drift* against
+``benchmarks/results/baseline_<name>.json``. Any unintentional change
+to simulated behavior — block format, cache accounting, merge order,
+RNG draw order — shows up here as a failing metric diff, with the
+offending metrics named. The whole artifact — registry histograms,
+timeline rows and all — must then equal the committed file too.
+
+``SMOKE_CASES`` is the one definition of these cells (the fleet cell is
+``fast_config()`` in ``tests/fleet/test_fleet_determinism.py``);
+``python scripts/rebaseline.py`` rewrites every baseline from them.
 """
 
 import json
 import os
+from functools import partial
 
 import pytest
 
@@ -23,7 +26,6 @@ from repro.workloads.ycsb import YCSBConfig
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 RESULTS_DIR = os.path.join(REPO_ROOT, "benchmarks", "results")
 
-#: Mirrors scripts/perf_gate.py::smoke_run — keep in sync.
 SMOKE_RECORDS = 3000
 SMOKE_OPS = 5000
 SMOKE_SEED = 0
@@ -64,19 +66,16 @@ def scan_smoke_run() -> RunResult:
 
 #: baseline name -> the run that must reproduce it.
 SMOKE_CASES = {
-    "rocksdb": lambda: smoke_run("rocksdb"),
-    "prismdb": lambda: smoke_run("prismdb"),
-    "mutant": lambda: smoke_run("mutant"),
+    **{system: partial(smoke_run, system) for system in ("rocksdb", "prismdb", "mutant")},
     "scan": scan_smoke_run,
 }
 
 
 @pytest.mark.parametrize("system", list(SMOKE_CASES))
 def test_smoke_run_matches_committed_baseline_exactly(system):
-    baseline_path = os.path.join(RESULTS_DIR, f"baseline_{system}.json")
-    if not os.path.exists(baseline_path):
-        pytest.skip(f"no committed baseline for {system}")
-    baseline = RunResult.load(baseline_path)
+    with open(os.path.join(RESULTS_DIR, f"baseline_{system}.json"), encoding="utf-8") as fh:
+        committed = json.load(fh)
+    baseline = RunResult.from_json(committed)
     candidate = SMOKE_CASES[system]()
     drifted = [
         f"{diff.metric}: {diff.baseline} -> {diff.candidate}"
@@ -85,10 +84,8 @@ def test_smoke_run_matches_committed_baseline_exactly(system):
     ]
     assert not drifted, (
         "simulated metrics drifted from committed baseline "
-        "(regenerate with scripts/perf_gate.py --rebaseline if intentional; "
-        "baseline_scan.json: `RunResult.save` of this module's scan_smoke_run()):\n"
+        "(if intentional, regenerate with `python scripts/rebaseline.py`):\n"
         + "\n".join(drifted)
     )
     # Beyond the compared scalars: every registry series and timeline row.
-    with open(baseline_path, encoding="utf-8") as fh:
-        assert candidate.to_json() == json.load(fh)
+    assert candidate.to_json() == committed

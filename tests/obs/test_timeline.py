@@ -1,6 +1,7 @@
 """Tests for the timeline sampler (repro.obs.timeline)."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -147,6 +148,27 @@ class TestDeltas:
         state["v"] = 9.0
         clock.advance(1_000.0)
         assert [row[2]["memtable.bytes"] for row in sampler.rows] == [1.0, 9.0]
+
+
+class TestOnePassPerMetric:
+    def test_each_metric_is_walked_once_per_sample(self, registry, clock, monkeypatch):
+        # Three levels and two tiers: one read per label value would walk
+        # compaction.count four times and device.busy_usec three.
+        for level in "012":
+            registry.counter("compaction.count", level=level).inc()
+        for tier in ("nvm", "qlc"):
+            registry.counter("device.busy_usec", tier=tier).inc(100)
+            registry.counter("device.read_bytes", tier=tier).inc(7)
+        registry.counter("compaction.records", kind="pinned", level="1").inc(5)
+        sampler = make_sampler(registry, clock)
+        walks, series = Counter(), registry.series
+        monkeypatch.setattr(registry, "series", lambda name: walks.update([name]) or series(name))
+        clock.advance(1_000.0)
+        assert max(walks.values()) == 1, walks
+        [(_, _, row)] = sampler.rows
+        assert row["compaction.count{level=2}"] == 1.0
+        assert row["device.read_bytes{tier=qlc}"] == 7.0
+        assert row["compaction.records{kind=pinned}"] == 5.0
 
 
 class TestPhasesAndExport:
