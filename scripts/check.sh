@@ -37,7 +37,7 @@ python -X dev -W error -m pytest -q tests/core tests/lsm tests/storage \
     tests/bench/test_heap_budget.py
 
 # Gating: a 3-point compaction design-space sweep (every shape at one
-# mix, tiny workload) exercising the strategy layer and sweep artifact
+# mix, tiny workload) exercising every shape's job planning and sweep artifact
 # plumbing end to end. The run is deterministic, so a broken shape
 # fails here. Simulated numbers at this scale are not meaningful; the
 # shapes' output is pinned by tests/bench/test_sweep.py (see

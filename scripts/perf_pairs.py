@@ -216,10 +216,8 @@ STAGES = (
 LOAD_STAGES = (
     ("flush", "repro.lsm.db:LsmDB._flush_memtable"),
     ("compaction", "repro.lsm.compaction:CompactionExecutor.maybe_compact"),
-    ("scheduling", "repro.lsm.strategy:CompactionStrategy.pick_level"),
-    ("scheduling", "repro.lsm.strategy:LevelingStrategy.plan_job"),
-    ("scheduling", "repro.lsm.strategy:TieringStrategy.plan_job"),
-    ("scheduling", "repro.lsm.strategy:LazyLevelingStrategy.plan_job"),
+    ("scheduling", "repro.lsm.compaction:CompactionExecutor.pick_compaction_level"),
+    ("scheduling", "repro.lsm.compaction:CompactionExecutor.plan_job"),
     ("job", "repro.lsm.compaction:CompactionExecutor._merge_spans"),
     ("adopt", "repro.lsm.sstable:SSTableBuilder.adopt"),
 )

@@ -54,7 +54,7 @@ class SystemConfig:
     pinning_threshold: float = 0.10
     #: Extra PrismOptions fields for ablation variants.
     prism_overrides: dict = field(default_factory=dict)
-    #: Compaction shape (see repro.lsm.strategy / docs/COMPACTION.md).
+    #: Compaction shape (see repro.lsm.options.COMPACTION_SHAPES / docs/COMPACTION.md).
     #: The default reproduces the paper's configuration exactly, so the
     #: baselines' determinism tests are unaffected.
     compaction_shape: str = "leveling"

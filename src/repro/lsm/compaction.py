@@ -1,14 +1,16 @@
-"""Compaction: pluggable policies over one shared executor.
+"""Compaction: one executor, two policy seams, one shape parameter.
 
-The executor is shared by every system in the reproduction; behaviour is
-specialized through two policy axes (from the design space of Sarkar et
-al., arXiv:2202.04522 — see docs/COMPACTION.md) plus the record-routing
-seam the paper turns:
+The executor is shared by every system in the reproduction. Its design
+space (Sarkar et al., arXiv:2202.04522 — see docs/COMPACTION.md) has
+three axes here:
 
-* a :class:`~repro.lsm.strategy.CompactionStrategy` — the *shape* axis —
-  decides how runs are arranged per level (leveling, tiering with run
-  stacks, lazy-leveling), when a level is over-full, and plans whole
-  compaction jobs;
+* the *shape* — which levels may stack more than one sorted run
+  (:meth:`LevelManifest.is_run_stacked`; none for leveling, L1..bottom
+  for tiering, L1..bottom-1 for lazy-leveling). It is data, not code:
+  :meth:`CompactionExecutor.compaction_score` and
+  :meth:`CompactionExecutor.plan_job` read it to decide when a level is
+  over-full and whether a job merges a whole level into a new run
+  (*tiered*) or picked files into the overlap below (*leveled*);
 * a :class:`CompactionPicker` — the *picking* axis, one per system —
   chooses *which SST file* a partial (leveled) compaction takes from an
   over-full level (classic RocksDB: largest file; PrismDB §4.3: the file
@@ -22,9 +24,9 @@ The router contract keeps the LSM consistency guarantee (§4.4): the
 executor feeds it only the *newest* surviving version of each key among
 the compaction inputs, and up-routing is restricted to the upper input
 key range so level disjointness is preserved where the shape requires
-it. Shapes that merge whole levels (tiering, lazy-leveling) satisfy the
-rule trivially: every version of a key at the upper level participates
-in the job.
+it. Jobs out of a run-stacked level take every run of it, so the rule
+holds there trivially: every version of a key at the upper level
+participates in the job.
 
 Execution is the fourth primitive of that design space, data *movement*,
 and exists once: :meth:`CompactionExecutor.execute` re-parents a file
@@ -310,7 +312,12 @@ def gatherer(positions) -> Callable:
 
 
 class CompactionExecutor:
-    """Plans (via its strategy) and runs compactions against one manifest."""
+    """Plans and runs compactions against one manifest.
+
+    The compaction shape reaches the executor only as the manifest's
+    run-stacked levels (:meth:`LevelManifest.is_run_stacked`): scoring
+    and planning read that set, and nothing else about the shape.
+    """
 
     #: Safety cap on jobs per maintenance call; prevents a pathological
     #: pinning threshold from spinning forever (the paper's Fig. 14
@@ -326,8 +333,6 @@ class CompactionExecutor:
         cache: BlockCache,
         picker: CompactionPicker,
         router: MergeRouter,
-        *,
-        strategy=None,
     ) -> None:
         self._backend = backend
         self._manifest = manifest
@@ -336,38 +341,11 @@ class CompactionExecutor:
         self._cache = cache
         self._picker = picker
         self._router = router
-        if strategy is None:
-            from repro.lsm.strategy import make_strategy
-
-            strategy = make_strategy(options)
-        self.strategy = strategy
         self.stats = CompactionStats()
         #: The background-job log: None (off, the default) or a list that
         #: every flush, trivial move and merge appends one
         #: :class:`JobRecord` to. Off costs one ``is None`` test per job.
         self.jobs: list[JobRecord] | None = None
-
-    # Public read-only views for strategy objects (which receive the
-    # executor and must not reach into name-mangled internals).
-    @property
-    def manifest(self) -> LevelManifest:
-        return self._manifest
-
-    @property
-    def options(self) -> DBOptions:
-        return self._options
-
-    @property
-    def layout(self) -> StorageLayout:
-        return self._layout
-
-    @property
-    def picker(self) -> CompactionPicker:
-        return self._picker
-
-    @property
-    def router(self) -> MergeRouter:
-        return self._router
 
     def bind_observability(self, registry) -> None:
         """Register the ``compaction.*`` series as views of :attr:`stats`."""
@@ -386,15 +364,42 @@ class CompactionExecutor:
         tally(self.stats.per_level_write_bytes, level, n_bytes)
 
     # ------------------------------------------------------------------
-    # Scheduling (delegated to the strategy)
+    # Scheduling
     # ------------------------------------------------------------------
     def compaction_score(self, level: int) -> float:
-        """> 1.0 means the level needs compaction (strategy-defined)."""
-        return self.strategy.score(self, level)
+        """Urgency of compacting ``level``; >= 1.0 means it needs it.
+
+        Every shape fires on the same rule (RocksDB's). A run-stacked
+        level counts its sorted runs against ``tiering_run_trigger`` —
+        the bottom included, whose in-place consolidation shrinks only
+        its stack. A leveled bottom never compacts down. L0 counts files
+        against ``l0_compaction_trigger``; any other level weighs bytes
+        against its target, hot (positively-scored) bytes discounted up
+        to the pin reserve: retained popular data occupies the level
+        without re-triggering compaction of it (§4.3's level-sizing
+        accommodation).
+        """
+        manifest, options = self._manifest, self._options
+        if manifest.is_run_stacked(level):
+            return manifest.run_count(level) / options.tiering_run_trigger
+        if level == 0:
+            return manifest.file_count(0) / options.l0_compaction_trigger
+        if level == manifest.num_levels - 1:
+            return 0.0
+        target = options.level_target_bytes(level)
+        reserve = int(target * options.pin_reserve_fraction)
+        discounted = min(manifest.hot_bytes(level), reserve)
+        return (manifest.level_bytes(level) - discounted) / target
 
     def pick_compaction_level(self) -> int | None:
-        """The level with the highest score >= 1.0, if any."""
-        return self.strategy.pick_level(self)
+        """The level with the highest score >= 1.0, if any; on a tie the
+        deeper level."""
+        best_level, best_score = None, 1.0
+        for level in range(self._manifest.num_levels):
+            score = self.compaction_score(level)
+            if score >= best_score:
+                best_level, best_score = level, score
+        return best_level
 
     def maybe_compact(self) -> int:
         """Run compactions until all levels are within target; job count."""
@@ -407,12 +412,82 @@ class CompactionExecutor:
             jobs += 1
         return jobs
 
+    def plan_job(self, level: int) -> CompactionJob | None:
+        """Plan one compaction of ``level``, or None if there is nothing to do.
+
+        Into a run-stacked level a job is *tiered*: it merges the whole
+        level into one new run below, the §4.4 consistency rule's "every
+        run participates" made structural. A run-stacked bottom
+        consolidates in place once it stacks more than one run; a
+        leveled bottom raises :class:`CompactionError`. Into a leveled
+        level a job is *leveled* (or a trivial move): the upper inputs
+        are all of L0 or of a run-stacked level, else the picker's
+        choice, merged with the overlap below.
+        """
+        manifest = self._manifest
+        bottom = manifest.num_levels - 1
+        if not 0 <= level <= bottom:
+            raise CompactionError(f"level out of range: L{level}")
+        if level == bottom:
+            if not manifest.is_run_stacked(level):
+                raise CompactionError(f"cannot compact bottom level L{level}")
+            if manifest.run_count(level) <= 1:
+                return None  # already one run; nothing to consolidate
+            return self._tiered_job(level, level, drop_tombstones=True)
+        if manifest.is_run_stacked(level + 1):
+            # Tombstones can be dropped on the way down only when the
+            # output run will be the sole run of the bottom level.
+            into_empty_bottom = level + 1 == bottom and manifest.file_count(bottom) == 0
+            return self._tiered_job(level, level + 1, drop_tombstones=into_empty_bottom)
+        if level == 0 or manifest.is_run_stacked(level):
+            upper_inputs = list(manifest.files(level))
+        else:
+            upper_inputs = self._picker.pick_files(manifest, level)
+        return self._leveled_job(level, upper_inputs)
+
+    def _leveled_job(self, level: int, upper_inputs: list) -> CompactionJob | None:
+        """A classic merge of ``upper_inputs`` into the overlap below."""
+        if not upper_inputs:
+            return None
+        upper_lo = min(table.smallest_key for table in upper_inputs)
+        upper_hi = max(table.largest_key for table in upper_inputs)
+        lower_inputs = self._manifest.overlapping_files(level + 1, upper_lo, upper_hi)
+        tier = self._layout.tier_for_level
+        if (
+            not lower_inputs
+            and len(upper_inputs) == 1
+            and self._router.allows_trivial_move(upper_inputs[0])
+            and tier(level) is tier(level + 1)
+        ):
+            return CompactionJob(
+                "trivial-move", level, level + 1, upper_inputs, [], upper_lo, upper_hi
+            )
+        return CompactionJob(
+            "leveled", level, level + 1, upper_inputs, lower_inputs,
+            upper_lo, upper_hi,
+            drop_tombstones=level + 1 == self._manifest.num_levels - 1,
+        )
+
+    def _tiered_job(
+        self, level: int, lower_level: int, *, drop_tombstones: bool
+    ) -> CompactionJob | None:
+        """A whole-level merge appended as one new run at ``lower_level``."""
+        upper_inputs = list(self._manifest.files(level))
+        if not upper_inputs:
+            return None
+        return CompactionJob(
+            "tiered", level, lower_level, upper_inputs, [],
+            min(table.smallest_key for table in upper_inputs),
+            max(table.largest_key for table in upper_inputs),
+            drop_tombstones=drop_tombstones,
+        )
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run_job(self, level: int) -> None:
-        """Plan (strategy) and execute one compaction of ``level``."""
-        job = self.strategy.plan_job(self, level)
+        """Plan and execute one compaction of ``level``."""
+        job = self.plan_job(level)
         if job is None:
             return
         self.execute(job)

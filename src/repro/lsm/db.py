@@ -3,12 +3,12 @@
 :class:`LsmDB` is the engine every system in the reproduction runs on:
 vanilla RocksDB-style behaviour falls out of the default picker/router,
 PrismDB plugs in its read-aware picker/router, and Mutant wraps the same
-engine with a file-migration layer. Compaction *shape* is a third seam:
-``DBOptions.compaction_shape`` selects a
-:class:`~repro.lsm.strategy.CompactionStrategy` (leveling by default;
-tiering and lazy-leveling stack multiple sorted runs per level). All
-reads and writes return simulated latencies; the harness's closed-loop
-runner turns those into throughput.
+engine with a file-migration layer. Compaction *shape* is a parameter,
+not a seam: ``DBOptions.compaction_shape`` names which levels the
+manifest lets stack more than one sorted run (none for leveling, the
+default; tiering and lazy-leveling stack them), and the executor plans
+from that. All reads and writes return simulated latencies; the
+harness's closed-loop runner turns those into throughput.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from repro.lsm.compaction import (
 from repro.lsm.layout import StorageLayout
 from repro.lsm.manifest_log import ManifestLog, replay_manifest
 from repro.lsm.memtable import Memtable, MemtableCursor
-from repro.lsm.options import DBOptions
+from repro.lsm.options import COMPACTION_SHAPES, DBOptions
 from repro.lsm.record import RECORD_HEADER_SIZE, Record, ValueKind, make_put_record
 from repro.lsm.row_cache import RowCache
 from repro.lsm.sstable import RunCursor, SSTable, SSTableBuilder, plan_files
-from repro.lsm.strategy import CompactionStrategy, make_strategy
 from repro.lsm.version import LevelManifest
 from repro.lsm.wal import WriteAheadLog
 from repro.obs import MetricsRegistry
@@ -129,7 +128,6 @@ class LsmDB:
         backend: StorageBackend | None = None,
         picker: CompactionPicker | None = None,
         router: MergeRouter | None = None,
-        strategy: CompactionStrategy | None = None,
         metrics: MetricsRegistry | None = None,
         name: str = "lsm",
     ) -> None:
@@ -157,12 +155,11 @@ class LsmDB:
         # so the hot paths skip the dataclass attribute walk.
         self._row_cache_enabled = bool(self.options.row_cache_bytes)
         self._memtable_limit = self.options.memtable_bytes
-        #: The compaction shape; an explicit instance wins, otherwise
-        #: DBOptions.compaction_shape selects one.
-        self.strategy = strategy or make_strategy(self.options)
+        #: The compaction shape is the set of levels that stack runs.
+        num_levels = self.options.num_levels
         self.manifest = LevelManifest(
-            self.options.num_levels,
-            run_stacked_levels=self.strategy.run_stacked_levels(self.options),
+            num_levels,
+            run_stacked_levels=COMPACTION_SHAPES[self.options.compaction_shape](num_levels),
         )
         #: An injected picker wins; otherwise the classic largest-file one.
         self.picker = picker or LargestFilePicker()
@@ -175,7 +172,6 @@ class LsmDB:
             self.cache,
             self.picker,
             self.router,
-            strategy=self.strategy,
         )
         self.executor.bind_observability(self.metrics)
         self.wal = WriteAheadLog(layout.wal_tier, sync_every=self.options.wal_sync_every)
@@ -248,7 +244,6 @@ class LsmDB:
             backend=self.backend,
             picker=self.picker,
             router=self.router,
-            strategy=self.strategy,
             name=self.name,
         )
 

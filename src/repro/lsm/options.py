@@ -13,9 +13,14 @@ from dataclasses import dataclass
 from repro.common.units import KIB
 from repro.errors import ConfigError
 
-#: Compaction *shape* axis (see repro.lsm.strategy / docs/COMPACTION.md):
-#: how runs are arranged per level and what a compaction job merges.
-COMPACTION_SHAPES = ("leveling", "tiering", "lazy-leveling")
+#: Compaction *shape* axis (docs/COMPACTION.md): a shape is the set of
+#: levels, of ``num_levels``, that may stack more than one sorted run;
+#: the executor plans every job from that set alone.
+COMPACTION_SHAPES = {
+    "leveling": lambda num_levels: range(0),
+    "tiering": lambda num_levels: range(1, num_levels),
+    "lazy-leveling": lambda num_levels: range(1, num_levels - 1),
+}
 
 
 @dataclass
@@ -85,7 +90,7 @@ class DBOptions:
         if self.compaction_shape not in COMPACTION_SHAPES:
             raise ConfigError(
                 f"unknown compaction_shape {self.compaction_shape!r}; "
-                f"choose from {COMPACTION_SHAPES}"
+                f"choose from {tuple(COMPACTION_SHAPES)}"
             )
         if self.tiering_run_trigger < 2:
             raise ConfigError("tiering_run_trigger must be >= 2")

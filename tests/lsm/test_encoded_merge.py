@@ -429,7 +429,7 @@ HOT = MOVED[::3]
 
 def reopen_cold(fx, table):
     """Swap ``table`` for its restart handle: filter and index not resident."""
-    level = fx.manifest.level_of(table)
+    level = next(level for level, live in fx.manifest.all_files() if live is table)
     fx.manifest.remove_file(level, table)
     fx.manifest.add_file(level, SSTable.open(fx.backend, table.file))
 
@@ -669,7 +669,7 @@ class TestCutPlan:
 
 
 def _drive(db, *, reference):
-    """Flushes + strategy-planned compactions, invariants after every job."""
+    """Flushes + planned compactions, invariants after every job."""
     if reference:
         use_reference_merge(db)
     execute = db.executor.execute
@@ -741,7 +741,7 @@ def _prism_db(shape):
 
 
 class TestShapeEquivalence:
-    """The strategy-planned job stream, per compaction shape and router.
+    """The planned job stream, per compaction shape and router.
 
     Leveling plans leveled jobs, tiering tiered jobs and the bottom
     level's in-place consolidation, lazy-leveling both — each under real

@@ -1,29 +1,15 @@
-"""Tests for the compaction strategy layer (the shape axis)."""
+"""Tests for the compaction shape: which levels stack sorted runs, and
+the jobs the executor plans from that."""
 
 import pytest
 
-from repro.common import KIB, SimClock
+from repro.common import KIB
 from repro.errors import CompactionError, ConfigError
-from repro.lsm.block_cache import BlockCache
-from repro.lsm.compaction import (
-    CompactDownRouter,
-    CompactionExecutor,
-    LargestFilePicker,
-)
+from repro.lsm.compaction import MergeRouter
 from repro.lsm.db import LsmDB
-from repro.lsm.layout import build_layout
 from repro.lsm.options import DBOptions
 from repro.lsm.record import Record, ValueKind
 from repro.lsm.sstable import SSTableBuilder
-from repro.lsm.strategy import (
-    LazyLevelingStrategy,
-    LevelingStrategy,
-    TieringStrategy,
-    make_strategy,
-)
-from repro.lsm.compaction import MergeRouter
-from repro.lsm.version import LevelManifest
-from repro.storage import StorageBackend
 
 
 class PinEverythingRouter(MergeRouter):
@@ -47,29 +33,17 @@ def small_options(**kwargs):
     return DBOptions(**defaults)
 
 
-class StrategyFixture:
-    """An executor wired to an arbitrary strategy, for direct planning."""
+class ShapeFixture:
+    """A DB's manifest and executor on a one-tier 5-level layout, fed
+    hand-built tables and planned directly."""
 
-    def __init__(self, options=None, router=None, picker=None):
+    def __init__(self, options=None, router=None):
         self.options = options or small_options()
-        self.clock = SimClock()
-        self.backend = StorageBackend(self.clock)
-        self.layout = build_layout("NNNNN", self.options, self.clock)
-        strategy = make_strategy(self.options)
-        self.manifest = LevelManifest(
-            self.options.num_levels,
-            run_stacked_levels=strategy.run_stacked_levels(self.options),
-        )
-        self.executor = CompactionExecutor(
-            self.backend,
-            self.manifest,
-            self.layout,
-            self.options,
-            BlockCache(64 * KIB),
-            picker or LargestFilePicker(),
-            router or CompactDownRouter(),
-            strategy=strategy,
-        )
+        self.db = LsmDB.create("NNNNN", self.options, router=router)
+        self.backend = self.db.backend
+        self.layout = self.db.layout
+        self.manifest = self.db.manifest
+        self.executor = self.db.executor
         self.seqno = 0
 
     def add_table(self, level, keys, *, kind=ValueKind.PUT, value=b"v" * 20):
@@ -107,19 +81,101 @@ def fill_db(db, writes=4000, keys=800, deletes=True):
     return expect
 
 
-class TestFactories:
-    def test_shape_names(self):
-        assert isinstance(
-            make_strategy(small_options(compaction_shape="leveling")), LevelingStrategy
-        )
-        assert isinstance(
-            make_strategy(small_options(compaction_shape="tiering")), TieringStrategy
-        )
-        assert isinstance(
-            make_strategy(small_options(compaction_shape="lazy-leveling")),
-            LazyLevelingStrategy,
-        )
+def stacked_levels(manifest):
+    return tuple(level for level in range(manifest.num_levels) if manifest.is_run_stacked(level))
 
+
+#: Per shape on the 5-level layout: its run-stacked levels and, per
+#: level 0..4, the job planned on :func:`fill_every_level`'s tables as
+#: (style, (upper_level, lower_level), drop_tombstones, upper inputs),
+#: the inputs being the whole level or the picker's one file. A
+#: CompactionError entry means planning that level raises.
+PLANS = {
+    "leveling": ((), [
+        ("leveled", (0, 1), False, "all"),
+        ("leveled", (1, 2), False, "picked"),
+        ("leveled", (2, 3), False, "picked"),
+        ("leveled", (3, 4), True, "picked"),
+        CompactionError,
+    ]),
+    "tiering": ((1, 2, 3, 4), [
+        ("tiered", (0, 1), False, "all"),
+        ("tiered", (1, 2), False, "all"),
+        ("tiered", (2, 3), False, "all"),
+        ("tiered", (3, 4), False, "all"),  # the bottom holds runs already
+        ("tiered", (4, 4), True, "all"),  # in-place bottom consolidation
+    ]),
+    "lazy-leveling": ((1, 2, 3), [
+        ("tiered", (0, 1), False, "all"),
+        ("tiered", (1, 2), False, "all"),
+        ("tiered", (2, 3), False, "all"),
+        ("leveled", (3, 4), True, "all"),  # a whole stack into the leveled bottom
+        CompactionError,
+    ]),
+}
+
+
+def fill_every_level(fx):
+    """Two tables per level, each overlapping the level below: two
+    overlapping files (two runs) at L0 and on stacked levels, two
+    disjoint files on leveled ones."""
+    for level in range(fx.options.num_levels):
+        if level == 0 or fx.manifest.is_run_stacked(level):
+            fx.add_table(level, [b"a", b"z"])
+            fx.add_table(level, [b"b", b"y"])
+        else:
+            fx.add_table(level, [b"a", b"m"])
+            fx.add_table(level, [b"n", b"z"])
+
+
+class TestPlanTable:
+    @pytest.mark.parametrize("shape", PLANS)
+    def test_stacked_levels(self, shape):
+        fx = ShapeFixture(small_options(compaction_shape=shape))
+        assert stacked_levels(fx.manifest) == PLANS[shape][0]
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("shape", PLANS)
+    def test_planned_job(self, shape, level):
+        fx = ShapeFixture(small_options(compaction_shape=shape))
+        fill_every_level(fx)
+        expected = PLANS[shape][1][level]
+        if expected is CompactionError:
+            with pytest.raises(CompactionError):
+                fx.executor.plan_job(level)
+            return
+        style, levels, drop_tombstones, inputs = expected
+        job = fx.executor.plan_job(level)
+        assert (job.style, (job.upper_level, job.lower_level), job.drop_tombstones) == (
+            style, levels, drop_tombstones
+        )
+        if inputs == "all":
+            assert job.upper_inputs == fx.manifest.files(level)
+        else:
+            assert job.upper_inputs == fx.db.picker.pick_files(fx.manifest, level)
+            assert len(job.upper_inputs) == 1
+
+    @pytest.mark.parametrize("shape", PLANS)
+    def test_levels_out_of_range_raise(self, shape):
+        fx = ShapeFixture(small_options(compaction_shape=shape))
+        for level in (-1, 5):
+            with pytest.raises(CompactionError):
+                fx.executor.plan_job(level)
+
+    def test_tiering_into_an_empty_bottom_drops_tombstones(self):
+        fx = ShapeFixture(small_options(compaction_shape="tiering"))
+        fx.add_table(3, [b"a", b"z"])
+        job = fx.executor.plan_job(3)
+        assert (job.style, job.lower_level, job.drop_tombstones) == ("tiered", 4, True)
+
+    def test_tiering_bottom_of_one_run_plans_nothing(self):
+        fx = ShapeFixture(small_options(compaction_shape="tiering"))
+        assert fx.executor.plan_job(4) is None
+        fx.add_table(4, [b"a", b"z"])
+        assert fx.executor.plan_job(4) is None
+
+
+class TestFactories:
     def test_options_validate_policy_names(self):
         with pytest.raises(ConfigError):
             small_options(compaction_shape="spiral")
@@ -128,15 +184,14 @@ class TestFactories:
 
 
 class TestShapeInvariants:
+    # The shapes on a 3-level layout; PLANS covers the 5-level one.
     def test_tiering_stacks_all_levels_below_l0(self):
-        options = small_options(compaction_shape="tiering")
-        strategy = make_strategy(options)
-        assert strategy.run_stacked_levels(options) == (1, 2, 3, 4)
+        db = LsmDB.create("NNN", small_options(num_levels=3, compaction_shape="tiering"))
+        assert stacked_levels(db.manifest) == (1, 2)
 
     def test_lazy_leveling_keeps_bottom_leveled(self):
-        options = small_options(compaction_shape="lazy-leveling")
-        strategy = make_strategy(options)
-        assert strategy.run_stacked_levels(options) == (1, 2, 3)
+        db = LsmDB.create("NNN", small_options(num_levels=3, compaction_shape="lazy-leveling"))
+        assert stacked_levels(db.manifest) == (1,)
 
     def test_leveling_preserves_disjointness(self):
         db = LsmDB.create("NNNNN", small_options())
@@ -170,7 +225,7 @@ class TestShapeInvariants:
         db.check_invariants()
 
     def test_overlapping_add_rejected_on_leveled_level(self):
-        fx = StrategyFixture()
+        fx = ShapeFixture()
         fx.add_table(1, [b"a", b"m"])
         with pytest.raises(CompactionError):
             fx.add_table(1, [b"b", b"c"])
@@ -198,7 +253,7 @@ class TestShapeInvariants:
 
 class TestTriggers:
     def test_file_count_trigger_fires_at_threshold(self):
-        fx = StrategyFixture(small_options(l0_compaction_trigger=3))
+        fx = ShapeFixture(small_options(l0_compaction_trigger=3))
         fx.add_table(0, [b"a"])
         fx.add_table(0, [b"b"])
         assert fx.executor.compaction_score(0) == pytest.approx(2 / 3)
@@ -209,13 +264,13 @@ class TestTriggers:
 
     def test_file_count_trigger_keeps_l0_threshold(self):
         for shape in ("leveling", "tiering", "lazy-leveling"):
-            fx = StrategyFixture(small_options(compaction_shape=shape))
+            fx = ShapeFixture(small_options(compaction_shape=shape))
             for i in range(fx.options.l0_compaction_trigger):
                 fx.add_table(0, [f"k{i}".encode()])
             assert fx.executor.compaction_score(0) == pytest.approx(1.0), shape
 
     def test_tiering_run_trigger_fires_at_threshold(self):
-        fx = StrategyFixture(
+        fx = ShapeFixture(
             small_options(compaction_shape="tiering", tiering_run_trigger=2)
         )
         fx.add_table(1, [b"a", b"z"])
@@ -225,14 +280,14 @@ class TestTriggers:
         assert fx.executor.compaction_score(1) == pytest.approx(1.0)
 
     def test_size_ratio_is_default_and_unchanged(self):
-        fx = StrategyFixture()
-        assert isinstance(fx.executor.strategy, LevelingStrategy)
+        fx = ShapeFixture()
+        assert stacked_levels(fx.manifest) == ()
         assert fx.executor.compaction_score(4) == 0.0  # bottom never
 
 
 class TestTieredExecution:
     def test_whole_level_merges_into_one_run_below(self):
-        fx = StrategyFixture(
+        fx = ShapeFixture(
             small_options(compaction_shape="tiering", tiering_run_trigger=2)
         )
         fx.add_table(1, [b"a", b"z"])
@@ -248,7 +303,7 @@ class TestTieredExecution:
         assert keys == [b"a", b"b", b"y", b"z"]
 
     def test_bottom_consolidation_merges_runs_and_drops_tombstones(self):
-        fx = StrategyFixture(
+        fx = ShapeFixture(
             small_options(compaction_shape="tiering", tiering_run_trigger=2)
         )
         fx.add_table(4, [b"a", b"k"])
@@ -266,7 +321,7 @@ class TestTieredExecution:
         assert fx.executor.stats.records["tombstone_dropped"] == 1
 
     def test_pinned_router_composes_with_tiering(self):
-        fx = StrategyFixture(
+        fx = ShapeFixture(
             small_options(compaction_shape="tiering", tiering_run_trigger=2),
             router=PinEverythingRouter(),
         )
@@ -279,11 +334,11 @@ class TestTieredExecution:
         assert fx.manifest.file_count(2) == 0
 
     def test_tiered_bottom_cannot_overflow(self):
-        fx = StrategyFixture(small_options(compaction_shape="tiering"))
+        fx = ShapeFixture(small_options(compaction_shape="tiering"))
         with pytest.raises(CompactionError):
-            fx.executor.strategy.plan_job(fx.executor, 5)  # out of range
+            fx.executor.plan_job(5)  # out of range
         # lazy-leveling refuses its bottom outright, like leveling.
-        lazy = StrategyFixture(small_options(compaction_shape="lazy-leveling"))
+        lazy = ShapeFixture(small_options(compaction_shape="lazy-leveling"))
         with pytest.raises(CompactionError):
             lazy.executor.run_job(4)
 
@@ -297,9 +352,3 @@ class TestStrategyThroughDbOptions:
         reopened.check_invariants()
         for key, value in list(expect.items())[:200]:
             assert reopened.get(key).value == value
-
-    def test_explicit_strategy_instance_wins(self):
-        strategy = TieringStrategy()
-        db = LsmDB.create("NNNNN", small_options(), strategy=strategy)
-        assert db.executor.strategy is strategy
-        assert db.manifest.is_run_stacked(1)

@@ -129,13 +129,6 @@ class TestLevelManifest:
         assert manifest.file_count() == 1
         assert manifest.total_bytes() == table.size_bytes
 
-    def test_level_of(self, fx):
-        manifest = LevelManifest(3)
-        table = fx.table(b"a", b"b")
-        manifest.add_file(2, table)
-        assert manifest.level_of(table) == 2
-        assert manifest.level_of(fx.table(b"x", b"y")) is None
-
     def test_check_invariants_passes_on_valid(self, fx):
         manifest = LevelManifest(3)
         manifest.add_file(1, fx.table(b"a", b"c"))

@@ -1,7 +1,8 @@
 """``scripts/perf_pairs.py``'s verdict: a direction only where the pairs resolve one.
 
 The script is loaded by path and its :func:`verdict` fed stand-in
-medians, so no benchmark run happens here.
+medians, so no benchmark run happens here; its ``--stages`` targets
+are resolved without being wrapped.
 """
 
 import importlib.util
@@ -13,11 +14,16 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "perf_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def verdict():
+def perf_pairs():
     spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict
+    return module
+
+
+@pytest.fixture(scope="module")
+def verdict(perf_pairs):
+    return perf_pairs.verdict
 
 
 #: Ten parent runs: median 50.5, interquartile range 48.25..52.75 (4.5).
@@ -49,3 +55,11 @@ def test_median_shift_within_the_parent_spread_is_unresolved(verdict):
     # Every pair lower, but by 4.0 against an interquartile range of 4.5.
     assert verdict(PARENT, [v - 4.0 for v in PARENT]) == "unresolved (10 pairs)"
     assert verdict(PARENT, [v - 5.0 for v in PARENT]) == "lower"
+
+
+def test_every_stage_target_resolves(perf_pairs):
+    # --stages wraps these from outside; check.sh runs it only as a
+    # non-gating smoke, so a renamed target must fail here instead.
+    for _, target in perf_pairs.CONTEXTS + perf_pairs.STAGES + perf_pairs.LOAD_STAGES:
+        owner, attr = perf_pairs.resolve(target)
+        assert callable(getattr(owner, attr)), target
