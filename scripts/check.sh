@@ -9,14 +9,14 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 echo "== compileall =="
-python -m compileall -q src tests
+python -m compileall -q src tests scripts
 
 if python -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
     if command -v ruff >/dev/null 2>&1; then
-        ruff check src tests
+        ruff check src tests scripts
     else
-        python -m ruff check src tests
+        python -m ruff check src tests scripts
     fi
 else
     echo "== ruff not installed; skipping lint =="

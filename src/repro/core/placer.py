@@ -45,10 +45,6 @@ class PlacerStats:
 class ReadAwareRouter(MergeRouter):
     """Pinned-compaction routing driven by tracker + mapper."""
 
-    #: Never trivially move a file down: that would skip the pinning
-    #: pass and bury hot keys (§4.3).
-    supports_trivial_move = False
-
     def __init__(
         self,
         tracker: ClockTracker,
@@ -71,9 +67,10 @@ class ReadAwareRouter(MergeRouter):
         self.stats = PlacerStats()
 
     def allows_trivial_move(self, table: SSTable) -> bool:
-        """Cold files (no tracked keys -> non-positive score) may move
-        down without a rewrite: there is nothing in them to pin, so the
-        pinning pass would be a no-op at full rewrite cost."""
+        """Only cold files (no tracked keys -> non-positive score) move
+        down without a rewrite: a hot file's trivial move would skip the
+        pinning pass and bury its hot keys (§4.3), while a cold one has
+        nothing to pin, so the pass would be a no-op at full rewrite cost."""
         return table.popularity_score <= 0.0
 
     def begin_job(

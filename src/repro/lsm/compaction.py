@@ -5,8 +5,8 @@ space (Sarkar et al., arXiv:2202.04522 — see docs/COMPACTION.md) has
 three axes here:
 
 * the *shape* — which levels may stack more than one sorted run
-  (:meth:`LevelManifest.is_run_stacked`; none for leveling, L1..bottom
-  for tiering, L1..bottom-1 for lazy-leveling). It is data, not code:
+  (:meth:`LevelManifest.is_run_stacked`; L0 for leveling, L0..bottom
+  for tiering, L0..bottom-1 for lazy-leveling). It is data, not code:
   :meth:`CompactionExecutor.compaction_score` and
   :meth:`CompactionExecutor.plan_job` read it to decide when a level is
   over-full and whether a job merges a whole level into a new run
@@ -85,19 +85,15 @@ class MergeRouter(abc.ABC):
     must define.
     """
 
-    #: Whether a single non-overlapping file may be moved down without a
-    #: rewrite. Read-aware routers refine this per file via
-    #: :meth:`allows_trivial_move`.
-    supports_trivial_move: bool = True
-
     #: True when :meth:`route_up_key` returns False unconditionally and
     #: without side effects (classic compact-down behaviour). The merge
     #: does not consult such routers at all.
     never_routes_up: bool = False
 
     def allows_trivial_move(self, table: SSTable) -> bool:
-        """Per-file trivial-move veto; defaults to the class-wide flag."""
-        return self.supports_trivial_move
+        """Whether ``table``, alone and overlapping nothing below, may
+        move down a level without a rewrite (default: always)."""
+        return True
 
     def begin_job(
         self,
@@ -160,7 +156,6 @@ class MergeRouter(abc.ABC):
 class CompactDownRouter(MergeRouter):
     """Classic LSM behaviour: every record moves to the lower level."""
 
-    supports_trivial_move = True
     never_routes_up = True
 
     def route_up_key(
@@ -369,11 +364,11 @@ class CompactionExecutor:
     def compaction_score(self, level: int) -> float:
         """Urgency of compacting ``level``; >= 1.0 means it needs it.
 
-        Every shape fires on the same rule (RocksDB's). A run-stacked
-        level counts its sorted runs against ``tiering_run_trigger`` —
-        the bottom included, whose in-place consolidation shrinks only
-        its stack. A leveled bottom never compacts down. L0 counts files
-        against ``l0_compaction_trigger``; any other level weighs bytes
+        Every shape fires on the same two rules (RocksDB's). A
+        run-stacked level — L0 in every shape — counts its sorted runs
+        against ``l0_compaction_trigger``, a stacked bottom included,
+        whose in-place consolidation shrinks only its stack. A leveled
+        bottom never compacts down; any other leveled level weighs bytes
         against its target, hot (positively-scored) bytes discounted up
         to the pin reserve: retained popular data occupies the level
         without re-triggering compaction of it (§4.3's level-sizing
@@ -381,9 +376,7 @@ class CompactionExecutor:
         """
         manifest, options = self._manifest, self._options
         if manifest.is_run_stacked(level):
-            return manifest.run_count(level) / options.tiering_run_trigger
-        if level == 0:
-            return manifest.file_count(0) / options.l0_compaction_trigger
+            return manifest.run_count(level) / options.l0_compaction_trigger
         if level == manifest.num_levels - 1:
             return 0.0
         target = options.level_target_bytes(level)
@@ -421,7 +414,7 @@ class CompactionExecutor:
         consolidates in place once it stacks more than one run; a
         leveled bottom raises :class:`CompactionError`. Into a leveled
         level a job is *leveled* (or a trivial move): the upper inputs
-        are all of L0 or of a run-stacked level, else the picker's
+        are all of a run-stacked level (L0 included), else the picker's
         choice, merged with the overlap below.
         """
         manifest = self._manifest
@@ -439,7 +432,7 @@ class CompactionExecutor:
             # output run will be the sole run of the bottom level.
             into_empty_bottom = level + 1 == bottom and manifest.file_count(bottom) == 0
             return self._tiered_job(level, level + 1, drop_tombstones=into_empty_bottom)
-        if level == 0 or manifest.is_run_stacked(level):
+        if manifest.is_run_stacked(level):
             upper_inputs = list(manifest.files(level))
         else:
             upper_inputs = self._picker.pick_files(manifest, level)
@@ -576,10 +569,11 @@ class CompactionExecutor:
         for table in job.lower_inputs:
             manifest.remove_file(lower_level, table)
         for level, tables in ((upper_level, new_upper), (lower_level, new_lower)):
-            # The one style-dependent step: on a run-stacked level a
-            # tiered job's outputs form one new sorted run, a leveled
-            # job's one run per file (mutually disjoint either way).
-            if job.style == "tiered" and tables and manifest.is_run_stacked(level):
+            # The one style-dependent step: on a run-stacked level below
+            # L0 a tiered job's outputs form one new sorted run; a
+            # leveled job's, and every file L0 takes, one run per file
+            # (mutually disjoint either way).
+            if job.style == "tiered" and level and tables and manifest.is_run_stacked(level):
                 manifest.add_run(level, tables)
             else:
                 for table in tables:

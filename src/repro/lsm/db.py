@@ -5,10 +5,12 @@ vanilla RocksDB-style behaviour falls out of the default picker/router,
 PrismDB plugs in its read-aware picker/router, and Mutant wraps the same
 engine with a file-migration layer. Compaction *shape* is a parameter,
 not a seam: ``DBOptions.compaction_shape`` names which levels the
-manifest lets stack more than one sorted run (none for leveling, the
-default; tiering and lazy-leveling stack them), and the executor plans
-from that. All reads and writes return simulated latencies; the
-harness's closed-loop runner turns those into throughput.
+manifest lets stack more than one sorted run (L0 alone for leveling,
+the default; tiering and lazy-leveling stack deeper levels too), and
+the executor plans from that. Every level is a list of sorted runs, so
+reads, scans and the invariant check walk runs, newest first, and never
+ask which level they are on. All reads and writes return simulated
+latencies; the harness's closed-loop runner turns those into throughput.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappushpop
+from operator import attrgetter
 
 from repro.common.clock import SimClock
 from repro.common.rng import fnv1a_64
@@ -260,22 +263,26 @@ class LsmDB:
         self._check_open()
         self.close()
         reopened = self._fresh_instance()
-        # Rebuild the level structure from the manifest log.
-        live = replay_manifest(self.manifest_log.edits())
+        # Rebuild the level structure, run by run, from the manifest log.
+        runs = replay_manifest(self.manifest_log.edits())
         max_seqno = 0
-        by_level: dict[int, list] = {}
-        for file_id, level in live.items():
-            table = SSTable.open(self.backend, self.backend.get_file(file_id))
-            by_level.setdefault(level, []).append(table)
-            max_seqno = max(max_seqno, table.max_seqno)
-        reopened.manifest.observer = None  # don't re-log recovered adds
-        for level, tables in sorted(by_level.items()):
-            # add_file prepends at L0, so feeding ascending file ids
-            # (ids are monotonic in creation time) restores newest-first.
-            for table in sorted(tables, key=lambda t: t.file_id):
-                reopened.manifest.add_file(level, table)
-        reopened.manifest_log.compact(live)
-        reopened.manifest.observer = reopened.manifest_log
+        manifest = reopened.manifest
+        manifest.observer = None  # don't re-log recovered adds
+        for level, level_runs in sorted(runs.items()):
+            for file_ids in reversed(level_runs):  # oldest first: each lands on top
+                tables = sorted(
+                    (SSTable.open(self.backend, self.backend.get_file(file_id))
+                     for file_id in file_ids),
+                    key=attrgetter("smallest_key"),
+                )
+                max_seqno = max(max_seqno, *(table.max_seqno for table in tables))
+                if manifest.is_run_stacked(level):
+                    manifest.add_run(level, tables)
+                else:
+                    for table in tables:
+                        manifest.add_file(level, table)
+        reopened.manifest_log.compact(runs)
+        manifest.observer = reopened.manifest_log
         # Replay the WAL into the fresh memtable.
         for record in self.wal.replay():
             reopened._memtable.add(record)
@@ -510,14 +517,10 @@ class LsmDB:
         attribute("cpu", "-", latency)
         cache = self.cache
         # Sources open in this order, which fixes the order of their
-        # first fetches: memtable, overlapping L0 files newest first
-        # (they overlap each other, so each is its own run), then one
-        # cursor per sorted run of every deeper level.
+        # first fetches: memtable, then one cursor per sorted run of
+        # every level, newest run first (L0: newest file first).
         cursors: list = [MemtableCursor(self._memtable, start_key)]
-        for table in self.manifest.files(0):
-            if table.largest_key >= start_key:
-                cursors.append(RunCursor((table,), 0, start_key, cache))
-        for level in range(1, self.manifest.num_levels):
+        for level in range(self.manifest.num_levels):
             for run, pos in self.manifest.seek_runs(level, start_key):
                 if pos < len(run):
                     cursors.append(RunCursor(run, pos, start_key, cache))
@@ -644,57 +647,33 @@ class LsmDB:
     def check_invariants(self) -> None:
         """Verify level structure and newest-version-on-top consistency.
 
-        The consistency rule pinned compaction must preserve (§4.4): for
-        any user key, *every* version at a deeper level is older than
-        *every* version at a shallower level. We track the minimum seqno
-        seen at shallower levels and require each level's maximum to stay
-        below it. Run-stacked levels get the same rule *within* the
-        level, run by run: point reads probe the newest run first and
-        stop at the first hit, so a newer run must never hold an older
-        version of a key than a run beneath it. The block cache must hold
+        The consistency rule pinned compaction must preserve (§4.4), on
+        the order a point read probes (every run of every level, newest
+        run first, stopping at the first hit): for any user key, *every*
+        version in a run is older than *every* version in each run
+        probed before it — a shallower level's or a newer run's of the
+        same level, L0's files included. The block cache must hold
         blocks of live files only, and account exactly the bytes it holds.
         """
-        self.manifest.check_invariants()
-        self.cache.check_invariants(table.file_id for _, table in self.manifest.all_files())
-        for level in range(self.manifest.num_levels):
-            if not self.manifest.is_run_stacked(level):
-                continue
-            min_seqno_newer: dict[bytes, int] = {}
-            for run in self.manifest.runs(level):  # newest first
+        manifest = self.manifest
+        manifest.check_invariants()
+        self.cache.check_invariants(table.file_id for _, table in manifest.all_files())
+        #: Per key, the oldest version in the runs walked so far.
+        oldest_newer: dict[bytes, int] = {}
+        for level in range(manifest.num_levels):
+            for run in manifest.runs(level):  # newest first
                 run_versions: dict[bytes, tuple[int, int]] = {}
                 for table in run:
-                    records = table.read_all_records()
-                    for record in records:
-                        key = record.user_key
-                        lo, hi = run_versions.get(key, (record.seqno, record.seqno))
-                        run_versions[key] = (min(lo, record.seqno), max(hi, record.seqno))
+                    for record in table.read_all_records():
+                        key, seqno = record.user_key, record.seqno
+                        lo, hi = run_versions.get(key, (seqno, seqno))
+                        run_versions[key] = (min(lo, seqno), max(hi, seqno))
                 for user_key, (lo, hi) in run_versions.items():
-                    newer = min_seqno_newer.get(user_key)
+                    newer = oldest_newer.get(user_key)
                     if newer is not None and hi >= newer:
                         raise AssertionError(
                             f"consistency violation: key {user_key!r} version "
                             f"seqno {hi} at L{level} is not older than seqno "
-                            f"{newer} in a newer run of the same level"
+                            f"{newer} in a run probed before it"
                         )
-                    min_seqno_newer[user_key] = lo if newer is None else min(newer, lo)
-        min_seqno_above: dict[bytes, int] = {}
-        for level in range(self.manifest.num_levels):
-            level_min: dict[bytes, int] = {}
-            level_max: dict[bytes, int] = {}
-            for table in self.manifest.files(level):
-                records = table.read_all_records()
-                for record in records:
-                    key = record.user_key
-                    level_min[key] = min(level_min.get(key, record.seqno), record.seqno)
-                    level_max[key] = max(level_max.get(key, record.seqno), record.seqno)
-            for user_key, seqno in level_max.items():
-                above = min_seqno_above.get(user_key)
-                if above is not None and seqno >= above:
-                    raise AssertionError(
-                        f"consistency violation: key {user_key!r} version "
-                        f"seqno {seqno} at L{level} is not older than "
-                        f"seqno {above} at a shallower level"
-                    )
-            for user_key, seqno in level_min.items():
-                above = min_seqno_above.get(user_key)
-                min_seqno_above[user_key] = seqno if above is None else min(above, seqno)
+                    oldest_newer[user_key] = lo if newer is None else min(newer, lo)

@@ -5,8 +5,10 @@ Real LSM engines persist the level structure as a log of *version edits*
 be reconstructed after a restart without scanning storage. This module
 implements that log over the simulated backend: every edit is appended
 (and charged as a device write on the manifest's tier), and
-:func:`replay_manifest` folds the edit sequence back into the live file
-set per level.
+:func:`replay_manifest` folds the edit sequence back into the live
+sorted runs per level. An added file either opens a new newest run at
+its level (``NEW_RUN``) or joins the newest one (``ADD_FILE``), so the
+run boundaries survive a restart in the same 6 bytes per edit.
 
 Together with the WAL this gives the engine a complete restart story:
 ``LsmDB.reopen`` rebuilds the manifest from this log, re-attaches the
@@ -26,8 +28,11 @@ _RECORD = struct.Struct("<BIB")  # op, file_id, level
 
 
 class EditOp(enum.IntEnum):
+    #: The file joins the newest run of its level.
     ADD_FILE = 1
     REMOVE_FILE = 2
+    #: The file opens a new newest run at its level.
+    NEW_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,8 @@ class ManifestLog:
     def __len__(self) -> int:
         return len(self._log) // _RECORD.size
 
-    def record_add(self, level: int, file_id: int) -> None:
-        self._append(EditOp.ADD_FILE, file_id, level)
+    def record_add(self, level: int, file_id: int, new_run: bool) -> None:
+        self._append(EditOp.NEW_RUN if new_run else EditOp.ADD_FILE, file_id, level)
 
     def record_remove(self, level: int, file_id: int) -> None:
         self._append(EditOp.REMOVE_FILE, file_id, level)
@@ -88,15 +93,21 @@ class ManifestLog:
     def edits(self) -> list[VersionEdit]:
         return decode_manifest(self._log)
 
-    def compact(self, live: dict[int, int]) -> None:
-        """Rewrite the log to just the live set (manifest compaction).
+    def compact(self, runs: dict[int, list[list[int]]]) -> None:
+        """Rewrite the log to just the live runs (manifest compaction).
 
-        ``live`` maps file_id -> level. Long-running engines periodically
-        rewrite the MANIFEST so it doesn't grow without bound.
+        ``runs`` maps level -> its runs of file ids, newest first, as
+        :func:`replay_manifest` returns them. Each level's runs are
+        written oldest first, one edit per file, so replaying the
+        rewritten log yields ``runs`` again. Long-running engines
+        periodically rewrite the MANIFEST so it doesn't grow without
+        bound.
         """
         self._log = bytearray().join(
-            _RECORD.pack(EditOp.ADD_FILE, file_id, level)
-            for file_id, level in sorted(live.items())
+            _RECORD.pack(EditOp.ADD_FILE if index else EditOp.NEW_RUN, file_id, level)
+            for level, level_runs in sorted(runs.items())
+            for run in reversed(level_runs)
+            for index, file_id in enumerate(run)
         )
         self.bytes_written += len(self._log)
         self._tier.device.write(len(self._log), foreground=False)
@@ -112,23 +123,40 @@ def decode_manifest(buf: bytes) -> list[VersionEdit]:
     return edits
 
 
-def replay_manifest(edits: list[VersionEdit]) -> dict[int, int]:
-    """Fold edits into the live file set: file_id -> level.
+def replay_manifest(edits: list[VersionEdit]) -> dict[int, list[list[int]]]:
+    """Fold edits into the live runs: level -> runs of file ids, newest
+    run first, each in the order its files were added.
 
     Raises :class:`CorruptionError` on impossible sequences (removing a
-    file that is not live, adding a live file twice).
+    file that is not live, adding a live file twice, joining a level
+    that holds no run).
     """
-    live: dict[int, int] = {}
+    runs: dict[int, list[list[int]]] = {}
+    live: dict[int, int] = {}  # file_id -> level
     for edit in edits:
-        if edit.op == EditOp.ADD_FILE:
-            if edit.file_id in live:
-                raise CorruptionError(f"file {edit.file_id} added twice")
-            live[edit.file_id] = edit.level
-        else:
-            if live.get(edit.file_id) != edit.level:
+        file_id, level = edit.file_id, edit.level
+        if edit.op == EditOp.REMOVE_FILE:
+            if live.get(file_id) != level:
                 raise CorruptionError(
-                    f"file {edit.file_id} removed from L{edit.level} but "
-                    f"live at {live.get(edit.file_id)}"
+                    f"file {file_id} removed from L{level} but live at {live.get(file_id)}"
                 )
-            del live[edit.file_id]
-    return live
+            del live[file_id]
+            level_runs = runs[level]
+            for index, run in enumerate(level_runs):
+                if file_id in run:
+                    run.remove(file_id)
+                    if not run:
+                        del level_runs[index]
+                    break
+            continue
+        if file_id in live:
+            raise CorruptionError(f"file {file_id} added twice")
+        live[file_id] = level
+        level_runs = runs.setdefault(level, [])
+        if edit.op == EditOp.NEW_RUN:
+            level_runs.insert(0, [file_id])
+        elif level_runs:
+            level_runs[0].append(file_id)
+        else:
+            raise CorruptionError(f"file {file_id} joins no run at L{level}")
+    return {level: level_runs for level, level_runs in runs.items() if level_runs}

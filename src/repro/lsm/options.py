@@ -15,11 +15,12 @@ from repro.errors import ConfigError
 
 #: Compaction *shape* axis (docs/COMPACTION.md): a shape is the set of
 #: levels, of ``num_levels``, that may stack more than one sorted run;
-#: the executor plans every job from that set alone.
+#: the executor plans every job from that set alone. L0, where every
+#: flush lands as its own run, is in every shape.
 COMPACTION_SHAPES = {
-    "leveling": lambda num_levels: range(0),
-    "tiering": lambda num_levels: range(1, num_levels),
-    "lazy-leveling": lambda num_levels: range(1, num_levels - 1),
+    "leveling": lambda num_levels: range(1),
+    "tiering": lambda num_levels: range(num_levels),
+    "lazy-leveling": lambda num_levels: range(num_levels - 1),
 }
 
 
@@ -35,7 +36,10 @@ class DBOptions:
     target_file_bytes: int = 64 * KIB
     #: Number of on-disk levels (L0..L{n-1}); the paper uses 5.
     num_levels: int = 5
-    #: L0 file count that triggers an L0->L1 compaction.
+    #: Sorted-run count that fires a compaction of a run-stacked level:
+    #: L0 (one run per flush) in every shape, and every level tiering or
+    #: lazy-leveling stacks. RocksDB's universal compaction reads this
+    #: same option as its sorted-run trigger.
     l0_compaction_trigger: int = 4
     #: Target size of L1; deeper levels multiply by the level multiplier.
     level1_target_bytes: int = 256 * KIB
@@ -70,9 +74,6 @@ class DBOptions:
     #: level down), or "lazy-leveling" (tiering in the middle levels,
     #: leveling at the last — Dostoevsky's hybrid).
     compaction_shape: str = "leveling"
-    #: Tiering / lazy-leveling: a run-stacked level compacts when it
-    #: holds this many sorted runs.
-    tiering_run_trigger: int = 4
 
     def __post_init__(self) -> None:
         if self.memtable_bytes <= 0:
@@ -81,8 +82,8 @@ class DBOptions:
             raise ConfigError("block_bytes must be in (0, target_file_bytes]")
         if self.num_levels < 2:
             raise ConfigError("num_levels must be at least 2")
-        if self.l0_compaction_trigger < 1:
-            raise ConfigError("l0_compaction_trigger must be >= 1")
+        if self.l0_compaction_trigger < 2:
+            raise ConfigError("l0_compaction_trigger must be >= 2")
         if self.level_size_multiplier < 2:
             raise ConfigError("level_size_multiplier must be >= 2")
         if self.level1_target_bytes < self.target_file_bytes:
@@ -92,8 +93,6 @@ class DBOptions:
                 f"unknown compaction_shape {self.compaction_shape!r}; "
                 f"choose from {tuple(COMPACTION_SHAPES)}"
             )
-        if self.tiering_run_trigger < 2:
-            raise ConfigError("tiering_run_trigger must be >= 2")
         if self.bits_per_key < 1:
             raise ConfigError(f"bits_per_key must be >= 1: {self.bits_per_key}")
         if self.block_cache_bytes < 0:

@@ -415,7 +415,7 @@ class RunCursor:
 
     Walks ``run[pos:]`` — the files of one sorted run from a
     :meth:`~repro.lsm.version.LevelManifest.seek_runs` position, or a
-    single L0 table — file by file and block by block through the
+    single table — file by file and block by block through the
     cache-mediated fetch helpers, and never builds a :class:`Record`.
 
     The protocol the scan merge drives (``MemtableCursor`` is the other

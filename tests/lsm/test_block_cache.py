@@ -351,7 +351,7 @@ def _system(name, shape):
     options = DBOptions(
         memtable_bytes=1 * KIB, target_file_bytes=1 * KIB, level1_target_bytes=2 * KIB,
         level_size_multiplier=3, block_bytes=256, block_cache_bytes=2 * KIB,
-        compaction_shape=shape, tiering_run_trigger=3,
+        compaction_shape=shape, l0_compaction_trigger=3,
     )
     if name == "rocksdb":
         return RocksDBLike.create("NNNTQ", options)

@@ -241,7 +241,8 @@ class TestCompactionExecution:
 class PinEverythingRouter(MergeRouter):
     """Test double: pins every record to the upper level."""
 
-    supports_trivial_move = False
+    def allows_trivial_move(self, table):
+        return False
 
     def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return True

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.common import KIB
 from repro.errors import DBClosedError
 from repro.lsm import DBOptions, LsmDB
+from repro.lsm.record import Record, ValueKind
+from repro.lsm.sstable import SSTableBuilder
 
 
 def tiny_options(**kwargs):
@@ -141,6 +143,22 @@ class TestFlushAndCompaction:
             db.put(rng.choice(keys), rng.randbytes(30))
         db.flush()
         db.check_invariants()
+
+    def test_invariants_reject_a_newer_l0_file_holding_an_older_version(self):
+        db = make_db()
+
+        def l0_table(seqno):
+            builder = SSTableBuilder(
+                db.backend, db.layout.tier_for_level(0), block_bytes=512,
+                target_file_bytes=2 * KIB,
+            )
+            builder.add(Record(b"k", seqno, ValueKind.PUT, b"v"))
+            return builder.finish()
+
+        db.manifest.add_file(0, l0_table(5))
+        db.manifest.add_file(0, l0_table(3))  # the newer run, the older version
+        with pytest.raises(AssertionError, match="consistency violation"):
+            db.check_invariants()
 
     def test_wal_bytes_accumulate(self):
         db = make_db()

@@ -61,10 +61,11 @@ class SplitKeyRouter(MergeRouter):
     pinned, pulled-up, and rejected branches of the merge.
     """
 
-    supports_trivial_move = False
-
     def __init__(self, split: bytes) -> None:
         self.split = split
+
+    def allows_trivial_move(self, table):
+        return False
 
     def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return kind_code == 1 and user_key < self.split
@@ -78,12 +79,13 @@ class SpendingRouter(MergeRouter):
     costs budget. ``state()`` exposes everything a twin must agree on.
     """
 
-    supports_trivial_move = False
-
     def __init__(self) -> None:
         self.jobs: list[tuple] = []
         self.granted: list[tuple[bytes, int]] = []
         self.budget = 0
+
+    def allows_trivial_move(self, table):
+        return False
 
     def begin_job(self, upper_level, lower_level, upper_lo, upper_hi,
                   upper_budget_bytes):
@@ -108,7 +110,7 @@ class MergeFixture:
     #: One tier by default; :class:`OnLayout` subclasses swap in another.
     LAYOUT = "NNNNN"
 
-    def __init__(self, *, reference, router=None, options=None, stacked=()):
+    def __init__(self, *, reference, router=None, options=None, stacked=(0,)):
         self.options = options or small_options()
         self.clock = SimClock()
         self.backend = StorageBackend(self.clock)
@@ -207,7 +209,7 @@ def router_state(router):
     return None
 
 
-def run_both(build, *, router_factory=None, stacked=(), options=None):
+def run_both(build, *, router_factory=None, stacked=(0,), options=None):
     """Run ``build(fx)`` on the spec and on the engine; return both states."""
     states = []
     for reference in (True, False):
@@ -395,7 +397,7 @@ class TestRoutedEquivalence(OnLayout):
 
         bottom = small_options().num_levels - 1
         tables, stats, _, (jobs, granted, _), _ = assert_equivalent(
-            build, router_factory=SpendingRouter, stacked=(bottom,)
+            build, router_factory=SpendingRouter, stacked=(0, bottom)
         )
         assert jobs == [] and granted == []
         assert stats["records"] == {"pinned": 0, "tombstone_dropped": 10}  # no pulled_up
@@ -523,7 +525,8 @@ class AlternatingRouter(MergeRouter):
     """Keeps every third PUT up: both output streams roll several files,
     closing them at interleaved merge positions."""
 
-    supports_trivial_move = False
+    def allows_trivial_move(self, table):
+        return False
 
     def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return kind_code == 1 and int(user_key[1:]) % 3 == 0
@@ -712,7 +715,7 @@ def _shape_options(shape):
         level_size_multiplier=4,
         block_bytes=1 * KIB,
         compaction_shape=shape,
-        tiering_run_trigger=3,
+        l0_compaction_trigger=3,
     )
 
 

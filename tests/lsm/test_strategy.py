@@ -15,7 +15,8 @@ from repro.lsm.sstable import SSTableBuilder
 class PinEverythingRouter(MergeRouter):
     """Test double: pins every record to the upper level."""
 
-    supports_trivial_move = False
+    def allows_trivial_move(self, table):
+        return False
 
     def route_up_key(self, user_key, kind_code, encoded_size, source_level):
         return True
@@ -91,21 +92,21 @@ def stacked_levels(manifest):
 #: the inputs being the whole level or the picker's one file. A
 #: CompactionError entry means planning that level raises.
 PLANS = {
-    "leveling": ((), [
+    "leveling": ((0,), [
         ("leveled", (0, 1), False, "all"),
         ("leveled", (1, 2), False, "picked"),
         ("leveled", (2, 3), False, "picked"),
         ("leveled", (3, 4), True, "picked"),
         CompactionError,
     ]),
-    "tiering": ((1, 2, 3, 4), [
+    "tiering": ((0, 1, 2, 3, 4), [
         ("tiered", (0, 1), False, "all"),
         ("tiered", (1, 2), False, "all"),
         ("tiered", (2, 3), False, "all"),
         ("tiered", (3, 4), False, "all"),  # the bottom holds runs already
         ("tiered", (4, 4), True, "all"),  # in-place bottom consolidation
     ]),
-    "lazy-leveling": ((1, 2, 3), [
+    "lazy-leveling": ((0, 1, 2, 3), [
         ("tiered", (0, 1), False, "all"),
         ("tiered", (1, 2), False, "all"),
         ("tiered", (2, 3), False, "all"),
@@ -117,10 +118,10 @@ PLANS = {
 
 def fill_every_level(fx):
     """Two tables per level, each overlapping the level below: two
-    overlapping files (two runs) at L0 and on stacked levels, two
+    overlapping files (two runs) on stacked levels (L0 in every shape), two
     disjoint files on leveled ones."""
     for level in range(fx.options.num_levels):
-        if level == 0 or fx.manifest.is_run_stacked(level):
+        if fx.manifest.is_run_stacked(level):
             fx.add_table(level, [b"a", b"z"])
             fx.add_table(level, [b"b", b"y"])
         else:
@@ -180,18 +181,18 @@ class TestFactories:
         with pytest.raises(ConfigError):
             small_options(compaction_shape="spiral")
         with pytest.raises(ConfigError):
-            small_options(tiering_run_trigger=1)
+            small_options(l0_compaction_trigger=1)
 
 
 class TestShapeInvariants:
     # The shapes on a 3-level layout; PLANS covers the 5-level one.
     def test_tiering_stacks_all_levels_below_l0(self):
         db = LsmDB.create("NNN", small_options(num_levels=3, compaction_shape="tiering"))
-        assert stacked_levels(db.manifest) == (1, 2)
+        assert stacked_levels(db.manifest) == (0, 1, 2)
 
     def test_lazy_leveling_keeps_bottom_leveled(self):
         db = LsmDB.create("NNN", small_options(num_levels=3, compaction_shape="lazy-leveling"))
-        assert stacked_levels(db.manifest) == (1,)
+        assert stacked_levels(db.manifest) == (0, 1)
 
     def test_leveling_preserves_disjointness(self):
         db = LsmDB.create("NNNNN", small_options())
@@ -271,7 +272,7 @@ class TestTriggers:
 
     def test_tiering_run_trigger_fires_at_threshold(self):
         fx = ShapeFixture(
-            small_options(compaction_shape="tiering", tiering_run_trigger=2)
+            small_options(compaction_shape="tiering", l0_compaction_trigger=2)
         )
         fx.add_table(1, [b"a", b"z"])
         assert fx.executor.compaction_score(1) == pytest.approx(0.5)
@@ -281,14 +282,14 @@ class TestTriggers:
 
     def test_size_ratio_is_default_and_unchanged(self):
         fx = ShapeFixture()
-        assert stacked_levels(fx.manifest) == ()
+        assert stacked_levels(fx.manifest) == (0,)
         assert fx.executor.compaction_score(4) == 0.0  # bottom never
 
 
 class TestTieredExecution:
     def test_whole_level_merges_into_one_run_below(self):
         fx = ShapeFixture(
-            small_options(compaction_shape="tiering", tiering_run_trigger=2)
+            small_options(compaction_shape="tiering", l0_compaction_trigger=2)
         )
         fx.add_table(1, [b"a", b"z"])
         fx.add_table(1, [b"b", b"y"])
@@ -304,7 +305,7 @@ class TestTieredExecution:
 
     def test_bottom_consolidation_merges_runs_and_drops_tombstones(self):
         fx = ShapeFixture(
-            small_options(compaction_shape="tiering", tiering_run_trigger=2)
+            small_options(compaction_shape="tiering", l0_compaction_trigger=2)
         )
         fx.add_table(4, [b"a", b"k"])
         fx.add_table(4, [b"k"], kind=ValueKind.DELETE)  # newer tombstone
@@ -322,7 +323,7 @@ class TestTieredExecution:
 
     def test_pinned_router_composes_with_tiering(self):
         fx = ShapeFixture(
-            small_options(compaction_shape="tiering", tiering_run_trigger=2),
+            small_options(compaction_shape="tiering", l0_compaction_trigger=2),
             router=PinEverythingRouter(),
         )
         fx.add_table(1, [b"a", b"z"])

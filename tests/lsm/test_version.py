@@ -135,6 +135,15 @@ class TestLevelManifest:
         manifest.add_file(1, fx.table(b"e", b"g"))
         manifest.check_invariants()
 
+    def test_check_invariants_rejects_an_inverted_l0_file(self, fx):
+        manifest = LevelManifest(3)
+        manifest.add_file(0, fx.table(b"a", b"c"))
+        inverted = fx.table(b"e", b"g")
+        inverted.smallest_key, inverted.largest_key = b"g", b"e"
+        manifest.add_file(0, inverted)
+        with pytest.raises(CompactionError, match="inverted key range"):
+            manifest.check_invariants()
+
     def test_all_files_iterates_levels(self, fx):
         manifest = LevelManifest(3)
         t0 = fx.table(b"a", b"b")
@@ -194,8 +203,6 @@ def assert_index_matches_brute_force(manifest):
                 assert manifest.overlapping_files(level, lo, hi) == [
                     t for t in files if t.overlaps(lo, hi)
                 ], (level, lo, hi)
-        if level == 0:
-            continue
         for key in PROBES:
             seeked = manifest.seek_runs(level, key)
             assert [run for run, _ in seeked] == manifest.runs(level)
@@ -208,7 +215,7 @@ class TestFenceIndex:
     @given(ops=manifest_ops)
     def test_matches_brute_force_after_every_mutation(self, ops):
         fx = ManifestFixture()
-        manifest = LevelManifest(4, run_stacked_levels=STACKED)
+        manifest = LevelManifest(4, run_stacked_levels=(0, *STACKED))
         for op, level, arg in ops:
             if op == "add_file":
                 lo, hi = arg
