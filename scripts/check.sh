@@ -80,18 +80,6 @@ if ! explain_smoke; then
     exit 1
 fi
 
-# Non-gating: sharded-fleet smoke. A 2-shard fleet through the
-# consistent-hash router, device-pool overlay and merge path, fanned
-# out over 2 worker processes — exercising the multiprocessing path
-# itself. Determinism (jobs=1 == jobs=N, committed digests) is gated by
-# tests/fleet/; this smoke only proves the CLI runs end to end.
-echo "== fleet-smoke (non-gating) =="
-if ! python -m repro.bench fleet --shards 2 --tenants 2 \
-        --keys-per-tenant 1000 --ops 3000 --jobs 2 \
-        --sample-interval-ms 0.5; then
-    echo "fleet-smoke failed (non-gating); continuing"
-fi
-
 # Non-gating: perfbench self-tests and a quick benchmark pass. The
 # benchmark driver runs perfbench against every PR from outside; these
 # two steps surface a broken oracle or ledger here first. perfbench/tests

@@ -483,7 +483,7 @@ print({label!r}, peak_kib, *sorted(
 #: fleet's shard function costs (none when forked).
 POOL_WORKER = """
 import importlib.util, multiprocessing
-from repro.fleet.fanout import start_method
+from repro.bench.fanout import start_method
 sys.modules["__main__"].__spec__ = importlib.util.find_spec("perfbench.worker")
 method = start_method()
 print("method", 0, method, flush=True)
@@ -542,6 +542,7 @@ def run_fleet_heap(args) -> int:
     import tracemalloc
 
     from perfbench.workloads import SPECS, fleet_config
+    from repro.fleet.router import DEFAULT_VNODES
     from repro.fleet.runner import run_shard
     from repro.fleet.workload import owned_indices
 
@@ -549,7 +550,7 @@ def run_fleet_heap(args) -> int:
     tenant_keys = sum(tenant.key_count for tenant in config.tenants)
     gc.collect()
     tracemalloc.start()
-    per_tenant = owned_indices(config.tenants, config.shards, config.vnodes)  # the cached pass
+    per_tenant = owned_indices(config.tenants, config.shards, DEFAULT_VNODES)  # the cached pass
     ownership_bytes = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     print(f"{args.workload} seed {args.first_seed}: {config.shards} shards in-process, in order; "

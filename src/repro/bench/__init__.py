@@ -7,7 +7,6 @@ from repro.bench.harness import (
     build_system,
     run_experiment,
 )
-from repro.bench.replication import Replicated, run_replicated
 from repro.bench.reporting import format_experiment, format_table
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "WorkloadRunner",
     "build_system",
     "run_experiment",
-    "Replicated",
-    "run_replicated",
     "format_experiment",
     "format_table",
 ]

@@ -85,8 +85,6 @@ def _print_listing() -> None:
           " artifact or diff two")
     print("  sweep                  Compaction design-space grid"
           " (shapes x mixes x layouts) [simulation]")
-    print("  fleet                  Sharded fleet: consistent-hash router,"
-          " shared device pool, --jobs fan-out [simulation]")
 
 
 # ----------------------------------------------------------------------
@@ -227,12 +225,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return run_sweep(args)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet.cli import run_fleet_command
-
-    return run_fleet_command(args)
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -313,16 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_sweep_arguments(sweep_p)
     sweep_p.set_defaults(func=_cmd_sweep)
-
-    from repro.fleet.cli import add_fleet_arguments
-
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="sharded fleet: consistent-hash router, shared device pool, "
-             "multiprocessing fan-out (--jobs), merged artifact",
-    )
-    add_fleet_arguments(fleet_p)
-    fleet_p.set_defaults(func=_cmd_fleet)
 
     return parser
 

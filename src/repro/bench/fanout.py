@@ -1,32 +1,29 @@
-"""Process fan-out shared by the fleet runner and ``sweep --jobs``.
+"""Process fan-out shared by ``sweep --jobs`` and the fleet runner.
 
-One contract, two shapes: ``stream_fan_out(worker, payloads, jobs)``
-yields ``worker(p) for p in payloads`` — always in payload order,
-regardless of how many processes executed them or in what order they
-finished — and ``fan_out`` collects the same stream into a list.
-``jobs == 1`` runs inline (no pool, no pickling, easiest to debug);
-``jobs > 1`` starts a pool by :func:`start_method`: ``fork`` on Linux
-when the caller runs a single OS thread, else ``spawn``. A forked
-worker shares the caller's imports and warm caches copy-on-write, and
-inherits nothing that can change a result: the worker is pure, the
-caches (zeta sums, fnv prefix states, ownership columns) memoize pure
-functions, and with one thread no lock is held across the fork. Not
-``forkserver``: its workers are the server's children, so the caller's
-``RUSAGE_CHILDREN`` (fleet CPU and peak RSS in perfbench) misses them.
-Pool workers are never recycled: each one runs many payloads in turn and
-keeps its per-process caches across them, so a worker call must leave
-nothing of its own alive when it returns (the fleet's ``run_shard``
-frees its engine by reference counting). An exception a worker raises
-is re-raised here, in payload order; the fleet wraps its own as
-:class:`~repro.errors.ShardError` so it names the failing shard.
+``stream_fan_out(worker, payloads, jobs)`` yields ``worker(p) for p in
+payloads`` — always in payload order, regardless of how many processes
+executed them or in what order they finished. ``jobs == 1`` runs inline
+(no pool, no pickling, easiest to debug); ``jobs > 1`` starts a pool by
+:func:`start_method`: ``fork`` on Linux when the caller runs a single
+OS thread, else ``spawn``. A forked worker shares the caller's imports
+and warm caches copy-on-write, and inherits nothing that can change a
+result: the worker is pure, the caches (zeta sums, fnv prefix states,
+ownership columns) memoize pure functions, and with one thread no lock
+is held across the fork. Not ``forkserver``: its workers are the
+server's children, so the caller's ``RUSAGE_CHILDREN`` (fleet CPU and
+peak RSS in perfbench) misses them. Pool workers are never recycled:
+each one runs many payloads in turn and keeps its per-process caches
+across them, so a worker call must leave nothing of its own alive when
+it returns (the fleet's ``run_shard`` frees its engine by reference
+counting). An exception a worker raises is re-raised here, in payload
+order; the fleet wraps its own as :class:`~repro.errors.ShardError` so
+it names the failing shard.
 
-The streaming shape exists for the fleet router: ``Pool.imap`` hands
-each result over the moment its payload-order turn comes up, so the
-router decodes and folds shard artifacts while later shards are still
-simulating, instead of buffering every result behind a ``Pool.map``
-barrier. Order is still payload order — ``imap`` (unlike
-``imap_unordered``) never reorders — so consumers see exactly the
-sequence ``fan_out`` would have returned.
+Results stream: ``Pool.imap`` hands each result over the moment its
+payload-order turn comes up, so a consumer (the sweep's progress lines,
+the fleet's artifact merge) works on early results while later payloads
+are still simulating, instead of waiting behind a ``Pool.map`` barrier.
+``imap`` (unlike ``imap_unordered``) never reorders.
 
 Requirements on callers (enforced by pickle, documented here):
 
@@ -87,9 +84,3 @@ def stream_fan_out(
         # so letting the pool batch them would only serialize stragglers.
         yield from pool.imap(worker, payloads, chunksize=1)
 
-
-def fan_out(
-    worker: Callable[[_P], _R], payloads: Sequence[_P], jobs: int = 1
-) -> list[_R]:
-    """Run ``worker`` over ``payloads`` with up to ``jobs`` processes."""
-    return list(stream_fan_out(worker, payloads, jobs))

@@ -60,7 +60,7 @@ class SystemConfig:
     compaction_shape: str = "leveling"
     #: WAL group-commit factor (1 = sync every append, the paper's
     #: configuration). The fleet router raises it to model router-side
-    #: batched WAL (see repro.fleet / docs/FLEET.md).
+    #: batched WAL (see docs/FLEET.md).
     wal_sync_every: int = 1
     clients: int = 8
     seed: int = 0
@@ -79,7 +79,10 @@ class SystemConfig:
 
 
 def check_runner_options(
-    *, clients: int, sample_interval_ms: float | None, attribution_sample_every: int | None
+    *,
+    clients: int,
+    sample_interval_ms: float | None,
+    attribution_sample_every: int | None = None,
 ) -> None:
     """The :class:`WorkloadRunner` argument rules, checkable before any engine exists."""
     if clients < 1:
@@ -169,7 +172,7 @@ class RunResult:
     attribution: dict = field(default_factory=dict)
     #: Fleet provenance block (shard count, router stats, device-pool
     #: contention overlay, per-shard summaries) when this result is a
-    #: merged fleet run (see repro.fleet / docs/FLEET.md); empty dict
+    #: merged fleet run (see docs/FLEET.md); empty dict
     #: for ordinary single-instance runs, and omitted from the JSON
     #: artifact so pre-fleet artifacts stay byte-identical on re-save.
     fleet: dict = field(default_factory=dict)

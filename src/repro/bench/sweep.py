@@ -147,7 +147,7 @@ def _sweep_cell_worker(
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    from repro.fleet.fanout import stream_fan_out
+    from repro.bench.fanout import stream_fan_out
 
     cells = [
         (layout, read_pct, shape)

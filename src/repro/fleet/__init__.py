@@ -17,14 +17,16 @@ rather than per-shard silos:
   queueing penalty inflates every shard's read tail (one shard's
   compaction storm is its neighbours' problem).
 * :func:`run_fleet` / :class:`FleetConfig` — fans shards out across a
-  ``multiprocessing`` pool and merges the per-shard
-  :class:`~repro.bench.harness.RunResult` artifacts into one fleet
-  result whose bytes are identical for any ``--jobs`` value.
+  ``multiprocessing`` pool (:mod:`repro.bench.fanout`) and merges the
+  per-shard :class:`~repro.bench.harness.RunResult` artifacts into one
+  fleet result whose bytes are identical for any ``jobs`` value.
+
+A library, not a command: perfbench's ``fleet-mixed`` workload and the
+tier-1 tests under ``tests/fleet`` are what run it.
 
 See ``docs/FLEET.md`` for the contracts and the determinism rules.
 """
 
-from repro.fleet.fanout import fan_out
 from repro.fleet.merge import merge_run_results
 from repro.fleet.pool import DevicePool, PoolParams
 from repro.fleet.router import ConsistentHashRouter
@@ -38,7 +40,6 @@ __all__ = [
     "PoolParams",
     "ShardWorkload",
     "TenantSpec",
-    "fan_out",
     "merge_run_results",
     "run_fleet",
     "run_shard",

@@ -21,10 +21,11 @@ global top-K) or is a documented deterministic approximation:
 * **wear** — per-tier mean across shards (each shard wrote its own
   device image); **lifetime** — min (the fleet replaces a tier when its
   worst device dies).
-* **metrics / timeline / attribution** — the dedicated merge functions
-  in ``repro.obs`` (see their docstrings for exact-vs-approximate).
+* **metrics / timeline** — the dedicated merge functions in
+  ``repro.obs`` (see their docstrings for exact-vs-approximate).
+* **attribution** — left empty: no shard attributes per-request latency.
 
-``tests/fleet/test_merge_properties.py`` pins the exactness claims
+``tests/fleet/test_merge.py`` pins the exactness claims
 against a single recorder fed the combined stream.
 
 The merge is exposed two ways: :class:`ShardAccumulator` folds results
@@ -41,7 +42,6 @@ from __future__ import annotations
 from repro.bench.harness import RunResult
 from repro.common.stats import LatencySummary
 from repro.errors import ConfigError
-from repro.obs.attribution import merge_attributions
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import merge_timelines
 
@@ -101,8 +101,9 @@ _FOLDED = (
     "device_write_bytes", "device_wear_cycles",
 )
 #: Fields with a rule of their own in :meth:`ShardAccumulator.add` or
-#: :meth:`ShardAccumulator.finish`. ``label`` is the caller's and
-#: ``fleet`` the router's, so neither is merged.
+#: :meth:`ShardAccumulator.finish` (``attribution``'s: it stays empty).
+#: ``label`` is the caller's and ``fleet`` the router's, so neither is
+#: merged.
 _EXPLICIT = (
     "system", "layout_code", "elapsed_usec", "read_latency", "update_latency",
     "scan_latency", "read_latency_by_source", "cache_hit_rate",
@@ -119,9 +120,9 @@ class ShardAccumulator:
     overlaps the slowest shard's simulation instead of waiting behind a
     barrier. All scalar/dict accumulators are left-to-right reductions
     in ``add`` order, so feeding shards in shard order produces a
-    bit-identical artifact. Only the three blocks whose merge functions
-    need the full collection (metrics registry, timeline, attribution)
-    are deferred to :meth:`finish`.
+    bit-identical artifact. Only the two blocks whose merge functions
+    need the full collection (metrics registry, timeline) are deferred
+    to :meth:`finish`.
     """
 
     def __init__(self) -> None:
@@ -134,7 +135,6 @@ class ShardAccumulator:
         self._lifetimes: dict[str, float] = {}
         self._metrics: list[dict] = []
         self._timelines: list[dict] = []
-        self._attributions: list[dict] = []
 
     def __len__(self) -> int:
         return self._count
@@ -169,7 +169,6 @@ class ShardAccumulator:
             )
         self._metrics.append(result.metrics)
         self._timelines.append(result.timeline)
-        self._attributions.append(result.attribution)
 
     def finish(self, *, label: str = "fleet") -> RunResult:
         """Merge the deferred blocks and build the fleet-level result."""
@@ -213,7 +212,6 @@ class ShardAccumulator:
             device_lifetime_years=self._lifetimes,
             metrics=metrics,
             timeline=merge_timelines(self._timelines),
-            attribution=merge_attributions(self._attributions),
             **sums,
             **folds,
         )

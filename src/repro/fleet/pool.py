@@ -8,7 +8,7 @@ neighbours and inflates their read tails.
 
 The pool is an **analytic overlay**, deliberately not a live shared
 object. Shards simulate fully independently (that independence is what
-makes fleet results bit-identical for any ``--jobs`` value); the pool
+makes fleet results bit-identical for any ``jobs`` value); the pool
 then recomputes contention from the *merged* fleet timeline, which is
 itself a pure function of the per-shard results:
 

@@ -1,19 +1,19 @@
 """Consistent-hash request router over a fleet of shards.
 
 The router is the fleet's single source of truth for key placement: the
-workload generator uses it to decide which keys a shard owns, and the
-fleet CLI uses it to report balance. It must therefore be *process
-stable* — every worker process, every run, every platform must map a key
-to the same shard. Python's ``hash()`` is salted per process, so both
-the ring points and the key hashes use :func:`~repro.common.rng.fnv1a_64`.
+workload generator uses it to decide which keys a shard owns. It must
+therefore be *process stable* — every worker process, every run, every
+platform must map a key to the same shard. Python's ``hash()`` is salted
+per process, so both the ring points and the key hashes use
+:func:`~repro.common.rng.fnv1a_64`.
 
 Standard construction (Karger-style ring with virtual nodes): each shard
 contributes ``vnodes`` points at ``fnv1a_64(b"shard<i>#<v>")``; a key
 lands on the first ring point clockwise from ``fnv1a_64(key)``. More
 virtual nodes flatten the ownership imbalance at O(shards * vnodes)
-setup cost; the default 64 keeps the max/mean key-count ratio within a
-few percent for the fleet sizes the harness runs (tested in
-``tests/fleet/test_router.py``).
+setup cost; the fleet's 64 (:data:`DEFAULT_VNODES`) keeps the max/mean
+key-count ratio within a few percent for the fleet sizes the harness
+runs (tested in ``tests/fleet/test_router.py``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from repro.common.rng import fnv1a_64
 from repro.errors import ConfigError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Virtual nodes per shard on every fleet ring.
+DEFAULT_VNODES = 64
 
 
 def _mix64(value: int) -> int:
@@ -53,7 +56,7 @@ def ring_hash(data: bytes) -> int:
 class ConsistentHashRouter:
     """Maps keys to shard ids via an fnv1a-64 hash ring."""
 
-    def __init__(self, num_shards: int, *, vnodes: int = 64) -> None:
+    def __init__(self, num_shards: int, *, vnodes: int = DEFAULT_VNODES) -> None:
         if num_shards < 1:
             raise ConfigError(f"num_shards must be >= 1: {num_shards}")
         if vnodes < 1:

@@ -21,7 +21,7 @@ pins to committed digests:
   the ordered result sequence.
 
 Therefore the merged fleet artifact is **bit-identical for any
-``--jobs`` value** — ``--jobs`` buys wall-clock time and nothing else.
+``jobs`` value** — ``jobs`` buys wall-clock time and nothing else.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.codec import decode_result, encode_result
+from repro.bench.fanout import stream_fan_out
 from repro.bench.harness import (
     RunResult,
     SystemConfig,
@@ -38,17 +39,20 @@ from repro.bench.harness import (
 )
 from repro.common.rng import derive_seed
 from repro.errors import ConfigError, ShardError
-from repro.fleet.fanout import stream_fan_out
 from repro.fleet.merge import ShardAccumulator
-from repro.fleet.pool import DevicePool, PoolParams
-from repro.fleet.router import ConsistentHashRouter
+from repro.fleet.pool import DevicePool
+from repro.fleet.router import DEFAULT_VNODES, ConsistentHashRouter
 from repro.fleet.workload import ShardOwnership, ShardWorkload, TenantSpec, check_tenants
+
+#: Router-side group commit: the router batches WAL appends before
+#: acknowledging, so each shard syncs every N-th append.
+GROUP_COMMIT = 8
 
 
 def default_tenants(
     count: int = 2, *, keys_per_tenant: int = 20_000, zipf_theta: float = 0.99
 ) -> tuple[TenantSpec, ...]:
-    """A homogeneous tenant set for smokes and CLI defaults."""
+    """A homogeneous tenant set for smokes and tests."""
     if count < 1:
         raise ConfigError(f"tenant count must be >= 1: {count}")
     return tuple(
@@ -75,33 +79,20 @@ class FleetConfig:
     warmup_operations: int = 0
     clients: int = 8
     seed: int = 0
-    vnodes: int = 64
-    #: Router-side group commit: the router batches WAL appends before
-    #: acknowledging, so each shard syncs every N-th append.
-    group_commit: int = 8
-    oversubscription: float = 2.0
     cache_fraction: float = 0.10
-    pinning_threshold: float = 0.10
     sample_interval_ms: float = 10.0
-    attribution_sample_every: int | None = None
-    slow_op_k: int = 8
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1: {self.shards}")
         if self.total_operations < 0 or self.warmup_operations < 0:
             raise ConfigError("operation counts must be non-negative")
-        if self.group_commit < 1:
-            raise ConfigError(f"group_commit must be >= 1: {self.group_commit}")
         # Build what every shard builds from the other fields, so a bad
         # value fails here, in the router, before any worker starts.
         check_tenants(self.tenants)
-        ConsistentHashRouter(self.shards, vnodes=self.vnodes)
         self.system_config(0)
         check_runner_options(
-            clients=self.clients,
-            sample_interval_ms=self.sample_interval_ms,
-            attribution_sample_every=self.attribution_sample_every,
+            clients=self.clients, sample_interval_ms=self.sample_interval_ms
         )
 
     def shard_seed(self, shard_id: int) -> int:
@@ -113,8 +104,7 @@ class FleetConfig:
             system=self.system,
             layout_code=self.layout_code,
             cache_fraction=self.cache_fraction,
-            pinning_threshold=self.pinning_threshold,
-            wal_sync_every=self.group_commit,
+            wal_sync_every=GROUP_COMMIT,
             clients=self.clients,
             seed=self.shard_seed(shard_id),
         )
@@ -147,7 +137,7 @@ def run_shard(config: FleetConfig, shard_id: int) -> RunResult:
     by reference counting when it returns, so a worker that runs many
     shards holds one engine at a time.
     """
-    router = ConsistentHashRouter(config.shards, vnodes=config.vnodes)
+    router = ConsistentHashRouter(config.shards)
     # One pass hashes every tenant key onto the ring; both op splits and
     # the workload's owned-key lists derive from it.
     ownership = ShardOwnership(config.tenants, router, shard_id)
@@ -165,11 +155,7 @@ def run_shard(config: FleetConfig, shard_id: int) -> RunResult:
     system_config = config.system_config(shard_id)
     db = build_system(system_config, workload)
     runner = WorkloadRunner(
-        db,
-        clients=config.clients,
-        sample_interval_ms=config.sample_interval_ms,
-        attribution_sample_every=config.attribution_sample_every,
-        slow_op_k=config.slow_op_k,
+        db, clients=config.clients, sample_interval_ms=config.sample_interval_ms
     )
     runner.load(workload)
     if workload.config.warmup_operations > 0:
@@ -211,10 +197,9 @@ def _shard_worker(payload: tuple[FleetConfig, int]) -> bytes:
 def run_fleet(config: FleetConfig, *, jobs: int = 1) -> RunResult:
     """Run every shard (``jobs`` processes) and merge into one result.
 
-    Wall-clock timing is deliberately the *caller's* job (the CLI wraps
-    this call): the returned result — including its
-    JSON artifact bytes — must be a pure function of ``config``, never
-    of ``jobs`` or elapsed real time.
+    Wall-clock timing is deliberately the *caller's* job: the returned
+    result — including its JSON artifact bytes — must be a pure function
+    of ``config``, never of ``jobs`` or elapsed real time.
     """
     payloads = [(config, shard_id) for shard_id in range(config.shards)]
     accumulator = ShardAccumulator()
@@ -243,9 +228,7 @@ def run_fleet(config: FleetConfig, *, jobs: int = 1) -> RunResult:
         label=f"fleet/{config.system}/{config.shards}shards"
     )
 
-    pool = DevicePool(
-        config.shards, PoolParams(oversubscription=config.oversubscription)
-    )
+    pool = DevicePool(config.shards)
     contention = pool.contention(merged.timeline)
     penalty = contention["penalty"]
     merged.read_latency = DevicePool.apply_penalty(merged.read_latency, penalty)
@@ -258,8 +241,8 @@ def run_fleet(config: FleetConfig, *, jobs: int = 1) -> RunResult:
     merged.fleet = {
         "schema": 1,
         "shards": config.shards,
-        "vnodes": config.vnodes,
-        "group_commit": config.group_commit,
+        "vnodes": DEFAULT_VNODES,
+        "group_commit": GROUP_COMMIT,
         "tenants": [
             {
                 "name": tenant.name,

@@ -28,7 +28,6 @@ from repro.obs.attribution import (
     attribution_table,
     band_breakdown,
     diff_attribution,
-    merge_attributions,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -51,7 +50,6 @@ __all__ = [
     "attribution_table",
     "band_breakdown",
     "diff_attribution",
-    "merge_attributions",
     "Counter",
     "Gauge",
     "Histogram",

@@ -490,84 +490,3 @@ def diff_attribution(
         "explained_fraction": explained / delta_total if delta_total else 1.0,
         "contributors": contributors,
     }
-
-
-def merge_attributions(exports: list[dict]) -> dict:
-    """Merge per-shard :meth:`LatencyAttribution.to_dict` exports.
-
-    The fleet merge path for per-request provenance. Bucket cells are
-    keyed by the shared global latency bounds, so summing their counts,
-    totals and parts per (op, bucket) reproduces exactly what one
-    aggregator observing the combined stream would have accumulated —
-    band tables over the merged export equal combined-stream band tables.
-    The slow-op log takes the globally slowest ``slow_k`` entries across
-    shards (exact, ties broken by input order then sequence number); the
-    reservoir examples concatenate in input order and truncate to
-    ``reservoir_k`` (a deterministic stand-in, not a uniform re-sample).
-    A pure function of the input list: worker-count invariant.
-    """
-    exports = [e for e in exports if e]
-    if not exports:
-        return {}
-    first = exports[0]
-    bounds = list(first["bounds"])
-    for export in exports:
-        if list(export["bounds"]) != bounds:
-            raise ValueError("cannot merge attributions with differing bounds")
-        if export["schema"] != first["schema"]:
-            raise ValueError("cannot merge attributions with differing schemas")
-    ops: dict[str, dict] = {}
-    for export in exports:
-        for op in sorted(export["ops"]):
-            info = export["ops"][op]
-            target = ops.setdefault(op, {"count": 0, "total_usec": 0.0, "buckets": {}})
-            target["count"] += info["count"]
-            target["total_usec"] += info["total_usec"]
-            for bucket in info["buckets"]:
-                cell = target["buckets"].setdefault(
-                    bucket["index"], {"count": 0, "total_usec": 0.0, "parts": {}}
-                )
-                cell["count"] += bucket["count"]
-                cell["total_usec"] += bucket["total_usec"]
-                parts = cell["parts"]
-                for key, usec in bucket["parts"].items():
-                    parts[key] = parts.get(key, 0.0) + usec
-    merged_ops = {
-        op: {
-            "count": info["count"],
-            "total_usec": info["total_usec"],
-            "buckets": [
-                {
-                    "index": index,
-                    "count": cell["count"],
-                    "total_usec": cell["total_usec"],
-                    "parts": {key: cell["parts"][key] for key in sorted(cell["parts"])},
-                }
-                for index, cell in sorted(info["buckets"].items())
-            ],
-        }
-        for op, info in sorted(ops.items())
-    }
-    slow_k = max(e["slow_k"] for e in exports)
-    slow_entries = []
-    for position, export in enumerate(exports):
-        for entry in export["slow_ops"]:
-            entry = dict(entry)
-            entry["shard"] = position
-            slow_entries.append(entry)
-    slow_entries.sort(key=lambda e: (-e["total_usec"], e["shard"], e["seq"]))
-    reservoir_k = max(e["reservoir_k"] for e in exports)
-    examples = [dict(entry) for export in exports for entry in export["examples"]]
-    return {
-        "schema": first["schema"],
-        "seed": first["seed"],
-        "sample_every": first["sample_every"],
-        "slow_k": slow_k,
-        "reservoir_k": reservoir_k,
-        "bounds": bounds,
-        "ops_offered": sum(e["ops_offered"] for e in exports),
-        "ops_sampled": sum(e["ops_sampled"] for e in exports),
-        "ops": merged_ops,
-        "slow_ops": slow_entries[:slow_k],
-        "examples": examples[:reservoir_k],
-    }

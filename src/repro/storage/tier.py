@@ -56,7 +56,7 @@ class StorageTier:
     @property
     def utilization(self) -> float:
         """Used fraction of nominal capacity (can exceed 1.0 within slack)."""
-        return self._used_bytes / self.capacity_bytes
+        return self._used_bytes / self.nominal_bytes
 
     def allocate(self, n_bytes: int) -> None:
         """Reserve ``n_bytes``; raises :class:`CapacityError` past slack.

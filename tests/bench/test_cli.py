@@ -19,6 +19,11 @@ class TestCli:
         assert main(["fig99"]) == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_the_fleet_is_not_a_subcommand(self, capsys):
+        # The fleet is a library (perfbench's fleet-mixed and tests/fleet run it).
+        assert main(["fleet"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_analytic_experiments_run(self, capsys):
         assert main(["run", "table1", "table3"]) == 0
         out = capsys.readouterr().out

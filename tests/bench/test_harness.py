@@ -138,6 +138,12 @@ class TestWorkloadRunner:
         with pytest.raises(ConfigError):
             WorkloadRunner(db, clients=0)
 
+    def test_bad_attribution_sample_every_rejected(self):
+        workload = YCSBWorkload(SMALL)
+        db = build_system(SystemConfig(system="rocksdb"), workload)
+        with pytest.raises(ConfigError, match="attribution_sample_every must be >= 1"):
+            WorkloadRunner(db, attribution_sample_every=0)
+
     @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
     def test_engine_freed_by_refcount_after_result(self, system):
         # Sampler and attribution on: the two parts that once tied the

@@ -3,12 +3,13 @@
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 
 import pytest
 
-from repro.bench import sweep
+from repro.bench import fanout, sweep
 from repro.bench.cli import main
 from repro.bench.compare import comparable_scalars
 from repro.bench.harness import RunResult
@@ -174,10 +175,17 @@ class TestSweepCli:
         assert code == 0
         assert events == ["result", "[1/2]", "result", "[2/2]"]
 
-    def test_jobs_do_not_change_the_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", [
+        pytest.param("fork", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="no fork on this platform")),
+        "spawn",
+    ])
+    def test_jobs_do_not_change_the_artifacts(self, method, tmp_path, capsys, monkeypatch):
         # Cells are independent seeded runs, so fanning them over a
-        # process pool must leave sweep.json and every cell artifact
-        # byte-identical to the inline run.
+        # process pool, started by either method, must leave sweep.json
+        # and every cell artifact byte-identical to the inline run.
+        monkeypatch.setattr(fanout, "start_method", lambda: method)
         grids = {}
         for jobs in ("1", "2"):
             out = str(tmp_path / f"jobs{jobs}")

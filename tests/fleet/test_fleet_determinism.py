@@ -31,7 +31,7 @@ import threading
 import pytest
 
 from repro.bench.compare import comparable_scalars
-from repro.fleet import fanout
+from repro.bench import fanout
 from repro.fleet.runner import FleetConfig, default_tenants, run_fleet
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -98,7 +98,7 @@ class TestWorkerCountInvariance:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is Linux-only")
     def test_a_single_threaded_caller_on_linux_gets_fork(self):
-        code = "from repro.fleet.fanout import start_method; print(start_method())"
+        code = "from repro.bench.fanout import start_method; print(start_method())"
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -3,8 +3,7 @@
 The fleet's worker-count invariance rests on every merge being a pure
 function that reproduces what a single observer of the combined stream
 would have recorded. These tests pin that property for each layer:
-MetricsRegistry snapshots, timelines, attribution exports, and the full
-RunResult merge.
+MetricsRegistry snapshots, timelines, and the full RunResult merge.
 """
 
 from dataclasses import fields

@@ -16,7 +16,6 @@ import weakref
 
 import pytest
 
-from repro.bench.cli import main
 from repro.bench.harness import SystemConfig
 from repro.errors import ConfigError, ReproError, ShardError
 from repro.fleet import runner as fleet_runner
@@ -53,19 +52,16 @@ def test_run_shard_frees_its_engine_on_return(system, monkeypatch, no_cyclic_gc)
         total_operations=1_500,
         warmup_operations=200,
         sample_interval_ms=0.5,
-        attribution_sample_every=4,
     )
     result = run_shard(config, 0)
-    assert len(result.timeline["t_ms"]) > 0 and result.attribution
+    assert len(result.timeline["t_ms"]) > 0
     assert len(engines) == 1
     assert engines[0]() is None, "a reference cycle kept the shard's engine alive"
 
 
 def empty_shard_config() -> FleetConfig:
-    # One vnode per shard and one key: shard 0 owns it, shard 1 owns nothing.
-    return FleetConfig(
-        shards=2, tenants=(TenantSpec("t", key_count=1),), vnodes=1, total_operations=10
-    )
+    # One key, and the ring puts tenant "b"'s on shard 0: shard 1 owns nothing.
+    return FleetConfig(shards=2, tenants=(TenantSpec("b", key_count=1),), total_operations=10)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -90,13 +86,9 @@ def test_failing_shard_names_itself_and_its_repro(jobs):
 
 #: A bad value per field, and the rule that rejects it where it is built.
 BAD_CONFIGS = {
-    "vnodes": (lambda: FleetConfig(vnodes=0), "vnodes must be >= 1"),
     "clients": (lambda: FleetConfig(clients=0), "clients must be >= 1"),
     "sample_interval_ms": (
         lambda: FleetConfig(sample_interval_ms=0), "interval_ms must be positive"
-    ),
-    "attribution_sample_every": (
-        lambda: FleetConfig(attribution_sample_every=0), "attribution_sample_every must be >= 1"
     ),
     "no tenants": (lambda: FleetConfig(tenants=()), "at least one tenant"),
     "duplicate tenants": (
@@ -123,8 +115,3 @@ def test_a_bad_config_fails_where_it_is_built(case):
     build, message = BAD_CONFIGS[case]
     with pytest.raises(ReproError, match=message):
         build()
-
-
-def test_a_bad_fleet_flag_prints_one_error_line(capsys):
-    assert main(["fleet", "--vnodes", "0"]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: vnodes must be >= 1: 0"]

@@ -23,6 +23,13 @@ class TestStorageTier:
         assert tier.capacity_bytes - tier.used_bytes == 6 * MIB
         assert tier.utilization == pytest.approx(0.4)
 
+    def test_utilization_is_a_fraction_of_nominal_capacity(self):
+        # Layouts give a tier headroom beyond its nominal bytes; a tier
+        # holding exactly its nominal bytes is full, not a quarter full.
+        tier = make_tier(capacity=40 * MIB, nominal_bytes=10 * MIB)
+        tier.allocate(10 * MIB)
+        assert tier.utilization == pytest.approx(1.0)
+
     def test_release_returns_capacity(self):
         tier = make_tier(capacity=10 * MIB)
         tier.allocate(4 * MIB)

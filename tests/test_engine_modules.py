@@ -56,8 +56,7 @@ for system in ("prismdb", "rocksdb", "mutant"):
     runner.result(system, config, runner.run(workload))
 config = fleet_runner.FleetConfig(
     shards=2, tenants=fleet_runner.default_tenants(2, keys_per_tenant=400),
-    total_operations=400, warmup_operations=50,
-    sample_interval_ms=0.5, attribution_sample_every=4)
+    total_operations=400, warmup_operations=50, sample_interval_ms=0.5)
 fleet_runner.run_shard(config, 0)
 """
 
