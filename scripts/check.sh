@@ -94,18 +94,6 @@ if ! python -m perfbench run --quick; then
     echo "perfbench quick run failed (non-gating); continuing"
 fi
 
-# Non-gating: one interleaved parent/change pair of the write-heavy
-# benchmark workload at --quick sizes, working tree against HEAD
-# (scripts/perf_pairs.py; a clean tree compares HEAD with itself). One
-# smoke-sized pair resolves nothing about speed; what it checks is that
-# every sim_* metric and the failed count are identical on both sides.
-# Its verdicts read "unresolved": "lower"/"higher" needs 10+ pairs (verdict()).
-echo "== perf-pairs smoke (non-gating) =="
-if ! python scripts/perf_pairs.py --parent HEAD --workload write-heavy \
-        --pairs 1 --quick; then
-    echo "perf-pairs smoke failed or simulated results differ (non-gating); continuing"
-fi
-
 # Non-gating: what the read-hot run keeps alive at --quick op counts —
 # tracemalloc's top allocation sites after load and after the run, the
 # heap bytes per record beyond the tables' own bytes, and what the run

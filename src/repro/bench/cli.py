@@ -2,17 +2,17 @@
 
 Usage::
 
-    python -m repro.bench list                      # catalogue + subcommands
+    python -m repro.bench                           # catalogue + subcommands
     python -m repro.bench run table1 fig4 table3    # analytic, fast
-    python -m repro.bench run fig9a --profile       # + cProfile hot spots
     python -m repro.bench report --metrics          # registry-driven report
     python -m repro.bench report --save run.json    # persist a run artifact
-    python -m repro.bench timeline --series throughput_kops
+    python -m repro.bench timeline run.json --series throughput_kops
     python -m repro.bench compare a.json b.json --tolerance 5
     python -m repro.bench explain run.json         # latency attribution table
     python -m repro.bench explain a.json b.json    # decompose the p99 delta
     python -m repro.bench sweep --out results/sweep # compaction design space
     REPRO_BENCH_SCALE=quick python -m repro.bench run all
+    python -m cProfile -s cumulative -m repro.bench run fig9a  # hot spots
 
 Exit codes: 0 on success, 1 when ``compare`` finds a regression beyond
 tolerance, 2 on usage errors / unknown experiments.
@@ -78,8 +78,7 @@ def _print_listing() -> None:
         print(f"  {name:22s} {title} [{kind}]")
     print("  report                 Registry-driven run report"
           " (see --help) [simulation]")
-    print("  timeline               Time-series view of one run"
-          " (see --help) [simulation]")
+    print("  timeline               Time-series view of a saved run artifact")
     print("  compare                Regression-gated diff of two run artifacts")
     print("  explain                Per-request latency attribution: render one"
           " artifact or diff two")
@@ -90,46 +89,17 @@ def _print_listing() -> None:
 # ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
-def _cmd_list(_args: argparse.Namespace) -> int:
-    _print_listing()
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not args.names:
-        _print_listing()
-        return 0
     names = list(EXPERIMENTS) if args.names == ["all"] else args.names
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-
-    def execute() -> None:
-        runner = exp.shared_runner()
-        for name in names:
-            title, func, needs_runner = EXPERIMENTS[name]
-            headers, rows = func(runner) if needs_runner else func()
-            print(format_experiment(title, headers, rows))
-
-    if not args.profile:
-        execute()
-        return 0
-    # Profile the whole batch (simulation included) and append the top
-    # functions by cumulative wall time — the view that surfaces which
-    # simulator layer a slow experiment actually spends its time in.
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        execute()
-    finally:
-        profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    print(f"\n--- cProfile: top {args.profile_limit} by cumulative time ---")
-    stats.strip_dirs().sort_stats("cumulative").print_stats(args.profile_limit)
+    runner = exp.shared_runner()
+    for name in names:
+        title, func, needs_runner = EXPERIMENTS[name]
+        headers, rows = func(runner) if needs_runner else func()
+        print(format_experiment(title, headers, rows))
     return 0
 
 
@@ -139,41 +109,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return run_report(args)
 
 
-def _timeline_from_args(args: argparse.Namespace) -> dict:
-    """Load a saved artifact's timeline or run a fresh sampled workload."""
-    if args.artifact:
-        from repro.bench.harness import RunResult
-
-        result = RunResult.load(args.artifact)
-        if not result.timeline:
-            raise ValueError(
-                f"artifact {args.artifact} has no timeline; re-run with "
-                f"`report --save --sample-interval-ms N`"
-            )
-        return result.timeline
-    from repro.bench.harness import SystemConfig, run_experiment
-    from repro.workloads.ycsb import YCSBConfig
-
-    workload_config = YCSBConfig.read_update(
-        args.read_pct,
-        record_count=args.records,
-        operation_count=args.ops,
-        seed=args.seed,
-    )
-    system_config = SystemConfig(
-        system=args.system, layout_code=args.layout, seed=args.seed
-    )
-    result = run_experiment(
-        system_config, workload_config, sample_interval_ms=args.interval_ms
-    )
-    if args.save:
-        result.save(args.save)
-        print(f"saved run artifact to {args.save}", file=sys.stderr)
-    return result.timeline
-
-
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    timeline = _timeline_from_args(args)
+    from repro.bench.harness import RunResult
+
+    timeline = RunResult.load(args.artifact).timeline
+    if not timeline:
+        raise ValueError(
+            f"artifact {args.artifact} has no timeline; re-run with "
+            f"`report --save FILE --sample-interval-ms N`"
+        )
     available = sorted(timeline.get("series", {}))
     if args.list_series:
         for name in available:
@@ -230,27 +174,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     from repro.bench.compare import add_compare_arguments
-    from repro.bench.report import add_report_arguments, add_workload_arguments
+    from repro.bench.report import add_report_arguments
 
     parser = argparse.ArgumentParser(
         prog="repro.bench",
         description="Regenerate paper artifacts and inspect runs.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     run_p = sub.add_parser(
         "run", help="run experiments by name ('all' for every one)"
     )
-    run_p.add_argument("names", nargs="*", metavar="EXPERIMENT",
-                       help="experiment names (see `list`); 'all' runs everything")
-    run_p.add_argument("--profile", action="store_true",
-                       help="wrap the run in cProfile and print hot functions")
-    run_p.add_argument("--profile-limit", type=int, default=25, metavar="N",
-                       help="profile rows to print (default: 25)")
+    run_p.add_argument("names", nargs="+", metavar="EXPERIMENT",
+                       help="experiment names (listed by the bare command); "
+                            "'all' runs everything")
     run_p.set_defaults(func=_cmd_run)
-
-    list_p = sub.add_parser("list", help="list experiments and subcommands")
-    list_p.set_defaults(func=_cmd_list)
 
     report_p = sub.add_parser(
         "report", help="run one workload and report from the metrics registry"
@@ -260,11 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     timeline_p = sub.add_parser(
         "timeline",
-        help="sample a run's registry into time series and render them",
+        help="render the time series of a run artifact saved by `report --save`",
     )
-    add_workload_arguments(timeline_p)
-    timeline_p.add_argument("--artifact", metavar="FILE", default=None,
-                            help="render a saved run artifact instead of running")
+    timeline_p.add_argument("artifact", metavar="ARTIFACT",
+                            help="run artifact written by `report --save`")
     timeline_p.add_argument("--series", action="append", metavar="NAME",
                             help="series to render (repeatable; default: a "
                                  "standard set)")
@@ -272,12 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print available series names and exit")
     timeline_p.add_argument("--format", default="sparkline",
                             choices=("sparkline", "table", "csv", "json"))
-    timeline_p.add_argument("--interval-ms", type=float, default=10.0,
-                            help="sampling interval in simulated ms (default: 10)")
     timeline_p.add_argument("--out", metavar="FILE", default=None,
                             help="write the rendering here instead of stdout")
-    timeline_p.add_argument("--save", metavar="FILE", default=None,
-                            help="also persist the fresh run as a JSON artifact")
     timeline_p.set_defaults(func=_cmd_timeline)
 
     compare_p = sub.add_parser(
@@ -320,9 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on --help (0) and usage (2)
         code = exc.code
         return code if isinstance(code, int) else 2
-    if getattr(namespace, "func", None) is None:
-        _print_listing()
-        return 0
     from repro.errors import ReproError
 
     try:

@@ -40,7 +40,7 @@ def _load_attribution(path: str) -> dict | None:
     """The artifact's attribution block, or None (with a hint) if absent.
 
     Raises :class:`ConfigError` naming the file when the block is
-    malformed.
+    malformed or recorded with a layout this build does not read.
     """
     result = RunResult.load(path)
     if not result.attribution:
@@ -51,6 +51,12 @@ def _load_attribution(path: str) -> dict | None:
         return None
     try:
         LatencyAttribution.from_dict(result.attribution)
+    except ConfigError as exc:
+        raise ConfigError(
+            f"artifact {path} was recorded with an attribution layout this "
+            f"build does not read ({exc}); re-record it with "
+            f"`repro.bench report --save FILE --attribution`"
+        ) from exc
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"artifact {path} has a malformed attribution block: "
@@ -67,11 +73,8 @@ def _explain_one(path: str, data: dict, args: argparse.Namespace) -> int:
     if not rows:
         print(f"error: artifact {path} attributed no operations", file=sys.stderr)
         return 2
-    sampled = data.get("ops_sampled", 0)
-    offered = data.get("ops_offered", 0)
     notes = (
-        f"{sampled} of {offered} ops sampled "
-        f"(1 in {data.get('sample_every', 1)}); "
+        f"{data.get('ops_sampled', 0)} ops attributed; "
         f"{len(data.get('slow_ops', []))} slow ops retained"
     )
     print(format_experiment(f"Latency attribution: {path}", headers, rows, notes=notes))

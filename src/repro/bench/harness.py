@@ -78,19 +78,12 @@ class SystemConfig:
             raise ConfigError(f"pinning_threshold must be in [0, 1]: {self.pinning_threshold}")
 
 
-def check_runner_options(
-    *,
-    clients: int,
-    sample_interval_ms: float | None,
-    attribution_sample_every: int | None = None,
-) -> None:
+def check_runner_options(*, clients: int, sample_interval_ms: float | None) -> None:
     """The :class:`WorkloadRunner` argument rules, checkable before any engine exists."""
     if clients < 1:
         raise ConfigError("clients must be >= 1")
     if sample_interval_ms is not None:
         check_interval_ms(sample_interval_ms)
-    if attribution_sample_every is not None and attribution_sample_every < 1:
-        raise ConfigError(f"attribution_sample_every must be >= 1: {attribution_sample_every}")
 
 
 def build_system(config: SystemConfig, workload: YCSBWorkload) -> LsmDB:
@@ -318,14 +311,9 @@ class WorkloadRunner:
         *,
         clients: int = 8,
         sample_interval_ms: float | None = None,
-        attribution_sample_every: int | None = None,
-        slow_op_k: int = 8,
+        attribution: bool = False,
     ) -> None:
-        check_runner_options(
-            clients=clients,
-            sample_interval_ms=sample_interval_ms,
-            attribution_sample_every=attribution_sample_every,
-        )
+        check_runner_options(clients=clients, sample_interval_ms=sample_interval_ms)
         self.db = db
         self.clients = clients
         # Each measured op's latency is recorded once, in run order, in
@@ -362,18 +350,14 @@ class WorkloadRunner:
                 },
                 latencies=self._latencies,
             ).attach()
-        #: Per-request latency provenance: pass ``attribution_sample_every``
-        #: to break every N-th measured op's latency down by
-        #: (component, tier) and retain the ``slow_op_k`` slowest ops
-        #: with full span trees + an LSM state snapshot. Off by default;
-        #: when on, :meth:`run` wraps its three engine callables once.
+        #: Per-request latency provenance: pass ``attribution=True`` to
+        #: break every measured op's latency down by (component, tier)
+        #: and retain the slowest ops with full span trees + an LSM
+        #: state snapshot. Off by default; when on, :meth:`run` wraps
+        #: its three engine callables once.
         self.attribution: LatencyAttribution | None = None
-        if attribution_sample_every is not None:
-            self.attribution = LatencyAttribution(
-                seed=db.options.seed,
-                sample_every=attribution_sample_every,
-                slow_k=slow_op_k,
-            )
+        if attribution:
+            self.attribution = LatencyAttribution(seed=db.options.seed)
             # A function of the engine alone: a bound method of the
             # runner would tie runner and attribution into a cycle.
             self.attribution.state_fn = partial(_lsm_state_snapshot, db)
@@ -597,15 +581,14 @@ def run_experiment(
     *,
     label: str | None = None,
     sample_interval_ms: float | None = None,
-    attribution_sample_every: int | None = None,
-    slow_op_k: int = 8,
+    attribution: bool = False,
 ) -> RunResult:
     """Convenience wrapper: build, load, run, snapshot.
 
     ``sample_interval_ms`` turns on timeline sampling for the whole run
     (load, warmup and measured phases, attributed via phase markers).
-    ``attribution_sample_every`` turns on per-request latency
-    attribution for the measured phase (1 = every op).
+    ``attribution`` turns on per-request latency attribution for every
+    op of the measured phase.
     """
     workload = YCSBWorkload(workload_config)
     db = build_system(config, workload)
@@ -613,8 +596,7 @@ def run_experiment(
         db,
         clients=config.clients,
         sample_interval_ms=sample_interval_ms,
-        attribution_sample_every=attribution_sample_every,
-        slow_op_k=slow_op_k,
+        attribution=attribution,
     )
     runner.load(workload)
     if workload_config.warmup_operations > 0:

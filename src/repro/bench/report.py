@@ -30,8 +30,8 @@ from repro.lsm.compaction import JobRecord
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 
-def add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    """The workload/system knobs shared by ``report`` and ``timeline``."""
+def add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the ``report`` options to ``parser`` (reused by the CLI)."""
     parser.add_argument("--system", default="prismdb",
                         choices=("rocksdb", "prismdb", "mutant"))
     parser.add_argument("--layout", default="NNNTQ", help="tier layout code")
@@ -42,11 +42,6 @@ def add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--read-pct", type=int, default=50,
                         help="read percentage; 50 = YCSB-A (default: 50)")
     parser.add_argument("--seed", type=int, default=0)
-
-
-def add_report_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``report`` options to ``parser`` (reused by the CLI)."""
-    add_workload_arguments(parser)
     parser.add_argument("--metrics", action="store_true",
                         help="print the full metrics-registry snapshot")
     parser.add_argument("--breakdown", action="store_true",
@@ -66,11 +61,6 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attribution", action="store_true",
                         help="attribute per-request latency by (component, "
                              "tier); feeds `repro.bench explain`")
-    parser.add_argument("--attr-sample-every", type=int, default=1, metavar="N",
-                        help="attribute every Nth op (default: 1 = all)")
-    parser.add_argument("--slow-k", type=int, default=8, metavar="K",
-                        help="slowest ops to retain with full span trees "
-                             "(default: 8)")
 
 
 def chrome_trace(jobs: list[JobRecord]) -> dict:
@@ -138,10 +128,7 @@ def run_report(args: argparse.Namespace) -> int:
         db,
         clients=system_config.clients,
         sample_interval_ms=sample_interval,
-        attribution_sample_every=(
-            args.attr_sample_every if args.attribution else None
-        ),
-        slow_op_k=args.slow_k,
+        attribution=args.attribution,
     )
     runner.load(workload)
     elapsed = runner.run(workload)

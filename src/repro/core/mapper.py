@@ -16,8 +16,6 @@ keys to pin, default 10 %) into a per-CLOCK-value pin probability:
 
 from __future__ import annotations
 
-import random
-
 from repro.common.rng import fnv1a_64
 from repro.errors import ConfigError
 
@@ -98,17 +96,8 @@ class ClockDistributionMapper:
             cumulative_above += fraction
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def should_pin(self, clock: int, threshold: float, rng: random.Random) -> bool:
-        """The coin flip: pin a key given its CLOCK value."""
-        probability = self.pin_probability(clock, threshold)
-        if probability >= 1.0:
-            return True
-        if probability <= 0.0:
-            return False
-        return rng.random() < probability
-
     def should_pin_key(self, user_key: bytes, clock: int, threshold: float) -> bool:
-        """Deterministic variant of the coin flip, sampled by key hash.
+        """The coin flip, sampled by key hash.
 
         The paper samples the threshold-straddling CLOCK class randomly;
         an independent coin per *encounter* would make the pinned set

@@ -27,7 +27,6 @@ tier-1 tests under ``tests/fleet`` are what run it.
 See ``docs/FLEET.md`` for the contracts and the determinism rules.
 """
 
-from repro.fleet.merge import merge_run_results
 from repro.fleet.pool import DevicePool, PoolParams
 from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.runner import FleetConfig, run_fleet, run_shard
@@ -40,7 +39,6 @@ __all__ = [
     "PoolParams",
     "ShardWorkload",
     "TenantSpec",
-    "merge_run_results",
     "run_fleet",
     "run_shard",
 ]

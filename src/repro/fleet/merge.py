@@ -28,13 +28,10 @@ global top-K) or is a documented deterministic approximation:
 ``tests/fleet/test_merge.py`` pins the exactness claims
 against a single recorder fed the combined stream.
 
-The merge is exposed two ways: :class:`ShardAccumulator` folds results
-one at a time — the fleet router feeds it each shard artifact as the
-worker pool streams them back, so decoded shards are consumed on
-arrival instead of piling up behind a barrier — and
-:func:`merge_run_results` wraps the accumulator for callers that
-already hold the full list. Both reduce in shard order, so they produce
-bit-identical artifacts.
+:class:`ShardAccumulator` folds results one at a time — the fleet
+router feeds it each shard artifact as the worker pool streams them
+back, so decoded shards are consumed on arrival instead of piling up
+behind a barrier.
 """
 
 from __future__ import annotations
@@ -136,9 +133,6 @@ class ShardAccumulator:
         self._metrics: list[dict] = []
         self._timelines: list[dict] = []
 
-    def __len__(self) -> int:
-        return self._count
-
     def add(self, result: RunResult) -> None:
         """Fold one shard's result in (shards must share system/layout)."""
         first = self._first
@@ -215,13 +209,3 @@ class ShardAccumulator:
             **sums,
             **folds,
         )
-
-
-def merge_run_results(
-    results: list[RunResult], *, label: str = "fleet"
-) -> RunResult:
-    """Fold per-shard :class:`RunResult` artifacts into one fleet result."""
-    accumulator = ShardAccumulator()
-    for result in results:
-        accumulator.add(result)
-    return accumulator.finish(label=label)

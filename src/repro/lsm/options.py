@@ -66,7 +66,8 @@ class DBOptions:
     #: level-sizing accommodation that keeps pinning from churning
     #: (§4.3's "placer must take level sizing into account").
     pin_reserve_fraction: float = 0.5
-    #: RNG seed of the harness's latency-attribution sampling.
+    #: RNG seed of the latency attribution's exemplar reservoir, its only
+    #: reader (the harness's ``WorkloadRunner(attribution=True)``).
     seed: int = 0
     #: Compaction shape by name: "leveling" (one sorted run per level,
     #: the default and the paper's configuration), "tiering" (a stack of

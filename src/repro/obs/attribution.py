@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.common.rng import make_rng
+from repro.errors import ConfigError
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 
 #: Percentile bands reported by :func:`band_breakdown`, tail-last. Band
@@ -148,72 +149,51 @@ class _Cell:
 
 
 class LatencyAttribution:
-    """Bounded-memory aggregator over sampled :class:`OpContext` results.
+    """Bounded-memory aggregator over every measured op's :class:`OpContext`.
 
     Memory is O(op types x latency buckets x components) for the cells
-    plus ``slow_k`` full entries and ``reservoir_k`` exemplars —
-    independent of operation count. All sampling decisions derive from
-    the op sequence number and a seeded RNG, never wall clock, so two
-    identical runs produce identical exports.
+    plus :attr:`SLOW_K` full entries and :attr:`RESERVOIR_K` exemplars —
+    independent of operation count. The exemplar draws come from a
+    seeded RNG, never wall clock, so two identical runs produce
+    identical exports.
     """
 
     #: Version of the :meth:`to_dict` layout (nested inside the RunResult
     #: artifact, versioned independently of the artifact schema).
     SCHEMA = 1
+    #: Slowest ops retained with their full event list and state snapshot.
+    SLOW_K = 8
+    #: Exemplar ops kept by the seeded reservoir.
+    RESERVOIR_K = 4
+    #: Latency bucket bounds, the registry histograms' own.
+    BOUNDS = DEFAULT_LATENCY_BUCKETS
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        sample_every: int = 1,
-        slow_k: int = 8,
-        reservoir_k: int = 4,
-        bounds: tuple[float, ...] | None = None,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every}")
-        if slow_k < 0 or reservoir_k < 0:
-            raise ValueError("slow_k and reservoir_k must be non-negative")
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = seed
-        self.sample_every = sample_every
-        self.slow_k = slow_k
-        self.reservoir_k = reservoir_k
-        self.bounds = tuple(DEFAULT_LATENCY_BUCKETS if bounds is None else bounds)
         #: Optional zero-argument callable returning a JSON-safe LSM
         #: state snapshot, captured when an op enters the slow-op log.
         self.state_fn: Callable[[], dict] | None = None
         self._rng = make_rng(seed, "obs", "attribution")
-        self._ops_offered = 0
-        self._ops_sampled = 0
+        self._ops = 0
         self._cells: dict[str, list[_Cell | None]] = {}
-        # Min-heap of (total_usec, seq, entry): the K slowest sampled ops.
+        # Min-heap of (total_usec, seq, entry): the K slowest ops.
         self._slow: list[tuple[float, int, dict]] = []
         self._examples: list[dict] = []
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def begin(self, op: str) -> OpContext | None:
-        """Start attributing one operation; None when sampled out."""
-        self._ops_offered += 1
-        if self.sample_every > 1 and self._ops_offered % self.sample_every:
-            return None
-        return OpContext(op)
-
     def attributed(self, op: str, call: Callable) -> Callable:
-        """Wrap an engine entry point so each call is offered for attribution.
+        """Wrap an engine entry point so each call is attributed.
 
-        ``call`` returns a result carrying ``latency_usec``; a sampled call
-        runs with its :class:`OpContext` active. The wrapper is transparent
+        ``call`` returns a result carrying ``latency_usec`` and runs with
+        a fresh :class:`OpContext` active. The wrapper is transparent
         otherwise, so ``call`` may be any callable of the same arity.
         """
-        begin = self.begin
         observe = self.observe
 
         def attributed_call(*args):
-            ctx = begin(op)
-            if ctx is None:
-                return call(*args)
+            ctx = OpContext(op)
             with attributing(ctx):
                 result = call(*args)
             observe(ctx, result.latency_usec)
@@ -233,10 +213,10 @@ class LatencyAttribution:
         if residual:
             parts[RESIDUAL_KEY] = parts.get(RESIDUAL_KEY, 0.0) + residual
         # The same rule as Histogram.observe: bucket i holds (b[i-1], b[i]].
-        index = bisect_left(self.bounds, total_usec)
+        index = bisect_left(self.BOUNDS, total_usec)
         cells = self._cells.get(ctx.op)
         if cells is None:
-            cells = self._cells[ctx.op] = [None] * (len(self.bounds) + 1)
+            cells = self._cells[ctx.op] = [None] * (len(self.BOUNDS) + 1)
         cell = cells[index]
         if cell is None:
             cell = cells[index] = _Cell()
@@ -246,25 +226,20 @@ class LatencyAttribution:
         for key, usec in parts.items():
             cell_parts[key] = cell_parts.get(key, 0.0) + usec
 
-        seq = self._ops_sampled
-        if self.slow_k > 0 and (
-            len(self._slow) < self.slow_k or total_usec > self._slow[0][0]
-        ):
+        seq = self._ops
+        if len(self._slow) < self.SLOW_K or total_usec > self._slow[0][0]:
             entry = self._make_entry(ctx, total_usec, seq, full=True)
             heapq.heappush(self._slow, (total_usec, seq, entry))
-            if len(self._slow) > self.slow_k:
+            if len(self._slow) > self.SLOW_K:
                 heapq.heappop(self._slow)
-        if self.reservoir_k > 0:
-            if seq < self.reservoir_k:
-                self._examples.append(self._make_entry(ctx, total_usec, seq, full=False))
-            else:
-                # Algorithm R over the sampled-op stream, seeded RNG.
-                slot = self._rng.randrange(seq + 1)
-                if slot < self.reservoir_k:
-                    self._examples[slot] = self._make_entry(
-                        ctx, total_usec, seq, full=False
-                    )
-        self._ops_sampled = seq + 1
+        if seq < self.RESERVOIR_K:
+            self._examples.append(self._make_entry(ctx, total_usec, seq, full=False))
+        else:
+            # Algorithm R over the op stream, seeded RNG.
+            slot = self._rng.randrange(seq + 1)
+            if slot < self.RESERVOIR_K:
+                self._examples[slot] = self._make_entry(ctx, total_usec, seq, full=False)
+        self._ops = seq + 1
 
     def _make_entry(self, ctx: OpContext, total_usec: float, seq: int, *, full: bool) -> dict:
         entry: dict = {
@@ -283,6 +258,20 @@ class LatencyAttribution:
     # ------------------------------------------------------------------
     # Export / import (bit-exact round trip through JSON)
     # ------------------------------------------------------------------
+    @classmethod
+    def _layout(cls, ops: int) -> dict:
+        """The export's fixed fields: every op is attributed, and the
+        two K and the bounds are the class's. The export still writes
+        them, so its layout and bytes stay what saved artifacts hold."""
+        return {
+            "sample_every": 1,
+            "slow_k": cls.SLOW_K,
+            "reservoir_k": cls.RESERVOIR_K,
+            "bounds": list(cls.BOUNDS),
+            "ops_offered": ops,
+            "ops_sampled": ops,
+        }
+
     def to_dict(self) -> dict:
         """A JSON-safe export; :meth:`from_dict` rebuilds it bit-exactly."""
         ops: dict[str, dict] = {}
@@ -308,12 +297,7 @@ class LatencyAttribution:
         return {
             "schema": self.SCHEMA,
             "seed": self.seed,
-            "sample_every": self.sample_every,
-            "slow_k": self.slow_k,
-            "reservoir_k": self.reservoir_k,
-            "bounds": list(self.bounds),
-            "ops_offered": self._ops_offered,
-            "ops_sampled": self._ops_sampled,
+            **self._layout(self._ops),
             "ops": ops,
             "slow_ops": slow,
             "examples": list(self._examples),
@@ -326,6 +310,8 @@ class LatencyAttribution:
         The RNG stream is freshly seeded (continuing to record into a
         restored instance would not replay the original draws); restored
         instances are for inspection and re-export, which is bit-exact.
+        Raises :class:`ConfigError` for an export recorded with a
+        sampling rate, a K or bounds other than this build's.
         """
         schema = data.get("schema")
         if schema != cls.SCHEMA:
@@ -333,17 +319,16 @@ class LatencyAttribution:
                 f"unsupported attribution schema {schema!r} "
                 f"(this build reads schema {cls.SCHEMA})"
             )
-        attr = cls(
-            seed=data["seed"],
-            sample_every=data["sample_every"],
-            slow_k=data["slow_k"],
-            reservoir_k=data["reservoir_k"],
-            bounds=tuple(data["bounds"]),
-        )
-        attr._ops_offered = data["ops_offered"]
-        attr._ops_sampled = data["ops_sampled"]
+        attr = cls(seed=data["seed"])
+        attr._ops = data["ops_sampled"]
+        for key, value in cls._layout(attr._ops).items():
+            if data[key] != value:
+                raise ConfigError(
+                    f"attribution {key} {data[key]!r} differs from this "
+                    f"build's {value!r}"
+                )
         for op, info in data["ops"].items():
-            cells: list[_Cell | None] = [None] * (len(attr.bounds) + 1)
+            cells: list[_Cell | None] = [None] * (len(cls.BOUNDS) + 1)
             for bucket in info["buckets"]:
                 cell = _Cell()
                 cell.count = bucket["count"]

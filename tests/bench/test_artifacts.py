@@ -30,7 +30,7 @@ def sampled_result():
         workload,
         label="artifact-test",
         sample_interval_ms=0.2,
-        attribution_sample_every=1,
+        attribution=True,
     )
 
 
@@ -110,7 +110,7 @@ class TestSchemaV2:
                 50, record_count=300, operation_count=600, seed=13
             )
             return run_experiment(
-                config, workload, label="det", attribution_sample_every=1
+                config, workload, label="det", attribution=True
             )
 
         first, second = one_run(), one_run()

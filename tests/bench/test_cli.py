@@ -1,14 +1,23 @@
 """Tests for the command-line entry point."""
 
+import pytest
+
 from repro.bench.cli import EXPERIMENTS, main
+from repro.bench.harness import SystemConfig, run_experiment
+from repro.workloads.ycsb import YCSBConfig
 
 
 class TestCli:
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        # The bare command is the one listing; `list` and a bare `run` are not.
+        assert main([]) == 0
         out = capsys.readouterr().out
         for name in ("table1", "fig9a", "fig14"):
             assert name in out
+        assert main(["list"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["run"]) == 2
+        capsys.readouterr()
 
     def test_no_args_shows_help(self, capsys):
         assert main([]) == 0
@@ -51,6 +60,15 @@ WORKLOAD_ARGS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A sampled run artifact, written by `report --save`."""
+    artifact = str(tmp_path_factory.mktemp("cli") / "run.json")
+    assert main(["report", *WORKLOAD_ARGS, "--save", artifact,
+                 "--sample-interval-ms", "0.2"]) == 0
+    return artifact
+
+
 class TestSubcommands:
     def test_run_subcommand_explicit(self, capsys):
         assert main(["run", "table1"]) == 0
@@ -63,64 +81,70 @@ class TestSubcommands:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for sub in ("run", "report", "timeline", "compare", "list"):
+        for sub in ("run", "report", "timeline", "compare"):
             assert sub in out
 
     def test_subcommand_help_exits_zero(self, capsys):
-        for sub in ("run", "report", "timeline", "compare", "list"):
+        for sub in ("run", "report", "timeline", "compare"):
             assert main([sub, "--help"]) == 0
             capsys.readouterr()
 
-    def test_timeline_sparkline(self, capsys):
-        code = main(["timeline", *WORKLOAD_ARGS, "--interval-ms", "0.2"])
+    def test_timeline_sparkline(self, saved_run, capsys):
+        code = main(["timeline", saved_run])
         out = capsys.readouterr().out
         assert code == 0
         assert "throughput_kops" in out
         assert "samples" in out
 
-    def test_timeline_list_series(self, capsys):
-        code = main(
-            ["timeline", *WORKLOAD_ARGS, "--interval-ms", "0.2", "--list-series"]
-        )
+    def test_timeline_list_series(self, saved_run, capsys):
+        code = main(["timeline", saved_run, "--list-series"])
         out = capsys.readouterr().out
         assert code == 0
         assert "throughput_kops" in out.splitlines()
 
-    def test_timeline_unknown_series(self, capsys):
-        code = main(
-            ["timeline", *WORKLOAD_ARGS, "--interval-ms", "0.2",
-             "--series", "bogus_series"]
-        )
+    def test_timeline_unknown_series(self, saved_run, capsys):
+        code = main(["timeline", saved_run, "--series", "bogus_series"])
         assert code == 2
         assert "unknown series" in capsys.readouterr().err
 
-    def test_timeline_csv_to_file(self, tmp_path, capsys):
+    def test_timeline_csv_to_file(self, saved_run, tmp_path, capsys):
         out_file = tmp_path / "t.csv"
         code = main(
-            ["timeline", *WORKLOAD_ARGS, "--interval-ms", "0.2",
-             "--format", "csv", "--out", str(out_file)]
+            ["timeline", saved_run, "--format", "csv", "--out", str(out_file)]
         )
         capsys.readouterr()
         assert code == 0
         header = out_file.read_text().splitlines()[0]
         assert header.startswith("t_ms,phase,")
 
-    def test_timeline_save_then_compare_self(self, tmp_path, capsys):
-        artifact = tmp_path / "run.json"
+    def test_report_save_then_timeline_and_compare_self(self, saved_run, tmp_path, capsys):
         code = main(
-            ["timeline", *WORKLOAD_ARGS, "--interval-ms", "0.2",
-             "--format", "json", "--out", str(tmp_path / "t.json"),
-             "--save", str(artifact)]
+            ["timeline", saved_run, "--format", "json", "--out", str(tmp_path / "t.json")]
         )
         capsys.readouterr()
         assert code == 0
-        assert artifact.exists()
-        # Re-render the saved artifact without running a fresh workload.
-        assert main(["timeline", "--artifact", str(artifact)]) == 0
-        capsys.readouterr()
         # Deterministic run compared against itself: zero drift, exit 0.
-        assert main(["compare", str(artifact), str(artifact)]) == 0
+        assert main(["compare", saved_run, saved_run]) == 0
         assert "REGRESSION" not in capsys.readouterr().out
+
+    def test_timeline_of_an_unsampled_run_is_error(self, tmp_path, capsys):
+        artifact = str(tmp_path / "plain.json")
+        run_experiment(
+            SystemConfig(system="prismdb"),
+            YCSBConfig.read_update(50, record_count=300, operation_count=300),
+        ).save(artifact)
+        assert main(["timeline", artifact]) == 2
+        assert "has no timeline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["timeline", "--records", "300"],
+        ["run", "table1", "--profile"],
+        ["report", "--slow-k", "8"],
+        ["report", "--attr-sample-every", "2"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        capsys.readouterr()
 
     def test_compare_missing_file_is_error(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
@@ -137,9 +161,3 @@ class TestSubcommands:
         assert code == 0
         assert artifact.exists()
 
-    def test_run_with_profile_prints_report(self, capsys):
-        code = main(["run", "table1", "--profile", "--profile-limit", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cProfile" in out
-        assert "cumulative" in out

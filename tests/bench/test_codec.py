@@ -200,7 +200,7 @@ def attributed_result():
         workload,
         label="codec-test",
         sample_interval_ms=0.2,
-        attribution_sample_every=1,
+        attribution=True,
     )
 
 

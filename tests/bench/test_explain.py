@@ -14,7 +14,7 @@ def make_result(seed, cache_fraction=0.10):
         SystemConfig(system="prismdb", seed=seed, cache_fraction=cache_fraction),
         YCSBConfig.read_update(50, record_count=400, operation_count=800, seed=seed),
         label=f"explain-test-{seed}",
-        attribution_sample_every=1,
+        attribution=True,
     )
 
 
@@ -127,3 +127,16 @@ class TestInputValidation:
         assert err.startswith("error: ")
         assert str(path) in err
         assert "Traceback" not in err
+
+    def test_block_recorded_with_another_slow_k_asks_for_a_rerecord(
+        self, artifact_pair, tmp_path, capsys
+    ):
+        data = RunResult.load(artifact_pair[0]).to_json()
+        data["attribution"]["slow_k"] = 16
+        path = tmp_path / "slow_k16.json"
+        path.write_text(json.dumps(data))
+        assert explain_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "slow_k" in err
+        assert "report --save FILE --attribution" in err
+        assert "malformed" not in err

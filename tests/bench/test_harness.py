@@ -138,12 +138,6 @@ class TestWorkloadRunner:
         with pytest.raises(ConfigError):
             WorkloadRunner(db, clients=0)
 
-    def test_bad_attribution_sample_every_rejected(self):
-        workload = YCSBWorkload(SMALL)
-        db = build_system(SystemConfig(system="rocksdb"), workload)
-        with pytest.raises(ConfigError, match="attribution_sample_every must be >= 1"):
-            WorkloadRunner(db, attribution_sample_every=0)
-
     @pytest.mark.parametrize("system", ["rocksdb", "prismdb", "mutant"])
     def test_engine_freed_by_refcount_after_result(self, system):
         # Sampler and attribution on: the two parts that once tied the
@@ -155,7 +149,7 @@ class TestWorkloadRunner:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            runner = WorkloadRunner(db, sample_interval_ms=0.5, attribution_sample_every=2)
+            runner = WorkloadRunner(db, sample_interval_ms=0.5, attribution=True)
             runner.load(workload)
             elapsed = runner.run(workload)
             result = runner.result(system, SystemConfig(system=system), elapsed)
@@ -253,8 +247,8 @@ class TestAttributionNeverPerturbs:
         max_scan_length=20,
     )
 
-    #: sha256 of each cell's attribution export at ``sample_every=1``. Mutant
-    #: equals RocksDB at this size: no optimizer epoch runs.
+    #: sha256 of each cell's attribution export. Mutant equals RocksDB at
+    #: this size: no optimizer epoch runs.
     DIGESTS = {
         ("rocksdb", 0.0): "fc68fd6d2f033277c0d2362436a6df4b8c8c1c7a343e04b4fcb191756c794290",
         ("rocksdb", 0.5): "a6da6d393c15223f5d82a45505cac6561e1a19e13bf9adaae201bb0ffc806659",
@@ -271,20 +265,15 @@ class TestAttributionNeverPerturbs:
         plain = run_experiment(config, self.MIXED).to_json()
         assert plain.pop("attribution") == {}
         assert plain["metrics"]  # the registry snapshot is part of the comparison
-        for sample_every in (1, 3):
-            attributed = run_experiment(
-                config, self.MIXED, attribution_sample_every=sample_every
-            ).to_json()
-            ops = attributed.pop("attribution")
-            assert ops["ops_offered"] == self.MIXED.operation_count
-            assert ops["ops_sampled"] == self.MIXED.operation_count // sample_every
-            assert attributed == plain
-            if sample_every == 1:
-                # Every charged microsecond is attributed where it is charged:
-                # what no charge site named is float association noise only.
-                for op, info in ops["ops"].items():
-                    residual = sum(bucket["parts"].get(RESIDUAL_KEY, 0.0)
-                                   for bucket in info["buckets"])
-                    assert abs(residual) <= 1e-12 * info["total_usec"], op
-                digest = hashlib.sha256(json.dumps(ops, sort_keys=True).encode()).hexdigest()
-                assert digest == self.DIGESTS[system, row_cache_share]
+        attributed = run_experiment(config, self.MIXED, attribution=True).to_json()
+        ops = attributed.pop("attribution")
+        assert ops["ops_offered"] == ops["ops_sampled"] == self.MIXED.operation_count
+        assert attributed == plain
+        # Every charged microsecond is attributed where it is charged:
+        # what no charge site named is float association noise only.
+        for op, info in ops["ops"].items():
+            residual = sum(bucket["parts"].get(RESIDUAL_KEY, 0.0)
+                           for bucket in info["buckets"])
+            assert abs(residual) <= 1e-12 * info["total_usec"], op
+        digest = hashlib.sha256(json.dumps(ops, sort_keys=True).encode()).hexdigest()
+        assert digest == self.DIGESTS[system, row_cache_share]

@@ -1,7 +1,5 @@
 """Tests for the CLOCK-distribution mapper and the pinning threshold."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,11 +116,10 @@ class TestPinningThreshold:
 
 
 class TestCoinFlips:
-    def test_should_pin_extremes(self):
+    def test_should_pin_key_extremes(self):
         mapper = mapper_with_counts([0, 0, 0, 10])
-        rng = random.Random(1)
-        assert mapper.should_pin(3, 1.0, rng)
-        assert not mapper.should_pin(3, 0.0, rng)
+        assert mapper.should_pin_key(b"k", 3, 1.0)
+        assert not mapper.should_pin_key(b"k", 3, 0.0)
 
     def test_should_pin_key_deterministic(self):
         mapper = mapper_with_counts([50, 30, 10, 10])

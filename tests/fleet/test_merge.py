@@ -15,12 +15,20 @@ from repro.common.clock import SimClock
 from repro.common.rng import make_rng
 from repro.common.stats import LatencySummary
 from repro.errors import ConfigError, ObservabilityError
-from repro.fleet.merge import _EXPLICIT, _FOLDED, _SUMMED, merge_run_results
+from repro.fleet.merge import _EXPLICIT, _FOLDED, _SUMMED, ShardAccumulator
 from repro.fleet.pool import DevicePool, PoolParams
 from repro.fleet.runner import FleetConfig, default_tenants, run_shard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler, merge_timelines
 from repro.workloads.ycsb import YCSBConfig
+
+
+def merge(results):
+    """Fold ``results`` as the fleet router does: one ``add`` per shard."""
+    accumulator = ShardAccumulator()
+    for result in results:
+        accumulator.add(result)
+    return accumulator.finish(label="fleet")
 
 
 class TestSnapshotMerge:
@@ -114,7 +122,7 @@ class TestRunResultMerge:
         return [run_shard(config, shard) for shard in range(config.shards)]
 
     def test_extensive_totals_are_exact_sums(self, shard_results):
-        merged = merge_run_results(shard_results)
+        merged = merge(shard_results)
         for attr in (
             "operations",
             "user_write_bytes",
@@ -132,7 +140,7 @@ class TestRunResultMerge:
             )
 
     def test_latency_counts_and_means_are_exact(self, shard_results):
-        merged = merge_run_results(shard_results)
+        merged = merge(shard_results)
         count = sum(r.read_latency.count for r in shard_results)
         assert merged.read_latency.count == count
         total = sum(r.read_latency.mean * r.read_latency.count
@@ -143,8 +151,8 @@ class TestRunResultMerge:
         )
 
     def test_merge_is_order_invariant(self, shard_results):
-        a = merge_run_results(shard_results)
-        b = merge_run_results(shard_results[::-1])
+        a = merge(shard_results)
+        b = merge(shard_results[::-1])
         assert a.to_json() == b.to_json()
 
     def test_every_field_has_one_merge_rule(self):
@@ -158,7 +166,7 @@ class TestRunResultMerge:
         alien = RunResult.from_json(other.to_json())
         alien.system = "rocksdb"
         with pytest.raises(ConfigError):
-            merge_run_results([shard_results[0], alien])
+            merge([shard_results[0], alien])
 
 
 class TestDevicePool:
@@ -187,7 +195,7 @@ class TestDevicePool:
             sample_interval_ms=0.5,
         )
         results = [run_shard(config, shard) for shard in range(2)]
-        merged = merge_run_results(results)
+        merged = merge(results)
         pool = DevicePool(2, PoolParams(oversubscription=2.0))
         contention = pool.contention(merged.timeline)
         assert contention["shards"] == 2
@@ -210,7 +218,7 @@ class TestDevicePool:
             sample_interval_ms=0.5,
         )
         results = [run_shard(config, shard) for shard in range(2)]
-        merged = merge_run_results(results)
+        merged = merge(results)
         loose = DevicePool(2, PoolParams(oversubscription=1.0))
         tight = DevicePool(2, PoolParams(oversubscription=64.0))
         assert (

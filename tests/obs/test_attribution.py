@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.obs.attribution import (
     BANDS,
     RESIDUAL_KEY,
@@ -21,9 +22,7 @@ from repro.obs.attribution import (
 
 def record_op(attr, op, parts, total=None):
     """Feed one op whose breakdown is ``parts`` ({(comp, tier): usec})."""
-    ctx = attr.begin(op)
-    if ctx is None:
-        return None
+    ctx = OpContext(op)
     for (component, tier), usec in parts.items():
         ctx.add(component, tier, usec)
     if total is None:
@@ -102,40 +101,33 @@ class TestAggregation:
 
     def test_bucket_rule_matches_histogram(self):
         # Bucket i covers (bounds[i-1], bounds[i]]: a value exactly on a
-        # bound goes to that bound's bucket, as in Histogram.observe.
-        attr = LatencyAttribution(seed=0, bounds=(1.0, 2.0, 4.0))
-        for total in (1.0, 2.0, 2.5, 100.0):
+        # bound goes to that bound's bucket, as in Histogram.observe; a
+        # value above the last bound goes to the overflow bucket.
+        bounds = LatencyAttribution.BOUNDS
+        assert bounds[:3] == (1.0, 2.0, 4.0)
+        attr = LatencyAttribution(seed=0)
+        for total in (1.0, 1.5, 2.0, 2.5, 4.0, 2 * bounds[-1]):
             record_op(attr, "read", {("cpu", "-"): total})
         indices = {
             b["index"]: b["count"] for b in attr.to_dict()["ops"]["read"]["buckets"]
         }
-        assert indices == {0: 1, 1: 1, 2: 1, 3: 1}
-
-    def test_sample_every_keeps_every_nth_op(self):
-        attr = LatencyAttribution(seed=0, sample_every=3)
-        sampled = sum(
-            1
-            for _ in range(9)
-            if record_op(attr, "read", {("cpu", "-"): 1.0}) is not None
-        )
-        assert sampled == 3
-        data = attr.to_dict()
-        assert data["ops_offered"] == 9
-        assert data["ops_sampled"] == 3
+        assert indices == {0: 1, 1: 2, 2: 2, len(bounds): 1}
 
 
 class TestSlowOps:
     def test_worst_k_retained(self):
-        attr = LatencyAttribution(seed=0, slow_k=3)
-        for total in (5.0, 50.0, 1.0, 500.0, 10.0, 100.0):
+        attr = LatencyAttribution(seed=0)
+        assert attr.SLOW_K == 8
+        totals = [float(3 ** i % 101) for i in range(1, 30)]  # 29 distinct values
+        for total in totals:
             record_op(attr, "read", {("data", "tlc"): total})
         slow = attr.to_dict()["slow_ops"]
-        assert [entry["total_usec"] for entry in slow] == [500.0, 100.0, 50.0]
+        assert [entry["total_usec"] for entry in slow] == sorted(totals, reverse=True)[:8]
 
     def test_slow_entry_carries_events_and_state(self):
-        attr = LatencyAttribution(seed=0, slow_k=1)
+        attr = LatencyAttribution(seed=0)
         attr.state_fn = lambda: {"l0_files": 4}
-        ctx = attr.begin("read")
+        ctx = OpContext("read")
         ctx.scope = "L3:f9"
         ctx.add("data", "tlc", 42.0)
         attr.observe(ctx, 42.0)
@@ -145,18 +137,19 @@ class TestSlowOps:
 
     def test_examples_reservoir_is_deterministic(self):
         def fill(seed):
-            attr = LatencyAttribution(seed=seed, reservoir_k=3)
+            attr = LatencyAttribution(seed=seed)
             for i in range(50):
                 record_op(attr, "read", {("cpu", "-"): float(i)})
             return [e["seq"] for e in attr.to_dict()["examples"]]
 
+        assert len(fill(7)) == LatencyAttribution.RESERVOIR_K == 4
         assert fill(7) == fill(7)
         assert fill(7) != fill(8)  # the seed actually feeds the draws
 
 
 class TestRoundTrip:
     def make_populated(self):
-        attr = LatencyAttribution(seed=3, sample_every=2, slow_k=2, reservoir_k=2)
+        attr = LatencyAttribution(seed=3)
         attr.state_fn = lambda: {"clock_usec": 123.0}
         for i in range(20):
             record_op(
@@ -176,6 +169,14 @@ class TestRoundTrip:
         data = self.make_populated().to_dict()
         data["schema"] = 999
         with pytest.raises(ValueError):
+            LatencyAttribution.from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [("sample_every", 3), ("slow_k", 16),
+                                            ("ops_offered", 999)])
+    def test_a_layout_this_build_does_not_record_is_rejected(self, key, value):
+        data = self.make_populated().to_dict()
+        data[key] = value
+        with pytest.raises(ConfigError, match=key):
             LatencyAttribution.from_dict(data)
 
 

@@ -50,7 +50,7 @@ for system in ("prismdb", "rocksdb", "mutant"):
     config = harness.SystemConfig(system=system)
     runner = harness.WorkloadRunner(
         harness.build_system(config, workload),
-        sample_interval_ms=0.5, attribution_sample_every=4)
+        sample_interval_ms=0.5, attribution=True)
     runner.load(workload)
     runner.warmup(workload)
     runner.result(system, config, runner.run(workload))

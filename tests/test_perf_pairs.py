@@ -31,7 +31,7 @@ PARENT = [46.0, 47.0, 48.0, 49.0, 50.0, 51.0, 52.0, 53.0, 54.0, 55.0]
 
 
 def test_one_pair_resolves_nothing(verdict):
-    # check.sh's smoke: a single quick pair, however large its delta.
+    # A single pair, however large its delta.
     assert verdict([53.49], [60.65]) == "unresolved (1 pairs)"
 
 
